@@ -22,8 +22,7 @@ use crate::error::CurationError;
 
 /// Env knob: directory where the driver persists and reopens store
 /// snapshots ([`persist_dataset`] / [`open_snapshot`]). Unset means the
-/// driver works purely in memory (or falls back to the system temp dir
-/// where a path is required, as `bench_trajectory` does).
+/// driver works purely in memory.
 pub const SNAPSHOT_DIR_ENV: &str = "PARAMBENCH_SNAPSHOT_DIR";
 
 /// The configured snapshot directory, if any (see [`SNAPSHOT_DIR_ENV`]).
@@ -196,8 +195,7 @@ pub struct ConcurrentRun {
 
 /// Serves `requests` from `clients` in-process client threads against one
 /// shared-store [`SparqlServer`] and digests the result: throughput,
-/// per-template p50/p99 latency and serving-layer counters. This is the
-/// benchmark's concurrent phase (`bench_trajectory`) as well as the CI
+/// per-template p50/p99 latency and serving-layer counters — the CI
 /// stress entry point.
 pub fn run_concurrent(
     ds: Arc<Dataset>,

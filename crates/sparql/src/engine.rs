@@ -12,7 +12,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use parambench_rdf::dict::Id;
-use parambench_rdf::index::IndexOrder;
 use parambench_rdf::store::Dataset;
 use parambench_rdf::term::Term;
 
@@ -25,15 +24,15 @@ use crate::modifiers::{
 };
 use crate::optimizer::{optimize_with, reestimate, OrderPrefs};
 use crate::physical::{
-    self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, IndexScan,
-    LeftOuterJoin, ParallelSource, Project, UnionAll,
+    self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, LeftOuterJoin,
+    Project, UnionAll,
 };
 use crate::plan::{
-    ModifierPlan, PlanNode, PlanSignature, PlannedPattern, Slot, SpillMode, TableColSource,
+    Dedup, Fold, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode, PlanSignature,
+    PlannedPattern, Slot, Sort, TableColSource,
 };
 use crate::results::{
-    decode_bindings, finalize_bindings, finalize_table, table_from_bindings, table_from_groups,
-    OutVal, ResultSet,
+    finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
 };
 use crate::spill::{ExternalGroupFold, ExternalSorter, SortedRows};
 use crate::template::{Binding, QueryTemplate};
@@ -138,42 +137,6 @@ pub struct QueryOutput {
     pub stats: ExecStats,
 }
 
-/// The base pipeline before modifier operators: either a plain serial
-/// operator chain, or a "pure" morsel-parallel source (a qualified BGP
-/// with nothing stacked on top) that the engine can still consume worker-
-/// side (parallel aggregation) instead of through a [`Gather`].
-enum Pipeline<'a> {
-    Serial(BoxedOperator<'a>),
-    Parallel(ParallelSource<'a>),
-}
-
-impl<'a> Pipeline<'a> {
-    /// The pull-based view: parallel sources are wrapped in a [`Gather`]
-    /// that merges worker batches in morsel order.
-    fn into_operator(self) -> BoxedOperator<'a> {
-        match self {
-            Pipeline::Serial(op) => op,
-            Pipeline::Parallel(src) => Box::new(Gather::new(src)),
-        }
-    }
-}
-
-/// What remains of the plain (non-aggregate) modifier epilogue after the
-/// streaming operators are stacked — produced by `Engine::plain_tail`,
-/// consumed either all at once (`Engine::finish_plain`) or incrementally
-/// ([`Engine::stream`]).
-enum PlainTail<'a> {
-    /// The operator already emits final rows in final order (projection,
-    /// streaming DISTINCT, Slice/TopK applied) — drain and decode.
-    Rows(BoxedOperator<'a>),
-    /// The external merge sort's streaming cursor (ORDER BY without LIMIT
-    /// under a memory budget), with `skip` OFFSET rows still to drop.
-    Sorted { merged: SortedRows<'a>, cols: Vec<usize>, skip: usize },
-    /// A materializing path (sort-aware DISTINCT, the in-memory full
-    /// sort) — already finalized.
-    Table(ResultSet),
-}
-
 /// An incrementally drained query result: the serving layer's per-client
 /// output. Rows stream straight off the batched Volcano pipeline (or the
 /// external merge sort's run cursor) as the consumer pulls — a client
@@ -182,9 +145,8 @@ enum PlainTail<'a> {
 /// under unprojected sort keys) still compute their table up front at
 /// construction and stream the finished rows out.
 ///
-/// The same epilogue decisions as [`Engine::execute`] drive it (they share
-/// one implementation), so the streamed rows, their order and the final
-/// [`ExecStats`] are bit-identical to the materialized run's.
+/// [`Engine::execute`] is this stream drained by
+/// [`RowStream::collect_output`]: there is one pushed execution path.
 pub struct RowStream<'a> {
     ds: &'a Dataset,
     columns: Vec<String>,
@@ -208,10 +170,9 @@ enum StreamInner<'a> {
     },
     /// The external merge sort's cursor.
     Sorted { merged: SortedRows<'a>, cols: Vec<usize>, skip: usize },
-    /// Materialized rows (aggregation and the other blocking shapes).
+    /// Materialized rows (aggregation and the other blocking shapes;
+    /// trivially empty for LIMIT 0).
     Table(std::vec::IntoIter<Vec<OutVal>>),
-    /// Trivially empty (LIMIT 0).
-    Done,
 }
 
 /// Final accounting of a drained [`RowStream`] (see [`RowStream::finish`]).
@@ -235,7 +196,6 @@ impl<'a> RowStream<'a> {
     pub fn next_row(&mut self) -> Result<Option<Vec<OutVal>>, QueryError> {
         let RowStream { ds, inner, stats, .. } = self;
         match inner {
-            StreamInner::Done => Ok(None),
             StreamInner::Table(rows) => Ok(rows.next()),
             StreamInner::Sorted { merged, cols, skip } => loop {
                 match merged.next_row()? {
@@ -290,11 +250,26 @@ impl<'a> RowStream<'a> {
         StreamEnd { cout, wall_time: self.started.elapsed(), stats: self.stats }
     }
 
-    /// Drains every remaining row into a [`QueryOutput`] — the bridge back
-    /// to the materialized API (and the differential anchor: this must
-    /// equal [`Engine::execute`]'s output bit for bit).
+    /// Drains every remaining row into a [`QueryOutput`] — the
+    /// materialized API ([`Engine::execute`]). Pipeline batches are
+    /// released as their rows are decoded, never held as a whole.
     pub fn collect_output(mut self) -> Result<QueryOutput, QueryError> {
         let mut rows = Vec::new();
+        // Whole pipeline batches decode in one tight loop: on large plain
+        // results the per-row `next_row` state machine costs measurably
+        // more (CATALOG at 20k rows: +18 %). Same accounting as `next_row`.
+        if let StreamInner::Pipeline { op, cols, batch: None, row, done: false, .. } =
+            &mut self.inner
+        {
+            while let Some(b) = op.next_batch(&mut self.stats) {
+                rows.extend((0..b.len()).map(|r| {
+                    b.read_row(r, row);
+                    Engine::decode_cols(cols, row, self.ds)
+                }));
+                self.stats.shrink(b.len());
+            }
+        }
+        // Whatever remains, and the end-of-stream error check.
         while let Some(r) = self.next_row()? {
             rows.push(r);
         }
@@ -758,140 +733,205 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Lowers the prepared query's pattern part (BGP + UNION + OPTIONAL +
-    /// FILTER) to the streaming operator pipeline, without any modifier
-    /// operators.
-    ///
-    /// The required BGP is lowered through the morsel-parallel path
-    /// ([`crate::plan::PlanNode::lower_parallel`]) when it qualifies under
-    /// `exec`; shared hash-build sides are materialized here, against
-    /// `stats`. When nothing else (UNION / OPTIONAL / FILTER) is stacked
-    /// on top, the parallel source is returned directly so the modifier
-    /// epilogue can consume it worker-side.
-    fn build_pipeline(
-        &self,
-        prepared: &Prepared,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Pipeline<'a> {
-        // Plain LIMIT queries (no aggregation, no unsatisfied ORDER BY)
-        // are output-bound: the serial Slice stops batch-granularly after
+    /// Records the physical plan of one execution: **the only place** the
+    /// engine's physical choices are made. Join methods, morselization,
+    /// the descending scan and the modifier strategy are decided here from
+    /// `(prepared, exec, dataset)` and returned as plain data, which
+    /// [`Engine::stream`] lowers and [`Engine::explain_physical`] prints —
+    /// so what is explained is what runs. Built per execution (the bind
+    /// rule reads exact scan extents, which depend on the binding); it is
+    /// a tree walk, cheap next to any execution.
+    pub fn physical_plan<'p>(&self, prepared: &'p Prepared, exec: &ExecConfig) -> PhysicalPlan<'p> {
+        let m = &prepared.modifiers;
+        // Order-aware eliminations all derive from the *plan's* delivered
+        // order (never from thread count or budget): with the value-ordered
+        // dictionary, ascending-id delivery IS ascending ORDER BY order.
+        // `OrderExec::Off` claims no order, which switches every one off.
+        let order_on = exec.order_exec != OrderExec::Off;
+        let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
+        let in_order = self.order_satisfied(m, delivered);
+        let desc_runs = self.desc_elimination(prepared, delivered);
+        let sorted = in_order || desc_runs.is_some();
+        let budget = exec.mem_budget_rows;
+
+        // Plain LIMIT queries (no aggregation, no surviving sort) are
+        // output-bound: the serial Slice stops batch-granularly after
         // ~`limit` rows, while parallel early exit is wave-granular — up to
         // a whole wave of surplus scans for zero win. They stay serial.
-        // An ORDER BY the delivered order eliminates behaves exactly like
-        // no ORDER BY here (the sort is gone, the Slice exits early).
         // Aggregation and real sorts drain the pipeline fully, so for them
         // the fan-out is pure gain. (Shape-and-config derived,
         // thread-independent: the determinism guarantee is unaffected.)
-        let m = &prepared.modifiers;
-        let sort_gone = m.order_by.is_empty() || self.sort_eliminated(prepared, exec);
-        let output_bound = m.aggregate.is_none() && sort_gone && m.limit.is_some();
-        let desc_scan = self.desc_elimination(prepared, exec);
-        let base = prepared.bgp_plan.as_ref().map(|plan| {
-            // ORDER BY ... DESC served by the index: the bare scan lowers
-            // to run-reversed descending iteration (inherently serial) and
-            // the epilogue's sort disappears, mirroring the ascending
-            // elimination.
-            if let Some((pattern, order, runs)) = desc_scan {
-                let scan: BoxedOperator<'_> =
-                    Box::new(IndexScan::descending(self.ds, pattern, order, runs));
-                return Pipeline::Serial(scan);
+        let output_bound =
+            m.aggregate.is_none() && m.limit.is_some() && (m.order_by.is_empty() || sorted);
+        let (bgp, morselized) = match &prepared.bgp_plan {
+            None => (None, false),
+            Some(plan) => {
+                let may_morselize = desc_runs.is_none() && !output_bound;
+                let (mut root, morselized) = plan.physical(self.ds, exec, may_morselize);
+                if let (Some(runs), PhysNode::Scan { desc_runs, .. }) = (desc_runs, &mut root) {
+                    *desc_runs = runs;
+                }
+                (Some(root), morselized)
             }
-            let parallel = if output_bound {
-                None
+        };
+        let serial = |plan: &PlanNode| plan.physical(self.ds, exec, false).0;
+        let unions: Vec<PhysGroup<'p>> = prepared
+            .unions
+            .iter()
+            .map(|u| PhysGroup {
+                branches: u.branches.iter().map(|(p, fs)| (serial(p), fs.as_slice())).collect(),
+                join_vars: &u.join_vars,
+            })
+            .collect();
+        let optionals: Vec<PhysGroup<'p>> = prepared
+            .optionals
+            .iter()
+            .map(|o| PhysGroup {
+                branches: vec![(serial(&o.plan), o.filters.as_slice())],
+                join_vars: &o.join_vars,
+            })
+            .collect();
+        // With nothing stacked on a morselized BGP the parallel source
+        // reaches the epilogue un-gathered and can be folded worker-side.
+        let worker_side =
+            morselized && unions.is_empty() && optionals.is_empty() && prepared.filters.is_empty();
+
+        let (fold, dedup, sort) = match &m.aggregate {
+            Some(agg) => {
+                // Group-clustered delivery folds one group at a time and
+                // skips the final sort when ORDER BY follows the same
+                // prefix. Serial, unbudgeted pipelines only: the fan-out is
+                // worth more than the one-group residency win, and a budget
+                // must bound the groups the other folds hold.
+                let ordered = order_on
+                    && budget.is_none()
+                    && !worker_side
+                    && Self::clustered(delivered, &agg.group_slots);
+                let fold = match budget {
+                    _ if ordered => Fold::Ordered,
+                    // Spilling from the first row avoids a pointless
+                    // in-memory warm-up when the estimate already predicts
+                    // the overflow; rows and counters are identical either
+                    // way.
+                    Some(budget) => {
+                        Fold::External { budget, eager: prepared.est_result_card > budget as f64 }
+                    }
+                    None if worker_side => Fold::WorkerPartials,
+                    None => Fold::Hash,
+                };
+                let sort = if m.order_by.is_empty() {
+                    Sort::None
+                } else if ordered && in_order {
+                    Sort::Eliminated { descending: false }
+                } else {
+                    Sort::Full
+                };
+                (Some(fold), if m.distinct { Dedup::Hash } else { Dedup::None }, sort)
+            }
+            None => {
+                // DISTINCT streams before any sort unless unprojected sort
+                // keys must pick each value's representative: rows equal on
+                // all projected columns otherwise share their sort keys.
+                let dedup = if !m.distinct {
+                    Dedup::None
+                } else if m.has_helper_cols() && !sorted {
+                    Dedup::SortAware
+                } else if Self::clustered(delivered, &m.out_slots()) {
+                    Dedup::Run
+                } else {
+                    Dedup::Hash
+                };
+                let sort = if m.order_by.is_empty() {
+                    Sort::None
+                } else if sorted {
+                    Sort::Eliminated { descending: desc_runs.is_some() }
+                } else if dedup == Dedup::SortAware {
+                    Sort::Full
+                } else if m.limit.is_some() {
+                    Sort::TopK
+                } else {
+                    budget.map_or(Sort::Full, |budget| Sort::External { budget })
+                };
+                (None, dedup, sort)
+            }
+        };
+        PhysicalPlan {
+            delivered_order: delivered,
+            bgp,
+            morselized,
+            unions,
+            optionals,
+            filters: &prepared.filters,
+            var_names: &prepared.var_names,
+            modifiers: m,
+            limit_zero: m.limit == Some(0),
+            fold,
+            dedup,
+            sort,
+        }
+    }
+
+    /// Lowers the recorded pattern part (BGP + UNION + OPTIONAL + FILTER)
+    /// to the streaming operator pipeline, without any modifier operators.
+    /// A morselized BGP is pulled through a [`Gather`], which merges worker
+    /// batches in morsel order; its shared hash-build sides are
+    /// materialized here, against `stats`.
+    fn lower_patterns(
+        &self,
+        plan: &PhysicalPlan<'_>,
+        exec: &ExecConfig,
+        stats: &mut ExecStats,
+    ) -> BoxedOperator<'a> {
+        let ds = self.ds;
+        let mut op = plan.bgp.as_ref().map(|root| -> BoxedOperator<'a> {
+            if plan.morselized {
+                Box::new(Gather::new(root.lower_morsels(ds, CoutBucket::Required, exec, stats)))
             } else {
-                plan.lower_parallel(self.ds, CoutBucket::Required, exec, stats)
-            };
-            match parallel {
-                Some(src) => Pipeline::Parallel(src),
-                None => Pipeline::Serial(plan.lower_with(
-                    self.ds,
-                    CoutBucket::Required,
-                    exec.order_exec,
-                )),
+                root.lower(ds, CoutBucket::Required)
             }
         });
-        if prepared.unions.is_empty()
-            && prepared.optionals.is_empty()
-            && prepared.filters.is_empty()
-        {
-            if let Some(base) = base {
-                return base;
+        let filtered = |op: BoxedOperator<'a>, filters: &[Expr]| -> BoxedOperator<'a> {
+            if filters.is_empty() {
+                op
+            } else {
+                Box::new(FilterEval::new(op, filters.to_vec(), plan.var_names, ds))
             }
-        }
-        let mut op: Option<BoxedOperator<'_>> = base.map(Pipeline::into_operator);
-
-        for u in &prepared.unions {
-            let mut branches: Vec<BoxedOperator<'_>> = Vec::with_capacity(u.branches.len());
-            for (plan, branch_filters) in &u.branches {
-                let mut branch = plan.lower_with(self.ds, CoutBucket::Required, exec.order_exec);
-                if !branch_filters.is_empty() {
-                    branch = Box::new(FilterEval::new(
-                        branch,
-                        branch_filters.clone(),
-                        &prepared.var_names,
-                        self.ds,
-                    ));
-                }
-                branches.push(branch);
-            }
-            let union: BoxedOperator<'_> = Box::new(UnionAll::new(branches));
+        };
+        for u in &plan.unions {
+            let branches = u
+                .branches
+                .iter()
+                .map(|(node, filters)| filtered(node.lower(ds, CoutBucket::Required), filters))
+                .collect();
+            let union: BoxedOperator<'a> = Box::new(UnionAll::new(branches));
             op = Some(match op {
                 None => union,
                 // Build the (bounded) union side, stream the base past it.
                 Some(base) => Box::new(HashJoinProbe::new(
                     base,
                     union,
-                    u.join_vars.clone(),
+                    u.join_vars.to_vec(),
                     true,
                     format!("UNION⋈{:?}", u.join_vars),
                     CoutBucket::Required,
                 )),
             });
         }
-
         let mut op = op.expect("prepare guarantees a base");
-
-        for opt in &prepared.optionals {
-            let mut right = opt.plan.lower_with(self.ds, CoutBucket::Optional, exec.order_exec);
-            if !opt.filters.is_empty() {
-                right = Box::new(FilterEval::new(
-                    right,
-                    opt.filters.clone(),
-                    &prepared.var_names,
-                    self.ds,
-                ));
-            }
-            op = Box::new(LeftOuterJoin::new(op, right, opt.join_vars.clone()));
+        for o in &plan.optionals {
+            let (node, filters) = &o.branches[0];
+            let right = filtered(node.lower(ds, CoutBucket::Optional), filters);
+            op = Box::new(LeftOuterJoin::new(op, right, o.join_vars.to_vec()));
         }
-
-        if !prepared.filters.is_empty() {
-            op = Box::new(FilterEval::new(
-                op,
-                prepared.filters.clone(),
-                &prepared.var_names,
-                self.ds,
-            ));
-        }
-        Pipeline::Serial(op)
+        filtered(op, plan.filters)
     }
 
-    /// Executes a prepared query through the batched Volcano pipeline (the
-    /// default path), with the solution modifiers **pushed into the
-    /// physical layer** wherever their combination allows:
-    ///
-    /// * aggregation folds batches into per-group accumulators as they
-    ///   stream (`GroupFold`) — the grouped input is never materialized;
-    /// * DISTINCT deduplicates raw `Id` rows pre-decode ([`Distinct`]);
-    /// * ORDER BY + LIMIT becomes a bounded-heap [`TopK`];
-    /// * LIMIT/OFFSET becomes a [`Slice`] that stops pulling upstream
-    ///   batches once satisfied, so scans and joins cease work early.
-    ///
-    /// Combinations that cannot stream (ORDER BY without LIMIT; DISTINCT
-    /// under unprojected sort keys) fall back to the solution-table path at
-    /// the result boundary, which sorts by per-row precomputed keys.
+    /// Executes a prepared query with the solution modifiers **pushed into
+    /// the physical layer** wherever the recorded plan
+    /// ([`Engine::physical_plan`]) allows — [`Engine::stream`] drained by
+    /// [`RowStream::collect_output`].
     pub fn execute(&self, prepared: &Prepared) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, true, &self.exec)
+        self.stream(prepared, &self.exec)?.collect_output()
     }
 
     /// Executes with an explicit [`ExecConfig`], overriding the engine's
@@ -904,73 +944,46 @@ impl<'a> Engine<'a> {
         prepared: &Prepared,
         exec: &ExecConfig,
     ) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, true, exec)
+        self.stream(prepared, exec)?.collect_output()
     }
 
-    /// Executes with every solution modifier applied **after** full
-    /// materialization at the result boundary — the pre-pushdown behaviour.
-    /// Kept as the in-engine baseline: differential tests assert identical
-    /// results, and the pushdown's `peak_tuples`/wall-time advantage is
-    /// measured against this path in `benches/engine.rs` and the
-    /// integration suite.
+    /// The reference implementation the differential suites compare the
+    /// pushed path against, row for row and on `Cout`: the same recorded
+    /// pattern part, drained in full, with every solution modifier applied
+    /// **after** materialization (`results::finalize_bindings`).
     pub fn execute_unpushed(&self, prepared: &Prepared) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, false, &self.exec)
-    }
-
-    fn run(
-        &self,
-        prepared: &Prepared,
-        push: bool,
-        exec: &ExecConfig,
-    ) -> Result<QueryOutput, QueryError> {
         let start = Instant::now();
         let mut stats = ExecStats::default();
-        // LIMIT 0 is provably empty on every pushed path: skip all
-        // execution before the pipeline (and any eager shared hash builds)
-        // exists, so nothing is ever scanned.
-        if push && prepared.modifiers.limit == Some(0) {
-            let results = ResultSet { columns: prepared.modifiers.out_names(), rows: Vec::new() };
-            return Ok(QueryOutput { results, wall_time: start.elapsed(), cout: 0, stats });
-        }
-        let pipeline = self.build_pipeline(prepared, exec, &mut stats);
-        let results = if push {
-            self.finish_pushed(prepared, pipeline, exec, &mut stats)?
-        } else {
-            // Baseline: project to the needed columns, drain everything,
-            // then run the whole modifier stack on the materialized table.
-            let m = &prepared.modifiers;
-            let op = pipeline.into_operator();
-            let needed = m.input_slots();
-            let op = if needed.len() < op.schema().len() {
-                Box::new(Project::new(op, &needed)) as BoxedOperator<'_>
-            } else {
-                op
-            };
-            let bindings = physical::drain(op, &mut stats);
-            finalize_bindings(&bindings, m, self.ds, &mut stats)?
-        };
-        // A pipeline invariant violation (ExecStats::exec_error) outranks
-        // whatever rows were drained: the operator protocol has no Result
-        // channel, so the error surfaces here, at the run boundary.
+        let plan = self.physical_plan(prepared, &self.exec);
+        let op = self.lower_patterns(&plan, &self.exec, &mut stats);
+        let op = Self::projected(op, &prepared.modifiers.input_slots());
+        let bindings = physical::drain(op, &mut stats);
+        let results = finalize_bindings(&bindings, &prepared.modifiers, self.ds, &mut stats)?;
         if let Some(err) = stats.exec_error.take() {
             return Err(QueryError::Exec(err));
         }
-        let wall_time = start.elapsed();
         let cout = stats.cout + stats.cout_optional;
-        Ok(QueryOutput { results, wall_time, cout, stats })
+        Ok(QueryOutput { results, wall_time: start.elapsed(), cout, stats })
     }
 
     /// Executes a prepared query as an incrementally drained [`RowStream`]
-    /// (the serving layer's per-client result). The pipeline-shape and
-    /// modifier decisions are shared with [`Engine::execute`]'s pushed
-    /// path, so the streamed rows, their order and the final stats are
-    /// bit-identical to the materialized run's; shapes that must
-    /// materialize (aggregation, in-memory full sorts, sort-aware
-    /// DISTINCT) compute their table here and stream the finished rows.
+    /// — the one pushed execution path. It records the physical plan
+    /// ([`Engine::physical_plan`]) and lowers exactly that value:
     ///
-    /// The stream borrows only the dataset, not the engine or the
-    /// `Prepared` — a per-request engine value can be dropped while its
-    /// stream is still being drained.
+    /// * aggregation folds batches into per-group accumulators as they
+    ///   stream ([`Fold`]) — the grouped input is never materialized;
+    /// * DISTINCT deduplicates raw `Id` rows pre-decode ([`Dedup`]);
+    /// * ORDER BY + LIMIT becomes a bounded-heap [`TopK`], and a LIMIT
+    ///   behind no or an eliminated sort a [`Slice`] that stops pulling
+    ///   upstream batches once satisfied, so scans and joins cease early;
+    /// * under a memory budget the blocking stages run external
+    ///   ([`crate::spill`]) with identical rows, order and counters.
+    ///
+    /// Shapes that must materialize (aggregation, in-memory full sorts,
+    /// sort-aware DISTINCT) compute their table here and stream the
+    /// finished rows. The stream borrows only the dataset, not the engine
+    /// or the `Prepared` — a per-request engine value can be dropped while
+    /// its stream is still being drained.
     pub fn stream(
         &self,
         prepared: &Prepared,
@@ -978,385 +991,234 @@ impl<'a> Engine<'a> {
     ) -> Result<RowStream<'a>, QueryError> {
         let started = Instant::now();
         let mut stats = ExecStats::default();
-        let m = &prepared.modifiers;
-        let columns = m.out_names();
-        // Same LIMIT-0 short-circuit as `run`: nothing is ever scanned.
-        if m.limit == Some(0) {
-            return Ok(RowStream {
-                ds: self.ds,
-                columns,
-                inner: StreamInner::Done,
-                stats,
-                started,
-            });
-        }
-        let pipeline = self.build_pipeline(prepared, exec, &mut stats);
-        let inner = if m.aggregate.is_some() {
-            // Aggregation materializes its groups regardless; reuse the
-            // pushed epilogue wholesale and stream the finished table.
-            let results = self.finish_pushed(prepared, pipeline, exec, &mut stats)?;
-            StreamInner::Table(results.rows.into_iter())
+        let plan = self.physical_plan(prepared, exec);
+        let columns = plan.modifiers.out_names();
+        let inner = if plan.limit_zero {
+            // Provably empty: no pipeline (and no eager shared hash build)
+            // ever exists, so nothing is scanned.
+            StreamInner::Table(Vec::new().into_iter())
         } else {
-            let order_on = exec.order_exec != OrderExec::Off;
-            let sort_elim = order_on
-                && (self.order_satisfied(m, &prepared.delivered_order)
-                    || self.desc_elimination(prepared, exec).is_some());
-            let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
-            match self.plain_tail(prepared, pipeline, exec, &mut stats, sort_elim, delivered)? {
-                PlainTail::Rows(op) => {
-                    let cols = Self::out_cols(m, op.schema());
-                    let row = vec![UNBOUND; op.schema().len()];
-                    StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
+            match plan.fold {
+                Some(fold) => {
+                    let results = self.fold_groups(&plan, fold, exec, &mut stats)?;
+                    StreamInner::Table(results.rows.into_iter())
                 }
-                PlainTail::Sorted { merged, cols, skip } => {
-                    StreamInner::Sorted { merged, cols, skip }
+                None => {
+                    let op = self.lower_patterns(&plan, exec, &mut stats);
+                    self.plain_epilogue(&plan, op, &mut stats)?
                 }
-                PlainTail::Table(results) => StreamInner::Table(results.rows.into_iter()),
             }
         };
         // Materializing shapes already ran the pipeline: surface any
-        // recorded invariant violation now. Lazy pipelines check again at
-        // exhaustion (RowStream::next_row).
+        // recorded invariant violation now (the operator protocol has no
+        // Result channel). Lazy pipelines check again at exhaustion
+        // (RowStream::next_row).
         if let Some(err) = stats.exec_error.take() {
             return Err(QueryError::Exec(err));
         }
         Ok(RowStream { ds: self.ds, columns, inner, stats, started })
     }
 
-    /// The pushed-modifier epilogue: stacks modifier operators onto the
-    /// pipeline and decodes at the boundary. (`run` already short-circuits
-    /// LIMIT 0 before the pipeline exists.) Under an
-    /// [`ExecConfig::mem_budget_rows`] budget the blocking stages lower to
-    /// their external variants ([`crate::spill`]): the GROUP BY fold
-    /// hash-partitions overflow groups to spill files and the full-sort
-    /// fallback becomes an external merge sort — with rows, row order and
-    /// every deterministic counter identical to the in-memory run.
-    fn finish_pushed(
+    /// The aggregation path: lowers the pattern part and folds it by the
+    /// recorded strategy, then sorts / dedups / slices the (small) group
+    /// table at the result boundary.
+    fn fold_groups(
         &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
+        plan: &PhysicalPlan<'_>,
+        fold: Fold,
         exec: &ExecConfig,
         stats: &mut ExecStats,
     ) -> Result<ResultSet, QueryError> {
-        let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        // Order-aware eliminations, all derived from the *plan's* delivered
-        // order (never from thread count or budget): with the value-ordered
-        // dictionary, ascending-id delivery IS ascending ORDER BY order.
-        let order_on = exec.order_exec != OrderExec::Off;
-        // The descending elimination counts too: build_pipeline derives
-        // the same pure decision from the same inputs, so when it lowered
-        // the base descending the rows already arrive in final order.
-        let sort_elim = order_on
-            && (self.order_satisfied(m, &prepared.delivered_order)
-                || self.desc_elimination(prepared, exec).is_some());
-        let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
-
-        if let Some(agg) = &m.aggregate {
-            // Group-clustered delivery (the group slots are a prefix
-            // permutation of the delivered order): fold one group at a
-            // time — no hash map, DISTINCT-aggregate sets freed per group
-            // — and skip the final sort when ORDER BY follows the same
-            // prefix. Serial, unbudgeted pipelines only: the parallel
-            // worker fold and the spill fold keep their own machinery.
-            let clustered = order_on
-                && spill_mode == SpillMode::InMemory
-                && Self::clustered(delivered, &agg.group_slots);
-            match pipeline {
-                Pipeline::Serial(op) if clustered => {
-                    let mut op = op;
-                    let needed = m.input_slots();
-                    if needed.len() < op.schema().len() {
-                        op = Box::new(Project::new(op, &needed));
-                    }
-                    let mut fold = OrderedGroupFold::new(m, agg, op.schema(), self.ds);
-                    Self::for_each_row(&mut op, stats, |row, st| {
-                        fold.add_row(row, st);
-                        Ok(())
-                    })?;
-                    let (rows, resident) = fold.finish(stats);
-                    let out = finalize_table(rows, m, self.ds, false, sort_elim, stats);
-                    stats.shrink(resident);
-                    return Ok(out);
+        let (m, ds) = (plan.modifiers, self.ds);
+        let agg = m.aggregate.as_ref().expect("a fold is recorded only under aggregation");
+        // Every fold registers new group state with `stats` while the
+        // input batch is still live; the batch's tuples then collapse into
+        // the accumulators, released (`resident`) once the table is out.
+        let hash_fold = |mut op: BoxedOperator<'a>, st: &mut ExecStats| {
+            let mut fold = GroupFold::new(agg, op.schema(), ds);
+            let mut row = vec![UNBOUND; op.schema().len()];
+            while let Some(batch) = op.next_batch(st) {
+                for r in 0..batch.len() {
+                    batch.read_row(r, &mut row);
+                    fold.add_row(&row, st);
                 }
-                // Parallel pipelines keep the worker-side fold (the fan-out
-                // is worth more than the one-group residency win).
-                other => return self.finish_agg_unclustered(prepared, other, exec, stats),
+                st.shrink(batch.len());
             }
-        }
-        self.finish_plain(prepared, pipeline, exec, stats, sort_elim, delivered)
-    }
-
-    /// The aggregation epilogue for pipelines whose delivered order does
-    /// not cluster the groups (or that run parallel / under a budget):
-    /// hash-map folds, external when budgeted — the pre-order-aware paths.
-    fn finish_agg_unclustered(
-        &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Result<ResultSet, QueryError> {
-        let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        let agg = m.aggregate.as_ref().expect("aggregation epilogue");
-        {
-            if spill_mode != SpillMode::InMemory {
-                // Budgeted aggregation: consume the pipeline as one row
-                // stream (a parallel source goes through its Gather, so
-                // rows arrive in the serial order) and fold it through the
-                // spill-capable external GroupFold. The worker-side fold
-                // merge below is for the unbudgeted path only — its master
-                // fold holds every group, which is exactly what the budget
-                // must bound.
-                let budget = exec.mem_budget_rows.expect("budgeted mode implies a budget");
-                let mut op = pipeline.into_operator();
-                let needed = m.input_slots();
-                if needed.len() < op.schema().len() {
-                    op = Box::new(Project::new(op, &needed));
-                }
-                let mut fold = ExternalGroupFold::new(
-                    agg,
-                    op.schema(),
-                    self.ds,
-                    budget,
-                    spill_mode == SpillMode::Eager,
-                    self.spill_base.clone(),
-                );
+            fold
+        };
+        let hash_table = |fold: GroupFold<'_>| {
+            let resident = fold.resident();
+            let (keys, states) = fold.finish();
+            (table_from_groups(keys, states, m, agg), resident)
+        };
+        // The serial folds consume one row stream (a morselized BGP goes
+        // through its Gather, so rows arrive in the serial order),
+        // projected to the group + aggregate input columns.
+        let input = |stats: &mut ExecStats| {
+            Self::projected(self.lower_patterns(plan, exec, stats), &m.input_slots())
+        };
+        let (rows, resident) = match fold {
+            // Recorded only for a morselized BGP with nothing stacked on
+            // it, so the fold itself fans out: every morsel folds into a
+            // private GroupFold on its worker, and the partials merge at
+            // gather time in morsel-index order — so group first-seen
+            // order (and with it the pre-sort output order) matches the
+            // serial fold.
+            Fold::WorkerPartials => {
+                let root = plan.bgp.as_ref().expect("worker-side folds run over a BGP");
+                let src = root.lower_morsels(ds, CoutBucket::Required, exec, stats);
+                let mut master: Option<GroupFold<'_>> = None;
+                src.process(stats, hash_fold, |partial, stats| match &mut master {
+                    None => master = Some(partial),
+                    Some(fold) => fold.merge(partial, stats),
+                });
+                hash_table(master.expect("morselized plans have at least one morsel"))
+            }
+            Fold::Hash => hash_table(hash_fold(input(stats), stats)),
+            Fold::Ordered => {
+                let mut op = input(stats);
+                let mut fold = OrderedGroupFold::new(m, agg, op.schema(), ds);
+                Self::for_each_row(&mut op, stats, |row, st| {
+                    fold.add_row(row, st);
+                    Ok(())
+                })?;
+                fold.finish(stats)
+            }
+            Fold::External { budget, eager } => {
+                let mut op = input(stats);
+                let dir = self.spill_base.clone();
+                let mut fold = ExternalGroupFold::new(agg, op.schema(), ds, budget, eager, dir);
                 Self::for_each_row(&mut op, stats, |row, st| {
                     fold.add_row(row, st).map_err(QueryError::from)
                 })?;
-                let rows = fold.finish(m, agg, stats)?;
-                return Ok(finalize_table(rows, m, self.ds, false, false, stats));
+                (fold.finish(m, agg, stats)?, 0)
             }
-            // Streaming aggregation. On a pure parallel source the fold
-            // itself fans out: every morsel folds into a private GroupFold
-            // on its worker, and the partials merge at gather time in
-            // morsel-index order — so group first-seen order (and with it
-            // the pre-sort output order) matches the serial fold exactly.
-            let fold = match pipeline {
-                Pipeline::Parallel(src) => {
-                    let ds = self.ds;
-                    let mut master: Option<GroupFold<'_>> = None;
-                    src.process(
-                        stats,
-                        |mut op, st| {
-                            let mut fold = GroupFold::new(agg, op.schema(), ds);
-                            let mut row = vec![UNBOUND; op.schema().len()];
-                            while let Some(batch) = op.next_batch(st) {
-                                for r in 0..batch.len() {
-                                    batch.read_row(r, &mut row);
-                                    fold.add_row(&row, st);
-                                }
-                                st.shrink(batch.len());
-                            }
-                            fold
-                        },
-                        |partial, stats| match &mut master {
-                            None => master = Some(partial),
-                            Some(fold) => fold.merge(partial, stats),
-                        },
-                    );
-                    master.expect("qualified parallel plans have at least one morsel")
-                }
-                Pipeline::Serial(mut op) => {
-                    // Project to the group + aggregate input columns, fold
-                    // batch-by-batch.
-                    let needed = m.input_slots();
-                    if needed.len() < op.schema().len() {
-                        op = Box::new(Project::new(op, &needed));
-                    }
-                    let mut fold = GroupFold::new(agg, op.schema(), self.ds);
-                    // add_row registers new group state with `stats` while
-                    // the input batch is still live; the batch's tuples
-                    // then collapse into the accumulators.
-                    Self::for_each_row(&mut op, stats, |row, st| {
-                        fold.add_row(row, st);
-                        Ok(())
-                    })?;
-                    fold
-                }
-            };
-            let resident = fold.resident();
-            let (keys, states) = fold.finish();
-            let rows = table_from_groups(keys, states, m, agg);
-            let out = finalize_table(rows, m, self.ds, false, false, stats);
-            stats.shrink(resident);
-            Ok(out)
-        }
+        };
+        let sorted = matches!(plan.sort, Sort::Eliminated { .. });
+        let out = finalize_table(rows, m, ds, false, sorted, stats);
+        stats.shrink(resident);
+        Ok(out)
     }
 
-    /// The non-aggregate epilogue, with the order-aware eliminations:
-    /// a delivered order satisfying ORDER BY turns TopK into an early-exit
-    /// [`Slice`] and skips every sort (`ExecStats::sorted_rows` stays 0);
-    /// a delivered order clustering the projected columns turns the
-    /// DISTINCT hash set into O(1) run dedup.
-    fn finish_plain(
+    /// The non-aggregate epilogue: stacks the recorded streaming modifier
+    /// operators and classifies what remains for [`RowStream`] — rows
+    /// straight off the pipeline, the external sort's cursor, or a
+    /// finished table.
+    fn plain_epilogue(
         &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
-        exec: &ExecConfig,
+        plan: &PhysicalPlan<'_>,
+        op: BoxedOperator<'a>,
         stats: &mut ExecStats,
-        sort_elim: bool,
-        delivered: &[usize],
-    ) -> Result<ResultSet, QueryError> {
-        let m = &prepared.modifiers;
-        match self.plain_tail(prepared, pipeline, exec, stats, sort_elim, delivered)? {
-            PlainTail::Rows(op) => {
-                let bindings = physical::drain(op, stats);
-                Ok(decode_bindings(&bindings, m, self.ds))
-            }
-            PlainTail::Sorted { mut merged, cols, mut skip } => {
-                let mut rows = Vec::new();
-                while let Some(sorted_row) = merged.next_row()? {
-                    if skip > 0 {
-                        skip -= 1;
-                        continue;
-                    }
-                    rows.push(Self::decode_cols(&cols, &sorted_row, self.ds));
-                }
-                Ok(ResultSet { columns: m.out_names(), rows })
-            }
-            PlainTail::Table(results) => Ok(results),
+    ) -> Result<StreamInner<'a>, QueryError> {
+        let (m, ds) = (plan.modifiers, self.ds);
+        // Project to the solution-table columns.
+        let mut op = Self::projected(op, &m.table_slots());
+        // Pipeline columns of the projected output — what DISTINCT
+        // compares (first arrival survives).
+        let dedup_cols = |schema: &[usize]| -> Vec<usize> {
+            let col = |slot| schema.iter().position(|&v| v == slot).expect("out slot in schema");
+            m.out_slots().into_iter().map(col).collect()
+        };
+        if matches!(plan.dedup, Dedup::Hash | Dedup::Run) {
+            let cols = dedup_cols(op.schema());
+            op = Box::new(match plan.dedup {
+                Dedup::Run => Distinct::ordered(op, cols),
+                _ => Distinct::on_cols(op, cols),
+            });
         }
-    }
-
-    /// Stacks the streaming modifier operators of the plain path and
-    /// classifies what remains — the shared core of [`Engine::finish_plain`]
-    /// (which drains it) and [`Engine::stream`] (which hands it to the
-    /// caller row by row). Every decision here is the plain path's: the
-    /// two consumers cannot diverge because they share this one function.
-    fn plain_tail(
-        &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-        sort_elim: bool,
-        delivered: &[usize],
-    ) -> Result<PlainTail<'a>, QueryError> {
-        let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        let mut op = pipeline.into_operator();
-
-        // Plain path: project to the solution-table columns.
-        let slots = m.table_slots();
-        if slots.len() < op.schema().len() {
-            op = Box::new(Project::new(op, &slots));
-        }
-
-        // DISTINCT streams when the table has no helper sort columns: rows
-        // equal on all projected columns then share their sort keys, so
-        // dedup-before-sort keeps exactly the representative (first
-        // arrival) that dedup-after-sort would. When the delivered order
-        // additionally clusters the projected columns, the hash set
-        // degrades to remembering one previous tuple.
-        let mut already_distinct = false;
-        if m.distinct && !m.has_helper_cols() {
-            op = if Self::clustered(delivered, &m.out_slots()) {
-                let cols = (0..op.schema().len()).collect();
-                Box::new(Distinct::ordered(op, cols))
-            } else {
-                Box::new(Distinct::new(op))
-            };
-            already_distinct = true;
-        }
-
-        if m.order_by.is_empty() {
-            if m.offset > 0 || m.limit.is_some() {
-                // Early-exit slice: upstream stops once the limit is hit.
-                op = Box::new(Slice::new(op, m.offset, m.limit));
-            }
-            return Ok(PlainTail::Rows(op));
-        }
-
-        if sort_elim {
-            // The pipeline already delivers rows in final ORDER BY order:
-            // the sort disappears entirely. TopK degenerates to an
-            // early-exit Slice; DISTINCT under helper sort columns dedups
-            // on the projected columns, first arrival = first sorted
-            // occurrence — exactly the fallback's representative.
-            if m.distinct && !already_distinct {
-                let dedup_cols: Vec<usize> = m
-                    .out_slots()
-                    .iter()
-                    .map(|&slot| {
-                        op.schema().iter().position(|&v| v == slot).expect("out slot in schema")
-                    })
-                    .collect();
-                op = if Self::clustered(delivered, &m.out_slots()) {
-                    Box::new(Distinct::ordered(op, dedup_cols))
-                } else {
-                    Box::new(Distinct::on_cols(op, dedup_cols))
-                };
-            }
-            if m.offset > 0 || m.limit.is_some() {
-                op = Box::new(Slice::new(op, m.offset, m.limit));
-            }
-            return Ok(PlainTail::Rows(op));
-        }
-
-        if m.distinct && !already_distinct {
-            // DISTINCT under unprojected sort keys: the sort-aware dedup
-            // keeps, per distinct projected value, the duplicate minimal
-            // under (sort keys, arrival order) — exactly the row the
-            // materializing sort→project→dedup fallback would keep — while
-            // holding only the distinct values, never the full input.
-            let keys = RowKeys::resolve(m, op.schema(), self.ds);
-            let dedup_cols: Vec<usize> = m
-                .out_slots()
-                .iter()
-                .map(|&slot| {
-                    op.schema().iter().position(|&v| v == slot).expect("out slot in schema")
-                })
-                .collect();
-            let mut dedup = SortedDistinct::new(keys, dedup_cols);
-            Self::for_each_row(&mut op, stats, |row, st| {
-                dedup.add_row(row, st);
-                Ok(())
-            })?;
-            let sorted = dedup.finish(stats);
+        let rows_of = |op: BoxedOperator<'a>| {
             let cols = Self::out_cols(m, op.schema());
-            let rows = sorted
-                .into_iter()
-                .skip(m.offset)
-                .take(m.limit.unwrap_or(usize::MAX))
-                .map(|r| Self::decode_cols(&cols, &r, self.ds))
-                .collect();
-            return Ok(PlainTail::Table(ResultSet { columns: m.out_names(), rows }));
-        }
-
-        if let Some(limit) = m.limit {
-            // ORDER BY + LIMIT: bounded heap, sort keys computed once
-            // per row, only offset+limit rows ever resident.
-            let keys = RowKeys::resolve(m, op.schema(), self.ds);
-            op = Box::new(TopK::new(op, keys, m.offset, limit));
-            return Ok(PlainTail::Rows(op));
-        }
-
-        if spill_mode != SpillMode::InMemory {
-            // ORDER BY without LIMIT under a budget: external merge sort.
+            let row = vec![UNBOUND; op.schema().len()];
+            StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
+        };
+        Ok(match plan.sort {
+            // No sort, or rows already arrive in final ORDER BY order: a
+            // LIMIT/OFFSET is an early-exit Slice — upstream stops once the
+            // limit is hit.
+            Sort::None | Sort::Eliminated { .. } => {
+                if m.offset > 0 || m.limit.is_some() {
+                    op = Box::new(Slice::new(op, m.offset, m.limit));
+                }
+                rows_of(op)
+            }
+            // The sort-aware dedup keeps exactly the row the materializing
+            // sort→project→dedup fallback would keep, while holding only
+            // the distinct values, never the full input.
+            _ if plan.dedup == Dedup::SortAware => {
+                let keys = RowKeys::resolve(m, op.schema(), ds);
+                let mut dedup = SortedDistinct::new(keys, dedup_cols(op.schema()));
+                Self::for_each_row(&mut op, stats, |row, st| {
+                    dedup.add_row(row, st);
+                    Ok(())
+                })?;
+                let cols = Self::out_cols(m, op.schema());
+                let rows: Vec<Vec<OutVal>> = dedup
+                    .finish(stats)
+                    .into_iter()
+                    .skip(m.offset)
+                    .take(m.limit.unwrap_or(usize::MAX))
+                    .map(|r| Self::decode_cols(&cols, &r, ds))
+                    .collect();
+                StreamInner::Table(rows.into_iter())
+            }
+            // Bounded heap, sort keys computed once per row, only
+            // offset+limit rows ever resident.
+            Sort::TopK => {
+                let limit = m.limit.expect("top-k is recorded only under a LIMIT");
+                let keys = RowKeys::resolve(m, op.schema(), ds);
+                rows_of(Box::new(TopK::new(op, keys, m.offset, limit)))
+            }
             // Batches stream straight into the sorter (never a full
             // materialized table); sorted runs spill once the buffer
             // exceeds the budget and merge back through the loser tree in
             // exactly the in-memory stable-sort order.
-            let budget = exec.mem_budget_rows.expect("budgeted mode implies a budget");
-            let keys = RowKeys::resolve(m, op.schema(), self.ds);
-            let width = op.schema().len();
-            let mut sorter = ExternalSorter::new(keys, width, budget, self.spill_base.clone());
-            Self::for_each_row(&mut op, stats, |row, st| {
-                sorter.push_row(row, st).map_err(QueryError::from)
-            })?;
-            let merged = sorter.finish(stats)?;
-            let cols = Self::out_cols(m, op.schema());
-            return Ok(PlainTail::Sorted { merged, cols, skip: m.offset });
-        }
+            Sort::External { budget } => {
+                let keys = RowKeys::resolve(m, op.schema(), ds);
+                let width = op.schema().len();
+                let mut sorter = ExternalSorter::new(keys, width, budget, self.spill_base.clone());
+                Self::for_each_row(&mut op, stats, |row, st| {
+                    sorter.push_row(row, st).map_err(QueryError::from)
+                })?;
+                let cols = Self::out_cols(m, op.schema());
+                StreamInner::Sorted { merged: sorter.finish(stats)?, cols, skip: m.offset }
+            }
+            Sort::Full => {
+                let bindings = physical::drain(op, stats);
+                let rows = table_from_bindings(&bindings, m, ds)?;
+                let deduped = plan.dedup != Dedup::None;
+                StreamInner::Table(
+                    finalize_table(rows, m, ds, deduped, false, stats).rows.into_iter(),
+                )
+            }
+        })
+    }
 
-        // Fallback: ORDER BY without LIMIT (full sort is unavoidable),
-        // fully in memory.
-        let bindings = physical::drain(op, stats);
-        let rows = table_from_bindings(&bindings, m, self.ds)?;
-        Ok(PlainTail::Table(finalize_table(rows, m, self.ds, already_distinct, false, stats)))
+    /// `op` narrowed to `slots` when it carries more columns than that.
+    fn projected(op: BoxedOperator<'a>, slots: &[usize]) -> BoxedOperator<'a> {
+        if slots.len() < op.schema().len() {
+            Box::new(Project::new(op, slots))
+        } else {
+            op
+        }
+    }
+
+    /// The deduplicated slot sequence of the ORDER BY keys when every key
+    /// is a plain-variable column sorted in the `desc` direction — what an
+    /// index order can serve. `None` for no keys, mixed directions,
+    /// expressions and aggregate aliases.
+    fn order_slots(m: &ModifierPlan, desc: bool) -> Option<Vec<usize>> {
+        let mut seq: Vec<usize> = Vec::new();
+        for &(col, key_desc) in &m.order_by {
+            match m.table[col].source {
+                TableColSource::Slot(s) if key_desc == desc => {
+                    if !seq.contains(&s) {
+                        seq.push(s);
+                    }
+                }
+                _ => return None,
+            }
+        }
+        (!seq.is_empty()).then_some(seq)
     }
 
     /// Whether the delivered order provably satisfies the full ORDER BY:
@@ -1365,23 +1227,6 @@ impl<'a> Engine<'a> {
     /// hold because the dictionary is value-ordered at freeze: ascending
     /// ids are ascending ORDER BY values, unbound ids sort last both ways.)
     fn order_satisfied(&self, m: &ModifierPlan, delivered: &[usize]) -> bool {
-        if m.order_by.is_empty() {
-            return false;
-        }
-        let mut seq: Vec<usize> = Vec::new();
-        for &(col, desc) in &m.order_by {
-            if desc {
-                return false;
-            }
-            match m.table[col].source {
-                TableColSource::Slot(s) => {
-                    if !seq.contains(&s) {
-                        seq.push(s);
-                    }
-                }
-                TableColSource::Agg(_) | TableColSource::Expr(_) => return false,
-            }
-        }
         // With more than one effective key, id order must be *equivalent*
         // to value order, not merely a refinement: two distinct ids with
         // equal numeric value ("1"^^int vs "1.0"^^double) form a sort-key
@@ -1389,10 +1234,9 @@ impl<'a> Engine<'a> {
         // id-ordered delivery pins them by lexical form. The dictionary
         // records at freeze whether any such tie exists; a single key is
         // always safe (ties fall back to arrival order on both paths).
-        if seq.len() > 1 && self.ds.dict().has_value_ties() {
-            return false;
-        }
-        delivered.starts_with(&seq)
+        Self::order_slots(m, false).is_some_and(|seq| {
+            delivered.starts_with(&seq) && (seq.len() == 1 || !self.ds.dict().has_value_ties())
+        })
     }
 
     /// The descending counterpart of [`Engine::order_satisfied`] — the
@@ -1400,66 +1244,42 @@ impl<'a> Engine<'a> {
     /// key is a *descending* plain-variable column and the pattern part is
     /// one bare scan (filters allowed — they preserve order), the engine
     /// serves the query by run-reversed index iteration
-    /// ([`IndexScan::descending`]) instead of sorting: runs of the leading
-    /// key components are visited in reverse key order with forward order
-    /// inside each run, which is exactly a stable descending sort of the
-    /// forward pipeline — the forced-off baseline's output, bit for bit.
+    /// ([`crate::physical::IndexScan::descending`]) instead of sorting:
+    /// runs of the leading key components are visited in reverse key order
+    /// with forward order inside each run, which is exactly a stable
+    /// descending sort of the forward pipeline — the forced-off baseline's
+    /// output, bit for bit.
     ///
-    /// Returns the scan to lower descending (pattern, chosen index order,
-    /// run components). Conservatively `None` beyond the bare-scan shape;
-    /// multi-join plans keep the forward pipeline and sort.
-    fn desc_elimination<'p>(
-        &self,
-        prepared: &'p Prepared,
-        exec: &ExecConfig,
-    ) -> Option<(&'p PlannedPattern, Option<IndexOrder>, usize)> {
-        if exec.order_exec == OrderExec::Off {
-            return None;
-        }
-        let m = &prepared.modifiers;
-        if m.order_by.is_empty() || m.aggregate.is_some() {
-            return None;
-        }
-        let mut seq: Vec<usize> = Vec::new();
-        for &(col, desc) in &m.order_by {
-            if !desc {
-                return None;
-            }
-            match m.table[col].source {
-                TableColSource::Slot(s) => {
-                    if !seq.contains(&s) {
-                        seq.push(s);
-                    }
-                }
-                TableColSource::Agg(_) | TableColSource::Expr(_) => return None,
-            }
-        }
+    /// Returns the number of leading key components to reverse.
+    /// Conservatively `None` beyond the bare-scan shape; multi-join plans
+    /// keep the forward pipeline and sort.
+    fn desc_elimination(&self, prepared: &Prepared, delivered: &[usize]) -> Option<usize> {
+        let seq = Self::order_slots(&prepared.modifiers, true)?;
         // Stricter than the ascending path, which tolerates value ties on
         // a single key: two distinct ids with equal value form separate id
         // runs, and reversing runs flips their relative order while the
         // baseline's stable descending sort keeps them in arrival order.
         // Ascending delivery never reorders them, descending run-reversal
         // does — so any value tie disables the elimination.
-        if self.ds.dict().has_value_ties() {
+        if prepared.modifiers.aggregate.is_some()
+            || self.ds.dict().has_value_ties()
+            || !prepared.unions.is_empty()
+            || !prepared.optionals.is_empty()
+        {
             return None;
         }
-        if !prepared.unions.is_empty() || !prepared.optionals.is_empty() {
-            return None;
-        }
-        let Some(PlanNode::Scan { pattern, order, .. }) = &prepared.bgp_plan else {
+        let Some(PlanNode::Scan { pattern, .. }) = &prepared.bgp_plan else {
             return None;
         };
         // No repeated variables (the slot→key-component mapping assumes
         // each key slot is one index component), and the delivered order
-        // must carry the keys as its prefix — `delivered_order` is empty
-        // while the value-order invariant is suspended, which gates the
-        // descending elimination exactly like the ascending one.
+        // must carry the keys as its prefix — it is empty under
+        // `OrderExec::Off` and while the value-order invariant is
+        // suspended, which gates the descending elimination exactly like
+        // the ascending one.
         let var_positions = pattern.slots.iter().filter(|s| s.as_var().is_some()).count();
-        if pattern.var_slots().len() != var_positions || !prepared.delivered_order.starts_with(&seq)
-        {
-            return None;
-        }
-        Some((pattern, *order, seq.len()))
+        (pattern.var_slots().len() == var_positions && delivered.starts_with(&seq))
+            .then_some(seq.len())
     }
 
     /// Whether the delivered order makes rows equal on `slots` contiguous:
@@ -1473,31 +1293,6 @@ impl<'a> Engine<'a> {
             }
         }
         set.len() <= delivered.len() && delivered[..set.len()].iter().all(|v| set.contains(v))
-    }
-
-    /// Whether this prepared query's final sort is eliminated under `exec`
-    /// (see [`Engine::order_satisfied`]): used by the pipeline-shape
-    /// decision and surfaced in [`Engine::explain_physical`]. For
-    /// aggregate queries the sort only disappears on the ordered
-    /// one-group-at-a-time fold, which additionally needs group-clustered
-    /// delivery and no memory budget (a parallel pipeline may still fall
-    /// back to the sorting fold — EXPLAIN is advisory there).
-    fn sort_eliminated(&self, prepared: &Prepared, exec: &ExecConfig) -> bool {
-        let m = &prepared.modifiers;
-        if exec.order_exec == OrderExec::Off || !self.order_satisfied(m, &prepared.delivered_order)
-        {
-            // `ORDER BY ... DESC` served by the run-reversed scan is the
-            // other way the sort disappears (never for aggregates — the
-            // descending elimination refuses them).
-            return self.desc_elimination(prepared, exec).is_some();
-        }
-        match &m.aggregate {
-            None => true,
-            Some(agg) => {
-                m.spill_mode(prepared.est_result_card, exec.mem_budget_rows) == SpillMode::InMemory
-                    && Self::clustered(&prepared.delivered_order, &agg.group_slots)
-            }
-        }
     }
 
     /// Streams every row of `op` into `consume`, releasing each batch's
@@ -1556,42 +1351,11 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// EXPLAIN-style *physical* rendering of a prepared query: one line
-    /// per operator with the chosen join method (hash/bind/merge), the
-    /// scanned index and the delivered order, plus the modifier strategy —
-    /// in particular whether the final sort is eliminated behind the
-    /// delivered order. Uses the engine's execution configuration (the
-    /// same one `execute` would).
+    /// EXPLAIN of the *physical* plan [`Engine::execute`] would run under
+    /// the engine's execution configuration — the rendering of the same
+    /// [`PhysicalPlan`] value [`Engine::stream`] lowers.
     pub fn explain_physical(&self, prepared: &Prepared) -> String {
-        let m = &prepared.modifiers;
-        let mut out = format!("delivered order: {:?}\n", prepared.delivered_order);
-        if let Some(plan) = &prepared.bgp_plan {
-            out.push_str(&plan.render_physical(self.ds, 0));
-        }
-        for (i, u) in prepared.unions.iter().enumerate() {
-            out.push_str(&format!("UNION #{i} (join on {:?})\n", u.join_vars));
-            for (b, (plan, _)) in u.branches.iter().enumerate() {
-                out.push_str(&format!("  branch {b}:\n"));
-                out.push_str(&plan.render_physical(self.ds, 2));
-            }
-        }
-        for (i, opt) in prepared.optionals.iter().enumerate() {
-            out.push_str(&format!("OPTIONAL #{i} (left outer join on {:?})\n", opt.join_vars));
-            out.push_str(&opt.plan.render_physical(self.ds, 1));
-        }
-        let sort = if m.order_by.is_empty() {
-            "none"
-        } else if self.desc_elimination(prepared, &self.exec).is_some() {
-            "eliminated (descending index scan serves ORDER BY ... DESC)"
-        } else if self.sort_eliminated(prepared, &self.exec) {
-            "eliminated (delivered order satisfies ORDER BY)"
-        } else if m.aggregate.is_none() && m.limit.is_some() {
-            "topk (bounded heap)"
-        } else {
-            "full sort"
-        };
-        out.push_str(&format!("modifiers: {} | sort: {sort}\n", m.render()));
-        out
+        self.physical_plan(prepared, &self.exec).render()
     }
 
     /// Parses, prepares and executes query text in one call.

@@ -36,9 +36,14 @@ pub const UNBOUND: Id = Id(u32::MAX);
 /// `mem_budget_rows` extends the same contract to memory: rows, row order
 /// and every deterministic counter are identical at any budget — a tighter
 /// budget only moves blocking modifier state (GROUP BY accumulators, the
-/// full-sort buffer) to disk. Per-group aggregate fold order is preserved
-/// by the spill layer, so even float SUM/AVG values are bit-identical
-/// across budgets.
+/// full-sort buffer) to disk. Float SUM/AVG *values* are bit-identical
+/// across thread counts, and across budgets **for one fold strategy**
+/// ([`crate::plan::Fold`]): the spill layer preserves per-group fold order
+/// at any budget, but setting a budget at all swaps the worker-side
+/// partial fold of a morselized plan for the sequential external fold —
+/// a different association of the same sum, so such a pair of runs may
+/// differ in the last digits (equal within 1e-9 relative; integral values
+/// are unaffected).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Per-query worker cap. `1` runs the morsels inline on the calling

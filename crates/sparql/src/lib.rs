@@ -13,8 +13,12 @@
 //!   ([`cardinality`]);
 //! * every plan carries a [`plan::PlanSignature`] — the structural identity
 //!   the paper's parameter classes are defined over (conditions a/c);
-//! * execution is split into a logical and a physical layer: the optimized
-//!   [`plan::PlanNode`] tree is lowered ([`plan::PlanNode::lower`]) to a
+//! * execution is split into a logical and a physical layer: per execution
+//!   the optimized [`plan::PlanNode`] tree and the modifier stack are
+//!   recorded as one plain-data [`plan::PhysicalPlan`]
+//!   ([`engine::Engine::physical_plan`] — the only place physical choices
+//!   are made), which is both printed (`explain_physical`) and lowered
+//!   ([`engine::Engine::stream`], [`plan::PhysNode::lower`]) to a
 //!   batched Volcano pipeline of pull-based operators ([`physical`]) —
 //!   index scans, hash/bind joins, left-outer joins, filters and a final
 //!   late-materializing projection — streaming fixed-size columnar `Id`
@@ -26,8 +30,9 @@
 //!   LIMIT/OFFSET stops pulling upstream work the moment it is satisfied
 //!   (lowered by [`plan::ModifierPlan`] at prepare time);
 //! * large plans execute **morsel-driven parallel**
-//!   ([`physical::Exchange`]/[`physical::Gather`], lowered by
-//!   [`plan::PlanNode::lower_parallel`] from cardinality estimates): the
+//!   ([`physical::Exchange`]/[`physical::Gather`], qualified by
+//!   [`plan::PlanNode::physical`] from cardinality estimates and lowered
+//!   by [`plan::PhysNode::lower_morsels`]): the
 //!   driving scan is split into morsels fanned across a `std::thread`
 //!   worker pool, hash-join build sides are built partitioned and shared
 //!   read-only, and grouped aggregation folds per-morsel accumulators
@@ -57,8 +62,9 @@
 //!   cardinalities, [`exec::ExecStats`]) next to wall-clock time, enabling
 //!   the §III correlation experiment, plus the peak intermediate-tuple
 //!   count (`peak_tuples`) — the memory-side metric the streaming engine
-//!   minimizes ([`engine::Engine::execute_unpushed`] retains the
-//!   materialize-then-modify baseline for differential measurement);
+//!   minimizes ([`engine::Engine::execute_unpushed`] is the
+//!   materialize-then-modify reference the differential suites compare
+//!   against);
 //! * query *templates* with `%param` placeholders ([`template`]) are
 //!   first-class: the workload generator instantiates them once per
 //!   parameter binding;
@@ -116,7 +122,10 @@ pub use exec::{
 };
 pub use parser::parse_query;
 pub use physical::{Batch, CoutBucket, Operator, BATCH_SIZE, MORSELS_PER_WAVE};
-pub use plan::{ModifierPlan, PlanNode, PlanSignature, SpillMode};
+pub use plan::{
+    Dedup, Fold, JoinMethod, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode,
+    PlanSignature, Sort,
+};
 pub use results::{OutVal, ResultSet};
 pub use serve::{drive_clients, ServeConfig, ServeStats, ServedOutput, ServedQuery, SparqlServer};
 pub use template::{Binding, QueryTemplate};

@@ -397,9 +397,9 @@ fn hash_cands(
     out: &mut Vec<Cand>,
 ) {
     // Which side streams is a subset-level property (estimates and scan
-    // extents), identical for every candidate pair — mirror PlanNode::lower.
-    let binds = PlanNode::binds_right(&left[0].plan, &right[0].plan, join_vars, ds);
-    let streams_left = binds || right[0].plan.est_card() <= left[0].plan.est_card();
+    // extents), identical for every candidate pair.
+    let streams_left =
+        PlanNode::join_side(&left[0].plan, &right[0].plan, join_vars, ds).streams_left();
     let (stream_side, other_side) = if streams_left { (left, right) } else { (right, left) };
     for sc in stream_side {
         let oc = &other_side[0];
@@ -848,7 +848,7 @@ mod tests {
         assert!((forced.est_cout() - legacy.est_cout()).abs() < 1e-6);
         // ...but every join zips: all three scans deliver the shared
         // subject first, so the whole star runs merge-only, build-free.
-        assert_eq!(forced.est_build_rows(&ds), 0.0, "plan: {}", forced.render_physical(&ds, 0));
+        assert_eq!(forced.est_build_rows(&ds), 0.0, "plan: {}", forced.render(0));
         assert!(forced.signature().0.contains("MJ("), "{}", forced.signature());
         assert_eq!(forced.leaf_count(), 3);
         // The delivered order leads with the shared subject slot.
@@ -878,7 +878,7 @@ mod tests {
         assert!(
             by_price.delivered_order(&ds).starts_with(&[1]),
             "expected a price-ordered plan, got {}",
-            by_price.render_physical(&ds, 0)
+            by_price.render(0)
         );
         assert!((by_price.est_cout() - plain.est_cout()).abs() < 1e-6, "Cout stays optimal");
     }

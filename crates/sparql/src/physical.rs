@@ -25,10 +25,10 @@
 //! * [`UnionAll`] — concatenation of same-schema branches.
 //!
 //! Solution-modifier operators (DISTINCT, TopK, Slice, streaming
-//! aggregation) live in [`crate::modifiers`]. Physical plans are produced
-//! from logical [`crate::plan::PlanNode`] trees by
-//! [`crate::plan::PlanNode::lower`] (serial) or
-//! [`crate::plan::PlanNode::lower_parallel`] (morsel-driven).
+//! aggregation) live in [`crate::modifiers`]. Operator trees are lowered
+//! from a recorded [`crate::plan::PhysNode`] tree by
+//! [`crate::plan::PhysNode::lower`] (serial) or
+//! [`crate::plan::PhysNode::lower_morsels`] (morsel-driven).
 //!
 //! # Morsel-driven parallelism
 //!
@@ -1741,7 +1741,7 @@ fn scatter<T: Send>(
 /// Inner hash join probing a **shared, read-only** build table — the
 /// per-worker operator of a parallel hash join. A thin wrapper over the
 /// same probe core as [`HashJoinProbe`]; the build side was constructed
-/// once (by [`crate::plan::PlanNode::lower_parallel`]) and its residency
+/// once (by [`crate::plan::PhysNode::lower_morsels`]) and its residency
 /// is accounted by the owning gather, so finishing a probe never shrinks
 /// it.
 pub struct SharedBuildProbe<'a> {
@@ -2544,6 +2544,23 @@ mod tests {
         assert_eq!(out.len(), 20);
     }
 
+    /// The serial lowering of `plan`'s recorded physical tree.
+    fn serial_op<'a>(plan: &PlanNode, ds: &'a Dataset) -> BoxedOperator<'a> {
+        plan.physical(ds, &ExecConfig::default(), false).0.lower(ds, CoutBucket::Required)
+    }
+
+    /// The morsel lowering of `plan`'s recorded physical tree, when the
+    /// record says its spine is morselized under `cfg`.
+    fn morsel_source<'a>(
+        plan: &PlanNode,
+        ds: &'a Dataset,
+        cfg: &ExecConfig,
+        stats: &mut ExecStats,
+    ) -> Option<ParallelSource<'a>> {
+        let (root, morselized) = plan.physical(ds, cfg, true);
+        morselized.then(|| root.lower_morsels(ds, CoutBucket::Required, cfg, stats))
+    }
+
     /// Forces morselization regardless of extent/estimate size.
     fn tiny_morsel_cfg(threads: usize, morsel_rows: usize) -> ExecConfig {
         ExecConfig {
@@ -2596,15 +2613,13 @@ mod tests {
             est_card: n as f64,
         };
         let mut serial_stats = ExecStats::default();
-        let serial = drain(plan.lower(&ds, CoutBucket::Required), &mut serial_stats);
+        let serial = drain(serial_op(&plan, &ds), &mut serial_stats);
 
         let mut reference: Option<(Vec<Vec<Id>>, u64, u64)> = None;
         for threads in [1, 2, 4] {
             let cfg = tiny_morsel_cfg(threads, 97);
             let mut stats = ExecStats::default();
-            let src = plan
-                .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
-                .expect("forced config must qualify");
+            let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
             let got = drain(Box::new(Gather::new(src)), &mut stats);
             // Bit-identical to the serial pipeline: same rows, same order.
             let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
@@ -2664,16 +2679,18 @@ mod tests {
         };
 
         let mut serial_stats = ExecStats::default();
-        let serial = drain(plan.lower(&ds, CoutBucket::Required), &mut serial_stats);
+        let serial = drain(serial_op(&plan, &ds), &mut serial_stats);
         assert_eq!(serial.len(), 2 * n);
         assert_eq!(serial_stats.build_rows, 0, "all-merge plan builds nothing");
         let serial_rows: Vec<Vec<Id>> = serial.iter().map(|r| r.to_vec()).collect();
 
-        // Off declines: the serial lowering would hash-join, and the two
-        // modes must not be mixed inside one differential signature.
+        // Off declines: the merge joins are recorded as the hash joins they
+        // run as, and such a spine stays serial — the two modes must not be
+        // mixed inside one differential signature.
         let off = ExecConfig { order_exec: crate::exec::OrderExec::Off, ..tiny_morsel_cfg(4, 7) };
-        let mut off_stats = ExecStats::default();
-        assert!(plan.lower_parallel(&ds, CoutBucket::Required, &off, &mut off_stats).is_none());
+        let (off_root, off_morselized) = plan.physical(&ds, &off, true);
+        assert!(!off_morselized);
+        assert_eq!(off_root.method(), "HashJoin[build=right]");
 
         let mut reference: Option<(u64, u64, u64)> = None;
         for threads in [1, 4] {
@@ -2684,8 +2701,7 @@ mod tests {
                     ..tiny_morsel_cfg(threads, morsel_rows)
                 };
                 let mut stats = ExecStats::default();
-                let src = plan
-                    .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
+                let src = morsel_source(&plan, &ds, &cfg, &mut stats)
                     .expect("spine merge joins must lower parallel");
                 assert!(
                     src.exchange.morsel_count() >= 2,
@@ -2759,9 +2775,7 @@ mod tests {
         };
         let cfg = tiny_morsel_cfg(4, 64);
         let mut stats = ExecStats::default();
-        let src = plan
-            .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
-            .expect("forced config must qualify");
+        let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
         let mut gather = Gather::new(src);
         // Pull one batch, then stop — as a satisfied LIMIT would.
         assert!(gather.next_batch(&mut stats).is_some());
@@ -2798,7 +2812,7 @@ mod tests {
             est_card: n as f64,
         };
         let mut stream_stats = ExecStats::default();
-        let got = drain(plan.lower(&ds, CoutBucket::Required), &mut stream_stats);
+        let got = drain(serial_op(&plan, &ds), &mut stream_stats);
 
         // Three-hop paths exist for i in 0..n-2; Cout sums both joins.
         assert_eq!(got.len(), n - 2);

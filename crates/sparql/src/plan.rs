@@ -247,7 +247,7 @@ impl PlanNode {
     /// * a scan delivers its index's unbound key positions, in key order;
     /// * a hash/bind join streams one side and expands each streamed row
     ///   into a contiguous run, so it delivers the *streaming* side's
-    ///   order unchanged (mirrors the side [`PlanNode::lower`] streams);
+    ///   order unchanged (see [`JoinMethod::streams_left`]);
     /// * a merge join emits left-major and delivers the left order.
     ///
     /// When the dataset's "ascending id ⇔ ascending value" dictionary
@@ -264,9 +264,7 @@ impl PlanNode {
         match self {
             PlanNode::Scan { pattern, order, .. } => Self::scan_order_slots(pattern, *order),
             PlanNode::HashJoin { left, right, join_vars, .. } => {
-                let streams_left = Self::binds_right(left, right, join_vars, ds)
-                    || right.est_card() <= left.est_card();
-                if streams_left {
+                if Self::join_side(left, right, join_vars, ds).streams_left() {
                     left.delivered_order(ds)
                 } else {
                     right.delivered_order(ds)
@@ -304,11 +302,11 @@ impl PlanNode {
         match self {
             PlanNode::Scan { .. } => 0.0,
             PlanNode::HashJoin { left, right, join_vars, .. } => {
-                if Self::binds_right(left, right, join_vars, ds) {
-                    left.est_build_rows(ds)
-                } else {
-                    let build = if right.est_card() <= left.est_card() { right } else { left };
-                    left.est_build_rows(ds) + right.est_build_rows(ds) + build.est_card()
+                let children = left.est_build_rows(ds) + right.est_build_rows(ds);
+                match Self::join_side(left, right, join_vars, ds) {
+                    JoinMethod::Hash { build_right: true } => children + right.est_card(),
+                    JoinMethod::Hash { build_right: false } => children + left.est_card(),
+                    JoinMethod::Bind | JoinMethod::Merge => left.est_build_rows(ds),
                 }
             }
             PlanNode::MergeJoin { left, right, .. } => {
@@ -331,7 +329,7 @@ impl PlanNode {
                 }
             }
             PlanNode::HashJoin { left, right, join_vars, est_card } => {
-                if Self::binds_right(left, right, join_vars, ds) {
+                if Self::join_side(left, right, join_vars, ds) == JoinMethod::Bind {
                     left.est_scan_rows(ds) + est_card
                 } else {
                     left.est_scan_rows(ds) + right.est_scan_rows(ds)
@@ -341,107 +339,6 @@ impl PlanNode {
                 left.est_scan_rows(ds) + right.est_scan_rows(ds)
             }
         }
-    }
-
-    /// Lowers the logical join tree to a physical operator pipeline over
-    /// `ds` — the logical→physical split of the batched Volcano engine.
-    ///
-    /// Join-method selection reuses the optimizer's cardinality estimates
-    /// (the `est_card` each node carries): a join whose right child is a
-    /// leaf scan becomes an index nested-loop [`BindJoin`] probing the
-    /// permutation indexes when the estimated left cardinality does not
-    /// exceed the scan's exact extent (a selective join); otherwise it
-    /// becomes a [`HashJoinProbe`] whose build side is the child with the
-    /// smaller estimate. Either choice produces the same logical output,
-    /// so the measured `Cout` is independent of the physical plan — only
-    /// wall-clock time and touched data volume change.
-    ///
-    /// `bucket` routes the joins' output cardinalities into the required
-    /// or OPTIONAL `Cout` accumulator of [`crate::exec::ExecStats`].
-    pub fn lower<'a>(&self, ds: &'a Dataset, bucket: CoutBucket) -> BoxedOperator<'a> {
-        self.lower_with(ds, bucket, OrderExec::Auto)
-    }
-
-    /// [`PlanNode::lower`] with an explicit order-execution mode. Under
-    /// [`OrderExec::Off`] a [`PlanNode::MergeJoin`] lowers through the
-    /// hash/bind machinery instead (same rows, same order, same `Cout` —
-    /// the baseline the order differential suite compares against).
-    pub fn lower_with<'a>(
-        &self,
-        ds: &'a Dataset,
-        bucket: CoutBucket,
-        order_exec: OrderExec,
-    ) -> BoxedOperator<'a> {
-        match self {
-            PlanNode::Scan { pattern, order, .. } => {
-                Box::new(IndexScan::with_order(ds, pattern, *order))
-            }
-            PlanNode::HashJoin { left, right, join_vars, .. } => {
-                self.lower_hashish(ds, bucket, order_exec, left, right, join_vars)
-            }
-            PlanNode::MergeJoin { left, right, key, .. } => {
-                if order_exec == OrderExec::Off {
-                    // Forced hash lowering of the same logical join. The
-                    // right side is always built and the left streamed:
-                    // left-major emission with per-key matches in right
-                    // arrival order is exactly the merge join's output
-                    // sequence, so rows, row order, `Cout` and `scanned`
-                    // stay bit-identical — the property the order
-                    // differential suite pins.
-                    return Box::new(HashJoinProbe::new(
-                        left.lower_with(ds, bucket, order_exec),
-                        right.lower_with(ds, bucket, order_exec),
-                        key.clone(),
-                        true,
-                        self.signature().0,
-                        bucket,
-                    ));
-                }
-                Box::new(MergeJoin::new(
-                    left.lower_with(ds, bucket, order_exec),
-                    right.lower_with(ds, bucket, order_exec),
-                    key,
-                    self.signature().0,
-                    bucket,
-                ))
-            }
-        }
-    }
-
-    /// The hash/bind lowering of a binary join node (shared by
-    /// [`PlanNode::HashJoin`] and the forced-off lowering of
-    /// [`PlanNode::MergeJoin`]).
-    fn lower_hashish<'a>(
-        &self,
-        ds: &'a Dataset,
-        bucket: CoutBucket,
-        order_exec: OrderExec,
-        left: &PlanNode,
-        right: &PlanNode,
-        join_vars: &[usize],
-    ) -> BoxedOperator<'a> {
-        if Self::binds_right(left, right, join_vars, ds) {
-            let PlanNode::Scan { pattern, .. } = right else {
-                unreachable!("binds_right implies a scan right child")
-            };
-            return Box::new(BindJoin::new(
-                ds,
-                left.lower_with(ds, bucket, order_exec),
-                pattern.clone(),
-                join_vars,
-                self.signature().0,
-                bucket,
-            ));
-        }
-        let build_right = right.est_card() <= left.est_card();
-        Box::new(HashJoinProbe::new(
-            left.lower_with(ds, bucket, order_exec),
-            right.lower_with(ds, bucket, order_exec),
-            join_vars.to_vec(),
-            build_right,
-            self.signature().0,
-            bucket,
-        ))
     }
 
     /// The parallel-qualification cost test, robust to adversarial
@@ -455,39 +352,27 @@ impl PlanNode {
         total.is_nan() || total >= min_est_cost
     }
 
-    /// The right side of a spine merge join, when it is "clean" enough to
+    /// Whether the right side of a spine merge join is "clean" enough to
     /// slice by key bounds ([`SpineStep::Merge`]): a scan with no absent
     /// constant, no repeated variables (the slot→key-component mapping of
     /// the seek geometry assumes each key slot is one index component),
     /// and an index order delivering the merge key as its leading slots.
-    fn clean_merge_scan<'p>(
-        right: &'p PlanNode,
-        key: &[usize],
-    ) -> Option<(&'p PlannedPattern, Option<IndexOrder>)> {
+    fn clean_merge_scan(right: &PlanNode, key: &[usize]) -> bool {
         let PlanNode::Scan { pattern, order, .. } = right else {
-            return None;
+            return false;
         };
         let var_positions = pattern.slots.iter().filter(|s| s.as_var().is_some()).count();
-        if pattern.has_absent()
-            || key.is_empty()
-            || pattern.var_slots().len() != var_positions
-            || !Self::scan_order_slots(pattern, *order).starts_with(key)
-        {
-            return None;
-        }
-        Some((pattern, *order))
+        !pattern.has_absent()
+            && !key.is_empty()
+            && pattern.var_slots().len() == var_positions
+            && Self::scan_order_slots(pattern, *order).starts_with(key)
     }
 
-    /// Whether `lower` would turn this join into an index nested-loop
-    /// [`BindJoin`] probing `right`'s pattern (the selective-join rule).
-    /// Kept as one function so the serial and the parallel lowering can
-    /// never disagree on the physical join method.
-    pub(crate) fn binds_right(
-        left: &PlanNode,
-        right: &PlanNode,
-        join_vars: &[usize],
-        ds: &Dataset,
-    ) -> bool {
+    /// The selective-join rule: a join whose right child is a leaf scan
+    /// runs as an index nested-loop [`BindJoin`] probing that pattern when
+    /// the estimated left cardinality does not exceed the scan's exact
+    /// extent. Reads `ds.count(..)`, so it is binding-dependent.
+    fn binds_right(left: &PlanNode, right: &PlanNode, join_vars: &[usize], ds: &Dataset) -> bool {
         if let PlanNode::Scan { pattern, .. } = right {
             !join_vars.is_empty()
                 && !pattern.has_absent()
@@ -497,158 +382,114 @@ impl PlanNode {
         }
     }
 
-    /// Morsel-driven parallel lowering: partitions the plan's *driving*
-    /// scan (the leaf that feeds the streaming probe spine) into morsels
-    /// and returns a [`ParallelSource`] whose workers each run the spine
-    /// over one morsel, probing shared read-only hash tables built here —
-    /// in parallel ([`HashJoinBuild::build_partitioned`]) when the build
-    /// side is itself a large scan.
-    ///
-    /// Returns `None` when the plan does not qualify: single-scan plans,
-    /// driving scans below `cfg.min_driver_rows`, or estimated cost
-    /// (`est_cout + est_card`, the optimizer's own numbers) below
-    /// `cfg.min_est_cost` stay on the exact serial [`PlanNode::lower`]
-    /// path. The decision reads only estimates and exact extents — never
-    /// `cfg.threads` — so the same plan is chosen at every thread count
-    /// and results stay bit-identical.
-    pub fn lower_parallel<'a>(
-        &self,
-        ds: &'a Dataset,
-        bucket: CoutBucket,
-        cfg: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Option<ParallelSource<'a>> {
-        if self.leaf_count() < 2
-            || !Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
-        {
-            return None;
+    /// How a [`PlanNode::HashJoin`] of these children runs — the one home
+    /// of the bind rule and of the build-side comparison (the child with
+    /// the smaller estimate builds). The optimizer's order and cost
+    /// predictions and the recorded physical plan all read this, so they
+    /// cannot disagree. Every choice produces the same logical output, so
+    /// measured `Cout` is independent of it — only wall-clock time and
+    /// touched data volume change.
+    pub(crate) fn join_side(
+        left: &PlanNode,
+        right: &PlanNode,
+        join_vars: &[usize],
+        ds: &Dataset,
+    ) -> JoinMethod {
+        if Self::binds_right(left, right, join_vars, ds) {
+            JoinMethod::Bind
+        } else {
+            JoinMethod::Hash { build_right: right.est_card() <= left.est_card() }
         }
-        // Pass 1 (read-only): walk the streaming spine to the driving scan
-        // and qualify its extent before building anything. A merge join on
-        // the spine is accepted when its right side is a clean sorted scan
-        // (see `merge_spine_scan`) — the morsel geometry then switches to
-        // key-range cuts and each worker seeks the right cursor to its
-        // morsel's first key. Anything else (and every merge join under
-        // OrderExec::Off, whose serial lowering is a hash join) runs on
-        // the exact serial path.
-        let mut merge_keys: Vec<&[usize]> = Vec::new();
-        let mut node = self;
-        let (driver, driver_order) = loop {
-            match node {
-                PlanNode::Scan { pattern, order, .. } => break (pattern, *order),
-                PlanNode::HashJoin { left, right, join_vars, .. } => {
-                    // A bind join streams its left side; a hash join
-                    // streams the probe side (left when the right builds).
-                    let streams_left = Self::binds_right(left, right, join_vars, ds)
-                        || right.est_card() <= left.est_card();
-                    node = if streams_left { left } else { right };
-                }
-                PlanNode::MergeJoin { left, right, key, .. } => {
-                    // Under OrderExec::Off the serial lowering turns this
-                    // node into a hash join — the parallel path must not
-                    // silently re-enable merging.
-                    if cfg.order_exec == OrderExec::Off
-                        || Self::clean_merge_scan(right, key).is_none()
-                    {
-                        return None;
-                    }
-                    merge_keys.push(key);
-                    node = left;
-                }
+    }
+
+    /// Records this join tree's physical plan under `cfg`, and whether its
+    /// streaming spine runs over morsels — the single place the join
+    /// methods are chosen; everything downstream lowers or prints the
+    /// returned value.
+    ///
+    /// The spine is morselized only when `may_morselize` (the engine's
+    /// output-bound and descending-scan rules) and the plan qualifies:
+    /// at least two leaves, estimated cost (`est_cout + est_card`, the
+    /// optimizer's own numbers) of at least `cfg.min_est_cost`, a driving
+    /// scan of at least `cfg.min_driver_rows` rows, and every merge join
+    /// on the spine sliceable by key bounds. The decision reads only
+    /// estimates and exact extents — never `cfg.threads` — so the same
+    /// plan runs at every thread count and results stay bit-identical.
+    pub fn physical(
+        &self,
+        ds: &Dataset,
+        cfg: &ExecConfig,
+        may_morselize: bool,
+    ) -> (PhysNode, bool) {
+        let (root, spine) = self.record(ds, cfg.order_exec);
+        let morselized = may_morselize
+            && self.leaf_count() >= 2
+            && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
+            && spine.is_some_and(|(driver, order, merge_keys)| {
+                // Merge steps need a clean driver too: no repeated
+                // variables (they would break the slot→key-component
+                // mapping the cut geometry relies on) and every merge key
+                // delivered as a leading prefix of the driver's scan order.
+                let clean_driver = || {
+                    let var_positions =
+                        driver.slots.iter().filter(|s| s.as_var().is_some()).count();
+                    let slots = Self::scan_order_slots(driver, order);
+                    driver.var_slots().len() == var_positions
+                        && merge_keys.iter().all(|k| slots.starts_with(k))
+                };
+                !driver.has_absent()
+                    && ds.count(driver.access()) >= cfg.min_driver_rows.max(1)
+                    && (merge_keys.is_empty() || clean_driver())
+            });
+        (root, morselized)
+    }
+
+    /// One walk: the recorded node for this subtree plus, when the
+    /// subtree's streaming spine can be cut into morsels, its driving scan
+    /// and the merge keys met on the way down.
+    fn record(&self, ds: &Dataset, order_exec: OrderExec) -> (PhysNode, Option<Spine<'_>>) {
+        let (left, right, on, est_card, method) = match self {
+            PlanNode::Scan { pattern, est_card, order } => {
+                let (order, est_card) = (*order, *est_card);
+                let node =
+                    PhysNode::Scan { pattern: pattern.clone(), order, desc_runs: 0, est_card };
+                return (node, Some((pattern, order, Vec::new())));
+            }
+            PlanNode::HashJoin { left, right, join_vars, est_card } => {
+                (left, right, join_vars, est_card, Self::join_side(left, right, join_vars, ds))
+            }
+            // Under `OrderExec::Off` a merge join runs as the hash join of
+            // the same children with the right side always built: left-major
+            // emission with per-key matches in right arrival order is
+            // exactly the merge join's output sequence, so rows, row order,
+            // `Cout` and `scanned` stay bit-identical — the property the
+            // order differential suite pins.
+            PlanNode::MergeJoin { left, right, key, est_card } => {
+                let off = order_exec == OrderExec::Off;
+                let method =
+                    if off { JoinMethod::Hash { build_right: true } } else { JoinMethod::Merge };
+                (left, right, key, est_card, method)
             }
         };
-        if driver.has_absent() || ds.count(driver.access()) < cfg.min_driver_rows.max(1) {
-            return None;
-        }
-        if !merge_keys.is_empty() {
-            // Merge steps need a clean driver too: no repeated variables
-            // (they would break the slot→key-component mapping the cut
-            // geometry relies on) and every merge key delivered as a
-            // leading prefix of the driver's scan order — the order each
-            // private merge join's left input arrives in.
-            let driver_slots = Self::scan_order_slots(driver, driver_order);
-            let var_positions = driver.slots.iter().filter(|s| s.as_var().is_some()).count();
-            if driver.var_slots().len() != var_positions
-                || merge_keys.iter().any(|k| !driver_slots.starts_with(k))
-            {
-                return None;
-            }
-        }
-
-        // Pass 2: materialize the shared build sides and record the spine
-        // steps top-down, then flip to bottom-up assembly order.
-        let mut steps: Vec<SpineStep> = Vec::new();
-        let mut node = self;
-        loop {
-            match node {
-                PlanNode::Scan { .. } => break,
-                PlanNode::MergeJoin { left, right, key, .. } => {
-                    let (pattern, order) =
-                        Self::clean_merge_scan(right, key).expect("accepted in pass 1");
-                    steps.push(SpineStep::Merge {
-                        pattern: pattern.clone(),
-                        order,
-                        join_vars: key.clone(),
-                        signature: node.signature().0,
-                        // Real bounds are computed once per logical scan by
-                        // ParallelSource::new, which owns the cut geometry.
-                        bounds: Arc::new(Vec::new()),
-                    });
-                    node = left;
-                }
-                PlanNode::HashJoin { left, right, join_vars, .. } => {
-                    if Self::binds_right(left, right, join_vars, ds) {
-                        let PlanNode::Scan { pattern, .. } = right.as_ref() else {
-                            unreachable!("binds_right implies a scan right child")
-                        };
-                        steps.push(SpineStep::Bind {
-                            pattern: pattern.clone(),
-                            join_vars: join_vars.clone(),
-                            signature: node.signature().0,
-                        });
-                        node = left;
-                        continue;
-                    }
-                    let build_right = right.est_card() <= left.est_card();
-                    let build_node = if build_right { right } else { left };
-                    let build = match build_node.as_ref() {
-                        // Large scan build sides get the partitioned
-                        // parallel build; anything else builds serially.
-                        // The scan's chosen index order is passed through:
-                        // build-row numbering follows scan arrival order,
-                        // which fixes every key's match-list order and with
-                        // it the probe output's sub-order.
-                        PlanNode::Scan { pattern, order, .. }
-                            if !pattern.has_absent()
-                                && !pattern.var_slots().is_empty()
-                                && ds.count(pattern.access()) >= cfg.min_driver_rows.max(1) =>
-                        {
-                            HashJoinBuild::build_partitioned(
-                                ds, pattern, *order, join_vars, cfg, stats,
-                            )
-                        }
-                        // Non-scan builds honor the execution config's
-                        // order mode, so OrderExec::Off forces off-spine
-                        // merge joins back to the hash lowering exactly
-                        // like the serial path does.
-                        _ => HashJoinBuild::build(
-                            build_node.lower_with(ds, bucket, cfg.order_exec),
-                            join_vars,
-                            stats,
-                        ),
-                    };
-                    steps.push(SpineStep::Probe {
-                        build: Arc::new(build),
-                        join_vars: join_vars.clone(),
-                        stream_is_left: build_right,
-                        signature: node.signature().0,
-                    });
-                    node = if build_right { left } else { right };
-                }
-            }
-        }
-        steps.reverse();
-        Some(ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket))
+        let (l, lspine) = left.record(ds, order_exec);
+        let (r, rspine) = right.record(ds, order_exec);
+        let spine = match (self, method) {
+            // A spine merge join is cut by key bounds, which needs a clean
+            // sorted scan on its right; forced off, its spine stays serial.
+            (_, JoinMethod::Merge) => lspine.filter(|_| Self::clean_merge_scan(right, on)).map(
+                |(driver, order, mut keys)| {
+                    keys.push(on.as_slice());
+                    (driver, order, keys)
+                },
+            ),
+            (PlanNode::MergeJoin { .. }, _) => None,
+            // Bind and hash joins stream one side: the spine follows it.
+            _ if method.streams_left() => lspine,
+            _ => rspine,
+        };
+        let (left, right, on, est_card) = (Box::new(l), Box::new(r), on.clone(), *est_card);
+        let signature = self.signature().0;
+        (PhysNode::Join { method, left, right, on, signature, est_card }, spine)
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.
@@ -676,42 +517,209 @@ impl PlanNode {
             }
         }
     }
+}
 
-    /// EXPLAIN-style physical rendering: one line per operator with the
-    /// chosen join method (hash/bind/merge), the scanned index, and the
-    /// delivered order — what `plan_explorer` prints.
-    pub fn render_physical(&self, ds: &Dataset, indent: usize) -> String {
-        let pad = "  ".repeat(indent);
-        let order = self.delivered_order(ds);
+/// How a recorded join runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinMethod {
+    /// Index nested-loop join: probes the right child's pattern once per
+    /// streamed left row.
+    Bind,
+    /// Hash join materializing one side and streaming the other.
+    Hash {
+        /// Whether the right (else the left) side is built.
+        build_right: bool,
+    },
+    /// Merge join of two inputs sorted on the key; builds nothing.
+    Merge,
+}
+
+impl JoinMethod {
+    /// Whether the left input is the streamed side, whose delivered order
+    /// survives the join (all but a hash join building its left).
+    pub fn streams_left(self) -> bool {
+        self != JoinMethod::Hash { build_right: false }
+    }
+}
+
+/// A morselizable spine: driving scan, its index order, merge keys met.
+type Spine<'p> = (&'p PlannedPattern, Option<IndexOrder>, Vec<&'p [usize]>);
+
+/// One node of a *recorded* physical join tree: plain data whose structure
+/// is the decision. [`PlanNode::physical`] builds it once per execution
+/// (the bind rule reads exact extents, which depend on the binding); the
+/// engine then both lowers it ([`PhysNode::lower`],
+/// [`PhysNode::lower_morsels`]) and prints it ([`PhysNode::render`]), so
+/// EXPLAIN shows what ran.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PhysNode {
+    /// Index scan of one pattern.
+    Scan {
+        /// The scanned pattern.
+        pattern: PlannedPattern,
+        /// The permutation index (`None` = default for the bound positions).
+        order: Option<IndexOrder>,
+        /// When non-zero the scan iterates run-reversed: runs of this many
+        /// leading key components in descending key order (0 = ascending).
+        desc_runs: usize,
+        /// Estimated output cardinality.
+        est_card: f64,
+    },
+    /// A join. A logical merge join under [`OrderExec::Off`] is recorded
+    /// as the `build_right` hash join it runs as.
+    Join {
+        /// The chosen operator.
+        method: JoinMethod,
+        /// Semantic-left operand.
+        left: Box<PhysNode>,
+        /// Semantic-right operand (a [`PhysNode::Scan`] under
+        /// [`JoinMethod::Bind`]: the probed pattern).
+        right: Box<PhysNode>,
+        /// Shared variable slots: the merge key in delivered-order
+        /// sequence, empty for a cross product.
+        on: Vec<usize>,
+        /// Signature path of the logical join (the
+        /// `ExecStats::join_cards` key).
+        signature: String,
+        /// Estimated output cardinality.
+        est_card: f64,
+    },
+}
+
+impl PhysNode {
+    /// The operator this node runs as, as EXPLAIN names it.
+    pub fn method(&self) -> &'static str {
         match self {
-            PlanNode::Scan { pattern, est_card, order: idx } => {
-                let idx = idx.unwrap_or_else(|| Dataset::default_order(pattern.access()));
-                format!(
-                    "{pad}IndexScan p{} idx={idx:?} order={order:?} (est {est_card:.1})\n",
-                    pattern.idx
-                )
+            PhysNode::Scan { .. } => "IndexScan",
+            PhysNode::Join { method: JoinMethod::Bind, .. } => "BindJoin",
+            PhysNode::Join { method: JoinMethod::Hash { build_right: true }, .. } => {
+                "HashJoin[build=right]"
             }
-            PlanNode::HashJoin { left, right, join_vars, est_card } => {
-                let method = if Self::binds_right(left, right, join_vars, ds) {
-                    "BindJoin".to_string()
-                } else if right.est_card() <= left.est_card() {
-                    "HashJoin[build=right]".to_string()
-                } else {
-                    "HashJoin[build=left]".to_string()
+            PhysNode::Join { method: JoinMethod::Hash { build_right: false }, .. } => {
+                "HashJoin[build=left]"
+            }
+            PhysNode::Join { method: JoinMethod::Merge, .. } => "MergeJoin",
+        }
+    }
+
+    /// Lowers the recorded tree to a serial operator pipeline over `ds`.
+    /// `bucket` routes the joins' output cardinalities into the required
+    /// or OPTIONAL `Cout` accumulator of [`ExecStats`].
+    pub fn lower<'a>(&self, ds: &'a Dataset, bucket: CoutBucket) -> BoxedOperator<'a> {
+        match self {
+            PhysNode::Scan { pattern, order, desc_runs: 0, .. } => {
+                Box::new(IndexScan::with_order(ds, pattern, *order))
+            }
+            PhysNode::Scan { pattern, order, desc_runs, .. } => {
+                Box::new(IndexScan::descending(ds, pattern, *order, *desc_runs))
+            }
+            PhysNode::Join { method, left, right, on, signature, .. } => {
+                let (left, sig) = (left.lower(ds, bucket), signature.clone());
+                match (method, right.as_ref()) {
+                    (JoinMethod::Bind, PhysNode::Scan { pattern, .. }) => {
+                        Box::new(BindJoin::new(ds, left, pattern.clone(), on, sig, bucket))
+                    }
+                    (JoinMethod::Bind, _) => unreachable!("bind joins probe a scan"),
+                    (JoinMethod::Hash { build_right }, right) => {
+                        let (right, on) = (right.lower(ds, bucket), on.clone());
+                        Box::new(HashJoinProbe::new(left, right, on, *build_right, sig, bucket))
+                    }
+                    (JoinMethod::Merge, right) => {
+                        Box::new(MergeJoin::new(left, right.lower(ds, bucket), on, sig, bucket))
+                    }
+                }
+            }
+        }
+    }
+
+    /// Morsel-driven lowering of a tree [`PlanNode::physical`] recorded as
+    /// morselized: partitions the *driving* scan (the leaf feeding the
+    /// streaming spine) into morsels and returns a [`ParallelSource`]
+    /// whose workers each run the spine over one morsel, probing shared
+    /// read-only hash tables built here — in parallel
+    /// ([`HashJoinBuild::build_partitioned`]) when the build side is
+    /// itself a large scan. A spine merge join's right scan is sliced by
+    /// key bounds instead (each worker seeks it to its morsel's first key).
+    pub fn lower_morsels<'a>(
+        &self,
+        ds: &'a Dataset,
+        bucket: CoutBucket,
+        cfg: &ExecConfig,
+        stats: &mut ExecStats,
+    ) -> ParallelSource<'a> {
+        // Record the spine steps top-down, then flip to bottom-up
+        // assembly order.
+        let mut steps: Vec<SpineStep> = Vec::new();
+        let mut node = self;
+        let (driver, driver_order) = loop {
+            let (method, left, right, join_vars, signature) = match node {
+                PhysNode::Scan { pattern, order, .. } => break (pattern, *order),
+                PhysNode::Join { method, left, right, on, signature, .. } => {
+                    (*method, left.as_ref(), right.as_ref(), on.clone(), signature.clone())
+                }
+            };
+            node = left;
+            steps.push(match (method, right) {
+                (JoinMethod::Bind, PhysNode::Scan { pattern, .. }) => {
+                    SpineStep::Bind { pattern: pattern.clone(), join_vars, signature }
+                }
+                (JoinMethod::Merge, PhysNode::Scan { pattern, order, .. }) => {
+                    let (pattern, order) = (pattern.clone(), *order);
+                    // Real bounds are computed once per logical scan by
+                    // ParallelSource::new, which owns the cut geometry.
+                    let bounds = Arc::new(Vec::new());
+                    SpineStep::Merge { pattern, order, join_vars, signature, bounds }
+                }
+                (JoinMethod::Hash { build_right }, _) => {
+                    let build_node = if build_right { right } else { left };
+                    let build = match build_node {
+                        // Large scan build sides get the partitioned
+                        // parallel build; anything else builds serially.
+                        // The scan's chosen index order is passed through:
+                        // build-row numbering follows scan arrival order,
+                        // which fixes every key's match-list order and with
+                        // it the probe output's sub-order.
+                        PhysNode::Scan { pattern, order, .. }
+                            if !pattern.has_absent()
+                                && !pattern.var_slots().is_empty()
+                                && ds.count(pattern.access()) >= cfg.min_driver_rows.max(1) =>
+                        {
+                            HashJoinBuild::build_partitioned(
+                                ds, pattern, *order, &join_vars, cfg, stats,
+                            )
+                        }
+                        _ => HashJoinBuild::build(build_node.lower(ds, bucket), &join_vars, stats),
+                    };
+                    if !build_right {
+                        node = right;
+                    }
+                    let (build, stream_is_left) = (Arc::new(build), build_right);
+                    SpineStep::Probe { build, join_vars, stream_is_left, signature }
+                }
+                _ => unreachable!("a morselized spine binds and merges against scans"),
+            });
+        };
+        steps.reverse();
+        ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket)
+    }
+
+    /// EXPLAIN rendering: one line per operator with the chosen join
+    /// method, the scanned index and its direction.
+    pub fn render(&self, indent: usize) -> String {
+        let (pad, method) = ("  ".repeat(indent), self.method());
+        match self {
+            PhysNode::Scan { pattern, order, desc_runs, est_card } => {
+                let idx = order.unwrap_or_else(|| Dataset::default_order(pattern.access()));
+                let dir = match desc_runs {
+                    0 => String::new(),
+                    n => format!(" descending({n} key components)"),
                 };
-                let mut out =
-                    format!("{pad}{method} on {join_vars:?} order={order:?} (est {est_card:.1})\n");
-                out.push_str(&left.render_physical(ds, indent + 1));
-                out.push_str(&right.render_physical(ds, indent + 1));
-                out
+                format!("{pad}{method} p{} idx={idx:?}{dir} (est {est_card:.1})\n", pattern.idx)
             }
-            PlanNode::MergeJoin { left, right, key, est_card } => {
-                let mut out = format!(
-                    "{pad}MergeJoin key={key:?} order={order:?} (est {est_card:.1}, build 0)\n"
-                );
-                out.push_str(&left.render_physical(ds, indent + 1));
-                out.push_str(&right.render_physical(ds, indent + 1));
-                out
+            PhysNode::Join { left, right, on, est_card, .. } => {
+                format!("{pad}{method} on {on:?} (est {est_card:.1})\n")
+                    + &left.render(indent + 1)
+                    + &right.render(indent + 1)
             }
         }
     }
@@ -1005,31 +1013,6 @@ impl ModifierPlan {
         self.table.len() > self.out_width
     }
 
-    /// How the modifier epilogue's blocking state (GROUP BY accumulators,
-    /// the full-sort buffer) is lowered under a memory budget: in memory
-    /// when there is none, otherwise to the external (spill-capable)
-    /// variants in [`crate::spill`] — eagerly (spilling from the first
-    /// row) when the optimizer's `est_result_card` already exceeds the
-    /// budget, lazily (spilling only once the budget actually trips)
-    /// otherwise. The choice reads estimates only; the produced rows,
-    /// their order and every deterministic counter are identical either
-    /// way — eagerness merely avoids pointless in-memory warm-up when the
-    /// overflow is predictable. Note that any non-`None` budget also
-    /// trades the worker-side parallel fold merge for the serial budgeted
-    /// fold (see [`crate::exec::ExecConfig::mem_budget_rows`]).
-    pub fn spill_mode(&self, est_result_card: f64, budget: Option<usize>) -> SpillMode {
-        match budget {
-            None => SpillMode::InMemory,
-            Some(b) => {
-                if est_result_card > b as f64 {
-                    SpillMode::Eager
-                } else {
-                    SpillMode::Lazy
-                }
-            }
-        }
-    }
-
     /// Output column names, in projection order.
     pub fn out_names(&self) -> Vec<String> {
         self.table[..self.out_width].iter().map(|c| c.name.clone()).collect()
@@ -1119,18 +1102,180 @@ impl ModifierPlan {
     }
 }
 
-/// Lowering choice for blocking modifier state under an
-/// [`ExecConfig::mem_budget_rows`] budget (see
-/// [`ModifierPlan::spill_mode`]).
+/// How grouped aggregation folds its input (recorded in [`PhysicalPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillMode {
-    /// No budget: all state stays in memory.
-    InMemory,
-    /// External variant armed; spills only once the budget trips.
-    Lazy,
-    /// External variant spilling from the first row (the estimate already
-    /// exceeds the budget).
-    Eager,
+pub enum Fold {
+    /// Group-clustered delivery on a serial, unbudgeted pipeline: one
+    /// group at a time, no hash map.
+    Ordered,
+    /// Serial hash-map fold.
+    Hash,
+    /// Every morsel folds into a private hash map on its worker; the
+    /// partials merge in morsel-index order.
+    WorkerPartials,
+    /// Any memory budget: the serial spill-capable fold, partitioning
+    /// overflow groups to disk — from the first row when `eager` (the
+    /// estimated result already exceeds the budget).
+    External {
+        /// [`ExecConfig::mem_budget_rows`].
+        budget: usize,
+        /// Spill from the first row instead of once the budget trips.
+        eager: bool,
+    },
+}
+
+/// How DISTINCT deduplicates (recorded in [`PhysicalPlan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dedup {
+    /// No DISTINCT.
+    None,
+    /// Hash set over the projected columns (streaming on the plain path,
+    /// at the result boundary under aggregation).
+    Hash,
+    /// The delivered order clusters the projected columns: remember one
+    /// previous tuple.
+    Run,
+    /// Unprojected sort keys under a real sort: keep, per distinct value,
+    /// the duplicate minimal under (sort keys, arrival order), then sort
+    /// the representatives.
+    SortAware,
+}
+
+/// How ORDER BY is served (recorded in [`PhysicalPlan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sort {
+    /// No ORDER BY.
+    None,
+    /// Rows already arrive in final order: the delivered order satisfies
+    /// the keys, or (`descending`) a run-reversed index scan serves them.
+    /// `ExecStats::sorted_rows` stays 0; a LIMIT becomes an early exit.
+    Eliminated {
+        /// Served by the descending index scan.
+        descending: bool,
+    },
+    /// ORDER BY + LIMIT: bounded heap of `offset + limit` rows.
+    TopK,
+    /// ORDER BY without LIMIT under a budget: external merge sort.
+    External {
+        /// [`ExecConfig::mem_budget_rows`].
+        budget: usize,
+    },
+    /// In-memory stable sort at the result boundary.
+    Full,
+}
+
+/// One recorded UNION (a branch per alternative) or OPTIONAL (exactly one
+/// branch) group: the branch trees with their scoped filters.
+#[derive(Debug, Clone)]
+pub struct PhysGroup<'p> {
+    /// Recorded join tree and scoped FILTERs of each branch.
+    pub branches: Vec<(PhysNode, &'p [Expr])>,
+    /// Variable slots shared with the part evaluated before the group.
+    pub join_vars: &'p [usize],
+}
+
+/// The recorded physical plan of one execution: every physical choice the
+/// engine makes for a (prepared query, [`ExecConfig`], dataset) triple,
+/// decided once by `Engine::physical_plan` and then both lowered
+/// (`Engine::stream`) and printed ([`PhysicalPlan::render`]). Plain data:
+/// no operators, only borrows of the prepared query's logical content.
+#[derive(Debug, Clone)]
+pub struct PhysicalPlan<'p> {
+    /// Slot sequence the pattern part delivers its rows sorted by (empty
+    /// under [`OrderExec::Off`]).
+    pub delivered_order: &'p [usize],
+    /// The required BGP (absent when the body is a bare UNION).
+    pub bgp: Option<PhysNode>,
+    /// The BGP's streaming spine runs over morsels of its driving scan.
+    pub morselized: bool,
+    /// UNION groups: the first is the base when there is no BGP, every
+    /// other one is hash-joined (union side built) onto what precedes it.
+    pub unions: Vec<PhysGroup<'p>>,
+    /// OPTIONAL groups, each a left outer join (optional side built).
+    pub optionals: Vec<PhysGroup<'p>>,
+    /// Top-level FILTERs, applied last.
+    pub filters: &'p [Expr],
+    /// Variable name per slot.
+    pub var_names: &'p [String],
+    /// The logical modifier stack the strategy below implements.
+    pub modifiers: &'p ModifierPlan,
+    /// `LIMIT 0`: provably empty, nothing is lowered or scanned.
+    pub limit_zero: bool,
+    /// Aggregation strategy (`None` = no aggregation).
+    pub fold: Option<Fold>,
+    /// DISTINCT strategy.
+    pub dedup: Dedup,
+    /// ORDER BY strategy.
+    pub sort: Sort,
+}
+
+impl PhysicalPlan<'_> {
+    /// Multi-line EXPLAIN rendering of exactly what `Engine::stream`
+    /// lowers: the operator tree, then the modifier strategy.
+    pub fn render(&self) -> String {
+        let mut out = format!("delivered order: {:?}\n", self.delivered_order);
+        if self.limit_zero {
+            out.push_str("LIMIT 0: nothing below runs\n");
+        }
+        if let Some(bgp) = &self.bgp {
+            if self.morselized {
+                out.push_str("Morsels (spine below runs per morsel of its driving scan)\n");
+            }
+            out.push_str(&bgp.render(usize::from(self.morselized)));
+        }
+        for (i, u) in self.unions.iter().enumerate() {
+            let how = if i == 0 && self.bgp.is_none() { "base" } else { "hash join, union built" };
+            out.push_str(&format!("UNION #{i} ({how}, on {:?})\n", u.join_vars));
+            for (b, (node, filters)) in u.branches.iter().enumerate() {
+                out.push_str(&format!("  branch {b} ({} filters):\n", filters.len()));
+                out.push_str(&node.render(2));
+            }
+        }
+        for (i, o) in self.optionals.iter().enumerate() {
+            let (node, filters) = &o.branches[0];
+            out.push_str(&format!(
+                "OPTIONAL #{i} (left outer join on {:?}, {} filters)\n",
+                o.join_vars,
+                filters.len()
+            ));
+            out.push_str(&node.render(1));
+        }
+        if !self.filters.is_empty() {
+            out.push_str(&format!("FILTER ({} expressions)\n", self.filters.len()));
+        }
+        let fold = match self.fold {
+            None => "none".to_string(),
+            Some(Fold::Ordered) => "ordered (one group at a time)".into(),
+            Some(Fold::Hash) => "hash".into(),
+            Some(Fold::WorkerPartials) => "worker-partials (merged in morsel order)".into(),
+            Some(Fold::External { budget, eager }) => {
+                format!("external (budget {budget} rows, {})", if eager { "eager" } else { "lazy" })
+            }
+        };
+        let dedup = match self.dedup {
+            Dedup::None => "none",
+            Dedup::Hash => "hash",
+            Dedup::Run => "run (delivered order clusters the output)",
+            Dedup::SortAware => "sort-aware",
+        };
+        let sort = match self.sort {
+            Sort::None => "none".to_string(),
+            Sort::Eliminated { descending: false } => {
+                "eliminated (delivered order satisfies ORDER BY)".into()
+            }
+            Sort::Eliminated { descending: true } => {
+                "eliminated (descending index scan serves ORDER BY ... DESC)".into()
+            }
+            Sort::TopK => "topk (bounded heap)".into(),
+            Sort::External { budget } => format!("external merge sort (budget {budget} rows)"),
+            Sort::Full => "full sort".into(),
+        };
+        out.push_str(&format!(
+            "modifiers: {} | fold: {fold} | dedup: {dedup} | sort: {sort}\n",
+            self.modifiers.render()
+        ));
+        out
+    }
 }
 
 /// Canonical structural identity of a plan: join tree shape over pattern

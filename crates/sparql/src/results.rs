@@ -405,41 +405,9 @@ pub(crate) fn finalize_table(
     ResultSet { columns: m.out_names(), rows: decoded }
 }
 
-/// Decodes already-modified pipeline output (the fully pushed plain path):
-/// each output column reads the bindings column holding its slot.
-pub(crate) fn decode_bindings(bindings: &Bindings, m: &ModifierPlan, ds: &Dataset) -> ResultSet {
-    let cols: Vec<usize> = m.table[..m.out_width]
-        .iter()
-        .map(|c| match c.source {
-            TableColSource::Slot(slot) => {
-                bindings.col_of(slot).expect("projected slot in pipeline schema")
-            }
-            TableColSource::Agg(_) => unreachable!("aggregate column on the plain path"),
-            TableColSource::Expr(_) => unreachable!("expression keys are never projected"),
-        })
-        .collect();
-    let rows = bindings
-        .iter()
-        .map(|row| {
-            cols.iter()
-                .map(|&c| {
-                    let id = row[c];
-                    if id == UNBOUND {
-                        OutVal::Unbound
-                    } else {
-                        OutVal::Term(ds.decode(id).clone())
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    ResultSet { columns: m.out_names(), rows }
-}
-
-/// The materialize-then-modify fallback: applies the full modifier stack
-/// of `m` to drained bindings. Used by the unpushed execution path (the
-/// baseline the pushdown is measured against) and by pushed plans whose
-/// modifier combination cannot stream (e.g. ORDER BY without LIMIT).
+/// The materialize-then-modify reference: applies the full modifier stack
+/// of `m` to drained bindings (`Engine::execute_unpushed`, the baseline
+/// the pushed path is compared against).
 pub(crate) fn finalize_bindings(
     bindings: &Bindings,
     m: &ModifierPlan,

@@ -29,10 +29,17 @@
 //! full-sort fallback onto the spill path (partitioned run files,
 //! loser-tree merge), asserting rows, row order, `Cout` and `scanned`
 //! stay bit-identical to the unlimited in-memory run.
+//!
+//! Every one of those runs is also checked against the physical plan
+//! recorded for it (`explained::assert_executed_as_explained`): what
+//! EXPLAIN says must be what the counters show ran.
 
 mod common;
+#[path = "common/explained.rs"]
+mod explained;
 
 use common::oracle;
+use explained::assert_executed_as_explained;
 use proptest::prelude::*;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
@@ -346,6 +353,11 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
     let query = parse_query(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
     let prepared = engine.prepare(&query).unwrap_or_else(|e| panic!("prepare {text:?}: {e}"));
     let pushed = engine.execute(&prepared).unwrap_or_else(|e| panic!("execute {text:?}: {e}"));
+    let explained = |exec: &ExecConfig, out: &parambench_sparql::QueryOutput| {
+        let plan = engine.physical_plan(&prepared, exec);
+        assert_executed_as_explained(ds, &plan, out, exec, &format!("{text} under {exec:?}"));
+    };
+    explained(&engine.exec_config(), &pushed);
     let unpushed = engine
         .execute_unpushed(&prepared)
         .unwrap_or_else(|e| panic!("execute_unpushed {text:?}: {e}"));
@@ -392,6 +404,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
         let par = engine
             .execute_with(&prepared, &exec)
             .unwrap_or_else(|e| panic!("execute_with({threads}) {text:?}: {e}"));
+        explained(&exec, &par);
         assert_eq!(
             par.results, pushed.results,
             "parallel ({threads} threads) rows/order diverge from serial for {text}"
@@ -439,6 +452,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
             let out = engine.execute_with(&prepared, &exec).unwrap_or_else(|e| {
                 panic!("execute_with(budget {budget:?}, {threads} threads) {text:?}: {e}")
             });
+            explained(&exec, &out);
             assert_eq!(
                 out.results, pushed.results,
                 "budget {budget:?} × {threads} threads changed rows/order for {text}"
@@ -476,6 +490,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
                     "execute_with(order off, budget {budget:?}, {threads} threads) {text:?}: {e}"
                 )
             });
+            explained(&exec, &off);
             assert_eq!(
                 off.results, pushed.results,
                 "order-off (budget {budget:?} × {threads} threads) changed rows/order for {text}"

@@ -1,8 +1,11 @@
 //! Streaming-output contract: for every modifier epilogue shape the
 //! engine can produce, draining [`parambench_sparql::RowStream`] row by
-//! row yields exactly the rows, order and instrumentation of the
-//! all-at-once `execute` path — the two consumers share `plain_tail`, and
-//! this suite pins that they cannot diverge.
+//! row yields exactly the rows and order of the reference implementation
+//! (`Engine::execute_unpushed`: the same pattern part, every modifier
+//! applied after materialization) — and, where no LIMIT may cut execution
+//! short, the same `Cout`. `execute` *is* the stream drained by
+//! `collect_output`, so comparing those two would compare a thing with
+//! itself.
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
@@ -62,14 +65,14 @@ fn configs() -> Vec<(&'static str, ExecConfig)> {
 }
 
 #[test]
-fn stream_matches_execute_for_every_epilogue_shape() {
+fn stream_matches_the_unpushed_reference_for_every_epilogue_shape() {
     let ds = dataset(300);
-    let engine = Engine::new(&ds);
     for (shape, text) in SHAPES {
-        let prepared = engine.prepare(&parse_query(text).unwrap()).unwrap();
         for (cfg_name, exec) in configs() {
             let ctx = format!("shape {shape}, config {cfg_name}");
-            let want = engine.execute_with(&prepared, &exec).unwrap();
+            let engine = Engine::with_exec_config(&ds, exec);
+            let prepared = engine.prepare(&parse_query(text).unwrap()).unwrap();
+            let want = engine.execute_unpushed(&prepared).unwrap();
 
             // Row-by-row drain.
             let mut stream = engine.stream(&prepared, &exec).unwrap();
@@ -80,13 +83,17 @@ fn stream_matches_execute_for_every_epilogue_shape() {
             }
             assert_eq!(rows, want.results.rows, "streamed rows diverge: {ctx}");
             let end = stream.finish();
-            assert_eq!(end.cout, want.cout, "streamed Cout diverges: {ctx}");
-            assert_eq!(end.stats.scanned, want.stats.scanned, "streamed scan count: {ctx}");
+            if prepared.modifiers.limit.is_none() {
+                assert_eq!(end.cout, want.cout, "streamed Cout diverges: {ctx}");
+                assert_eq!(end.stats.scanned, want.stats.scanned, "streamed scan count: {ctx}");
+            } else {
+                assert!(end.cout <= want.cout, "early exit may only do less join work: {ctx}");
+            }
 
-            // Materializing drain (what the serving layer uses).
+            // Materializing drain (what `execute` and the serving layer use).
             let collected = engine.stream(&prepared, &exec).unwrap().collect_output().unwrap();
             assert_eq!(collected.results, want.results, "collect_output diverges: {ctx}");
-            assert_eq!(collected.cout, want.cout, "{ctx}");
+            assert_eq!(collected.cout, end.cout, "{ctx}");
         }
     }
 }

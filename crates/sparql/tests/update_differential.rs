@@ -23,10 +23,13 @@
 //! compaction re-interning) is covered in `update_edge.rs`.
 
 mod common;
+#[path = "common/explained.rs"]
+mod explained;
 
 use std::collections::BTreeSet;
 
 use common::oracle;
+use explained::assert_executed_as_explained;
 use proptest::prelude::*;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
@@ -172,10 +175,14 @@ fn exec_sweep() -> Vec<(&'static str, ExecConfig)> {
     ]
 }
 
-/// The 7-query mix: joins, a numeric filter, DISTINCT + ORDER BY,
+/// The 9-query mix: joins, a numeric filter, DISTINCT + ORDER BY,
 /// multi-key ordering, ORDER + LIMIT, aggregation, OPTIONAL + FILTER with
 /// LIMIT/OFFSET — enough shape variety that a subtly wrong overlay merge
 /// (a dropped add, a leaked tombstone, a mis-ordered splice) cannot hide.
+/// The last two pin what EXPLAIN must say about the order service: an
+/// aggregate whose group-clustered delivery eliminates the sort on the
+/// serial configs but not on the morselized ones (worker-side fold), and
+/// an `ORDER BY ... DESC` the descending index scan serves.
 fn query_mix() -> Vec<String> {
     vec![
         "SELECT ?s ?v WHERE { ?s <p/0> ?v . }".into(),
@@ -189,6 +196,10 @@ fn query_mix() -> Vec<String> {
         "SELECT ?s ?v WHERE { ?s <p/1> ?v . OPTIONAL { ?s <p/3> ?n . FILTER(?n > 4) } } \
          ORDER BY ASC(?s) LIMIT 4 OFFSET 2"
             .into(),
+        "SELECT ?s (COUNT(?v) AS ?c) WHERE { ?s <p/0> ?v . ?s <p/1> ?u . } \
+         GROUP BY ?s ORDER BY ASC(?s)"
+            .into(),
+        "SELECT ?s ?n WHERE { ?s <p/3> ?n . } ORDER BY DESC(?n)".into(),
     ]
 }
 
@@ -209,6 +220,28 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
                 let out = engine
                     .execute(&prepared)
                     .unwrap_or_else(|e| panic!("[{label}/{cfg_name}] execute {text:?}: {e}"));
+                let ctx = format!("[{label}/{cfg_name}] {text}");
+                assert_executed_as_explained(
+                    ds,
+                    &engine.physical_plan(&prepared, &cfg),
+                    &out,
+                    &cfg,
+                    &ctx,
+                );
+                if cfg.order_exec == OrderExec::Force {
+                    // The merge-planned tree forced back onto hash joins:
+                    // same rows, and EXPLAIN must say hash, not merge.
+                    let off = ExecConfig { order_exec: OrderExec::Off, ..cfg };
+                    let hashed = engine.execute_with(&prepared, &off).expect("force→off run");
+                    assert_eq!(hashed.results, out.results, "{ctx}: force→off rows diverge");
+                    assert_executed_as_explained(
+                        ds,
+                        &engine.physical_plan(&prepared, &off),
+                        &hashed,
+                        &off,
+                        &format!("{ctx} (force→off)"),
+                    );
+                }
                 (sig, out)
             };
             let (live_sig, live_out) = run(live);

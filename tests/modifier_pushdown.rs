@@ -8,14 +8,13 @@
 //! * strictly lower `peak_tuples` for the streaming TopK and the streaming
 //!   aggregation;
 //! * strictly less scanned data under LIMIT early exit;
-//! * lower wall time for TopK vs full sort (min-of-N to damp scheduler
-//!   noise; the workload is sized so the gap is structural, not marginal).
-
-use std::time::Duration;
+//! * for TopK vs materialize-and-sort, the structural facts a wall-clock
+//!   win stands for (no sort, no more scanning or join work) — wall time
+//!   itself is measured by `benchmark/`, not raced inside tier-1.
 
 use parambench::datagen::{bsbm::schema, Bsbm, BsbmConfig};
 use parambench::rdf::Term;
-use parambench::sparql::{Binding, Engine, Prepared, QueryOutput};
+use parambench::sparql::{Binding, Engine, QueryOutput};
 
 fn root_binding() -> Binding {
     // The root product type selects every product: the worst case for the
@@ -23,22 +22,8 @@ fn root_binding() -> Binding {
     Binding::new().with("type", Term::iri(schema::product_type(0)))
 }
 
-fn min_wall(engine: &Engine<'_>, prepared: &Prepared, pushed: bool, runs: usize) -> Duration {
-    (0..runs)
-        .map(|_| {
-            let out = if pushed {
-                engine.execute(prepared).unwrap()
-            } else {
-                engine.execute_unpushed(prepared).unwrap()
-            };
-            out.wall_time
-        })
-        .min()
-        .expect("at least one run")
-}
-
 #[test]
-fn topk_template_has_strictly_lower_peak_and_wall_time() {
+fn topk_template_has_strictly_lower_peak_and_does_no_more_work() {
     let data = Bsbm::generate(BsbmConfig { products: 4000, ..Default::default() });
     let engine = Engine::new(&data.dataset);
     let template = Bsbm::q_cheapest_products_of_type();
@@ -69,15 +54,15 @@ fn topk_template_has_strictly_lower_peak_and_wall_time() {
         unpushed.stats.peak_tuples
     );
 
-    // Wall time: the baseline decodes-and-sorts every product of the type;
-    // the pushed plan keeps 10 rows in a heap. Compare min-of-5 to damp
-    // scheduler noise.
-    let pushed_wall = min_wall(&engine, &prepared, true, 5);
-    let unpushed_wall = min_wall(&engine, &prepared, false, 5);
+    // What "faster than materialize+sort" rests on: the baseline scans and
+    // sorts every product of the type, the pushed plan stops after 10 rows.
     assert!(
-        pushed_wall < unpushed_wall,
-        "pushed TopK ({pushed_wall:?}) should beat materialize+sort ({unpushed_wall:?})"
+        pushed.stats.scanned <= unpushed.stats.scanned,
+        "the pushed plan must scan no more ({} vs {})",
+        pushed.stats.scanned,
+        unpushed.stats.scanned
     );
+    assert!(unpushed.stats.sorted_rows > 0, "the baseline really sorts");
 }
 
 #[test]
