@@ -277,15 +277,15 @@ mod tests {
         for step in &workload.steps {
             match step {
                 WorkloadStep::Insert(batch) => {
-                    server.update(|ds| ds.insert_batch(batch.iter().cloned()));
+                    server.try_update(|ds| ds.insert_batch(batch.iter().cloned())).unwrap();
                     updates += 1;
                 }
                 WorkloadStep::Delete(batch) => {
-                    server.update(|ds| ds.delete_batch(batch.iter().cloned()));
+                    server.try_update(|ds| ds.delete_batch(batch.iter().cloned())).unwrap();
                     updates += 1;
                 }
                 WorkloadStep::Compact => {
-                    server.update(|ds| ds.compact());
+                    server.try_update(|ds| ds.compact()).unwrap();
                     updates += 1;
                     assert!(server.dataset().order_by_value_intact());
                 }

@@ -1,17 +1,22 @@
 //! Process-wide build diagnostics.
 //!
 //! Tiny monotonic counters incremented by the expensive freeze-time steps
-//! ([`crate::index::PermIndex::build`] and
-//! [`crate::dict::Dictionary::reorder_by_value`]). They exist so tests can
-//! assert *structurally* that [`crate::store::Dataset::load`] performs no
-//! rebuild work — the zero-copy contract of the snapshot path — instead of
-//! relying on timing. The counters are process-global and monotonically
-//! increasing; assertions should compare deltas, not absolute values.
+//! ([`crate::index::PermIndex::build`],
+//! [`crate::dict::Dictionary::reorder_by_value`] and the two full
+//! statistics computations, `compute_from_keys` in [`crate::stats`]). They
+//! exist so tests can assert *structurally* that
+//! [`crate::store::Dataset::load`] performs no rebuild work — the zero-copy
+//! contract of the snapshot path — and that a commit or a journal replay
+//! performs none either — the `O(delta)` contract of the write path —
+//! instead of relying on timing. The counters are process-global and
+//! monotonically increasing; assertions should compare deltas, not
+//! absolute values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 static DICT_REORDERS: AtomicU64 = AtomicU64::new(0);
+static STATS_COMPUTES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`crate::index::PermIndex::build`] calls so far in this process.
 pub fn index_builds() -> u64 {
@@ -24,10 +29,22 @@ pub fn dict_reorders() -> u64 {
     DICT_REORDERS.load(Ordering::Relaxed)
 }
 
+/// Number of full `O(n)` derived-statistics computations
+/// ([`crate::stats::DatasetStats::compute_from_keys`] and
+/// [`crate::stats::CharacteristicSets::compute_from_keys`], one each per
+/// freeze or compaction) so far in this process.
+pub fn stats_computes() -> u64 {
+    STATS_COMPUTES.load(Ordering::Relaxed)
+}
+
 pub(crate) fn count_index_build() {
     INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn count_dict_reorder() {
     DICT_REORDERS.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn count_stats_compute() {
+    STATS_COMPUTES.fetch_add(1, Ordering::Relaxed);
 }

@@ -9,11 +9,17 @@
 //! interpretation of each literal (see [`Term::numeric_value`]) so that
 //! filters and ORDER BY never re-parse lexical forms on the hot path.
 //!
+//! A dictionary is two-level (see [`Dictionary`]): an immutable frozen
+//! region shared between clones, and a small overflow region of terms
+//! interned since the last freeze. Cloning a dictionary — which every
+//! store commit does — copies the overflow region only.
+//!
 //! Invariant: `Id(u32::MAX)` is the engine-wide UNBOUND sentinel (an
 //! OPTIONAL mismatch, not a term). The dictionary refuses to allocate it,
 //! so no real term can ever collide with an unbound binding.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::term::Term;
 
@@ -64,20 +70,47 @@ pub fn cmp_numeric(x: f64, y: f64) -> std::cmp::Ordering {
     }
 }
 
+/// The overflow region of a [`Dictionary`]: terms interned since the last
+/// [`Dictionary::reorder_by_value`], in interning order. The only part
+/// [`Dictionary::encode`] writes and `clone` copies.
+#[derive(Debug, Default, Clone)]
+struct Overflow {
+    /// `terms[i]` has id `frozen_len() + i`.
+    terms: Vec<Term>,
+    /// Cached `numeric_value()` per overflow term; parallel to `terms`.
+    numeric: Vec<Option<f64>>,
+    by_term: HashMap<Term, Id>,
+}
+
 /// Bidirectional mapping between [`Term`]s and [`Id`]s.
+///
+/// Two levels. The **frozen region** (ids below
+/// [`Dictionary::frozen_len`]) is what [`Dictionary::reorder_by_value`]
+/// (freeze, compaction) or a snapshot load laid down, in value order.
+/// Nothing writes to it afterwards, so each of its arrays is an `Arc`
+/// slice: clones share them, and a read reaches the data exactly as it
+/// would through a `Vec` (the slice pointer and length sit inline in the
+/// dictionary — no extra hop on `decode` / `numeric`). The
+/// **overflow region** (ids from `frozen_len` up) holds the terms interned
+/// since, and is owned. A dictionary that was never frozen — a
+/// [`crate::store::StoreBuilder`]'s — is all overflow; freezing moves every
+/// term into a new frozen region. Every read tries the frozen region first
+/// and falls through on one `id < frozen_len` branch.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    terms: Vec<Term>,
-    /// Cached `numeric_value()` per id; parallel to `terms`. Whether id `i`
-    /// *has* a numeric value lives in the `numeric_set` bitmap — absent
-    /// entries hold `0.0`, never a sentinel, so a literal whose value is
-    /// genuinely NaN (`"NaN"^^xsd:double`) stays numeric.
-    numeric: Vec<f64>,
+    /// Frozen terms; `terms[i]` has id `i`.
+    terms: Arc<[Term]>,
+    /// Cached `numeric_value()` per frozen id; parallel to `terms`. Whether
+    /// id `i` *has* a numeric value lives in the `numeric_set` bitmap —
+    /// absent entries hold `0.0`, never a sentinel, so a literal whose value
+    /// is genuinely NaN (`"NaN"^^xsd:double`) stays numeric.
+    numeric: Arc<[f64]>,
     /// Presence bitmap of `numeric`: bit `i % 64` of word `i / 64` is set
-    /// iff term `i` has a numeric value. Always `terms.len().div_ceil(64)`
-    /// words long.
-    numeric_set: Vec<u64>,
-    by_term: HashMap<Term, Id>,
+    /// iff frozen term `i` has a numeric value. Always
+    /// `terms.len().div_ceil(64)` words long.
+    numeric_set: Arc<[u64]>,
+    /// Term → id for the frozen region.
+    by_term: Arc<HashMap<Term, Id>>,
     /// Set by [`Dictionary::reorder_by_value`] when two *distinct* ids
     /// carry the same numeric value (e.g. `"1"^^int` vs `"1.0"^^double`).
     /// When false, ascending id order is not merely consistent with but
@@ -85,6 +118,7 @@ pub struct Dictionary {
     /// multi-key sort elimination needs (a value tie would let a secondary
     /// sort key reorder rows that id order pins by lexical form).
     value_ties: bool,
+    overflow: Overflow,
 }
 
 impl Dictionary {
@@ -103,12 +137,31 @@ impl Dictionary {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.terms.len() + self.overflow.terms.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
+    }
+
+    /// Length of the frozen region: ids below it are value-ordered and
+    /// immutable, ids at or past it are overflow terms interned since the
+    /// last [`Dictionary::reorder_by_value`].
+    pub fn frozen_len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// True when both dictionaries read the same frozen region in memory —
+    /// one was cloned from the other and neither has been re-frozen since.
+    pub(crate) fn shares_frozen_with(&self, other: &Dictionary) -> bool {
+        Arc::ptr_eq(&self.terms, &other.terms) && Arc::ptr_eq(&self.by_term, &other.by_term)
+    }
+
+    /// True when frozen term index `i` has a cached numeric value.
+    #[inline]
+    fn has_numeric(&self, i: usize) -> bool {
+        self.numeric_set[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Panics when a dictionary of `len` terms cannot accept another one.
@@ -124,67 +177,60 @@ impl Dictionary {
         );
     }
 
-    /// Interns `term`, returning its id. Re-interning is idempotent.
+    /// Interns `term`, returning its id. Re-interning is idempotent. A new
+    /// term is appended to the overflow region; the frozen region is never
+    /// written.
     ///
     /// # Panics
     /// When the dictionary already holds [`Dictionary::MAX_TERMS`] terms:
     /// the next id would be `Id(u32::MAX)`, the executor's `UNBOUND`
     /// sentinel.
     pub fn encode(&mut self, term: Term) -> Id {
-        if let Some(&id) = self.by_term.get(&term) {
+        if let Some(id) = self.lookup(&term) {
             return id;
         }
-        Self::check_capacity(self.terms.len());
-        let idx = self.terms.len();
+        let idx = self.len();
+        Self::check_capacity(idx);
         let id = Id(idx as u32);
-        if idx.is_multiple_of(64) {
-            self.numeric_set.push(0);
-        }
-        match term.numeric_value() {
-            Some(v) => {
-                self.numeric.push(v);
-                self.numeric_set[idx / 64] |= 1 << (idx % 64);
-            }
-            None => self.numeric.push(0.0),
-        }
-        self.by_term.insert(term.clone(), id);
-        self.terms.push(term);
+        self.overflow.numeric.push(term.numeric_value());
+        self.overflow.by_term.insert(term.clone(), id);
+        self.overflow.terms.push(term);
         id
     }
 
     /// Looks up the id of a term without interning it.
     pub fn lookup(&self, term: &Term) -> Option<Id> {
-        self.by_term.get(term).copied()
+        self.by_term.get(term).or_else(|| self.overflow.by_term.get(term)).copied()
     }
 
     /// The term for `id`. Panics if the id is out of range (ids are only
     /// produced by this dictionary, so that is a logic error).
-    pub fn decode(&self, id: Id) -> &Term {
-        &self.terms[id.index()]
-    }
-
-    /// The cached numeric value of `id`'s term, if it has one. Presence is
-    /// tracked in an explicit bitmap, so `Some(f64::NAN)` is a possible —
-    /// and meaningful — answer for a NaN-valued literal.
     #[inline]
-    pub fn numeric(&self, id: Id) -> Option<f64> {
+    pub fn decode(&self, id: Id) -> &Term {
         let i = id.index();
-        if self.numeric_set[i / 64] >> (i % 64) & 1 == 1 {
-            Some(self.numeric[i])
-        } else {
-            None
+        match self.terms.get(i) {
+            Some(term) => term,
+            None => &self.overflow.terms[i - self.terms.len()],
         }
     }
 
-    /// True when term index `i` has a cached numeric value.
+    /// The cached numeric value of `id`'s term, if it has one. Presence is
+    /// tracked explicitly (a bitmap in the frozen region), so
+    /// `Some(f64::NAN)` is a possible — and meaningful — answer for a
+    /// NaN-valued literal.
     #[inline]
-    fn has_numeric(&self, i: usize) -> bool {
-        self.numeric_set[i / 64] >> (i % 64) & 1 == 1
+    pub fn numeric(&self, id: Id) -> Option<f64> {
+        let i = id.index();
+        if i < self.terms.len() {
+            self.has_numeric(i).then(|| self.numeric[i])
+        } else {
+            self.overflow.numeric[i - self.terms.len()]
+        }
     }
 
-    /// Iterates over all `(id, term)` pairs in interning order.
+    /// Iterates over all `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (Id, &Term)> {
-        self.terms.iter().enumerate().map(|(i, t)| (Id(i as u32), t))
+        self.terms.iter().chain(&self.overflow.terms).enumerate().map(|(i, t)| (Id(i as u32), t))
     }
 
     /// Compares two ids by the RDF "benchmark order": numeric values first
@@ -213,10 +259,16 @@ impl Dictionary {
     /// permutation indexes deliver rows in exactly the order `ORDER BY`
     /// asks for, which is what lets the executor elide sorts behind an
     /// order-compatible index scan.
+    ///
+    /// Every term — the old frozen region and the overflow region alike —
+    /// lands in a *new* frozen region, and the overflow region is left
+    /// empty. This is the one place a frozen region is built (`O(n log n)`
+    /// over all terms); clones of the pre-reorder dictionary keep reading
+    /// the old one.
     pub fn reorder_by_value(&mut self) -> Vec<u32> {
         use std::cmp::Ordering;
         crate::diag::count_dict_reorder();
-        let n = self.terms.len();
+        let n = self.len();
         // new-id → old-id, sorted by (value order, term order).
         let mut by_value: Vec<u32> = (0..n as u32).collect();
         by_value.sort_by(|&a, &b| {
@@ -233,22 +285,37 @@ impl Dictionary {
         for (new, &old) in by_value.iter().enumerate() {
             old_to_new[old as usize] = new as u32;
         }
-        let mut terms = Vec::with_capacity(n);
-        let mut numeric = Vec::with_capacity(n);
+        // Collected straight into the shared slices (the iterators know
+        // their length): no second copy.
+        let terms: Arc<[Term]> = by_value.iter().map(|&old| self.decode(Id(old)).clone()).collect();
+        let numeric: Arc<[f64]> =
+            by_value.iter().map(|&old| self.numeric(Id(old)).unwrap_or(0.0)).collect();
         let mut numeric_set = vec![0u64; n.div_ceil(64)];
         for (new, &old) in by_value.iter().enumerate() {
-            terms.push(self.terms[old as usize].clone());
-            numeric.push(self.numeric[old as usize]);
-            if self.has_numeric(old as usize) {
+            if self.numeric(Id(old)).is_some() {
                 numeric_set[new / 64] |= 1 << (new % 64);
             }
         }
-        self.terms = terms;
-        self.numeric = numeric;
-        self.numeric_set = numeric_set;
-        for id in self.by_term.values_mut() {
+        // The term → id map is re-keyed in place. The old frozen map is
+        // taken over when this dictionary is its only holder and copied
+        // when a clone still reads it; the smaller of the two maps moves
+        // into the larger (a builder's frozen map is empty, a compacting
+        // store's overflow map is small).
+        let old = std::mem::take(self);
+        let frozen = Arc::try_unwrap(old.by_term).unwrap_or_else(|shared| (*shared).clone());
+        let (mut by_term, rest) = if frozen.len() >= old.overflow.by_term.len() {
+            (frozen, old.overflow.by_term)
+        } else {
+            (old.overflow.by_term, frozen)
+        };
+        by_term.extend(rest);
+        for id in by_term.values_mut() {
             *id = Id(old_to_new[id.index()]);
         }
+        self.terms = terms;
+        self.numeric = numeric;
+        self.numeric_set = numeric_set.into();
+        self.by_term = Arc::new(by_term);
         // Value ties sit adjacent after the sort: one linear scan. Presence
         // comes from the bitmap, equality from cmp_numeric — two distinct
         // NaN-valued literals are a tie (they compare Equal), just like
@@ -261,17 +328,19 @@ impl Dictionary {
         old_to_new
     }
 
-    /// True when two distinct ids carry the same numeric value (see the
-    /// `value_ties` field): id order then still *refines* the ORDER BY
+    /// True when two distinct frozen ids carry the same numeric value (see
+    /// the `value_ties` field): id order then still *refines* the ORDER BY
     /// value order, but is not equivalent to it under secondary sort keys.
     pub fn has_value_ties(&self) -> bool {
         self.value_ties
     }
 
-    /// The raw snapshot-serializable parts: `(terms, numeric values,
-    /// numeric presence bitmap, value_ties)`. Only the snapshot writer
-    /// should care about this shape.
+    /// The raw snapshot-serializable parts of the frozen region: `(terms,
+    /// numeric values, numeric presence bitmap, value_ties)`. Only the
+    /// snapshot writer should care about this shape, and it refuses a
+    /// dictionary with overflow terms before it gets here.
     pub(crate) fn parts(&self) -> (&[Term], &[f64], &[u64], bool) {
+        debug_assert!(self.overflow.terms.is_empty(), "the snapshot format has no overflow region");
         (&self.terms, &self.numeric, &self.numeric_set, self.value_ties)
     }
 
@@ -317,7 +386,14 @@ impl Dictionary {
                 return Err(format!("duplicate term at id {i}"));
             }
         }
-        let dict = Dictionary { terms, numeric, numeric_set, by_term, value_ties };
+        let dict = Dictionary {
+            terms: terms.into(),
+            numeric: numeric.into(),
+            numeric_set: numeric_set.into(),
+            by_term: Arc::new(by_term),
+            value_ties,
+            overflow: Overflow::default(),
+        };
         for i in 1..n as u32 {
             if dict.compare(Id(i - 1), Id(i)) == std::cmp::Ordering::Greater {
                 return Err(format!("terms at ids {} and {i} are not in value order", i - 1));
@@ -538,14 +614,9 @@ mod tests {
     /// elimination silently return misordered rows after a reload.
     #[test]
     fn from_parts_rejects_ids_out_of_value_order() {
-        let mut dict = Dictionary::new();
-        dict.encode(Term::integer(10));
-        dict.encode(Term::integer(2));
-        // No reorder_by_value: id 0 (value 10) sorts after id 1 (value 2).
-        let (terms, numeric, numeric_set, ties) = dict.parts();
-        let err =
-            Dictionary::from_parts(terms.to_vec(), numeric.to_vec(), numeric_set.to_vec(), ties)
-                .unwrap_err();
+        // Id 0 (value 10) sorts after id 1 (value 2).
+        let terms = vec![Term::integer(10), Term::integer(2)];
+        let err = Dictionary::from_parts(terms, vec![10.0, 2.0], vec![0b11], false).unwrap_err();
         assert!(err.contains("value order"), "{err}");
     }
 

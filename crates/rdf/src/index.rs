@@ -16,6 +16,8 @@
 //! single-bound lookups and persists as the per-index metadata section of
 //! the snapshot format.
 
+use std::sync::Arc;
+
 use crate::dict::Id;
 use crate::snapshot::SectionSlice;
 
@@ -143,11 +145,14 @@ pub(crate) struct Bucket {
 
 /// Sorted `[Id; 3]` key storage: heap-built at freeze time, or a zero-copy
 /// view over a checksummed snapshot section after [`crate::store::Dataset::load`].
+/// Immutable either way, and shared either way: `clone` bumps a reference
+/// count (the heap slice's, or the mapped snapshot's), never copies keys —
+/// which is what makes cloning a [`crate::store::Dataset`] `O(delta)`.
 #[derive(Debug, Clone)]
 pub(crate) enum KeyStore {
-    /// Keys owned on the heap (freshly frozen store, or the big-endian
-    /// decode fallback of the loader).
-    Heap(Vec<[Id; 3]>),
+    /// Keys on the heap (freshly frozen store, or the big-endian decode
+    /// fallback of the loader).
+    Heap(Arc<[[Id; 3]]>),
     /// Keys served directly from snapshot bytes.
     Mapped(SectionSlice<[Id; 3]>),
 }
@@ -165,8 +170,8 @@ impl KeyStore {
 /// Bucket-directory storage; mirrors [`KeyStore`].
 #[derive(Debug, Clone)]
 pub(crate) enum BucketStore {
-    /// Directory owned on the heap.
-    Heap(Vec<Bucket>),
+    /// Directory on the heap.
+    Heap(Arc<[Bucket]>),
     /// Directory served directly from snapshot bytes.
     Mapped(SectionSlice<Bucket>),
 }
@@ -181,7 +186,9 @@ impl BucketStore {
     }
 }
 
-/// A single sorted permutation index.
+/// A single sorted permutation index. Immutable once built; `clone`
+/// bumps the reference counts of its key and bucket arrays, never copies
+/// them.
 #[derive(Debug, Clone)]
 pub struct PermIndex {
     order: IndexOrder,
@@ -200,10 +207,12 @@ impl PermIndex {
             "index of {} keys overflows the u32 bucket offsets",
             spo_triples.len()
         );
-        let mut keys: Vec<[Id; 3]> = spo_triples.iter().map(|&t| order.key_of(t)).collect();
-        keys.sort_unstable();
+        // Collected straight into the shared slice (the iterator knows its
+        // length) and sorted there: no second copy of the keys.
+        let mut keys: Arc<[[Id; 3]]> = spo_triples.iter().map(|&t| order.key_of(t)).collect();
+        Arc::get_mut(&mut keys).expect("a freshly collected slice has one owner").sort_unstable();
         let buckets = build_buckets(&keys);
-        PermIndex { order, keys: KeyStore::Heap(keys), buckets: BucketStore::Heap(buckets) }
+        PermIndex { order, keys: KeyStore::Heap(keys), buckets: BucketStore::Heap(buckets.into()) }
     }
 
     /// Assembles an index from pre-built storage (the snapshot load path).
@@ -501,8 +510,8 @@ mod tests {
         let buckets = built.buckets().to_vec();
         let ok = PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys.clone()),
-            BucketStore::Heap(buckets.clone()),
+            KeyStore::Heap(keys.clone().into()),
+            BucketStore::Heap(buckets.clone().into()),
             200,
         )
         .expect("consistent parts");
@@ -513,8 +522,8 @@ mod tests {
         bad[0].start = 1;
         assert!(PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys.clone()),
-            BucketStore::Heap(bad),
+            KeyStore::Heap(keys.clone().into()),
+            BucketStore::Heap(bad.into()),
             200
         )
         .is_err());
@@ -523,8 +532,8 @@ mod tests {
         bad[1].key = bad[0].key;
         assert!(PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys.clone()),
-            BucketStore::Heap(bad),
+            KeyStore::Heap(keys.clone().into()),
+            BucketStore::Heap(bad.into()),
             200
         )
         .is_err());
@@ -533,24 +542,24 @@ mod tests {
         bad[2].key = id(99);
         assert!(PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys.clone()),
-            BucketStore::Heap(bad),
+            KeyStore::Heap(keys.clone().into()),
+            BucketStore::Heap(bad.into()),
             200
         )
         .is_err());
         // Empty directory over non-empty keys.
         assert!(PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys.clone()),
-            BucketStore::Heap(vec![]),
+            KeyStore::Heap(keys.clone().into()),
+            BucketStore::Heap(Vec::new().into()),
             200
         )
         .is_err());
         // Key ids out of the dictionary range.
         assert!(PermIndex::from_parts(
             IndexOrder::Spo,
-            KeyStore::Heap(keys),
-            BucketStore::Heap(buckets),
+            KeyStore::Heap(keys.into()),
+            BucketStore::Heap(buckets.into()),
             5
         )
         .is_err());

@@ -918,14 +918,12 @@ pub(crate) fn load_from_with(
     }
     let indexes: [PermIndex; 6] = indexes.try_into().expect("six index orders");
 
-    let frozen_terms = dict.len();
     Ok(Dataset {
         dict,
         indexes,
         stats,
         char_sets,
         overlay: crate::overlay::Overlay::default(),
-        frozen_terms,
         update_log: None,
     })
 }
@@ -965,9 +963,9 @@ impl Dataset {
                 dels: self.overlay.dels_len(),
             });
         }
-        if self.dict.len() > self.frozen_terms || !self.order_by_value_intact() {
+        if self.dict.len() > self.frozen_terms() || !self.order_by_value_intact() {
             return Err(SnapshotError::OverflowTerms {
-                overflow: self.dict.len() - self.frozen_terms,
+                overflow: self.dict.len() - self.frozen_terms(),
             });
         }
         let io_err = |op: &'static str, e: std::io::Error| SnapshotError::Io {

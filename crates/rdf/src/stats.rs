@@ -1,11 +1,12 @@
 //! Dataset statistics backing the query optimizer's cardinality estimator.
 //!
-//! The statistics are exact (computed from the frozen indexes, not sampled):
-//! per-predicate triple counts and distinct subject/object counts, plus
-//! global totals. The cardinality estimator combines them with exact
-//! pattern counts from the indexes; the *estimation* part is confined to
-//! join selectivities, mirroring what a production RDF optimizer keeps in
-//! its aggregated indexes.
+//! The statistics are exact (computed from the frozen indexes at freeze
+//! time, then maintained triple by triple under live updates — never
+//! sampled): per-predicate triple counts and distinct subject/object
+//! counts, plus global totals. The cardinality estimator combines them
+//! with exact pattern counts from the indexes; the *estimation* part is
+//! confined to join selectivities, mirroring what a production RDF
+//! optimizer keeps in its aggregated indexes.
 
 use std::collections::HashMap;
 
@@ -13,7 +14,7 @@ use crate::dict::{Dictionary, Id};
 use crate::index::PermIndex;
 
 /// Per-predicate statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredicateStats {
     /// Number of triples with this predicate.
     pub triples: usize,
@@ -51,7 +52,7 @@ impl PredicateStats {
 /// templates — where the independence assumption is weakest: predicates on
 /// the same subject are strongly correlated in real data (a product that
 /// has a price also has features).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CharacteristicSets {
     /// Each distinct predicate set (sorted) with its subject count and the
     /// total triple count per predicate within the group.
@@ -59,7 +60,7 @@ pub struct CharacteristicSets {
 }
 
 /// One characteristic set's payload.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsEntry {
     /// Number of subjects with exactly this predicate set.
     pub subjects: usize,
@@ -84,10 +85,14 @@ impl CharacteristicSets {
     }
 
     /// [`CharacteristicSets::compute`] over an explicit sorted SPO key
-    /// slice — the overlay update path feeds the *merged* visible scan
-    /// through this so mutated stores carry the same exact statistics a
-    /// from-scratch freeze would.
+    /// slice: the full `O(n)` computation. Freeze and compaction run it;
+    /// live updates instead move one subject at a time (see
+    /// [`crate::store::Dataset::char_sets`]) and must arrive at exactly
+    /// what this returns for the visible scan — which makes it the
+    /// reference the update tests compare against. Counted by
+    /// [`crate::diag::stats_computes`].
     pub fn compute_from_keys(all: &[[Id; 3]]) -> Self {
+        crate::diag::count_stats_compute();
         let mut sets: HashMap<Vec<Id>, CsEntry> = HashMap::new();
         let mut i = 0;
         while i < all.len() {
@@ -114,6 +119,68 @@ impl CharacteristicSets {
         let mut sets: Vec<(Vec<Id>, CsEntry)> = sets.into_iter().collect();
         sets.sort_by(|a, b| a.0.cmp(&b.0));
         CharacteristicSets { sets }
+    }
+
+    /// One visible triple with predicate `p` was added to a subject.
+    /// `with` is the subject's profile *including* that triple: its
+    /// predicates ascending, each with its triple count. The subject moves
+    /// from the set of its profile without the triple (none, if this is its
+    /// first triple) to the set of `with`; when the predicate set did not
+    /// change the two are the same entry and only `p`'s multiplicity moves.
+    pub(crate) fn add(&mut self, with: &[(Id, usize)], p: Id) {
+        // Enter before leaving, so a set this subject alone populates is
+        // not dropped and re-created when only a multiplicity changes.
+        self.enter(with);
+        self.leave(&profile_without(with, p));
+    }
+
+    /// One visible triple with predicate `p` is being removed from a
+    /// subject whose profile, still *including* that triple, is `with`:
+    /// the mirror of [`CharacteristicSets::add`]. A set left with no
+    /// subject is dropped, as a from-scratch compute would never list it.
+    pub(crate) fn remove(&mut self, with: &[(Id, usize)], p: Id) {
+        self.enter(&profile_without(with, p));
+        self.leave(with);
+    }
+
+    /// Position of `profile`'s predicate set in the sorted `sets`.
+    fn find(&self, profile: &[(Id, usize)]) -> Result<usize, usize> {
+        self.sets.binary_search_by(|(set, _)| set.iter().cmp(profile.iter().map(|(p, _)| p)))
+    }
+
+    /// Adds one subject with `profile` to its set (created in sorted
+    /// position if new). An empty profile is no subject at all.
+    fn enter(&mut self, profile: &[(Id, usize)]) {
+        if profile.is_empty() {
+            return;
+        }
+        let at = self.find(profile).unwrap_or_else(|at| {
+            let preds = profile.iter().map(|&(p, _)| p).collect();
+            self.sets.insert(at, (preds, CsEntry::default()));
+            at
+        });
+        let entry = &mut self.sets[at].1;
+        entry.subjects += 1;
+        for &(p, count) in profile {
+            *entry.triples.entry(p).or_default() += count;
+        }
+    }
+
+    /// Takes one subject with `profile` out of its set.
+    fn leave(&mut self, profile: &[(Id, usize)]) {
+        if profile.is_empty() {
+            return;
+        }
+        let at = self.find(profile).expect("a visible subject's predicate set is recorded");
+        let entry = &mut self.sets[at].1;
+        entry.subjects -= 1;
+        if entry.subjects == 0 {
+            self.sets.remove(at);
+            return;
+        }
+        for (p, count) in profile {
+            *entry.triples.get_mut(p).expect("a set counts each of its predicates") -= count;
+        }
     }
 
     /// The sorted `(predicate set, payload)` entries (snapshot writer).
@@ -178,8 +245,37 @@ impl CharacteristicSets {
     }
 }
 
+/// `with` minus one triple of predicate `p` (which `with` must list).
+fn profile_without(with: &[(Id, usize)], p: Id) -> Vec<(Id, usize)> {
+    let mut without = with.to_vec();
+    let at = without
+        .binary_search_by_key(&p, |&(q, _)| q)
+        .expect("the subject's profile includes the triple");
+    without[at].1 -= 1;
+    if without[at].1 == 0 {
+        without.remove(at);
+    }
+    without
+}
+
+/// Which of its four groups a visible triple `(s, p, o)` is alone in —
+/// what decides whether inserting it raised, or deleting it lowers, a
+/// distinct count. The store answers each with one `O(log n)` merged
+/// `count` probe taken while the triple is visible.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Alone {
+    /// The only visible `(s, p, ·)` triple.
+    pub sp: bool,
+    /// The only visible `(·, p, o)` triple.
+    pub po: bool,
+    /// The only visible `(s, ·, ·)` triple.
+    pub s: bool,
+    /// The only visible `(·, ·, o)` triple.
+    pub o: bool,
+}
+
 /// Whole-dataset statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DatasetStats {
     /// Total number of distinct triples.
     pub total_triples: usize,
@@ -200,10 +296,14 @@ impl DatasetStats {
     }
 
     /// [`DatasetStats::compute`] over an explicit sorted PSO key slice
-    /// (`[p, s, o]` layout) — the overlay update path feeds the *merged*
-    /// visible scan through this so mutated stores carry the same exact
-    /// statistics a from-scratch freeze would.
+    /// (`[p, s, o]` layout): the full `O(n)` computation. Freeze and
+    /// compaction run it; live updates instead apply one triple at a time
+    /// (see [`crate::store::Dataset::stats`]) and must arrive at exactly
+    /// what this returns for the visible scan — which makes it the
+    /// reference the update tests compare against. Counted by
+    /// [`crate::diag::stats_computes`].
     pub fn compute_from_keys(all: &[[Id; 3]]) -> Self {
+        crate::diag::count_stats_compute();
         let mut per_predicate = HashMap::new();
         let total_triples = all.len();
 
@@ -252,6 +352,37 @@ impl DatasetStats {
             distinct_predicates: per_predicate.len(),
             per_predicate,
         }
+    }
+
+    /// A triple with predicate `p` entered the visible set; `alone` was
+    /// probed right after, so a group it is alone in is a group it opened.
+    pub(crate) fn add(&mut self, p: Id, alone: Alone) {
+        self.total_triples += 1;
+        self.distinct_subjects += usize::from(alone.s);
+        self.distinct_objects += usize::from(alone.o);
+        let stats = self.per_predicate.entry(p).or_default();
+        stats.triples += 1;
+        stats.distinct_subjects += usize::from(alone.sp);
+        stats.distinct_objects += usize::from(alone.po);
+        self.distinct_predicates = self.per_predicate.len();
+    }
+
+    /// A triple with predicate `p` is leaving the visible set; `alone` was
+    /// probed right before, so a group it is alone in closes with it. A
+    /// predicate left with no triple leaves the table, as a from-scratch
+    /// compute would never list it.
+    pub(crate) fn remove(&mut self, p: Id, alone: Alone) {
+        self.total_triples -= 1;
+        self.distinct_subjects -= usize::from(alone.s);
+        self.distinct_objects -= usize::from(alone.o);
+        let stats = self.per_predicate.get_mut(&p).expect("a visible triple's predicate is listed");
+        stats.triples -= 1;
+        stats.distinct_subjects -= usize::from(alone.sp);
+        stats.distinct_objects -= usize::from(alone.po);
+        if stats.triples == 0 {
+            self.per_predicate.remove(&p);
+        }
+        self.distinct_predicates = self.per_predicate.len();
     }
 
     /// The per-predicate table (snapshot writer).

@@ -4,11 +4,21 @@
 //! runs that every scan merges with the frozen base in key order, and
 //! [`Dataset::compact`] re-freezes base+delta back into a plain frozen
 //! store.
+//!
+//! **Cost model.** The frozen base — the key and bucket arrays of the six
+//! permutation indexes and the dictionary's frozen region — is written
+//! only by freeze, load and compaction, and every array of it is shared by
+//! reference count: cloning a [`Dataset`] (what every server commit does)
+//! copies the overlay runs, the dictionary's overflow terms, the
+//! statistics and the update log, never the base. A mutation
+//! costs `O(log n)` probes plus the degree of the subject it touches.
+//! What stays `O(store)` on purpose: [`Dataset::compact`] (the one place
+//! the base is rebuilt) and [`Dataset::save`].
 
 use crate::dict::{Dictionary, Id};
 use crate::index::{IndexOrder, PermIndex};
 use crate::overlay::{MergedKeys, Overlay};
-use crate::stats::{CharacteristicSets, DatasetStats};
+use crate::stats::{Alone, CharacteristicSets, DatasetStats};
 use crate::term::Term;
 use crate::wal::LoggedOp;
 
@@ -19,8 +29,10 @@ pub type IdPattern = [Option<Id>; 3];
 /// every [`StoreBuilder::freeze`] seeds a *net-empty* overlay echo — every
 /// third base triple tombstoned and immediately re-added — so the whole
 /// test suite exercises the tombstone-skip and add-merge scan paths with
-/// bit-identical results, and batch updates auto-compact at a tiny
-/// threshold so compaction runs constantly. Composes with
+/// bit-identical results, and after every batch update the incrementally
+/// maintained statistics are asserted equal to a from-scratch compute over
+/// the visible set and the store auto-compacts at a tiny threshold so
+/// compaction runs constantly. Composes with
 /// `PARAMBENCH_SNAPSHOT_FREEZE` (the echo is seeded on the reloaded
 /// store). [`StoreBuilder::freeze_in_memory`] is never stressed, so
 /// differential baselines and cold-build timing stay clean.
@@ -36,16 +48,10 @@ pub fn overlay_stress_enabled() -> bool {
 }
 
 /// Pending-entry count above which the *batch* update APIs compact
-/// automatically. Effectively unlimited normally (compaction is an
-/// explicit, relatively expensive choice); tiny under stress mode so the
-/// whole suite exercises compaction.
-fn auto_compact_threshold() -> usize {
-    if overlay_stress_enabled() {
-        16
-    } else {
-        usize::MAX
-    }
-}
+/// automatically under stress mode, so the whole suite exercises
+/// compaction. Outside stress mode they never do: compaction is an
+/// explicit, `O(store)` choice.
+const STRESS_COMPACT_ENTRIES: usize = 16;
 
 /// Accumulates triples (at the term level), then freezes into a [`Dataset`].
 ///
@@ -153,14 +159,12 @@ impl StoreBuilder {
         let indexes: [PermIndex; 6] = indexes.try_into().expect("six orders");
         let stats = DatasetStats::compute(&indexes[IndexOrder::Pso.slot()], &self.dict);
         let char_sets = CharacteristicSets::compute(&indexes[IndexOrder::Spo.slot()]);
-        let frozen_terms = self.dict.len();
         Dataset {
             dict: self.dict,
             indexes,
             stats,
             char_sets,
             overlay: Overlay::default(),
-            frozen_terms,
             update_log: None,
         }
     }
@@ -187,16 +191,21 @@ impl StoreBuilder {
 /// declines value-order service (sorts actually run) instead of silently
 /// returning misordered rows. [`Dataset::compact`] re-freezes base+delta
 /// and restores the invariant.
+///
+/// `clone` is `O(delta)`: the frozen base is shared
+/// ([`Dataset::shares_base_with`]), only the overlay runs, the overflow
+/// terms, the statistics and the update log are copied.
 #[derive(Debug, Clone)]
 pub struct Dataset {
+    /// Frozen region shared between clones, overflow region owned.
     pub(crate) dict: Dictionary,
+    /// The six frozen permutation indexes. Nothing writes to them after
+    /// freeze/load, and their storage — heap-built or mapped alike — is
+    /// reference-counted, so clones share it.
     pub(crate) indexes: [PermIndex; 6],
     pub(crate) stats: DatasetStats,
     pub(crate) char_sets: CharacteristicSets,
     pub(crate) overlay: Overlay,
-    /// Dictionary length at freeze/load time: ids below are value-ordered,
-    /// ids at or past it are post-freeze overflow terms.
-    pub(crate) frozen_terms: usize,
     /// When `Some`, every mutation that changes the visible set appends a
     /// term-level [`LoggedOp`] here — the write-ahead journal's capture
     /// channel (see [`Dataset::begin_update_log`]).
@@ -222,16 +231,29 @@ impl Dataset {
         &self.dict
     }
 
-    /// Pre-computed dataset statistics — exact for the *visible* triple
-    /// set: mutations recompute them from the merged base+overlay scan, so
-    /// the optimizer sees the same numbers a from-scratch freeze of the
-    /// visible set would produce.
+    /// True when `self` and `other` read the same frozen base in memory —
+    /// the same six key arrays and the same frozen dictionary region, by
+    /// pointer: one is a clone of the other and neither has been compacted
+    /// since. The structural proof that a commit copied no base.
+    pub fn shares_base_with(&self, other: &Dataset) -> bool {
+        let same_keys = |(a, b): (&PermIndex, &PermIndex)| std::ptr::eq(a.keys(), b.keys());
+        self.indexes.iter().zip(&other.indexes).all(same_keys)
+            && self.dict.shares_frozen_with(&other.dict)
+    }
+
+    /// Dataset statistics — exact for the *visible* triple set: computed
+    /// in full at freeze/compaction, then maintained by every mutation
+    /// from the triples it changes (one `O(log n)` merged `count` probe per
+    /// distinct count a triple can move), so the optimizer always sees the
+    /// same numbers a from-scratch freeze of the visible set would produce.
     pub fn stats(&self) -> &DatasetStats {
         &self.stats
     }
 
-    /// Pre-computed characteristic sets (star-query statistics); exact for
-    /// the visible set, like [`Dataset::stats`].
+    /// Characteristic sets (star-query statistics); exact for the visible
+    /// set, like [`Dataset::stats`]: a mutation moves the one subject it
+    /// touches between its old and new predicate set (`O(degree)` of that
+    /// subject).
     pub fn char_sets(&self) -> &CharacteristicSets {
         &self.char_sets
     }
@@ -245,7 +267,7 @@ impl Dataset {
     /// value-ordered id range. Terms interned by later inserts get ids at
     /// or past it (the overflow region).
     pub fn frozen_terms(&self) -> usize {
-        self.frozen_terms
+        self.dict.frozen_len()
     }
 
     /// True while "ascending id ⇔ ascending ORDER BY value" holds for
@@ -647,25 +669,25 @@ impl Dataset {
     /// [`Dataset::compact`]). Returns `true` if the visible set changed
     /// (`false` = the triple was already visible).
     ///
-    /// Statistics and characteristic sets are refreshed to stay exact for
-    /// the visible set. Prefer [`Dataset::insert_batch`] for more than a
-    /// handful of triples — the refresh is per call, not per triple.
+    /// Statistics and characteristic sets are updated from this one
+    /// triple and stay exact for the visible set. Cost: `O(log n)` probes
+    /// plus the subject's degree — independent of the store size, so a
+    /// batch costs what its triples cost one by one
+    /// ([`Dataset::insert_batch`] only saves journal records).
     pub fn insert(&mut self, s: Term, p: Term, o: Term) -> bool {
         let logged = self.update_log.is_some().then(|| (s.clone(), p.clone(), o.clone()));
         let spo = [self.dict.encode(s), self.dict.encode(p), self.dict.encode(o)];
         let changed = self.insert_raw(spo);
-        if changed {
-            self.refresh_derived();
-            if let (Some(log), Some(triple)) = (self.update_log.as_mut(), logged) {
-                log.push(LoggedOp::Insert(vec![triple]));
-            }
+        if let (true, Some(log), Some(triple)) = (changed, self.update_log.as_mut(), logged) {
+            log.push(LoggedOp::Insert(vec![triple]));
         }
         changed
     }
 
     /// Deletes one triple (by term; unknown terms mean the triple cannot
     /// be visible — nothing is interned). Returns `true` if the visible
-    /// set changed.
+    /// set changed. Statistics are maintained and priced as for
+    /// [`Dataset::insert`].
     pub fn delete(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
         let (Some(si), Some(pi), Some(oi)) =
             (self.dict.lookup(s), self.dict.lookup(p), self.dict.lookup(o))
@@ -673,19 +695,17 @@ impl Dataset {
             return false;
         };
         let changed = self.delete_raw([si, pi, oi]);
-        if changed {
-            self.refresh_derived();
-            if let Some(log) = self.update_log.as_mut() {
-                log.push(LoggedOp::Delete(vec![(s.clone(), p.clone(), o.clone())]));
-            }
+        if let (true, Some(log)) = (changed, self.update_log.as_mut()) {
+            log.push(LoggedOp::Delete(vec![(s.clone(), p.clone(), o.clone())]));
         }
         changed
     }
 
     /// Inserts a batch of triples; returns how many changed the visible
-    /// set. One statistics refresh for the whole batch; auto-compacts when
-    /// the overlay exceeds the stress-mode threshold (see
-    /// [`OVERLAY_STRESS_ENV`]).
+    /// set. `O(batch)`: each triple pays what [`Dataset::insert`] pays, and
+    /// the batch is captured as one [`LoggedOp`]. Under stress mode (see
+    /// [`OVERLAY_STRESS_ENV`]) the batch ends with the statistics
+    /// differential and the auto-compaction check.
     pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
         let logging = self.update_log.is_some();
         let mut logged = Vec::new();
@@ -700,20 +720,17 @@ impl Dataset {
                 }
             }
         }
-        if changed > 0 {
-            self.refresh_derived();
-        }
         if !logged.is_empty() {
             if let Some(log) = self.update_log.as_mut() {
                 log.push(LoggedOp::Insert(logged));
             }
         }
-        self.maybe_auto_compact();
+        self.finish_batch();
         changed
     }
 
     /// Deletes a batch of triples; returns how many changed the visible
-    /// set. One statistics refresh for the whole batch; auto-compacts like
+    /// set. `O(batch)`, logged and stress-checked like
     /// [`Dataset::insert_batch`].
     pub fn delete_batch(&mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
         let logging = self.update_log.is_some();
@@ -732,15 +749,12 @@ impl Dataset {
                 }
             }
         }
-        if changed > 0 {
-            self.refresh_derived();
-        }
         if !logged.is_empty() {
             if let Some(log) = self.update_log.as_mut() {
                 log.push(LoggedOp::Delete(logged));
             }
         }
-        self.maybe_auto_compact();
+        self.finish_batch();
         changed
     }
 
@@ -752,6 +766,11 @@ impl Dataset {
     /// and [`Dataset::order_by_value_intact`] holds again. A compacted
     /// store can be re-saved with [`Dataset::save`].
     ///
+    /// This is the one mutation that is `O(store)` on purpose — it builds a
+    /// new base (six index sorts, a dictionary reorder, the full statistics
+    /// computation), which the compacted store then shares with nobody
+    /// until it is cloned again.
+    ///
     /// The no-op fast path requires more than an empty overlay: a
     /// cancelled overflow insert (new term interned, triple deleted again)
     /// leaves the runs empty while the dictionary still holds
@@ -760,7 +779,7 @@ impl Dataset {
     pub fn compact(&mut self) {
         if self.overlay.is_empty()
             && self.order_by_value_intact()
-            && self.dict.len() == self.frozen_terms
+            && self.dict.len() == self.dict.frozen_len()
         {
             return;
         }
@@ -807,8 +826,8 @@ impl Dataset {
         }
     }
 
-    /// Applies one insert to the overlay (no statistics refresh). Returns
-    /// whether the visible set changed.
+    /// Applies one insert to the overlay and, when the visible set
+    /// changed, to the statistics. Returns whether it did.
     fn insert_raw(&mut self, spo: [Id; 3]) -> bool {
         if self.contains([Some(spo[0]), Some(spo[1]), Some(spo[2])]) {
             return false;
@@ -820,19 +839,26 @@ impl Dataset {
             self.overlay.remove_del(spo);
         } else {
             self.overlay.insert_add(spo);
-            if spo.iter().any(|id| id.index() >= self.frozen_terms) {
+            if spo.iter().any(|id| id.index() >= self.dict.frozen_len()) {
                 self.overlay.mark_overflow();
             }
         }
+        // Probed with the triple visible: a group it is alone in, it opened.
+        self.stats.add(spo[1], self.alone(spo));
+        self.char_sets.add(&self.subject_profile(spo[0]), spo[1]);
         true
     }
 
-    /// Applies one delete to the overlay (no statistics refresh). Returns
-    /// whether the visible set changed.
+    /// Applies one delete to the overlay and, when the visible set
+    /// changed, to the statistics. Returns whether it did.
     fn delete_raw(&mut self, spo: [Id; 3]) -> bool {
         if !self.contains([Some(spo[0]), Some(spo[1]), Some(spo[2])]) {
             return false;
         }
+        // Probed with the triple still visible: a group it is alone in
+        // closes with it.
+        self.stats.remove(spo[1], self.alone(spo));
+        self.char_sets.remove(&self.subject_profile(spo[0]), spo[1]);
         if self.overlay.in_adds(spo) {
             // Visible via the adds run (a post-freeze insert, or a
             // deleted-then-readded base triple whose tombstone still
@@ -844,25 +870,66 @@ impl Dataset {
         true
     }
 
-    /// Recomputes statistics and characteristic sets from the merged
-    /// visible scan — the same computation freeze runs, so the optimizer's
-    /// inputs on a mutated store are bit-identical to what a from-scratch
-    /// freeze of the visible set would produce (the property the update
-    /// differential suite pins). `O(n)` per mutation call; batch the
-    /// updates.
-    fn refresh_derived(&mut self) {
-        let pso: Vec<[Id; 3]> = self
-            .scan_with([None, None, None], IndexOrder::Pso)
-            .map(|t| IndexOrder::Pso.key_of(t))
-            .collect();
-        self.stats = DatasetStats::compute_from_keys(&pso);
-        let spo: Vec<[Id; 3]> = self.scan_with([None, None, None], IndexOrder::Spo).collect();
-        self.char_sets = CharacteristicSets::compute_from_keys(&spo);
+    /// Which of its four groups the *visible* triple `spo` is alone in:
+    /// four merged `count` probes (`O(log n)` each, base and overlay runs
+    /// by binary search). "First of its group" after an insert and "last of
+    /// its group" before a delete are the same question.
+    fn alone(&self, [s, p, o]: [Id; 3]) -> Alone {
+        let only = |pattern| self.count(pattern) == 1;
+        Alone {
+            sp: only([Some(s), Some(p), None]),
+            po: only([None, Some(p), Some(o)]),
+            s: only([Some(s), None, None]),
+            o: only([None, None, Some(o)]),
+        }
     }
 
-    /// Compacts when the overlay has outgrown the (stress-mode) threshold.
-    fn maybe_auto_compact(&mut self) {
-        if self.overlay.adds_len() + self.overlay.dels_len() > auto_compact_threshold() {
+    /// The visible predicates of subject `s`, ascending, each with its
+    /// triple count — the subject's contribution to its characteristic
+    /// set. `O(degree of s)`.
+    fn subject_profile(&self, s: Id) -> Vec<(Id, usize)> {
+        let mut profile: Vec<(Id, usize)> = Vec::new();
+        for [_, p, _] in self.scan([Some(s), None, None]) {
+            match profile.last_mut() {
+                Some((last, count)) if *last == p => *count += 1,
+                _ => profile.push((p, 1)),
+            }
+        }
+        profile
+    }
+
+    /// Panics unless the maintained statistics and characteristic sets
+    /// equal the full computation over the merged visible scans — the same
+    /// computation freeze runs, so the optimizer's inputs on a mutated
+    /// store are bit-identical to what a from-scratch freeze of the visible
+    /// set would produce (the property the update differential suite
+    /// pins). `O(store)`: stress mode and tests only.
+    fn assert_derived_exact(&self) {
+        let all = [None, None, None];
+        let pso: Vec<[Id; 3]> =
+            self.scan_with(all, IndexOrder::Pso).map(|t| IndexOrder::Pso.key_of(t)).collect();
+        assert_eq!(
+            self.stats,
+            DatasetStats::compute_from_keys(&pso),
+            "incrementally maintained statistics diverged from a from-scratch compute"
+        );
+        let spo: Vec<[Id; 3]> = self.scan_with(all, IndexOrder::Spo).collect();
+        assert_eq!(
+            self.char_sets,
+            CharacteristicSets::compute_from_keys(&spo),
+            "incrementally maintained characteristic sets diverged from a from-scratch compute"
+        );
+    }
+
+    /// The stress-mode tail of the batch APIs (see [`OVERLAY_STRESS_ENV`]):
+    /// the statistics differential, then compaction once the overlay has
+    /// outgrown the stress threshold. A no-op otherwise.
+    fn finish_batch(&mut self) {
+        if !overlay_stress_enabled() {
+            return;
+        }
+        self.assert_derived_exact();
+        if self.overlay.adds_len() + self.overlay.dels_len() > STRESS_COMPACT_ENTRIES {
             self.compact();
         }
     }
@@ -1512,5 +1579,32 @@ mod tests {
             assert_eq!(plain.distinct_next(pat), echoed.distinct_next(pat));
         }
         assert!(echoed.order_by_value_intact());
+    }
+
+    /// The stress echo puts a subject's triples in *both* overlay runs; the
+    /// `count` probes behind the incremental statistics must still see each
+    /// of them exactly once — through a delete that only drops the add (the
+    /// tombstone stays), the re-insert that lifts that tombstone, and new
+    /// triples on the echoed subject.
+    #[test]
+    fn statistics_stay_exact_for_a_subject_in_both_runs() {
+        let mut b = StoreBuilder::new();
+        for i in 0..9u32 {
+            b.insert(term(&format!("s/{}", i % 3)), term(&format!("p/{}", i % 2)), term("o"));
+        }
+        let mut ds = b.freeze_in_memory();
+        ds.seed_stress_overlay();
+        let [s, p, o] = ds.overlay().range(IndexOrder::Spo, &[]).0[0];
+        assert!(ds.overlay().in_adds([s, p, o]) && ds.overlay().in_dels([s, p, o]));
+        let (st, pt, ot) = (ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
+        ds.assert_derived_exact();
+        assert!(ds.delete(&st, &pt, &ot));
+        assert!(!ds.overlay().in_adds([s, p, o]) && ds.overlay().in_dels([s, p, o]));
+        ds.assert_derived_exact();
+        assert!(ds.insert(st.clone(), pt, ot));
+        assert!(!ds.overlay().in_dels([s, p, o]), "the tombstone is lifted");
+        ds.assert_derived_exact();
+        assert!(ds.insert(st, term("p/new"), term("o/new")));
+        ds.assert_derived_exact();
     }
 }

@@ -1,10 +1,15 @@
 //! Property tests: the indexed store agrees with a naive triple list on
-//! every access path, for arbitrary triple sets.
+//! every access path, for arbitrary triple sets — and, under any
+//! interleaving of live updates, the statistics the store maintains from
+//! each delta equal a from-scratch computation over the visible triples.
 
 use proptest::prelude::*;
 
-use parambench_rdf::store::StoreBuilder;
+use parambench_rdf::index::IndexOrder;
+use parambench_rdf::stats::{CharacteristicSets, DatasetStats};
+use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
+use parambench_rdf::Id;
 
 /// A small universe of terms so collisions/duplicates actually happen.
 fn term(ix: u8) -> Term {
@@ -17,6 +22,266 @@ fn term(ix: u8) -> Term {
 
 fn arb_triples() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..120)
+}
+
+/// One encoded triple of the tiny update vocabulary.
+type Triple = (u8, u8, u8);
+
+/// 5 subjects × 3 predicates × 4 objects (half of them numeric): small
+/// enough that random steps keep hitting the same subject, the same
+/// `(s, p, ·)` group and the same predicate — collisions are the point.
+fn tiny(t: Triple) -> (Term, Term, Term) {
+    let o = t.2 % 4;
+    (
+        Term::iri(format!("s/{}", t.0 % 5)),
+        Term::iri(format!("p/{}", t.1 % 3)),
+        if o.is_multiple_of(2) { Term::integer(o as i64) } else { Term::iri(format!("o/{o}")) },
+    )
+}
+
+/// One step of a random mutation interleaving.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(Triple),
+    Delete(Triple),
+    InsertBatch(Vec<Triple>),
+    DeleteBatch(Vec<Triple>),
+    Compact,
+}
+
+fn arb_triple() -> impl Strategy<Value = Triple> {
+    (any::<u8>(), any::<u8>(), any::<u8>())
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        3 => arb_triple().prop_map(Step::Insert),
+        3 => arb_triple().prop_map(Step::Delete),
+        2 => prop::collection::vec(arb_triple(), 0..6).prop_map(Step::InsertBatch),
+        2 => prop::collection::vec(arb_triple(), 0..6).prop_map(Step::DeleteBatch),
+        1 => Just(Step::Compact),
+    ];
+    prop::collection::vec(step, 1..24)
+}
+
+fn apply(ds: &mut Dataset, step: &Step) {
+    match step {
+        Step::Insert(t) => {
+            let (s, p, o) = tiny(*t);
+            ds.insert(s, p, o);
+        }
+        Step::Delete(t) => {
+            let (s, p, o) = tiny(*t);
+            ds.delete(&s, &p, &o);
+        }
+        Step::InsertBatch(ts) => {
+            ds.insert_batch(ts.iter().map(|&t| tiny(t)));
+        }
+        Step::DeleteBatch(ts) => {
+            ds.delete_batch(ts.iter().map(|&t| tiny(t)));
+        }
+        Step::Compact => ds.compact(),
+    }
+}
+
+/// The reference: statistics and characteristic sets computed from
+/// scratch over the visible PSO / SPO scans, the way `freeze` computes
+/// them. Whatever the store maintains must equal this, whole.
+fn assert_derived_exact(ds: &Dataset, when: &str) {
+    let all = [None, None, None];
+    let pso: Vec<[Id; 3]> =
+        ds.scan_with(all, IndexOrder::Pso).map(|t| IndexOrder::Pso.key_of(t)).collect();
+    assert_eq!(*ds.stats(), DatasetStats::compute_from_keys(&pso), "statistics {when}");
+    let spo: Vec<[Id; 3]> = ds.scan_with(all, IndexOrder::Spo).collect();
+    assert_eq!(
+        *ds.char_sets(),
+        CharacteristicSets::compute_from_keys(&spo),
+        "characteristic sets {when}"
+    );
+}
+
+/// Saves a freshly frozen store to a unique temp snapshot and loads it
+/// back: the mapped-base twin of a heap-built store.
+fn reload(built: &Dataset) -> Dataset {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "parambench-propstore-{}-{}.pbsnap",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    built.save(&path).expect("a frozen store saves");
+    let loaded = Dataset::load(&path).expect("the snapshot loads");
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+fn builder_of(base: &[Triple]) -> StoreBuilder {
+    let mut b = StoreBuilder::new();
+    for &t in base {
+        let (s, p, o) = tiny(t);
+        b.insert(s, p, o);
+    }
+    b
+}
+
+/// The three bases every update property runs on: heap-built, loaded from
+/// a snapshot, and whatever `freeze()` returns under the suite's env knobs
+/// (with `PARAMBENCH_OVERLAY_STRESS=1` that store carries the n/3 echo, so
+/// touched subjects sit in both overlay runs).
+fn stores_of(build: impl Fn() -> StoreBuilder) -> [(&'static str, Dataset); 3] {
+    let heap = build().freeze_in_memory();
+    let loaded = reload(&heap);
+    [("heap", heap), ("loaded", loaded), ("freeze()", build().freeze())]
+}
+
+/// The named edge cases of incremental maintenance, forced one by one on
+/// a fixed store (the random interleavings below hit them too, but not by
+/// name). After every step the whole statistics equal a from-scratch
+/// compute, and the field the case is about has the value it must have.
+#[test]
+fn incremental_statistics_named_edge_cases() {
+    let iri = |s: &str| Term::iri(s.to_string());
+    let build = || {
+        let mut b = StoreBuilder::new();
+        b.insert(iri("a"), iri("p"), Term::integer(1));
+        b.insert(iri("a"), iri("p"), Term::integer(2));
+        b.insert(iri("a"), iri("q"), Term::integer(1));
+        b.insert(iri("b"), iri("p"), Term::integer(1));
+        b.insert(iri("c"), iri("r"), Term::integer(9));
+        b
+    };
+    for (kind, mut ds) in stores_of(build) {
+        let id = |ds: &Dataset, t: &str| ds.lookup(&iri(t)).expect("interned");
+        assert_derived_exact(&ds, &format!("[{kind}] at freeze"));
+        assert_eq!(ds.stats().distinct_predicates, 3);
+        assert_eq!(ds.char_sets().len(), 3); // {p,q}, {p}, {r}
+
+        // Duplicate insert / absent delete: nothing changes.
+        let before = (ds.stats().clone(), ds.char_sets().clone());
+        assert!(!ds.insert(iri("a"), iri("p"), Term::integer(1)));
+        assert!(!ds.delete(&iri("b"), &iri("q"), &Term::integer(1)));
+        assert_eq!(ds.insert_batch([(iri("a"), iri("q"), Term::integer(1))]), 0);
+        assert_eq!(ds.delete_batch([(iri("zz"), iri("p"), Term::integer(1))]), 0);
+        assert_eq!((ds.stats().clone(), ds.char_sets().clone()), before, "[{kind}] no-op steps");
+
+        // One of two (a, p, ·) triples deleted: a keeps its set {p,q}, only
+        // the multiplicity of p inside it drops.
+        assert!(ds.delete(&iri("a"), &iri("p"), &Term::integer(2)));
+        assert_derived_exact(&ds, &format!("[{kind}] after a multiplicity drop"));
+        assert_eq!(ds.char_sets().len(), 3);
+        assert_eq!(ds.stats().predicate(id(&ds, "p")).unwrap().distinct_subjects, 2);
+        // Integer 2 was the object of that triple only.
+        assert_eq!(ds.stats().distinct_objects, 2);
+
+        // Last (a, q, ·) triple deleted: a moves from {p,q} to {p}; {p,q}
+        // had one subject and is dropped; q leaves the predicate table.
+        assert!(ds.delete(&iri("a"), &iri("q"), &Term::integer(1)));
+        assert_derived_exact(&ds, &format!("[{kind}] after the last (s,p,·) triple"));
+        assert_eq!(ds.char_sets().len(), 2);
+        assert!(ds.stats().predicate(id(&ds, "q")).is_none());
+        assert_eq!(ds.stats().distinct_predicates, 2);
+        assert_eq!(ds.char_sets().star(&[id(&ds, "p")]).subjects, 2.0);
+
+        // Last triple of predicate r, which is also the last triple of
+        // subject c and of object 9.
+        assert!(ds.delete(&iri("c"), &iri("r"), &Term::integer(9)));
+        assert_derived_exact(&ds, &format!("[{kind}] after the last triple of a predicate"));
+        assert!(ds.stats().predicate(id(&ds, "r")).is_none());
+        assert_eq!(ds.stats().distinct_predicates, 1);
+        assert_eq!(ds.stats().distinct_subjects, 2);
+        assert_eq!(ds.stats().distinct_objects, 1);
+        assert_eq!(ds.char_sets().len(), 1);
+
+        // Tombstone lift: the deleted base triple comes back.
+        let dels = ds.overlay().dels_len();
+        assert!(ds.insert(iri("c"), iri("r"), Term::integer(9)));
+        assert_eq!(ds.overlay().dels_len(), dels - 1, "[{kind}] the tombstone is lifted");
+        assert_derived_exact(&ds, &format!("[{kind}] after a tombstone lift"));
+        assert_eq!(ds.stats().distinct_predicates, 2);
+        assert_eq!(ds.stats().distinct_subjects, 3);
+
+        // Last triple of a subject deleted (its predicate lives on).
+        assert!(ds.delete(&iri("b"), &iri("p"), &Term::integer(1)));
+        assert_derived_exact(&ds, &format!("[{kind}] after the last triple of a subject"));
+        assert_eq!(ds.stats().distinct_subjects, 2);
+        assert_eq!(ds.stats().predicate(id(&ds, "p")).unwrap().distinct_subjects, 1);
+
+        // Overflow terms (subject, predicate and object all new) added,
+        // then deleted again: back to the statistics before them.
+        let before = (ds.stats().clone(), ds.char_sets().clone());
+        let frozen = ds.frozen_terms();
+        assert!(ds.insert(iri("new/s"), iri("new/p"), iri("new/o")));
+        assert!(id(&ds, "new/p").index() >= frozen);
+        assert_derived_exact(&ds, &format!("[{kind}] after an overflow insert"));
+        assert_eq!(ds.stats().distinct_predicates, 3);
+        assert!(ds.delete(&iri("new/s"), &iri("new/p"), &iri("new/o")));
+        assert_derived_exact(&ds, &format!("[{kind}] after the overflow delete"));
+        assert_eq!((ds.stats().clone(), ds.char_sets().clone()), before);
+
+        // Compaction re-freezes: still exact, nothing pending.
+        ds.compact();
+        assert!(ds.overlay().is_empty());
+        assert_derived_exact(&ds, &format!("[{kind}] after compact"));
+    }
+}
+
+/// `compact()` + `save` of a mutated store writes the bytes a from-scratch
+/// freeze of its visible triples writes (every term still in use, so both
+/// dictionaries hold the same terms): statistics sections included.
+#[test]
+fn compacted_store_saves_the_bytes_of_a_from_scratch_freeze() {
+    let base: Vec<Triple> = (0..40u8).map(|i| (i, i / 2, i / 3)).collect();
+    let saved = |ds: &Dataset, tag: &str| {
+        let path = std::env::temp_dir()
+            .join(format!("parambench-propstore-{}-{tag}.pbsnap", std::process::id()));
+        ds.save(&path).expect("a compacted store saves");
+        let bytes = std::fs::read(&path).expect("reads back");
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    let mut ds = builder_of(&base).freeze_in_memory();
+    // Its three terms all stay in use by other base triples.
+    assert_eq!(ds.delete_batch([tiny(base[0])]), 1);
+    assert!(ds.insert_batch((0..15u8).map(|i| tiny((i, i, i)))) > 0);
+    ds.compact();
+    let mut scratch = StoreBuilder::new();
+    for [s, p, o] in ds.scan([None, None, None]) {
+        scratch.insert(ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
+    }
+    let scratch = scratch.freeze_in_memory();
+    assert_eq!(scratch.dict().len(), ds.dict().len(), "no term was orphaned");
+    assert_eq!(saved(&ds, "compacted"), saved(&scratch, "scratch"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Incremental = from-scratch, at every step of a random interleaving
+    /// of `insert` / `delete` / `insert_batch` / `delete_batch` / `compact`
+    /// — and replaying the captured `LoggedOp`s onto a clone of the
+    /// pre-mutation store arrives at the same statistics.
+    #[test]
+    fn incremental_statistics_equal_from_scratch_at_every_step(
+        base in prop::collection::vec(arb_triple(), 0..30),
+        steps in arb_steps(),
+    ) {
+        for (kind, mut ds) in stores_of(|| builder_of(&base)) {
+            assert_derived_exact(&ds, &format!("[{kind}] at freeze"));
+            let mut replayed = ds.clone();
+            ds.begin_update_log();
+            for (i, step) in steps.iter().enumerate() {
+                apply(&mut ds, step);
+                assert_derived_exact(&ds, &format!("[{kind}] after step {i} {step:?}"));
+            }
+            for op in &ds.take_update_log() {
+                replayed.apply_logged(op);
+            }
+            assert_derived_exact(&replayed, &format!("[{kind}] after replay"));
+            prop_assert_eq!(replayed.stats(), ds.stats(), "[{}] replayed statistics", kind);
+            prop_assert_eq!(replayed.char_sets(), ds.char_sets(), "[{}] replayed sets", kind);
+            prop_assert_eq!(replayed.len(), ds.len());
+        }
+    }
 }
 
 proptest! {

@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use parambench_rdf::fault::IoSeam;
@@ -130,7 +130,7 @@ struct Durability {
 /// pool, any number of client threads. See the [module docs](self).
 pub struct SparqlServer {
     ds: Arc<Dataset>,
-    /// Store generation: bumped by every [`SparqlServer::update`]. A plan
+    /// Store generation: bumped by every [`SparqlServer::try_update`]. A plan
     /// prepared under epoch `e` is only ever served while the store is
     /// still at epoch `e` — updates clear the cache wholesale.
     epoch: AtomicU64,
@@ -302,31 +302,40 @@ impl SparqlServer {
         self.exec
     }
 
-    /// The store's current epoch (how many [`SparqlServer::update`] calls
-    /// it has absorbed).
+    /// The store's current epoch (how many committed
+    /// [`SparqlServer::try_update`] calls it has absorbed).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Applies a store mutation — insert/delete batches, [`Dataset::compact`],
-    /// any combination — then bumps the store epoch and invalidates the
-    /// whole prepared-plan cache: every cached skeleton was optimized
-    /// against the pre-update statistics, cardinalities and (possibly)
-    /// dictionary ids, so none may be rebound afterwards. The next request
-    /// per `(template, class)` key re-prepares against the updated store.
-    ///
-    /// The infallible convenience form of [`SparqlServer::try_update`]: on
-    /// a non-durable server it cannot fail; on a durable server a journal
-    /// append failure panics (the update was not committed — use
-    /// `try_update` to handle [`QueryError::Wal`] as a value).
-    pub fn update<R>(&mut self, f: impl FnOnce(&mut Dataset) -> R) -> R {
-        self.try_update(f).unwrap_or_else(|e| panic!("durable update failed: {e}"))
+    /// The plan cache, recovered if a client thread panicked while holding
+    /// the lock: the map holds immutable `Arc<Prepared>` values and every
+    /// operation on it is a single `get` / `insert` / `clear`, so it is
+    /// consistent whenever the lock is free — one panicking client must
+    /// not fail every later request.
+    fn plans(&self) -> MutexGuard<'_, HashMap<(String, PlanClass), Arc<Prepared>>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Applies a store mutation with full commit discipline.
+    /// Applies a store mutation — insert/delete batches,
+    /// [`Dataset::compact`], any combination — with full commit
+    /// discipline. The only write entry point: on a non-durable server it
+    /// cannot fail; on a durable server a journal append failure is
+    /// returned as [`QueryError::Wal`] and the update never happened.
     ///
-    /// The closure runs against a **private copy-on-write clone** of the
-    /// served dataset, never the served dataset itself. The clone is
+    /// A commit then bumps the store epoch and invalidates the whole
+    /// prepared-plan cache: every cached skeleton was optimized against
+    /// the pre-update statistics, cardinalities and (possibly) dictionary
+    /// ids, so none may be rebound afterwards. The next request per
+    /// `(template, class)` key re-prepares against the updated store.
+    ///
+    /// The closure runs against a **private clone** of the served dataset,
+    /// never the served dataset itself. The clone shares the frozen base
+    /// (indexes, frozen dictionary region) with the served store and copies
+    /// only the overlay runs, the overflow terms and the statistics, so
+    /// taking it — like the statistics maintenance inside the batch APIs —
+    /// costs `O(delta)`, not `O(store)`; only a closure that calls
+    /// [`Dataset::compact`] pays for a new base. The clone is
     /// published — and the epoch bumped, the plan cache invalidated — only
     /// after everything succeeded, which yields two guarantees:
     ///
@@ -358,7 +367,7 @@ impl SparqlServer {
         self.ds = next;
         self.epoch.fetch_add(1, Ordering::Relaxed);
         let invalidated = {
-            let mut cache = self.cache.lock().expect("plan cache poisoned");
+            let mut cache = self.plans();
             let n = cache.len() as u64;
             cache.clear();
             n
@@ -372,6 +381,8 @@ impl SparqlServer {
     /// replays to the right state), atomically replaces the snapshot with
     /// the compacted store, and truncates the journal back to its header.
     /// After a checkpoint, reopening the directory replays zero records.
+    /// `O(store)` on purpose: the re-freeze and the save are the two places
+    /// the whole base is rebuilt and rewritten.
     ///
     /// Crash safety between the snapshot publish and the journal
     /// truncation: the new snapshot already *contains* every journaled
@@ -437,7 +448,7 @@ impl SparqlServer {
         let engine = Engine::with_exec_config(&self.ds, self.exec);
         let class = engine.plan_class(template, binding)?;
         let key = (template.name().to_string(), class);
-        let cached = self.cache.lock().expect("plan cache poisoned").get(&key).cloned();
+        let cached = self.plans().get(&key).cloned();
         let (prepared, cache_hit) = match cached {
             Some(skeleton) => {
                 let prepared = engine.rebind(&skeleton, template, binding)?;
@@ -447,10 +458,7 @@ impl SparqlServer {
             None => {
                 let query = template.instantiate(binding)?;
                 let prepared = engine.prepare(&query)?;
-                self.cache
-                    .lock()
-                    .expect("plan cache poisoned")
-                    .insert(key, Arc::new(prepared.clone()));
+                self.plans().insert(key, Arc::new(prepared.clone()));
                 self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 (prepared, false)
             }
@@ -663,7 +671,7 @@ pub struct ServeStats {
     pub queue_wait: Duration,
     /// Requests that found all execution slots busy and had to wait.
     pub admissions_deferred: u64,
-    /// Store epoch: number of [`SparqlServer::update`] calls absorbed.
+    /// Store epoch: number of committed [`SparqlServer::try_update`] calls.
     pub epoch: u64,
     /// Cached plan skeletons discarded by store updates (each was prepared
     /// against a pre-update epoch and must not be rebound).

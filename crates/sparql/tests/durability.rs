@@ -181,7 +181,7 @@ fn oracle_server(dir: &Path, committed: usize) -> SparqlServer {
     let ds = Dataset::load(&dir.join(SNAPSHOT_FILE)).expect("snapshot loads");
     let mut server = SparqlServer::new(Arc::new(ds), config());
     for step in script().iter().take(committed) {
-        server.update(|ds| apply_step(ds, step));
+        server.try_update(|ds| apply_step(ds, step)).unwrap();
     }
     server
 }
@@ -294,7 +294,7 @@ fn panicking_update_closure_leaves_server_and_journal_untouched() {
         requests().iter().map(|(t, b)| server.run(t, b).unwrap().output.results).collect();
 
     let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        server.update(|ds| {
+        server.try_update(|ds| {
             // Mutates the working clone, then dies mid-update.
             ds.insert_batch(vec![(Term::iri("prod/99"), iri("num"), Term::integer(1))]);
             panic!("client bug mid-update");
@@ -430,7 +430,7 @@ fn checkpoint_crash_during_snapshot_save_keeps_old_snapshot_and_journal() {
     // The failed checkpoint still committed its compaction record, so the
     // oracle needs the same compaction applied.
     let mut oracle = oracle;
-    oracle.update(|ds| ds.compact());
+    oracle.try_update(|ds| ds.compact()).unwrap();
     assert_bit_identical(&recovered, &oracle, "ckpt-save-crash");
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();

@@ -140,10 +140,12 @@ fn server_invalidates_cached_plans_across_epoch_bump() {
 
     // The update: a brand-new object term (overflow id) on a subject with
     // price 0, so it lands in this template's result set.
-    server.update(|ds| {
-        assert!(ds.insert(iri("s/90"), iri("p"), iri("o/0a")));
-        assert!(ds.insert(iri("s/90"), iri("price"), Term::integer(0)));
-    });
+    server
+        .try_update(|ds| {
+            assert!(ds.insert(iri("s/90"), iri("p"), iri("o/0a")));
+            assert!(ds.insert(iri("s/90"), iri("price"), Term::integer(0)));
+        })
+        .unwrap();
     let stats = server.stats();
     assert_eq!(stats.epoch, 1);
     assert!(stats.plan_invalidations >= 1, "the cached plan must be discarded");
@@ -174,7 +176,7 @@ fn server_invalidates_cached_plans_across_epoch_bump() {
 
     // Compaction through the server restores order service; the cache is
     // invalidated again and subsequent plans eliminate the sort.
-    server.update(|ds| ds.compact());
+    server.try_update(|ds| ds.compact()).unwrap();
     assert_eq!(server.stats().epoch, 2);
     let fourth = server.run(&template, &binding).expect("post-compact run");
     assert!(!fourth.cache_hit);
