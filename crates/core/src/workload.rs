@@ -6,7 +6,6 @@
 //! experiment table (E1–E3), the §III correlation (C1) and the P1–P3
 //! validation.
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,62 +18,6 @@ use parambench_sparql::ExecConfig;
 use parambench_stats::summary::Summary;
 
 use crate::error::CurationError;
-
-/// Env knob: directory where the driver persists and reopens store
-/// snapshots ([`persist_dataset`] / [`open_snapshot`]). Unset means the
-/// driver works purely in memory.
-pub const SNAPSHOT_DIR_ENV: &str = "PARAMBENCH_SNAPSHOT_DIR";
-
-/// The configured snapshot directory, if any (see [`SNAPSHOT_DIR_ENV`]).
-pub fn env_snapshot_dir() -> Option<PathBuf> {
-    std::env::var_os(SNAPSHOT_DIR_ENV).filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
-/// Persists `ds` as `<dir>/<name>.pbsnap` (creating `dir` if needed) and
-/// returns the snapshot path. Snapshot failures surface as
-/// [`CurationError::Query`] wrapping the typed
-/// [`parambench_sparql::QueryError::Snapshot`] cause.
-pub fn persist_dataset(ds: &Dataset, dir: &Path, name: &str) -> Result<PathBuf, CurationError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        CurationError::Query(parambench_sparql::QueryError::Snapshot(
-            parambench_rdf::SnapshotError::Io {
-                op: "create snapshot dir",
-                path: dir.to_path_buf(),
-                message: e.to_string(),
-            },
-        ))
-    })?;
-    let path = dir.join(format!("{name}.pbsnap"));
-    ds.save(&path).map_err(|e| CurationError::Query(parambench_sparql::QueryError::Snapshot(e)))?;
-    Ok(path)
-}
-
-/// Opens a persisted snapshot for serving — the driver's warm-start path —
-/// returning the loaded dataset and the load wall time in milliseconds
-/// (checksum verification plus zero-copy section mapping; no freeze-time
-/// rebuild, which is why this number belongs in the benchmark report).
-pub fn open_snapshot(path: &Path) -> Result<(Arc<Dataset>, f64), CurationError> {
-    let t0 = Instant::now();
-    let ds = Dataset::load(path)
-        .map_err(|e| CurationError::Query(parambench_sparql::QueryError::Snapshot(e)))?;
-    Ok((Arc::new(ds), t0.elapsed().as_secs_f64() * 1e3))
-}
-
-/// Reopens a durable store directory ([`SparqlServer::open_durable`]) —
-/// the crash-recovery path: map the snapshot, scan the journal (torn tail
-/// truncated), replay every committed record — and returns the recovered
-/// server together with the recovery wall time in milliseconds. The
-/// server's [`SparqlServer::recovered_records`] says how much journal the
-/// recovery replayed; both numbers belong in the benchmark's durability
-/// phase.
-pub fn recover_server(
-    dir: &Path,
-    config: ServeConfig,
-) -> Result<(SparqlServer, f64), CurationError> {
-    let t0 = Instant::now();
-    let server = SparqlServer::open_durable(dir, config).map_err(CurationError::Query)?;
-    Ok((server, t0.elapsed().as_secs_f64() * 1e3))
-}
 
 /// One executed query instance.
 #[derive(Debug, Clone)]

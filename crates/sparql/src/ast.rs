@@ -48,14 +48,19 @@ pub struct TriplePattern {
 }
 
 impl TriplePattern {
+    /// The three positions, in S-P-O order.
+    pub fn positions(&self) -> [&VarOrTerm; 3] {
+        [&self.subject, &self.predicate, &self.object]
+    }
+
     /// Variables mentioned by the pattern, in S-P-O slot order.
     pub fn vars(&self) -> impl Iterator<Item = &str> {
-        [&self.subject, &self.predicate, &self.object].into_iter().filter_map(|v| v.as_var())
+        self.positions().into_iter().filter_map(|v| v.as_var())
     }
 
     /// Parameters mentioned by the pattern.
     pub fn params(&self) -> impl Iterator<Item = &str> {
-        [&self.subject, &self.predicate, &self.object].into_iter().filter_map(|v| match v {
+        self.positions().into_iter().filter_map(|v| match v {
             VarOrTerm::Param(p) => Some(p.as_str()),
             _ => None,
         })

@@ -13,10 +13,9 @@ use std::time::{Duration, Instant};
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
-use parambench_rdf::term::Term;
 
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
-use crate::cardinality::Estimator;
+use crate::cardinality::{Estimate, Estimator};
 use crate::error::QueryError;
 use crate::exec::{ExecConfig, ExecStats, OrderExec, UNBOUND};
 use crate::modifiers::{
@@ -35,30 +34,25 @@ use crate::results::{
     finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
 };
 use crate::spill::{ExternalGroupFold, ExternalSorter, SortedRows};
-use crate::template::{Binding, QueryTemplate};
+use crate::template::{instantiate_expr, Binding, QueryTemplate};
 
-/// An optimized OPTIONAL group.
+/// One planned UNION branch or OPTIONAL group: its own `Cout`-optimal join
+/// tree, the FILTERs scoped to it, and the variable slots it shares with
+/// the part of the query evaluated before it (the join keys — the same for
+/// every branch of one UNION, whose branches bind one variable set).
 #[derive(Debug, Clone)]
-struct OptionalPlan {
+struct GroupPlan {
     plan: PlanNode,
-    /// Variable slots shared with the required part (outer join keys).
-    join_vars: Vec<usize>,
-    /// Filters scoped to the optional group.
     filters: Vec<Expr>,
-}
-
-/// An optimized `{A} UNION {B}` group: each branch is its own BGP plan plus
-/// branch-scoped filters. Branches are validated to bind the same variable
-/// set, so the concatenated table has a uniform schema.
-#[derive(Debug, Clone)]
-struct UnionPlan {
-    branches: Vec<(PlanNode, Vec<Expr>)>,
-    /// Variable slots shared with the part of the query evaluated before
-    /// this union (inner join keys; empty when the union is the base).
     join_vars: Vec<usize>,
 }
 
-/// A fully prepared (lowered + optimized) query, ready to execute.
+/// A fully prepared (lowered + optimized) query, ready to execute: the
+/// planned groups of the where clause — required BGP, UNION branches,
+/// OPTIONALs, in `PlannedPattern::idx` order, which is how
+/// [`Engine::rebind`] finds them again — the lowered modifier stack, and
+/// the signature and estimates the paper's parameter classes are defined
+/// over.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Variable name per slot.
@@ -66,8 +60,10 @@ pub struct Prepared {
     /// The required basic graph pattern (absent when the query body is a
     /// bare UNION).
     bgp_plan: Option<PlanNode>,
-    unions: Vec<UnionPlan>,
-    optionals: Vec<OptionalPlan>,
+    /// UNION groups, one [`GroupPlan`] per branch.
+    unions: Vec<Vec<GroupPlan>>,
+    optionals: Vec<GroupPlan>,
+    /// Top-level FILTERs (applied last, over the whole pattern part).
     filters: Vec<Expr>,
     /// The lowered solution-modifier stack (DISTINCT, aggregation,
     /// ORDER BY, LIMIT/OFFSET), validated at prepare time.
@@ -91,11 +87,6 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// The optimized required-BGP join tree (absent for bare-UNION bodies).
-    pub fn plan(&self) -> Option<&PlanNode> {
-        self.bgp_plan.as_ref()
-    }
-
     /// Multi-line EXPLAIN rendering.
     pub fn explain(&self) -> String {
         let mut out = format!(
@@ -110,10 +101,10 @@ impl Prepared {
             out.push_str(&plan.render(0));
         }
         for (i, u) in self.unions.iter().enumerate() {
-            out.push_str(&format!("UNION #{i} (join on {:?})\n", u.join_vars));
-            for (b, (plan, _)) in u.branches.iter().enumerate() {
+            out.push_str(&format!("UNION #{i} (join on {:?})\n", u[0].join_vars));
+            for (b, branch) in u.iter().enumerate() {
                 out.push_str(&format!("  branch {b}:\n"));
-                out.push_str(&plan.render(2));
+                out.push_str(&branch.plan.render(2));
             }
         }
         for (i, opt) in self.optionals.iter().enumerate() {
@@ -319,55 +310,248 @@ impl Iterator for RowStream<'_> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanClass(Vec<u64>);
 
-/// A template's triple patterns in exactly the order `Engine::prepare`
-/// assigns `PlannedPattern::idx`: top-level (required) triples first, then
-/// UNION branch triples (group by group, branch by branch), then OPTIONAL
-/// triples — the provenance map the plan-cache rebind is keyed by.
-fn template_patterns(query: &SelectQuery) -> Vec<&TriplePattern> {
-    let mut out = Vec::new();
-    for el in &query.where_clause {
-        if let Element::Triple(t) = el {
-            out.push(t);
-        }
-    }
-    for el in &query.where_clause {
-        if let Element::Union(branches) = el {
-            for branch in branches {
-                for b_el in branch {
-                    if let Element::Triple(t) = b_el {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-    }
-    for el in &query.where_clause {
-        if let Element::Optional(inner) = el {
-            for o_el in inner {
-                if let Element::Triple(t) = o_el {
-                    out.push(t);
-                }
-            }
-        }
-    }
-    out
+/// One group of a where clause in normal form: its triple patterns — the
+/// i-th carries `PlannedPattern::idx == first_idx + i` — and the FILTERs
+/// scoped to it.
+#[derive(Debug, Default)]
+struct Group<'q> {
+    /// Keyword and ordinal of a UNION / OPTIONAL group (for error
+    /// messages); `None` for the top-level group.
+    scope: Option<(&'static str, usize)>,
+    first_idx: usize,
+    patterns: Vec<&'q TriplePattern>,
+    filters: Vec<&'q Expr>,
 }
 
-/// Replaces, in `cached` (an already-instantiated expression), the
-/// constant at every `%param` site of the structurally identical template
-/// expression `tmpl` with the new binding's term. Instantiation only ever
-/// rewrites `Param` nodes to `Const`, so the two trees are congruent.
-fn rebind_expr(cached: &mut Expr, tmpl: &Expr, binding: &Binding) {
-    match (&mut *cached, tmpl) {
-        (c, Expr::Param(p)) => {
-            *c = Expr::Const(binding.get(p).expect("binding validated").clone());
+impl Group<'_> {
+    /// The group's FILTERs with `binding`'s terms substituted for their
+    /// parameters (a plain clone for a concrete query).
+    fn filters_under(&self, binding: &Binding) -> Vec<Expr> {
+        self.filters.iter().map(|f| instantiate_expr(f, binding)).collect()
+    }
+}
+
+/// The **where-clause normal form**: a borrowed view of a query (concrete,
+/// or a template still carrying `%parameters`) as the groups the engine
+/// plans separately, numbered required group first, then UNION branches
+/// (group by group, branch by branch), then OPTIONALs. Plan signatures,
+/// [`PlanClass`] keys and hence the paper's parameter classes are
+/// functions of that numbering, so `prepare`, `plan_class` and `rebind`
+/// all read it from here and nowhere else.
+#[derive(Debug, Default)]
+struct NormalForm<'q> {
+    /// Top-level triples and FILTERs (no triples under a bare UNION body).
+    required: Group<'q>,
+    unions: Vec<Vec<Group<'q>>>,
+    optionals: Vec<Group<'q>>,
+}
+
+impl<'q> NormalForm<'q> {
+    /// Splits and numbers `query`'s where clause, rejecting every shape
+    /// outside the supported subset: a group nested inside a group, a group
+    /// without triple patterns, a body with nothing required to start from.
+    fn of(query: &'q SelectQuery) -> Result<Self, QueryError> {
+        fn flat<'q>(
+            kw: &'static str,
+            n: usize,
+            els: &'q [Element],
+        ) -> Result<Group<'q>, QueryError> {
+            let mut group = Group { scope: Some((kw, n)), ..Group::default() };
+            for el in els {
+                match el {
+                    Element::Triple(t) => group.patterns.push(t),
+                    Element::Filter(f) => group.filters.push(f),
+                    _ => return Err(QueryError::Unsupported(format!("nested groups inside {kw}"))),
+                }
+            }
+            if group.patterns.is_empty() {
+                return Err(QueryError::Unsupported(format!("empty {kw} group")));
+            }
+            Ok(group)
         }
-        (Expr::Not(c), Expr::Not(t)) => rebind_expr(c, t, binding),
-        (Expr::Binary(_, ca, cb), Expr::Binary(_, ta, tb)) => {
-            rebind_expr(ca, ta, binding);
-            rebind_expr(cb, tb, binding);
+
+        let mut nf = NormalForm::default();
+        for el in &query.where_clause {
+            match el {
+                Element::Triple(t) => nf.required.patterns.push(t),
+                Element::Filter(f) => nf.required.filters.push(f),
+                Element::Optional(inner) => {
+                    nf.optionals.push(flat("OPTIONAL", nf.optionals.len(), inner)?);
+                }
+                Element::Union(branches) if branches.is_empty() => {
+                    return Err(QueryError::Unsupported("empty UNION group".into()));
+                }
+                Element::Union(branches) => {
+                    let n = nf.unions.len();
+                    let flat: Result<_, _> = branches.iter().map(|b| flat("UNION", n, b)).collect();
+                    nf.unions.push(flat?);
+                }
+            }
         }
-        _ => {}
+        if nf.required.patterns.is_empty() && nf.unions.is_empty() {
+            return Err(QueryError::Unsupported("query has no required triple patterns".into()));
+        }
+        let mut next_idx = nf.required.patterns.len();
+        for group in nf.unions.iter_mut().flatten().chain(&mut nf.optionals) {
+            group.first_idx = next_idx;
+            next_idx += group.patterns.len();
+        }
+        Ok(nf)
+    }
+
+    /// The UNION-branch and OPTIONAL groups, in idx order — the order
+    /// [`Prepared`] stores their plans in.
+    fn scoped(&self) -> impl Iterator<Item = &Group<'q>> {
+        self.unions.iter().flatten().chain(&self.optionals)
+    }
+
+    /// Every group, in idx order.
+    fn groups(&self) -> impl Iterator<Item = &Group<'q>> {
+        std::iter::once(&self.required).chain(self.scoped())
+    }
+
+    /// Every FILTER variable must be bound by a pattern: anywhere for a
+    /// top-level FILTER (it runs last, over everything), inside its own
+    /// group for a scoped one — that FILTER sees its group's rows alone,
+    /// where an outer variable reads as an error and drops every row.
+    fn validate_filters(&self, vars: &VarTable) -> Result<(), QueryError> {
+        for group in self.groups() {
+            let mut names = Vec::new();
+            for f in &group.filters {
+                f.collect_vars(&mut names);
+            }
+            for v in names {
+                if !vars.slot_of.contains_key(&v) {
+                    return Err(QueryError::UnknownVariable(v));
+                }
+                let outer = !group.patterns.iter().any(|t| t.vars().any(|x| x == v));
+                if let (Some((kw, n)), true) = (group.scope, outer) {
+                    return Err(QueryError::Unsupported(format!(
+                        "FILTER inside {kw} #{n} references ?{v}, bound only outside that group"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The query's variable table: one slot per variable, in first-mention
+/// order over the normal form's patterns.
+#[derive(Default)]
+struct VarTable {
+    names: Vec<String>,
+    slot_of: HashMap<String, usize>,
+}
+
+impl VarTable {
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(&s) = self.slot_of.get(name) {
+            return s;
+        }
+        let s = self.names.len();
+        self.names.push(name.to_string());
+        self.slot_of.insert(name.to_string(), s);
+        s
+    }
+}
+
+/// The estimate-combination phase of [`Engine::prepare`]: the running
+/// estimate as planned groups are stacked in evaluation order — required
+/// BGP, each UNION joined onto what precedes it, each OPTIONAL left-joined
+/// onto the result. The order of the floating-point additions is contract:
+/// `est_cout` is compared bit for bit across prepare paths and commits.
+#[derive(Default)]
+struct Combined {
+    est_cout: f64,
+    sig: String,
+    /// Estimate of everything stacked so far (`None` until a base exists).
+    running: Option<Estimate>,
+    /// Variable slots bound so far.
+    seen_vars: Vec<usize>,
+}
+
+impl Combined {
+    fn base(&mut self, (group, est): (GroupPlan, Estimate)) -> GroupPlan {
+        self.est_cout += group.plan.est_cout();
+        self.sig = group.plan.signature().0;
+        self.seen_vars = group.plan.var_slots();
+        self.running = Some(est);
+        group
+    }
+
+    /// Stacks one UNION group: its branches concatenate (so they must bind
+    /// one variable set), and the result joins what precedes it on the
+    /// variables already seen.
+    fn union(
+        &mut self,
+        estimator: &Estimator<'_>,
+        branches: Vec<(GroupPlan, Estimate)>,
+    ) -> Result<Vec<GroupPlan>, QueryError> {
+        let mut vars: Option<Vec<usize>> = None;
+        let mut sigs = Vec::with_capacity(branches.len());
+        let mut card = 0.0;
+        let mut widest: Option<&Estimate> = None;
+        for (group, est) in &branches {
+            let mut bound = group.plan.var_slots();
+            bound.sort_unstable();
+            if *vars.get_or_insert_with(|| bound.clone()) != bound {
+                return Err(QueryError::Unsupported(
+                    "UNION branches must bind the same variables".into(),
+                ));
+            }
+            self.est_cout += group.plan.est_cout();
+            card += est.card;
+            // Approximate the union's distinct counts by the larger branch
+            // (costs only guide banding, not correctness).
+            widest = match widest {
+                Some(prev) if prev.card >= est.card => Some(prev),
+                _ => Some(est),
+            };
+            sigs.push(group.plan.signature().0);
+        }
+        let vars = vars.expect("normal form: a UNION has branches");
+        let mut est = widest.expect("normal form: a UNION has branches").clone();
+        est.card = card;
+        let join_vars: Vec<usize> =
+            vars.iter().copied().filter(|v| self.seen_vars.contains(v)).collect();
+        self.running = Some(match self.running.take() {
+            Some(base) => {
+                let joined = estimator.join(&base, &est, &join_vars);
+                self.est_cout += joined.card;
+                joined
+            }
+            None => est,
+        });
+        for v in vars {
+            if !self.seen_vars.contains(&v) {
+                self.seen_vars.push(v);
+            }
+        }
+        if !self.sig.is_empty() {
+            self.sig.push('+');
+        }
+        self.sig.push_str(&format!("UNION({})", sigs.join("|")));
+        let with_keys = |(group, _)| GroupPlan { join_vars: join_vars.clone(), ..group };
+        Ok(branches.into_iter().map(with_keys).collect())
+    }
+
+    /// Stacks one OPTIONAL onto the finished required part (BGP + UNIONs:
+    /// OPTIONALs join on its variables only, and do not feed each other).
+    fn optional(
+        &mut self,
+        estimator: &Estimator<'_>,
+        (group, est): (GroupPlan, Estimate),
+    ) -> GroupPlan {
+        let base = self.running.as_ref().expect("normal form: a base precedes every OPTIONAL");
+        let join_vars: Vec<usize> =
+            group.plan.var_slots().into_iter().filter(|v| self.seen_vars.contains(v)).collect();
+        self.est_cout += group.plan.est_cout();
+        // The outer join's output is at least the required side; count the
+        // expected matched rows like an inner join.
+        self.est_cout += estimator.join(base, &est, &join_vars).card.max(base.card);
+        self.sig.push_str(&format!("+OPT({})", group.plan.signature()));
+        GroupPlan { join_vars, ..group }
     }
 }
 
@@ -464,262 +648,66 @@ impl<'a> Engine<'a> {
         self.ds
     }
 
-    /// The cardinality estimator (exposed for the curation profiler).
-    pub fn estimator(&self) -> &Estimator<'a> {
-        &self.est
-    }
-
-    /// Lowers and optimizes a concrete query.
+    /// Lowers and optimizes a concrete query: [`Engine::prepare_template`]
+    /// under the empty binding. A query that still carries a `%parameter`
+    /// is [`QueryError::UnboundParameter`].
     pub fn prepare(&self, query: &SelectQuery) -> Result<Prepared, QueryError> {
         if let Some(p) = query.params().first() {
             return Err(QueryError::UnboundParameter(p.clone()));
         }
+        self.plan_query(query, &Binding::new())
+    }
 
-        // Assign variable slots across the whole query.
-        let mut var_names: Vec<String> = Vec::new();
-        let mut slot_of: HashMap<String, usize> = HashMap::new();
-        let slot =
-            |name: &str, var_names: &mut Vec<String>, slot_of: &mut HashMap<String, usize>| {
-                if let Some(&s) = slot_of.get(name) {
-                    s
-                } else {
-                    let s = var_names.len();
-                    var_names.push(name.to_string());
-                    slot_of.insert(name.to_string(), s);
-                    s
-                }
-            };
+    /// Plans `query` under `binding` (validated by the caller to bind every
+    /// parameter) in phases: **normal form** ([`NormalForm::of`]), **group
+    /// planning** ([`Engine::plan_group`], once per group in idx order —
+    /// also the order variables take their slots), **estimate combination**
+    /// ([`Combined`], stacking each group as it is planned: a UNION's join
+    /// keys are the variables seen *so far*), **validation** of FILTER and
+    /// projection variables, **modifiers** ([`ModifierPlan::lower`]).
+    fn plan_query(&self, query: &SelectQuery, binding: &Binding) -> Result<Prepared, QueryError> {
+        let nf = NormalForm::of(query)?;
 
-        // Split the where clause.
-        let mut required: Vec<TriplePattern> = Vec::new();
-        let mut filters: Vec<Expr> = Vec::new();
-        let mut optional_groups: Vec<(Vec<TriplePattern>, Vec<Expr>)> = Vec::new();
-        let mut union_groups: Vec<Vec<(Vec<TriplePattern>, Vec<Expr>)>> = Vec::new();
-        // Flattens a group of triples+filters (no further nesting).
-        let flat_group = |elements: &[Element],
-                          context: &str|
-         -> Result<(Vec<TriplePattern>, Vec<Expr>), QueryError> {
-            let mut pats = Vec::new();
-            let mut fs = Vec::new();
-            for el in elements {
-                match el {
-                    Element::Triple(t) => pats.push(t.clone()),
-                    Element::Filter(f) => fs.push(f.clone()),
-                    _ => {
-                        return Err(QueryError::Unsupported(format!(
-                            "nested groups inside {context}"
-                        )))
-                    }
-                }
-            }
-            if pats.is_empty() {
-                return Err(QueryError::Unsupported(format!("empty {context} group")));
-            }
-            Ok((pats, fs))
-        };
-        for el in &query.where_clause {
-            match el {
-                Element::Triple(t) => required.push(t.clone()),
-                Element::Filter(f) => filters.push(f.clone()),
-                Element::Optional(inner) => {
-                    optional_groups.push(flat_group(inner, "OPTIONAL")?);
-                }
-                Element::Union(branches) => {
-                    let mut flat = Vec::with_capacity(branches.len());
-                    for branch in branches {
-                        flat.push(flat_group(branch, "UNION")?);
-                    }
-                    union_groups.push(flat);
-                }
-            }
-        }
-        if required.is_empty() && union_groups.is_empty() {
-            return Err(QueryError::Unsupported("query has no required triple patterns".into()));
-        }
-
-        // Lower required patterns; pattern idx = syntactic position.
-        let lower = |t: &TriplePattern,
-                     idx: usize,
-                     var_names: &mut Vec<String>,
-                     slot_of: &mut HashMap<String, usize>|
-         -> Result<PlannedPattern, QueryError> {
-            let mut slots = [Slot::Absent; 3];
-            for (i, vot) in [&t.subject, &t.predicate, &t.object].into_iter().enumerate() {
-                slots[i] = match vot {
-                    VarOrTerm::Var(v) => Slot::Var(slot(v, var_names, slot_of)),
-                    VarOrTerm::Term(term) => match self.ds.lookup(term) {
-                        Some(id) => Slot::Bound(id),
-                        None => Slot::Absent,
-                    },
-                    VarOrTerm::Param(p) => return Err(QueryError::UnboundParameter(p.clone())),
-                };
-            }
-            Ok(PlannedPattern { idx, slots })
-        };
-
-        let mut next_idx = 0;
-        let mut est_cout = 0.0;
-        let mut sig = String::new();
-
-        // Required BGP (if any).
-        let (bgp_plan, mut running_est) = if required.is_empty() {
-            (None, None)
+        let mut vars = VarTable::default();
+        let mut acc = Combined::default();
+        let (bgp_plan, filters) = if nf.required.patterns.is_empty() {
+            (None, nf.required.filters_under(binding))
         } else {
-            let mut planned: Vec<PlannedPattern> = Vec::with_capacity(required.len());
-            for t in &required {
-                planned.push(lower(t, next_idx, &mut var_names, &mut slot_of)?);
-                next_idx += 1;
-            }
-            // Interesting-order preferences: when the ORDER BY keys form a
-            // direction-uniform run of plain pattern variables, a plan
-            // delivering that slot sequence escapes the sort penalty in the
-            // root selection (descending keys only for bare single-pattern
-            // scans, which the descending order service can serve).
-            let prefs = OrderPrefs {
-                sort: order_pref_slots(query, &slot_of, planned.len() == 1),
-                mode: self.exec.order_exec,
-            };
-            let plan = optimize_with(&planned, &self.est, &prefs)?;
-            let est = reestimate(&plan, &self.est);
-            est_cout += plan.est_cout();
-            sig = plan.signature().0;
-            (Some(plan), Some(est))
+            let planned = self.plan_group(&nf.required, binding, &mut vars, Some(query))?;
+            let required = acc.base(planned);
+            (Some(required.plan), required.filters)
         };
-        let mut seen_vars: Vec<usize> =
-            bgp_plan.as_ref().map(|p| p.var_slots()).unwrap_or_default();
-
-        // UNION groups: each branch its own BGP; branches must bind the same
-        // variable set so the concatenated table has one schema.
-        let mut unions: Vec<UnionPlan> = Vec::new();
-        for branches in &union_groups {
-            let mut lowered_branches: Vec<(PlanNode, Vec<Expr>)> = Vec::new();
-            let mut branch_vars: Option<Vec<usize>> = None;
-            let mut union_sig = String::new();
-            let mut union_card = 0.0;
-            let mut union_est: Option<crate::cardinality::Estimate> = None;
-            for (pats, fs) in branches {
-                let mut lowered = Vec::with_capacity(pats.len());
-                for t in pats {
-                    lowered.push(lower(t, next_idx, &mut var_names, &mut slot_of)?);
-                    next_idx += 1;
-                }
-                let plan = optimize_with(
-                    &lowered,
-                    &self.est,
-                    &OrderPrefs { sort: vec![], mode: self.exec.order_exec },
-                )?;
-                let mut vars = plan.var_slots();
-                vars.sort_unstable();
-                match &branch_vars {
-                    None => branch_vars = Some(vars),
-                    Some(first) => {
-                        if *first != vars {
-                            return Err(QueryError::Unsupported(
-                                "UNION branches must bind the same variables".into(),
-                            ));
-                        }
-                    }
-                }
-                let est = reestimate(&plan, &self.est);
-                est_cout += plan.est_cout();
-                union_card += est.card;
-                union_est = Some(match union_est {
-                    // Approximate the union's distinct counts by the larger
-                    // branch (costs only guide banding, not correctness).
-                    Some(prev) if prev.card >= est.card => prev,
-                    _ => est,
-                });
-                if !union_sig.is_empty() {
-                    union_sig.push('|');
-                }
-                union_sig.push_str(&plan.signature().0);
-                lowered_branches.push((plan, fs.clone()));
-            }
-            let vars = branch_vars.expect("validated non-empty union");
-            let join_vars: Vec<usize> =
-                vars.iter().copied().filter(|v| seen_vars.contains(v)).collect();
-            let mut est = union_est.expect("non-empty union");
-            est.card = union_card;
-            match running_est.take() {
-                Some(base) => {
-                    let joined = self.est.join(&base, &est, &join_vars);
-                    est_cout += joined.card;
-                    running_est = Some(joined);
-                }
-                None => running_est = Some(est),
-            }
-            for v in vars {
-                if !seen_vars.contains(&v) {
-                    seen_vars.push(v);
-                }
-            }
-            if !sig.is_empty() {
-                sig.push('+');
-            }
-            sig.push_str(&format!("UNION({union_sig})"));
-            unions.push(UnionPlan { branches: lowered_branches, join_vars });
+        let mut unions = Vec::with_capacity(nf.unions.len());
+        for branches in &nf.unions {
+            let planned: Result<Vec<_>, _> =
+                branches.iter().map(|g| self.plan_group(g, binding, &mut vars, None)).collect();
+            unions.push(acc.union(&self.est, planned?)?);
         }
-
-        let bgp_est = running_est.expect("base BGP or union present");
-        let required_vars = seen_vars.clone();
-
-        // Optional groups: separate optimization; pattern idx continues the
-        // numbering so signatures stay unambiguous.
-        let mut optionals = Vec::new();
-        for (pats, fs) in &optional_groups {
-            let mut lowered = Vec::with_capacity(pats.len());
-            for t in pats {
-                lowered.push(lower(t, next_idx, &mut var_names, &mut slot_of)?);
-                next_idx += 1;
-            }
-            let plan = optimize_with(
-                &lowered,
-                &self.est,
-                &OrderPrefs { sort: vec![], mode: self.exec.order_exec },
-            )?;
-            let opt_est = reestimate(&plan, &self.est);
-            let join_vars: Vec<usize> =
-                plan.var_slots().into_iter().filter(|v| required_vars.contains(v)).collect();
-            est_cout += plan.est_cout();
-            // The outer join's output is at least the required side; count
-            // the expected matched rows like an inner join.
-            let joined = self.est.join(&bgp_est, &opt_est, &join_vars);
-            est_cout += joined.card.max(bgp_est.card);
-            sig.push_str("+OPT(");
-            sig.push_str(&plan.signature().0);
-            sig.push(')');
-            optionals.push(OptionalPlan { plan, join_vars, filters: fs.clone() });
+        let mut optionals = Vec::with_capacity(nf.optionals.len());
+        for group in &nf.optionals {
+            let planned = self.plan_group(group, binding, &mut vars, None)?;
+            optionals.push(acc.optional(&self.est, planned));
         }
+        let Combined { est_cout, sig, running, .. } = acc;
+        let bgp_est = running.expect("normal form: a required BGP or a UNION is the base");
 
-        // Validate filter variables exist.
-        for f in &filters {
-            let mut vars = Vec::new();
-            f.collect_vars(&mut vars);
-            for v in vars {
-                if !slot_of.contains_key(&v) {
-                    return Err(QueryError::UnknownVariable(v));
-                }
-            }
-        }
-        // Validate projections (plain vars must exist; aggregate shapes are
+        nf.validate_filters(&vars)?;
+        // Plain projected variables must exist (aggregate shapes are
         // validated by the modifier lowering below).
         for p in &query.projections {
             if let Projection::Var(v) = p {
-                if !slot_of.contains_key(v) {
+                if !vars.slot_of.contains_key(v) {
                     return Err(QueryError::UnknownVariable(v.clone()));
                 }
             }
         }
 
-        // Lower + validate the solution-modifier stack, and fold it into
-        // the output-cardinality estimate.
-        let modifiers = ModifierPlan::lower(query, &slot_of)?;
+        let modifiers = ModifierPlan::lower(query, &vars.slot_of)?;
         let est_result_card = self.est.modifier_output_card(&bgp_est, &modifiers);
         let delivered_order =
             bgp_plan.as_ref().map(|p| p.delivered_order(self.ds)).unwrap_or_default();
-
         Ok(Prepared {
-            var_names,
+            var_names: vars.names,
             est_card: bgp_est.card,
             bgp_plan,
             unions,
@@ -731,6 +719,47 @@ impl<'a> Engine<'a> {
             est_result_card,
             delivered_order,
         })
+    }
+
+    /// Resolves one pattern position under `binding` — the only place a
+    /// term meets the dictionary. A variable takes the slot `var` assigns
+    /// it; a constant, or the term a `%parameter` is bound to, becomes its
+    /// id, or [`Slot::Absent`] when the store has never seen it.
+    fn resolve(&self, pos: &VarOrTerm, binding: &Binding, var: impl FnOnce(&str) -> usize) -> Slot {
+        let term = match pos {
+            VarOrTerm::Var(v) => return Slot::Var(var(v)),
+            VarOrTerm::Term(term) => term,
+            VarOrTerm::Param(p) => binding.get(p).expect("binding validated"),
+        };
+        self.ds.lookup(term).map_or(Slot::Absent, Slot::Bound)
+    }
+
+    /// Plans one group of the normal form: lowers its patterns (numbered
+    /// from `group.first_idx`, new variables taking the next free slots),
+    /// finds the `Cout`-optimal join tree and re-derives its root estimate.
+    /// `order_by` (the required BGP only) is the query whose ORDER BY the
+    /// plan may serve: a plan delivering a direction-uniform run of plain
+    /// key variables escapes the sort penalty in the root selection.
+    fn plan_group(
+        &self,
+        group: &Group<'_>,
+        binding: &Binding,
+        vars: &mut VarTable,
+        order_by: Option<&SelectQuery>,
+    ) -> Result<(GroupPlan, Estimate), QueryError> {
+        let lower = |(i, t): (usize, &&TriplePattern)| PlannedPattern {
+            idx: group.first_idx + i,
+            slots: t.positions().map(|pos| self.resolve(pos, binding, |v| vars.slot(v))),
+        };
+        let patterns: Vec<PlannedPattern> = group.patterns.iter().enumerate().map(lower).collect();
+        let sort = order_by.map_or_else(Vec::new, |query| {
+            order_pref_slots(query, &vars.slot_of, patterns.len() == 1)
+        });
+        let prefs = OrderPrefs { sort, mode: self.exec.order_exec };
+        let plan = optimize_with(&patterns, &self.est, &prefs)?;
+        let est = reestimate(&plan, &self.est);
+        let filters = group.filters_under(binding);
+        Ok((GroupPlan { plan, filters, join_vars: Vec::new() }, est))
     }
 
     /// Records the physical plan of one execution: **the only place** the
@@ -774,23 +803,14 @@ impl<'a> Engine<'a> {
                 (Some(root), morselized)
             }
         };
-        let serial = |plan: &PlanNode| plan.physical(self.ds, exec, false).0;
-        let unions: Vec<PhysGroup<'p>> = prepared
-            .unions
-            .iter()
-            .map(|u| PhysGroup {
-                branches: u.branches.iter().map(|(p, fs)| (serial(p), fs.as_slice())).collect(),
-                join_vars: &u.join_vars,
-            })
-            .collect();
-        let optionals: Vec<PhysGroup<'p>> = prepared
-            .optionals
-            .iter()
-            .map(|o| PhysGroup {
-                branches: vec![(serial(&o.plan), o.filters.as_slice())],
-                join_vars: &o.join_vars,
-            })
-            .collect();
+        let serial = |g: &'p GroupPlan| PhysGroup {
+            node: g.plan.physical(self.ds, exec, false).0,
+            filters: &g.filters,
+            join_vars: &g.join_vars,
+        };
+        let unions: Vec<Vec<PhysGroup<'p>>> =
+            prepared.unions.iter().map(|u| u.iter().map(serial).collect()).collect();
+        let optionals: Vec<PhysGroup<'p>> = prepared.optionals.iter().map(serial).collect();
         // With nothing stacked on a morselized BGP the parallel source
         // reaches the epilogue un-gathered and can be folded worker-side.
         let worker_side =
@@ -899,28 +919,27 @@ impl<'a> Engine<'a> {
         };
         for u in &plan.unions {
             let branches = u
-                .branches
                 .iter()
-                .map(|(node, filters)| filtered(node.lower(ds, CoutBucket::Required), filters))
+                .map(|b| filtered(b.node.lower(ds, CoutBucket::Required), b.filters))
                 .collect();
             let union: BoxedOperator<'a> = Box::new(UnionAll::new(branches));
+            let join_vars = u[0].join_vars;
             op = Some(match op {
                 None => union,
                 // Build the (bounded) union side, stream the base past it.
                 Some(base) => Box::new(HashJoinProbe::new(
                     base,
                     union,
-                    u.join_vars.to_vec(),
+                    join_vars.to_vec(),
                     true,
-                    format!("UNION⋈{:?}", u.join_vars),
+                    format!("UNION⋈{join_vars:?}"),
                     CoutBucket::Required,
                 )),
             });
         }
         let mut op = op.expect("prepare guarantees a base");
         for o in &plan.optionals {
-            let (node, filters) = &o.branches[0];
-            let right = filtered(node.lower(ds, CoutBucket::Optional), filters);
+            let right = filtered(o.node.lower(ds, CoutBucket::Optional), o.filters);
             op = Box::new(LeftOuterJoin::new(op, right, o.join_vars.to_vec()));
         }
         filtered(op, plan.filters)
@@ -1371,71 +1390,57 @@ impl<'a> Engine<'a> {
         template: &QueryTemplate,
         binding: &Binding,
     ) -> Result<QueryOutput, QueryError> {
-        let query = template.instantiate(binding)?;
-        let prepared = self.prepare(&query)?;
-        self.execute(&prepared)
+        self.execute(&self.prepare_template(template, binding)?)
     }
 
-    /// Prepares a template instantiation without executing (the profiling
-    /// path of the curation pipeline).
+    /// Prepares a template under a binding without executing — the
+    /// curation pipeline's profiling path, one optimizer run per candidate
+    /// binding. The template is planned directly (a `%parameter` resolves
+    /// through `binding`); the result is what [`Engine::prepare`] yields
+    /// for [`QueryTemplate::instantiate`]`(binding)`.
     pub fn prepare_template(
         &self,
         template: &QueryTemplate,
         binding: &Binding,
     ) -> Result<Prepared, QueryError> {
-        let query = template.instantiate(binding)?;
-        self.prepare(&query)
+        template.check_binding(binding)?;
+        self.plan_query(template.query(), binding)
     }
 
     /// Computes the [`PlanClass`] of a (template, binding) pair — the
-    /// plan cache's key — without parsing, optimizing or lowering
-    /// anything. Cost: one exact index count plus (cached) distinct-count
-    /// probes per triple pattern.
+    /// plan cache's key — without optimizing or lowering anything: one
+    /// walk over the template's normal form (the same pattern order
+    /// [`Engine::prepare_template`] numbers), costing one exact index
+    /// count plus (cached) distinct-count probes per triple pattern.
     pub fn plan_class(
         &self,
         template: &QueryTemplate,
         binding: &Binding,
     ) -> Result<PlanClass, QueryError> {
         template.check_binding(binding)?;
+        let nf = NormalForm::of(template.query())?;
         let mut words: Vec<u64> = Vec::new();
-        for t in template_patterns(template.query()) {
+        for t in nf.groups().flat_map(|g| &g.patterns) {
             // Synthetic probe pattern: real ids for constants and bound
             // parameters, one distinct variable per free position — its
             // scan estimate captures every statistic the real pattern's
             // estimate (including repeated-variable minima) derives from.
-            let mut slots = [Slot::Absent; 3];
-            let mut shape = 0u64;
-            let mut pred_param: Option<Slot> = None;
-            for (i, vot) in [&t.subject, &t.predicate, &t.object].into_iter().enumerate() {
-                let (slot, code) = match vot {
-                    VarOrTerm::Var(_) => (Slot::Var(i), 0u64),
-                    VarOrTerm::Term(term) => match self.ds.lookup(term) {
-                        Some(id) => (Slot::Bound(id), 1),
-                        None => (Slot::Absent, 1),
-                    },
-                    VarOrTerm::Param(p) => {
-                        let term = binding.get(p).expect("binding validated");
-                        match self.ds.lookup(term) {
-                            Some(id) => (Slot::Bound(id), 2),
-                            None => (Slot::Absent, 3),
-                        }
-                    }
-                };
-                slots[i] = slot;
-                shape = shape << 2 | code;
-                if i == 1 && code >= 2 {
-                    pred_param = Some(slot);
-                }
-            }
-            words.push(shape);
+            let positions = t.positions();
+            let slots: [Slot; 3] =
+                std::array::from_fn(|i| self.resolve(positions[i], binding, |_| i));
+            // Per position: variable, constant, parameter bound to a known
+            // term, parameter bound to a term the store has never seen.
+            let code = |(pos, slot): (&VarOrTerm, &Slot)| match (pos, slot) {
+                (VarOrTerm::Var(_), _) => 0u64,
+                (VarOrTerm::Term(_), _) => 1,
+                (VarOrTerm::Param(_), Slot::Absent) => 3,
+                (VarOrTerm::Param(_), _) => 2,
+            };
+            words.push(positions.into_iter().zip(&slots).fold(0, |w, p| w << 2 | code(p)));
             let est = self.est.scan(&PlannedPattern { idx: 0, slots });
             words.push(est.card as u64);
-            for (i, vot) in [&t.subject, &t.predicate, &t.object].into_iter().enumerate() {
-                if matches!(vot, VarOrTerm::Var(_)) {
-                    words.push(est.distinct_of(i).to_bits());
-                }
-            }
-            if let Some(Slot::Bound(id)) = pred_param {
+            words.extend(slots.iter().filter_map(|s| Some(est.distinct_of(s.as_var()?).to_bits())));
+            if let (true, Slot::Bound(id)) = (t.predicate.is_param(), slots[1]) {
                 words.push(id.0 as u64);
             }
         }
@@ -1443,17 +1448,17 @@ impl<'a> Engine<'a> {
     }
 
     /// Rebinds a cached [`Prepared`] plan skeleton to a new binding of the
-    /// same template **without re-parsing, re-optimizing or re-lowering**:
-    /// the new constants are substituted in place into the cached plan's
-    /// scan patterns (keyed by `PlannedPattern::idx`) and filter
-    /// expressions. Estimate fields, signature and modifier plan carry
-    /// over from the cache.
+    /// same template **without re-optimizing**: the template's normal form
+    /// is zipped with the cached groups; every scan leaf re-resolves its
+    /// parameterized positions (found through `PlannedPattern::idx`) and
+    /// every group's FILTERs are re-instantiated from the template's.
+    /// Estimates, signature and modifier plan carry over from the cache.
     ///
     /// Only valid when the new binding's [`PlanClass`] equals the cached
     /// plan's — the caller (the serving layer's plan cache) keys its
     /// entries by class, so a class change is a cache miss, never a wrong
     /// reuse. Under class equality the rebound plan is exactly what a cold
-    /// [`Engine::prepare`] of the instantiated query would produce.
+    /// [`Engine::prepare_template`] of the binding would produce.
     pub fn rebind(
         &self,
         cached: &Prepared,
@@ -1461,95 +1466,34 @@ impl<'a> Engine<'a> {
         binding: &Binding,
     ) -> Result<Prepared, QueryError> {
         template.check_binding(binding)?;
-        let query = template.query();
-
-        // Per-idx slot substitutions for the parameterized positions.
-        let patterns = template_patterns(query);
-        let mut subs: Vec<[Option<Slot>; 3]> = Vec::with_capacity(patterns.len());
-        for t in &patterns {
-            let mut sub = [None, None, None];
-            for (i, vot) in [&t.subject, &t.predicate, &t.object].into_iter().enumerate() {
-                if let VarOrTerm::Param(p) = vot {
-                    let term = binding.get(p).expect("binding validated");
-                    sub[i] = Some(match self.ds.lookup(term) {
-                        Some(id) => Slot::Bound(id),
-                        None => Slot::Absent,
-                    });
+        let nf = NormalForm::of(template.query())?;
+        let rebind_plan = |plan: &mut PlanNode, group: &Group<'_>| {
+            plan.patterns_mut(&mut |pat| {
+                let positions = group.patterns[pat.idx - group.first_idx].positions();
+                for (slot, pos) in pat.slots.iter_mut().zip(positions) {
+                    if pos.is_param() {
+                        *slot = self.resolve(pos, binding, |_| unreachable!("not a variable"));
+                    }
                 }
-            }
-            subs.push(sub);
-        }
+            });
+        };
 
         let mut out = cached.clone();
-        let mut apply = |pat: &mut PlannedPattern| {
-            for (i, s) in subs[pat.idx].iter().enumerate() {
-                if let Some(slot) = s {
-                    pat.slots[i] = *slot;
-                }
-            }
-        };
         if let Some(plan) = &mut out.bgp_plan {
-            plan.patterns_mut(&mut apply);
+            rebind_plan(plan, &nf.required);
         }
-        for u in &mut out.unions {
-            for (plan, _) in &mut u.branches {
-                plan.patterns_mut(&mut apply);
-            }
+        out.filters = nf.required.filters_under(binding);
+        let cached_groups = out.unions.iter_mut().flatten().chain(&mut out.optionals);
+        for (group, cached) in nf.scoped().zip(cached_groups) {
+            rebind_plan(&mut cached.plan, group);
+            cached.filters = group.filters_under(binding);
         }
-        for o in &mut out.optionals {
-            o.plan.patterns_mut(&mut apply);
-        }
-
-        // Filters, in prepare's grouping order: top-level filters, then
-        // per-UNION-branch filters, then per-OPTIONAL filters — each a
-        // structural lock-step walk of the template expression (which
-        // still carries `Expr::Param`) against the cached instantiation.
-        let mut top = out.filters.iter_mut();
-        for el in &query.where_clause {
-            if let Element::Filter(f) = el {
-                rebind_expr(top.next().expect("same template shape"), f, binding);
-            }
-        }
-        let mut union_plans = out.unions.iter_mut();
-        for el in &query.where_clause {
-            if let Element::Union(branches) = el {
-                let u = union_plans.next().expect("same template shape");
-                for (branch, (_, fs)) in branches.iter().zip(&mut u.branches) {
-                    let mut it = fs.iter_mut();
-                    for b_el in branch {
-                        if let Element::Filter(f) = b_el {
-                            rebind_expr(it.next().expect("same template shape"), f, binding);
-                        }
-                    }
-                }
-            }
-        }
-        let mut opt_plans = out.optionals.iter_mut();
-        for el in &query.where_clause {
-            if let Element::Optional(inner) = el {
-                let o = opt_plans.next().expect("same template shape");
-                let mut it = o.filters.iter_mut();
-                for o_el in inner {
-                    if let Element::Filter(f) = o_el {
-                        rebind_expr(it.next().expect("same template shape"), f, binding);
-                    }
-                }
-            }
-        }
-
         // The delivered order is a function of which positions are bound
         // (identical under class equality), but recomputing it is cheap
         // and keeps the invariant locally checkable.
         out.delivered_order =
             out.bgp_plan.as_ref().map(|p| p.delivered_order(self.ds)).unwrap_or_default();
         Ok(out)
-    }
-
-    /// Convenience: looks up a term, returning a readable error.
-    pub fn require_term(&self, term: &Term) -> Result<parambench_rdf::dict::Id, QueryError> {
-        self.ds
-            .lookup(term)
-            .ok_or_else(|| QueryError::Unsupported(format!("term not in dataset: {term}")))
     }
 }
 
@@ -1597,6 +1541,7 @@ fn order_pref_slots(
 mod tests {
     use super::*;
     use parambench_rdf::store::StoreBuilder;
+    use parambench_rdf::term::Term;
 
     /// Small social dataset: people, names, friendships, posts with dates.
     fn dataset() -> Dataset {
@@ -1811,6 +1756,14 @@ mod tests {
         let p = engine.prepare(&q).unwrap();
         assert!(p.signature.0.starts_with("UNION("), "{}", p.signature);
         assert!(p.explain().contains("UNION #0"));
+        // Pattern numbering is part of the signature: required patterns,
+        // then UNION branches, then OPTIONALs — whatever the clause order.
+        let q = crate::parser::parse_query(
+            "SELECT ?f WHERE { OPTIONAL { ?f <p/name> ?n } \
+             { ?f <p/wrote> ?x } UNION { ?x <p/wrote> ?f } ?f <p/knows> <person/0> }",
+        )
+        .unwrap();
+        assert_eq!(engine.prepare(&q).unwrap().signature.0, "S0+UNION(S1|S2)+OPT(S3)");
     }
 
     #[test]

@@ -615,25 +615,6 @@ pub fn exhaustive_min_cout(
     best
 }
 
-/// A convenience wrapper retaining per-subset diagnostics (for EXPLAIN and
-/// the curation profiler): the chosen plan plus its estimate.
-pub struct OptimizedBgp {
-    /// The Cout-optimal join tree.
-    pub plan: PlanNode,
-    /// The root estimate (cardinality + distinct counts).
-    pub est: Estimate,
-}
-
-/// Optimizes and re-derives the root estimate (distinct counts included).
-pub fn optimize_with_estimate(
-    patterns: &[PlannedPattern],
-    est: &Estimator<'_>,
-) -> Result<OptimizedBgp, QueryError> {
-    let plan = optimize(patterns, est)?;
-    let root_est = reestimate(&plan, est);
-    Ok(OptimizedBgp { plan, est: root_est })
-}
-
 /// Recomputes the estimate of a plan tree bottom-up (used when a plan is
 /// built or transplanted outside the DP).
 pub fn reestimate(plan: &PlanNode, est: &Estimator<'_>) -> Estimate {
@@ -650,9 +631,6 @@ pub fn reestimate(plan: &PlanNode, est: &Estimator<'_>) -> Estimate {
     leaves(plan, &mut ps);
     subset_estimate(&ps, est)
 }
-
-#[allow(dead_code)]
-fn _unused(_: &HashMap<usize, f64>) {}
 
 #[cfg(test)]
 mod tests {
@@ -891,7 +869,7 @@ mod tests {
             pattern(&ds, 0, "p/type", Some("class/0"), 0, 9),
             pattern(&ds, 1, "p/feature", None, 0, 1),
         ];
-        let opt = optimize_with_estimate(&pats, &est).unwrap();
-        assert!((opt.plan.est_card() - opt.est.card).abs() < 1e-9);
+        let plan = optimize(&pats, &est).unwrap();
+        assert!((plan.est_card() - reestimate(&plan, &est).card).abs() < 1e-9);
     }
 }

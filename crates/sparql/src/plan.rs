@@ -1164,13 +1164,16 @@ pub enum Sort {
     Full,
 }
 
-/// One recorded UNION (a branch per alternative) or OPTIONAL (exactly one
-/// branch) group: the branch trees with their scoped filters.
+/// One recorded group — a UNION branch or an OPTIONAL: its join tree, its
+/// scoped FILTERs and the slots it joins on.
 #[derive(Debug, Clone)]
 pub struct PhysGroup<'p> {
-    /// Recorded join tree and scoped FILTERs of each branch.
-    pub branches: Vec<(PhysNode, &'p [Expr])>,
-    /// Variable slots shared with the part evaluated before the group.
+    /// Recorded join tree.
+    pub node: PhysNode,
+    /// FILTERs scoped to the group.
+    pub filters: &'p [Expr],
+    /// Variable slots shared with the part evaluated before the group
+    /// (the same for every branch of one UNION).
     pub join_vars: &'p [usize],
 }
 
@@ -1188,9 +1191,10 @@ pub struct PhysicalPlan<'p> {
     pub bgp: Option<PhysNode>,
     /// The BGP's streaming spine runs over morsels of its driving scan.
     pub morselized: bool,
-    /// UNION groups: the first is the base when there is no BGP, every
-    /// other one is hash-joined (union side built) onto what precedes it.
-    pub unions: Vec<PhysGroup<'p>>,
+    /// UNION groups, a [`PhysGroup`] per branch: the first is the base when
+    /// there is no BGP, every other one is hash-joined (union side built)
+    /// onto what precedes it.
+    pub unions: Vec<Vec<PhysGroup<'p>>>,
     /// OPTIONAL groups, each a left outer join (optional side built).
     pub optionals: Vec<PhysGroup<'p>>,
     /// Top-level FILTERs, applied last.
@@ -1225,20 +1229,19 @@ impl PhysicalPlan<'_> {
         }
         for (i, u) in self.unions.iter().enumerate() {
             let how = if i == 0 && self.bgp.is_none() { "base" } else { "hash join, union built" };
-            out.push_str(&format!("UNION #{i} ({how}, on {:?})\n", u.join_vars));
-            for (b, (node, filters)) in u.branches.iter().enumerate() {
-                out.push_str(&format!("  branch {b} ({} filters):\n", filters.len()));
-                out.push_str(&node.render(2));
+            out.push_str(&format!("UNION #{i} ({how}, on {:?})\n", u[0].join_vars));
+            for (b, branch) in u.iter().enumerate() {
+                out.push_str(&format!("  branch {b} ({} filters):\n", branch.filters.len()));
+                out.push_str(&branch.node.render(2));
             }
         }
         for (i, o) in self.optionals.iter().enumerate() {
-            let (node, filters) = &o.branches[0];
             out.push_str(&format!(
                 "OPTIONAL #{i} (left outer join on {:?}, {} filters)\n",
                 o.join_vars,
-                filters.len()
+                o.filters.len()
             ));
-            out.push_str(&node.render(1));
+            out.push_str(&o.node.render(1));
         }
         if !self.filters.is_empty() {
             out.push_str(&format!("FILTER ({} expressions)\n", self.filters.len()));

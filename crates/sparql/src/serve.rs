@@ -456,8 +456,7 @@ impl SparqlServer {
                 (prepared, true)
             }
             None => {
-                let query = template.instantiate(binding)?;
-                let prepared = engine.prepare(&query)?;
+                let prepared = engine.prepare_template(template, binding)?;
                 self.plans().insert(key, Arc::new(prepared.clone()));
                 self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 (prepared, false)

@@ -155,12 +155,12 @@ fn substitute_elements(elements: &mut [Element], binding: &Binding) {
             Element::Triple(t) => {
                 for slot in [&mut t.subject, &mut t.predicate, &mut t.object] {
                     if let VarOrTerm::Param(p) = slot {
-                        let term = binding.get(p).expect("checked in instantiate").clone();
+                        let term = binding.get(p).expect("binding validated").clone();
                         *slot = VarOrTerm::Term(term);
                     }
                 }
             }
-            Element::Filter(e) => substitute_expr(e, binding),
+            Element::Filter(e) => *e = instantiate_expr(e, binding),
             Element::Optional(inner) => substitute_elements(inner, binding),
             Element::Union(branches) => {
                 for branch in branches {
@@ -171,18 +171,17 @@ fn substitute_elements(elements: &mut [Element], binding: &Binding) {
     }
 }
 
-fn substitute_expr(expr: &mut Expr, binding: &Binding) {
+/// `expr` with every `%param` replaced by its bound term — the one
+/// substitution function: [`QueryTemplate::instantiate`] applies it to
+/// each FILTER of the cloned query, the engine to each template FILTER it
+/// plans or rebinds. `binding` must already be validated.
+pub(crate) fn instantiate_expr(expr: &Expr, binding: &Binding) -> Expr {
+    let sub = |e: &Expr| Box::new(instantiate_expr(e, binding));
     match expr {
-        Expr::Param(p) => {
-            let term = binding.get(p).expect("checked in instantiate").clone();
-            *expr = Expr::Const(term);
-        }
-        Expr::Var(_) | Expr::Const(_) | Expr::Bound(_) => {}
-        Expr::Not(inner) => substitute_expr(inner, binding),
-        Expr::Binary(_, a, b) => {
-            substitute_expr(a, binding);
-            substitute_expr(b, binding);
-        }
+        Expr::Param(p) => Expr::Const(binding.get(p).expect("binding validated").clone()),
+        Expr::Not(inner) => Expr::Not(sub(inner)),
+        Expr::Binary(op, a, b) => Expr::Binary(*op, sub(a), sub(b)),
+        Expr::Var(_) | Expr::Const(_) | Expr::Bound(_) => expr.clone(),
     }
 }
 

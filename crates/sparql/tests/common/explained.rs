@@ -27,8 +27,8 @@ pub fn assert_executed_as_explained(
 ) {
     let (stats, m, text) = (&out.stats, plan.modifiers, plan.render());
     let mut nodes: Vec<&PhysNode> = Vec::new();
-    let groups = plan.unions.iter().chain(&plan.optionals);
-    for tree in plan.bgp.iter().chain(groups.flat_map(|g| g.branches.iter().map(|(n, _)| n))) {
+    let groups = plan.unions.iter().flatten().chain(&plan.optionals);
+    for tree in plan.bgp.iter().chain(groups.map(|g| &g.node)) {
         collect(tree, &mut nodes);
     }
 

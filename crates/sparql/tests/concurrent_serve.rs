@@ -256,33 +256,82 @@ fn worker_pool_caps_aggregate_threads_across_queries() {
 // templates (proptest corpus), plus the naive-evaluation oracle.
 // ---------------------------------------------------------------------------
 
-/// A random parameterized pattern: subject var, predicate index, object
-/// either a var, a fixed constant, or the template parameter `%x`.
+/// One position of a random template pattern. Each position kind has its
+/// own parameter name (`%s` / `%p` / `%x`), so a subject or predicate
+/// parameter is bound to a term of the matching kind and can really match.
 #[derive(Debug, Clone)]
-struct TemplateSpec {
-    patterns: Vec<(u8, u8, ObjSpec)>,
-}
-
-#[derive(Debug, Clone)]
-enum ObjSpec {
+enum Pos {
     Var(u8),
     Const(u8),
     Param,
 }
 
+/// Triple patterns `(subject, predicate, object)` plus one scoped filter
+/// `(variable pick, '=' instead of '!=')`: `FILTER(?var OP %x)` over one
+/// of the variables the group itself binds.
+#[derive(Debug, Clone)]
+struct GroupSpec {
+    patterns: Vec<(Pos, Pos, Pos)>,
+    filter: Option<(u8, bool)>,
+}
+
+/// A random parameterized template: a required group (empty only under a
+/// UNION — the bare-UNION body), an optional UNION group of one-pattern
+/// branches binding one variable set, and an optional OPTIONAL group.
+#[derive(Debug, Clone)]
+struct TemplateSpec {
+    required: GroupSpec,
+    union: Option<Vec<GroupSpec>>,
+    optional: Option<GroupSpec>,
+}
+
+fn arb_group(patterns: std::ops::Range<usize>) -> impl Strategy<Value = GroupSpec> {
+    let (var, konst) = ((0u8..4).prop_map(Pos::Var), (0u8..12).prop_map(Pos::Const));
+    // Subjects are mostly variables (so patterns join), predicates never.
+    let pattern = (
+        prop_oneof![8 => var.clone(), 4 => konst.clone(), 1 => Just(Pos::Param)],
+        prop_oneof![4 => konst.clone(), 1 => Just(Pos::Param)],
+        prop_oneof![4 => var, 4 => konst, 3 => Just(Pos::Param)],
+    );
+    let filter = prop_oneof![2 => Just(None), 1 => (0u8..8, any::<bool>()).prop_map(Some)];
+    (prop::collection::vec(pattern, patterns), filter)
+        .prop_map(|(patterns, filter)| GroupSpec { patterns, filter })
+}
+
 fn arb_template() -> impl Strategy<Value = TemplateSpec> {
-    let obj = prop_oneof![
-        (0u8..4).prop_map(ObjSpec::Var),
-        (0u8..12).prop_map(ObjSpec::Const),
-        Just(ObjSpec::Param),
-    ];
-    prop::collection::vec((0u8..4, 0u8..4, obj), 1..4).prop_map(|mut patterns| {
-        // Ensure at least one parameterized position so rebinding is real.
-        if !patterns.iter().any(|(_, _, o)| matches!(o, ObjSpec::Param)) {
-            patterns[0].2 = ObjSpec::Param;
-        }
-        TemplateSpec { patterns }
-    })
+    // UNION branches must bind the same variables: every branch gets the
+    // subject variable `?s{subj}`, and either the object variable `?v{obj}`
+    // or a non-variable object.
+    let union = (prop::collection::vec(arb_group(1..2), 2..4), 0u8..4, prop::option::of(0u8..4))
+        .prop_map(|(mut branches, subj, obj)| {
+            for (s, _, o) in branches.iter_mut().flat_map(|b| &mut b.patterns) {
+                *s = Pos::Var(subj);
+                *o = match (obj, &*o) {
+                    (Some(v), _) => Pos::Var(v),
+                    (None, Pos::Var(c)) => Pos::Const(*c),
+                    (None, other) => other.clone(),
+                };
+            }
+            branches
+        });
+    (
+        arb_group(0..4),
+        prop_oneof![2 => Just(None), 1 => union.prop_map(Some)],
+        prop_oneof![2 => Just(None), 1 => arb_group(1..3).prop_map(Some)],
+    )
+        .prop_map(|(required, union, optional)| {
+            let mut spec = TemplateSpec { required, union, optional };
+            if spec.union.is_none() && spec.required.patterns.is_empty() {
+                spec.required.patterns.push((Pos::Var(0), Pos::Const(0), Pos::Param));
+            }
+            // At least one parameterized position, so rebinding is real.
+            if !template_text(&spec).contains('%') {
+                let first = spec.required.patterns.first_mut();
+                let first = first.or_else(|| spec.union.as_mut()?[0].patterns.first_mut());
+                first.expect("a body has a required pattern or a UNION").1 = Pos::Param;
+            }
+            spec
+        })
 }
 
 fn spec_dataset(triples: &[(u8, u8, u8)]) -> Dataset {
@@ -297,43 +346,97 @@ fn spec_dataset(triples: &[(u8, u8, u8)]) -> Dataset {
     b.freeze()
 }
 
-fn template_text(spec: &TemplateSpec) -> String {
+/// One group's patterns and its filter, as query text.
+fn group_text(group: &GroupSpec) -> (String, String) {
     let mut body = String::new();
-    for (s, p, o) in &spec.patterns {
-        let obj = match o {
-            ObjSpec::Var(v) => format!("?v{v}"),
-            ObjSpec::Const(c) => format!("<o/{c}>"),
-            ObjSpec::Param => "%x".to_string(),
-        };
-        body.push_str(&format!("?s{s} <p/{p}> {obj} . "));
+    let mut vars: Vec<String> = Vec::new();
+    // (variable prefix, constant namespace, constant modulus, parameter)
+    let kinds = [("s", "s", 12, "s"), ("", "p", 4, "p"), ("v", "o", 12, "x")];
+    for (s, p, o) in &group.patterns {
+        for (pos, (var, ns, modulus, param)) in [s, p, o].into_iter().zip(kinds) {
+            body.push_str(&match pos {
+                Pos::Var(v) => {
+                    let name = format!("?{var}{v}");
+                    if !vars.contains(&name) {
+                        vars.push(name.clone());
+                    }
+                    name
+                }
+                Pos::Const(c) => format!("<{ns}/{}>", c % modulus),
+                Pos::Param => format!("%{param}"),
+            });
+            body.push(' ');
+        }
+        body.push_str(". ");
     }
-    format!("SELECT * WHERE {{ {body}}}")
+    let filter = match group.filter {
+        Some((pick, eq)) if !vars.is_empty() => {
+            let var = &vars[pick as usize % vars.len()];
+            format!("FILTER({var} {} %x) ", if eq { "=" } else { "!=" })
+        }
+        _ => String::new(),
+    };
+    (body, filter)
+}
+
+fn template_text(spec: &TemplateSpec) -> String {
+    // The required group's filter is the top-level one and goes last: the
+    // variable it picks stays bound through every later group.
+    let (mut body, top_filter) = group_text(&spec.required);
+    let scoped = |g: &GroupSpec| {
+        let (patterns, filter) = group_text(g);
+        format!("{{ {patterns}{filter}}} ")
+    };
+    if let Some(branches) = &spec.union {
+        body.push_str(&branches.iter().map(scoped).collect::<Vec<_>>().join("UNION "));
+    }
+    if let Some(optional) = &spec.optional {
+        body.push_str(&format!("OPTIONAL {}", scoped(optional)));
+    }
+    format!("SELECT * WHERE {{ {body}{top_filter}}}")
+}
+
+/// A binding for exactly `template`'s parameters: `%x` is object `x`, and
+/// `%s` / `%p` are subject / predicate `sp` (drawn apart, so two bindings
+/// can differ in the object alone and still share a plan class).
+fn spec_binding(template: &QueryTemplate, x: u8, sp: u8) -> Binding {
+    Binding::from_pairs(template.params().iter().map(|name| {
+        let term = match name.as_str() {
+            "s" => format!("s/{}", sp % 12),
+            "p" => format!("p/{}", sp % 4),
+            _ => format!("o/{}", x % 12),
+        };
+        (name.clone(), Term::iri(term))
+    }))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// For every random template and binding pair: when two bindings share
-    /// a [`parambench_sparql::PlanClass`], executing the *rebound* cached
-    /// plan is bit-identical (rows, order, `Cout`, `scanned`, estimates)
-    /// to a cold prepare of the same instantiation — and both match the
-    /// naive oracle. Distinct classes simply decline reuse.
+    /// a [`parambench_sparql::PlanClass`], the *rebound* cached plan is the
+    /// cold prepare of the same instantiation — signature, both EXPLAIN
+    /// renderings and every estimate bit-identical — executes to identical
+    /// rows, order, `Cout` and `scanned`, and both match the naive oracle.
+    /// Distinct classes simply decline reuse.
     #[test]
     fn cached_rebind_matches_cold_prepare(
         triples in prop::collection::vec((0u8..12, 0u8..4, 0u8..12), 1..60),
         spec in arb_template(),
         const_a in 0u8..12,
         const_b in 0u8..12,
+        same_sp in any::<bool>(),
     ) {
         let ds = spec_dataset(&triples);
         let engine = Engine::new(&ds);
-        let template = QueryTemplate::parse("rand", &template_text(&spec)).unwrap();
-        let bind_a = Binding::new().with("x", Term::iri(format!("o/{const_a}")));
-        let bind_b = Binding::new().with("x", Term::iri(format!("o/{const_b}")));
+        let text = template_text(&spec);
+        let template = QueryTemplate::parse("rand", &text).unwrap();
+        let bind_a = spec_binding(&template, const_a, const_a);
+        let bind_b = spec_binding(&template, const_b, if same_sp { const_a } else { const_b });
 
         let cold = |b: &Binding| {
             let q = template.instantiate(b).unwrap();
-            let prepared = engine.prepare(&q).unwrap();
+            let prepared = engine.prepare(&q).unwrap_or_else(|e| panic!("prepare {text}: {e}"));
             let out = engine.execute(&prepared).unwrap();
             (prepared, out, q)
         };
@@ -342,9 +445,10 @@ proptest! {
         // Same-binding rebind must always be possible and bit-identical.
         let rebound_a = engine.rebind(&prep_a, &template, &bind_a).unwrap();
         let out_ra = engine.execute(&rebound_a).unwrap();
-        prop_assert_eq!(&out_ra.results, &out_a.results);
+        prop_assert_eq!(&out_ra.results, &out_a.results, "{}", text);
         prop_assert_eq!(out_ra.cout, out_a.cout);
         prop_assert_eq!(out_ra.stats.scanned, out_a.stats.scanned);
+        prop_assert_eq!(rebound_a.explain(), prep_a.explain(), "{}", text);
 
         // Cross-binding reuse, gated by the class key.
         let class_a = engine.plan_class(&template, &bind_a).unwrap();
@@ -353,11 +457,24 @@ proptest! {
             let rebound_b = engine.rebind(&prep_a, &template, &bind_b).unwrap();
             let (prep_b, out_b, q_b) = cold(&bind_b);
             let out_rb = engine.execute(&rebound_b).unwrap();
-            prop_assert_eq!(&out_rb.results, &out_b.results, "rebind rows diverge from cold prepare");
+            prop_assert_eq!(&out_rb.results, &out_b.results, "rebind rows diverge: {}", text);
             prop_assert_eq!(out_rb.cout, out_b.cout);
             prop_assert_eq!(out_rb.stats.scanned, out_b.stats.scanned);
+            prop_assert_eq!(&rebound_b.signature, &prep_b.signature, "{}", text);
+            prop_assert_eq!(rebound_b.explain(), prep_b.explain(), "{}", text);
+            prop_assert_eq!(
+                engine.explain_physical(&rebound_b),
+                engine.explain_physical(&prep_b),
+                "{}", text
+            );
             prop_assert_eq!(rebound_b.est_cout.to_bits(), prep_b.est_cout.to_bits());
+            prop_assert_eq!(rebound_b.est_card.to_bits(), prep_b.est_card.to_bits());
+            prop_assert_eq!(rebound_b.est_result_card.to_bits(), prep_b.est_result_card.to_bits());
             prop_assert_eq!(&rebound_b.delivered_order, &prep_b.delivered_order);
+            // The class is a function of (template, binding, store) alone:
+            // an engine that never planned anything computes the same key.
+            let fresh = Engine::new(&ds).plan_class(&template, &bind_b).unwrap();
+            prop_assert_eq!(&fresh, &class_b, "{}", text);
             let oracle_out = oracle::evaluate(&ds, &q_b);
             oracle::assert_matches(&out_rb.results, &oracle_out, "rebound plan vs oracle");
         }

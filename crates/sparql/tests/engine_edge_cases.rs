@@ -116,6 +116,41 @@ fn filter_on_optional_var_with_bound_guard() {
     assert_eq!(out.results.len(), 5); // odd ranks have no label
 }
 
+/// A group-scoped FILTER is validated like a top-level one: a variable
+/// bound nowhere is `UnknownVariable`, and a variable bound only outside
+/// the group is a typed `Unsupported` naming both — the group's rows never
+/// carry it, so the FILTER used to drop every match (UNION branch) or
+/// leave every OPTIONAL side `UNDEF`, silently.
+#[test]
+fn scoped_filter_variables_are_validated() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    for text in [
+        "SELECT ?s WHERE { ?s <rank> ?r OPTIONAL { ?s <label> ?l . FILTER(?zzz > 1) } }",
+        "SELECT ?s WHERE { { ?s <rank> ?r . FILTER(?zzz > 1) } UNION { ?s <group> ?r } }",
+    ] {
+        let err = engine.run_text(text).unwrap_err();
+        assert_eq!(err, QueryError::UnknownVariable("zzz".into()), "{text}");
+    }
+    for (text, group) in [
+        ("SELECT ?s ?l WHERE { ?s <group> ?g OPTIONAL { ?s <label> ?l . FILTER(?g = <g/0>) } }", "OPTIONAL #0"),
+        ("SELECT ?s WHERE { ?s <rank> ?r . { ?s <group> ?g . FILTER(?r > 1) } UNION { ?s <label> ?g } }", "UNION #0"),
+    ] {
+        let Err(QueryError::Unsupported(msg)) = engine.run_text(text) else {
+            panic!("outer variable inside {group} must be rejected: {text}");
+        };
+        assert!(msg.contains(group) && (msg.contains("?g") || msg.contains("?r")), "{msg}");
+    }
+    // A FILTER over the group's own variables stays supported.
+    let out = engine
+        .run_text(
+            "SELECT ?s ?r WHERE { ?s <group> <g/0> OPTIONAL { ?s <rank> ?r . FILTER(?r > 5) } }",
+        )
+        .unwrap();
+    let bound = out.results.rows.iter().filter(|r| matches!(r[1], OutVal::Term(_))).count();
+    assert_eq!((out.results.len(), bound), (4, 2), "items 0, 3, 6, 9; ranks 6 and 9 pass");
+}
+
 #[test]
 fn cout_is_deterministic_across_runs() {
     let ds = dataset();
