@@ -297,9 +297,12 @@ mod tests {
         assert_eq!(run.templates.len(), 1);
         assert_eq!(run.templates[0].requests, 10);
         assert_eq!(run.templates[0].rows, 100, "10 requests x 10 rows");
-        // 5 distinct bindings of one class: one cold prepare, the rest hits.
-        assert_eq!(run.serve.cache_misses, 1);
-        assert_eq!(run.serve.cache_hits, 9);
+        // 5 distinct bindings of one class: the first request prepares
+        // cold and the rest hit — except that a client which looks the key
+        // up before that plan is published prepares too (once per client
+        // at most; which ones is a matter of scheduling).
+        assert!((1..=3).contains(&run.serve.cache_misses), "{:?}", run.serve);
+        assert_eq!(run.serve.cache_hits + run.serve.cache_misses, 10);
         assert!(run.throughput_qps > 0.0);
         // Concurrent service returns the same row counts as a serial private
         // engine (row-level equality is pinned by the sparql stress suite).

@@ -3,12 +3,14 @@
 //! Tiny monotonic counters incremented by the expensive freeze-time steps
 //! ([`crate::index::PermIndex::build`],
 //! [`crate::dict::Dictionary::reorder_by_value`] and the two full
-//! statistics computations, `compute_from_keys` in [`crate::stats`]). They
-//! exist so tests can assert *structurally* that
-//! [`crate::store::Dataset::load`] performs no rebuild work — the zero-copy
-//! contract of the snapshot path — and that a commit or a journal replay
-//! performs none either — the `O(delta)` contract of the write path —
-//! instead of relying on timing. The counters are process-global and
+//! statistics computations, `compute_from_keys` in [`crate::stats`]) and by
+//! the one read-side call that walks an index extent
+//! ([`crate::store::Dataset::distinct_with`]). They exist so tests can
+//! assert *structurally* that [`crate::store::Dataset::load`] performs no
+//! rebuild work — the zero-copy contract of the snapshot path — that a
+//! commit or a journal replay performs none either — the `O(delta)`
+//! contract of the write path — and that planning a served request walks no
+//! extent, instead of relying on timing. The counters are process-global and
 //! monotonically increasing; assertions should compare deltas, not
 //! absolute values.
 
@@ -17,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 static DICT_REORDERS: AtomicU64 = AtomicU64::new(0);
 static STATS_COMPUTES: AtomicU64 = AtomicU64::new(0);
+static DISTINCT_WALKS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`crate::index::PermIndex::build`] calls so far in this process.
 pub fn index_builds() -> u64 {
@@ -37,6 +40,13 @@ pub fn stats_computes() -> u64 {
     STATS_COMPUTES.load(Ordering::Relaxed)
 }
 
+/// Number of [`crate::store::Dataset::distinct_with`] calls — each a
+/// galloping run-count over the extent of its prefix — so far in this
+/// process.
+pub fn distinct_walks() -> u64 {
+    DISTINCT_WALKS.load(Ordering::Relaxed)
+}
+
 pub(crate) fn count_index_build() {
     INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
 }
@@ -47,4 +57,8 @@ pub(crate) fn count_dict_reorder() {
 
 pub(crate) fn count_stats_compute() {
     STATS_COMPUTES.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn count_distinct_walk() {
+    DISTINCT_WALKS.fetch_add(1, Ordering::Relaxed);
 }

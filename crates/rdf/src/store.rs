@@ -554,8 +554,11 @@ impl Dataset {
     /// overlay: a value disappears only when tombstones cover every base
     /// triple carrying it and no add re-supplies it; a value is new only
     /// when the base range never had it. `O(delta · log n)` on top of the
-    /// base cost.
+    /// base cost, which grows with the prefix's extent — counted by
+    /// [`crate::diag::distinct_walks`]. For an empty or predicate-only
+    /// prefix [`Dataset::stats`] holds the same number in `O(1)`.
     pub fn distinct_with(&self, order: IndexOrder, prefix: &[Id]) -> usize {
+        crate::diag::count_distinct_walk();
         let idx = self.index(order);
         let base = idx.distinct_after(prefix);
         if self.overlay.is_empty() {

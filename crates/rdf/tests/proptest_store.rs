@@ -98,6 +98,22 @@ fn assert_derived_exact(ds: &Dataset, when: &str) {
         CharacteristicSets::compute_from_keys(&spo),
         "characteristic sets {when}"
     );
+    assert_distinct_counts_are_the_walks(ds, when);
+}
+
+/// The contract the estimator reads the statistics under: every distinct
+/// count `DatasetStats` holds is what the galloping walk over the visible
+/// extent returns — per predicate its subjects (`PSO`) and objects
+/// (`POS`), globally the first key position of `SPO` / `PSO` / `OSP`.
+fn assert_distinct_counts_are_the_walks(ds: &Dataset, when: &str) {
+    let stats = ds.stats();
+    for (p, ps) in stats.predicates() {
+        assert_eq!(ps.distinct_subjects, ds.distinct_with(IndexOrder::Pso, &[p]), "{p:?} {when}");
+        assert_eq!(ps.distinct_objects, ds.distinct_with(IndexOrder::Pos, &[p]), "{p:?} {when}");
+    }
+    assert_eq!(stats.distinct_subjects, ds.distinct_with(IndexOrder::Spo, &[]), "subjects {when}");
+    assert_eq!(stats.distinct_predicates, ds.distinct_with(IndexOrder::Pso, &[]), "preds {when}");
+    assert_eq!(stats.distinct_objects, ds.distinct_with(IndexOrder::Osp, &[]), "objects {when}");
 }
 
 /// Saves a freshly frozen store to a unique temp snapshot and loads it

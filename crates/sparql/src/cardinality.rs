@@ -5,9 +5,10 @@
 //!
 //! * **single-pattern cardinalities are exact** — the six permutation
 //!   indexes answer any bound-prefix count in `O(log n)`;
-//! * **per-variable distinct counts are exact** where cheap (the var is the
-//!   only free position, or obtainable by a galloping run-count on the
-//!   right index) and cached across estimations;
+//! * **per-variable distinct counts are exact** — the pattern's count for
+//!   its only free position, the store's maintained statistics (`O(1)`)
+//!   when no subject or object is bound, else a galloping run-count over
+//!   the bound term's own triples;
 //! * **join cardinalities use the independence assumption** with the
 //!   containment-of-value-sets rule:
 //!   `|A ⋈ B| = |A|·|B| / Π_v max(d_A(v), d_B(v))`.
@@ -17,7 +18,6 @@
 //! needs a reasonable (not oracle, not broken) estimator to manifest.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::index::IndexOrder;
@@ -58,20 +58,10 @@ impl Estimate {
     }
 }
 
-/// Statistics-backed estimator with a cross-query distinct-count cache.
-///
-/// The cache matters for parameter profiling: a template's non-parameterized
-/// patterns recur across thousands of instantiations, and their distinct
-/// counts are identical every time.
-/// Cache key: (id-level access pattern, target position).
-type DistinctCache = Mutex<HashMap<([Option<Id>; 3], usize), f64>>;
-
-/// Statistics-backed cardinality estimator over one dataset, with a
-/// cross-query distinct-count cache (keyed on id-level access pattern
-/// and target position).
+/// Statistics-backed cardinality estimator over one dataset: stateless,
+/// every probe is answered by the store's indexes and statistics.
 pub struct Estimator<'a> {
     ds: &'a Dataset,
-    distinct_cache: DistinctCache,
     /// Use characteristic sets for star joins (ablation switch).
     use_char_sets: bool,
 }
@@ -79,13 +69,13 @@ pub struct Estimator<'a> {
 impl<'a> Estimator<'a> {
     /// Creates an estimator over a dataset (characteristic sets enabled).
     pub fn new(ds: &'a Dataset) -> Self {
-        Estimator { ds, distinct_cache: Mutex::new(HashMap::new()), use_char_sets: true }
+        Estimator { ds, use_char_sets: true }
     }
 
     /// An estimator restricted to the plain independence assumption —
     /// the ablation baseline for the characteristic-set improvement.
     pub fn without_char_sets(ds: &'a Dataset) -> Self {
-        Estimator { ds, distinct_cache: Mutex::new(HashMap::new()), use_char_sets: false }
+        Estimator { ds, use_char_sets: false }
     }
 
     /// The dataset this estimator reads.
@@ -147,27 +137,31 @@ impl<'a> Estimator<'a> {
     }
 
     /// Exact distinct count of the value at `target_pos` over the triples
-    /// matching `access`, via the permutation index whose key order puts the
-    /// bound positions first and `target_pos` next. Cached.
+    /// matching `access`, which leaves that and one more position free
+    /// ([`Estimator::scan`] asks in no other case): a field of the store's
+    /// statistics unless a subject or object is bound, then a walk of the
+    /// index keyed by that term and `target_pos` over its own triples.
     fn distinct_position(&self, access: [Option<Id>; 3], target_pos: usize) -> f64 {
-        let key = (access, target_pos);
-        if let Some(&d) = self.distinct_cache.lock().expect("poisoned").get(&key) {
-            return d;
-        }
-        let bound: Vec<usize> = (0..3).filter(|&i| access[i].is_some()).collect();
-        let order = IndexOrder::ALL
-            .into_iter()
-            .find(|o| {
-                let perm = o.perm();
-                perm[..bound.len()].iter().all(|p| bound.contains(p))
-                    && perm[bound.len()] == target_pos
-            })
-            .expect("six permutations cover every (bound-set, next) combination");
-        let prefix: Vec<Id> =
-            order.perm()[..bound.len()].iter().map(|&p| access[p].expect("bound")).collect();
-        let d = self.ds.distinct_with(order, &prefix) as f64;
-        self.distinct_cache.lock().expect("poisoned").insert(key, d);
-        d
+        use IndexOrder::{Ops, Osp, Sop, Spo};
+        let stats = self.ds.stats();
+        let d = match access {
+            [None, None, None] => {
+                [stats.distinct_subjects, stats.distinct_predicates, stats.distinct_objects]
+                    [target_pos]
+            }
+            [None, Some(p), None] => stats.predicate(p).map_or(0, |ps| match target_pos {
+                0 => ps.distinct_subjects,
+                _ => ps.distinct_objects,
+            }),
+            [Some(s), None, None] => {
+                self.ds.distinct_with(if target_pos == 1 { Spo } else { Sop }, &[s])
+            }
+            [None, None, Some(o)] => {
+                self.ds.distinct_with(if target_pos == 0 { Osp } else { Ops }, &[o])
+            }
+            _ => unreachable!("scan asks only while two positions are free"),
+        };
+        d as f64
     }
 
     /// Join estimate: characteristic sets for pure subject-star merges,
@@ -343,16 +337,31 @@ mod tests {
         assert_eq!(j.card, 400.0);
     }
 
+    /// `livesIn` has 10 subjects and 2 objects: a predicate-only scan must
+    /// read the right one of the two per-predicate counts, the all-free
+    /// scan the right one of the three global counts, and a bound-subject
+    /// scan still walks that subject's own triples.
     #[test]
-    fn distinct_cache_hits() {
+    fn scan_distinct_counts_are_per_position() {
         let ds = dataset();
         let est = Estimator::new(&ds);
-        let follows = ds.lookup(&Term::iri("p/follows")).unwrap();
-        let p = pat(0, Slot::Var(0), Slot::Bound(follows), Slot::Var(1));
-        let e1 = est.scan(&p);
-        let e2 = est.scan(&p);
-        assert_eq!(e1, e2);
-        assert!(!est.distinct_cache.lock().unwrap().is_empty());
+        let lives = ds.lookup(&Term::iri("p/livesIn")).unwrap();
+        let e = est.scan(&pat(0, Slot::Var(0), Slot::Bound(lives), Slot::Var(1)));
+        assert_eq!((e.card, e.distinct_of(0), e.distinct_of(1)), (10.0, 10.0, 2.0));
+
+        // 10 subjects, 2 predicates, 10 persons + 2 countries as objects.
+        let e = est.scan(&pat(0, Slot::Var(0), Slot::Var(1), Slot::Var(2)));
+        assert_eq!(e.card, 30.0);
+        assert_eq!((e.distinct_of(0), e.distinct_of(1), e.distinct_of(2)), (10.0, 2.0, 12.0));
+
+        // person/0: follows ×2 + livesIn ×1 → 2 predicates, 3 objects.
+        let p0 = ds.lookup(&Term::iri("person/0")).unwrap();
+        let e = est.scan(&pat(0, Slot::Bound(p0), Slot::Var(0), Slot::Var(1)));
+        assert_eq!((e.card, e.distinct_of(0), e.distinct_of(1)), (3.0, 2.0, 3.0));
+        // country/0 as object: 5 residents, one predicate.
+        let c0 = ds.lookup(&Term::iri("country/0")).unwrap();
+        let e = est.scan(&pat(0, Slot::Var(0), Slot::Var(1), Slot::Bound(c0)));
+        assert_eq!((e.card, e.distinct_of(0), e.distinct_of(1)), (5.0, 5.0, 1.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! instrumentation: wall time and measured `Cout`.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use parambench_rdf::dict::Id;
@@ -603,20 +603,20 @@ pub struct Engine<'a> {
     est: Estimator<'a>,
     exec: ExecConfig,
     /// Base directory the out-of-core layer creates its per-run spill
-    /// spaces under ([`crate::spill::SpillSpace`]).
-    spill_base: PathBuf,
+    /// spaces under ([`crate::spill::SpillSpace`]); `None`: system temp dir.
+    spill_base: Option<PathBuf>,
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine (and its statistics/estimator caches) for a
-    /// dataset, with the default (single-worker) [`ExecConfig`].
+    /// Creates an engine (references and configuration only: one per
+    /// request is free) with the default (single-worker) [`ExecConfig`].
     pub fn new(ds: &'a Dataset) -> Self {
         Self::with_exec_config(ds, ExecConfig::default())
     }
 
     /// Creates an engine with an explicit parallel-execution configuration.
     pub fn with_exec_config(ds: &'a Dataset, exec: ExecConfig) -> Self {
-        Engine { ds, est: Estimator::new(ds), exec, spill_base: std::env::temp_dir() }
+        Engine { ds, est: Estimator::new(ds), exec, spill_base: None }
     }
 
     /// The engine's default parallel-execution configuration.
@@ -632,15 +632,15 @@ impl<'a> Engine<'a> {
     /// The directory spill files are created under (the system temp dir
     /// by default). Each spilling execution makes its own uniquely-named
     /// subdirectory there and removes it when the run finishes.
-    pub fn spill_dir(&self) -> &Path {
-        &self.spill_base
+    pub fn spill_dir(&self) -> PathBuf {
+        self.spill_base.clone().unwrap_or_else(std::env::temp_dir)
     }
 
     /// Redirects spill files to `dir`. The directory itself need not
     /// exist yet; an unusable path surfaces as
     /// [`QueryError::Exec`] from the first execution that actually spills.
     pub fn set_spill_dir(&mut self, dir: impl Into<PathBuf>) {
-        self.spill_base = dir.into();
+        self.spill_base = Some(dir.into());
     }
 
     /// The underlying dataset.
@@ -1411,7 +1411,8 @@ impl<'a> Engine<'a> {
     /// plan cache's key — without optimizing or lowering anything: one
     /// walk over the template's normal form (the same pattern order
     /// [`Engine::prepare_template`] numbers), costing one exact index
-    /// count plus (cached) distinct-count probes per triple pattern.
+    /// count per triple pattern, plus the distinct counts of
+    /// [`Estimator::scan`] — none of which grows with a predicate's extent.
     pub fn plan_class(
         &self,
         template: &QueryTemplate,

@@ -317,6 +317,12 @@ impl SparqlServer {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The admission gate, recovered the same way: [`AdmissionPermit`]'s
+    /// `Drop` takes it while unwinding, where a panic aborts the process.
+    fn gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Applies a store mutation — insert/delete batches,
     /// [`Dataset::compact`], any combination — with full commit
     /// discipline. The only write entry point: on a non-durable server it
@@ -442,9 +448,8 @@ impl SparqlServer {
         let queue_wait = t0.elapsed();
         self.counters.queue_wait_nanos.fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
 
-        // Per-request engine over the shared store: cheap (the estimator's
-        // distinct cache is per-engine, but every constant-sensitive probe
-        // the class key needs is an indexed count).
+        // Per-request engine over the shared store: references only, and
+        // no probe of the class key grows with a predicate's extent.
         let engine = Engine::with_exec_config(&self.ds, self.exec);
         let class = engine.plan_class(template, binding)?;
         let key = (template.name().to_string(), class);
@@ -495,17 +500,17 @@ impl SparqlServer {
     /// Number of requests currently waiting in admission (exposed so
     /// tests can synchronize on "a request is queued" without timing).
     pub fn waiting(&self) -> usize {
-        self.gate.lock().expect("admission gate poisoned").waiting
+        self.gate().waiting
     }
 
     /// Blocks until an execution slot is free.
     fn admit(&self) -> AdmissionPermit<'_> {
-        let mut gate = self.gate.lock().expect("admission gate poisoned");
+        let mut gate = self.gate();
         if gate.running >= self.max_concurrent {
             self.counters.admissions_deferred.fetch_add(1, Ordering::Relaxed);
             gate.waiting += 1;
             while gate.running >= self.max_concurrent {
-                gate = self.admitted.wait(gate).expect("admission gate poisoned");
+                gate = self.admitted.wait(gate).unwrap_or_else(PoisonError::into_inner);
             }
             gate.waiting -= 1;
         }
@@ -598,9 +603,7 @@ struct AdmissionPermit<'s> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut gate = self.server.gate.lock().expect("admission gate poisoned");
-        gate.running -= 1;
-        drop(gate);
+        self.server.gate().running -= 1;
         self.server.admitted.notify_one();
     }
 }
@@ -716,4 +719,37 @@ pub fn drive_clients(
         .into_iter()
         .map(|s| s.into_inner().expect("result slot poisoned").expect("client filled every slot"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parambench_rdf::store::StoreBuilder;
+    use parambench_rdf::term::Term;
+
+    /// A client thread that dies holding the server's locks poisons them;
+    /// later requests — admission, the plan cache, and the permit release
+    /// in `Drop` — carry on over the still-consistent state.
+    #[test]
+    fn poisoned_locks_do_not_fail_later_requests() {
+        let mut b = StoreBuilder::new();
+        b.insert(Term::iri("s"), Term::iri("p"), Term::integer(1));
+        let server = SparqlServer::new(Arc::new(b.freeze()), ServeConfig::default());
+        let template = QueryTemplate::parse("t", "SELECT ?o WHERE { %s <p> ?o }").unwrap();
+        let binding = Binding::new().with("s", Term::iri("s"));
+        std::thread::scope(|scope| {
+            let dying = scope.spawn(|| {
+                let _gate = server.gate.lock().unwrap();
+                let _plans = server.cache.lock().unwrap();
+                panic!("a client dies holding both locks");
+            });
+            assert!(dying.join().is_err());
+        });
+        assert!(server.gate.is_poisoned() && server.cache.is_poisoned());
+        assert_eq!(server.waiting(), 0);
+        for hit in [false, true] {
+            let out = server.run(&template, &binding).unwrap();
+            assert_eq!((out.output.results.len(), out.cache_hit), (1, hit));
+        }
+    }
 }

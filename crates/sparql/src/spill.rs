@@ -75,10 +75,10 @@ pub struct SpillSpace {
 }
 
 impl SpillSpace {
-    /// Creates a fresh uniquely-named directory under `base`.
-    pub fn create_under(base: &Path) -> Result<SpillSpace, ExecError> {
+    /// Creates a fresh uniquely-named directory under `base` (`None`: system temp dir).
+    pub fn create_under(base: Option<&Path>) -> Result<SpillSpace, ExecError> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = base.join(format!(
+        let dir = base.map_or_else(std::env::temp_dir, Path::to_path_buf).join(format!(
             "parambench-spill-{}-{}",
             std::process::id(),
             NEXT.fetch_add(1, AtomicOrdering::Relaxed)
@@ -303,7 +303,7 @@ pub struct ExternalSorter<'a> {
     rows: Vec<Vec<Id>>,
     seqs: Vec<u64>,
     runs: Vec<RunFile>,
-    base: PathBuf,
+    base: Option<PathBuf>,
     space: Option<SpillSpace>,
     next_seq: u64,
 }
@@ -316,7 +316,7 @@ impl<'a> ExternalSorter<'a> {
         keys: RowKeys<'a>,
         width: usize,
         budget: usize,
-        base: PathBuf,
+        base: Option<PathBuf>,
     ) -> ExternalSorter<'a> {
         let descs = keys.descs();
         ExternalSorter {
@@ -365,7 +365,7 @@ impl<'a> ExternalSorter<'a> {
             return Ok(());
         }
         if self.space.is_none() {
-            self.space = Some(SpillSpace::create_under(&self.base)?);
+            self.space = Some(SpillSpace::create_under(self.base.as_deref())?);
         }
         let space = self.space.as_ref().expect("created above");
         let order = self.sorted_order();
@@ -530,7 +530,7 @@ pub(crate) struct ExternalGroupFold<'a> {
     schema: Vec<usize>,
     budget: usize,
     spilling: bool,
-    base: PathBuf,
+    base: Option<PathBuf>,
     space: Option<SpillSpace>,
     writers: Vec<Option<RunWriter>>,
     hasher: RandomState,
@@ -547,7 +547,7 @@ impl<'a> ExternalGroupFold<'a> {
         ds: &'a Dataset,
         budget: usize,
         eager: bool,
-        base: PathBuf,
+        base: Option<PathBuf>,
     ) -> Self {
         ExternalGroupFold {
             inner: GroupFold::new(agg, schema, ds),
@@ -581,7 +581,7 @@ impl<'a> ExternalGroupFold<'a> {
 
     fn spill_row(&mut self, row: &[Id], seq: u64, stats: &mut ExecStats) -> Result<(), ExecError> {
         if self.space.is_none() {
-            self.space = Some(SpillSpace::create_under(&self.base)?);
+            self.space = Some(SpillSpace::create_under(self.base.as_deref())?);
         }
         let space = self.space.as_ref().expect("created above");
         let key = self.inner.key_of(row);
@@ -687,7 +687,7 @@ mod tests {
 
     #[test]
     fn run_files_round_trip_rows_and_seqs() {
-        let space = SpillSpace::create_under(&std::env::temp_dir()).unwrap();
+        let space = SpillSpace::create_under(None).unwrap();
         let path = space.file("t.run");
         let mut w = RunWriter::create(path, 3).unwrap();
         for i in 0..100u32 {
@@ -708,10 +708,9 @@ mod tests {
 
     #[test]
     fn spill_space_removes_itself() {
-        let base = std::env::temp_dir();
         let dir;
         {
-            let space = SpillSpace::create_under(&base).unwrap();
+            let space = SpillSpace::create_under(None).unwrap();
             dir = space.path().to_path_buf();
             let mut w = RunWriter::create(space.file("x.run"), 1).unwrap();
             w.push(0, &[Id(1)]).unwrap();
@@ -764,12 +763,8 @@ mod tests {
         };
         for budget in [1usize, 3, 64, 100_000] {
             let mut stats = ExecStats::default();
-            let mut sorter = ExternalSorter::new(
-                RowKeys::cols(&ds, vec![(0, false)]),
-                2,
-                budget,
-                std::env::temp_dir(),
-            );
+            let mut sorter =
+                ExternalSorter::new(RowKeys::cols(&ds, vec![(0, false)]), 2, budget, None);
             for row in &rows {
                 sorter.push_row(row, &mut stats).unwrap();
             }
@@ -805,7 +800,7 @@ mod tests {
         m: &ModifierPlan,
     ) -> (Vec<Vec<SolVal>>, ExecStats) {
         let mut stats = ExecStats::default();
-        let mut fold = ExternalGroupFold::new(agg, schema, ds, budget, eager, std::env::temp_dir());
+        let mut fold = ExternalGroupFold::new(agg, schema, ds, budget, eager, None);
         for row in rows {
             fold.add_row(row, &mut stats).unwrap();
         }
