@@ -297,10 +297,16 @@ mod tests {
         assert_eq!(run.templates.len(), 1);
         assert_eq!(run.templates[0].requests, 10);
         assert_eq!(run.templates[0].rows, 100, "10 requests x 10 rows");
-        // 5 distinct bindings of one class: the first request prepares
-        // cold and the rest hit — except that a client which looks the key
-        // up before that plan is published prepares too (once per client
+        // 5 distinct bindings of one class: one cold prepare, the rest hits.
+        // Exact with one client; with three, a client that looks the key up
+        // before the first plan is published prepares too (once per client
         // at most; which ones is a matter of scheduling).
+        let serial_clients =
+            run_concurrent(Arc::clone(&ds), &requests, 1, ServeConfig::default()).unwrap();
+        assert_eq!(serial_clients.serve.cache_misses, 1);
+        assert_eq!(serial_clients.serve.cache_hits, 9);
+        assert_eq!(serial_clients.templates[0].cache_hits, 9);
+        assert_eq!(serial_clients.templates[0].rows, 100);
         assert!((1..=3).contains(&run.serve.cache_misses), "{:?}", run.serve);
         assert_eq!(run.serve.cache_hits + run.serve.cache_misses, 10);
         assert!(run.throughput_qps > 0.0);

@@ -8,7 +8,8 @@
 //! instrumentation: wall time and measured `Cout`.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parambench_rdf::dict::Id;
@@ -602,9 +603,9 @@ pub struct Engine<'a> {
     ds: &'a Dataset,
     est: Estimator<'a>,
     exec: ExecConfig,
-    /// Base directory the out-of-core layer creates its per-run spill
-    /// spaces under ([`crate::spill::SpillSpace`]); `None`: system temp dir.
-    spill_base: Option<PathBuf>,
+    /// Base directory of the per-run [`crate::spill::SpillSpace`]s; unset:
+    /// the system temp dir, resolved when a run spills or a caller asks.
+    spill_base: OnceLock<PathBuf>,
 }
 
 impl<'a> Engine<'a> {
@@ -616,7 +617,7 @@ impl<'a> Engine<'a> {
 
     /// Creates an engine with an explicit parallel-execution configuration.
     pub fn with_exec_config(ds: &'a Dataset, exec: ExecConfig) -> Self {
-        Engine { ds, est: Estimator::new(ds), exec, spill_base: None }
+        Engine { ds, est: Estimator::new(ds), exec, spill_base: OnceLock::new() }
     }
 
     /// The engine's default parallel-execution configuration.
@@ -632,15 +633,15 @@ impl<'a> Engine<'a> {
     /// The directory spill files are created under (the system temp dir
     /// by default). Each spilling execution makes its own uniquely-named
     /// subdirectory there and removes it when the run finishes.
-    pub fn spill_dir(&self) -> PathBuf {
-        self.spill_base.clone().unwrap_or_else(std::env::temp_dir)
+    pub fn spill_dir(&self) -> &Path {
+        self.spill_base.get_or_init(std::env::temp_dir)
     }
 
     /// Redirects spill files to `dir`. The directory itself need not
     /// exist yet; an unusable path surfaces as
     /// [`QueryError::Exec`] from the first execution that actually spills.
     pub fn set_spill_dir(&mut self, dir: impl Into<PathBuf>) {
-        self.spill_base = Some(dir.into());
+        self.spill_base = OnceLock::from(dir.into());
     }
 
     /// The underlying dataset.
@@ -1105,7 +1106,7 @@ impl<'a> Engine<'a> {
             }
             Fold::External { budget, eager } => {
                 let mut op = input(stats);
-                let dir = self.spill_base.clone();
+                let dir = self.spill_base.get().cloned();
                 let mut fold = ExternalGroupFold::new(agg, op.schema(), ds, budget, eager, dir);
                 Self::for_each_row(&mut op, stats, |row, st| {
                     fold.add_row(row, st).map_err(QueryError::from)
@@ -1193,8 +1194,8 @@ impl<'a> Engine<'a> {
             // exactly the in-memory stable-sort order.
             Sort::External { budget } => {
                 let keys = RowKeys::resolve(m, op.schema(), ds);
-                let width = op.schema().len();
-                let mut sorter = ExternalSorter::new(keys, width, budget, self.spill_base.clone());
+                let dir = self.spill_base.get().cloned();
+                let mut sorter = ExternalSorter::new(keys, op.schema().len(), budget, dir);
                 Self::for_each_row(&mut op, stats, |row, st| {
                     sorter.push_row(row, st).map_err(QueryError::from)
                 })?;

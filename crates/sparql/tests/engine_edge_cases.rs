@@ -553,8 +553,10 @@ fn spill_runs_are_cleaned_up_and_limit_exits_promptly_under_budget() {
     let n = MORSELS_PER_WAVE * morsel_rows * 2;
     let ds = grouped_dataset(n, 300);
     let mut engine = Engine::new(&ds);
+    assert_eq!(engine.spill_dir(), std::env::temp_dir());
     let spill_base = std::env::temp_dir().join(format!("parambench-test-{}", std::process::id()));
     engine.set_spill_dir(&spill_base);
+    assert_eq!(engine.spill_dir(), spill_base);
 
     // A spilling GROUP BY + ORDER BY + LIMIT under a forced-parallel
     // config: workers drain (aggregation needs all input), the fold
