@@ -314,11 +314,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("parambench-updates-durable-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        // The generated dataset came from `freeze()`; re-freeze in memory so
-        // the snapshot side starts from the same echo-free representation.
-        let mut base = g.dataset.clone();
-        base.compact();
-        let mut server = SparqlServer::create_durable(Arc::new(base), &dir, ServeConfig::default())
+        let base = Arc::new(g.dataset.clone());
+        let mut server = SparqlServer::create_durable(base, &dir, ServeConfig::default())
             .expect("creates durable store");
         let mut query_rows = Vec::new();
         for step in &workload.steps {

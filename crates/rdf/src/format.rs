@@ -63,7 +63,8 @@ pub const SEC_STATS: u32 = 6;
 /// Characteristic sets ([`crate::stats::CharacteristicSets`]).
 pub const SEC_CHAR_SETS: u32 = 7;
 /// Per-window FNV-1a sums of every other section, enabling windowed
-/// checksum verification on load (`PARAMBENCH_SNAPSHOT_VERIFY=windowed`):
+/// checksum verification on load (`Dataset::load_with_verify` with
+/// `VerifyMode::Windowed`):
 /// `window_size` u64, section count u64, then per section (in table
 /// order) `kind` u32, zero pad u32, window count u64 and that many u64
 /// sums — window `i` covering payload bytes `[i*w, min((i+1)*w, len))`.

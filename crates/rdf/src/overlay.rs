@@ -8,13 +8,14 @@
 //! three sorted sources on the fly, preserving ascending-id key order so
 //! merge joins and morsel slicing keep working unchanged.
 //!
-//! Invariants (maintained by the mutation API in `store.rs`):
+//! Invariants (maintained by the mutation API in `store.rs`, the only
+//! writer):
 //!
 //! * every tombstone refers to a triple present in the base indexes
 //!   (`dels ⊆ base`);
-//! * an added triple is never *visibly* duplicated: `adds` is disjoint
-//!   from `base \ dels`. A triple may sit in **both** runs (deleted base
-//!   triple re-inserted) — the merge emits it exactly once;
+//! * no added triple is a base triple (`adds ∩ base = ∅`): re-inserting a
+//!   tombstoned triple lifts the tombstone, and deleting an added triple
+//!   drops the add — so no triple ever sits in both runs;
 //! * the visible triple set is `(base \ dels) ∪ adds`, and every run is
 //!   strictly sorted in its order's key layout.
 //!
@@ -81,13 +82,6 @@ impl Overlay {
         self.has_overflow = true;
     }
 
-    /// True when the runs cancel exactly (`adds == dels`): the visible set
-    /// equals the base, so base-only consumers (the snapshot writer) may
-    /// ignore the overlay entirely.
-    pub fn net_empty(&self) -> bool {
-        self.adds[0] == self.dels[0]
-    }
-
     /// The `(adds, dels)` subranges matching `prefix` in `order`'s key
     /// layout — the two overlay-side inputs of a merged scan.
     pub fn range(&self, order: IndexOrder, prefix: &[Id]) -> (&[[Id; 3]], &[[Id; 3]]) {
@@ -142,28 +136,13 @@ impl Overlay {
             }
         }
     }
-
-    /// Seeds every triple of `spos` into **both** runs at once (bulk,
-    /// faster than repeated sorted inserts). Used by the
-    /// `PARAMBENCH_OVERLAY_STRESS` freeze hook: a triple in both runs is
-    /// tombstoned and immediately re-added, so the visible set is
-    /// unchanged while every scan exercises the tombstone-skip *and* the
-    /// add-merge path.
-    pub(crate) fn seed_echo(&mut self, spos: &[[Id; 3]]) {
-        for (slot, &order) in IndexOrder::ALL.iter().enumerate() {
-            let mut run: Vec<[Id; 3]> = spos.iter().map(|&t| order.key_of(t)).collect();
-            run.sort_unstable();
-            run.dedup();
-            self.adds[slot] = run.clone();
-            self.dels[slot] = run;
-        }
-    }
 }
 
 /// A three-way merge of one index range with the overlay's matching
 /// `adds`/`dels` subranges, emitting keys in ascending key order with
 /// tombstoned base keys skipped — the scan-time realization of
-/// `(base \ dels) ∪ adds`.
+/// `(base \ dels) ∪ adds`. Relies on the overlay's invariants: `dels ⊆
+/// base` and `adds ∩ base = ∅`, so every key it emits is emitted once.
 ///
 /// With empty overlay slices the merge degenerates to advancing the base
 /// slice (the fast path every frozen-only dataset takes).
@@ -201,24 +180,16 @@ impl<'a> MergedKeys<'a> {
                     return Some(a);
                 }
             }
-            // b <= every pending add. Tombstone check: dels is sorted in
-            // the same key order and a subset of base, so its front can
-            // only ever equal the base front here.
+            // b <= every pending add, and b is no add (adds ∩ base = ∅).
+            debug_assert!(self.adds.first() != Some(&b), "an add duplicates a base key");
+            // Tombstone check: dels is sorted in the same key order and a
+            // subset of base, so its front can only ever equal the base
+            // front here.
+            self.base = &self.base[1..];
             if self.dels.first() == Some(&b) {
                 self.dels = &self.dels[1..];
-                self.base = &self.base[1..];
-                if self.adds.first() == Some(&b) {
-                    // Deleted and re-added: visible exactly once.
-                    self.adds = &self.adds[1..];
-                    return Some(b);
-                }
                 continue;
             }
-            debug_assert!(
-                self.adds.first() != Some(&b),
-                "add duplicating a visible base key violates the overlay invariant"
-            );
-            self.base = &self.base[1..];
             return Some(b);
         }
     }
@@ -242,24 +213,16 @@ impl<'a> MergedKeys<'a> {
                     return Some(a);
                 }
             }
-            // b >= every pending add. Tombstone check: dels is sorted in
-            // the same key order and a subset of base, so its back can
-            // only ever equal the base back here.
+            // b >= every pending add, and b is no add (adds ∩ base = ∅).
+            debug_assert!(self.adds.last() != Some(&b), "an add duplicates a base key");
+            // Tombstone check: dels is sorted in the same key order and a
+            // subset of base, so its back can only ever equal the base
+            // back here.
+            self.base = &self.base[..self.base.len() - 1];
             if self.dels.last() == Some(&b) {
                 self.dels = &self.dels[..self.dels.len() - 1];
-                self.base = &self.base[..self.base.len() - 1];
-                if self.adds.last() == Some(&b) {
-                    // Deleted and re-added: visible exactly once.
-                    self.adds = &self.adds[..self.adds.len() - 1];
-                    return Some(b);
-                }
                 continue;
             }
-            debug_assert!(
-                self.adds.last() != Some(&b),
-                "add duplicating a visible base key violates the overlay invariant"
-            );
-            self.base = &self.base[..self.base.len() - 1];
             return Some(b);
         }
     }
@@ -327,17 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_then_readd_emits_once() {
-        let base = vec![t(0, 0, 0), t(1, 0, 0)];
-        let both = vec![t(1, 0, 0)];
-        let mut m = MergedKeys::new(&base, &both, &both);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.next_key(), Some(t(0, 0, 0)));
-        assert_eq!(m.next_key(), Some(t(1, 0, 0)));
-        assert_eq!(m.next_key(), None);
-    }
-
-    #[test]
     fn skip_matches_step_by_step_consumption() {
         let base: Vec<[Id; 3]> = (0..20).map(|i| t(i, 0, 0)).collect();
         let adds: Vec<[Id; 3]> = vec![t(3, 0, 1), t(10, 0, 1), t(25, 0, 0)];
@@ -389,19 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn backward_delete_then_readd_emits_once() {
-        let base = vec![t(0, 0, 0), t(1, 0, 0)];
-        let both = vec![t(1, 0, 0)];
-        let mut m = MergedKeys::new(&base, &both, &both);
-        assert_eq!(m.next_key_back(), Some(t(1, 0, 0)));
-        assert_eq!(m.next_key_back(), Some(t(0, 0, 0)));
-        assert_eq!(m.next_key_back(), None);
-    }
-
-    #[test]
     fn overlay_run_maintenance_keeps_all_orders_consistent() {
         let mut ov = Overlay::default();
-        assert!(ov.is_empty() && ov.net_empty());
+        assert!(ov.is_empty());
         ov.insert_add(t(5, 1, 9));
         ov.insert_add(t(2, 1, 7));
         ov.insert_add(t(5, 1, 9)); // duplicate: no-op
@@ -410,7 +352,6 @@ mod tests {
         assert_eq!(ov.dels_len(), 1);
         assert!(ov.in_adds(t(2, 1, 7)) && !ov.in_adds(t(3, 1, 8)));
         assert!(ov.in_dels(t(3, 1, 8)));
-        assert!(!ov.net_empty());
         // Every order's run is strictly sorted in its own key layout.
         for &order in &IndexOrder::ALL {
             let (adds, dels) = ov.range(order, &[]);
@@ -429,16 +370,5 @@ mod tests {
         ov.remove_del(t(3, 1, 8)); // absent: no-op
         assert_eq!(ov.adds_len(), 1);
         assert_eq!(ov.dels_len(), 0);
-    }
-
-    #[test]
-    fn seed_echo_is_net_empty() {
-        let mut ov = Overlay::default();
-        ov.seed_echo(&[t(1, 0, 0), t(4, 0, 0), t(2, 0, 2)]);
-        assert!(!ov.is_empty());
-        assert!(ov.net_empty());
-        assert_eq!(ov.adds_len(), 3);
-        assert_eq!(ov.dels_len(), 3);
-        assert!(!ov.has_overflow());
     }
 }

@@ -17,7 +17,7 @@
 //! `extern "C"` wrapper — the container has no `libc` crate) and scans
 //! binary-search the mapped bytes directly, reinterpreted as `[Id; 3]`
 //! keys via the crate-internal `SectionSlice`. Everywhere else — or when
-//! [`SNAPSHOT_MMAP_ENV`] is set to `off` — the file is read into an
+//! the kernel refuses the mapping — the file is read into an
 //! 8-byte-aligned arena and the same reinterpretation applies. Loading
 //! still touches every byte once (the per-section checksums are always
 //! verified, which doubles as page-cache warm-up); what it never does is
@@ -36,7 +36,6 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dict::{Dictionary, Id};
@@ -52,59 +51,24 @@ use crate::stats::{CharacteristicSets, CsEntry, DatasetStats, PredicateStats};
 use crate::store::Dataset;
 use crate::term::Term;
 
-/// Env knob: when set to `1`/`on`/`true`, [`crate::store::StoreBuilder::freeze`]
-/// round-trips the frozen dataset through a temporary on-disk snapshot and
-/// returns the *loaded* store — pointing an entire test suite at the
-/// mapped-scan path without changing any test (mirrors the
-/// `SPARQL_MEM_BUDGET_ROWS` suite-wide spill pass).
-pub const SNAPSHOT_FREEZE_ENV: &str = "PARAMBENCH_SNAPSHOT_FREEZE";
-
-/// Env knob: when set to `off`/`0`/`false`, [`Dataset::load`] skips `mmap`
-/// and reads the snapshot into an aligned heap arena instead — the
-/// portable fallback path, forceable for testing.
-pub const SNAPSHOT_MMAP_ENV: &str = "PARAMBENCH_SNAPSHOT_MMAP";
-
-/// Env knob selecting how [`Dataset::load`] verifies checksums:
-/// `full` (the default, and what CI pins) hashes every section whole;
-/// `windowed` verifies the per-window sums section instead — same
-/// byte coverage, but failure granularity of one window, and the shape
-/// that lets stores much larger than RAM skip the up-front sequential
-/// read one day. Tests pass [`VerifyMode`] explicitly (the environment is
-/// process-global); the knob only picks the default.
-pub const SNAPSHOT_VERIFY_ENV: &str = "PARAMBENCH_SNAPSHOT_VERIFY";
-
 /// Window size (bytes) used when *writing* the per-window checksum
 /// section. Verification reads the size from the file, so this can change
 /// without a format bump.
 pub const VERIFY_WINDOW_BYTES: usize = 1 << 20;
 
-/// How [`Dataset::load`] verifies section payloads against their
-/// checksums. See [`SNAPSHOT_VERIFY_ENV`].
+/// How a snapshot load verifies section payloads against their
+/// checksums. [`Dataset::load`] always verifies [`VerifyMode::Full`];
+/// [`Dataset::load_with_verify`] picks the mode explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyMode {
     /// Hash every section whole and compare with its table checksum.
     Full,
     /// Verify the window-sums section whole, then every section in
-    /// fixed-size windows against its recorded per-window sums.
+    /// fixed-size windows against its recorded per-window sums — same
+    /// byte coverage, failure granularity of one window, and the shape
+    /// that lets stores much larger than RAM skip the up-front sequential
+    /// read one day.
     Windowed,
-}
-
-/// The [`VerifyMode`] selected by [`SNAPSHOT_VERIFY_ENV`] (default:
-/// [`VerifyMode::Full`]). Read fresh per call like the other knobs.
-pub fn env_verify_mode() -> VerifyMode {
-    match std::env::var(SNAPSHOT_VERIFY_ENV).as_deref() {
-        Ok("windowed") | Ok("WINDOWED") => VerifyMode::Windowed,
-        _ => VerifyMode::Full,
-    }
-}
-
-pub(crate) fn freeze_roundtrip_enabled() -> bool {
-    matches!(std::env::var(SNAPSHOT_FREEZE_ENV).as_deref(), Ok("1") | Ok("on") | Ok("true"))
-}
-
-#[cfg(all(unix, target_pointer_width = "64"))]
-fn mmap_enabled() -> bool {
-    !matches!(std::env::var(SNAPSHOT_MMAP_ENV).as_deref(), Ok("off") | Ok("0") | Ok("false"))
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +163,7 @@ pub(crate) enum SnapshotBytes {
 }
 
 impl SnapshotBytes {
-    /// Opens `path`, mapping it when possible (see [`SNAPSHOT_MMAP_ENV`]).
+    /// Opens `path`, mapping it when possible.
     pub(crate) fn open(path: &Path) -> Result<Self, SnapshotError> {
         let io_err = |op: &'static str, e: std::io::Error| SnapshotError::Io {
             op,
@@ -207,7 +171,7 @@ impl SnapshotBytes {
             message: e.to_string(),
         };
         #[cfg(all(unix, target_pointer_width = "64"))]
-        if mmap_enabled() {
+        {
             let file = File::open(path).map_err(|e| io_err("open snapshot", e))?;
             let len = file.metadata().map_err(|e| io_err("stat snapshot", e))?.len();
             let len = usize::try_from(len)
@@ -683,14 +647,7 @@ fn verify_windowed(
     dec.done()
 }
 
-pub(crate) fn load_from(bytes: Arc<SnapshotBytes>) -> Result<Dataset, SnapshotError> {
-    load_from_with(bytes, env_verify_mode())
-}
-
-pub(crate) fn load_from_with(
-    bytes: Arc<SnapshotBytes>,
-    verify: VerifyMode,
-) -> Result<Dataset, SnapshotError> {
+fn load_from(bytes: Arc<SnapshotBytes>, verify: VerifyMode) -> Result<Dataset, SnapshotError> {
     let data = bytes.as_slice();
     let table = decode_header_and_table(data)?;
     if table.len() != SECTION_COUNT {
@@ -938,13 +895,10 @@ impl Dataset {
     /// serializes identically.
     ///
     /// The snapshot format stores the frozen base only, so a dataset with
-    /// *net* pending overlay updates is refused
-    /// ([`SnapshotError::PendingUpdates`]) — call [`Dataset::compact`]
-    /// first. A net-empty overlay (every add cancelled by a tombstone of
-    /// the same triple, as overlay stress mode seeds) is fine: the visible
-    /// set equals the base. A dictionary that grew post-freeze overflow
-    /// terms is refused even when the overlay cancelled back to empty
-    /// ([`SnapshotError::OverflowTerms`]): the format has no overflow
+    /// pending overlay updates is refused ([`SnapshotError::PendingUpdates`])
+    /// — call [`Dataset::compact`] first. A dictionary that grew post-freeze
+    /// overflow terms is refused even when the overlay cancelled back to
+    /// empty ([`SnapshotError::OverflowTerms`]): the format has no overflow
     /// watermark, so [`Dataset::load`] would treat the out-of-value-order
     /// overflow ids as value-ordered and re-enable the sort elimination
     /// this store's [`Dataset::order_by_value_intact`] gate declines.
@@ -957,7 +911,7 @@ impl Dataset {
     /// step of the atomic-publication protocol — temp-file writes, file
     /// fsync, rename, directory fsync — to scripted failures.
     pub fn save_with(&self, path: &Path, seam: &IoSeam) -> Result<(), SnapshotError> {
-        if !self.overlay.net_empty() {
+        if !self.overlay.is_empty() {
             return Err(SnapshotError::PendingUpdates {
                 adds: self.overlay.adds_len(),
                 dels: self.overlay.dels_len(),
@@ -992,37 +946,19 @@ impl Dataset {
     }
 
     /// Loads a dataset saved by [`Dataset::save`], verifying the magic,
-    /// version and every section checksum, then serving scans zero-copy
-    /// from the file bytes — no dictionary reorder, no index sort, no
-    /// per-triple allocation (see the module docs for the exact contract
-    /// and the `PARAMBENCH_SNAPSHOT_MMAP` fallback knob).
+    /// version and every section checksum ([`VerifyMode::Full`]), then
+    /// serving scans zero-copy from the file bytes — no dictionary
+    /// reorder, no index sort, no per-triple allocation (see the module
+    /// docs for the exact contract and the arena fallback).
     pub fn load(path: &Path) -> Result<Dataset, SnapshotError> {
-        load_from(Arc::new(SnapshotBytes::open(path)?))
+        Self::load_with_verify(path, VerifyMode::Full)
     }
 
     /// [`Dataset::load`] with the checksum [`VerifyMode`] chosen by the
-    /// caller instead of the [`SNAPSHOT_VERIFY_ENV`] knob (tests share the
-    /// process environment, so the explicit parameter is the reliable way
-    /// to pin a mode).
+    /// caller.
     pub fn load_with_verify(path: &Path, verify: VerifyMode) -> Result<Dataset, SnapshotError> {
-        load_from_with(Arc::new(SnapshotBytes::open(path)?), verify)
+        load_from(Arc::new(SnapshotBytes::open(path)?), verify)
     }
-}
-
-/// Saves `ds` to a unique temp file, loads it back and deletes the file
-/// (the mapping keeps the inode alive on unix; the arena path has already
-/// copied the bytes). Backs the [`SNAPSHOT_FREEZE_ENV`] suite-wide knob.
-pub(crate) fn roundtrip_via_temp_snapshot(ds: &Dataset) -> Result<Dataset, SnapshotError> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "parambench-freeze-{}-{}.pbsnap",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    ds.save(&path)?;
-    let loaded = load_from(Arc::new(SnapshotBytes::open(&path)?));
-    let _ = std::fs::remove_file(&path);
-    loaded
 }
 
 #[cfg(test)]
@@ -1036,7 +972,7 @@ mod tests {
         b.insert(Term::iri("http://e/a"), Term::iri("http://e/q"), Term::literal("x"));
         b.insert(Term::iri("http://e/b"), Term::iri("http://e/p"), Term::double(f64::NAN));
         b.insert(Term::iri("http://e/b"), Term::iri("http://e/p"), Term::integer(-3));
-        b.freeze_in_memory()
+        b.freeze()
     }
 
     fn temp(name: &str) -> std::path::PathBuf {
@@ -1084,10 +1020,10 @@ mod tests {
         let ds = sample();
         let path = temp("arena.pbsnap");
         ds.save(&path).expect("saves");
-        // Force the arena path directly (no env juggling: tests share the
-        // process environment).
+        // Force the arena path directly.
         let raw = std::fs::read(&path).expect("reads back");
-        let loaded = load_from(Arc::new(SnapshotBytes::arena(raw))).expect("arena load");
+        let loaded =
+            load_from(Arc::new(SnapshotBytes::arena(raw)), VerifyMode::Full).expect("arena load");
         assert!(loaded.is_loaded());
         assert!(!loaded.is_mapped(), "arena-backed store must not report an OS mapping");
         assert_same(&ds, &loaded);
@@ -1107,7 +1043,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_round_trips() {
-        let ds = StoreBuilder::new().freeze_in_memory();
+        let ds = StoreBuilder::new().freeze();
         let path = temp("empty.pbsnap");
         ds.save(&path).expect("saves");
         let loaded = Dataset::load(&path).expect("loads");
@@ -1213,9 +1149,8 @@ mod tests {
         // A 32-byte window: the term blob and key sections span several.
         save_to(&ds, &path, 32, &IoSeam::none()).expect("saves");
         let clean = std::fs::read(&path).unwrap();
-        let loaded =
-            load_from_with(Arc::new(SnapshotBytes::arena(clean.clone())), VerifyMode::Windowed)
-                .expect("clean windowed load");
+        let loaded = load_from(Arc::new(SnapshotBytes::arena(clean.clone())), VerifyMode::Windowed)
+            .expect("clean windowed load");
         assert_same(&ds, &loaded);
         // Flip one byte in every section's payload (first byte and a byte
         // past the first window): windowed mode must reject each.
@@ -1231,9 +1166,8 @@ mod tests {
                 }
                 let mut corrupt = clean.clone();
                 corrupt[(e.offset + probe) as usize] ^= 0x20;
-                let err =
-                    load_from_with(Arc::new(SnapshotBytes::arena(corrupt)), VerifyMode::Windowed)
-                        .expect_err("flipped byte must be rejected in windowed mode");
+                let err = load_from(Arc::new(SnapshotBytes::arena(corrupt)), VerifyMode::Windowed)
+                    .expect_err("flipped byte must be rejected in windowed mode");
                 assert!(
                     matches!(
                         err,

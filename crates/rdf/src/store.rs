@@ -25,34 +25,6 @@ use crate::wal::LoggedOp;
 /// A triple pattern at the id level: `None` = wildcard position.
 pub type IdPattern = [Option<Id>; 3];
 
-/// Environment variable enabling overlay stress mode (`1`/`on`/`true`):
-/// every [`StoreBuilder::freeze`] seeds a *net-empty* overlay echo — every
-/// third base triple tombstoned and immediately re-added — so the whole
-/// test suite exercises the tombstone-skip and add-merge scan paths with
-/// bit-identical results, and after every batch update the incrementally
-/// maintained statistics are asserted equal to a from-scratch compute over
-/// the visible set and the store auto-compacts at a tiny threshold so
-/// compaction runs constantly. Composes with
-/// `PARAMBENCH_SNAPSHOT_FREEZE` (the echo is seeded on the reloaded
-/// store). [`StoreBuilder::freeze_in_memory`] is never stressed, so
-/// differential baselines and cold-build timing stay clean.
-pub const OVERLAY_STRESS_ENV: &str = "PARAMBENCH_OVERLAY_STRESS";
-
-/// Whether overlay stress mode is on — read fresh on every call, like the
-/// other env knobs, so per-test overrides behave predictably.
-pub fn overlay_stress_enabled() -> bool {
-    matches!(
-        std::env::var(OVERLAY_STRESS_ENV).as_deref(),
-        Ok("1") | Ok("on") | Ok("ON") | Ok("true")
-    )
-}
-
-/// Pending-entry count above which the *batch* update APIs compact
-/// automatically under stress mode, so the whole suite exercises
-/// compaction. Outside stress mode they never do: compaction is an
-/// explicit, `O(store)` choice.
-const STRESS_COMPACT_ENTRIES: usize = 16;
-
 /// Accumulates triples (at the term level), then freezes into a [`Dataset`].
 ///
 /// The builder is the bulk-load path: once [`StoreBuilder::freeze`] runs,
@@ -119,33 +91,7 @@ impl StoreBuilder {
     /// order), so every sorted permutation index doubles as a sorted
     /// result source and the executor can skip sorts behind an
     /// order-compatible scan.
-    ///
-    /// When the `PARAMBENCH_SNAPSHOT_FREEZE` env knob is set (see
-    /// [`crate::snapshot::SNAPSHOT_FREEZE_ENV`]), the frozen dataset is
-    /// round-tripped through a temporary on-disk snapshot and the *loaded*
-    /// store is returned instead — pointing an entire test suite at the
-    /// mapped-scan path without touching a single test. When
-    /// [`OVERLAY_STRESS_ENV`] is set, the returned store additionally
-    /// carries a net-empty overlay echo so every scan exercises the merge
-    /// paths.
-    pub fn freeze(self) -> Dataset {
-        let mut ds = self.freeze_in_memory();
-        if crate::snapshot::freeze_roundtrip_enabled() {
-            ds = crate::snapshot::roundtrip_via_temp_snapshot(&ds)
-                .expect("PARAMBENCH_SNAPSHOT_FREEZE round-trip");
-        }
-        if overlay_stress_enabled() {
-            ds.seed_stress_overlay();
-        }
-        ds
-    }
-
-    /// [`StoreBuilder::freeze`] without the env-gated snapshot round-trip
-    /// or overlay stress echo: always builds (and returns) the plain
-    /// heap-resident store. The benchmark harness uses this to time cold
-    /// builds, and differential tests to hold the baseline side fixed
-    /// while the exercised side varies.
-    pub fn freeze_in_memory(mut self) -> Dataset {
+    pub fn freeze(mut self) -> Dataset {
         let old_to_new = self.dict.reorder_by_value();
         for triple in &mut self.triples {
             for slot in triple.iter_mut() {
@@ -222,7 +168,8 @@ impl Dataset {
 
     /// True when this dataset's base scans are served from an OS file
     /// mapping (the zero-copy fast path; false for heap builds and for the
-    /// read-into-arena fallback forced by `PARAMBENCH_SNAPSHOT_MMAP=off`).
+    /// read-into-arena fallback of hosts without a 64-bit unix `mmap`, or
+    /// of a mapping the kernel refused).
     pub fn is_mapped(&self) -> bool {
         self.indexes.iter().all(PermIndex::is_mapped)
     }
@@ -706,9 +653,7 @@ impl Dataset {
 
     /// Inserts a batch of triples; returns how many changed the visible
     /// set. `O(batch)`: each triple pays what [`Dataset::insert`] pays, and
-    /// the batch is captured as one [`LoggedOp`]. Under stress mode (see
-    /// [`OVERLAY_STRESS_ENV`]) the batch ends with the statistics
-    /// differential and the auto-compaction check.
+    /// the batch is captured as one [`LoggedOp`].
     pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
         let logging = self.update_log.is_some();
         let mut logged = Vec::new();
@@ -728,13 +673,11 @@ impl Dataset {
                 log.push(LoggedOp::Insert(logged));
             }
         }
-        self.finish_batch();
         changed
     }
 
     /// Deletes a batch of triples; returns how many changed the visible
-    /// set. `O(batch)`, logged and stress-checked like
-    /// [`Dataset::insert_batch`].
+    /// set. `O(batch)`, logged like [`Dataset::insert_batch`].
     pub fn delete_batch(&mut self, triples: impl IntoIterator<Item = (Term, Term, Term)>) -> usize {
         let logging = self.update_log.is_some();
         let mut logged = Vec::new();
@@ -757,7 +700,6 @@ impl Dataset {
                 log.push(LoggedOp::Delete(logged));
             }
         }
-        self.finish_batch();
         changed
     }
 
@@ -795,7 +737,7 @@ impl Dataset {
         if let Some(log) = log.as_mut() {
             log.push(LoggedOp::Compact);
         }
-        *self = StoreBuilder { dict, triples }.freeze_in_memory();
+        *self = StoreBuilder { dict, triples }.freeze();
         self.update_log = log;
     }
 
@@ -863,9 +805,8 @@ impl Dataset {
         self.stats.remove(spo[1], self.alone(spo));
         self.char_sets.remove(&self.subject_profile(spo[0]), spo[1]);
         if self.overlay.in_adds(spo) {
-            // Visible via the adds run (a post-freeze insert, or a
-            // deleted-then-readded base triple whose tombstone still
-            // stands): dropping the add suffices either way.
+            // Visible via the adds run (a post-freeze insert): dropping
+            // the add suffices.
             self.overlay.remove_add(spo);
         } else {
             self.overlay.insert_del(spo);
@@ -899,55 +840,6 @@ impl Dataset {
             }
         }
         profile
-    }
-
-    /// Panics unless the maintained statistics and characteristic sets
-    /// equal the full computation over the merged visible scans — the same
-    /// computation freeze runs, so the optimizer's inputs on a mutated
-    /// store are bit-identical to what a from-scratch freeze of the visible
-    /// set would produce (the property the update differential suite
-    /// pins). `O(store)`: stress mode and tests only.
-    fn assert_derived_exact(&self) {
-        let all = [None, None, None];
-        let pso: Vec<[Id; 3]> =
-            self.scan_with(all, IndexOrder::Pso).map(|t| IndexOrder::Pso.key_of(t)).collect();
-        assert_eq!(
-            self.stats,
-            DatasetStats::compute_from_keys(&pso),
-            "incrementally maintained statistics diverged from a from-scratch compute"
-        );
-        let spo: Vec<[Id; 3]> = self.scan_with(all, IndexOrder::Spo).collect();
-        assert_eq!(
-            self.char_sets,
-            CharacteristicSets::compute_from_keys(&spo),
-            "incrementally maintained characteristic sets diverged from a from-scratch compute"
-        );
-    }
-
-    /// The stress-mode tail of the batch APIs (see [`OVERLAY_STRESS_ENV`]):
-    /// the statistics differential, then compaction once the overlay has
-    /// outgrown the stress threshold. A no-op otherwise.
-    fn finish_batch(&mut self) {
-        if !overlay_stress_enabled() {
-            return;
-        }
-        self.assert_derived_exact();
-        if self.overlay.adds_len() + self.overlay.dels_len() > STRESS_COMPACT_ENTRIES {
-            self.compact();
-        }
-    }
-
-    /// Seeds the stress-mode overlay echo: every third base triple
-    /// tombstoned and immediately re-added. Net-empty — the visible set,
-    /// statistics and snapshot bytes are unchanged — but every scan now
-    /// runs the three-way merge.
-    fn seed_stress_overlay(&mut self) {
-        let echo: Vec<[Id; 3]> =
-            self.indexes[IndexOrder::Spo.slot()].range(&[]).iter().copied().step_by(3).collect();
-        if echo.is_empty() {
-            return;
-        }
-        self.overlay.seed_echo(&echo);
     }
 }
 
@@ -1258,6 +1150,30 @@ mod tests {
         }
         // Statistics stayed exact.
         assert_eq!(ds.stats().total_triples, model.len());
+        assert_derived_exact(ds);
+    }
+
+    /// Panics unless the maintained statistics and characteristic sets
+    /// equal the full computation over the merged visible scans — the same
+    /// computation freeze runs, so the optimizer's inputs on a mutated
+    /// store are bit-identical to what a from-scratch freeze of the visible
+    /// set would produce (the property the update differential suite
+    /// pins). `O(store)`.
+    fn assert_derived_exact(ds: &Dataset) {
+        let all = [None, None, None];
+        let pso: Vec<[Id; 3]> =
+            ds.scan_with(all, IndexOrder::Pso).map(|t| IndexOrder::Pso.key_of(t)).collect();
+        assert_eq!(
+            ds.stats,
+            DatasetStats::compute_from_keys(&pso),
+            "incrementally maintained statistics diverged from a from-scratch compute"
+        );
+        let spo: Vec<[Id; 3]> = ds.scan_with(all, IndexOrder::Spo).collect();
+        assert_eq!(
+            ds.char_sets,
+            CharacteristicSets::compute_from_keys(&spo),
+            "incrementally maintained characteristic sets diverged from a from-scratch compute"
+        );
     }
 
     #[test]
@@ -1265,9 +1181,7 @@ mod tests {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
         b.insert(term("s/b"), term("p"), term("o/2"));
-        // In-memory freeze: the assertions below reason about exact overlay
-        // run contents, which the stress-mode echo would perturb.
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         let mut model: std::collections::BTreeSet<(Term, Term, Term)> =
             [(term("s/a"), term("p"), term("o/1")), (term("s/b"), term("p"), term("o/2"))]
                 .into_iter()
@@ -1310,7 +1224,7 @@ mod tests {
     fn overflow_terms_suspend_value_order_until_compact() {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         assert!(ds.order_by_value_intact());
         let frozen = ds.frozen_terms();
         // A new term lands in the overflow region.
@@ -1344,7 +1258,7 @@ mod tests {
     fn compact_restores_value_order_after_cancelled_overflow_insert() {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         assert!(ds.insert(term("s/new"), term("p"), term("o/1")));
         assert!(ds.delete(&term("s/new"), &term("p"), &term("o/1")));
         assert!(ds.overlay().is_empty());
@@ -1367,7 +1281,7 @@ mod tests {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
         b.insert(term("s/b"), term("p"), term("o/2"));
-        let ds = b.freeze_in_memory();
+        let ds = b.freeze();
         let pat = [None, None, None];
         // Inverted range: empty, not an underflow.
         assert_eq!(ds.scan_slice(pat, 2, 1).count(), 0);
@@ -1382,7 +1296,7 @@ mod tests {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
         b.insert(term("s/b"), term("p"), term("o/2"));
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         assert!(ds.delete(&term("s/a"), &term("p"), &term("o/1")));
         ds.compact();
         assert_eq!(ds.len(), 1);
@@ -1401,7 +1315,7 @@ mod tests {
         for i in 0..12u32 {
             b.insert(term(&format!("s/{i}")), term("p"), term(&format!("o/{}", i % 5)));
         }
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         // Mix of tombstones, re-adds and fresh inserts.
         assert!(ds.delete(&term("s/3"), &term("p"), &term("o/3")));
         assert!(ds.delete(&term("s/7"), &term("p"), &term("o/2")));
@@ -1445,7 +1359,7 @@ mod tests {
         for i in 0..30u32 {
             b.insert(term(&format!("s/{i:02}")), term("p"), term(&format!("o/{}", i % 7)));
         }
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         assert!(ds.delete(&term("s/03"), &term("p"), &term("o/3")));
         assert!(ds.delete(&term("s/10"), &term("p"), &term("o/3")));
         assert!(ds.insert(term("s/03"), term("p"), term("o/3")));
@@ -1540,7 +1454,7 @@ mod tests {
     fn batch_apis_report_net_changes() {
         let mut b = StoreBuilder::new();
         b.insert(term("s/a"), term("p"), term("o/1"));
-        let mut ds = b.freeze_in_memory();
+        let mut ds = b.freeze();
         let n = ds.insert_batch(vec![
             (term("s/a"), term("p"), term("o/1")), // already visible
             (term("s/a"), term("p"), term("o/2")),
@@ -1554,60 +1468,5 @@ mod tests {
         ]);
         assert_eq!(n, 1);
         assert_eq!(ds.len(), 2);
-    }
-
-    #[test]
-    fn stress_echo_is_invisible_in_results() {
-        // Build the same dataset plain and with a hand-seeded echo (what
-        // PARAMBENCH_OVERLAY_STRESS does at freeze): every read agrees.
-        let build = || {
-            let mut b = StoreBuilder::new();
-            for i in 0..10u32 {
-                b.insert(term(&format!("s/{i}")), term("p"), term(&format!("o/{}", i % 4)));
-            }
-            b.freeze_in_memory()
-        };
-        let plain = build();
-        let mut echoed = build();
-        echoed.seed_stress_overlay();
-        assert!(!echoed.overlay().is_empty());
-        assert!(echoed.overlay().net_empty());
-        assert_eq!(echoed.len(), plain.len());
-        let p = plain.lookup(&term("p")).unwrap();
-        for pat in [[None, None, None], [None, Some(p), None]] {
-            let a: Vec<[Id; 3]> = plain.scan(pat).collect();
-            let b2: Vec<[Id; 3]> = echoed.scan(pat).collect();
-            assert_eq!(a, b2, "{pat:?}");
-            assert_eq!(plain.count(pat), echoed.count(pat));
-            assert_eq!(plain.distinct_next(pat), echoed.distinct_next(pat));
-        }
-        assert!(echoed.order_by_value_intact());
-    }
-
-    /// The stress echo puts a subject's triples in *both* overlay runs; the
-    /// `count` probes behind the incremental statistics must still see each
-    /// of them exactly once — through a delete that only drops the add (the
-    /// tombstone stays), the re-insert that lifts that tombstone, and new
-    /// triples on the echoed subject.
-    #[test]
-    fn statistics_stay_exact_for_a_subject_in_both_runs() {
-        let mut b = StoreBuilder::new();
-        for i in 0..9u32 {
-            b.insert(term(&format!("s/{}", i % 3)), term(&format!("p/{}", i % 2)), term("o"));
-        }
-        let mut ds = b.freeze_in_memory();
-        ds.seed_stress_overlay();
-        let [s, p, o] = ds.overlay().range(IndexOrder::Spo, &[]).0[0];
-        assert!(ds.overlay().in_adds([s, p, o]) && ds.overlay().in_dels([s, p, o]));
-        let (st, pt, ot) = (ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
-        ds.assert_derived_exact();
-        assert!(ds.delete(&st, &pt, &ot));
-        assert!(!ds.overlay().in_adds([s, p, o]) && ds.overlay().in_dels([s, p, o]));
-        ds.assert_derived_exact();
-        assert!(ds.insert(st.clone(), pt, ot));
-        assert!(!ds.overlay().in_dels([s, p, o]), "the tombstone is lifted");
-        ds.assert_derived_exact();
-        assert!(ds.insert(st, term("p/new"), term("o/new")));
-        ds.assert_derived_exact();
     }
 }

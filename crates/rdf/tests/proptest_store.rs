@@ -1,7 +1,11 @@
 //! Property tests: the indexed store agrees with a naive triple list on
 //! every access path, for arbitrary triple sets — and, under any
 //! interleaving of live updates, the statistics the store maintains from
-//! each delta equal a from-scratch computation over the visible triples.
+//! each delta equal a from-scratch computation over the visible triples —
+//! on a heap-built, a snapshot-loaded and an overlay-carrying base.
+
+#[path = "../../sparql/tests/common/stores.rs"]
+mod stores;
 
 use proptest::prelude::*;
 
@@ -116,21 +120,6 @@ fn assert_distinct_counts_are_the_walks(ds: &Dataset, when: &str) {
     assert_eq!(stats.distinct_objects, ds.distinct_with(IndexOrder::Osp, &[]), "objects {when}");
 }
 
-/// Saves a freshly frozen store to a unique temp snapshot and loads it
-/// back: the mapped-base twin of a heap-built store.
-fn reload(built: &Dataset) -> Dataset {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "parambench-propstore-{}-{}.pbsnap",
-        std::process::id(),
-        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    built.save(&path).expect("a frozen store saves");
-    let loaded = Dataset::load(&path).expect("the snapshot loads");
-    std::fs::remove_file(&path).ok();
-    loaded
-}
-
 fn builder_of(base: &[Triple]) -> StoreBuilder {
     let mut b = StoreBuilder::new();
     for &t in base {
@@ -140,16 +129,6 @@ fn builder_of(base: &[Triple]) -> StoreBuilder {
     b
 }
 
-/// The three bases every update property runs on: heap-built, loaded from
-/// a snapshot, and whatever `freeze()` returns under the suite's env knobs
-/// (with `PARAMBENCH_OVERLAY_STRESS=1` that store carries the n/3 echo, so
-/// touched subjects sit in both overlay runs).
-fn stores_of(build: impl Fn() -> StoreBuilder) -> [(&'static str, Dataset); 3] {
-    let heap = build().freeze_in_memory();
-    let loaded = reload(&heap);
-    [("heap", heap), ("loaded", loaded), ("freeze()", build().freeze())]
-}
-
 /// The named edge cases of incremental maintenance, forced one by one on
 /// a fixed store (the random interleavings below hit them too, but not by
 /// name). After every step the whole statistics equal a from-scratch
@@ -157,16 +136,13 @@ fn stores_of(build: impl Fn() -> StoreBuilder) -> [(&'static str, Dataset); 3] {
 #[test]
 fn incremental_statistics_named_edge_cases() {
     let iri = |s: &str| Term::iri(s.to_string());
-    let build = || {
-        let mut b = StoreBuilder::new();
-        b.insert(iri("a"), iri("p"), Term::integer(1));
-        b.insert(iri("a"), iri("p"), Term::integer(2));
-        b.insert(iri("a"), iri("q"), Term::integer(1));
-        b.insert(iri("b"), iri("p"), Term::integer(1));
-        b.insert(iri("c"), iri("r"), Term::integer(9));
-        b
-    };
-    for (kind, mut ds) in stores_of(build) {
+    let mut b = StoreBuilder::new();
+    b.insert(iri("a"), iri("p"), Term::integer(1));
+    b.insert(iri("a"), iri("p"), Term::integer(2));
+    b.insert(iri("a"), iri("q"), Term::integer(1));
+    b.insert(iri("b"), iri("p"), Term::integer(1));
+    b.insert(iri("c"), iri("r"), Term::integer(9));
+    for (kind, mut ds) in stores::twins(b) {
         let id = |ds: &Dataset, t: &str| ds.lookup(&iri(t)).expect("interned");
         assert_derived_exact(&ds, &format!("[{kind}] at freeze"));
         assert_eq!(ds.stats().distinct_predicates, 3);
@@ -255,7 +231,7 @@ fn compacted_store_saves_the_bytes_of_a_from_scratch_freeze() {
         std::fs::remove_file(&path).ok();
         bytes
     };
-    let mut ds = builder_of(&base).freeze_in_memory();
+    let mut ds = builder_of(&base).freeze();
     // Its three terms all stay in use by other base triples.
     assert_eq!(ds.delete_batch([tiny(base[0])]), 1);
     assert!(ds.insert_batch((0..15u8).map(|i| tiny((i, i, i)))) > 0);
@@ -264,7 +240,7 @@ fn compacted_store_saves_the_bytes_of_a_from_scratch_freeze() {
     for [s, p, o] in ds.scan([None, None, None]) {
         scratch.insert(ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
     }
-    let scratch = scratch.freeze_in_memory();
+    let scratch = scratch.freeze();
     assert_eq!(scratch.dict().len(), ds.dict().len(), "no term was orphaned");
     assert_eq!(saved(&ds, "compacted"), saved(&scratch, "scratch"));
 }
@@ -281,7 +257,7 @@ proptest! {
         base in prop::collection::vec(arb_triple(), 0..30),
         steps in arb_steps(),
     ) {
-        for (kind, mut ds) in stores_of(|| builder_of(&base)) {
+        for (kind, mut ds) in stores::twins(builder_of(&base)) {
             assert_derived_exact(&ds, &format!("[{kind}] at freeze"));
             let mut replayed = ds.clone();
             ds.begin_update_log();

@@ -24,7 +24,7 @@ fn sample() -> Dataset {
     }
     b.insert(Term::Blank("b0".into()), p(0), Term::Literal(Literal::lang("hallo", "de")));
     b.insert(Term::iri("http://e/s0"), p(5), Term::Literal(Literal::boolean(true)));
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 fn temp(name: &str) -> std::path::PathBuf {

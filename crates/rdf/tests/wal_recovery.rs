@@ -27,7 +27,7 @@ fn base() -> Dataset {
         let (s, p, o) = triple(i);
         b.insert(s, p, o);
     }
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 fn temp(name: &str) -> std::path::PathBuf {

@@ -48,17 +48,6 @@ pub const SNAPSHOT_FILE: &str = "store.pbsnap";
 /// Write-ahead journal file name inside a durable store directory.
 pub const JOURNAL_FILE: &str = "store.wal";
 
-/// Env knob (`1`/`on`/`true`): every [`SparqlServer::new`] attaches a
-/// write-ahead journal in a private temp directory, so the whole test
-/// suite journals every update — and on drop each server is reopened
-/// through the recovery replay path and compared against the live store.
-/// The suite-wide durability pass, mirroring `PARAMBENCH_OVERLAY_STRESS`.
-pub const WAL_STRESS_ENV: &str = "PARAMBENCH_WAL";
-
-fn wal_stress_enabled() -> bool {
-    matches!(std::env::var(WAL_STRESS_ENV).as_deref(), Ok("1") | Ok("on") | Ok("true"))
-}
-
 /// Configuration of a [`SparqlServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -120,10 +109,6 @@ struct Durability {
     snapshot: PathBuf,
     dir: PathBuf,
     seam: IoSeam,
-    /// Attached by the `PARAMBENCH_WAL=1` env knob: the directory is
-    /// private and temporary, and drop runs the recovery-echo check then
-    /// removes it.
-    stress: bool,
 }
 
 /// A shared-store query server: one dataset, one plan cache, one worker
@@ -144,37 +129,16 @@ pub struct SparqlServer {
     admitted: Condvar,
     counters: Counters,
     /// `Some` on a durable server ([`SparqlServer::open_durable`] /
-    /// [`SparqlServer::create_durable`], or the `PARAMBENCH_WAL` stress
-    /// knob): updates journal through it before they are published.
+    /// [`SparqlServer::create_durable`]): updates journal through it
+    /// before they are published.
     durability: Option<Durability>,
     /// Journal records replayed by [`SparqlServer::open_durable`].
     recovered: u64,
 }
 
 impl SparqlServer {
-    /// Builds a server over a shared dataset.
-    ///
-    /// Under `PARAMBENCH_WAL=1` (see [`WAL_STRESS_ENV`]) the server also
-    /// attaches a write-ahead journal in a private temp directory, so every
-    /// update in the process journals and every server drop exercises the
-    /// crash-recovery replay path.
+    /// Builds a (non-durable) server over a shared dataset.
     pub fn new(ds: Arc<Dataset>, config: ServeConfig) -> Self {
-        let mut server = Self::with_durability(ds, config, None, 0);
-        if wal_stress_enabled() {
-            server.attach_stress_durability();
-        }
-        server
-    }
-
-    /// The real constructor: every public entry point funnels here, and
-    /// only [`SparqlServer::new`] layers the env-driven stress attach on
-    /// top (so durable constructors never double-attach).
-    fn with_durability(
-        ds: Arc<Dataset>,
-        config: ServeConfig,
-        durability: Option<Durability>,
-        recovered: u64,
-    ) -> Self {
         let max_concurrent = config.max_concurrent.max(1);
         let pool = WorkerPool::leak(config.pool_capacity);
         let exec = ExecConfig {
@@ -192,8 +156,8 @@ impl SparqlServer {
             gate: Mutex::new(Gate::default()),
             admitted: Condvar::new(),
             counters: Counters::default(),
-            durability,
-            recovered,
+            durability: None,
+            recovered: 0,
         }
     }
 
@@ -250,9 +214,8 @@ impl SparqlServer {
         }
         ds.save_with(&snapshot, seam)?;
         let (wal, _) = Wal::open_with_seam(&journal, seam)?;
-        let durability =
-            Durability { wal, snapshot, dir: dir.to_path_buf(), seam: seam.clone(), stress: false };
-        Ok(Self::with_durability(ds, config, Some(durability), 0))
+        let durability = Durability { wal, snapshot, dir: dir.to_path_buf(), seam: seam.clone() };
+        Ok(Self { durability: Some(durability), ..Self::new(ds, config) })
     }
 
     /// Reopens a durable store directory after a shutdown or crash: maps
@@ -287,9 +250,8 @@ impl SparqlServer {
         let (wal, records) = Wal::open_with_seam(&journal, seam)?;
         let recovered = records.len() as u64;
         wal::replay(&mut ds, &records);
-        let durability =
-            Durability { wal, snapshot, dir: dir.to_path_buf(), seam: seam.clone(), stress: false };
-        Ok(Self::with_durability(Arc::new(ds), config, Some(durability), recovered))
+        let durability = Durability { wal, snapshot, dir: dir.to_path_buf(), seam: seam.clone() };
+        Ok(Self { durability: Some(durability), recovered, ..Self::new(Arc::new(ds), config) })
     }
 
     /// The shared dataset.
@@ -517,83 +479,6 @@ impl SparqlServer {
         gate.running += 1;
         AdmissionPermit { server: self }
     }
-
-    /// `PARAMBENCH_WAL=1` attach: snapshot the current dataset into a
-    /// private temp directory and journal every subsequent update there.
-    /// Skipped silently when the dataset refuses to save (pending overlay
-    /// updates or overflow terms on a hand-built store) — the knob must
-    /// never change which servers can be constructed.
-    fn attach_stress_durability(&mut self) {
-        static STRESS_SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = STRESS_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("parambench-walstress-{}-{seq}", std::process::id()));
-        if std::fs::create_dir_all(&dir).is_err() {
-            return;
-        }
-        let snapshot = dir.join(SNAPSHOT_FILE);
-        let seam = IoSeam::none();
-        if self.ds.save_with(&snapshot, &seam).is_err() {
-            let _ = std::fs::remove_dir_all(&dir);
-            return;
-        }
-        let journal = dir.join(JOURNAL_FILE);
-        let Ok((wal, _)) = Wal::open_with_seam(&journal, &seam) else {
-            let _ = std::fs::remove_dir_all(&dir);
-            return;
-        };
-        self.durability = Some(Durability { wal, snapshot, dir, seam, stress: true });
-    }
-}
-
-impl Drop for SparqlServer {
-    /// On a stress-attached server (`PARAMBENCH_WAL=1`), reopens the temp
-    /// store through the full crash-recovery path — map snapshot, scan
-    /// journal, replay — and asserts the recovered store serves the same
-    /// visible triple set and stats as the live one, then removes the temp
-    /// directory. This turns the entire test suite into a durability
-    /// differential. Skipped while panicking (don't mask the real
-    /// failure); plain and durable servers are unaffected.
-    fn drop(&mut self) {
-        let Some(d) = self.durability.take() else { return };
-        if !d.stress {
-            return;
-        }
-        let dir = d.dir.clone();
-        drop(d); // close the journal file handle before reopening
-        if !std::thread::panicking() {
-            verify_recovery_echo(&self.ds, &dir);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// The recovery-echo check behind `PARAMBENCH_WAL=1`: replay the journal
-/// over the snapshot and compare against the live store. Comparison is
-/// term-level (decoded triples, sorted) because dictionary ids may
-/// legitimately diverge when live and recovered stores auto-compact at
-/// different points.
-fn verify_recovery_echo(live: &Dataset, dir: &Path) {
-    let mut recovered = Dataset::load(&dir.join(SNAPSHOT_FILE)).expect("wal stress: snapshot");
-    let (_wal, records) = Wal::open(&dir.join(JOURNAL_FILE)).expect("wal stress: journal reopens");
-    wal::replay(&mut recovered, &records);
-    assert_eq!(
-        recovered.stats().total_triples,
-        live.stats().total_triples,
-        "wal stress: recovered triple count diverged from live store"
-    );
-    assert_eq!(
-        visible_terms(&recovered),
-        visible_terms(live),
-        "wal stress: recovered visible set diverged from live store"
-    );
-}
-
-/// The decoded visible triple set of a dataset, id-independent.
-fn visible_terms(ds: &Dataset) -> std::collections::BTreeSet<String> {
-    ds.scan([None, None, None])
-        .map(|[s, p, o]| format!("{:?}\t{:?}\t{:?}", ds.decode(s), ds.decode(p), ds.decode(o)))
-        .collect()
 }
 
 /// RAII admission slot: releasing it (on drop) wakes one queued request.

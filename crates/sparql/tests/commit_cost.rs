@@ -10,10 +10,13 @@
 //!
 //! One test, alone in its binary: the counters are process-global.
 
+#[path = "common/stores.rs"]
+mod stores;
+
 use std::sync::Arc;
 
 use parambench_rdf::diag;
-use parambench_rdf::store::{overlay_stress_enabled, Dataset, StoreBuilder};
+use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::serve::{ServeConfig, SparqlServer};
 
@@ -89,25 +92,10 @@ fn counters() -> (u64, u64, u64) {
     (diag::index_builds(), diag::dict_reorders(), diag::stats_computes())
 }
 
-fn reload(built: &Dataset, tag: &str) -> Dataset {
-    let path = std::env::temp_dir()
-        .join(format!("parambench-commitcost-{}-{tag}.pbsnap", std::process::id()));
-    built.save(&path).expect("snapshot saves");
-    let loaded = Dataset::load(&path).expect("snapshot loads");
-    std::fs::remove_file(&path).ok();
-    loaded
-}
-
 #[test]
 fn a_commit_costs_the_batch_and_only_compaction_rebuilds_the_base() {
-    if overlay_stress_enabled() {
-        // The stress pass turns every batch into a differential on
-        // purpose: a full computation to compare against, and a
-        // compaction every few entries.
-        return;
-    }
-    let heap = base().freeze_in_memory();
-    let loaded = reload(&heap, "loaded");
+    let heap = base().freeze();
+    let loaded = stores::reload(&heap);
     assert!(loaded.is_loaded() && !heap.is_loaded());
     for (kind, ds) in [("heap", heap), ("loaded", loaded)] {
         let mut server = SparqlServer::new(Arc::new(ds), ServeConfig::default());
@@ -149,7 +137,7 @@ fn a_commit_costs_the_batch_and_only_compaction_rebuilds_the_base() {
     // batch APIs and leave the counters where they were.
     let dir = std::env::temp_dir().join(format!("parambench-commitcost-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(base().freeze_in_memory());
+    let store = Arc::new(base().freeze());
     let mut server =
         SparqlServer::create_durable(store, &dir, ServeConfig::default()).expect("creates");
     for i in 0..20 {

@@ -35,8 +35,8 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Small product/review base store. `freeze_in_memory` keeps it echo-free
-/// so the saved snapshot and every from-scratch oracle start identical.
+/// Small product/review base store: the saved snapshot and every
+/// from-scratch oracle start from it.
 fn base_dataset() -> Dataset {
     let mut b = StoreBuilder::new();
     for i in 0..16 {
@@ -47,7 +47,7 @@ fn base_dataset() -> Dataset {
             b.insert(p, iri("feature"), Term::iri(format!("feat/{}", i % 5)));
         }
     }
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 /// One scripted update step. Every step changes the visible set, so each

@@ -33,10 +33,17 @@
 //! Every one of those runs is also checked against the physical plan
 //! recorded for it (`explained::assert_executed_as_explained`): what
 //! EXPLAIN says must be what the counters show ran.
+//!
+//! And every case runs all of the above on the three store twins of
+//! `common/stores.rs` — heap-built, snapshot-loaded and overlay-carrying —
+//! whose rows, row order, `Cout`, `scanned`, `peak_tuples` and plan
+//! signature must be identical to the heap store's.
 
 mod common;
 #[path = "common/explained.rs"]
 mod explained;
+#[path = "common/stores.rs"]
+mod stores;
 
 use common::oracle;
 use explained::assert_executed_as_explained;
@@ -45,13 +52,13 @@ use proptest::prelude::*;
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
-use parambench_sparql::{parse_query, ExecConfig};
+use parambench_sparql::{parse_query, ExecConfig, PlanSignature, QueryOutput};
 
 /// Builds a random dataset over small vocabularies so joins actually hit.
 /// Predicate 3 carries small-integer objects, so aggregates and ORDER BY
 /// see numeric values (kept integral: the oracle and the engine then
 /// compute bit-identical sums/averages regardless of fold order).
-fn dataset(triples: &[(u8, u8, u8)]) -> Dataset {
+fn dataset(triples: &[(u8, u8, u8)]) -> StoreBuilder {
     let mut b = StoreBuilder::new();
     for &(s, p, o) in triples {
         let object = if p % 4 == 3 {
@@ -61,7 +68,7 @@ fn dataset(triples: &[(u8, u8, u8)]) -> Dataset {
         };
         b.insert(Term::iri(format!("s/{}", s % 12)), Term::iri(format!("p/{}", p % 4)), object);
     }
-    b.freeze()
+    b
 }
 
 /// One random triple pattern: subject var, predicate index, object var or
@@ -347,8 +354,32 @@ fn build_body(
     (body, vars)
 }
 
-/// Runs one differential case: pushed vs unpushed vs oracle.
-fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
+/// Runs one differential case on each store twin and demands the heap
+/// twin's plan and output from the other two.
+fn check_twins(triples: &[(u8, u8, u8)], text: &str, limit_present: bool) {
+    let mut heap: Option<(PlanSignature, QueryOutput)> = None;
+    for (kind, ds) in stores::twins(dataset(triples)) {
+        let (sig, out) = check_case(&ds, text, limit_present);
+        let Some((heap_sig, heap_out)) = &heap else {
+            heap = Some((sig, out));
+            continue;
+        };
+        assert_eq!(&sig, heap_sig, "[{kind}] plan signature diverges for {text}");
+        assert_eq!(out.results, heap_out.results, "[{kind}] rows/order diverge for {text}");
+        assert_eq!(out.cout, heap_out.cout, "[{kind}] Cout diverges for {text}");
+        assert_eq!(out.stats.scanned, heap_out.stats.scanned, "[{kind}] scanned diverges");
+        assert_eq!(out.stats.peak_tuples, heap_out.stats.peak_tuples, "[{kind}] peak diverges");
+        if kind == "overlay" && heap_out.stats.scanned > 0 {
+            // Every predicate-bound range carries an overlay entry, so the
+            // first scan pulled merged some.
+            assert!(out.stats.overlay_rows > 0, "[overlay] no scan merged the overlay: {text}");
+        }
+    }
+}
+
+/// Runs one differential case: pushed vs unpushed vs oracle. Returns the
+/// plan signature and the default configuration's output.
+fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, QueryOutput) {
     let engine = Engine::new(ds);
     let query = parse_query(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
     let prepared = engine.prepare(&query).unwrap_or_else(|e| panic!("prepare {text:?}: {e}"));
@@ -509,6 +540,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) {
             }
         }
     }
+    (prepared.signature, pushed)
 }
 
 proptest! {
@@ -523,10 +555,9 @@ proptest! {
         optional in prop::option::of(prop::collection::vec(arb_pattern(), 1..3)),
         filters in prop::collection::vec(arb_filter(), 0..3),
     ) {
-        let ds = dataset(&triples);
         let (body, _vars) = build_body(&required, &optional, &filters);
         let text = format!("SELECT * WHERE {{ {body}}}");
-        check_case(&ds, &text, false);
+        check_twins(&triples, &text, false);
     }
 
     /// UNION bodies (with branch-scoped filters) stay equivalent too.
@@ -538,7 +569,6 @@ proptest! {
         constant in 0u8..12,
         limit in prop::option::of(0u8..9),
     ) {
-        let ds = dataset(&triples);
         let mut text = format!(
             "SELECT * WHERE {{ ?s0 <p/{pred_a}> ?v0 . \
              {{ ?s0 <p/{pred_b}> ?v1 . FILTER(?v1 != <o/{constant}>) }} \
@@ -547,7 +577,7 @@ proptest! {
         if let Some(l) = limit {
             text.push_str(&format!(" LIMIT {l}"));
         }
-        check_case(&ds, &text, limit.is_some());
+        check_twins(&triples, &text, limit.is_some());
     }
 }
 
@@ -568,12 +598,11 @@ proptest! {
         filters in prop::collection::vec(arb_filter(), 0..2),
         mods in arb_mods(),
     ) {
-        let ds = dataset(&triples);
         let (body, vars) = build_body(&required, &optional, &filters);
         let Some(text) = mods.render(&vars, &body) else {
             // Invalid spec draw (e.g. SUM(*)); skip without consuming a case.
             return Ok(());
         };
-        check_case(&ds, &text, mods.has_limit());
+        check_twins(&triples, &text, mods.has_limit());
     }
 }

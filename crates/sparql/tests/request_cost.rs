@@ -14,6 +14,9 @@
 //!
 //! One test, alone in its binary: the counter is process-global.
 
+#[path = "common/stores.rs"]
+mod stores;
+
 use std::sync::Arc;
 
 use parambench_datagen::bsbm::{self, Bsbm, BsbmConfig};
@@ -135,20 +138,6 @@ fn families() -> Vec<Family> {
     vec![bsbm_family, snb_family, lubm_family]
 }
 
-/// The store as a snapshot reader sees it. A store that carries pending
-/// overlay entries (the suite's overlay-stress pass) is compacted first: a
-/// snapshot holds a base only.
-fn reload(ds: &Dataset, tag: &str) -> Dataset {
-    let mut plain = ds.clone();
-    plain.compact();
-    let path = std::env::temp_dir()
-        .join(format!("parambench-requestcost-{}-{tag}.pbsnap", std::process::id()));
-    plain.save(&path).expect("snapshot saves");
-    let loaded = Dataset::load(&path).expect("snapshot loads");
-    std::fs::remove_file(&path).ok();
-    loaded
-}
-
 /// Runs the three request-path entry points for every binding — a fresh
 /// engine per request, as the server builds one — and returns each
 /// `(what, walks)` that moved the counter.
@@ -187,7 +176,7 @@ fn planning_a_request_walks_no_index_extent() {
     let mut moved = Vec::new();
     for family in families() {
         let Family { name, ds, requests, inserts } = family;
-        let loaded = reload(&ds, name);
+        let loaded = stores::reload(&ds);
         assert!(loaded.is_loaded());
 
         let server = SparqlServer::new(Arc::new(ds), ServeConfig::default());

@@ -9,6 +9,8 @@
 //! structural proof that snapshots reload without rebuilding.
 
 mod common;
+#[path = "common/stores.rs"]
+mod stores;
 
 use common::oracle;
 use proptest::prelude::*;
@@ -30,7 +32,7 @@ fn dataset(triples: &[(u8, u8, u8)]) -> Dataset {
         };
         b.insert(Term::iri(format!("s/{}", s % 12)), Term::iri(format!("p/{}", p % 4)), object);
     }
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 /// Serializes the tests in this binary: the zero-rebuild assertions read
@@ -38,18 +40,14 @@ fn dataset(triples: &[(u8, u8, u8)]) -> Dataset {
 /// concurrent test thread freezing its own dataset would move them.
 static DIAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Saves `built` to a unique temp snapshot and loads it back, asserting
-/// the load performed zero rebuild work.
-fn reload(built: &Dataset, tag: &str) -> Dataset {
-    let path = std::env::temp_dir()
-        .join(format!("parambench-snapdiff-{}-{tag}.pbsnap", std::process::id()));
-    built.save(&path).expect("snapshot saves");
+/// Saves `built` to a temp snapshot and loads it back, asserting the
+/// round trip performed zero rebuild work.
+fn reload(built: &Dataset) -> Dataset {
     let builds = parambench_rdf::diag::index_builds();
     let reorders = parambench_rdf::diag::dict_reorders();
-    let loaded = Dataset::load(&path).expect("snapshot loads");
+    let loaded = stores::reload(built);
     assert_eq!(parambench_rdf::diag::index_builds(), builds, "load must not build indexes");
     assert_eq!(parambench_rdf::diag::dict_reorders(), reorders, "load must not reorder the dict");
-    std::fs::remove_file(&path).ok();
     loaded
 }
 
@@ -97,7 +95,7 @@ fn fixed_mix_is_bit_identical_on_a_loaded_snapshot() {
     let triples: Vec<(u8, u8, u8)> =
         (0u8..60).map(|i| (i % 11, i % 5, i.wrapping_mul(7) % 13)).collect();
     let built = dataset(&triples);
-    let loaded = reload(&built, "fixed");
+    let loaded = reload(&built);
     assert!(loaded.is_loaded());
     for text in query_mix() {
         check_case(&built, &loaded, &text);
@@ -108,7 +106,7 @@ fn fixed_mix_is_bit_identical_on_a_loaded_snapshot() {
 fn empty_store_snapshot_serves_queries() {
     let _guard = DIAG_LOCK.lock().unwrap();
     let built = dataset(&[]);
-    let loaded = reload(&built, "empty");
+    let loaded = reload(&built);
     for text in query_mix() {
         check_case(&built, &loaded, &text);
     }
@@ -122,11 +120,10 @@ proptest! {
     #[test]
     fn random_datasets_round_trip_bit_identically(
         triples in prop::collection::vec((0u8..12, 0u8..5, 0u8..16), 0..120),
-        tag in 0u32..1_000_000,
     ) {
         let _guard = DIAG_LOCK.lock().unwrap();
         let built = dataset(&triples);
-        let loaded = reload(&built, &format!("prop{tag}"));
+        let loaded = reload(&built);
         for text in query_mix() {
             check_case(&built, &loaded, &text);
         }

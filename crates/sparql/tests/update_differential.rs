@@ -6,7 +6,10 @@
 //! thread counts {1, 4} × order-execution modes {auto, force, off}. The
 //! updated store's results are additionally checked against the
 //! independent naive oracle, and `compact()` must preserve all of it (the
-//! re-freeze changes representation, never results or plans).
+//! re-freeze changes representation, never results or plans). Every
+//! pre-interned interleaving runs twice: over a heap-built base and over
+//! the same base reloaded from a snapshot — a mapped base under a live
+//! overlay, which is what a durable server serves after recovery.
 //!
 //! The full term vocabulary is pre-interned in both builders, so the
 //! update path never creates dictionary overflow ids and both stores
@@ -25,6 +28,8 @@
 mod common;
 #[path = "common/explained.rs"]
 mod explained;
+#[path = "common/stores.rs"]
+mod stores;
 
 use std::collections::BTreeSet;
 
@@ -43,6 +48,9 @@ type Triple = (u8, u8, u8);
 
 /// One update batch: `true` = insert these, `false` = delete these.
 type Batch = (bool, Vec<Triple>);
+
+/// The decoded visible triple set a store must serve.
+type Model = BTreeSet<(Term, Term, Term)>;
 
 fn term_s(s: u8) -> Term {
     Term::iri(format!("s/{}", s % 12))
@@ -85,72 +93,76 @@ fn preinterned_builder() -> StoreBuilder {
     b
 }
 
-/// Freezes `base`, applies the update batches live, and returns the store
-/// together with the model of what should now be visible.
-fn live_store(base: &[Triple], batches: &[Batch]) -> (Dataset, BTreeSet<(Term, Term, Term)>) {
-    let mut b = preinterned_builder();
-    let mut model: BTreeSet<(Term, Term, Term)> = BTreeSet::new();
-    for &t in base {
-        let (s, p, o) = terms_of(t);
-        b.insert(s.clone(), p.clone(), o.clone());
-        model.insert((s, p, o));
-    }
-    let mut ds = b.freeze_in_memory();
+/// Applies the update batches live to `ds`.
+fn apply_batches(ds: &mut Dataset, batches: &[Batch]) {
     for (insert, triples) in batches {
-        let batch: Vec<(Term, Term, Term)> = triples.iter().map(|&t| terms_of(t)).collect();
+        let batch = triples.iter().map(|&t| terms_of(t));
         if *insert {
-            for t in &batch {
-                model.insert(t.clone());
-            }
             ds.insert_batch(batch);
         } else {
-            for t in &batch {
-                model.remove(t);
-            }
             ds.delete_batch(batch);
         }
     }
-    (ds, model)
 }
 
-/// The non-pre-interned twin of [`live_store`]: the builder interns only
-/// what the *base* triples mention, so any new term an update batch
-/// introduces after `freeze()` gets a dictionary **overflow id** — out of
-/// value order by construction. On such a store the engine must decline
-/// the order service (`order_by_value_intact` is false) and really sort.
-fn live_store_raw(base: &[Triple], batches: &[Batch]) -> (Dataset, BTreeSet<(Term, Term, Term)>) {
-    let mut b = StoreBuilder::new();
-    let mut model: BTreeSet<(Term, Term, Term)> = BTreeSet::new();
-    for &t in base {
-        let (s, p, o) = terms_of(t);
-        b.insert(s.clone(), p.clone(), o.clone());
-        model.insert((s, p, o));
-    }
-    let mut ds = b.freeze_in_memory();
+/// What should be visible after `batches` ran over `base`.
+fn model_of(base: &[Triple], batches: &[Batch]) -> Model {
+    let mut model: Model = base.iter().map(|&t| terms_of(t)).collect();
     for (insert, triples) in batches {
-        let batch: Vec<(Term, Term, Term)> = triples.iter().map(|&t| terms_of(t)).collect();
-        if *insert {
-            for t in &batch {
-                model.insert(t.clone());
+        for t in triples.iter().map(|&t| terms_of(t)) {
+            if *insert {
+                model.insert(t);
+            } else {
+                model.remove(&t);
             }
-            ds.insert_batch(batch);
-        } else {
-            for t in &batch {
-                model.remove(t);
-            }
-            ds.delete_batch(batch);
         }
     }
-    (ds, model)
+    model
+}
+
+/// Freezes `base` over the pre-interned vocabulary and applies the update
+/// batches live — once on the heap-built base, once on the same base
+/// reloaded from a snapshot — returning both stores with the model of what
+/// should now be visible.
+fn live_stores(base: &[Triple], batches: &[Batch]) -> ([(&'static str, Dataset); 2], Model) {
+    let mut b = preinterned_builder();
+    for &t in base {
+        let (s, p, o) = terms_of(t);
+        b.insert(s, p, o);
+    }
+    let heap = b.freeze();
+    let loaded = stores::reload(&heap);
+    let mut legs = [("heap", heap), ("loaded", loaded)];
+    for (_, ds) in &mut legs {
+        apply_batches(ds, batches);
+    }
+    (legs, model_of(base, batches))
+}
+
+/// The non-pre-interned twin of [`live_stores`] (heap base only): the
+/// builder interns only what the *base* triples mention, so any new term
+/// an update batch introduces after `freeze()` gets a dictionary
+/// **overflow id** — out of value order by construction. On such a store
+/// the engine must decline the order service (`order_by_value_intact` is
+/// false) and really sort.
+fn live_store_raw(base: &[Triple], batches: &[Batch]) -> (Dataset, Model) {
+    let mut b = StoreBuilder::new();
+    for &t in base {
+        let (s, p, o) = terms_of(t);
+        b.insert(s, p, o);
+    }
+    let mut ds = b.freeze();
+    apply_batches(&mut ds, batches);
+    (ds, model_of(base, batches))
 }
 
 /// Freezes the model's visible set from scratch — the reference store.
-fn fresh_store(model: &BTreeSet<(Term, Term, Term)>) -> Dataset {
+fn fresh_store(model: &Model) -> Dataset {
     let mut b = preinterned_builder();
     for (s, p, o) in model {
         b.insert(s.clone(), p.clone(), o.clone());
     }
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 /// The sweep: serial and parallel execution, order-aware planning on and
@@ -309,24 +321,28 @@ fn fixed_interleaving_matches_from_scratch_freeze() {
         (true, (0u8..10).map(|i| (i % 11, i % 5, i.wrapping_mul(7) % 13)).collect()),
         (false, (0u8..8).map(|i| ((i + 3) % 9, (i + 1) % 5, i.wrapping_mul(3) % 14)).collect()),
     ];
-    let (mut live, model) = live_store(&base, &batches);
+    let (legs, model) = live_stores(&base, &batches);
     let fresh = fresh_store(&model);
-    check_differential(&live, &fresh, "fixed");
-    // Compaction changes representation, never results or plans.
-    live.compact();
-    assert!(live.overlay().is_empty());
-    check_differential(&live, &fresh, "fixed-compacted");
+    for (kind, mut live) in legs {
+        check_differential(&live, &fresh, &format!("fixed/{kind}"));
+        // Compaction changes representation, never results or plans.
+        live.compact();
+        assert!(live.overlay().is_empty());
+        check_differential(&live, &fresh, &format!("fixed-compacted/{kind}"));
+    }
 }
 
 #[test]
 fn deleting_everything_matches_an_empty_freeze() {
     let base: Vec<Triple> = (0u8..30).map(|i| (i % 7, i % 4, i % 10)).collect();
     let batches: Vec<Batch> = vec![(false, base.clone())];
-    let (live, model) = live_store(&base, &batches);
+    let (legs, model) = live_stores(&base, &batches);
     assert!(model.is_empty());
-    assert!(live.is_empty());
     let fresh = fresh_store(&model);
-    check_differential(&live, &fresh, "emptied");
+    for (kind, live) in legs {
+        assert!(live.is_empty());
+        check_differential(&live, &fresh, &format!("emptied/{kind}"));
+    }
 }
 
 #[test]
@@ -354,9 +370,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     /// Random base datasets through random insert/delete interleavings:
-    /// the live overlay store and a from-scratch freeze of the same
-    /// visible set are indistinguishable to every query in the mix, under
-    /// every execution config in the sweep, before and after compaction.
+    /// the live overlay store — on a heap-built and on a snapshot-loaded
+    /// base — and a from-scratch freeze of the same visible set are
+    /// indistinguishable to every query in the mix, under every execution
+    /// config in the sweep, before and after compaction.
     #[test]
     fn random_update_interleavings_are_bit_identical(
         base in prop::collection::vec((0u8..12, 0u8..5, 0u8..16), 0..60),
@@ -366,12 +383,14 @@ proptest! {
         ),
         compact_at_end in any::<bool>(),
     ) {
-        let (mut live, model) = live_store(&base, &batches);
+        let (legs, model) = live_stores(&base, &batches);
         let fresh = fresh_store(&model);
-        check_differential(&live, &fresh, "prop");
-        if compact_at_end {
-            live.compact();
-            check_differential(&live, &fresh, "prop-compacted");
+        for (kind, mut live) in legs {
+            check_differential(&live, &fresh, &format!("prop/{kind}"));
+            if compact_at_end {
+                live.compact();
+                check_differential(&live, &fresh, &format!("prop-compacted/{kind}"));
+            }
         }
     }
 

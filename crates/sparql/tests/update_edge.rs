@@ -35,7 +35,7 @@ fn base_store() -> Dataset {
         b.insert(iri(&format!("s/{i:02}")), iri("p"), iri(&format!("o/{:02}", i % 7)));
         b.insert(iri(&format!("s/{i:02}")), iri("price"), Term::integer((i as i64 * 13) % 50));
     }
-    b.freeze_in_memory()
+    b.freeze()
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn overflow_term_order_by_sorts_correctly_between_frozen_ids() {
     for t in ds.scan([None, None, None]).collect::<Vec<_>>() {
         b.insert(ds.decode(t[0]).clone(), ds.decode(t[1]).clone(), ds.decode(t[2]).clone());
     }
-    let fresh = b.freeze_in_memory();
+    let fresh = b.freeze();
     let fresh_out = run(&fresh, text);
     assert_eq!(out.results, fresh_out.results, "overflow ORDER BY must deliver value order");
 
@@ -111,7 +111,7 @@ fn non_overflow_overlay_keeps_sort_elimination() {
     for t in ds.scan([None, None, None]).collect::<Vec<_>>() {
         b.insert(ds.decode(t[0]).clone(), ds.decode(t[1]).clone(), ds.decode(t[2]).clone());
     }
-    let fresh_out = run(&b.freeze_in_memory(), text);
+    let fresh_out = run(&b.freeze(), text);
     assert_eq!(out.results, fresh_out.results);
 }
 
@@ -165,7 +165,7 @@ fn server_invalidates_cached_plans_across_epoch_bump() {
             b.insert(ds.decode(t[0]).clone(), ds.decode(t[1]).clone(), ds.decode(t[2]).clone());
         }
     }
-    let fresh = b.freeze_in_memory();
+    let fresh = b.freeze();
     let engine = Engine::new(&fresh);
     let expected = engine.run_template(&template, &binding).expect("reference run");
     assert_eq!(third.output.results, expected.results, "rows diverge across the epoch bump");
