@@ -3,7 +3,8 @@
 //!
 //! Includes the ablation DESIGN.md calls out: estimated-cost profiling (one
 //! optimizer probe per binding, the paper's formulation) vs measured-cost
-//! profiling (one execution per binding, the LDBC production variant).
+//! profiling (one `Engine::measure_cout` per binding, the LDBC production
+//! variant).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parambench_core::{

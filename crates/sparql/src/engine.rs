@@ -28,8 +28,8 @@ use crate::physical::{
     Project, UnionAll,
 };
 use crate::plan::{
-    Dedup, Fold, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode, PlanSignature,
-    PlannedPattern, Slot, Sort, TableColSource,
+    Dedup, Fold, JoinMethod, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode,
+    PlanSignature, PlannedPattern, Slot, Sort, TableColSource,
 };
 use crate::results::{
     finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
@@ -904,13 +904,8 @@ impl<'a> Engine<'a> {
         stats: &mut ExecStats,
     ) -> BoxedOperator<'a> {
         let ds = self.ds;
-        let mut op = plan.bgp.as_ref().map(|root| -> BoxedOperator<'a> {
-            if plan.morselized {
-                Box::new(Gather::new(root.lower_morsels(ds, CoutBucket::Required, exec, stats)))
-            } else {
-                root.lower(ds, CoutBucket::Required)
-            }
-        });
+        let mut op =
+            plan.bgp.as_ref().map(|root| self.lower_bgp(root, plan.morselized, exec, stats));
         let filtered = |op: BoxedOperator<'a>, filters: &[Expr]| -> BoxedOperator<'a> {
             if filters.is_empty() {
                 op
@@ -944,6 +939,24 @@ impl<'a> Engine<'a> {
             op = Box::new(LeftOuterJoin::new(op, right, o.join_vars.to_vec()));
         }
         filtered(op, plan.filters)
+    }
+
+    /// Lowers a recorded BGP tree (or subtree): serially, or, for a
+    /// morselized spine, through a [`Gather`] merging worker batches in
+    /// morsel order — its shared hash-build sides materialized here,
+    /// against `stats`.
+    fn lower_bgp(
+        &self,
+        root: &PhysNode,
+        morselized: bool,
+        exec: &ExecConfig,
+        stats: &mut ExecStats,
+    ) -> BoxedOperator<'a> {
+        if morselized {
+            Box::new(Gather::new(root.lower_morsels(self.ds, CoutBucket::Required, exec, stats)))
+        } else {
+            root.lower(self.ds, CoutBucket::Required)
+        }
     }
 
     /// Executes a prepared query with the solution modifiers **pushed into
@@ -984,6 +997,74 @@ impl<'a> Engine<'a> {
         }
         let cout = stats.cout + stats.cout_optional;
         Ok(QueryOutput { results, wall_time: start.elapsed(), cout, stats })
+    }
+
+    /// The measured `Cout` of `prepared` — the integer [`Engine::execute`]
+    /// reports as [`QueryOutput::cout`] under the engine's configuration —
+    /// without the modifiers, decode and [`ResultSet`] an execution builds
+    /// around it: the curation pipeline's measured cost source.
+    ///
+    /// Branches on the physical plan [`Engine::stream`] would lower
+    /// ([`Engine::physical_plan`]):
+    ///
+    /// * `LIMIT 0` runs nothing: 0;
+    /// * a plan that can stop early (a LIMIT behind no fold and no real
+    ///   sort, so its `Slice` stops pulling) has the `Cout` of wherever it
+    ///   stopped, so it is executed;
+    /// * a plain BGP (no UNION, no OPTIONAL) whose root is a bind join
+    ///   lowers only the root's left side and adds, per left row, the
+    ///   overlay-aware index count of its probe: the root's output is
+    ///   never built, and the top-level FILTERs, which sit above every
+    ///   join, never change `Cout`;
+    /// * anything else drains the pattern part, with no projection,
+    ///   modifier or decode stage above it.
+    pub fn measure_cout(&self, prepared: &Prepared) -> Result<u64, QueryError> {
+        let stats = self.measure(prepared)?;
+        Ok(stats.cout + stats.cout_optional)
+    }
+
+    /// [`Engine::measure_cout`]'s run, as the counters it left.
+    fn measure(&self, prepared: &Prepared) -> Result<ExecStats, QueryError> {
+        let plan = self.physical_plan(prepared, &self.exec);
+        let mut stats = ExecStats::default();
+        if plan.limit_zero {
+            return Ok(stats);
+        }
+        let stops_early = plan.fold.is_none()
+            && plan.modifiers.limit.is_some()
+            && matches!(plan.sort, Sort::None | Sort::Eliminated { .. });
+        if stops_early {
+            return Ok(self.execute(prepared)?.stats);
+        }
+        let plain = plan.unions.is_empty() && plan.optionals.is_empty();
+        match &plan.bgp {
+            Some(PhysNode::Join {
+                method: JoinMethod::Bind, left, right, on, signature, ..
+            }) if plain => {
+                let PhysNode::Scan { pattern, .. } = right.as_ref() else {
+                    unreachable!("bind joins probe a scan")
+                };
+                let left = self.lower_bgp(left, plan.morselized, &self.exec, &mut stats);
+                physical::count_bind_join(
+                    self.ds,
+                    left,
+                    pattern,
+                    on,
+                    signature.clone(),
+                    &mut stats,
+                );
+            }
+            _ => {
+                let mut op = self.lower_patterns(&plan, &self.exec, &mut stats);
+                while let Some(batch) = op.next_batch(&mut stats) {
+                    stats.shrink(batch.len());
+                }
+            }
+        }
+        if let Some(err) = stats.exec_error.take() {
+            return Err(QueryError::Exec(err));
+        }
+        Ok(stats)
     }
 
     /// Executes a prepared query as an incrementally drained [`RowStream`]
@@ -1781,5 +1862,44 @@ mod tests {
         assert_eq!(out.results.len(), 1); // ring: 0→1→2
         assert!(out.cout >= 2, "cout = {}", out.cout);
         assert_eq!(out.stats.join_cards.len(), 2);
+    }
+
+    /// The measured-`Cout` path on a BSBM-BI-Q2 shape — a bound product's
+    /// features, then every product sharing one, grouped and top-k'd —
+    /// counts the root bind join's output without it ever being resident:
+    /// only the left side's rows are, and only they are scanned.
+    #[test]
+    fn measured_cout_never_holds_the_root_joins_output() {
+        let mut b = StoreBuilder::new();
+        for i in 0..300 {
+            for f in [i % 5, 5 + i % 3] {
+                let product = Term::iri(format!("prod/{i}"));
+                b.insert(product, Term::iri("feature"), Term::iri(format!("f/{f}")));
+            }
+        }
+        let ds = b.freeze();
+        // Hash/bind lowering whatever the suite's order mode: the root must
+        // stay the bind join this test is about.
+        let exec = ExecConfig { order_exec: OrderExec::Off, ..ExecConfig::default() };
+        let engine = Engine::with_exec_config(&ds, exec);
+        let q = crate::parser::parse_query(
+            "SELECT ?other (COUNT(?f) AS ?shared) WHERE { <prod/0> <feature> ?f . \
+             ?other <feature> ?f . FILTER(?other != <prod/0>) } \
+             GROUP BY ?other ORDER BY DESC(?shared) LIMIT 10",
+        )
+        .unwrap();
+        let prepared = engine.prepare(&q).unwrap();
+        let root = engine.physical_plan(&prepared, &exec).bgp.map(|n| n.method());
+        assert_eq!(root, Some("BindJoin"));
+
+        let stats = engine.measure(&prepared).unwrap();
+        let out = engine.execute(&prepared).unwrap();
+        // prod/0 has f/0 and f/5, shared by 60 and 100 products.
+        let left_rows = 2;
+        assert_eq!((stats.cout, out.cout), (160, 160));
+        assert_eq!(stats.join_cards, out.stats.join_cards);
+        assert!(stats.peak_tuples <= left_rows, "peak {}", stats.peak_tuples);
+        assert!(stats.scanned < stats.cout, "scanned {}", stats.scanned);
+        assert!(out.stats.peak_tuples > left_rows, "the execution holds the join's rows");
     }
 }

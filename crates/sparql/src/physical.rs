@@ -824,6 +824,76 @@ impl Operator for HashJoinProbe<'_> {
 // Bind join (index nested-loop into the permutation indexes)
 // ---------------------------------------------------------------------------
 
+/// How a bind join probes its pattern for one left row: the pattern's
+/// access mask with the row's join keys bound in, plus the residual checks
+/// every probed triple must pass. The one home of that binding, shared by
+/// [`BindJoin`], which scans each probe, and [`count_bind_join`], which
+/// only counts it.
+struct BindProbe {
+    /// The pattern's constants; a probe binds the join keys into a copy.
+    access: [Option<Id>; 3],
+    /// Per triple position: the left column that binds it, if any.
+    left_col_of: [Option<usize>; 3],
+    /// Repeated-variable position pairs no left column fixes (e.g. `?y`
+    /// in `?y ?p ?y` probed on `?p`): residual checks on every probed
+    /// triple. A repeated join variable is bound at both positions.
+    eq_pairs: Vec<(usize, usize)>,
+}
+
+impl BindProbe {
+    fn new(pattern: &PlannedPattern, left_schema: &[usize], join_vars: &[usize]) -> Self {
+        let left_col_of = std::array::from_fn(|pos| match pattern.slots[pos] {
+            Slot::Var(v) if join_vars.contains(&v) => left_schema.iter().position(|&c| c == v),
+            _ => None,
+        });
+        let eq_pairs =
+            eq_pairs(pattern).into_iter().filter(|&(i, _)| left_col_of[i].is_none()).collect();
+        BindProbe { access: pattern.access(), left_col_of, eq_pairs }
+    }
+
+    /// The access pattern of `left_row`'s probe, or `None` when a join key
+    /// is unbound (from OPTIONAL): such a row never matches.
+    #[inline]
+    fn bind(&self, left_row: &[Id]) -> Option<[Option<Id>; 3]> {
+        let mut access = self.access;
+        for (slot, &col) in access.iter_mut().zip(&self.left_col_of) {
+            if let Some(c) = col {
+                let v = left_row[c];
+                if v == UNBOUND {
+                    return None;
+                }
+                *slot = Some(v);
+            }
+        }
+        Some(access)
+    }
+
+    /// Whether a probed triple passes the residual checks.
+    #[inline]
+    fn passes(&self, triple: &[Id; 3]) -> bool {
+        self.eq_pairs.iter().all(|&(i, j)| triple[i] == triple[j])
+    }
+
+    /// The number of triples `left_row`'s probe joins — the bind join's
+    /// output for that row — without building them: one overlay-aware
+    /// index count, or, when residual checks remain, one pass over the
+    /// probed range (counted in `scanned`, as the operator counts it).
+    fn count(&self, ds: &Dataset, left_row: &[Id], stats: &mut ExecStats) -> u64 {
+        let Some(access) = self.bind(left_row) else {
+            return 0;
+        };
+        if self.eq_pairs.is_empty() {
+            return ds.count(access) as u64;
+        }
+        let mut n = 0;
+        for triple in ds.scan(access) {
+            stats.scanned += 1;
+            n += u64::from(self.passes(&triple));
+        }
+        n
+    }
+}
+
 /// For every left row, binds the shared variables into the triple pattern
 /// and probes the store's indexes — the streaming equivalent of the legacy
 /// adaptive bind join. Output equals `HashJoinProbe(left, IndexScan(pat))`
@@ -831,27 +901,20 @@ impl Operator for HashJoinProbe<'_> {
 pub struct BindJoin<'a> {
     ds: &'a Dataset,
     left: BoxedOperator<'a>,
-    pattern: PlannedPattern,
+    probe: BindProbe,
     schema: Vec<usize>,
-    /// Per triple position: the left column that binds it, if any.
-    left_col_of: Vec<Option<usize>>,
     /// (output column, triple position) for columns new to this pattern.
     new_cols: Vec<(usize, usize)>,
-    eq_pairs: Vec<(usize, usize)>,
     recorder: JoinCardRecorder,
     cursor: Option<BindCursor<'a>>,
     done: bool,
 }
 
-/// An open index probe plus the residual `(triple position, value)`
-/// equality checks the scanned triples must satisfy (repeat-bound vars).
-type OpenScan<'a> = (Box<dyn Iterator<Item = [Id; 3]> + 'a>, Vec<(usize, Id)>);
-
 struct BindCursor<'a> {
     batch: Batch,
     row: usize,
     /// Active index probe for the current left row.
-    scan: Option<OpenScan<'a>>,
+    scan: Option<Box<dyn Iterator<Item = [Id; 3]> + 'a>>,
 }
 
 impl<'a> BindJoin<'a> {
@@ -870,14 +933,6 @@ impl<'a> BindJoin<'a> {
                 schema.push(v);
             }
         }
-        let left_col_of: Vec<Option<usize>> = (0..3)
-            .map(|pos| match pattern.slots[pos] {
-                Slot::Var(v) if join_vars.contains(&v) => {
-                    left.schema().iter().position(|&c| c == v)
-                }
-                _ => None,
-            })
-            .collect();
         let new_cols: Vec<(usize, usize)> = schema
             .iter()
             .enumerate()
@@ -891,15 +946,12 @@ impl<'a> BindJoin<'a> {
                 (k, pos)
             })
             .collect();
-        let eq_pairs = eq_pairs(&pattern);
         BindJoin {
             ds,
+            probe: BindProbe::new(&pattern, left.schema(), join_vars),
             left,
-            pattern,
             schema,
-            left_col_of,
             new_cols,
-            eq_pairs,
             recorder: JoinCardRecorder::new(signature, bucket),
             cursor: None,
             done: false,
@@ -941,34 +993,13 @@ impl Operator for BindJoin<'_> {
             }
             cursor.batch.read_row(cursor.row, &mut row_buf[..left_width]);
             if cursor.scan.is_none() {
-                // Bind the shared variables of this left row into the
-                // pattern's access mask; repeat-bound positions become
-                // residual equality checks on the scanned triples.
-                let mut access = self.pattern.access();
-                let mut checks: Vec<(usize, Id)> = Vec::new();
-                let mut unbound_key = false;
-                for (pos, slot) in access.iter_mut().enumerate() {
-                    if let Some(c) = self.left_col_of[pos] {
-                        let v = row_buf[c];
-                        if v == UNBOUND {
-                            // Unbound join key (from OPTIONAL) never matches.
-                            unbound_key = true;
-                            break;
-                        }
-                        if slot.is_none() {
-                            *slot = Some(v);
-                        } else {
-                            checks.push((pos, v));
-                        }
-                    }
-                }
-                if unbound_key {
+                let Some(access) = self.probe.bind(&row_buf[..left_width]) else {
                     cursor.row += 1;
                     continue 'fill;
-                }
-                cursor.scan = Some((Box::new(ds.scan(access)), checks));
+                };
+                cursor.scan = Some(Box::new(ds.scan(access)));
             }
-            let (scan, checks) = cursor.scan.as_mut().expect("opened above");
+            let scan = cursor.scan.as_mut().expect("opened above");
             let mut scan_exhausted = false;
             while !out.is_full() {
                 let Some(triple) = scan.next() else {
@@ -976,10 +1007,7 @@ impl Operator for BindJoin<'_> {
                     break;
                 };
                 stats.scanned += 1;
-                if self.eq_pairs.iter().any(|&(i, j)| triple[i] != triple[j]) {
-                    continue;
-                }
-                if checks.iter().any(|&(pos, v)| triple[pos] != v) {
+                if !self.probe.passes(&triple) {
                     continue;
                 }
                 for &(k, pos) in &self.new_cols {
@@ -1003,6 +1031,34 @@ impl Operator for BindJoin<'_> {
         stats.grow(out.len());
         Some(out)
     }
+}
+
+/// Counts the output of [`BindJoin`]`(left, pattern)` without building it:
+/// drains `left` and sums [`BindProbe::count`] over its rows, holding one
+/// left batch at a time and never a joined row. Records the count into
+/// `stats` where the operator would — the required `Cout` bucket and the
+/// join's `join_cards` entry.
+pub(crate) fn count_bind_join(
+    ds: &Dataset,
+    mut left: BoxedOperator<'_>,
+    pattern: &PlannedPattern,
+    join_vars: &[usize],
+    signature: String,
+    stats: &mut ExecStats,
+) {
+    let probe = BindProbe::new(pattern, left.schema(), join_vars);
+    let mut recorder = JoinCardRecorder::new(signature, CoutBucket::Required);
+    let mut row = vec![UNBOUND; left.schema().len()];
+    while let Some(batch) = left.next_batch(stats) {
+        let mut n = 0;
+        for r in 0..batch.len() {
+            batch.read_row(r, &mut row);
+            n += probe.count(ds, &row, stats);
+        }
+        recorder.record(stats, n);
+        stats.shrink(batch.len());
+    }
+    recorder.record(stats, 0);
 }
 
 // ---------------------------------------------------------------------------

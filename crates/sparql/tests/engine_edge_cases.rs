@@ -2,12 +2,15 @@
 //! mixed-type ordering, OPTIONAL/UNION interplay, instrumentation
 //! determinism — behaviours a downstream benchmark driver depends on.
 
+#[path = "common/templates.rs"]
+mod templates;
+
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::error::QueryError;
 use parambench_sparql::results::OutVal;
-use parambench_sparql::{ExecConfig, MORSELS_PER_WAVE};
+use parambench_sparql::{ExecConfig, JoinMethod, PhysNode, MORSELS_PER_WAVE};
 
 fn dataset() -> Dataset {
     let mut b = StoreBuilder::new();
@@ -1070,4 +1073,222 @@ fn multi_key_sort_elimination_declines_on_numeric_value_ties() {
     let off1 = engine.execute_with(&p1, &off_cfg()).unwrap();
     assert_eq!(auto1.results, off1.results);
     assert_eq!(auto1.stats.sorted_rows, 0, "single-key elimination stays sound");
+}
+
+// ---------------------------------------------------------------------------
+// Measured Cout without running the result (Engine::measure_cout)
+// ---------------------------------------------------------------------------
+
+/// Prepares `text` and returns `measure_cout`'s answer, asserted equal to
+/// the `Cout` of an execution of the same prepared query, plus that
+/// execution.
+fn measured(engine: &Engine<'_>, text: &str) -> (u64, parambench_sparql::QueryOutput) {
+    let query = parambench_sparql::parse_query(text).unwrap();
+    let prepared = engine.prepare(&query).unwrap();
+    let out = engine.execute(&prepared).unwrap();
+    let cout = engine.measure_cout(&prepared).unwrap();
+    assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text}");
+    (cout, out)
+}
+
+/// Engine that prepares and lowers hash/bind joins only, whatever the
+/// suite's `SPARQL_ORDER_EXEC`: the root shapes the tests below pin
+/// (a `BindJoin` over a given pattern) cannot turn into merge joins.
+fn bind_engine(ds: &Dataset) -> Engine<'_> {
+    Engine::with_exec_config(ds, off_cfg())
+}
+
+/// The query position of the pattern the recorded plan's root probes,
+/// when that root is a bind join.
+fn bind_root_probe(engine: &Engine<'_>, text: &str) -> Option<usize> {
+    let prepared = engine.prepare(&parambench_sparql::parse_query(text).unwrap()).unwrap();
+    match engine.physical_plan(&prepared, &engine.exec_config()).bgp? {
+        PhysNode::Join { method: JoinMethod::Bind, right, .. } => match *right {
+            PhysNode::Scan { pattern, .. } => Some(pattern.idx),
+            PhysNode::Join { .. } => None,
+        },
+        _ => None,
+    }
+}
+
+#[test]
+fn measure_cout_of_limit_zero_is_zero() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    for text in [
+        "SELECT ?s WHERE { ?s <rank> ?r . ?s <group> ?g } LIMIT 0",
+        "SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <group> ?g . ?s <rank> ?r } GROUP BY ?g LIMIT 0",
+    ] {
+        let (cout, out) = measured(&engine, text);
+        assert_eq!((cout, out.stats.scanned), (0, 0), "{text}");
+    }
+}
+
+/// A plain LIMIT stops the pipeline early, so the execution's `Cout`
+/// depends on where its Slice stopped: `measure_cout` must report that
+/// integer, not the full pattern part's.
+#[test]
+fn measure_cout_of_an_early_exit_limit_is_the_executions() {
+    let ds = duplicate_heavy_dataset(2000);
+    let engine = Engine::new(&ds);
+    let text = "SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y } LIMIT 5";
+    let (cout, _) = measured(&engine, text);
+    let query = parambench_sparql::parse_query(text).unwrap();
+    let full = engine.execute_unpushed(&engine.prepare(&query).unwrap()).unwrap();
+    assert_eq!(full.cout, star_rows(&ds) as u64);
+    assert!(cout < full.cout, "the LIMIT must have exited early ({cout} vs {})", full.cout);
+}
+
+/// Nodes `n/0..n/19` in a ring under each of four predicates `p/k`, all
+/// typed `<kind> <rel>`; node `i` also loops on itself under `p/k` when
+/// `i % (k + 2) == 0` (10 + 7 + 5 + 4 = 26 self-loops). `<link>` points
+/// five of the nodes at `n/5`, the only node with a `<self>` self-loop.
+fn loop_dataset() -> Dataset {
+    let mut b = StoreBuilder::new();
+    let node = |i: usize| Term::iri(format!("n/{}", i % 20));
+    for k in 0..4 {
+        let p = Term::iri(format!("p/{k}"));
+        b.insert(p.clone(), Term::iri("kind"), Term::iri("rel"));
+        for i in 0..20 {
+            b.insert(node(i), p.clone(), node(i + 1));
+            if i % (k + 2) == 0 {
+                b.insert(node(i), p.clone(), node(i));
+            }
+        }
+    }
+    for i in 0..20 {
+        b.insert(node(i), Term::iri("link"), node(5 * (i % 4)));
+        b.insert(node(i), Term::iri("self"), node(i + 7));
+    }
+    b.insert(node(5), Term::iri("self"), node(5));
+    b.freeze()
+}
+
+/// `?y ?j ?y` probed with `?j` bound leaves the repeated `?y` as a
+/// residual check on every probed triple: counting the probe's range
+/// instead of its matches would report every `p/k` triple (106).
+#[test]
+fn measure_cout_applies_a_root_patterns_repeated_variable() {
+    let ds = loop_dataset();
+    let text = "SELECT * WHERE { ?j <kind> <rel> . ?y ?j ?y }";
+    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
+    for engine in [bind_engine(&ds), Engine::new(&ds)] {
+        let (cout, out) = measured(&engine, text);
+        assert_eq!((cout, out.results.len()), (26, 26), "one row per self-loop");
+    }
+}
+
+/// `?x <self> ?x` with `?x` the join key binds both positions from the
+/// left row: an exact count, no residual check.
+#[test]
+fn measure_cout_binds_a_join_variable_twice_in_the_root_pattern() {
+    let ds = loop_dataset();
+    let text = "SELECT * WHERE { ?s <link> ?x . ?x <self> ?x }";
+    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
+    for engine in [bind_engine(&ds), Engine::new(&ds)] {
+        // Five of the twenty links target n/5, the only self-looped node.
+        let (cout, out) = measured(&engine, text);
+        assert_eq!((cout, out.results.len()), (5, 5));
+    }
+}
+
+#[test]
+fn measure_cout_counts_optional_joins() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    let (cout, out) =
+        measured(&engine, "SELECT * WHERE { ?s <rank> ?r OPTIONAL { ?s <label> ?l } }");
+    assert_eq!(out.stats.cout, 0, "the required part is one scan");
+    assert_eq!(cout, out.stats.cout_optional);
+    assert!(cout >= 10, "every left row is kept");
+}
+
+#[test]
+fn measure_cout_counts_union_joins() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    for text in [
+        "SELECT * WHERE { ?s <rank> ?r . { ?s <group> ?g } UNION { ?s <label> ?g } }",
+        "SELECT * WHERE { { ?s <group> <g/0> } UNION { ?s <group> <g/1> } ?s <rank> ?r }",
+    ] {
+        let (cout, _) = measured(&engine, text);
+        assert!(cout > 0, "{text}");
+    }
+}
+
+#[test]
+fn measure_cout_of_an_empty_left_side_is_zero() {
+    let ds = dataset();
+    // "label 2" is interned (item/2's label) but no <special> value.
+    let text = "SELECT * WHERE { ?s <special> \"label 2\" . ?s <rank> ?r }";
+    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
+    for engine in [bind_engine(&ds), Engine::new(&ds)] {
+        assert_eq!(measured(&engine, text).0, 0);
+    }
+}
+
+/// The root's probe counts are `Dataset::count` over a range the overlay
+/// both adds to and tombstones inside: they must see the visible set,
+/// exactly as the store frozen from that set does.
+#[test]
+fn measure_cout_counts_through_overlay_adds_and_tombstones() {
+    let product = |i: usize| Term::iri(format!("prod/{i}"));
+    let feature = |i: usize| Term::iri(format!("f/{}", i % 10));
+    let feat = Term::iri("feat");
+    let mut b = StoreBuilder::new();
+    for i in 0..30 {
+        for f in [i, i + 3, i * 7] {
+            b.insert(product(i), feat.clone(), feature(f));
+        }
+    }
+    let mut ds = b.freeze();
+    // prod/0 has features f/0 and f/3: add into and tombstone inside the
+    // (?, feat, f/0) and (?, feat, f/3) ranges the root probes.
+    let adds = [(product(31), feat.clone(), feature(0)), (product(32), feat.clone(), feature(3))];
+    assert_eq!(ds.insert_batch(adds), 2);
+    let dels = [(product(10), feat.clone(), feature(0)), (product(3), feat.clone(), feature(3))];
+    assert_eq!(ds.delete_batch(dels), 2);
+    assert!(ds.overlay().adds_len() > 0 && ds.overlay().dels_len() > 0);
+
+    let text = "SELECT ?other WHERE { <prod/0> <feat> ?f . ?other <feat> ?f }";
+    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
+    let visible = |ds: &Dataset| {
+        let f = ds.lookup(&feat).unwrap();
+        let p0 = ds.lookup(&product(0)).unwrap();
+        let feats: Vec<_> = ds.scan([Some(p0), Some(f), None]).map(|t| t[2]).collect();
+        feats.iter().map(|&o| ds.count([None, Some(f), Some(o)]) as u64).sum::<u64>()
+    };
+    let mut frozen = StoreBuilder::new();
+    for [s, p, o] in ds.scan([None, None, None]) {
+        frozen.insert(ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
+    }
+    let frozen = frozen.freeze();
+    let want = measured(&Engine::new(&frozen), text).0;
+    assert_eq!(want, visible(&frozen));
+    for engine in [bind_engine(&ds), Engine::new(&ds)] {
+        assert_eq!(measured(&engine, text).0, want);
+    }
+}
+
+/// Every shipped template with four bindings spread over its domain, on its
+/// generator's store and again after a write batch over the predicates it
+/// reads: `measure_cout` is the execution's `Cout`.
+#[test]
+fn measure_cout_matches_execute_on_every_shipped_template() {
+    for templates::Family { name, mut ds, requests, inserts } in templates::families(12_000) {
+        for pass in ["built", "updated"] {
+            if pass == "updated" {
+                assert_eq!(ds.insert_batch(inserts.clone()), inserts.len());
+            }
+            let engine = Engine::new(&ds);
+            for (template, bindings) in &requests {
+                for (i, binding) in bindings.iter().enumerate() {
+                    let prepared = engine.prepare_template(template, binding).unwrap();
+                    let out = engine.execute(&prepared).unwrap();
+                    let cout = engine.measure_cout(&prepared).unwrap();
+                    assert_eq!(cout, out.cout, "[{name}/{pass}] {} #{i}", template.name());
+                }
+            }
+        }
+    }
 }

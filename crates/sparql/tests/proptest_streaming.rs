@@ -32,7 +32,9 @@
 //!
 //! Every one of those runs is also checked against the physical plan
 //! recorded for it (`explained::assert_executed_as_explained`): what
-//! EXPLAIN says must be what the counters show ran.
+//! EXPLAIN says must be what the counters show ran — and
+//! `Engine::measure_cout` under the same configuration must return that
+//! run's `Cout`, the integer curation's measured cost source records.
 //!
 //! And every case runs all of the above on the three store twins of
 //! `common/stores.rs` — heap-built, snapshot-loaded and overlay-carrying —
@@ -389,6 +391,16 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
         assert_executed_as_explained(ds, &plan, out, exec, &format!("{text} under {exec:?}"));
     };
     explained(&engine.exec_config(), &pushed);
+    // The measured-cost path curation profiles with must return the very
+    // integer the execution it stands in for reports — LIMIT early exit
+    // included — under every configuration swept below.
+    let measured = |exec: &ExecConfig, out: &QueryOutput| {
+        let cout = Engine::with_exec_config(ds, *exec)
+            .measure_cout(&prepared)
+            .unwrap_or_else(|e| panic!("measure_cout {text:?} under {exec:?}: {e}"));
+        assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text} under {exec:?}");
+    };
+    measured(&engine.exec_config(), &pushed);
     let unpushed = engine
         .execute_unpushed(&prepared)
         .unwrap_or_else(|e| panic!("execute_unpushed {text:?}: {e}"));
@@ -436,6 +448,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
             .execute_with(&prepared, &exec)
             .unwrap_or_else(|e| panic!("execute_with({threads}) {text:?}: {e}"));
         explained(&exec, &par);
+        measured(&exec, &par);
         assert_eq!(
             par.results, pushed.results,
             "parallel ({threads} threads) rows/order diverge from serial for {text}"
@@ -484,6 +497,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
                 panic!("execute_with(budget {budget:?}, {threads} threads) {text:?}: {e}")
             });
             explained(&exec, &out);
+            measured(&exec, &out);
             assert_eq!(
                 out.results, pushed.results,
                 "budget {budget:?} × {threads} threads changed rows/order for {text}"
@@ -522,6 +536,7 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
                 )
             });
             explained(&exec, &off);
+            measured(&exec, &off);
             assert_eq!(
                 off.results, pushed.results,
                 "order-off (budget {budget:?} × {threads} threads) changed rows/order for {text}"
