@@ -149,38 +149,6 @@ fn engine_benches(c: &mut Criterion) {
             b.iter(|| black_box(force_engine.execute_with(&prepared_star, &off_cfg).unwrap().cout))
         });
 
-        // Parallel merge joins (PR 9): the same all-merge star plan,
-        // morselized by key range over the driving sorted scan, at 1 and 4
-        // workers. Speedup is structural on a 1-core container, so the
-        // printed line reports the gates that matter — zero build rows at
-        // every thread count and bit-identical rows/Cout/scanned — while
-        // the pair exists for wall-clock comparison on real hardware.
-        let par_cfg = |threads| ExecConfig {
-            threads,
-            morsel_rows: 4096,
-            min_driver_rows: 1,
-            min_est_cost: 0.0,
-            ..force_cfg
-        };
-        let merge_t1 = force_engine.execute_with(&prepared_star, &par_cfg(1)).unwrap();
-        let merge_t4 = force_engine.execute_with(&prepared_star, &par_cfg(4)).unwrap();
-        assert_eq!(merge_t1.results, merge_t4.results, "threads changed merge morsel results");
-        assert_eq!(merge_t1.cout, merge_t4.cout);
-        assert_eq!(merge_t1.stats.scanned, merge_t4.stats.scanned);
-        println!(
-            "q4 star merge parallel: t1 build_rows {} scanned {} vs t4 build_rows {} scanned {}",
-            merge_t1.stats.build_rows,
-            merge_t1.stats.scanned,
-            merge_t4.stats.build_rows,
-            merge_t4.stats.scanned,
-        );
-        for threads in [1usize, 4] {
-            let cfg = par_cfg(threads);
-            c.bench_function(&format!("exec/star_join_merge_parallel_{threads}"), |b| {
-                b.iter(|| black_box(force_engine.execute_with(&prepared_star, &cfg).unwrap().cout))
-            });
-        }
-
         let catalog = Bsbm::q_catalog_of_type();
         let prepared_cat = engine.prepare_template(&catalog, &root_binding).unwrap();
         let eliminated = engine.execute(&prepared_cat).unwrap();

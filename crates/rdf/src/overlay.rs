@@ -194,39 +194,6 @@ impl<'a> MergedKeys<'a> {
         }
     }
 
-    /// The next visible key from the *back*, in descending key order —
-    /// the mirror of [`MergedKeys::next_key`], consumed by descending
-    /// scans. A cursor is consumed from one end only; the two directions
-    /// are never mixed on the same cursor.
-    pub(crate) fn next_key_back(&mut self) -> Option<[Id; 3]> {
-        loop {
-            let Some(&b) = self.base.last() else {
-                // Base exhausted: every tombstone was consumed (dels ⊆
-                // base), only adds remain.
-                let (&a, rest) = self.adds.split_last()?;
-                self.adds = rest;
-                return Some(a);
-            };
-            if let Some(&a) = self.adds.last() {
-                if a > b {
-                    self.adds = &self.adds[..self.adds.len() - 1];
-                    return Some(a);
-                }
-            }
-            // b >= every pending add, and b is no add (adds ∩ base = ∅).
-            debug_assert!(self.adds.last() != Some(&b), "an add duplicates a base key");
-            // Tombstone check: dels is sorted in the same key order and a
-            // subset of base, so its back can only ever equal the base
-            // back here.
-            self.base = &self.base[..self.base.len() - 1];
-            if self.dels.last() == Some(&b) {
-                self.dels = &self.dels[..self.dels.len() - 1];
-                continue;
-            }
-            return Some(b);
-        }
-    }
-
     /// Skips the first `n` merged keys. Base segments between overlay
     /// entries are skipped in bulk (binary search), so the cost is
     /// `O(overlay-entries-in-range · log |base|)`, not `O(n)` — the
@@ -312,32 +279,6 @@ mod tests {
             }
             assert_eq!(v, full[start.min(full.len())..], "skip({start})");
         }
-    }
-
-    #[test]
-    fn backward_consumption_is_the_exact_reverse_of_forward() {
-        let base: Vec<[Id; 3]> = (0..20).map(|i| t(i, 0, 0)).collect();
-        let adds: Vec<[Id; 3]> = vec![t(3, 0, 1), t(10, 0, 1), t(25, 0, 0)];
-        let dels: Vec<[Id; 3]> = vec![t(0, 0, 0), t(4, 0, 0), t(11, 0, 0), t(19, 0, 0)];
-        let forward = {
-            let mut m = MergedKeys::new(&base, &adds, &dels);
-            let mut v = Vec::new();
-            while let Some(k) = m.next_key() {
-                v.push(k);
-            }
-            v
-        };
-        let mut backward = {
-            let mut m = MergedKeys::new(&base, &adds, &dels);
-            let mut v = Vec::new();
-            while let Some(k) = m.next_key_back() {
-                v.push(k);
-            }
-            v
-        };
-        backward.reverse();
-        assert_eq!(backward, forward);
-        assert_eq!(forward.len(), MergedKeys::new(&base, &adds, &dels).len());
     }
 
     #[test]

@@ -339,124 +339,6 @@ impl Dataset {
         (keys, len)
     }
 
-    /// The merged-scan position where `key`'s run begins (`upper ==
-    /// false`) or ends (`upper == true`) in the visible triples matching
-    /// `pattern` under `order`: the exact number of visible rows whose
-    /// key components *after the bound prefix* compare below (`false`) or
-    /// not above (`true`) the leading `key.len()` components of `key`.
-    ///
-    /// This is the range-partition primitive of order-aligned parallel
-    /// merge joins: a worker positions the join's right-side scan at its
-    /// morsel's first key with one seek instead of consuming the rows
-    /// before it, and overlay deltas are folded in by binary search (the
-    /// position is exact for the *visible* set, so
-    /// [`Dataset::scan_slice_with`] from the returned position resumes at
-    /// the sought key). `key` may be shorter than the unbound component
-    /// count — comparison then uses only the leading components, i.e. a
-    /// coarser run granularity.
-    pub fn seek_with(
-        &self,
-        pattern: IdPattern,
-        order: IndexOrder,
-        key: &[Id],
-        upper: bool,
-    ) -> usize {
-        let (idx, prefix) = self.plan_access_with(pattern, order);
-        let p = prefix.len();
-        let m = key.len().min(3 - p);
-        let base = idx.range(&prefix);
-        let (adds, dels) = self.overlay.range(order, &prefix);
-        let below = |run: &[[Id; 3]]| -> usize {
-            run.partition_point(|k| {
-                let c = k[p..p + m].cmp(&key[..m]);
-                if upper {
-                    c.is_le()
-                } else {
-                    c.is_lt()
-                }
-            })
-        };
-        // dels ⊆ base, and both are cut by the same key bound, so the
-        // tombstones below the cut are a subset of the base rows below it.
-        below(base) + below(adds) - below(dels)
-    }
-
-    /// Key-run-aligned morsel boundaries for the visible triples matching
-    /// `pattern` under `order`: positions `[0, c1, …, total]` into the
-    /// merged scan such that no run of rows equal on their first
-    /// `run_components` unbound key components straddles a boundary, and
-    /// every morsel holds at least `target_rows` rows (except possibly
-    /// the last — and runs longer than `target_rows` make their morsel
-    /// bigger, never split). An empty scan yields `[0]` (zero morsels).
-    ///
-    /// Parallel merge joins partition the driving scan with this: because
-    /// a key run never splits, each morsel joins a disjoint right-side
-    /// key range and per-morsel outputs concatenate to the serial join.
-    pub fn key_range_cuts(
-        &self,
-        pattern: IdPattern,
-        order: IndexOrder,
-        run_components: usize,
-        target_rows: usize,
-    ) -> Vec<usize> {
-        let total = self.count(pattern);
-        let mut cuts = vec![0];
-        if total == 0 {
-            return cuts;
-        }
-        let (_, prefix) = self.plan_access_with(pattern, order);
-        let p = prefix.len();
-        let m = run_components.min(3 - p);
-        let target = target_rows.max(1);
-        let mut pos = 0;
-        while pos < total {
-            let want = pos + target;
-            if want >= total || m == 0 {
-                cuts.push(total);
-                break;
-            }
-            // The run containing row `want - 1` must stay whole: cut at
-            // its end (strictly past `pos`, so progress is guaranteed).
-            let spo = self
-                .scan_slice_with(pattern, order, want - 1, want)
-                .next()
-                .expect("position within the counted extent");
-            let key = order.key_of(spo);
-            let cut = self.seek_with(pattern, order, &key[p..p + m], true);
-            debug_assert!(cut >= want && cut > pos);
-            cuts.push(cut);
-            pos = cut;
-        }
-        cuts
-    }
-
-    /// Iterates the visible triples matching `pattern` under `order` in
-    /// *descending run order*: key runs (rows equal on their first
-    /// `run_components` unbound key components) are delivered from the
-    /// highest run down to the lowest, while rows *within* one run keep
-    /// their ascending forward-scan order. This is exactly the sequence a
-    /// stable descending sort on those components produces over
-    /// [`Dataset::scan_with`] — the `ORDER BY … DESC` counterpart of
-    /// order service, overlay deltas included.
-    pub fn scan_desc_runs(
-        &self,
-        pattern: IdPattern,
-        order: IndexOrder,
-        run_components: usize,
-    ) -> impl Iterator<Item = [Id; 3]> + '_ {
-        let (keys, _) = self.merged_keys(pattern, order);
-        let (_, prefix) = self.plan_access_with(pattern, order);
-        let p = prefix.len();
-        MergedScanDesc {
-            order,
-            keys,
-            run: std::collections::VecDeque::new(),
-            pending: None,
-            run_from: p,
-            run_len: run_components.min(3 - p),
-        }
-    }
-
     /// Exact number of visible triples matching `pattern` (binary search
     /// on the base index and on the overlay runs).
     pub fn count(&self, pattern: IdPattern) -> usize {
@@ -865,55 +747,6 @@ impl Iterator for MergedScan<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Owning descending-run merged-scan iterator: consumes the three-way
-/// merge from the back, buffering one key run at a time so rows within a
-/// run come out in forward order while runs come out highest-first.
-struct MergedScanDesc<'a> {
-    order: IndexOrder,
-    keys: MergedKeys<'a>,
-    /// The current run's triples, in forward order, drained front-first.
-    run: std::collections::VecDeque<[Id; 3]>,
-    /// A key already pulled from the cursor that belongs to the *next*
-    /// (lower) run — the one-key lookahead that detects run boundaries.
-    pending: Option<[Id; 3]>,
-    /// First run-key component (the bound-prefix length in `order`).
-    run_from: usize,
-    /// Number of key components that define a run (0 = one single run,
-    /// i.e. plain forward order).
-    run_len: usize,
-}
-
-impl MergedScanDesc<'_> {
-    fn refill(&mut self) {
-        let Some(first) = self.pending.take().or_else(|| self.keys.next_key_back()) else {
-            return;
-        };
-        let (lo, hi) = (self.run_from, self.run_from + self.run_len);
-        // Keys arrive in descending order; push_front restores the run's
-        // forward order without a separate reverse pass.
-        self.run.push_front(self.order.spo_of(first));
-        while let Some(k) = self.keys.next_key_back() {
-            if k[lo..hi] == first[lo..hi] {
-                self.run.push_front(self.order.spo_of(k));
-            } else {
-                self.pending = Some(k);
-                break;
-            }
-        }
-    }
-}
-
-impl Iterator for MergedScanDesc<'_> {
-    type Item = [Id; 3];
-
-    fn next(&mut self) -> Option<[Id; 3]> {
-        if self.run.is_empty() {
-            self.refill();
-        }
-        self.run.pop_front()
     }
 }
 
@@ -1349,105 +1182,6 @@ mod tests {
         objects.sort_unstable();
         objects.dedup();
         assert_eq!(ds.objects_of(p), objects);
-    }
-
-    /// A store with a non-trivial overlay (tombstones, re-adds, fresh
-    /// inserts) for the seek / cut / descending-scan tests: duplicate run
-    /// keys on the object position, so run alignment is observable.
-    fn build_runny() -> Dataset {
-        let mut b = StoreBuilder::new();
-        for i in 0..30u32 {
-            b.insert(term(&format!("s/{i:02}")), term("p"), term(&format!("o/{}", i % 7)));
-        }
-        let mut ds = b.freeze();
-        assert!(ds.delete(&term("s/03"), &term("p"), &term("o/3")));
-        assert!(ds.delete(&term("s/10"), &term("p"), &term("o/3")));
-        assert!(ds.insert(term("s/03"), term("p"), term("o/3")));
-        assert!(ds.insert(term("s/05"), term("p"), term("o/0")));
-        assert!(ds.insert(term("s/29"), term("p"), term("o/6")));
-        ds
-    }
-
-    #[test]
-    fn seek_with_matches_linear_scan_positions() {
-        let ds = build_runny();
-        let p = ds.lookup(&term("p")).unwrap();
-        let pat = [None, Some(p), None];
-        for order in [IndexOrder::Pos, IndexOrder::Pso] {
-            let full: Vec<[Id; 3]> = ds.scan_with(pat, order).collect();
-            let keys: Vec<[Id; 3]> = full.iter().map(|&t| order.key_of(t)).collect();
-            // prefix length 1 (the bound predicate) → unbound components
-            // start at index 1; probe every key at granularities 1 and 2.
-            for m in 1..=2usize {
-                for probe in &keys {
-                    let want = &probe[1..1 + m];
-                    let lo = keys.iter().filter(|k| k[1..1 + m].cmp(want).is_lt()).count();
-                    let hi = keys.iter().filter(|k| k[1..1 + m].cmp(want).is_le()).count();
-                    assert_eq!(ds.seek_with(pat, order, want, false), lo, "{order:?} lo m={m}");
-                    assert_eq!(ds.seek_with(pat, order, want, true), hi, "{order:?} hi m={m}");
-                }
-            }
-            // Seeking resumes the sliced scan at the sought key.
-            let probe = order.key_of(full[full.len() / 2]);
-            let at = ds.seek_with(pat, order, &probe[1..2], false);
-            let resumed: Vec<[Id; 3]> = ds.scan_slice_with(pat, order, at, full.len()).collect();
-            assert_eq!(resumed, full[at..], "{order:?} resume");
-        }
-    }
-
-    #[test]
-    fn key_range_cuts_align_to_runs_and_cover_extent() {
-        let ds = build_runny();
-        let p = ds.lookup(&term("p")).unwrap();
-        let pat = [None, Some(p), None];
-        let order = IndexOrder::Pos;
-        let full: Vec<[Id; 3]> = ds.scan_with(pat, order).collect();
-        let keys: Vec<[Id; 3]> = full.iter().map(|&t| order.key_of(t)).collect();
-        for target in 1..=full.len() + 2 {
-            let cuts = ds.key_range_cuts(pat, order, 1, target);
-            assert_eq!(cuts[0], 0, "target {target}");
-            assert_eq!(*cuts.last().unwrap(), full.len(), "target {target}");
-            assert!(cuts.windows(2).all(|w| w[0] < w[1]), "empty morsel at target {target}");
-            // No run of equal leading key components straddles a cut.
-            for &c in &cuts[1..cuts.len() - 1] {
-                assert_ne!(keys[c - 1][1], keys[c][1], "run straddles cut {c} (target {target})");
-            }
-            // Morsel slices concatenate to the full scan.
-            let mut pieced = Vec::new();
-            for w in cuts.windows(2) {
-                pieced.extend(ds.scan_slice_with(pat, order, w[0], w[1]));
-            }
-            assert_eq!(pieced, full, "target {target}");
-        }
-        // Empty scans produce zero morsels.
-        let missing = [None, Some(Id(u32::MAX - 1)), None];
-        assert_eq!(ds.key_range_cuts(missing, Dataset::default_order(missing), 1, 4), vec![0]);
-    }
-
-    #[test]
-    fn scan_desc_runs_is_a_stable_descending_sort_of_the_forward_scan() {
-        let ds = build_runny();
-        let p = ds.lookup(&term("p")).unwrap();
-        let pat = [None, Some(p), None];
-        for order in [IndexOrder::Pos, IndexOrder::Pso] {
-            let forward: Vec<[Id; 3]> = ds.scan_with(pat, order).collect();
-            for m in 1..=2usize {
-                let mut expect = forward.clone();
-                // Stable descending sort on the first m unbound key
-                // components — what ORDER BY … DESC over the forward
-                // arrival order produces.
-                expect.sort_by(|&a, &b| {
-                    let (ka, kb) = (order.key_of(a), order.key_of(b));
-                    kb[1..1 + m].cmp(&ka[1..1 + m])
-                });
-                let got: Vec<[Id; 3]> = ds.scan_desc_runs(pat, order, m).collect();
-                assert_eq!(got, expect, "{order:?} m={m}");
-            }
-        }
-        // Granularity 0 degenerates to the forward scan (one single run).
-        let forward: Vec<[Id; 3]> = ds.scan_with(pat, IndexOrder::Pos).collect();
-        let got: Vec<[Id; 3]> = ds.scan_desc_runs(pat, IndexOrder::Pos, 0).collect();
-        assert_eq!(got, forward);
     }
 
     #[test]

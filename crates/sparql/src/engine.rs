@@ -739,7 +739,7 @@ impl<'a> Engine<'a> {
     /// from `group.first_idx`, new variables taking the next free slots),
     /// finds the `Cout`-optimal join tree and re-derives its root estimate.
     /// `order_by` (the required BGP only) is the query whose ORDER BY the
-    /// plan may serve: a plan delivering a direction-uniform run of plain
+    /// plan may serve: a plan delivering an ascending run of plain
     /// key variables escapes the sort penalty in the root selection.
     fn plan_group(
         &self,
@@ -753,9 +753,7 @@ impl<'a> Engine<'a> {
             slots: t.positions().map(|pos| self.resolve(pos, binding, |v| vars.slot(v))),
         };
         let patterns: Vec<PlannedPattern> = group.patterns.iter().enumerate().map(lower).collect();
-        let sort = order_by.map_or_else(Vec::new, |query| {
-            order_pref_slots(query, &vars.slot_of, patterns.len() == 1)
-        });
+        let sort = order_by.map_or_else(Vec::new, |query| order_pref_slots(query, &vars.slot_of));
         let prefs = OrderPrefs { sort, mode: self.exec.order_exec };
         let plan = optimize_with(&patterns, &self.est, &prefs)?;
         let est = reestimate(&plan, &self.est);
@@ -764,8 +762,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Records the physical plan of one execution: **the only place** the
-    /// engine's physical choices are made. Join methods, morselization,
-    /// the descending scan and the modifier strategy are decided here from
+    /// engine's physical choices are made. Join methods, morselization
+    /// and the modifier strategy are decided here from
     /// `(prepared, exec, dataset)` and returned as plain data, which
     /// [`Engine::stream`] lowers and [`Engine::explain_physical`] prints —
     /// so what is explained is what runs. Built per execution (the bind
@@ -780,8 +778,6 @@ impl<'a> Engine<'a> {
         let order_on = exec.order_exec != OrderExec::Off;
         let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
         let in_order = self.order_satisfied(m, delivered);
-        let desc_runs = self.desc_elimination(prepared, delivered);
-        let sorted = in_order || desc_runs.is_some();
         let budget = exec.mem_budget_rows;
 
         // Plain LIMIT queries (no aggregation, no surviving sort) are
@@ -792,15 +788,11 @@ impl<'a> Engine<'a> {
         // the fan-out is pure gain. (Shape-and-config derived,
         // thread-independent: the determinism guarantee is unaffected.)
         let output_bound =
-            m.aggregate.is_none() && m.limit.is_some() && (m.order_by.is_empty() || sorted);
+            m.aggregate.is_none() && m.limit.is_some() && (m.order_by.is_empty() || in_order);
         let (bgp, morselized) = match &prepared.bgp_plan {
             None => (None, false),
             Some(plan) => {
-                let may_morselize = desc_runs.is_none() && !output_bound;
-                let (mut root, morselized) = plan.physical(self.ds, exec, may_morselize);
-                if let (Some(runs), PhysNode::Scan { desc_runs, .. }) = (desc_runs, &mut root) {
-                    *desc_runs = runs;
-                }
+                let (root, morselized) = plan.physical(self.ds, exec, !output_bound);
                 (Some(root), morselized)
             }
         };
@@ -843,7 +835,7 @@ impl<'a> Engine<'a> {
                 let sort = if m.order_by.is_empty() {
                     Sort::None
                 } else if ordered && in_order {
-                    Sort::Eliminated { descending: false }
+                    Sort::Eliminated
                 } else {
                     Sort::Full
                 };
@@ -855,7 +847,7 @@ impl<'a> Engine<'a> {
                 // all projected columns otherwise share their sort keys.
                 let dedup = if !m.distinct {
                     Dedup::None
-                } else if m.has_helper_cols() && !sorted {
+                } else if m.has_helper_cols() && !in_order {
                     Dedup::SortAware
                 } else if Self::clustered(delivered, &m.out_slots()) {
                     Dedup::Run
@@ -864,8 +856,8 @@ impl<'a> Engine<'a> {
                 };
                 let sort = if m.order_by.is_empty() {
                     Sort::None
-                } else if sorted {
-                    Sort::Eliminated { descending: desc_runs.is_some() }
+                } else if in_order {
+                    Sort::Eliminated
                 } else if dedup == Dedup::SortAware {
                     Sort::Full
                 } else if m.limit.is_some() {
@@ -1032,7 +1024,7 @@ impl<'a> Engine<'a> {
         }
         let stops_early = plan.fold.is_none()
             && plan.modifiers.limit.is_some()
-            && matches!(plan.sort, Sort::None | Sort::Eliminated { .. });
+            && matches!(plan.sort, Sort::None | Sort::Eliminated);
         if stops_early {
             return Ok(self.execute(prepared)?.stats);
         }
@@ -1195,7 +1187,7 @@ impl<'a> Engine<'a> {
                 (fold.finish(m, agg, stats)?, 0)
             }
         };
-        let sorted = matches!(plan.sort, Sort::Eliminated { .. });
+        let sorted = matches!(plan.sort, Sort::Eliminated);
         let out = finalize_table(rows, m, ds, false, sorted, stats);
         stats.shrink(resident);
         Ok(out)
@@ -1236,7 +1228,7 @@ impl<'a> Engine<'a> {
             // No sort, or rows already arrive in final ORDER BY order: a
             // LIMIT/OFFSET is an early-exit Slice — upstream stops once the
             // limit is hit.
-            Sort::None | Sort::Eliminated { .. } => {
+            Sort::None | Sort::Eliminated => {
                 if m.offset > 0 || m.limit.is_some() {
                     op = Box::new(Slice::new(op, m.offset, m.limit));
                 }
@@ -1304,14 +1296,14 @@ impl<'a> Engine<'a> {
     }
 
     /// The deduplicated slot sequence of the ORDER BY keys when every key
-    /// is a plain-variable column sorted in the `desc` direction — what an
-    /// index order can serve. `None` for no keys, mixed directions,
-    /// expressions and aggregate aliases.
-    fn order_slots(m: &ModifierPlan, desc: bool) -> Option<Vec<usize>> {
+    /// is an ascending plain-variable column — what an index order can
+    /// serve. `None` for no keys, descending keys, expressions and
+    /// aggregate aliases.
+    fn order_slots(m: &ModifierPlan) -> Option<Vec<usize>> {
         let mut seq: Vec<usize> = Vec::new();
-        for &(col, key_desc) in &m.order_by {
+        for &(col, desc) in &m.order_by {
             match m.table[col].source {
-                TableColSource::Slot(s) if key_desc == desc => {
+                TableColSource::Slot(s) if !desc => {
                     if !seq.contains(&s) {
                         seq.push(s);
                     }
@@ -1335,52 +1327,9 @@ impl<'a> Engine<'a> {
         // id-ordered delivery pins them by lexical form. The dictionary
         // records at freeze whether any such tie exists; a single key is
         // always safe (ties fall back to arrival order on both paths).
-        Self::order_slots(m, false).is_some_and(|seq| {
+        Self::order_slots(m).is_some_and(|seq| {
             delivered.starts_with(&seq) && (seq.len() == 1 || !self.ds.dict().has_value_ties())
         })
-    }
-
-    /// The descending counterpart of [`Engine::order_satisfied`] — the
-    /// direction-symmetric half of the order service. When every ORDER BY
-    /// key is a *descending* plain-variable column and the pattern part is
-    /// one bare scan (filters allowed — they preserve order), the engine
-    /// serves the query by run-reversed index iteration
-    /// ([`crate::physical::IndexScan::descending`]) instead of sorting:
-    /// runs of the leading key components are visited in reverse key order
-    /// with forward order inside each run, which is exactly a stable
-    /// descending sort of the forward pipeline — the forced-off baseline's
-    /// output, bit for bit.
-    ///
-    /// Returns the number of leading key components to reverse.
-    /// Conservatively `None` beyond the bare-scan shape; multi-join plans
-    /// keep the forward pipeline and sort.
-    fn desc_elimination(&self, prepared: &Prepared, delivered: &[usize]) -> Option<usize> {
-        let seq = Self::order_slots(&prepared.modifiers, true)?;
-        // Stricter than the ascending path, which tolerates value ties on
-        // a single key: two distinct ids with equal value form separate id
-        // runs, and reversing runs flips their relative order while the
-        // baseline's stable descending sort keeps them in arrival order.
-        // Ascending delivery never reorders them, descending run-reversal
-        // does — so any value tie disables the elimination.
-        if prepared.modifiers.aggregate.is_some()
-            || self.ds.dict().has_value_ties()
-            || !prepared.unions.is_empty()
-            || !prepared.optionals.is_empty()
-        {
-            return None;
-        }
-        let Some(PlanNode::Scan { pattern, .. }) = &prepared.bgp_plan else {
-            return None;
-        };
-        // No repeated variables (the slot→key-component mapping assumes
-        // each key slot is one index component), and the delivered order
-        // must carry the keys as its prefix — it is empty under
-        // `OrderExec::Off` and while the value-order invariant is
-        // suspended, which gates the descending elimination exactly like
-        // the ascending one.
-        let var_positions = pattern.slots.iter().filter(|s| s.as_var().is_some()).count();
-        (pattern.var_slots().len() == var_positions && delivered.starts_with(&seq))
-            .then_some(seq.len())
     }
 
     /// Whether the delivered order makes rows equal on `slots` contiguous:
@@ -1581,30 +1530,14 @@ impl<'a> Engine<'a> {
 }
 
 /// The ORDER BY slot-sequence preference handed to the optimizer: the
-/// deduplicated slot sequence when the keys form a *direction-uniform*
-/// run of plain pattern variables already carrying slots, empty
-/// otherwise (mixed ASC/DESC, expressions and aggregate aliases cannot
-/// be served by an index order, so no preference exists). All-ascending
-/// keys always yield a preference; all-descending keys yield one only
-/// for a single-pattern required BGP (`bare_scan`) — that is the shape
-/// the descending order service can serve by run-reversed index
-/// iteration, and a multi-join plan must not be handed a sort-penalty
-/// waiver it cannot cash in.
-fn order_pref_slots(
-    query: &SelectQuery,
-    slot_of: &HashMap<String, usize>,
-    bare_scan: bool,
-) -> Vec<usize> {
-    if query.order_by.is_empty() {
-        return Vec::new();
-    }
-    let all_desc = query.order_by.iter().all(|k| k.descending);
-    if all_desc && !bare_scan {
-        return Vec::new();
-    }
+/// deduplicated slot sequence when the keys form a run of *ascending*
+/// plain pattern variables already carrying slots, empty otherwise
+/// (descending keys, expressions and aggregate aliases cannot be served
+/// by an index order, so no preference exists).
+fn order_pref_slots(query: &SelectQuery, slot_of: &HashMap<String, usize>) -> Vec<usize> {
     let mut out = Vec::new();
     for k in &query.order_by {
-        if k.descending != all_desc {
+        if k.descending {
             return Vec::new();
         }
         let Some(v) = k.target.as_var() else {

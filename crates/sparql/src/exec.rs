@@ -16,7 +16,6 @@ use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
 
 use crate::ast::{BinOp, Expr};
-use crate::error::QueryError;
 
 /// Sentinel id marking an unbound value (from OPTIONAL mismatches).
 pub const UNBOUND: Id = Id(u32::MAX);
@@ -441,7 +440,7 @@ pub struct ExecStats {
     /// (e.g. a merge join observing unsorted input). The `Operator`
     /// protocol has no `Result` channel, so a failing operator records the
     /// error here, stops producing, and the engine surfaces it as
-    /// [`QueryError::Exec`] at the run
+    /// [`crate::error::QueryError::Exec`] at the run
     /// boundary. The first error recorded wins; parallel absorption keeps
     /// the first error in morsel-index order, so the surfaced error is
     /// thread-count-independent like every other counter.
@@ -506,26 +505,6 @@ impl ExecStats {
         }
         self.peak_tuples = self.peak_tuples.max(self.live_tuples + wave_peak);
         self.live_tuples += wave_live;
-    }
-
-    /// Folds the stats of an OPTIONAL sub-plan executed with its own
-    /// [`ExecStats`]: its join outputs count as optional `Cout`, and its
-    /// peak happened while `self`'s currently live tuples were resident.
-    pub fn absorb_optional(&mut self, other: ExecStats) {
-        self.cout_optional += other.cout + other.cout_optional;
-        self.scanned += other.scanned;
-        self.sorted_rows += other.sorted_rows;
-        self.build_rows += other.build_rows;
-        self.spilled_rows += other.spilled_rows;
-        self.spill_runs += other.spill_runs;
-        self.spill_bytes += other.spill_bytes;
-        self.overlay_rows += other.overlay_rows;
-        self.join_cards.extend(other.join_cards);
-        if let Some(err) = other.exec_error {
-            self.record_exec_error(err);
-        }
-        self.peak_tuples = self.peak_tuples.max(self.live_tuples + other.peak_tuples);
-        self.live_tuples += other.live_tuples;
     }
 }
 
@@ -691,25 +670,6 @@ pub fn row_passes(
     filters.iter().all(|f| matches!(eval_expr(f, row, var_col, ds), Value::Bool(true)))
 }
 
-/// Retains only rows where all `filters` evaluate to true.
-pub fn apply_filters(
-    bindings: Bindings,
-    filters: &[Expr],
-    var_col: &HashMap<String, usize>,
-    ds: &Dataset,
-) -> Result<Bindings, QueryError> {
-    if filters.is_empty() {
-        return Ok(bindings);
-    }
-    let mut out = Bindings::empty(bindings.cols().to_vec());
-    for row in bindings.iter() {
-        if row_passes(row, filters, var_col, ds) {
-            out.push_row(row);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,20 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_optional_moves_cout_and_merges_peak() {
-        let mut base = ExecStats { cout: 7, ..Default::default() };
-        base.grow(100); // base table resident
-        let mut opt = ExecStats { cout: 3, ..Default::default() };
-        opt.grow(50);
-        opt.shrink(20);
-        base.absorb_optional(opt);
-        assert_eq!(base.cout, 7);
-        assert_eq!(base.cout_optional, 3);
-        // Optional peak (50) happened while the base 100 were live.
-        assert_eq!(base.peak_tuples, 150);
-    }
-
-    #[test]
     fn filter_numeric_comparison() {
         let ds = dataset();
         let ages = scan_all(&ds, "p/age", 0, 1);
@@ -810,8 +756,8 @@ mod tests {
             Box::new(Expr::Var("age".into())),
             Box::new(Expr::Const(Term::integer(35))),
         );
-        let out = apply_filters(ages, &[filter], &var_col, &ds).unwrap();
-        assert_eq!(out.len(), 1);
+        let filters = [filter];
+        assert_eq!(ages.iter().filter(|r| row_passes(r, &filters, &var_col, &ds)).count(), 1);
     }
 
     #[test]
@@ -826,8 +772,9 @@ mod tests {
             Box::new(Expr::Var("y".into())),
             Box::new(Expr::Const(Term::iri("c"))),
         );
-        let out = apply_filters(knows, &[filter], &var_col, &ds).unwrap();
-        assert_eq!(out.len(), 1); // only a knows b survives
+        let filters = [filter];
+        // Only "a knows b" survives.
+        assert_eq!(knows.iter().filter(|r| row_passes(r, &filters, &var_col, &ds)).count(), 1);
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //!   the store's sorted permutation indexes double as sorted result
 //!   sources (the dictionary is value-ordered at freeze), the DP keeps
 //!   the cheapest plan *per delivered order*, order-compatible sides zip
-//!   through a build-free [`physical::MergeJoin`], and sorts whose keys
-//!   the delivered order already satisfies are skipped entirely
+//!   through a build-free [`physical::MergeJoin`] (a merge join keeps its
+//!   plan serial), and sorts whose ascending keys the delivered order
+//!   already satisfies are skipped entirely
 //!   (`ExecStats::sorted_rows == 0`; TopK degenerates to an early-exit
 //!   slice, GROUP BY folds one group at a time, DISTINCT dedups by run) —
 //!   controlled by [`exec::ExecConfig::order_exec`] /

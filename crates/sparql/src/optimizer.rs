@@ -48,10 +48,8 @@ const MAX_CANDS: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub struct OrderPrefs {
     /// Desired delivered-order prefix (the ORDER BY slots when the keys
-    /// are a direction-uniform run of plain variables; empty = no
-    /// preference). A root candidate delivering this prefix escapes the
-    /// sort penalty. Direction is not encoded here: a descending run is
-    /// served by run-reversed iteration over the same index order.
+    /// are an ascending run of plain variables; empty = no preference).
+    /// A root candidate delivering this prefix escapes the sort penalty.
     pub sort: Vec<usize>,
     /// Merge-join aggressiveness (see [`OrderExec`]). `Off` reproduces the
     /// pre-order-aware planner exactly.

@@ -230,7 +230,7 @@ struct ScanState<'a> {
 impl<'a> IndexScan<'a> {
     /// Scans the pattern's full index range (default index order).
     pub fn new(ds: &'a Dataset, pattern: &PlannedPattern) -> Self {
-        Self::over(ds, pattern, None, None, true)
+        Self::over(ds, pattern, None, None)
     }
 
     /// Scans the pattern out of an explicitly chosen permutation index
@@ -242,7 +242,7 @@ impl<'a> IndexScan<'a> {
         pattern: &PlannedPattern,
         order: Option<IndexOrder>,
     ) -> Self {
-        Self::over(ds, pattern, order, None, true)
+        Self::over(ds, pattern, order, None)
     }
 
     /// Scans only rows `[start, end)` of the pattern's index range — one
@@ -257,49 +257,7 @@ impl<'a> IndexScan<'a> {
         start: usize,
         end: usize,
     ) -> Self {
-        Self::over(ds, pattern, order, Some((start, end)), start == 0)
-    }
-
-    /// [`IndexScan::morsel`] with an explicit overlay-charge decision. The
-    /// right side of a parallel merge join is sliced by key-derived bounds:
-    /// its first slice need not start at row 0 and several empty slices may
-    /// share a position, so "starts at 0" no longer identifies one unique
-    /// morsel per logical scan — the caller marks exactly one (morsel
-    /// index 0) as the charging one, keeping `ExecStats::overlay_rows`
-    /// geometry-independent.
-    pub(crate) fn morsel_charged(
-        ds: &'a Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        start: usize,
-        end: usize,
-        charge_overlay: bool,
-    ) -> Self {
-        Self::over(ds, pattern, order, Some((start, end)), charge_overlay)
-    }
-
-    /// Scans the pattern's full range in **descending** key order, run by
-    /// run: runs of the leading `run_components` unbound key components
-    /// are visited in reverse key order while rows *within* a run keep
-    /// forward order — exactly a stable descending sort of the forward
-    /// scan on those components. This is what lets the engine serve
-    /// `ORDER BY ... DESC` straight from the index (`sorted_rows == 0`)
-    /// while reproducing the forced-off baseline's tie order bit for bit.
-    pub fn descending(
-        ds: &'a Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        run_components: usize,
-    ) -> Self {
-        let schema = pattern.var_slots();
-        if pattern.has_absent() {
-            return IndexScan { schema, state: None };
-        }
-        let access = pattern.access();
-        let order = order.unwrap_or_else(|| Dataset::default_order(access));
-        let overlay_entries = ds.overlay_entries(access) as u64;
-        let iter = Box::new(ds.scan_desc_runs(access, order, run_components));
-        Self::from_parts(pattern, schema, iter, overlay_entries)
+        Self::over(ds, pattern, order, Some((start, end)))
     }
 
     fn over(
@@ -307,7 +265,6 @@ impl<'a> IndexScan<'a> {
         pattern: &PlannedPattern,
         order: Option<IndexOrder>,
         slice: Option<(usize, usize)>,
-        charge_overlay: bool,
     ) -> Self {
         let schema = pattern.var_slots();
         if pattern.has_absent() {
@@ -315,20 +272,12 @@ impl<'a> IndexScan<'a> {
         }
         let access = pattern.access();
         let order = order.unwrap_or_else(|| Dataset::default_order(access));
+        let charge_overlay = slice.is_none_or(|(start, _)| start == 0);
         let overlay_entries = if charge_overlay { ds.overlay_entries(access) as u64 } else { 0 };
         let iter: Box<dyn Iterator<Item = [Id; 3]> + 'a> = match slice {
             None => Box::new(ds.scan_with(access, order)),
             Some((start, end)) => Box::new(ds.scan_slice_with(access, order, start, end)),
         };
-        Self::from_parts(pattern, schema, iter, overlay_entries)
-    }
-
-    fn from_parts(
-        pattern: &PlannedPattern,
-        schema: Vec<usize>,
-        iter: Box<dyn Iterator<Item = [Id; 3]> + 'a>,
-        overlay_entries: u64,
-    ) -> Self {
         let col_pos: Vec<usize> = schema
             .iter()
             .map(|&v| {
@@ -1295,8 +1244,8 @@ impl Operator for MergeJoin<'_> {
             match &mut self.prev_left_key {
                 Some(prev) if *prev > key => {
                     // Unconditional, not debug-only: with overlay-merged
-                    // and morsel-sliced inputs feeding the join, a silent
-                    // release-build misjoin is the worst failure mode.
+                    // inputs feeding the join, a silent release-build
+                    // misjoin is the worst failure mode.
                     stats.record_exec_error(crate::error::ExecError::invariant(
                         "merge join",
                         format!("left input not sorted on its key: {prev:?} then {key:?}"),
@@ -1688,64 +1637,36 @@ pub const MORSELS_PER_WAVE: usize = 32;
 /// One contiguous chunk of the driving scan's index range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Morsel {
-    /// Position in the morsel sequence (the merge key [`Gather`] orders by).
-    pub index: usize,
     /// First driving-scan row (inclusive).
     pub start: usize,
     /// Last driving-scan row (exclusive).
     pub end: usize,
 }
 
-/// Partitions a scan extent into [`Morsel`]s — fixed-size row chunks, or
-/// explicit key-range cuts when the spine carries merge joins (a run of
-/// equal merge keys must never straddle a morsel). The geometry depends
-/// only on the extent and `morsel_rows` (or the cut table, itself a
-/// function of the data and `morsel_rows`), never on the thread count —
-/// the root of the engine's any-thread-count determinism.
+/// Partitions a scan extent into fixed-size [`Morsel`]s. The geometry
+/// depends only on the extent and `morsel_rows`, never on the thread count
+/// — the root of the engine's any-thread-count determinism.
 #[derive(Debug, Clone)]
 pub struct Exchange {
     extent: usize,
     morsel_rows: usize,
-    /// Explicit morsel boundaries (`cuts[i]..cuts[i + 1]` is morsel `i`),
-    /// produced by `Dataset::key_range_cuts`. `None` = fixed-size chunks.
-    cuts: Option<Arc<Vec<usize>>>,
 }
 
 impl Exchange {
     /// An exchange over `extent` driving rows in chunks of `morsel_rows`.
     pub fn new(extent: usize, morsel_rows: usize) -> Self {
-        Exchange { extent, morsel_rows: morsel_rows.max(1), cuts: None }
-    }
-
-    /// An exchange cutting the driving scan at explicit row boundaries.
-    /// `cuts` must start at 0 and be non-decreasing; its last entry is the
-    /// extent. The one-entry table `[0]` (empty scan) yields zero morsels.
-    pub fn with_cuts(cuts: Vec<usize>) -> Self {
-        debug_assert!(
-            cuts.first() == Some(&0) && cuts.windows(2).all(|w| w[0] <= w[1]),
-            "cut table must start at 0 and be non-decreasing: {cuts:?}"
-        );
-        let extent = *cuts.last().expect("cut table is never empty");
-        Exchange { extent, morsel_rows: 1, cuts: Some(Arc::new(cuts)) }
+        Exchange { extent, morsel_rows: morsel_rows.max(1) }
     }
 
     /// Total number of morsels.
     pub fn morsel_count(&self) -> usize {
-        match &self.cuts {
-            Some(cuts) => cuts.len() - 1,
-            None => self.extent.div_ceil(self.morsel_rows),
-        }
+        self.extent.div_ceil(self.morsel_rows)
     }
 
     /// The `index`-th morsel (the last one may be short).
     pub fn morsel(&self, index: usize) -> Morsel {
-        match &self.cuts {
-            Some(cuts) => Morsel { index, start: cuts[index], end: cuts[index + 1] },
-            None => {
-                let start = index * self.morsel_rows;
-                Morsel { index, start, end: (start + self.morsel_rows).min(self.extent) }
-            }
-        }
+        let start = index * self.morsel_rows;
+        Morsel { start, end: (start + self.morsel_rows).min(self.extent) }
     }
 }
 
@@ -1877,29 +1798,6 @@ pub enum SpineStep {
         /// Plan signature path for `ExecStats::join_cards`.
         signature: String,
     },
-    /// Morsel-private merge join against a key-aligned slice of a sorted
-    /// index scan — the zero-build parallel lowering of a spine
-    /// [`crate::plan::PlanNode::MergeJoin`]. `bounds[i]..bounds[i + 1]` is
-    /// the right-side row slice of morsel `i`: computed once per logical
-    /// scan by [`ParallelSource::new`] via the right index's cursor-seek
-    /// (`Dataset::seek_with` on the driver morsel's first key), and pinned
-    /// to `[0, right extent]` at the edges so the slices *partition* the
-    /// right scan — `scanned` stays geometry-independent because the
-    /// serial merge join drains its right side to completion too.
-    Merge {
-        /// The sorted right-side pattern.
-        pattern: PlannedPattern,
-        /// Index order serving the right side (`None` = default).
-        order: Option<IndexOrder>,
-        /// The merge key (shared variable slots, in delivered-order
-        /// sequence).
-        join_vars: Vec<usize>,
-        /// Plan signature path for `ExecStats::join_cards`.
-        signature: String,
-        /// Per-morsel right-side row bounds (filled by
-        /// [`ParallelSource::new`]; the plan layer emits a placeholder).
-        bounds: Arc<Vec<usize>>,
-    },
 }
 
 /// A morsel-parallel pipeline: the driving scan's [`Exchange`] plus the
@@ -1935,52 +1833,24 @@ impl<'a> ParallelSource<'a> {
         ds: &'a Dataset,
         driver: PlannedPattern,
         driver_order: Option<IndexOrder>,
-        mut steps: Vec<SpineStep>,
+        steps: Vec<SpineStep>,
         cfg: &ExecConfig,
         bucket: CoutBucket,
     ) -> Self {
         let extent = if driver.has_absent() { 0 } else { ds.count(driver.access()) };
-        // Merge steps switch the exchange to key-range cuts: the driving
-        // scan is cut only at run boundaries of its shortest merge-key
-        // prefix, so no run of equal keys — of *any* merge step, since
-        // longer-prefix runs nest inside shorter-prefix runs — straddles a
-        // morsel. Without merge steps the fixed-size geometry is kept.
-        let merge_runs = steps
-            .iter()
-            .filter_map(|s| match s {
-                SpineStep::Merge { join_vars, .. } => Some(join_vars.len()),
-                _ => None,
-            })
-            .min();
-        let exchange = match merge_runs {
-            None => Exchange::new(extent, cfg.morsel_rows),
-            Some(run_components) => {
-                let access = driver.access();
-                let order = driver_order.unwrap_or_else(|| Dataset::default_order(access));
-                let cuts = ds.key_range_cuts(access, order, run_components, cfg.morsel_rows);
-                Self::fill_merge_bounds(ds, &driver, order, &cuts, &mut steps);
-                Exchange::with_cuts(cuts)
-            }
-        };
+        let exchange = Exchange::new(extent, cfg.morsel_rows);
         let shared_tuples = steps
             .iter()
             .map(|s| match s {
                 SpineStep::Probe { build, .. } => build.len(),
-                SpineStep::Bind { .. } | SpineStep::Merge { .. } => 0,
+                SpineStep::Bind { .. } => 0,
             })
             .sum();
         let schema = Self::spine_schema(&driver, &steps);
         debug_assert_eq!(
             schema,
-            Self::assemble(
-                ds,
-                &driver,
-                driver_order,
-                &steps,
-                bucket,
-                Morsel { index: 0, start: 0, end: 0 }
-            )
-            .schema(),
+            Self::assemble(ds, &driver, driver_order, &steps, bucket, Morsel { start: 0, end: 0 })
+                .schema(),
             "spine_schema must mirror the assembled operators' layout"
         );
         ParallelSource {
@@ -2031,66 +1901,9 @@ impl<'a> ParallelSource<'a> {
                         }
                     }
                 }
-                // Mirrors MergeJoin::new: left columns, then new right ones.
-                SpineStep::Merge { pattern, .. } => {
-                    for v in pattern.var_slots() {
-                        if !schema.contains(&v) {
-                            schema.push(v);
-                        }
-                    }
-                }
             }
         }
         schema
-    }
-
-    /// Computes each merge step's per-morsel right-side bounds — the
-    /// cursor-seek discipline: morsel `i`'s right slice starts where the
-    /// driver's first key at cut `i` begins in the right index
-    /// (`Dataset::seek_with`, lower bound), so the private merge join sees
-    /// every right row matching any driver key of its morsel. Bounds 0 and
-    /// last pin `[0, right extent]`: the below-first-key and
-    /// above-last-key right rows the serial join would skip/drain land in
-    /// the first/last morsel, keeping `scanned` geometry-independent.
-    fn fill_merge_bounds(
-        ds: &Dataset,
-        driver: &PlannedPattern,
-        driver_order: IndexOrder,
-        cuts: &[usize],
-        steps: &mut [SpineStep],
-    ) {
-        let access = driver.access();
-        // Unbound key positions of the driving index, in key order — the
-        // triple positions whose values form the keys `seek_with` compares.
-        let key_positions: Vec<usize> =
-            driver_order.perm().iter().copied().filter(|&pos| access[pos].is_none()).collect();
-        // First-key components at each interior cut (the edge cuts 0 and
-        // `extent` need no key: their bounds are pinned).
-        let interior = if cuts.len() > 2 { &cuts[1..cuts.len() - 1] } else { &[][..] };
-        let cut_keys: Vec<Vec<Id>> = interior
-            .iter()
-            .map(|&row| {
-                let spo = ds
-                    .scan_slice_with(access, driver_order, row, row + 1)
-                    .next()
-                    .expect("interior cuts lie strictly inside the scan");
-                key_positions.iter().map(|&pos| spo[pos]).collect()
-            })
-            .collect();
-        for step in steps {
-            if let SpineStep::Merge { pattern, order, join_vars, bounds, .. } = step {
-                let raccess = pattern.access();
-                let rorder = order.unwrap_or_else(|| Dataset::default_order(raccess));
-                let k = join_vars.len();
-                let mut b = Vec::with_capacity(cuts.len());
-                b.push(0);
-                for key in &cut_keys {
-                    b.push(ds.seek_with(raccess, rorder, &key[..k], false));
-                }
-                b.push(ds.count(raccess));
-                *bounds = Arc::new(b);
-            }
-        }
     }
 
     /// One worker pipeline over one morsel.
@@ -2123,25 +1936,6 @@ impl<'a> ParallelSource<'a> {
                         signature.clone(),
                         bucket,
                     ))
-                }
-                SpineStep::Merge { pattern, order, join_vars, signature, bounds } => {
-                    // Defensive clamp for placeholder bounds (the schema
-                    // assertion assembles before geometry exists): an
-                    // out-of-range morsel gets an empty right slice.
-                    let (rstart, rend) = if m.index + 1 < bounds.len() {
-                        (bounds[m.index], bounds[m.index + 1])
-                    } else {
-                        (0, 0)
-                    };
-                    let right: BoxedOperator<'a> = Box::new(IndexScan::morsel_charged(
-                        ds,
-                        pattern,
-                        *order,
-                        rstart,
-                        rend,
-                        m.index == 0,
-                    ));
-                    Box::new(MergeJoin::new(op, right, join_vars, signature.clone(), bucket))
                 }
             };
         }
@@ -2636,7 +2430,6 @@ mod tests {
         let mut covered = 0;
         for i in 0..ex.morsel_count() {
             let m = ex.morsel(i);
-            assert_eq!(m.index, i);
             assert_eq!(m.start, covered);
             covered = m.end;
         }
@@ -2688,98 +2481,6 @@ mod tests {
             match &reference {
                 None => reference = Some(key),
                 Some(r) => assert_eq!(*r, key, "threads={threads} diverged"),
-            }
-        }
-    }
-
-    /// A BSBM-flavoured star: every product has one type triple, two
-    /// feature triples (duplicate subject keys — real runs the key-range
-    /// exchange must not split) and one price triple.
-    fn star_dataset(n: usize) -> Dataset {
-        let mut b = StoreBuilder::new();
-        let ty = Term::iri("p/type");
-        let feature = Term::iri("p/feature");
-        let price = Term::iri("p/price");
-        for i in 0..n {
-            let s = Term::iri(format!("prod/{i}"));
-            b.insert(s.clone(), ty.clone(), Term::iri("c/Product"));
-            b.insert(s.clone(), feature.clone(), Term::iri(format!("f/{}", i % 7)));
-            b.insert(s.clone(), feature.clone(), Term::iri(format!("f/{}", (i + 3) % 7)));
-            b.insert(s, price.clone(), Term::integer(i as i64));
-        }
-        b.freeze()
-    }
-
-    #[test]
-    fn parallel_merge_join_is_bit_identical_across_threads_and_geometries() {
-        let n = 4 * BATCH_SIZE / 2 + 201;
-        let ds = star_dataset(n);
-        let scan_node = |pred, s, o, idx, card: f64| PlanNode::Scan {
-            pattern: pattern(&ds, pred, s, o, idx),
-            est_card: card,
-            order: None,
-        };
-        // All-merge star on the subject: feature (driver, runs of 2) ⋈
-        // price ⋈ type — the shape the forced-order optimizer emits for
-        // BSBM-style star queries.
-        let plan = PlanNode::MergeJoin {
-            left: Box::new(PlanNode::MergeJoin {
-                left: Box::new(scan_node("p/feature", 0, 1, 0, 2.0 * n as f64)),
-                right: Box::new(scan_node("p/price", 0, 2, 1, n as f64)),
-                key: vec![0],
-                est_card: 2.0 * n as f64,
-            }),
-            right: Box::new(scan_node("p/type", 0, 3, 2, n as f64)),
-            key: vec![0],
-            est_card: 2.0 * n as f64,
-        };
-
-        let mut serial_stats = ExecStats::default();
-        let serial = drain(serial_op(&plan, &ds), &mut serial_stats);
-        assert_eq!(serial.len(), 2 * n);
-        assert_eq!(serial_stats.build_rows, 0, "all-merge plan builds nothing");
-        let serial_rows: Vec<Vec<Id>> = serial.iter().map(|r| r.to_vec()).collect();
-
-        // Off declines: the merge joins are recorded as the hash joins they
-        // run as, and such a spine stays serial — the two modes must not be
-        // mixed inside one differential signature.
-        let off = ExecConfig { order_exec: crate::exec::OrderExec::Off, ..tiny_morsel_cfg(4, 7) };
-        let (off_root, off_morselized) = plan.physical(&ds, &off, true);
-        assert!(!off_morselized);
-        assert_eq!(off_root.method(), "HashJoin[build=right]");
-
-        let mut reference: Option<(u64, u64, u64)> = None;
-        for threads in [1, 4] {
-            // Two key-range geometries, including a deliberately tiny one.
-            for morsel_rows in [7, 397] {
-                let cfg = ExecConfig {
-                    order_exec: crate::exec::OrderExec::Auto,
-                    ..tiny_morsel_cfg(threads, morsel_rows)
-                };
-                let mut stats = ExecStats::default();
-                let src = morsel_source(&plan, &ds, &cfg, &mut stats)
-                    .expect("spine merge joins must lower parallel");
-                assert!(
-                    src.exchange.morsel_count() >= 2,
-                    "threads={threads} morsel_rows={morsel_rows}: want >= 2 morsels, got {}",
-                    src.exchange.morsel_count()
-                );
-                let got = drain(Box::new(Gather::new(src)), &mut stats);
-                let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
-                assert_eq!(rows, serial_rows, "threads={threads} morsel_rows={morsel_rows}");
-                assert_eq!(stats.cout, serial_stats.cout);
-                assert_eq!(stats.build_rows, 0, "merge morsels must not build");
-                // `scanned` is geometry-independent: the right sides are
-                // charged once per logical scan, like the serial drain.
-                assert_eq!(
-                    stats.scanned, serial_stats.scanned,
-                    "threads={threads} morsel_rows={morsel_rows}"
-                );
-                let key = (stats.cout, stats.scanned, stats.build_rows);
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => assert_eq!(*r, key, "threads={threads} rows={morsel_rows}"),
-                }
             }
         }
     }

@@ -352,22 +352,6 @@ impl PlanNode {
         total.is_nan() || total >= min_est_cost
     }
 
-    /// Whether the right side of a spine merge join is "clean" enough to
-    /// slice by key bounds ([`SpineStep::Merge`]): a scan with no absent
-    /// constant, no repeated variables (the slot→key-component mapping of
-    /// the seek geometry assumes each key slot is one index component),
-    /// and an index order delivering the merge key as its leading slots.
-    fn clean_merge_scan(right: &PlanNode, key: &[usize]) -> bool {
-        let PlanNode::Scan { pattern, order, .. } = right else {
-            return false;
-        };
-        let var_positions = pattern.slots.iter().filter(|s| s.as_var().is_some()).count();
-        !pattern.has_absent()
-            && !key.is_empty()
-            && pattern.var_slots().len() == var_positions
-            && Self::scan_order_slots(pattern, *order).starts_with(key)
-    }
-
     /// The selective-join rule: a join whose right child is a leaf scan
     /// runs as an index nested-loop [`BindJoin`] probing that pattern when
     /// the estimated left cardinality does not exceed the scan's exact
@@ -408,52 +392,39 @@ impl PlanNode {
     /// returned value.
     ///
     /// The spine is morselized only when `may_morselize` (the engine's
-    /// output-bound and descending-scan rules) and the plan qualifies:
-    /// at least two leaves, estimated cost (`est_cout + est_card`, the
-    /// optimizer's own numbers) of at least `cfg.min_est_cost`, a driving
-    /// scan of at least `cfg.min_driver_rows` rows, and every merge join
-    /// on the spine sliceable by key bounds. The decision reads only
-    /// estimates and exact extents — never `cfg.threads` — so the same
-    /// plan runs at every thread count and results stay bit-identical.
+    /// output-bound rule) and the plan qualifies: at least two leaves,
+    /// estimated cost (`est_cout + est_card`, the optimizer's own numbers)
+    /// of at least `cfg.min_est_cost`, a driving scan of at least
+    /// `cfg.min_driver_rows` rows, and no merge join on the spine. The
+    /// decision reads only estimates and exact extents — never
+    /// `cfg.threads` — so the same plan runs at every thread count and
+    /// results stay bit-identical.
     pub fn physical(
         &self,
         ds: &Dataset,
         cfg: &ExecConfig,
         may_morselize: bool,
     ) -> (PhysNode, bool) {
-        let (root, spine) = self.record(ds, cfg.order_exec);
+        let (root, driver) = self.record(ds, cfg.order_exec);
         let morselized = may_morselize
             && self.leaf_count() >= 2
             && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
-            && spine.is_some_and(|(driver, order, merge_keys)| {
-                // Merge steps need a clean driver too: no repeated
-                // variables (they would break the slot→key-component
-                // mapping the cut geometry relies on) and every merge key
-                // delivered as a leading prefix of the driver's scan order.
-                let clean_driver = || {
-                    let var_positions =
-                        driver.slots.iter().filter(|s| s.as_var().is_some()).count();
-                    let slots = Self::scan_order_slots(driver, order);
-                    driver.var_slots().len() == var_positions
-                        && merge_keys.iter().all(|k| slots.starts_with(k))
-                };
-                !driver.has_absent()
-                    && ds.count(driver.access()) >= cfg.min_driver_rows.max(1)
-                    && (merge_keys.is_empty() || clean_driver())
+            && driver.is_some_and(|driver| {
+                !driver.has_absent() && ds.count(driver.access()) >= cfg.min_driver_rows.max(1)
             });
         (root, morselized)
     }
 
     /// One walk: the recorded node for this subtree plus, when the
-    /// subtree's streaming spine can be cut into morsels, its driving scan
-    /// and the merge keys met on the way down.
-    fn record(&self, ds: &Dataset, order_exec: OrderExec) -> (PhysNode, Option<Spine<'_>>) {
+    /// subtree's streaming spine can be cut into morsels, its driving scan.
+    fn record(&self, ds: &Dataset, order_exec: OrderExec) -> (PhysNode, Option<&PlannedPattern>) {
         let (left, right, on, est_card, method) = match self {
             PlanNode::Scan { pattern, est_card, order } => {
                 let (order, est_card) = (*order, *est_card);
-                let node =
-                    PhysNode::Scan { pattern: pattern.clone(), order, desc_runs: 0, est_card };
-                return (node, Some((pattern, order, Vec::new())));
+                return (
+                    PhysNode::Scan { pattern: pattern.clone(), order, est_card },
+                    Some(pattern),
+                );
             }
             PlanNode::HashJoin { left, right, join_vars, est_card } => {
                 (left, right, join_vars, est_card, Self::join_side(left, right, join_vars, ds))
@@ -471,25 +442,19 @@ impl PlanNode {
                 (left, right, key, est_card, method)
             }
         };
-        let (l, lspine) = left.record(ds, order_exec);
-        let (r, rspine) = right.record(ds, order_exec);
-        let spine = match (self, method) {
-            // A spine merge join is cut by key bounds, which needs a clean
-            // sorted scan on its right; forced off, its spine stays serial.
-            (_, JoinMethod::Merge) => lspine.filter(|_| Self::clean_merge_scan(right, on)).map(
-                |(driver, order, mut keys)| {
-                    keys.push(on.as_slice());
-                    (driver, order, keys)
-                },
-            ),
-            (PlanNode::MergeJoin { .. }, _) => None,
+        let (l, ldriver) = left.record(ds, order_exec);
+        let (r, rdriver) = right.record(ds, order_exec);
+        let driver = match self {
+            // A merge join (or, forced off, the hash join it runs as) ends
+            // the spine: its plan runs serially.
+            PlanNode::MergeJoin { .. } => None,
             // Bind and hash joins stream one side: the spine follows it.
-            _ if method.streams_left() => lspine,
-            _ => rspine,
+            _ if method.streams_left() => ldriver,
+            _ => rdriver,
         };
         let (left, right, on, est_card) = (Box::new(l), Box::new(r), on.clone(), *est_card);
         let signature = self.signature().0;
-        (PhysNode::Join { method, left, right, on, signature, est_card }, spine)
+        (PhysNode::Join { method, left, right, on, signature, est_card }, driver)
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.
@@ -542,9 +507,6 @@ impl JoinMethod {
     }
 }
 
-/// A morselizable spine: driving scan, its index order, merge keys met.
-type Spine<'p> = (&'p PlannedPattern, Option<IndexOrder>, Vec<&'p [usize]>);
-
 /// One node of a *recorded* physical join tree: plain data whose structure
 /// is the decision. [`PlanNode::physical`] builds it once per execution
 /// (the bind rule reads exact extents, which depend on the binding); the
@@ -559,9 +521,6 @@ pub enum PhysNode {
         pattern: PlannedPattern,
         /// The permutation index (`None` = default for the bound positions).
         order: Option<IndexOrder>,
-        /// When non-zero the scan iterates run-reversed: runs of this many
-        /// leading key components in descending key order (0 = ascending).
-        desc_runs: usize,
         /// Estimated output cardinality.
         est_card: f64,
     },
@@ -607,11 +566,8 @@ impl PhysNode {
     /// or OPTIONAL `Cout` accumulator of [`ExecStats`].
     pub fn lower<'a>(&self, ds: &'a Dataset, bucket: CoutBucket) -> BoxedOperator<'a> {
         match self {
-            PhysNode::Scan { pattern, order, desc_runs: 0, .. } => {
+            PhysNode::Scan { pattern, order, .. } => {
                 Box::new(IndexScan::with_order(ds, pattern, *order))
-            }
-            PhysNode::Scan { pattern, order, desc_runs, .. } => {
-                Box::new(IndexScan::descending(ds, pattern, *order, *desc_runs))
             }
             PhysNode::Join { method, left, right, on, signature, .. } => {
                 let (left, sig) = (left.lower(ds, bucket), signature.clone());
@@ -638,8 +594,7 @@ impl PhysNode {
     /// whose workers each run the spine over one morsel, probing shared
     /// read-only hash tables built here — in parallel
     /// ([`HashJoinBuild::build_partitioned`]) when the build side is
-    /// itself a large scan. A spine merge join's right scan is sliced by
-    /// key bounds instead (each worker seeks it to its morsel's first key).
+    /// itself a large scan.
     pub fn lower_morsels<'a>(
         &self,
         ds: &'a Dataset,
@@ -662,13 +617,6 @@ impl PhysNode {
             steps.push(match (method, right) {
                 (JoinMethod::Bind, PhysNode::Scan { pattern, .. }) => {
                     SpineStep::Bind { pattern: pattern.clone(), join_vars, signature }
-                }
-                (JoinMethod::Merge, PhysNode::Scan { pattern, order, .. }) => {
-                    let (pattern, order) = (pattern.clone(), *order);
-                    // Real bounds are computed once per logical scan by
-                    // ParallelSource::new, which owns the cut geometry.
-                    let bounds = Arc::new(Vec::new());
-                    SpineStep::Merge { pattern, order, join_vars, signature, bounds }
                 }
                 (JoinMethod::Hash { build_right }, _) => {
                     let build_node = if build_right { right } else { left };
@@ -696,7 +644,7 @@ impl PhysNode {
                     let (build, stream_is_left) = (Arc::new(build), build_right);
                     SpineStep::Probe { build, join_vars, stream_is_left, signature }
                 }
-                _ => unreachable!("a morselized spine binds and merges against scans"),
+                _ => unreachable!("a morselized spine binds against scans and never merges"),
             });
         };
         steps.reverse();
@@ -704,17 +652,13 @@ impl PhysNode {
     }
 
     /// EXPLAIN rendering: one line per operator with the chosen join
-    /// method, the scanned index and its direction.
+    /// method and the scanned index.
     pub fn render(&self, indent: usize) -> String {
         let (pad, method) = ("  ".repeat(indent), self.method());
         match self {
-            PhysNode::Scan { pattern, order, desc_runs, est_card } => {
+            PhysNode::Scan { pattern, order, est_card } => {
                 let idx = order.unwrap_or_else(|| Dataset::default_order(pattern.access()));
-                let dir = match desc_runs {
-                    0 => String::new(),
-                    n => format!(" descending({n} key components)"),
-                };
-                format!("{pad}{method} p{} idx={idx:?}{dir} (est {est_card:.1})\n", pattern.idx)
+                format!("{pad}{method} p{} idx={idx:?} (est {est_card:.1})\n", pattern.idx)
             }
             PhysNode::Join { left, right, on, est_card, .. } => {
                 format!("{pad}{method} on {on:?} (est {est_card:.1})\n")
@@ -1147,12 +1091,9 @@ pub enum Sort {
     /// No ORDER BY.
     None,
     /// Rows already arrive in final order: the delivered order satisfies
-    /// the keys, or (`descending`) a run-reversed index scan serves them.
-    /// `ExecStats::sorted_rows` stays 0; a LIMIT becomes an early exit.
-    Eliminated {
-        /// Served by the descending index scan.
-        descending: bool,
-    },
+    /// the (ascending) keys. `ExecStats::sorted_rows` stays 0; a LIMIT
+    /// becomes an early exit.
+    Eliminated,
     /// ORDER BY + LIMIT: bounded heap of `offset + limit` rows.
     TopK,
     /// ORDER BY without LIMIT under a budget: external merge sort.
@@ -1263,12 +1204,7 @@ impl PhysicalPlan<'_> {
         };
         let sort = match self.sort {
             Sort::None => "none".to_string(),
-            Sort::Eliminated { descending: false } => {
-                "eliminated (delivered order satisfies ORDER BY)".into()
-            }
-            Sort::Eliminated { descending: true } => {
-                "eliminated (descending index scan serves ORDER BY ... DESC)".into()
-            }
+            Sort::Eliminated => "eliminated (delivered order satisfies ORDER BY)".into(),
             Sort::TopK => "topk (bounded heap)".into(),
             Sort::External { budget } => format!("external merge sort (budget {budget} rows)"),
             Sort::Full => "full sort".into(),

@@ -34,7 +34,7 @@ pub fn assert_executed_as_explained(
 
     // The recorded sort is the sort that ran.
     match plan.sort {
-        Sort::None | Sort::Eliminated { .. } => {
+        Sort::None | Sort::Eliminated => {
             assert_eq!(stats.sorted_rows, 0, "{ctx}: recorded {:?} but rows were sorted", plan.sort)
         }
         Sort::TopK | Sort::External { .. } | Sort::Full => assert!(
@@ -45,7 +45,7 @@ pub fn assert_executed_as_explained(
     }
     assert_eq!(
         text.contains("sort: eliminated") || text.contains("sort: none"),
-        matches!(plan.sort, Sort::None | Sort::Eliminated { .. }),
+        matches!(plan.sort, Sort::None | Sort::Eliminated),
         "{ctx}: rendered sort disagrees with {:?}:\n{text}",
         plan.sort
     );
@@ -68,33 +68,29 @@ pub fn assert_executed_as_explained(
     );
 
     // `morselized` ⇔ the plan qualifies, re-derived from the recorded tree:
-    // follow the streamed side of every join down to the driving scan.
+    // follow the streamed side of every join down to the driving scan; a
+    // merge join ends the spine, which then stays serial.
     let output_bound = plan.fold.is_none()
         && m.limit.is_some()
-        && matches!(plan.sort, Sort::None | Sort::Eliminated { .. });
-    let (mut node, mut merges) = (plan.bgp.as_ref(), false);
+        && matches!(plan.sort, Sort::None | Sort::Eliminated);
+    let mut node = plan.bgp.as_ref();
     let driver = loop {
         match node {
-            None => break None,
-            Some(PhysNode::Scan { pattern, desc_runs, .. }) => {
-                break Some((pattern, *desc_runs));
-            }
+            None | Some(PhysNode::Join { method: JoinMethod::Merge, .. }) => break None,
+            Some(PhysNode::Scan { pattern, .. }) => break Some(pattern),
             Some(PhysNode::Join { method, left, right, .. }) => {
-                merges |= *method == JoinMethod::Merge;
                 node = Some(if method.streams_left() { left } else { right });
             }
         }
     };
     let joins = matches!(plan.bgp, Some(PhysNode::Join { .. }));
-    let driver_ok = driver.is_some_and(|(p, desc_runs)| {
-        desc_runs == 0 && !p.has_absent() && ds.count(p.access()) >= exec.min_driver_rows.max(1)
-    });
+    let driver_ok = driver
+        .is_some_and(|p| !p.has_absent() && ds.count(p.access()) >= exec.min_driver_rows.max(1));
     if plan.morselized {
         assert!(joins && driver_ok && !output_bound, "{ctx}: morselized, not qualified:\n{text}");
-    } else if exec.min_est_cost <= 0.0 && !merges && exec.order_exec != OrderExec::Off {
-        // (Spine merge joins need clean key-range cuts, and under Off a
-        // forced-off merge join is recorded as a hash join: neither can be
-        // re-derived here, so the converse is checked without them.)
+    } else if exec.min_est_cost <= 0.0 && exec.order_exec != OrderExec::Off {
+        // (Under Off a forced-off merge join is recorded as the hash join
+        // it runs as, so its spine cannot be re-derived here.)
         assert!(
             !(joins && driver_ok && !output_bound),
             "{ctx}: qualified, not morselized:\n{text}"
@@ -102,19 +98,11 @@ pub fn assert_executed_as_explained(
     }
     assert_eq!(text.contains("Morsels"), plan.morselized, "{ctx}:\n{text}");
 
-    // The operator tree names every recorded node by the method it ran as,
-    // descending scans included.
+    // The operator tree names every recorded node by the method it ran as.
     for label in
         ["IndexScan", "BindJoin", "HashJoin[build=right]", "HashJoin[build=left]", "MergeJoin"]
     {
         let recorded = nodes.iter().filter(|n| n.method() == label).count();
         assert_eq!(text.matches(label).count(), recorded, "{ctx}: {label} in:\n{text}");
     }
-    let descending =
-        nodes.iter().filter(|n| matches!(n, PhysNode::Scan { desc_runs, .. } if *desc_runs > 0));
-    assert_eq!(
-        text.lines().filter(|l| l.contains("IndexScan") && l.contains("descending")).count(),
-        descending.count(),
-        "{ctx}: descending scans in:\n{text}"
-    );
 }

@@ -822,6 +822,37 @@ fn merge_join_star_matches_forced_hash_lowering_with_duplicates() {
 }
 
 #[test]
+fn merge_join_spine_stays_serial_under_a_forced_parallel_config() {
+    let ds = duplicate_heavy_dataset(120);
+    let exec = ExecConfig {
+        threads: 4,
+        morsel_rows: 7,
+        min_driver_rows: 1,
+        min_est_cost: 0.0,
+        order_exec: parambench_sparql::OrderExec::Auto,
+        ..ExecConfig::default()
+    };
+    let engine = Engine::with_exec_config(&ds, exec);
+    let q =
+        parambench_sparql::parse_query("SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y }").unwrap();
+    let prepared = engine.prepare(&q).unwrap();
+    assert_eq!(prepared.signature.0, "MJ(S0,S1)");
+    // A merge join ends the spine: the plan runs the serial MergeJoin even
+    // though every morselization threshold is forced down.
+    assert!(!engine.physical_plan(&prepared, &exec).morselized);
+    let t4 = engine.execute(&prepared).unwrap();
+    assert_eq!(t4.results.len(), star_rows(&ds));
+    let t1 = engine.execute_with(&prepared, &ExecConfig { threads: 1, ..exec }).unwrap();
+    let off_exec = ExecConfig { order_exec: parambench_sparql::OrderExec::Off, ..exec };
+    let off = engine.execute_with(&prepared, &off_exec).unwrap();
+    for (other, label) in [(t1, "threads 1"), (off, "order off")] {
+        assert_eq!(t4.results, other.results, "{label}: rows/order diverged");
+        assert_eq!(t4.cout, other.cout, "{label}");
+        assert_eq!(t4.stats.scanned, other.stats.scanned, "{label}");
+    }
+}
+
+#[test]
 fn optional_over_merge_joined_base_keeps_left_rows_and_order() {
     let ds = duplicate_heavy_dataset(120);
     let engine = force_order_engine(&ds);

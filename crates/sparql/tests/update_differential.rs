@@ -194,7 +194,7 @@ fn exec_sweep() -> Vec<(&'static str, ExecConfig)> {
 /// The last two pin what EXPLAIN must say about the order service: an
 /// aggregate whose group-clustered delivery eliminates the sort on the
 /// serial configs but not on the morselized ones (worker-side fold), and
-/// an `ORDER BY ... DESC` the descending index scan serves.
+/// an `ORDER BY ... DESC` over a bare index scan, which always sorts.
 fn query_mix() -> Vec<String> {
     vec![
         "SELECT ?s ?v WHERE { ?s <p/0> ?v . }".into(),
