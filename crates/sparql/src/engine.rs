@@ -17,7 +17,7 @@ use parambench_rdf::store::Dataset;
 
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
 use crate::cardinality::{Estimate, Estimator};
-use crate::error::QueryError;
+use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, OrderExec, UNBOUND};
 use crate::modifiers::{
     Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, SortedDistinct, TopK,
@@ -214,19 +214,16 @@ impl<'a> RowStream<'a> {
                     stats.shrink(b.len());
                     *batch = None;
                 }
+                // Exhaustion and failure both end the stream: a pipeline
+                // that returned `Err` is never pulled again.
                 match op.next_batch(stats) {
-                    Some(b) => {
+                    Ok(Some(b)) => {
                         *next = 0;
                         *batch = Some(b);
                     }
-                    None => {
+                    end => {
                         *done = true;
-                        // An operator that hit an invariant violation stops
-                        // producing and records the error; surface it
-                        // instead of a clean end-of-stream.
-                        if let Some(err) = stats.exec_error.take() {
-                            return Err(QueryError::Exec(err));
-                        }
+                        end?;
                     }
                 }
             },
@@ -253,7 +250,7 @@ impl<'a> RowStream<'a> {
         if let StreamInner::Pipeline { op, cols, batch: None, row, done: false, .. } =
             &mut self.inner
         {
-            while let Some(b) = op.next_batch(&mut self.stats) {
+            while let Some(b) = op.next_batch(&mut self.stats)? {
                 rows.extend((0..b.len()).map(|r| {
                     b.read_row(r, row);
                     Engine::decode_cols(cols, row, self.ds)
@@ -261,7 +258,8 @@ impl<'a> RowStream<'a> {
                 self.stats.shrink(b.len());
             }
         }
-        // Whatever remains, and the end-of-stream error check.
+        // Whatever remains (the other stream shapes; an exhausted pipeline
+        // just reports its end again).
         while let Some(r) = self.next_row()? {
             rows.push(r);
         }
@@ -894,10 +892,10 @@ impl<'a> Engine<'a> {
         plan: &PhysicalPlan<'_>,
         exec: &ExecConfig,
         stats: &mut ExecStats,
-    ) -> BoxedOperator<'a> {
+    ) -> Result<BoxedOperator<'a>, ExecError> {
         let ds = self.ds;
-        let mut op =
-            plan.bgp.as_ref().map(|root| self.lower_bgp(root, plan.morselized, exec, stats));
+        let bgp = plan.bgp.as_ref().map(|root| self.lower_bgp(root, plan.morselized, exec, stats));
+        let mut op = bgp.transpose()?;
         let filtered = |op: BoxedOperator<'a>, filters: &[Expr]| -> BoxedOperator<'a> {
             if filters.is_empty() {
                 op
@@ -930,7 +928,7 @@ impl<'a> Engine<'a> {
             let right = filtered(o.node.lower(ds, CoutBucket::Optional), o.filters);
             op = Box::new(LeftOuterJoin::new(op, right, o.join_vars.to_vec()));
         }
-        filtered(op, plan.filters)
+        Ok(filtered(op, plan.filters))
     }
 
     /// Lowers a recorded BGP tree (or subtree): serially, or, for a
@@ -943,12 +941,12 @@ impl<'a> Engine<'a> {
         morselized: bool,
         exec: &ExecConfig,
         stats: &mut ExecStats,
-    ) -> BoxedOperator<'a> {
-        if morselized {
-            Box::new(Gather::new(root.lower_morsels(self.ds, CoutBucket::Required, exec, stats)))
+    ) -> Result<BoxedOperator<'a>, ExecError> {
+        Ok(if morselized {
+            Box::new(Gather::new(root.lower_morsels(self.ds, CoutBucket::Required, exec, stats)?))
         } else {
             root.lower(self.ds, CoutBucket::Required)
-        }
+        })
     }
 
     /// Executes a prepared query with the solution modifiers **pushed into
@@ -980,13 +978,10 @@ impl<'a> Engine<'a> {
         let start = Instant::now();
         let mut stats = ExecStats::default();
         let plan = self.physical_plan(prepared, &self.exec);
-        let op = self.lower_patterns(&plan, &self.exec, &mut stats);
+        let op = self.lower_patterns(&plan, &self.exec, &mut stats)?;
         let op = Self::projected(op, &prepared.modifiers.input_slots());
-        let bindings = physical::drain(op, &mut stats);
+        let bindings = physical::drain(op, &mut stats)?;
         let results = finalize_bindings(&bindings, &prepared.modifiers, self.ds, &mut stats)?;
-        if let Some(err) = stats.exec_error.take() {
-            return Err(QueryError::Exec(err));
-        }
         let cout = stats.cout + stats.cout_optional;
         Ok(QueryOutput { results, wall_time: start.elapsed(), cout, stats })
     }
@@ -1036,7 +1031,7 @@ impl<'a> Engine<'a> {
                 let PhysNode::Scan { pattern, .. } = right.as_ref() else {
                     unreachable!("bind joins probe a scan")
                 };
-                let left = self.lower_bgp(left, plan.morselized, &self.exec, &mut stats);
+                let left = self.lower_bgp(left, plan.morselized, &self.exec, &mut stats)?;
                 physical::count_bind_join(
                     self.ds,
                     left,
@@ -1044,17 +1039,12 @@ impl<'a> Engine<'a> {
                     on,
                     signature.clone(),
                     &mut stats,
-                );
+                )?;
             }
             _ => {
-                let mut op = self.lower_patterns(&plan, &self.exec, &mut stats);
-                while let Some(batch) = op.next_batch(&mut stats) {
-                    stats.shrink(batch.len());
-                }
+                let mut op = self.lower_patterns(&plan, &self.exec, &mut stats)?;
+                physical::drain_rest(&mut op, &mut stats)?;
             }
-        }
-        if let Some(err) = stats.exec_error.take() {
-            return Err(QueryError::Exec(err));
         }
         Ok(stats)
     }
@@ -1097,18 +1087,11 @@ impl<'a> Engine<'a> {
                     StreamInner::Table(results.rows.into_iter())
                 }
                 None => {
-                    let op = self.lower_patterns(&plan, exec, &mut stats);
+                    let op = self.lower_patterns(&plan, exec, &mut stats)?;
                     self.plain_epilogue(&plan, op, &mut stats)?
                 }
             }
         };
-        // Materializing shapes already ran the pipeline: surface any
-        // recorded invariant violation now (the operator protocol has no
-        // Result channel). Lazy pipelines check again at exhaustion
-        // (RowStream::next_row).
-        if let Some(err) = stats.exec_error.take() {
-            return Err(QueryError::Exec(err));
-        }
         Ok(RowStream { ds: self.ds, columns, inner, stats, started })
     }
 
@@ -1130,14 +1113,14 @@ impl<'a> Engine<'a> {
         let hash_fold = |mut op: BoxedOperator<'a>, st: &mut ExecStats| {
             let mut fold = GroupFold::new(agg, op.schema(), ds);
             let mut row = vec![UNBOUND; op.schema().len()];
-            while let Some(batch) = op.next_batch(st) {
+            while let Some(batch) = op.next_batch(st)? {
                 for r in 0..batch.len() {
                     batch.read_row(r, &mut row);
                     fold.add_row(&row, st);
                 }
                 st.shrink(batch.len());
             }
-            fold
+            Ok::<_, ExecError>(fold)
         };
         let hash_table = |fold: GroupFold<'_>| {
             let resident = fold.resident();
@@ -1148,7 +1131,7 @@ impl<'a> Engine<'a> {
         // through its Gather, so rows arrive in the serial order),
         // projected to the group + aggregate input columns.
         let input = |stats: &mut ExecStats| {
-            Self::projected(self.lower_patterns(plan, exec, stats), &m.input_slots())
+            self.lower_patterns(plan, exec, stats).map(|op| Self::projected(op, &m.input_slots()))
         };
         let (rows, resident) = match fold {
             // Recorded only for a morselized BGP with nothing stacked on
@@ -1159,17 +1142,17 @@ impl<'a> Engine<'a> {
             // serial fold.
             Fold::WorkerPartials => {
                 let root = plan.bgp.as_ref().expect("worker-side folds run over a BGP");
-                let src = root.lower_morsels(ds, CoutBucket::Required, exec, stats);
+                let src = root.lower_morsels(ds, CoutBucket::Required, exec, stats)?;
                 let mut master: Option<GroupFold<'_>> = None;
                 src.process(stats, hash_fold, |partial, stats| match &mut master {
                     None => master = Some(partial),
                     Some(fold) => fold.merge(partial, stats),
-                });
+                })?;
                 hash_table(master.expect("morselized plans have at least one morsel"))
             }
-            Fold::Hash => hash_table(hash_fold(input(stats), stats)),
+            Fold::Hash => hash_table(hash_fold(input(stats)?, stats)?),
             Fold::Ordered => {
-                let mut op = input(stats);
+                let mut op = input(stats)?;
                 let mut fold = OrderedGroupFold::new(m, agg, op.schema(), ds);
                 Self::for_each_row(&mut op, stats, |row, st| {
                     fold.add_row(row, st);
@@ -1178,7 +1161,7 @@ impl<'a> Engine<'a> {
                 fold.finish(stats)
             }
             Fold::External { budget, eager } => {
-                let mut op = input(stats);
+                let mut op = input(stats)?;
                 let dir = self.spill_base.get().cloned();
                 let mut fold = ExternalGroupFold::new(agg, op.schema(), ds, budget, eager, dir);
                 Self::for_each_row(&mut op, stats, |row, st| {
@@ -1276,7 +1259,7 @@ impl<'a> Engine<'a> {
                 StreamInner::Sorted { merged: sorter.finish(stats)?, cols, skip: m.offset }
             }
             Sort::Full => {
-                let bindings = physical::drain(op, stats);
+                let bindings = physical::drain(op, stats)?;
                 let rows = table_from_bindings(&bindings, m, ds)?;
                 let deduped = plan.dedup != Dedup::None;
                 StreamInner::Table(
@@ -1356,7 +1339,7 @@ impl<'a> Engine<'a> {
         mut consume: impl FnMut(&[Id], &mut ExecStats) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
         let mut row = vec![UNBOUND; op.schema().len()];
-        while let Some(batch) = op.next_batch(stats) {
+        while let Some(batch) = op.next_batch(stats)? {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row);
                 consume(&row, stats)?;

@@ -5,12 +5,15 @@
 //! raised at parse or prepare time; in-memory execution almost never fails
 //! — a missing constant just yields an empty scan. This split is what lets
 //! the curation pipeline probe thousands of candidate bindings cheaply
-//! without running them. The execution-time failure classes are
-//! out-of-core spilling ([`crate::spill`]): a temp-dir or run-file I/O
-//! problem surfaces as a typed [`ExecError`], never a panic — and runtime
-//! invariant violations the pipeline checks unconditionally (a merge join
-//! observing unsorted input), which surface the same way instead of
-//! silently misjoining in release builds.
+//! without running them. Execution can fail in two ways — out-of-core
+//! spilling ([`crate::spill`]: a temp-dir or run-file I/O problem) and a
+//! runtime invariant the pipeline checks unconditionally (a merge join
+//! observing unsorted input, which would otherwise misjoin silently in
+//! release builds) — and both take one channel: a typed [`ExecError`]
+//! returned by the failing call, carried up every operator pull
+//! ([`crate::physical::Operator::next_batch`]) with `?` and handed to the
+//! caller as [`QueryError::Exec`]. Never a panic, and never a run that
+//! looks short and clean.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -26,7 +29,7 @@ pub struct ExecError {
     pub op: &'static str,
     /// The file or directory involved (empty for non-I/O failures).
     pub path: PathBuf,
-    /// The underlying I/O error, rendered.
+    /// The cause, rendered: the I/O error or the violated invariant.
     pub message: String,
 }
 
@@ -64,7 +67,8 @@ pub enum QueryError {
     /// Instantiation was given a binding for a parameter the template lacks,
     /// or lacked a binding for one it has.
     BindingMismatch(String),
-    /// Out-of-core execution failed (spill I/O).
+    /// Execution failed: spill I/O or a checked pipeline invariant (see
+    /// [`ExecError`]). The run's rows and counters are not reported.
     Exec(ExecError),
     /// Opening a persisted store snapshot failed (missing file, foreign
     /// bytes, checksum mismatch — see [`parambench_rdf::SnapshotError`]).

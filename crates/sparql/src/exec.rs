@@ -11,6 +11,7 @@
 //! execution.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
@@ -230,7 +231,7 @@ pub fn available_parallelism() -> usize {
 #[derive(Debug)]
 pub struct WorkerPool {
     capacity: usize,
-    state: std::sync::Mutex<PoolState>,
+    state: Mutex<PoolState>,
 }
 
 #[derive(Debug, Default)]
@@ -262,7 +263,7 @@ impl WorkerPool {
     /// A pool allowing up to `capacity` extra workers at once. Capacity 0
     /// is valid: every query runs inline on its calling thread.
     pub fn new(capacity: usize) -> Self {
-        WorkerPool { capacity, state: std::sync::Mutex::new(PoolState::default()) }
+        WorkerPool { capacity, state: Mutex::new(PoolState::default()) }
     }
 
     /// A leaked (`'static`) pool — the form [`ExecConfig::pool`] accepts.
@@ -284,7 +285,7 @@ impl WorkerPool {
         if want == 0 {
             return 0;
         }
-        let mut st = self.state.lock().expect("worker pool poisoned");
+        let mut st = self.state();
         let grant = want.min(self.capacity - st.in_use);
         if grant < want {
             st.deferred += 1;
@@ -300,14 +301,22 @@ impl WorkerPool {
         if n == 0 {
             return;
         }
-        let mut st = self.state.lock().expect("worker pool poisoned");
+        let mut st = self.state();
         debug_assert!(n <= st.in_use, "released more workers than leased");
         st.in_use = st.in_use.saturating_sub(n);
     }
 
+    /// The accounting, recovered from poisoning: every update leaves it
+    /// consistent, so a panic while the lock is held (the `debug_assert!`
+    /// in [`WorkerPool::release`]) must not fail every later morselized
+    /// query in the process.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the pool's accounting.
     pub fn stats(&self) -> PoolStats {
-        let st = self.state.lock().expect("worker pool poisoned");
+        let st = self.state();
         PoolStats {
             capacity: self.capacity,
             in_use: st.in_use,
@@ -397,7 +406,9 @@ impl Bindings {
     }
 }
 
-/// Per-execution instrumentation.
+/// Per-execution counters — nothing else: an execution failure is never
+/// recorded here but returned as `Err` by the pull that hit it
+/// ([`crate::physical::Operator::next_batch`]).
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Sum of output cardinalities of all inner joins of the required BGP —
@@ -436,15 +447,6 @@ pub struct ExecStats {
     /// the run's index scans. Zero proves every scan took the
     /// overlay-free fast path — the empty-overlay zero-overhead metric.
     pub overlay_rows: u64,
-    /// A runtime invariant violation detected inside the pull pipeline
-    /// (e.g. a merge join observing unsorted input). The `Operator`
-    /// protocol has no `Result` channel, so a failing operator records the
-    /// error here, stops producing, and the engine surfaces it as
-    /// [`crate::error::QueryError::Exec`] at the run
-    /// boundary. The first error recorded wins; parallel absorption keeps
-    /// the first error in morsel-index order, so the surfaced error is
-    /// thread-count-independent like every other counter.
-    pub exec_error: Option<crate::error::ExecError>,
     /// Currently resident intermediate tuples (bookkeeping for the peak).
     live_tuples: u64,
 }
@@ -463,15 +465,6 @@ impl ExecStats {
     #[inline]
     pub fn shrink(&mut self, n: usize) {
         self.live_tuples = self.live_tuples.saturating_sub(n as u64);
-    }
-
-    /// Records a pipeline invariant violation (see [`ExecStats::exec_error`]).
-    /// Keeps the first error: a cascade downstream of the root cause must
-    /// not mask it.
-    pub fn record_exec_error(&mut self, err: crate::error::ExecError) {
-        if self.exec_error.is_none() {
-            self.exec_error = Some(err);
-        }
     }
 
     /// Folds the per-morsel stats of one parallel wave, in morsel-index
@@ -495,11 +488,6 @@ impl ExecStats {
             self.spill_bytes += p.spill_bytes;
             self.overlay_rows += p.overlay_rows;
             self.join_cards.extend(p.join_cards);
-            if let Some(err) = p.exec_error {
-                // Parts arrive in morsel-index order, so "first recorded
-                // here" is deterministic across thread counts.
-                self.record_exec_error(err);
-            }
             wave_peak += p.peak_tuples;
             wave_live += p.live_tuples;
         }
@@ -693,7 +681,27 @@ mod tests {
     fn scan_all(ds: &Dataset, pred: &str, s: usize, o: usize) -> Bindings {
         let p = ds.lookup(&Term::iri(pred)).unwrap();
         let pat = PlannedPattern { idx: 0, slots: [Slot::Var(s), Slot::Bound(p), Slot::Var(o)] };
-        drain(Box::new(IndexScan::new(ds, &pat)), &mut ExecStats::default())
+        drain(Box::new(IndexScan::new(ds, &pat)), &mut ExecStats::default()).unwrap()
+    }
+
+    #[test]
+    fn worker_pool_survives_a_thread_dying_with_its_lock() {
+        let pool = WorkerPool::new(2);
+        assert_eq!(pool.try_acquire(1), 1);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = pool.state.lock().unwrap();
+                panic!("worker died holding the pool lock");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(pool.state.is_poisoned());
+        // Leasing, returning and reporting all keep working.
+        assert_eq!(pool.try_acquire(2), 1);
+        pool.release(2);
+        let s = pool.stats();
+        assert_eq!((s.capacity, s.in_use, s.peak_in_use, s.granted), (2, 0, 2, 2));
     }
 
     #[test]

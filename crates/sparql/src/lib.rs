@@ -66,6 +66,11 @@
 //!   minimizes ([`engine::Engine::execute_unpushed`] is the
 //!   materialize-then-modify reference the differential suites compare
 //!   against);
+//! * execution errors have one channel: every operator pull returns
+//!   `Result` ([`physical::Operator::next_batch`]), so spill I/O failures
+//!   and checked pipeline invariants reach the caller as
+//!   [`QueryError::Exec`] through `?` — a failed run never reports a
+//!   `Cout`, and [`exec::ExecStats`] holds counters only;
 //! * query *templates* with `%param` placeholders ([`template`]) are
 //!   first-class: the workload generator instantiates them once per
 //!   parameter binding;

@@ -1,8 +1,6 @@
-//! Streaming solution-modifier operators for the batched Volcano pipeline.
-//!
-//! PR 1 moved joins into a pull-based operator pipeline but left every
-//! solution modifier in the result layer, *after* full materialization.
-//! This module pushes them into the physical layer:
+//! Streaming solution-modifier operators for the batched Volcano pipeline:
+//! the solution modifiers run inside the physical layer, not in the result
+//! layer after full materialization.
 //!
 //! * [`Distinct`] — hash-set deduplication over raw `Id` rows, before any
 //!   dictionary decode;
@@ -27,6 +25,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
 
+use crate::error::ExecError;
 use crate::exec::{ExecStats, UNBOUND};
 use crate::physical::{Batch, BoxedOperator, Operator};
 use crate::plan::{AggregatePlan, ModifierPlan, SlotExpr, TableColSource};
@@ -164,15 +163,14 @@ impl Operator for Distinct<'_> {
         self.child.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         let width = self.child.schema().len();
         let mut row_buf = vec![UNBOUND; width];
         // Scratch dedup tuple, reused per row: duplicates (the common case
         // this operator exists for) pay no allocation; only rows actually
         // retained clone it.
         let mut tuple: Vec<Id> = Vec::with_capacity(self.cols.len());
-        loop {
-            let batch = self.child.next_batch(stats)?;
+        while let Some(batch) = self.child.next_batch(stats)? {
             let mut out = Batch::with_schema(batch.schema().to_vec());
             let mut retained = 0usize;
             for r in 0..batch.len() {
@@ -207,9 +205,10 @@ impl Operator for Distinct<'_> {
                 // Hash mode retains one tuple per emitted row for the rest
                 // of the query; ordered mode holds only the last tuple.
                 stats.grow(out.len() + retained);
-                return Some(out);
+                return Ok(Some(out));
             }
         }
+        Ok(None)
     }
 }
 
@@ -241,16 +240,16 @@ impl Operator for Slice<'_> {
         self.child.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         let width = self.child.schema().len();
         let mut row_buf = vec![UNBOUND; width];
         loop {
-            let Some(batch) = self.child.next_batch(stats) else {
+            let Some(batch) = self.child.next_batch(stats)? else {
                 self.done = true;
-                return None;
+                return Ok(None);
             };
             let total = batch.len();
             let drop_front = self.skip.min(total);
@@ -269,7 +268,7 @@ impl Operator for Slice<'_> {
             stats.shrink(total);
             if emit == 0 {
                 if self.done {
-                    return None;
+                    return Ok(None);
                 }
                 continue;
             }
@@ -279,7 +278,7 @@ impl Operator for Slice<'_> {
                 out.push_row(&row_buf);
             }
             stats.grow(out.len());
-            return Some(out);
+            return Ok(Some(out));
         }
     }
 }
@@ -394,12 +393,12 @@ impl Operator for TopK<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.emit.is_none() {
             let width = self.schema.len();
             let mut row_buf = vec![UNBOUND; width];
             if self.k > 0 {
-                while let Some(batch) = self.child.next_batch(stats) {
+                while let Some(batch) = self.child.next_batch(stats)? {
                     stats.sorted_rows += batch.len() as u64;
                     for r in 0..batch.len() {
                         batch.read_row(r, &mut row_buf);
@@ -451,9 +450,9 @@ impl Operator for TopK<'_> {
             }
         }
         if out.is_empty() {
-            return None;
+            return Ok(None);
         }
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -992,7 +991,7 @@ mod tests {
         // Project to the value column only: 5 distinct values survive.
         let op = Box::new(crate::physical::Project::new(scan(&ds, "p/val", 0, 1), &[1]));
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(Distinct::new(op)), &mut stats);
+        let out = drain(Box::new(Distinct::new(op)), &mut stats).unwrap();
         assert_eq!(out.len(), 5);
     }
 
@@ -1002,7 +1001,7 @@ mod tests {
         let ds = dataset(n);
         let mut stats = ExecStats::default();
         let sliced = Slice::new(scan(&ds, "p/val", 0, 1), 3, Some(10));
-        let out = drain(Box::new(sliced), &mut stats);
+        let out = drain(Box::new(sliced), &mut stats).unwrap();
         assert_eq!(out.len(), 10);
         // Early exit: only the first batch was ever scanned.
         assert!(
@@ -1016,7 +1015,8 @@ mod tests {
     fn slice_limit_zero_never_pulls() {
         let ds = dataset(100);
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(Slice::new(scan(&ds, "p/val", 0, 1), 0, Some(0))), &mut stats);
+        let out =
+            drain(Box::new(Slice::new(scan(&ds, "p/val", 0, 1), 0, Some(0))), &mut stats).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.scanned, 0);
     }
@@ -1025,7 +1025,8 @@ mod tests {
     fn slice_offset_past_end_is_empty() {
         let ds = dataset(50);
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(Slice::new(scan(&ds, "p/val", 0, 1), 1000, None)), &mut stats);
+        let out =
+            drain(Box::new(Slice::new(scan(&ds, "p/val", 0, 1), 1000, None)), &mut stats).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1035,7 +1036,7 @@ mod tests {
         let ds = dataset(n);
         // Sort ascending by value (heavy ties: values are i % 5).
         let mut stats = ExecStats::default();
-        let full = drain(scan(&ds, "p/val", 0, 1), &mut stats);
+        let full = drain(scan(&ds, "p/val", 0, 1), &mut stats).unwrap();
         let mut expected: Vec<(Id, usize)> = Vec::new();
         for (i, row) in full.iter().enumerate() {
             expected.push((row[1], i));
@@ -1051,7 +1052,7 @@ mod tests {
             offset,
             limit,
         );
-        let got = drain(Box::new(topk), &mut tk_stats);
+        let got = drain(Box::new(topk), &mut tk_stats).unwrap();
         assert_eq!(got.len(), limit);
         for (g, (id, i)) in got.iter().zip(expected.iter().skip(offset).take(limit)) {
             assert_eq!(g[1], *id);
@@ -1081,7 +1082,7 @@ mod tests {
         let mut fold = GroupFold::new(&agg, op.schema(), &ds);
         let mut stats = ExecStats::default();
         let mut row = vec![UNBOUND; 2];
-        while let Some(batch) = op.next_batch(&mut stats) {
+        while let Some(batch) = op.next_batch(&mut stats).unwrap() {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row);
                 fold.add_row(&row, &mut stats);

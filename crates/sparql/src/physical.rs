@@ -35,14 +35,15 @@
 //! The [`Exchange`]/[`Gather`] pair parallelizes qualifying plans across a
 //! `std::thread` worker pool. [`Exchange`] partitions the plan's *driving*
 //! [`IndexScan`] range into fixed-size morsels; each worker instantiates
-//! its own copy of the streaming spine ([`SharedBuildProbe`] probes into
-//! hash tables built once and shared read-only, [`BindJoin`] probes the
-//! permutation indexes directly) over one morsel at a time, and [`Gather`]
-//! re-emits the per-morsel batches **in morsel-index order** — never in
-//! worker arrival order. Together with the fixed wave size
+//! its own copy of the streaming spine ([`HashJoinProbe::shared`] probes
+//! into hash tables built once and shared read-only, [`BindJoin`] probes
+//! the permutation indexes directly) over one morsel at a time, and
+//! [`Gather`] re-emits the per-morsel batches **in morsel-index order** —
+//! never in worker arrival order. Together with the fixed wave size
 //! ([`MORSELS_PER_WAVE`], deliberately *not* derived from the thread
 //! count) this makes rows, row order, measured `Cout` and `scanned`
-//! bit-identical at any thread count; only wall-clock time changes.
+//! bit-identical at any thread count; only wall-clock time changes. A
+//! worker's `Err` reaches the consumer in the same morsel-index order.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -55,6 +56,7 @@ use parambench_rdf::index::IndexOrder;
 use parambench_rdf::store::Dataset;
 
 use crate::ast::Expr;
+use crate::error::ExecError;
 use crate::exec::{row_passes, Bindings, ExecConfig, ExecStats, WorkerPool, UNBOUND};
 use crate::plan::{PlannedPattern, Slot};
 
@@ -152,17 +154,20 @@ impl Batch {
 
 /// A pull-based physical operator producing columnar batches.
 ///
-/// Contract: `next_batch` returns `Some` of a **non-empty** batch, or
-/// `None` once the operator is exhausted (and stays `None`). Operators
-/// register emitted batches with [`ExecStats::grow`] and release consumed
-/// input batches with [`ExecStats::shrink`], so `stats.peak_tuples` tracks
-/// the real high-water mark of resident intermediate tuples.
+/// Contract: `next_batch` returns `Ok(Some(..))` of a **non-empty** batch,
+/// or `Ok(None)` once the operator is exhausted (and stays `Ok(None)`). A
+/// failure — a checked pipeline invariant such as a merge join's sorted
+/// input — is `Err`; operators propagate a child's `Err` unchanged, and a
+/// pipeline that returned one is not pulled again. Operators register
+/// emitted batches with [`ExecStats::grow`] and release consumed input
+/// batches with [`ExecStats::shrink`], so `stats.peak_tuples` tracks the
+/// real high-water mark of resident intermediate tuples.
 pub trait Operator {
     /// The variable slot of each output column.
     fn schema(&self) -> &[usize];
 
     /// Produces the next batch of bindings.
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch>;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError>;
 }
 
 /// A boxed operator tied to the dataset lifetime.
@@ -187,11 +192,11 @@ fn eq_pairs(pattern: &PlannedPattern) -> Vec<(usize, usize)> {
 
 /// Runs a pipeline to completion, materializing its output only once, at
 /// the result boundary.
-pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Bindings {
+pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Result<Bindings, ExecError> {
     let mut out = Bindings::empty(op.schema().to_vec());
     let width = op.schema().len();
     let mut row_buf = vec![UNBOUND; width];
-    while let Some(batch) = op.next_batch(stats) {
+    while let Some(batch) = op.next_batch(stats)? {
         for r in 0..batch.len() {
             batch.read_row(r, &mut row_buf);
             out.push_row(&row_buf);
@@ -199,7 +204,21 @@ pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Bindings {
         // Accounting transfer: the batch's tuples (already grown by the
         // producer) now live on in `out`, so no grow/shrink is needed.
     }
-    out
+    Ok(out)
+}
+
+/// Pulls `op` to exhaustion, releasing every batch unread: work that runs
+/// only for its counters — the side of a join that outlives its partner,
+/// a probe side facing an empty build, a measured run — still reports
+/// `Cout` and `scanned` exactly as a full execution does.
+pub(crate) fn drain_rest(
+    op: &mut BoxedOperator<'_>,
+    stats: &mut ExecStats,
+) -> Result<(), ExecError> {
+    while let Some(batch) = op.next_batch(stats)? {
+        stats.shrink(batch.len());
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +317,10 @@ impl Operator for IndexScan<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        let state = self.state.as_mut()?;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let Some(state) = self.state.as_mut() else {
+            return Ok(None);
+        };
         stats.overlay_rows += std::mem::take(&mut state.overlay_entries);
         let mut out = Batch::with_schema(self.schema.clone());
         let mut row = vec![UNBOUND; self.schema.len()];
@@ -319,10 +340,10 @@ impl Operator for IndexScan<'_> {
         }
         if out.is_empty() {
             self.state = None;
-            return None;
+            return Ok(None);
         }
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -398,14 +419,14 @@ impl HashJoinBuild {
         mut child: BoxedOperator<'_>,
         join_vars: &[usize],
         stats: &mut ExecStats,
-    ) -> HashJoinBuild {
+    ) -> Result<HashJoinBuild, ExecError> {
         let mut rows = Bindings::empty(child.schema().to_vec());
         let key_cols: Vec<usize> =
             join_vars.iter().map(|&v| rows.col_of(v).expect("join var in build side")).collect();
         let mut table: HashMap<Vec<Id>, Vec<usize>> = HashMap::new();
         let width = rows.cols().len();
         let mut row_buf = vec![UNBOUND; width];
-        while let Some(batch) = child.next_batch(stats) {
+        while let Some(batch) = child.next_batch(stats)? {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
                 let key: Vec<Id> = key_cols.iter().map(|&c| row_buf[c]).collect();
@@ -414,7 +435,7 @@ impl HashJoinBuild {
             }
         }
         stats.build_rows += rows.len() as u64;
-        HashJoinBuild { rows, partitions: vec![table], hasher: RandomState::new() }
+        Ok(HashJoinBuild { rows, partitions: vec![table], hasher: RandomState::new() })
     }
 
     /// Parallel build of a *scan* build side: workers extract rows and key
@@ -571,10 +592,9 @@ impl BuildRef {
     }
 }
 
-/// The probe engine shared by [`HashJoinProbe`] and [`SharedBuildProbe`]:
-/// output-schema/source layout, the resumable probe loop and the per-batch
-/// `Cout` recording live here exactly once, so the serial and the parallel
-/// hash join cannot drift apart.
+/// The probe engine of [`HashJoinProbe`]: output-schema/source layout,
+/// the resumable probe loop and the per-batch `Cout` recording, one code
+/// path for an owned and a shared build side.
 struct ProbeCore {
     schema: Vec<usize>,
     build: Option<BuildRef>,
@@ -646,16 +666,31 @@ impl ProbeCore {
     /// One `next_batch` step probing the build with rows pulled from
     /// `probe`, resuming mid-batch across calls; finishes (and releases an
     /// owned build) when the probe side is exhausted.
-    fn fill(&mut self, probe: &mut BoxedOperator<'_>, stats: &mut ExecStats) -> Option<Batch> {
+    fn fill(
+        &mut self,
+        probe: &mut BoxedOperator<'_>,
+        stats: &mut ExecStats,
+    ) -> Result<Option<Batch>, ExecError> {
+        if self.done {
+            return Ok(None);
+        }
         let mut out = Batch::with_schema(self.schema.clone());
         {
             let build = self.build.as_ref().expect("build installed before fill").get();
+            if build.is_empty() {
+                // Empty build side: the join is empty, but the probe subtree
+                // must still run so its joins contribute to measured `Cout`
+                // exactly as in the materializing executor.
+                drain_rest(probe, stats)?;
+                self.finish(stats);
+                return Ok(None);
+            }
             let mut probe_buf = vec![UNBOUND; probe.schema().len()];
             let mut row_buf = vec![UNBOUND; self.schema.len()];
             'fill: while !out.is_full() {
                 let (batch, mut row, mut offset) = match self.cursor.take() {
                     Some(c) => c,
-                    None => match probe.next_batch(stats) {
+                    None => match probe.next_batch(stats)? {
                         Some(b) => (b, 0, 0),
                         None => break 'fill,
                     },
@@ -688,7 +723,7 @@ impl ProbeCore {
         }
         if self.cursor.is_none() && out.is_empty() {
             self.finish(stats);
-            return None;
+            return Ok(None);
         }
         if self.cursor.is_none() && !out.is_full() {
             // Probe exhausted with a final partial batch: account now so a
@@ -700,20 +735,22 @@ impl ProbeCore {
         // must still be counted.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
 /// Inner hash join: streams the probe child against the built side.
 /// `build_right` says which *semantic* side (left = first operand, whose
 /// columns lead the output schema) is materialized — the optimizer picks
-/// the side with the smaller estimated cardinality.
+/// the side with the smaller estimated cardinality. A parallel hash join's
+/// workers each run one over a **shared**, read-only build table
+/// ([`HashJoinProbe::shared`]).
 pub struct HashJoinProbe<'a> {
     core: ProbeCore,
-    join_vars: Vec<usize>,
-    /// Children waiting to run (build child first); emptied on first pull.
-    pending: Option<(BoxedOperator<'a>, BoxedOperator<'a>)>,
-    probe: Option<BoxedOperator<'a>>,
+    /// The build child and the join variables, waiting for the first pull
+    /// to build; `None` once built, and for a shared build.
+    pending: Option<(BoxedOperator<'a>, Vec<usize>)>,
+    probe: BoxedOperator<'a>,
 }
 
 impl<'a> HashJoinProbe<'a> {
@@ -734,8 +771,33 @@ impl<'a> HashJoinProbe<'a> {
         };
         let core =
             ProbeCore::new(probe_schema, build_schema, build_right, &join_vars, signature, bucket);
-        let pending = if build_right { (right, left) } else { (left, right) };
-        HashJoinProbe { core, join_vars, pending: Some(pending), probe: None }
+        let (build, probe) = if build_right { (right, left) } else { (left, right) };
+        HashJoinProbe { core, pending: Some((build, join_vars)), probe }
+    }
+
+    /// Probes `child` into a build table constructed once (by
+    /// [`crate::plan::PhysNode::lower_morsels`]) and shared read-only
+    /// across a [`Gather`]'s workers: its residency is accounted by the
+    /// gather, so finishing never shrinks it. `stream_is_left` says whether
+    /// `child` is the *semantic* left operand, mirroring `build_right`.
+    pub fn shared(
+        child: BoxedOperator<'a>,
+        build: Arc<HashJoinBuild>,
+        join_vars: &[usize],
+        stream_is_left: bool,
+        signature: String,
+        bucket: CoutBucket,
+    ) -> Self {
+        let mut core = ProbeCore::new(
+            child.schema(),
+            build.schema(),
+            stream_is_left,
+            join_vars,
+            signature,
+            bucket,
+        );
+        core.build = Some(BuildRef::Shared(build));
+        HashJoinProbe { core, pending: None, probe: child }
     }
 }
 
@@ -744,28 +806,12 @@ impl Operator for HashJoinProbe<'_> {
         &self.core.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        if self.core.done {
-            return None;
-        }
-        if let Some((build_child, probe_child)) = self.pending.take() {
-            let build = HashJoinBuild::build(build_child, &self.join_vars, stats);
-            let mut probe_child = probe_child;
-            if build.is_empty() {
-                // Empty build side: the join is empty, but the probe subtree
-                // must still run so its joins contribute to measured `Cout`
-                // exactly as in the materializing executor.
-                while let Some(batch) = probe_child.next_batch(stats) {
-                    stats.shrink(batch.len());
-                }
-                self.core.finish(stats);
-                return None;
-            }
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        if let Some((build_child, join_vars)) = self.pending.take() {
+            let build = HashJoinBuild::build(build_child, &join_vars, stats)?;
             self.core.build = Some(BuildRef::Owned(build));
-            self.probe = Some(probe_child);
         }
-        let probe = self.probe.as_mut().expect("installed above");
-        self.core.fill(probe, stats)
+        self.core.fill(&mut self.probe, stats)
     }
 }
 
@@ -918,9 +964,9 @@ impl Operator for BindJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         let ds = self.ds;
         let left_width = self.left.schema().len();
@@ -928,7 +974,7 @@ impl Operator for BindJoin<'_> {
         let mut row_buf = vec![UNBOUND; self.schema.len()];
         'fill: while !out.is_full() {
             if self.cursor.is_none() {
-                match self.left.next_batch(stats) {
+                match self.left.next_batch(stats)? {
                     Some(batch) => self.cursor = Some(BindCursor { batch, row: 0, scan: None }),
                     None => break 'fill,
                 }
@@ -973,12 +1019,12 @@ impl Operator for BindJoin<'_> {
             self.finish(stats);
         }
         if out.is_empty() {
-            return None;
+            return Ok(None);
         }
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -994,11 +1040,11 @@ pub(crate) fn count_bind_join(
     join_vars: &[usize],
     signature: String,
     stats: &mut ExecStats,
-) {
+) -> Result<(), ExecError> {
     let probe = BindProbe::new(pattern, left.schema(), join_vars);
     let mut recorder = JoinCardRecorder::new(signature, CoutBucket::Required);
     let mut row = vec![UNBOUND; left.schema().len()];
-    while let Some(batch) = left.next_batch(stats) {
+    while let Some(batch) = left.next_batch(stats)? {
         let mut n = 0;
         for r in 0..batch.len() {
             batch.read_row(r, &mut row);
@@ -1008,6 +1054,7 @@ pub(crate) fn count_bind_join(
         stats.shrink(batch.len());
     }
     recorder.record(stats, 0);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,8 +1100,8 @@ pub struct MergeJoin<'a> {
     /// Last left key seen, for the unconditional sortedness check: a merge
     /// join fed an unsorted left input silently drops matches, so the
     /// invariant is verified on every row (one slice compare against an
-    /// already-decoded key) and violations surface as
-    /// [`crate::error::QueryError::Exec`] instead of wrong answers.
+    /// already-decoded key) and a violation is an `Err` from `next_batch`
+    /// instead of wrong answers.
     prev_left_key: Option<Vec<Id>>,
     done: bool,
 }
@@ -1109,7 +1156,7 @@ impl<'a> MergeJoin<'a> {
     /// skips smaller keys, buffers the equal-key run, stops at the first
     /// greater key (kept as lookahead). The cursor never moves backwards —
     /// left keys arrive non-decreasing.
-    fn advance_right_to(&mut self, key: &[Id], stats: &mut ExecStats) {
+    fn advance_right_to(&mut self, key: &[Id], stats: &mut ExecStats) -> Result<(), ExecError> {
         stats.shrink(self.run.len());
         self.run.clear();
         self.run_key = None;
@@ -1122,7 +1169,7 @@ impl<'a> MergeJoin<'a> {
                     if self.right_done {
                         break 'advance;
                     }
-                    match self.right.next_batch(stats) {
+                    match self.right.next_batch(stats)? {
                         Some(b) => {
                             self.rbatch = Some((b, 0));
                             continue 'advance;
@@ -1164,48 +1211,27 @@ impl<'a> MergeJoin<'a> {
         if !self.run.is_empty() {
             self.run_key = Some(key.to_vec());
         }
+        Ok(())
     }
 
-    /// Pulls-and-releases the rest of an operator (exhaustion drain): the
-    /// side that outlives its partner still runs to completion so its
+    /// Releases everything resident, then drains both sides to exhaustion:
+    /// the side that outlives its partner still runs to completion so its
     /// sub-joins report `Cout` and scans exactly as the hash lowering does.
-    fn drain_rest(op: &mut BoxedOperator<'_>, stats: &mut ExecStats) {
-        while let Some(batch) = op.next_batch(stats) {
-            stats.shrink(batch.len());
-        }
-    }
-
-    fn finish(&mut self, stats: &mut ExecStats) {
+    fn finish(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         stats.shrink(self.run.len());
         self.run.clear();
         self.run_key = None;
         if let Some((batch, _)) = self.rbatch.take() {
             stats.shrink(batch.len());
         }
-        Self::drain_rest(&mut self.right, stats);
+        drain_rest(&mut self.right, stats)?;
         if let Some((batch, _, _)) = self.lcursor.take() {
             stats.shrink(batch.len());
         }
-        Self::drain_rest(&mut self.left, stats);
+        drain_rest(&mut self.left, stats)?;
         self.recorder.record(stats, 0);
         self.done = true;
-    }
-
-    /// Stops the join *without* the exhaustion drain — the
-    /// invariant-violation path, where pulling the rest of a pipeline that
-    /// already produced out-of-order rows would only compound the damage.
-    /// Everything resident is released so tuple accounting still balances.
-    fn abort(&mut self, stats: &mut ExecStats) {
-        stats.shrink(self.run.len());
-        self.run.clear();
-        self.run_key = None;
-        if let Some((batch, _)) = self.rbatch.take() {
-            stats.shrink(batch.len());
-        }
-        if let Some((batch, _, _)) = self.lcursor.take() {
-            stats.shrink(batch.len());
-        }
-        self.done = true;
+        Ok(())
     }
 }
 
@@ -1214,9 +1240,9 @@ impl Operator for MergeJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         let left_width = self.left.schema().len();
         let mut out = Batch::with_schema(self.schema.clone());
@@ -1224,7 +1250,7 @@ impl Operator for MergeJoin<'_> {
         let mut exhausted = false;
         'fill: while !out.is_full() {
             if self.lcursor.is_none() {
-                match self.left.next_batch(stats) {
+                match self.left.next_batch(stats)? {
                     Some(batch) => self.lcursor = Some((batch, 0, 0)),
                     None => {
                         exhausted = true;
@@ -1246,12 +1272,10 @@ impl Operator for MergeJoin<'_> {
                     // Unconditional, not debug-only: with overlay-merged
                     // inputs feeding the join, a silent release-build
                     // misjoin is the worst failure mode.
-                    stats.record_exec_error(crate::error::ExecError::invariant(
+                    return Err(ExecError::invariant(
                         "merge join",
                         format!("left input not sorted on its key: {prev:?} then {key:?}"),
                     ));
-                    self.abort(stats);
-                    return None;
                 }
                 Some(prev) => prev.clone_from(&key),
                 None => self.prev_left_key = Some(key.clone()),
@@ -1260,7 +1284,7 @@ impl Operator for MergeJoin<'_> {
                 // Borrow dance: advance_right_to needs &mut self, the left
                 // cursor state survives in self.lcursor.
                 let (b, r, o) = self.lcursor.take().expect("held above");
-                self.advance_right_to(&key, stats);
+                self.advance_right_to(&key, stats)?;
                 self.lcursor = Some((b, r, o));
                 if self.run.is_empty() && self.right_done {
                     // No run and no more right rows: every remaining left
@@ -1292,20 +1316,20 @@ impl Operator for MergeJoin<'_> {
             }
         }
         if exhausted {
-            self.finish(stats);
+            self.finish(stats)?;
         }
         if out.is_empty() {
             if !self.done {
                 // Filled nothing but not exhausted (cannot happen: the loop
                 // only exits full or exhausted) — defensive finish.
-                self.finish(stats);
+                self.finish(stats)?;
             }
-            return None;
+            return Ok(None);
         }
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1382,12 +1406,12 @@ impl Operator for LeftOuterJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         if let Some(right) = self.right.take() {
-            self.build = Some(HashJoinBuild::build(right, &self.join_vars, stats));
+            self.build = Some(HashJoinBuild::build(right, &self.join_vars, stats)?);
         }
         let build = self.build.as_ref().expect("built above");
         let left_width = self.left.schema().len();
@@ -1397,7 +1421,7 @@ impl Operator for LeftOuterJoin<'_> {
         'fill: while !out.is_full() {
             let (batch, mut row, mut offset) = match self.cursor.take() {
                 Some(c) => c,
-                None => match self.left.next_batch(stats) {
+                None => match self.left.next_batch(stats)? {
                     Some(b) => (b, 0, 0),
                     None => break 'fill,
                 },
@@ -1443,7 +1467,7 @@ impl Operator for LeftOuterJoin<'_> {
         }
         if self.cursor.is_none() && out.is_empty() {
             self.finish(stats);
-            return None;
+            return Ok(None);
         }
         if self.cursor.is_none() && !out.is_full() {
             self.finish(stats);
@@ -1451,7 +1475,7 @@ impl Operator for LeftOuterJoin<'_> {
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         stats.cout_optional += out.len() as u64;
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1491,11 +1515,10 @@ impl Operator for FilterEval<'_> {
         self.child.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         let width = self.child.schema().len();
         let mut row_buf = vec![UNBOUND; width];
-        loop {
-            let batch = self.child.next_batch(stats)?;
+        while let Some(batch) = self.child.next_batch(stats)? {
             let mut out = Batch::with_schema(batch.schema().to_vec());
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
@@ -1506,9 +1529,10 @@ impl Operator for FilterEval<'_> {
             stats.shrink(batch.len());
             if !out.is_empty() {
                 stats.grow(out.len());
-                return Some(out);
+                return Ok(Some(out));
             }
         }
+        Ok(None)
     }
 }
 
@@ -1550,8 +1574,10 @@ impl Operator for Project<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        let batch = self.child.next_batch(stats)?;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let Some(batch) = self.child.next_batch(stats)? else {
+            return Ok(None);
+        };
         let mut out = Batch::with_schema(self.schema.clone());
         for (k, &c) in self.keep.iter().enumerate() {
             out.columns[k].extend_from_slice(batch.column(c));
@@ -1559,7 +1585,7 @@ impl Operator for Project<'_> {
         out.rows = batch.len();
         stats.shrink(batch.len());
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1601,10 +1627,10 @@ impl Operator for UnionAll<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         while self.current < self.branches.len() {
             let (branch, mapping) = &mut self.branches[self.current];
-            match branch.next_batch(stats) {
+            match branch.next_batch(stats)? {
                 Some(batch) => {
                     let mut out = Batch::with_schema(self.schema.clone());
                     for (k, &c) in mapping.iter().enumerate() {
@@ -1612,17 +1638,17 @@ impl Operator for UnionAll<'_> {
                     }
                     out.rows = batch.len();
                     // Straight transfer: same tuple count in, same out.
-                    return Some(out);
+                    return Ok(Some(out));
                 }
                 None => self.current += 1,
             }
         }
-        None
+        Ok(None)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-driven parallel execution: Exchange / SharedBuildProbe / Gather
+// Morsel-driven parallel execution: Exchange / ParallelSource / Gather
 // ---------------------------------------------------------------------------
 
 /// Morsels dispatched per wave. Deliberately a fixed constant — *not*
@@ -1713,64 +1739,6 @@ fn scatter<T: Send>(
         .into_iter()
         .map(|s| s.into_inner().expect("result slot poisoned").expect("worker filled every slot"))
         .collect()
-}
-
-/// Inner hash join probing a **shared, read-only** build table — the
-/// per-worker operator of a parallel hash join. A thin wrapper over the
-/// same probe core as [`HashJoinProbe`]; the build side was constructed
-/// once (by [`crate::plan::PhysNode::lower_morsels`]) and its residency
-/// is accounted by the owning gather, so finishing a probe never shrinks
-/// it.
-pub struct SharedBuildProbe<'a> {
-    core: ProbeCore,
-    child: BoxedOperator<'a>,
-}
-
-impl<'a> SharedBuildProbe<'a> {
-    /// `stream_is_left` says whether the streaming `child` is the
-    /// *semantic* left operand (whose columns lead the output schema),
-    /// mirroring [`HashJoinProbe`]'s `build_right` choice.
-    pub fn new(
-        child: BoxedOperator<'a>,
-        build: Arc<HashJoinBuild>,
-        join_vars: &[usize],
-        stream_is_left: bool,
-        signature: String,
-        bucket: CoutBucket,
-    ) -> Self {
-        let mut core = ProbeCore::new(
-            child.schema(),
-            build.schema(),
-            stream_is_left,
-            join_vars,
-            signature,
-            bucket,
-        );
-        core.build = Some(BuildRef::Shared(build));
-        SharedBuildProbe { core, child }
-    }
-}
-
-impl Operator for SharedBuildProbe<'_> {
-    fn schema(&self) -> &[usize] {
-        &self.core.schema
-    }
-
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        if self.core.done {
-            return None;
-        }
-        if self.core.build.as_ref().expect("installed at construction").get().is_empty() {
-            // Same contract as HashJoinProbe: the probe subtree still runs
-            // so its joins contribute to measured `Cout`.
-            while let Some(batch) = self.child.next_batch(stats) {
-                stats.shrink(batch.len());
-            }
-            self.core.finish(stats);
-            return None;
-        }
-        self.core.fill(&mut self.child, stats)
-    }
 }
 
 /// One operator level of a parallel plan's streaming spine, bottom-up
@@ -1928,7 +1896,7 @@ impl<'a> ParallelSource<'a> {
                     bucket,
                 )),
                 SpineStep::Probe { build, join_vars, stream_is_left, signature } => {
-                    Box::new(SharedBuildProbe::new(
+                    Box::new(HashJoinProbe::shared(
                         op,
                         Arc::clone(build),
                         join_vars,
@@ -1942,14 +1910,28 @@ impl<'a> ParallelSource<'a> {
         op
     }
 
-    /// Runs one contiguous wave of morsels across the pool; results come
-    /// back in morsel order, each with the worker's private [`ExecStats`].
-    fn run_wave(&self, wave: Range<usize>) -> Vec<(Vec<Batch>, ExecStats)> {
+    /// The wave of morsels starting at `next`, or `None` once every morsel
+    /// has run.
+    fn wave(&self, next: usize) -> Option<Range<usize>> {
+        let count = self.exchange.morsel_count();
+        (next < count).then(|| next..(next + MORSELS_PER_WAVE).min(count))
+    }
+
+    /// Runs one wave of morsels across the pool, each through `job` over a
+    /// fresh pipeline with private [`ExecStats`]. The workers' stats are
+    /// absorbed into `stats` and the results returned in morsel-index
+    /// order; the first `Err` in that order wins, so which error surfaces
+    /// is independent of the thread count.
+    fn run_wave<T: Send>(
+        &self,
+        wave: Range<usize>,
+        stats: &mut ExecStats,
+        job: &(dyn Fn(BoxedOperator<'a>, &mut ExecStats) -> Result<T, ExecError> + Sync),
+    ) -> Result<Vec<T>, ExecError> {
         let base = wave.start;
-        scatter(wave.len(), self.threads, self.pool, &|i| {
+        let parts = scatter(wave.len(), self.threads, self.pool, &|i| {
             let m = self.exchange.morsel(base + i);
-            let mut stats = ExecStats::default();
-            let mut op = Self::assemble(
+            let op = Self::assemble(
                 self.ds,
                 &self.driver,
                 self.driver_order,
@@ -1957,12 +1939,12 @@ impl<'a> ParallelSource<'a> {
                 self.bucket,
                 m,
             );
-            let mut batches = Vec::new();
-            while let Some(b) = op.next_batch(&mut stats) {
-                batches.push(b);
-            }
-            (batches, stats)
-        })
+            let mut st = ExecStats::default();
+            (job(op, &mut st), st)
+        });
+        let (values, worker_stats): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        stats.absorb_workers(worker_stats);
+        values.into_iter().collect()
     }
 
     /// Drains every morsel through `job` (a fresh pipeline per morsel with
@@ -1974,36 +1956,18 @@ impl<'a> ParallelSource<'a> {
     pub fn process<T: Send>(
         self,
         stats: &mut ExecStats,
-        job: impl Fn(BoxedOperator<'a>, &mut ExecStats) -> T + Sync,
+        job: impl Fn(BoxedOperator<'a>, &mut ExecStats) -> Result<T, ExecError> + Sync,
         mut sink: impl FnMut(T, &mut ExecStats),
-    ) {
-        let count = self.exchange.morsel_count();
+    ) -> Result<(), ExecError> {
         let mut next = 0;
-        while next < count {
-            let wave = next..(next + MORSELS_PER_WAVE).min(count);
-            let base = wave.start;
-            let parts: Vec<(T, ExecStats)> = scatter(wave.len(), self.threads, self.pool, &|i| {
-                let m = self.exchange.morsel(base + i);
-                let mut st = ExecStats::default();
-                let op = Self::assemble(
-                    self.ds,
-                    &self.driver,
-                    self.driver_order,
-                    &self.steps,
-                    self.bucket,
-                    m,
-                );
-                let v = job(op, &mut st);
-                (v, st)
-            });
+        while let Some(wave) = self.wave(next) {
             next = wave.end;
-            let (values, worker_stats): (Vec<T>, Vec<ExecStats>) = parts.into_iter().unzip();
-            stats.absorb_workers(worker_stats);
-            for v in values {
+            for v in self.run_wave(wave, stats, &job)? {
                 sink(v, stats);
             }
         }
         stats.shrink(self.shared_tuples);
+        Ok(())
     }
 }
 
@@ -2032,30 +1996,29 @@ impl Operator for Gather<'_> {
         self.source.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         loop {
             if let Some(b) = self.buffer.pop_front() {
-                return Some(b);
+                return Ok(Some(b));
             }
             if self.done {
-                return None;
+                return Ok(None);
             }
-            let count = self.source.exchange.morsel_count();
-            if self.next_morsel >= count {
+            let Some(wave) = self.source.wave(self.next_morsel) else {
                 self.done = true;
                 // All morsels ran: the shared build tables are dead.
                 stats.shrink(self.source.shared_tuples);
-                return None;
-            }
-            let wave = self.next_morsel..(self.next_morsel + MORSELS_PER_WAVE).min(count);
+                return Ok(None);
+            };
             self.next_morsel = wave.end;
-            let parts = self.source.run_wave(wave);
-            let mut worker_stats = Vec::with_capacity(parts.len());
-            for (batches, st) in parts {
-                worker_stats.push(st);
-                self.buffer.extend(batches);
-            }
-            stats.absorb_workers(worker_stats);
+            let per_morsel = self.source.run_wave(wave, stats, &|mut op, st| {
+                let mut batches = Vec::new();
+                while let Some(b) = op.next_batch(st)? {
+                    batches.push(b);
+                }
+                Ok(batches)
+            })?;
+            self.buffer.extend(per_morsel.into_iter().flatten());
         }
     }
 }
@@ -2100,7 +2063,7 @@ mod tests {
         let mut scan = IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0));
         let mut total = 0;
         let mut batches = 0;
-        while let Some(batch) = scan.next_batch(&mut stats) {
+        while let Some(batch) = scan.next_batch(&mut stats).unwrap() {
             assert!(!batch.is_empty());
             assert!(batch.len() <= BATCH_SIZE);
             total += batch.len();
@@ -2111,7 +2074,7 @@ mod tests {
         assert_eq!(stats.scanned, n as u64);
         assert_eq!(stats.cout, 0);
         // Exhausted operators stay exhausted.
-        assert!(scan.next_batch(&mut stats).is_none());
+        assert!(scan.next_batch(&mut stats).unwrap().is_none());
     }
 
     #[test]
@@ -2130,7 +2093,7 @@ mod tests {
             "HJ(S0,S1)".into(),
             CoutBucket::Required,
         );
-        let got = drain(Box::new(join), &mut stats);
+        let got = drain(Box::new(join), &mut stats).unwrap();
         // Chain i→i+1 for i in 0..n: two-hop paths exist for i in 0..n-1.
         assert_eq!(got.cols(), &[0, 1, 2]);
         assert_eq!(got.len(), n - 1);
@@ -2155,7 +2118,7 @@ mod tests {
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let out = drain(Box::new(join), &mut stats);
+            let out = drain(Box::new(join), &mut stats).unwrap();
             assert_eq!(out.cols(), &[0, 1, 2], "build_right={build_right}");
             assert_eq!(out.len(), 299, "build_right={build_right}");
             assert_eq!(stats.cout, 299);
@@ -2179,7 +2142,8 @@ mod tests {
                 CoutBucket::Required,
             )),
             &mut hash_stats,
-        );
+        )
+        .unwrap();
         let mut bind_stats = ExecStats::default();
         let via_bind = drain(
             Box::new(BindJoin::new(
@@ -2191,7 +2155,8 @@ mod tests {
                 CoutBucket::Required,
             )),
             &mut bind_stats,
-        );
+        )
+        .unwrap();
         assert_eq!(via_bind.cols(), via_hash.cols());
         assert_eq!(sorted_rows(&via_bind), sorted_rows(&via_hash));
         assert_eq!(bind_stats.cout, hash_stats.cout);
@@ -2219,7 +2184,7 @@ mod tests {
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let got = drain(Box::new(mj), &mut mj_stats);
+            let got = drain(Box::new(mj), &mut mj_stats).unwrap();
 
             let mut hj_stats = ExecStats::default();
             let hj = HashJoinProbe::new(
@@ -2230,7 +2195,7 @@ mod tests {
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let want = drain(Box::new(hj), &mut hj_stats);
+            let want = drain(Box::new(hj), &mut hj_stats).unwrap();
 
             assert_eq!(got.cols(), want.cols());
             let got_rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
@@ -2257,7 +2222,7 @@ mod tests {
             "sig".into(),
             CoutBucket::Required,
         );
-        let out = drain(Box::new(mj), &mut stats);
+        let out = drain(Box::new(mj), &mut stats).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.scanned, 300, "left side drained for Cout/scan parity");
         assert_eq!(stats.cout, 0);
@@ -2271,7 +2236,7 @@ mod tests {
             "sig".into(),
             CoutBucket::Required,
         );
-        let out = drain(Box::new(mj), &mut stats);
+        let out = drain(Box::new(mj), &mut stats).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.scanned, 300, "right side drained for Cout/scan parity");
         assert_eq!(stats.cout, 0);
@@ -2289,35 +2254,92 @@ mod tests {
             &self.schema
         }
 
-        fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+        fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
             if self.emitted {
-                return None;
+                return Ok(None);
             }
             self.emitted = true;
             let mut b = Batch::with_schema(self.schema.clone());
             b.push_row(&[Id(5), Id(100)]);
             b.push_row(&[Id(2), Id(101)]);
             stats.grow(b.len());
-            Some(b)
+            Ok(Some(b))
         }
+    }
+
+    /// A merge join of an [`UnsortedInput`] (slots 0, 3) with `p/next`
+    /// (slots 0, 1) on slot 0: fails on its first pull.
+    fn unsorted_merge_join(ds: &Dataset) -> BoxedOperator<'_> {
+        let left = Box::new(UnsortedInput { schema: vec![0, 3], emitted: false });
+        let right = Box::new(IndexScan::new(ds, &pattern(ds, "p/next", 0, 1, 0)));
+        Box::new(MergeJoin::new(left, right, &[0], "sig".into(), CoutBucket::Required))
     }
 
     #[test]
     fn merge_join_surfaces_unsorted_left_as_typed_error() {
         let ds = chain_dataset(50);
-        let left = Box::new(UnsortedInput { schema: vec![0, 3], emitted: false });
-        let right =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))) as BoxedOperator<'_>;
-        let mut stats = ExecStats::default();
-        let mut mj = MergeJoin::new(left, right, &[0], "sig".into(), CoutBucket::Required);
-        while mj.next_batch(&mut stats).is_some() {}
-        let err = stats.exec_error.clone().expect("unsorted left input must be reported");
+        let mut mj = unsorted_merge_join(&ds);
+        let err = mj.next_batch(&mut ExecStats::default()).unwrap_err();
         assert_eq!(err.op, "merge join");
         assert!(err.message.contains("not sorted"), "unexpected message: {}", err.message);
-        // The join aborted without draining its inputs and stays exhausted.
-        assert!(mj.next_batch(&mut stats).is_none());
         // The error converts into the public typed variant.
         assert!(matches!(crate::error::QueryError::from(err), crate::error::QueryError::Exec(_)));
+    }
+
+    #[test]
+    fn errors_cross_every_streaming_operator_unchanged() {
+        use crate::modifiers::{Distinct, RowKeys, Slice, TopK};
+        let ds = chain_dataset(50);
+        let want = drain(unsorted_merge_join(&ds), &mut ExecStats::default()).unwrap_err();
+        let failing = || unsorted_merge_join(&ds);
+        // `p/label` on slots 0, 2: joins the failing side on slot 0.
+        let labels = || {
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 2, 1))) as BoxedOperator<'_>
+        };
+        let sig = || "sig".to_string();
+        let req = CoutBucket::Required;
+        // A healthy UNION branch over the failing side's slots {0, 1, 3}.
+        let healthy_branch = || {
+            let next = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0)));
+            let label = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 3, 1)));
+            Box::new(HashJoinProbe::new(next, label, vec![0], true, sig(), req))
+                as BoxedOperator<'_>
+        };
+        let var_names: Vec<String> = (0..4).map(|v| format!("v{v}")).collect();
+        let cases: Vec<(&str, BoxedOperator<'_>)> = vec![
+            ("FilterEval", Box::new(FilterEval::new(failing(), Vec::new(), &var_names, &ds))),
+            ("Project", Box::new(Project::new(failing(), &[0]))),
+            ("Distinct (hash)", Box::new(Distinct::new(failing()))),
+            ("Distinct (run)", Box::new(Distinct::ordered(failing(), vec![0]))),
+            ("Slice", Box::new(Slice::new(failing(), 0, Some(10)))),
+            ("TopK", Box::new(TopK::new(failing(), RowKeys::cols(&ds, vec![(0, false)]), 0, 5))),
+            (
+                "HashJoinProbe (build child)",
+                Box::new(HashJoinProbe::new(labels(), failing(), vec![0], true, sig(), req)),
+            ),
+            (
+                "HashJoinProbe (probe child)",
+                Box::new(HashJoinProbe::new(failing(), labels(), vec![0], true, sig(), req)),
+            ),
+            (
+                "BindJoin (left child)",
+                Box::new(BindJoin::new(
+                    &ds,
+                    failing(),
+                    pattern(&ds, "p/label", 0, 2, 1),
+                    &[0],
+                    sig(),
+                    req,
+                )),
+            ),
+            ("LeftOuterJoin (left)", Box::new(LeftOuterJoin::new(failing(), labels(), vec![0]))),
+            ("LeftOuterJoin (right)", Box::new(LeftOuterJoin::new(labels(), failing(), vec![0]))),
+            ("UnionAll (a branch)", Box::new(UnionAll::new(vec![healthy_branch(), failing()]))),
+        ];
+        for (name, op) in cases {
+            let got = drain(op, &mut ExecStats::default());
+            assert_eq!(got.err().as_ref(), Some(&want), "{name} must hand the error up unchanged");
+        }
     }
 
     #[test]
@@ -2328,7 +2350,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut scan = IndexScan::with_order(&ds, &pat, Some(IndexOrder::Pos));
         let mut last: Option<Id> = None;
-        while let Some(batch) = scan.next_batch(&mut stats) {
+        while let Some(batch) = scan.next_batch(&mut stats).unwrap() {
             let obj_col = batch.schema().iter().position(|&v| v == 1).unwrap();
             for r in 0..batch.len() {
                 let v = batch.value(r, obj_col);
@@ -2349,7 +2371,7 @@ mod tests {
         let labels =
             Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 2, 1))) as BoxedOperator<'_>;
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(LeftOuterJoin::new(people, labels, vec![0])), &mut stats);
+        let out = drain(Box::new(LeftOuterJoin::new(people, labels, vec![0])), &mut stats).unwrap();
         assert_eq!(out.len(), 10); // every left row survives
         let label_col = out.col_of(2).unwrap();
         let unbound = out.iter().filter(|r| r[label_col] == UNBOUND).count();
@@ -2372,7 +2394,7 @@ mod tests {
         let filtered = Box::new(FilterEval::new(labels, vec![filter], &var_names, &ds));
         let projected = Box::new(Project::new(filtered, &[1]));
         let mut stats = ExecStats::default();
-        let out = drain(projected, &mut stats);
+        let out = drain(projected, &mut stats).unwrap();
         assert_eq!(out.cols(), &[1]);
         // labels 20, 22, ..., 48 → 15 rows
         assert_eq!(out.len(), 15);
@@ -2390,7 +2412,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let union = UnionAll::new(vec![a, b]);
         assert_eq!(union.schema(), &[0, 1]);
-        let out = drain(Box::new(union), &mut stats);
+        let out = drain(Box::new(union), &mut stats).unwrap();
         assert_eq!(out.len(), 20);
     }
 
@@ -2408,7 +2430,7 @@ mod tests {
         stats: &mut ExecStats,
     ) -> Option<ParallelSource<'a>> {
         let (root, morselized) = plan.physical(ds, cfg, true);
-        morselized.then(|| root.lower_morsels(ds, CoutBucket::Required, cfg, stats))
+        morselized.then(|| root.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
     }
 
     /// Forces morselization regardless of extent/estimate size.
@@ -2462,14 +2484,14 @@ mod tests {
             est_card: n as f64,
         };
         let mut serial_stats = ExecStats::default();
-        let serial = drain(serial_op(&plan, &ds), &mut serial_stats);
+        let serial = drain(serial_op(&plan, &ds), &mut serial_stats).unwrap();
 
         let mut reference: Option<(Vec<Vec<Id>>, u64, u64)> = None;
         for threads in [1, 2, 4] {
             let cfg = tiny_morsel_cfg(threads, 97);
             let mut stats = ExecStats::default();
             let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
-            let got = drain(Box::new(Gather::new(src)), &mut stats);
+            let got = drain(Box::new(Gather::new(src)), &mut stats).unwrap();
             // Bit-identical to the serial pipeline: same rows, same order.
             let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
             let serial_rows: Vec<Vec<Id>> = serial.iter().map(|r| r.to_vec()).collect();
@@ -2492,7 +2514,8 @@ mod tests {
         let pat = pattern(&ds, "p/next", 1, 2, 1);
         let mut serial_stats = ExecStats::default();
         let serial =
-            HashJoinBuild::build(Box::new(IndexScan::new(&ds, &pat)), &[1], &mut serial_stats);
+            HashJoinBuild::build(Box::new(IndexScan::new(&ds, &pat)), &[1], &mut serial_stats)
+                .unwrap();
         let cfg = tiny_morsel_cfg(4, 131);
         let mut part_stats = ExecStats::default();
         let partitioned =
@@ -2535,7 +2558,7 @@ mod tests {
         let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
         let mut gather = Gather::new(src);
         // Pull one batch, then stop — as a satisfied LIMIT would.
-        assert!(gather.next_batch(&mut stats).is_some());
+        assert!(gather.next_batch(&mut stats).unwrap().is_some());
         // At most one wave of driving rows was scanned on top of the
         // (eagerly built) build side.
         let wave_rows = (MORSELS_PER_WAVE * 64) as u64;
@@ -2569,7 +2592,7 @@ mod tests {
             est_card: n as f64,
         };
         let mut stream_stats = ExecStats::default();
-        let got = drain(serial_op(&plan, &ds), &mut stream_stats);
+        let got = drain(serial_op(&plan, &ds), &mut stream_stats).unwrap();
 
         // Three-hop paths exist for i in 0..n-2; Cout sums both joins.
         assert_eq!(got.len(), n - 2);

@@ -18,7 +18,7 @@ use parambench_rdf::store::Dataset;
 use parambench_rdf::term::Term;
 
 use crate::ast::{AggFunc, BinOp, Expr, OrderTarget, Projection, SelectQuery};
-use crate::error::QueryError;
+use crate::error::{ExecError, QueryError};
 use crate::exec::{self, ExecConfig, ExecStats, OrderExec, Value, UNBOUND};
 use crate::physical::{
     BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, MergeJoin,
@@ -601,7 +601,7 @@ impl PhysNode {
         bucket: CoutBucket,
         cfg: &ExecConfig,
         stats: &mut ExecStats,
-    ) -> ParallelSource<'a> {
+    ) -> Result<ParallelSource<'a>, ExecError> {
         // Record the spine steps top-down, then flip to bottom-up
         // assembly order.
         let mut steps: Vec<SpineStep> = Vec::new();
@@ -636,7 +636,7 @@ impl PhysNode {
                                 ds, pattern, *order, &join_vars, cfg, stats,
                             )
                         }
-                        _ => HashJoinBuild::build(build_node.lower(ds, bucket), &join_vars, stats),
+                        _ => HashJoinBuild::build(build_node.lower(ds, bucket), &join_vars, stats)?,
                     };
                     if !build_right {
                         node = right;
@@ -648,7 +648,7 @@ impl PhysNode {
             });
         };
         steps.reverse();
-        ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket)
+        Ok(ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket))
     }
 
     /// EXPLAIN rendering: one line per operator with the chosen join

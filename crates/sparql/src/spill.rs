@@ -1,7 +1,7 @@
 //! Out-of-core execution: run files, the external GROUP BY fold and the
 //! external merge sort behind [`crate::exec::ExecConfig::mem_budget_rows`].
 //!
-//! The streaming pipeline (PR 1–3) bounds *intermediate* state, but two
+//! The streaming pipeline bounds *intermediate* state, but two
 //! modifier operators are inherently blocking and hold state proportional
 //! to their input: the GROUP BY accumulators of `GroupFold` and the row
 //! buffer of the full-sort fallback (ORDER BY without LIMIT). This module

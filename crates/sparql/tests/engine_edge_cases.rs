@@ -10,7 +10,7 @@ use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::error::QueryError;
 use parambench_sparql::results::OutVal;
-use parambench_sparql::{ExecConfig, JoinMethod, PhysNode, MORSELS_PER_WAVE};
+use parambench_sparql::{ExecConfig, Fold, JoinMethod, PhysNode, Sort, MORSELS_PER_WAVE};
 
 fn dataset() -> Dataset {
     let mut b = StoreBuilder::new();
@@ -608,31 +608,49 @@ fn spill_runs_are_cleaned_up_and_limit_exits_promptly_under_budget() {
 }
 
 #[test]
-fn spill_write_failure_surfaces_as_typed_exec_error() {
+fn spill_write_failures_surface_as_query_error_exec() {
     let ds = grouped_dataset(500, 100);
     let mut engine = Engine::new(&ds);
     // Point the spill base at a regular file: creating the per-run spill
     // directory under it must fail, and the failure must come back as the
-    // typed error — not a panic, not a generic Unsupported.
+    // typed error — not a panic, not a generic Unsupported, not a clean end.
     let bogus = std::env::temp_dir().join(format!("parambench-not-a-dir-{}", std::process::id()));
     std::fs::write(&bogus, b"occupied").unwrap();
     engine.set_spill_dir(&bogus);
-    let q = parambench_sparql::parse_query(
-        "SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <grp> ?g } GROUP BY ?g",
-    )
-    .unwrap();
-    let prepared = engine.prepare(&q).unwrap();
-    let err = engine.execute_with(&prepared, &budget_cfg(Some(4))).unwrap_err();
-    match err {
+    let expect_spill_error = |err: QueryError, what: &str| match err {
         QueryError::Exec(e) => {
-            assert_eq!(e.op, "create spill dir");
-            assert!(e.path.starts_with(&bogus), "error path {:?} not under {bogus:?}", e.path);
-            assert!(!e.message.is_empty());
+            assert_eq!(e.op, "create spill dir", "{what}");
+            assert!(e.path.starts_with(&bogus), "{what}: path {:?} not under {bogus:?}", e.path);
+            assert!(!e.message.is_empty(), "{what}");
         }
-        other => panic!("expected QueryError::Exec, got {other:?}"),
+        other => panic!("{what}: expected QueryError::Exec, got {other:?}"),
+    };
+    // The stream API: the error comes from `stream` or from a pull, never
+    // as a short, clean end of stream.
+    fn streamed(
+        engine: &Engine<'_>,
+        prepared: &parambench_sparql::Prepared,
+        cfg: &ExecConfig,
+    ) -> Result<(), QueryError> {
+        let mut rows = engine.stream(prepared, cfg)?;
+        while rows.next_row()?.is_some() {}
+        Ok(())
     }
-    // In-memory execution of the same prepared query is unaffected.
-    assert!(engine.execute_with(&prepared, &budget_cfg(None)).is_ok());
+    let cfg = budget_cfg(Some(4));
+    for (what, text) in [
+        ("external fold", "SELECT ?g (COUNT(?s) AS ?n) WHERE { ?s <grp> ?g } GROUP BY ?g"),
+        ("external sort", "SELECT ?s ?r WHERE { ?s <rank> ?r } ORDER BY DESC(?r)"),
+    ] {
+        let prepared = engine.prepare(&parambench_sparql::parse_query(text).unwrap()).unwrap();
+        let plan = engine.physical_plan(&prepared, &cfg);
+        let external = matches!(plan.fold, Some(Fold::External { .. }))
+            || matches!(plan.sort, Sort::External { .. });
+        assert!(external, "{what} must run out of core:\n{}", plan.render());
+        expect_spill_error(engine.execute_with(&prepared, &cfg).unwrap_err(), what);
+        expect_spill_error(streamed(&engine, &prepared, &cfg).unwrap_err(), what);
+        // In-memory execution of the same prepared query is unaffected.
+        assert!(engine.execute_with(&prepared, &budget_cfg(None)).is_ok(), "{what}");
+    }
     let _ = std::fs::remove_file(&bogus);
 }
 
