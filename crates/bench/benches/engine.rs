@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parambench_core::ParameterDomain;
-use parambench_datagen::{Bsbm, BsbmConfig};
+use parambench_datagen::{Bsbm, BsbmConfig, Snb, SnbConfig};
 use parambench_rdf::Term;
 use parambench_sparql::{Binding, Engine, ExecConfig, OrderExec};
 use std::hint::black_box;
@@ -232,9 +232,35 @@ fn engine_benches(c: &mut Criterion) {
     });
 }
 
+/// One LDBC-Q3 optimizer run (`prepare_template`, the unit of one curation
+/// probe) on the `curate` workload's SNB store, under the default
+/// interesting-order DP and under `OrderExec::Off`'s one-candidate DP.
+fn prepare_benches(c: &mut Criterion) {
+    use parambench_datagen::snb::schema;
+    let snb = Snb::generate(SnbConfig::with_scale(150_000));
+    let q3 = Snb::q3_two_countries();
+    let binding = Binding::new()
+        .with("person", Term::iri(schema::person(0)))
+        .with("countryX", Term::iri(schema::country("Germany")))
+        .with("countryY", Term::iri(schema::country("France")));
+    for (name, order_exec) in [("auto", OrderExec::Auto), ("off", OrderExec::Off)] {
+        let exec = ExecConfig { order_exec, ..ExecConfig::default() };
+        let engine = Engine::with_exec_config(&snb.dataset, exec);
+        c.bench_function(&format!("optimizer/prepare_ldbc_q3_{name}"), |b| {
+            b.iter(|| black_box(engine.prepare_template(&q3, &binding).unwrap().est_cout))
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = engine_benches
 }
-criterion_main!(benches);
+// Microsecond-scale: enough iterations that the mean is stable.
+criterion_group! {
+    name = prepare;
+    config = Criterion::default().sample_size(2000);
+    targets = prepare_benches
+}
+criterion_main!(prepare, benches);

@@ -17,6 +17,7 @@
 //! paper's clustering conditions (a)/(b) are defined over.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use parambench_rdf::index::IndexOrder;
 use parambench_rdf::store::Dataset;
@@ -24,7 +25,7 @@ use parambench_rdf::store::Dataset;
 use crate::cardinality::{Estimate, Estimator};
 use crate::error::QueryError;
 use crate::exec::OrderExec;
-use crate::plan::{PlanNode, PlannedPattern};
+use crate::plan::{JoinMethod, PlanNode, PlannedPattern};
 
 /// Maximum number of patterns for the exact subset DP (3^16 ≈ 43M partition
 /// enumerations is the practical ceiling; our workloads stay well below).
@@ -32,10 +33,9 @@ pub const EXACT_LIMIT: usize = 13;
 
 /// Beyond this many patterns the DP keeps only one candidate per subset
 /// (no interesting-order exploration): the Pareto sets multiply the 3^n
-/// partition enumeration — and every candidate pays an O(subtree)
-/// property derivation — which is only worth it on
+/// partition enumeration by up to `MAX_CANDS`² candidate pairs per split
+/// (each derived from its children in O(1)), which is only worth it on
 /// realistic query sizes. Star/path templates stay well below this.
-/// (The per-candidate derivation is `Cand::of_plan`, private.)
 pub const ORDER_EXPLORE_LIMIT: usize = 8;
 
 /// Per-subset candidate cap — a safety valve on Pareto-set growth. The
@@ -78,12 +78,10 @@ pub fn optimize_with(
 ) -> Result<PlanNode, QueryError> {
     match patterns.len() {
         0 => Err(QueryError::Unsupported("empty basic graph pattern".into())),
-        1 => {
-            let e = est.scan(&patterns[0]);
-            let cands = leaf_cands(&patterns[0], e.card, est.dataset(), prefs);
-            Ok(pick_root(cands, e.card, prefs).plan)
+        n if n <= EXACT_LIMIT => {
+            let (arena, root) = dp_optimal(patterns, est, prefs);
+            Ok(arena.plan(root))
         }
-        n if n <= EXACT_LIMIT => Ok(dp_optimal(patterns, est, prefs)),
         _ => Ok(greedy(patterns, est)),
     }
 }
@@ -98,141 +96,298 @@ fn var_mask(pattern: &PlannedPattern) -> u64 {
     m
 }
 
-/// One Pareto candidate of a pattern subset: a plan plus the physical
-/// properties the order-aware selection compares. `cost` is the paper's
-/// `Cout`; `build`/`scan` are the memory/I/O tiebreaks; `order` is the
-/// delivered variable-slot order; `hashish` counts non-merge joins (the
-/// [`OrderExec::Force`] preference); `pref` is 0 for the legacy canonical
-/// orientation so exact ties reproduce the pre-order-aware plans.
-#[derive(Clone)]
+/// The variable slots of a bitmask, ascending.
+fn mask_slots(mask: u64) -> Vec<usize> {
+    (0..64).filter(|&v| mask & (1 << v) != 0).collect()
+}
+
+/// A delivered order: at most three variable slots, because every node
+/// delivers the order of one of its scans (see
+/// [`PlanNode::delivered_order`]) and a scan orders by its distinct
+/// unbound positions.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Order {
+    slots: [usize; 3],
+    len: usize,
+}
+
+impl Order {
+    fn of(slots: &[usize]) -> Order {
+        let mut order = Order { len: slots.len(), ..Order::default() };
+        order.slots[..slots.len()].copy_from_slice(slots);
+        order
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.slots[..self.len]
+    }
+}
+
+/// What a [`Cand`] is: a scan, or an oriented join of two earlier arena
+/// entries over the shared-variable bitmask `vars`.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// `patterns[pat]` scanned through `order` (`None` = the default
+    /// index); `extent` is its exact row count, `None` for an absent
+    /// constant.
+    Leaf { pat: usize, order: Option<IndexOrder>, extent: Option<usize> },
+    /// A [`PlanNode::HashJoin`] (which may run as a bind join).
+    Hash { left: usize, right: usize, vars: u64 },
+    /// A [`PlanNode::MergeJoin`] on the first `vars.count_ones()` slots of
+    /// the left child's order.
+    Merge { left: usize, right: usize, vars: u64 },
+}
+
+/// One Pareto candidate of a pattern subset, as an entry of the DP's
+/// [`Arena`]: its shape plus the properties the order-aware selection
+/// compares. `cost` is the paper's `Cout`; `build`/`scan` are the
+/// memory/I/O tiebreaks (estimated hash-build rows and scanned rows over
+/// the subtree); `order` is the delivered variable-slot order; `hashish`
+/// counts non-merge joins (the [`OrderExec::Force`] preference); `pref` is
+/// 0 for the legacy canonical orientation so exact ties reproduce the
+/// pre-order-aware plans.
+///
+/// A join's properties are derived from its two children's in O(1) (see
+/// [`Cand::hash`] / [`Cand::merge`]) — the one home of the build and scan
+/// formulas — so a candidate never re-walks its subtree.
+#[derive(Clone, Copy)]
 struct Cand {
+    shape: Shape,
+    est_card: f64,
     cost: f64,
     build: f64,
     scan: f64,
     hashish: usize,
     pref: u8,
-    order: Vec<usize>,
-    sig: String,
-    plan: PlanNode,
+    order: Order,
 }
 
 impl Cand {
-    /// Builds a candidate around `plan`, deriving every physical property
-    /// from the single source of truth in `plan.rs`
-    /// (`delivered_order` / `est_build_rows` / `est_scan_rows`), so the
-    /// DP's tiebreaks can never drift from what the lowering will do.
-    fn of_plan(plan: PlanNode, cost: f64, pref: u8, ds: &Dataset) -> Cand {
-        fn hashish(plan: &PlanNode) -> usize {
-            match plan {
-                PlanNode::Scan { .. } => 0,
-                PlanNode::HashJoin { left, right, .. } => 1 + hashish(left) + hashish(right),
-                PlanNode::MergeJoin { left, right, .. } => hashish(left) + hashish(right),
-            }
-        }
+    /// The hash join of arena entries `ids = (left, right)` running as
+    /// `method`. It delivers the streaming side's order; a bind join
+    /// builds nothing and scans only what its streamed rows select (≈ its
+    /// output), any other hash join builds one side and reads both.
+    fn hash(
+        arena: &[Cand],
+        ids: (usize, usize),
+        method: JoinMethod,
+        vars: u64,
+        card: f64,
+        pref: u8,
+    ) -> Cand {
+        let (l, r) = (&arena[ids.0], &arena[ids.1]);
+        let build = match method {
+            JoinMethod::Hash { build_right: true } => l.build + r.build + r.est_card,
+            JoinMethod::Hash { build_right: false } => l.build + r.build + l.est_card,
+            JoinMethod::Bind | JoinMethod::Merge => l.build,
+        };
+        let scan = if method == JoinMethod::Bind { l.scan + card } else { l.scan + r.scan };
         Cand {
-            cost,
-            build: plan.est_build_rows(ds),
-            scan: plan.est_scan_rows(ds),
-            hashish: hashish(&plan),
+            shape: Shape::Hash { left: ids.0, right: ids.1, vars },
+            est_card: card,
+            cost: l.cost + r.cost + card,
+            build,
+            scan,
+            hashish: 1 + l.hashish + r.hashish,
             pref,
-            order: plan.delivered_order(ds),
-            sig: plan.signature().0,
-            plan,
+            order: if method.streams_left() { l.order } else { r.order },
+        }
+    }
+
+    /// The merge join of arena entries `ids = (left, right)`: builds
+    /// nothing, reads both sides, delivers the left order.
+    fn merge(arena: &[Cand], ids: (usize, usize), vars: u64, card: f64) -> Cand {
+        let (l, r) = (&arena[ids.0], &arena[ids.1]);
+        Cand {
+            shape: Shape::Merge { left: ids.0, right: ids.1, vars },
+            est_card: card,
+            cost: l.cost + r.cost + card,
+            build: l.build + r.build,
+            scan: l.scan + r.scan,
+            hashish: l.hashish + r.hashish,
+            pref: 1,
+            order: l.order,
         }
     }
 }
 
-/// Total deterministic candidate order: better-first.
-fn cmp_cands(a: &Cand, b: &Cand, force: bool) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    a.cost
-        .partial_cmp(&b.cost)
-        .unwrap_or(Ordering::Equal)
-        .then(a.build.partial_cmp(&b.build).unwrap_or(Ordering::Equal))
-        .then(if force { a.hashish.cmp(&b.hashish) } else { Ordering::Equal })
-        .then(a.scan.partial_cmp(&b.scan).unwrap_or(Ordering::Equal))
-        .then(a.pref.cmp(&b.pref))
-        .then_with(|| a.sig.cmp(&b.sig))
+/// The DP's candidates: every kept [`Cand`] of every subset, children
+/// before parents, so a join names its children by index. Only the
+/// winning root ever becomes a [`PlanNode`] ([`Arena::plan`]).
+struct Arena<'p> {
+    patterns: &'p [PlannedPattern],
+    cands: Vec<Cand>,
+    /// The two signature buffers of the last tiebreak, reused.
+    sigs: (String, String),
 }
 
-/// Prunes a candidate list: sorted better-first, a candidate is dropped
-/// when an already-kept (hence no-worse) candidate's order extends its
-/// order — everything the dropped plan's order could later enable, the
-/// kept plan enables at no extra cost. Capped at [`MAX_CANDS`]; the
-/// overall best candidate always survives.
-fn prune_cands(mut cands: Vec<Cand>, force: bool) -> Vec<Cand> {
-    cands.sort_by(|a, b| cmp_cands(a, b, force));
-    let mut kept: Vec<Cand> = Vec::new();
-    for c in cands {
-        if kept.len() >= MAX_CANDS {
-            break;
-        }
-        if kept.iter().any(|k| k.order.starts_with(&c.order)) {
-            continue;
-        }
-        kept.push(c);
-    }
-    kept
-}
-
-/// All scan candidates of one pattern: the default index plus (in
-/// exploration mode) every alternative index whose delivered order
-/// differs — same rows, different interesting order.
-fn leaf_cands(pattern: &PlannedPattern, card: f64, ds: &Dataset, prefs: &OrderPrefs) -> Vec<Cand> {
-    let mk = |order: Option<IndexOrder>, pref: u8| {
-        Cand::of_plan(
-            PlanNode::Scan { pattern: pattern.clone(), est_card: card, order },
-            0.0,
-            pref,
-            ds,
-        )
-    };
-    let mut cands = vec![mk(None, 0)];
-    if prefs.mode != OrderExec::Off && !pattern.has_absent() {
-        let access = pattern.access();
-        let default = Dataset::default_order(access);
-        for order in
-            IndexOrder::all_for_bound(access[0].is_some(), access[1].is_some(), access[2].is_some())
-        {
-            if order == default {
-                continue;
+impl Arena<'_> {
+    /// Appends `c`'s [`PlanSignature`](crate::plan::PlanSignature) text to
+    /// `out` (the rendering of [`PlanNode::signature`]).
+    fn render_sig(&self, c: &Cand, out: &mut String) {
+        use std::fmt::Write;
+        let (tag, left, right) = match c.shape {
+            Shape::Leaf { pat, .. } => {
+                write!(out, "S{}", self.patterns[pat].idx).expect("writing to a String");
+                return;
             }
-            let cand = mk(Some(order), 1);
-            if cands.iter().any(|c| c.order == cand.order) {
-                continue;
-            }
-            cands.push(cand);
-        }
+            Shape::Hash { left, right, .. } => ("HJ(", left, right),
+            Shape::Merge { left, right, .. } => ("MJ(", left, right),
+        };
+        out.push_str(tag);
+        self.render_sig(&self.cands[left], out);
+        out.push(',');
+        self.render_sig(&self.cands[right], out);
+        out.push(')');
     }
-    cands
-}
 
-/// The root-candidate selection: minimum `Cout` plus the estimated cost of
-/// the sort the plan would force (zero when its delivered order serves
-/// `prefs.sort`), tie-broken like every other candidate comparison.
-fn pick_root(cands: Vec<Cand>, card: f64, prefs: &OrderPrefs) -> Cand {
-    let penalty = |c: &Cand| -> f64 {
-        if prefs.sort.is_empty() || c.order.starts_with(&prefs.sort) {
-            0.0
-        } else {
-            // n·log2(n) comparisons the avoided sort would have cost.
-            card.max(1.0) * card.max(2.0).log2()
+    /// Total deterministic candidate order: better-first. The structural
+    /// tiebreak — the two signatures compared as text, so `S10` sorts
+    /// before `S9` — is rendered only on an exact tie of everything else.
+    fn cmp_cands(&mut self, a: &Cand, b: &Cand, force: bool) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        a.cost
+            .partial_cmp(&b.cost)
+            .unwrap_or(Ordering::Equal)
+            .then(a.build.partial_cmp(&b.build).unwrap_or(Ordering::Equal))
+            .then(if force { a.hashish.cmp(&b.hashish) } else { Ordering::Equal })
+            .then(a.scan.partial_cmp(&b.scan).unwrap_or(Ordering::Equal))
+            .then(a.pref.cmp(&b.pref))
+            .then_with(|| {
+                let (mut sa, mut sb) = std::mem::take(&mut self.sigs);
+                sa.clear();
+                sb.clear();
+                self.render_sig(a, &mut sa);
+                self.render_sig(b, &mut sb);
+                let ord = sa.cmp(&sb);
+                self.sigs = (sa, sb);
+                ord
+            })
+    }
+
+    /// Prunes one subset's candidate list into the arena and returns the
+    /// range it occupies: sorted better-first, a candidate is dropped when
+    /// an already-kept (hence no-worse) candidate's order extends its
+    /// order — everything the dropped plan's order could later enable, the
+    /// kept plan enables at no extra cost. At most `cap` (≤ [`MAX_CANDS`])
+    /// survive; the overall best candidate always does.
+    fn prune_cands(&mut self, cands: &mut [Cand], cap: usize, force: bool) -> Range<usize> {
+        let start = self.cands.len();
+        cands.sort_by(|a, b| self.cmp_cands(a, b, force));
+        for c in cands.iter() {
+            if self.cands.len() - start >= cap {
+                break;
+            }
+            let kept = &self.cands[start..];
+            if !kept.iter().any(|k| k.order.as_slice().starts_with(c.order.as_slice())) {
+                self.cands.push(*c);
+            }
         }
-    };
-    let force = prefs.mode == OrderExec::Force;
-    cands
-        .into_iter()
-        .min_by(|a, b| {
+        start..self.cands.len()
+    }
+
+    /// Appends the scan candidates of `patterns[pat]`: the default index
+    /// plus (in exploration mode) every alternative index whose delivered
+    /// order differs — same rows, different interesting order. No order at
+    /// all is claimed while the store's id order is not value order
+    /// ([`Dataset::order_by_value_intact`]); joins inherit their children's
+    /// orders, so then no candidate delivers one.
+    fn leaf_cands(&mut self, pat: usize, card: f64, ds: &Dataset, prefs: &OrderPrefs, cap: usize) {
+        let patterns = self.patterns;
+        let pattern = &patterns[pat];
+        let extent = (!pattern.has_absent()).then(|| ds.count(pattern.access()));
+        let intact = ds.order_by_value_intact();
+        let start = self.cands.len();
+        let push = |cands: &mut Vec<Cand>, order: Option<IndexOrder>, pref: u8| {
+            let order_slots = if intact {
+                Order::of(&PlanNode::scan_order_slots(pattern, order))
+            } else {
+                Order::default()
+            };
+            if cands[start..].iter().any(|c| c.order == order_slots) {
+                return;
+            }
+            cands.push(Cand {
+                shape: Shape::Leaf { pat, order, extent },
+                est_card: card,
+                cost: 0.0,
+                build: 0.0,
+                scan: extent.map_or(0.0, |n| n as f64),
+                hashish: 0,
+                pref,
+                order: order_slots,
+            });
+        };
+        push(&mut self.cands, None, 0);
+        if prefs.mode != OrderExec::Off && !pattern.has_absent() {
+            let access = pattern.access();
+            let default = Dataset::default_order(access);
+            let [s, p, o] = access.map(|a| a.is_some());
+            for order in IndexOrder::all_for_bound(s, p, o) {
+                if order != default {
+                    push(&mut self.cands, Some(order), 1);
+                }
+            }
+        }
+        self.cands.truncate(start + cap);
+    }
+
+    /// The root-candidate selection among `ids`: minimum `Cout` plus the
+    /// estimated cost of the sort the plan would force (zero when its
+    /// delivered order serves `prefs.sort`), tie-broken like every other
+    /// candidate comparison.
+    fn pick_root(&mut self, ids: Range<usize>, card: f64, prefs: &OrderPrefs) -> usize {
+        let penalty = |c: &Cand| -> f64 {
+            if prefs.sort.is_empty() || c.order.as_slice().starts_with(&prefs.sort) {
+                0.0
+            } else {
+                // n·log2(n) comparisons the avoided sort would have cost.
+                card.max(1.0) * card.max(2.0).log2()
+            }
+        };
+        let force = prefs.mode == OrderExec::Force;
+        // `Iterator::min_by`: the first minimum wins.
+        ids.reduce(|best, id| {
             use std::cmp::Ordering;
+            let (a, b) = (self.cands[best], self.cands[id]);
             // Penalized total first, then the shared candidate tiebreak
-            // chain (whose leading raw-cost compare only matters on
-            // equal penalized totals, where it stays deterministic).
-            (a.cost + penalty(a))
-                .partial_cmp(&(b.cost + penalty(b)))
+            // chain (whose leading raw-cost compare only matters on equal
+            // penalized totals, where it stays deterministic).
+            let ord = (a.cost + penalty(&a))
+                .partial_cmp(&(b.cost + penalty(&b)))
                 .unwrap_or(Ordering::Equal)
-                .then_with(|| cmp_cands(a, b, force))
+                .then_with(|| self.cmp_cands(&a, &b, force));
+            if ord.is_gt() {
+                id
+            } else {
+                best
+            }
         })
         .expect("non-empty candidate set")
+    }
+
+    /// Materializes arena entry `id` as a plan tree.
+    fn plan(&self, id: usize) -> PlanNode {
+        let c = &self.cands[id];
+        let est_card = c.est_card;
+        match c.shape {
+            Shape::Leaf { pat, order, .. } => {
+                PlanNode::Scan { pattern: self.patterns[pat].clone(), est_card, order }
+            }
+            Shape::Hash { left, right, vars } => PlanNode::HashJoin {
+                left: Box::new(self.plan(left)),
+                right: Box::new(self.plan(right)),
+                join_vars: mask_slots(vars),
+                est_card,
+            },
+            Shape::Merge { left, right, vars } => PlanNode::MergeJoin {
+                left: Box::new(self.plan(left)),
+                right: Box::new(self.plan(right)),
+                key: self.cands[left].order.as_slice()[..vars.count_ones() as usize].to_vec(),
+                est_card,
+            },
+        }
+    }
 }
 
 /// The canonical estimate of a pattern *subset*: scans folded in ascending
@@ -272,7 +427,8 @@ pub fn subset_estimate(patterns: &[PlannedPattern], est: &Estimator<'_>) -> Esti
 
 /// Exact bitset DP over all pattern subsets, keeping a pruned Pareto set
 /// of candidates per subset — the cheapest overall plus the cheapest per
-/// distinct *delivered order* (see [`Cand`] / [`prune_cands`]).
+/// distinct *delivered order* (see [`Cand`] / [`Arena::prune_cands`]).
+/// Returns the arena of every kept candidate and the chosen root's entry.
 ///
 /// `Cout(T) = Σ canonical-card(leafset(n))` over internal nodes `n`, so the
 /// cost of a plan depends only on which subsets its joins materialize — the
@@ -281,7 +437,16 @@ pub fn subset_estimate(patterns: &[PlannedPattern], est: &Estimator<'_>) -> Esti
 /// `Cout` optimality of the returned root is preserved; the extra
 /// candidates only ever *win* the root selection through the sort penalty
 /// or the build/scan tiebreaks.
-fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPrefs) -> PlanNode {
+///
+/// Candidates live in one per-DP arena: a subset's list is a range of
+/// entries, a join entry names its two children, and its properties come
+/// from theirs in O(1). New candidates of a subset are built in one reused
+/// scratch list and only the pruned survivors enter the arena.
+fn dp_optimal<'p>(
+    patterns: &'p [PlannedPattern],
+    est: &Estimator<'_>,
+    prefs: &OrderPrefs,
+) -> (Arena<'p>, usize) {
     let ds = est.dataset();
     let n = patterns.len();
     // Interesting-order exploration multiplies the partition enumeration;
@@ -292,15 +457,16 @@ fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPre
     let cap = if explore { MAX_CANDS } else { 1 };
     let full = (1usize << n) - 1;
     let masks: Vec<u64> = patterns.iter().map(var_mask).collect();
-    let mut cands: Vec<Vec<Cand>> = vec![Vec::new(); full + 1];
+    let mut arena = Arena { patterns, cands: Vec::new(), sigs: (String::new(), String::new()) };
+    let mut lists: Vec<Range<usize>> = vec![0..0; full + 1];
     let mut subset_est: Vec<Option<Estimate>> = vec![None; full + 1];
 
     // Leaves.
     for (i, p) in patterns.iter().enumerate() {
         let e = est.scan(p);
-        let mut leaf = leaf_cands(p, e.card, ds, prefs);
-        leaf.truncate(cap.max(1));
-        cands[1 << i] = leaf;
+        let start = arena.cands.len();
+        arena.leaf_cands(i, e.card, ds, prefs, cap);
+        lists[1 << i] = start..arena.cands.len();
         subset_est[1 << i] = Some(e);
     }
 
@@ -311,6 +477,7 @@ fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPre
         subset_vars[s] = subset_vars[s ^ lsb] | masks[lsb.trailing_zeros() as usize];
     }
 
+    let mut new_cands: Vec<Cand> = Vec::new();
     for s in 1..=full {
         if s.count_ones() < 2 {
             continue;
@@ -319,8 +486,7 @@ fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPre
         // which reproduces the ascending-index fold of `subset_estimate`.
         let hb = 1usize << (usize::BITS - 1 - s.leading_zeros());
         let rest = s ^ hb;
-        let shared_hb = subset_vars[rest] & masks[hb.trailing_zeros() as usize];
-        let hb_vars: Vec<usize> = (0..64).filter(|&v| shared_hb & (1 << v) != 0).collect();
+        let hb_vars = mask_slots(subset_vars[rest] & masks[hb.trailing_zeros() as usize]);
         let joined = est.join(
             subset_est[rest].as_ref().expect("smaller subset computed"),
             subset_est[hb].as_ref().expect("leaf computed"),
@@ -334,7 +500,7 @@ fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPre
         // bit of s. Cross-product partitions participate too (`Cout`
         // decides) so the DP is truly optimal, matching the exhaustive
         // oracle even on disconnected join graphs.
-        let mut new_cands: Vec<Cand> = Vec::new();
+        new_cands.clear();
         let low = s & s.wrapping_neg();
         let mut s1 = s;
         while s1 > 0 {
@@ -346,103 +512,92 @@ fn dp_optimal(patterns: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPre
                 continue;
             }
             let s2 = s ^ s1;
-            if cands[s1].is_empty() || cands[s2].is_empty() {
+            if lists[s1].is_empty() || lists[s2].is_empty() {
                 continue;
             }
-            let shared = subset_vars[s1] & subset_vars[s2];
-            let join_vars: Vec<usize> = (0..64).filter(|&v| shared & (1 << v) != 0).collect();
+            let vars = subset_vars[s1] & subset_vars[s2];
             // Canonical orientation: smaller-estimate side left (ties keep
             // the lowest-bit side left), exactly like the legacy DP.
             let card1 = subset_est[s1].as_ref().expect("computed").card;
             let card2 = subset_est[s2].as_ref().expect("computed").card;
             let canonical = if card1 <= card2 { (s1, s2) } else { (s2, s1) };
-            let orientations: Vec<(usize, usize)> =
-                if explore { vec![(s1, s2), (s2, s1)] } else { vec![canonical] };
-            for &(l, r) in &orientations {
+            let both = [(s1, s2), (s2, s1)];
+            let orientations = if explore { &both[..] } else { std::slice::from_ref(&canonical) };
+            for &(l, r) in orientations {
+                let split = (lists[l].clone(), lists[r].clone());
                 hash_cands(
-                    &cands[l],
-                    &cands[r],
-                    &join_vars,
+                    &arena.cands,
+                    split.clone(),
+                    vars,
                     subset_card,
                     (l, r) == canonical,
-                    ds,
                     &mut new_cands,
                 );
-                if explore && !join_vars.is_empty() {
-                    merge_cands(&cands[l], &cands[r], &join_vars, subset_card, ds, &mut new_cands);
+                if explore && vars != 0 {
+                    merge_cands(&arena.cands, split, vars, subset_card, &mut new_cands);
                 }
             }
         }
-        let mut pruned = prune_cands(new_cands, force);
-        pruned.truncate(cap);
-        cands[s] = pruned;
+        lists[s] = arena.prune_cands(&mut new_cands, cap, force);
     }
 
     let root_card = subset_est[full].as_ref().map(|e| e.card).unwrap_or(0.0);
-    pick_root(std::mem::take(&mut cands[full]), root_card, prefs).plan
+    let root = arena.pick_root(lists[full].clone(), root_card, prefs);
+    (arena, root)
 }
 
-/// Emits the hash/bind-join candidates of one oriented split. The stream
-/// side's candidates each contribute their delivered order; the build side
-/// uses its best candidate only (its order is destroyed by the build).
+/// Emits the hash/bind-join candidates of one oriented split of arena
+/// ranges `(left, right)`. Which side streams is a subset-level property
+/// (estimates and scan extents), identical for every candidate pair. The
+/// stream side's candidates each contribute their delivered order; the
+/// build side uses its best candidate only (its order is destroyed by the
+/// build).
 fn hash_cands(
-    left: &[Cand],
-    right: &[Cand],
-    join_vars: &[usize],
+    arena: &[Cand],
+    (left, right): (Range<usize>, Range<usize>),
+    vars: u64,
     card: f64,
     canonical: bool,
-    ds: &Dataset,
     out: &mut Vec<Cand>,
 ) {
-    // Which side streams is a subset-level property (estimates and scan
-    // extents), identical for every candidate pair.
-    let streams_left =
-        PlanNode::join_side(&left[0].plan, &right[0].plan, join_vars, ds).streams_left();
-    let (stream_side, other_side) = if streams_left { (left, right) } else { (right, left) };
+    let (l, r) = (&arena[left.start], &arena[right.start]);
+    let right_extent = match r.shape {
+        Shape::Leaf { extent, .. } => extent,
+        _ => None,
+    };
+    let method = JoinMethod::of_hash_join(l.est_card, r.est_card, right_extent, vars != 0);
+    let (stream_side, other) =
+        if method.streams_left() { (left, right.start) } else { (right, left.start) };
     for sc in stream_side {
-        let oc = &other_side[0];
-        let (lc, rc) = if streams_left { (sc, oc) } else { (oc, sc) };
-        let plan = PlanNode::HashJoin {
-            left: Box::new(lc.plan.clone()),
-            right: Box::new(rc.plan.clone()),
-            join_vars: join_vars.to_vec(),
-            est_card: card,
-        };
-        let pref = if canonical { sc.pref } else { 1 };
-        out.push(Cand::of_plan(plan, lc.cost + rc.cost + card, pref, ds));
+        let ids = if method.streams_left() { (sc, other) } else { (other, sc) };
+        let pref = if canonical { arena[sc].pref } else { 1 };
+        out.push(Cand::hash(arena, ids, method, vars, card, pref));
     }
 }
 
-/// Emits the merge-join candidates of one oriented split: every candidate
-/// pair whose delivered orders both start with the same permutation of the
-/// join variables zips without a build phase, delivering the left order.
+/// Emits the merge-join candidates of one oriented split of arena ranges
+/// `(left, right)`: every candidate pair whose delivered orders both start
+/// with the same permutation of the join variables `vars` zips without a
+/// build phase, delivering the left order.
 fn merge_cands(
-    left: &[Cand],
-    right: &[Cand],
-    join_vars: &[usize],
+    arena: &[Cand],
+    (left, right): (Range<usize>, Range<usize>),
+    vars: u64,
     card: f64,
-    ds: &Dataset,
     out: &mut Vec<Cand>,
 ) {
-    for lc in left {
-        if lc.order.len() < join_vars.len() {
+    let k = vars.count_ones() as usize;
+    for li in left {
+        // Orders hold distinct slots, so a k-slot key made of join
+        // variables is a permutation of all k of them.
+        let Some(key) = arena[li].order.as_slice().get(..k) else { continue };
+        if !key.iter().all(|&v| vars & (1 << v) != 0) {
             continue;
         }
-        let key = &lc.order[..join_vars.len()];
-        if !join_vars.iter().all(|v| key.contains(v)) {
-            continue;
-        }
-        for rc in right {
-            if !rc.order.starts_with(key) {
-                continue;
+        for ri in right.clone() {
+            if arena[ri].order.as_slice().starts_with(key) {
+                out.push(Cand::merge(arena, (li, ri), vars, card));
             }
-            let plan = PlanNode::MergeJoin {
-                left: Box::new(lc.plan.clone()),
-                right: Box::new(rc.plan.clone()),
-                key: key.to_vec(),
-                est_card: card,
-            };
-            out.push(Cand::of_plan(plan, lc.cost + rc.cost + card, 1, ds));
         }
     }
 }
@@ -671,6 +826,12 @@ mod tests {
         PlannedPattern { idx, slots: [Slot::Var(s_var), Slot::Bound(p), o] }
     }
 
+    /// The DP's chosen root entry.
+    fn root_cand(pats: &[PlannedPattern], est: &Estimator<'_>, prefs: &OrderPrefs) -> Cand {
+        let (arena, root) = dp_optimal(pats, est, prefs);
+        arena.cands[root]
+    }
+
     #[test]
     fn single_pattern_is_a_scan() {
         let ds = skewed_dataset();
@@ -824,7 +985,8 @@ mod tests {
         assert!((forced.est_cout() - legacy.est_cout()).abs() < 1e-6);
         // ...but every join zips: all three scans deliver the shared
         // subject first, so the whole star runs merge-only, build-free.
-        assert_eq!(forced.est_build_rows(&ds), 0.0, "plan: {}", forced.render(0));
+        let force = OrderPrefs { sort: vec![], mode: OrderExec::Force };
+        assert_eq!(root_cand(&pats, &est, &force).build, 0.0, "plan: {}", forced.render(0));
         assert!(forced.signature().0.contains("MJ("), "{}", forced.signature());
         assert_eq!(forced.leaf_count(), 3);
         // The delivered order leads with the shared subject slot.
@@ -833,7 +995,7 @@ mod tests {
         // data than a full right-side zip) — merge never displaces a bind.
         let auto = optimize(&pats, &est).unwrap();
         assert!((auto.est_cout() - legacy.est_cout()).abs() < 1e-6);
-        assert_eq!(auto.est_build_rows(&ds), 0.0);
+        assert_eq!(root_cand(&pats, &est, &OrderPrefs::default()).build, 0.0);
     }
 
     #[test]
@@ -869,5 +1031,152 @@ mod tests {
         ];
         let plan = optimize(&pats, &est).unwrap();
         assert!((plan.est_card() - reestimate(&plan, &est).card).abs() < 1e-9);
+    }
+
+    /// The properties the arena caches, recomputed by one walk over the
+    /// physical plan the engine records for the materialized root — the
+    /// join methods that actually run: `(cost summed in the DP's operand
+    /// order, est_card, build rows, scanned rows, non-merge joins)`.
+    fn recorded_props(node: &crate::plan::PhysNode, ds: &Dataset) -> (f64, f64, f64, f64, usize) {
+        use crate::plan::PhysNode;
+        match node {
+            PhysNode::Scan { pattern, est_card, .. } => {
+                let scan =
+                    if pattern.has_absent() { 0.0 } else { ds.count(pattern.access()) as f64 };
+                (0.0, *est_card, 0.0, scan, 0)
+            }
+            PhysNode::Join { method, left, right, est_card, .. } => {
+                let (lc, lcard, lb, ls, lh) = recorded_props(left, ds);
+                let (rc, rcard, rb, rs, rh) = recorded_props(right, ds);
+                let (build, scan, hashish) = match method {
+                    JoinMethod::Bind => (lb, ls + est_card, 1 + lh + rh),
+                    JoinMethod::Hash { build_right: true } => {
+                        (lb + rb + rcard, ls + rs, 1 + lh + rh)
+                    }
+                    JoinMethod::Hash { build_right: false } => {
+                        (lb + rb + lcard, ls + rs, 1 + lh + rh)
+                    }
+                    JoinMethod::Merge => (lb + rb, ls + rs, lh + rh),
+                };
+                (lc + rc + est_card, *est_card, build, scan, hashish)
+            }
+        }
+    }
+
+    /// A deterministic random BGP of `n` patterns over `preds`, with
+    /// variables drawn from a small pool (so most patterns connect),
+    /// occasional constant objects from `objs` and occasional absent ones.
+    fn random_bgp(
+        ds: &Dataset,
+        preds: &[&str],
+        objs: &[&str],
+        n: usize,
+        rng: &mut u64,
+    ) -> Vec<PlannedPattern> {
+        let mut next = |m: usize| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            (*rng % m as u64) as usize
+        };
+        (0..n)
+            .map(|idx| {
+                let p = ds.lookup(&Term::iri(preds[next(preds.len())])).unwrap();
+                let o = match next(8) {
+                    0 => Slot::Absent,
+                    1 | 2 => Slot::Bound(ds.lookup(&Term::iri(objs[next(objs.len())])).unwrap()),
+                    _ => Slot::Var(3 + next(3)),
+                };
+                PlannedPattern { idx, slots: [Slot::Var(next(3)), Slot::Bound(p), o] }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arena_properties_match_the_materialized_plan() {
+        let skewed = (["p/type", "p/feature", "p/special"], ["class/0", "feat/3", "flag/on"]);
+        let star = (["p/type", "p/feature", "p/price"], ["class/x", "feat/3", "feat/7"]);
+        // The third store carries an overflow term in its overlay: id order
+        // is no longer value order, so no candidate may claim an order.
+        let mut overflow = skewed_dataset();
+        overflow.insert(Term::iri("prod/7"), Term::iri("p/feature"), Term::iri("feat/new"));
+        assert!(!overflow.order_by_value_intact());
+        let stores = [(skewed_dataset(), skewed), (multiplying_star(), star), (overflow, skewed)];
+        let record = crate::exec::ExecConfig {
+            order_exec: OrderExec::Auto,
+            ..crate::exec::ExecConfig::default()
+        };
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        // Merge roots, hash builds and delivered orders all occur.
+        let mut seen = (false, false, false);
+        for (ds, (preds, objs)) in &stores {
+            let est = Estimator::new(ds);
+            for n in 2..=8 {
+                for _ in 0..4 {
+                    let pats = random_bgp(ds, preds, objs, n, &mut rng);
+                    // An order preference on some variable, half the time.
+                    let sort = if n % 2 == 0 { vec![pats[0].var_slots()[0]] } else { vec![] };
+                    let oracle = (n <= 5).then(|| exhaustive_min_cout(&pats, &est).unwrap().0);
+                    for mode in [OrderExec::Off, OrderExec::Auto, OrderExec::Force] {
+                        let prefs = OrderPrefs { sort: sort.clone(), mode };
+                        let (arena, root) = dp_optimal(&pats, &est, &prefs);
+                        let (c, plan) = (arena.cands[root], arena.plan(root));
+                        let (cost, card, build, scan, hashish) =
+                            recorded_props(&plan.physical(ds, &record, false).0, ds);
+                        let what = format!("{mode:?} {}", plan.signature());
+                        seen.0 |= what.contains("MJ(");
+                        seen.1 |= build > 0.0;
+                        seen.2 |= !c.order.as_slice().is_empty();
+                        assert_eq!(c.cost.to_bits(), cost.to_bits(), "{what}");
+                        assert_eq!(c.build.to_bits(), build.to_bits(), "{what}");
+                        assert_eq!(c.scan.to_bits(), scan.to_bits(), "{what}");
+                        assert_eq!(c.hashish, hashish, "{what}");
+                        assert_eq!(c.est_card.to_bits(), card.to_bits(), "{what}");
+                        assert_eq!(c.order.as_slice(), plan.delivered_order(ds), "{what}");
+                        let mut sig = String::new();
+                        arena.render_sig(&c, &mut sig);
+                        assert_eq!(sig, plan.signature().0);
+                        if !ds.order_by_value_intact() {
+                            assert!(c.order.as_slice().is_empty(), "{what}");
+                        }
+                        // `est_cout` sums the same cards with the node's
+                        // own card first: equal up to rounding.
+                        let tol = 1e-12 * c.cost.abs().max(1.0);
+                        assert!((c.cost - plan.est_cout()).abs() <= tol, "{what}");
+                        // `Cout`-optimal, unless a sort preference buys a
+                        // costlier root that saves the sort.
+                        if let Some(oracle) = oracle {
+                            let tol = 1e-9 * oracle.abs().max(1.0);
+                            assert!(c.cost >= oracle - tol, "{what}: {oracle}");
+                            if sort.is_empty() {
+                                assert!(c.cost <= oracle + tol, "{what}: {oracle}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, (true, true, true));
+    }
+
+    #[test]
+    fn exact_ties_fall_to_the_textual_signature_order() {
+        // Three disconnected five-row scans numbered 9, 10 and 11: every
+        // (a × b) × c tree costs 25 + 125, builds 10 and scans 15, so all
+        // three trees tie on everything but the signature, and the text
+        // order picks the tree led by S10 (a numeric order would pick S9).
+        let ds = skewed_dataset();
+        let est = Estimator::new(&ds);
+        let pats: Vec<PlannedPattern> =
+            (0..3).map(|i| pattern(&ds, 9 + i, "p/special", Some("flag/on"), i, 0)).collect();
+        let trees = ["HJ(S9,HJ(S10,S11))", "HJ(S11,HJ(S9,S10))", "HJ(S10,HJ(S9,S11))"];
+        let textual_min = trees.iter().min().unwrap();
+        assert_eq!(*textual_min, "HJ(S10,HJ(S9,S11))");
+        for mode in [OrderExec::Off, OrderExec::Auto, OrderExec::Force] {
+            let prefs = OrderPrefs { sort: vec![], mode };
+            let plan = optimize_with(&pats, &est, &prefs).unwrap();
+            assert_eq!(plan.signature().0, *textual_min, "{mode:?}");
+            assert_eq!(plan.est_cout(), 150.0);
+        }
     }
 }

@@ -295,52 +295,6 @@ impl PlanNode {
         out
     }
 
-    /// Estimated rows materialized into hash-join build tables across the
-    /// subtree — the memory-side tiebreak of the order-aware optimizer
-    /// (bind and merge joins build nothing).
-    pub fn est_build_rows(&self, ds: &Dataset) -> f64 {
-        match self {
-            PlanNode::Scan { .. } => 0.0,
-            PlanNode::HashJoin { left, right, join_vars, .. } => {
-                let children = left.est_build_rows(ds) + right.est_build_rows(ds);
-                match Self::join_side(left, right, join_vars, ds) {
-                    JoinMethod::Hash { build_right: true } => children + right.est_card(),
-                    JoinMethod::Hash { build_right: false } => children + left.est_card(),
-                    JoinMethod::Bind | JoinMethod::Merge => left.est_build_rows(ds),
-                }
-            }
-            PlanNode::MergeJoin { left, right, .. } => {
-                left.est_build_rows(ds) + right.est_build_rows(ds)
-            }
-        }
-    }
-
-    /// Estimated rows scanned out of the store across the subtree — the
-    /// I/O-side tiebreak. A bind join touches only the ranges its streamed
-    /// rows select (≈ its output cardinality); every other join reads both
-    /// children in full.
-    pub fn est_scan_rows(&self, ds: &Dataset) -> f64 {
-        match self {
-            PlanNode::Scan { pattern, .. } => {
-                if pattern.has_absent() {
-                    0.0
-                } else {
-                    ds.count(pattern.access()) as f64
-                }
-            }
-            PlanNode::HashJoin { left, right, join_vars, est_card } => {
-                if Self::join_side(left, right, join_vars, ds) == JoinMethod::Bind {
-                    left.est_scan_rows(ds) + est_card
-                } else {
-                    left.est_scan_rows(ds) + right.est_scan_rows(ds)
-                }
-            }
-            PlanNode::MergeJoin { left, right, .. } => {
-                left.est_scan_rows(ds) + right.est_scan_rows(ds)
-            }
-        }
-    }
-
     /// The parallel-qualification cost test, robust to adversarial
     /// estimates: IEEE addition of finite non-negative terms saturates to
     /// `+∞` rather than wrapping, and a `NaN` sum (degenerate statistics)
@@ -352,38 +306,29 @@ impl PlanNode {
         total.is_nan() || total >= min_est_cost
     }
 
-    /// The selective-join rule: a join whose right child is a leaf scan
-    /// runs as an index nested-loop [`BindJoin`] probing that pattern when
-    /// the estimated left cardinality does not exceed the scan's exact
-    /// extent. Reads `ds.count(..)`, so it is binding-dependent.
-    fn binds_right(left: &PlanNode, right: &PlanNode, join_vars: &[usize], ds: &Dataset) -> bool {
-        if let PlanNode::Scan { pattern, .. } = right {
-            !join_vars.is_empty()
-                && !pattern.has_absent()
-                && left.est_card() <= ds.count(pattern.access()) as f64
-        } else {
-            false
-        }
-    }
-
-    /// How a [`PlanNode::HashJoin`] of these children runs — the one home
-    /// of the bind rule and of the build-side comparison (the child with
-    /// the smaller estimate builds). The optimizer's order and cost
-    /// predictions and the recorded physical plan all read this, so they
-    /// cannot disagree. Every choice produces the same logical output, so
-    /// measured `Cout` is independent of it — only wall-clock time and
-    /// touched data volume change.
-    pub(crate) fn join_side(
+    /// How a [`PlanNode::HashJoin`] of these children runs: the rule of
+    /// [`JoinMethod::of_hash_join`], fed the right leaf's exact extent
+    /// (`ds.count(..)`, so the choice is binding-dependent). The optimizer's
+    /// order and cost predictions and the recorded physical plan all read
+    /// that rule, so they cannot disagree.
+    fn join_side(
         left: &PlanNode,
         right: &PlanNode,
         join_vars: &[usize],
         ds: &Dataset,
     ) -> JoinMethod {
-        if Self::binds_right(left, right, join_vars, ds) {
-            JoinMethod::Bind
-        } else {
-            JoinMethod::Hash { build_right: right.est_card() <= left.est_card() }
-        }
+        let right_extent = match right {
+            PlanNode::Scan { pattern, .. } if !pattern.has_absent() => {
+                Some(ds.count(pattern.access()))
+            }
+            _ => None,
+        };
+        JoinMethod::of_hash_join(
+            left.est_card(),
+            right.est_card(),
+            right_extent,
+            !join_vars.is_empty(),
+        )
     }
 
     /// Records this join tree's physical plan under `cfg`, and whether its
@@ -500,6 +445,28 @@ pub enum JoinMethod {
 }
 
 impl JoinMethod {
+    /// The one home of the bind rule and of the build-side comparison of a
+    /// hash join whose children estimate `left_card` and `right_card` rows.
+    /// It runs as an index nested-loop [`BindJoin`] probing its right child
+    /// when that child is a leaf scan (`right_extent` is its exact extent;
+    /// `None` for a join or a scan of an absent constant), the children
+    /// share a variable (`joined`), and the left estimate does not exceed
+    /// the extent. Otherwise the child with the smaller estimate builds.
+    /// Every choice produces the same logical output, so measured `Cout` is
+    /// independent of it — only wall-clock time and touched data volume
+    /// change.
+    pub(crate) fn of_hash_join(
+        left_card: f64,
+        right_card: f64,
+        right_extent: Option<usize>,
+        joined: bool,
+    ) -> JoinMethod {
+        match right_extent {
+            Some(extent) if joined && left_card <= extent as f64 => JoinMethod::Bind,
+            _ => JoinMethod::Hash { build_right: right_card <= left_card },
+        }
+    }
+
     /// Whether the left input is the streamed side, whose delivered order
     /// survives the join (all but a hash join building its left).
     pub fn streams_left(self) -> bool {

@@ -1,0 +1,112 @@
+//! Plan census: the optimizer's choice for every binding of a fixed,
+//! spread set of (template, binding) pairs under every `OrderExec` mode.
+//!
+//! Prints one line per (template, binding, mode): the plan signature, the
+//! bit pattern of the estimated `Cout`, then the physical EXPLAIN with its
+//! lines joined by ` | `. The output is deterministic, so two builds plan
+//! identically exactly when their outputs are byte-identical:
+//!
+//! ```text
+//! cargo run --release --example plan_census > census.txt
+//! cmp census-before.txt census-after.txt
+//! ```
+//!
+//! The set covers every shipped template: the BSBM templates over all
+//! product types, 512 spread products and 512 type × feature pairs; SNB-Q1
+//! over 512 name × country pairs; LDBC-Q2 over 512 persons and LDBC-Q3
+//! over 512 person × country-pair bindings; the LUBM templates over their
+//! whole domains (at most 512 bindings each).
+
+use parambench::curation::ParameterDomain;
+use parambench::datagen::bsbm::schema as bsbm_schema;
+use parambench::datagen::{Bsbm, BsbmConfig, Lubm, LubmConfig, Snb, SnbConfig};
+use parambench::rdf::{Dataset, Term};
+use parambench::sparql::{Engine, ExecConfig, OrderExec, QueryTemplate};
+
+/// Store scale of every generated dataset (the benchmark's full scale).
+const TRIPLES: usize = 150_000;
+/// Bindings per template drawn from a domain larger than this.
+const BINDINGS: usize = 512;
+/// Seed of the binding draw.
+const SEED: u64 = 26;
+
+fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
+    for mode in [OrderExec::Off, OrderExec::Auto, OrderExec::Force] {
+        let exec = ExecConfig { order_exec: mode, mem_budget_rows: None, ..ExecConfig::default() };
+        let engine = Engine::with_exec_config(ds, exec);
+        for (template, domain) in cases {
+            for binding in domain.enumerate(BINDINGS, SEED) {
+                let prepared = engine
+                    .prepare_template(template, &binding)
+                    .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
+                let physical = engine.explain_physical(&prepared);
+                println!(
+                    "{}\t{binding}\t{mode:?}\t{}\t{:016x}\t{}",
+                    template.name(),
+                    prepared.signature,
+                    prepared.est_cout.to_bits(),
+                    physical.trim_end().replace('\n', " | ")
+                );
+            }
+        }
+    }
+}
+
+fn main() {
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(TRIPLES));
+    let types = ParameterDomain::single("type", bsbm.type_iris());
+    let features = ParameterDomain::from_objects(
+        &bsbm.dataset,
+        "feature",
+        &Term::iri(bsbm_schema::PRODUCT_FEATURE),
+    )
+    .expect("BSBM has product features");
+    let type_feature = ParameterDomain::new()
+        .with("type", bsbm.type_iris())
+        .with("feature", features.values(0).to_vec());
+    census(
+        &bsbm.dataset,
+        &[
+            (Bsbm::q2_similar_products(), ParameterDomain::single("product", bsbm.product_iris())),
+            (Bsbm::q4_feature_price_by_type(), types.clone()),
+            (Bsbm::q_cheapest_products_of_type(), types.clone()),
+            (Bsbm::q_catalog_of_type(), types.clone()),
+            (Bsbm::q_rating_by_type(), types),
+            (Bsbm::q_type_feature_offers(), type_feature),
+        ],
+    );
+
+    let snb = Snb::generate(SnbConfig::with_scale(TRIPLES));
+    census(
+        &snb.dataset,
+        &[
+            (
+                Snb::q1_name_country(),
+                ParameterDomain::new()
+                    .with("name", snb.name_literals())
+                    .with("country", snb.country_iris()),
+            ),
+            (Snb::q2_friend_posts(), ParameterDomain::single("person", snb.person_iris())),
+            (
+                Snb::q3_two_countries(),
+                ParameterDomain::new()
+                    .with("person", snb.person_iris())
+                    .with("countryX", snb.country_iris())
+                    .with("countryY", snb.country_iris()),
+            ),
+        ],
+    );
+
+    let lubm = Lubm::generate(LubmConfig::with_scale(TRIPLES));
+    census(
+        &lubm.dataset,
+        &[
+            (
+                Lubm::q_students_of_professor(),
+                ParameterDomain::single("prof", lubm.professor_iris()),
+            ),
+            (Lubm::q_university_staff(), ParameterDomain::single("univ", lubm.university_iris())),
+            (Lubm::q_department_people(), ParameterDomain::single("dept", lubm.department_iris())),
+        ],
+    );
+}
