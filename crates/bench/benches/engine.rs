@@ -233,8 +233,10 @@ fn engine_benches(c: &mut Criterion) {
 }
 
 /// One LDBC-Q3 optimizer run (`prepare_template`, the unit of one curation
-/// probe) on the `curate` workload's SNB store, under the default
-/// interesting-order DP and under `OrderExec::Off`'s one-candidate DP.
+/// probe) on the `curate` workload's SNB store, under `OrderExec::Auto` and
+/// `OrderExec::Off` — the `Cout` DP reads no mode, so the two agree — then
+/// the physical pass every execution runs (`Engine::physical_plan`) over
+/// that plan and over a BSBM-CHEAPEST plan on the full-scale BSBM store.
 fn prepare_benches(c: &mut Criterion) {
     use parambench_datagen::snb::schema;
     let snb = Snb::generate(SnbConfig::with_scale(150_000));
@@ -248,6 +250,22 @@ fn prepare_benches(c: &mut Criterion) {
         let engine = Engine::with_exec_config(&snb.dataset, exec);
         c.bench_function(&format!("optimizer/prepare_ldbc_q3_{name}"), |b| {
             b.iter(|| black_box(engine.prepare_template(&q3, &binding).unwrap().est_cout))
+        });
+    }
+
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
+    let cheapest = Bsbm::q_cheapest_products_of_type();
+    let root_type =
+        Binding::new().with("type", Term::iri(parambench_datagen::bsbm::schema::product_type(0)));
+    let exec = ExecConfig { order_exec: OrderExec::Auto, ..ExecConfig::default() };
+    for (name, ds, template, binding) in [
+        ("ldbc_q3", &snb.dataset, &q3, &binding),
+        ("cheapest", &bsbm.dataset, &cheapest, &root_type),
+    ] {
+        let engine = Engine::with_exec_config(ds, exec);
+        let prepared = engine.prepare_template(template, binding).unwrap();
+        c.bench_function(&format!("engine/physical_plan_{name}"), |b| {
+            b.iter(|| black_box(engine.physical_plan(&prepared, &exec).morselized))
         });
     }
 }

@@ -192,9 +192,9 @@ mod tests {
         let (_ds, workload) = workload();
         let m = manifest(&workload);
         assert_eq!(m.lines().count(), workload.classes().len());
-        // A join plan signature: hash by default, merge when the
-        // order-aware planner (or SPARQL_ORDER_EXEC=force) picks it.
-        assert!(m.contains("plan=HJ") || m.contains("plan=MJ"), "{m}");
+        // A join plan signature: the logical join tree, the same under
+        // every order mode.
+        assert!(m.contains("plan=HJ("), "{m}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! range (the *overflow region*, see `Dataset::frozen_terms`). The overlay
 //! tracks whether any such id entered a run: while it has, ascending id no
 //! longer implies ascending ORDER BY value, and the planner's order
-//! service declines (see `PlanNode::delivered_order` in the sparql crate).
+//! service declines (see `PlanNode::physical` in the sparql crate).
 //! `Dataset::compact` re-freezes base+delta and restores the invariant.
 
 use crate::dict::Id;

@@ -22,14 +22,14 @@ use crate::exec::{ExecConfig, ExecStats, OrderExec, UNBOUND};
 use crate::modifiers::{
     Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, SortedDistinct, TopK,
 };
-use crate::optimizer::{optimize_with, reestimate, OrderPrefs};
+use crate::optimizer::{optimize, reestimate};
 use crate::physical::{
     self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, LeftOuterJoin,
     Project, UnionAll,
 };
 use crate::plan::{
     Dedup, Fold, JoinMethod, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode,
-    PlanSignature, PlannedPattern, Slot, Sort, TableColSource,
+    PlanSignature, PlannedPattern, RootGoal, Slot, Sort, TableColSource,
 };
 use crate::results::{
     finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
@@ -79,12 +79,6 @@ pub struct Prepared {
     /// (grouping, DISTINCT, OFFSET/LIMIT) — the modifier-aware companion
     /// of `est_card`.
     pub est_result_card: f64,
-    /// The variable-slot sequence the pipeline's output arrives sorted by
-    /// (the required plan's delivered order; UNION-as-base delivers none).
-    /// Filters, OPTIONAL joins and base-side UNION joins all stream the
-    /// base, so the base order survives to the modifier boundary — what
-    /// sort elimination checks against.
-    pub delivered_order: Vec<usize>,
 }
 
 impl Prepared {
@@ -672,19 +666,19 @@ impl<'a> Engine<'a> {
         let (bgp_plan, filters) = if nf.required.patterns.is_empty() {
             (None, nf.required.filters_under(binding))
         } else {
-            let planned = self.plan_group(&nf.required, binding, &mut vars, Some(query))?;
+            let planned = self.plan_group(&nf.required, binding, &mut vars)?;
             let required = acc.base(planned);
             (Some(required.plan), required.filters)
         };
         let mut unions = Vec::with_capacity(nf.unions.len());
         for branches in &nf.unions {
             let planned: Result<Vec<_>, _> =
-                branches.iter().map(|g| self.plan_group(g, binding, &mut vars, None)).collect();
+                branches.iter().map(|g| self.plan_group(g, binding, &mut vars)).collect();
             unions.push(acc.union(&self.est, planned?)?);
         }
         let mut optionals = Vec::with_capacity(nf.optionals.len());
         for group in &nf.optionals {
-            let planned = self.plan_group(group, binding, &mut vars, None)?;
+            let planned = self.plan_group(group, binding, &mut vars)?;
             optionals.push(acc.optional(&self.est, planned));
         }
         let Combined { est_cout, sig, running, .. } = acc;
@@ -703,8 +697,6 @@ impl<'a> Engine<'a> {
 
         let modifiers = ModifierPlan::lower(query, &vars.slot_of)?;
         let est_result_card = self.est.modifier_output_card(&bgp_est, &modifiers);
-        let delivered_order =
-            bgp_plan.as_ref().map(|p| p.delivered_order(self.ds)).unwrap_or_default();
         Ok(Prepared {
             var_names: vars.names,
             est_card: bgp_est.card,
@@ -716,7 +708,6 @@ impl<'a> Engine<'a> {
             signature: PlanSignature(sig),
             est_cout,
             est_result_card,
-            delivered_order,
         })
     }
 
@@ -736,46 +727,61 @@ impl<'a> Engine<'a> {
     /// Plans one group of the normal form: lowers its patterns (numbered
     /// from `group.first_idx`, new variables taking the next free slots),
     /// finds the `Cout`-optimal join tree and re-derives its root estimate.
-    /// `order_by` (the required BGP only) is the query whose ORDER BY the
-    /// plan may serve: a plan delivering an ascending run of plain
-    /// key variables escapes the sort penalty in the root selection.
     fn plan_group(
         &self,
         group: &Group<'_>,
         binding: &Binding,
         vars: &mut VarTable,
-        order_by: Option<&SelectQuery>,
     ) -> Result<(GroupPlan, Estimate), QueryError> {
         let lower = |(i, t): (usize, &&TriplePattern)| PlannedPattern {
             idx: group.first_idx + i,
             slots: t.positions().map(|pos| self.resolve(pos, binding, |v| vars.slot(v))),
         };
         let patterns: Vec<PlannedPattern> = group.patterns.iter().enumerate().map(lower).collect();
-        let sort = order_by.map_or_else(Vec::new, |query| order_pref_slots(query, &vars.slot_of));
-        let prefs = OrderPrefs { sort, mode: self.exec.order_exec };
-        let plan = optimize_with(&patterns, &self.est, &prefs)?;
+        let plan = optimize(&patterns, &self.est)?;
         let est = reestimate(&plan, &self.est);
         let filters = group.filters_under(binding);
         Ok((GroupPlan { plan, filters, join_vars: Vec::new() }, est))
     }
 
     /// Records the physical plan of one execution: **the only place** the
-    /// engine's physical choices are made. Join methods, morselization
-    /// and the modifier strategy are decided here from
+    /// engine's physical choices are made. Index orders, join methods,
+    /// morselization and the modifier strategy are decided here from
     /// `(prepared, exec, dataset)` and returned as plain data, which
     /// [`Engine::stream`] lowers and [`Engine::explain_physical`] prints —
-    /// so what is explained is what runs. Built per execution (the bind
-    /// rule reads exact scan extents, which depend on the binding); it is
-    /// a tree walk, cheap next to any execution.
+    /// so what is explained is what runs. Built per execution (the pass
+    /// reads exact scan extents, which depend on the binding); it is one
+    /// walk over each group's fixed `Cout`-optimal tree, cheap next to any
+    /// execution.
+    ///
+    /// The engine's own [`ExecConfig::order_exec`] is the physical pass's
+    /// mode; `exec` set to [`OrderExec::Off`] runs that plan with its merge
+    /// joins as hash joins and claims no delivered order, which switches
+    /// every order-based elimination off with rows, row order and `Cout`
+    /// unchanged.
     pub fn physical_plan<'p>(&self, prepared: &'p Prepared, exec: &ExecConfig) -> PhysicalPlan<'p> {
         let m = &prepared.modifiers;
+        let mode = self.exec.order_exec;
+        let goal = RootGoal {
+            sort: self.servable_order(m),
+            limit: m.limit.filter(|_| m.aggregate.is_none()).map(|limit| m.offset + limit),
+        };
+        let bgp = prepared
+            .bgp_plan
+            .as_ref()
+            .map(|plan| (plan, plan.physical(self.ds, mode, exec, &goal)));
         // Order-aware eliminations all derive from the *plan's* delivered
         // order (never from thread count or budget): with the value-ordered
         // dictionary, ascending-id delivery IS ascending ORDER BY order.
-        // `OrderExec::Off` claims no order, which switches every one off.
         let order_on = exec.order_exec != OrderExec::Off;
-        let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
-        let in_order = self.order_satisfied(m, delivered);
+        let delivered = match &bgp {
+            Some((_, rec)) if order_on => rec.order.clone(),
+            _ => Vec::new(),
+        };
+        // The delivered order satisfies the full ORDER BY. (Value semantics
+        // hold because the dictionary is value-ordered at freeze: ascending
+        // ids are ascending ORDER BY values, unbound ids sort last both ways.)
+        let in_order = !goal.sort.is_empty() && delivered.starts_with(&goal.sort);
         let budget = exec.mem_budget_rows;
 
         // Plain LIMIT queries (no aggregation, no surviving sort) are
@@ -787,15 +793,15 @@ impl<'a> Engine<'a> {
         // thread-independent: the determinism guarantee is unaffected.)
         let output_bound =
             m.aggregate.is_none() && m.limit.is_some() && (m.order_by.is_empty() || in_order);
-        let (bgp, morselized) = match &prepared.bgp_plan {
+        let (bgp, morselized) = match bgp {
             None => (None, false),
-            Some(plan) => {
-                let (root, morselized) = plan.physical(self.ds, exec, !output_bound);
-                (Some(root), morselized)
+            Some((plan, rec)) => {
+                let morselized = !output_bound && plan.morselizes(exec, rec.driver_rows);
+                (Some(rec.node), morselized)
             }
         };
         let serial = |g: &'p GroupPlan| PhysGroup {
-            node: g.plan.physical(self.ds, exec, false).0,
+            node: g.plan.physical(self.ds, mode, exec, &RootGoal::default()).node,
             filters: &g.filters,
             join_vars: &g.join_vars,
         };
@@ -817,7 +823,7 @@ impl<'a> Engine<'a> {
                 let ordered = order_on
                     && budget.is_none()
                     && !worker_side
-                    && Self::clustered(delivered, &agg.group_slots);
+                    && Self::clustered(&delivered, &agg.group_slots);
                 let fold = match budget {
                     _ if ordered => Fold::Ordered,
                     // Spilling from the first row avoids a pointless
@@ -847,7 +853,7 @@ impl<'a> Engine<'a> {
                     Dedup::None
                 } else if m.has_helper_cols() && !in_order {
                     Dedup::SortAware
-                } else if Self::clustered(delivered, &m.out_slots()) {
+                } else if Self::clustered(&delivered, &m.out_slots()) {
                     Dedup::Run
                 } else {
                     Dedup::Hash
@@ -1278,11 +1284,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The deduplicated slot sequence of the ORDER BY keys when every key
-    /// is an ascending plain-variable column — what an index order can
-    /// serve. `None` for no keys, descending keys, expressions and
-    /// aggregate aliases.
-    fn order_slots(m: &ModifierPlan) -> Option<Vec<usize>> {
+    /// The deduplicated slot sequence of the ORDER BY keys that a delivered
+    /// order can serve, empty when none can: every key must be an
+    /// ascending plain-variable column (not a descending key, an
+    /// expression or an aggregate alias). With more than one effective key,
+    /// id order must also be *equivalent* to value order, not merely a
+    /// refinement: two distinct ids with equal numeric value ("1"^^int vs
+    /// "1.0"^^double) form a sort-key tie the baseline's stable sort
+    /// reorders by the next key, while id-ordered delivery pins them by
+    /// lexical form. The dictionary records at freeze whether any such tie
+    /// exists; a single key is always safe (ties fall back to arrival order
+    /// on both paths).
+    fn servable_order(&self, m: &ModifierPlan) -> Vec<usize> {
         let mut seq: Vec<usize> = Vec::new();
         for &(col, desc) in &m.order_by {
             match m.table[col].source {
@@ -1291,28 +1304,13 @@ impl<'a> Engine<'a> {
                         seq.push(s);
                     }
                 }
-                _ => return None,
+                _ => return Vec::new(),
             }
         }
-        (!seq.is_empty()).then_some(seq)
-    }
-
-    /// Whether the delivered order provably satisfies the full ORDER BY:
-    /// every key an ascending plain-variable column, and the deduplicated
-    /// key-slot sequence a prefix of the delivered order. (Value semantics
-    /// hold because the dictionary is value-ordered at freeze: ascending
-    /// ids are ascending ORDER BY values, unbound ids sort last both ways.)
-    fn order_satisfied(&self, m: &ModifierPlan, delivered: &[usize]) -> bool {
-        // With more than one effective key, id order must be *equivalent*
-        // to value order, not merely a refinement: two distinct ids with
-        // equal numeric value ("1"^^int vs "1.0"^^double) form a sort-key
-        // tie the baseline's stable sort reorders by the next key, while
-        // id-ordered delivery pins them by lexical form. The dictionary
-        // records at freeze whether any such tie exists; a single key is
-        // always safe (ties fall back to arrival order on both paths).
-        Self::order_slots(m).is_some_and(|seq| {
-            delivered.starts_with(&seq) && (seq.len() == 1 || !self.ds.dict().has_value_ties())
-        })
+        if seq.len() > 1 && self.ds.dict().has_value_ties() {
+            seq.clear();
+        }
+        seq
     }
 
     /// Whether the delivered order makes rows equal on `slots` contiguous:
@@ -1503,37 +1501,8 @@ impl<'a> Engine<'a> {
             rebind_plan(&mut cached.plan, group);
             cached.filters = group.filters_under(binding);
         }
-        // The delivered order is a function of which positions are bound
-        // (identical under class equality), but recomputing it is cheap
-        // and keeps the invariant locally checkable.
-        out.delivered_order =
-            out.bgp_plan.as_ref().map(|p| p.delivered_order(self.ds)).unwrap_or_default();
         Ok(out)
     }
-}
-
-/// The ORDER BY slot-sequence preference handed to the optimizer: the
-/// deduplicated slot sequence when the keys form a run of *ascending*
-/// plain pattern variables already carrying slots, empty otherwise
-/// (descending keys, expressions and aggregate aliases cannot be served
-/// by an index order, so no preference exists).
-fn order_pref_slots(query: &SelectQuery, slot_of: &HashMap<String, usize>) -> Vec<usize> {
-    let mut out = Vec::new();
-    for k in &query.order_by {
-        if k.descending {
-            return Vec::new();
-        }
-        let Some(v) = k.target.as_var() else {
-            return Vec::new();
-        };
-        let Some(&s) = slot_of.get(v) else {
-            return Vec::new();
-        };
-        if !out.contains(&s) {
-            out.push(s);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -63,13 +63,16 @@ pub struct ExecConfig {
     /// Minimum estimated plan cost (`est_cout + est_card`) before
     /// parallel lowering is considered.
     pub min_est_cost: f64,
-    /// How the order-aware execution paths (merge joins over sorted index
-    /// scans, sort/hash elimination behind a delivered order) are applied.
-    /// Defaults from the [`ORDER_EXEC_ENV`] environment variable. Like
-    /// every other knob here it never changes produced rows, their order or
-    /// measured `Cout` — only which physical machinery computes them — so
-    /// the differential suites compare [`OrderExec::Off`] runs against the
-    /// order-aware default bit for bit.
+    /// The physical pass's mode ([`OrderExec`]): how the order-aware
+    /// execution paths (merge joins over sorted index scans, sort/hash
+    /// elimination behind a delivered order) are applied. No mode changes
+    /// the optimizer's plan, its signature or its estimated `Cout`. An
+    /// engine's own setting chooses the physical plan each execution runs;
+    /// an execution config of [`OrderExec::Off`] runs that plan with its
+    /// merge joins as hash joins and every sort on, which changes neither
+    /// the produced rows, their order, nor (short of a LIMIT's early exit)
+    /// measured `Cout` — so the differential suites compare the two bit
+    /// for bit. Defaults from the [`ORDER_EXEC_ENV`] environment variable.
     pub order_exec: OrderExec,
     /// Memory budget, in resident rows, for blocking modifier state:
     /// GROUP BY accumulator entries and full-sort buffer rows. `None`
@@ -124,23 +127,29 @@ impl PartialEq for ExecConfig {
 /// Unset or unparsable values mean unlimited.
 pub const MEM_BUDGET_ENV: &str = "SPARQL_MEM_BUDGET_ROWS";
 
-/// How aggressively the planner and executor exploit delivered orders
-/// (sorted index scans → merge joins, sort/hash elimination).
+/// The physical pass's mode: how aggressively each execution exploits
+/// delivered orders (sorted index scans → merge joins, sort/hash
+/// elimination). Only the pass over the `Cout`-optimal tree reads it — the
+/// optimizer does not — so plans, signatures and the paper's parameter
+/// classes are the same under all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderExec {
-    /// Cost-guided (the default): merge joins replace hash *builds* when
-    /// both sides already deliver the key sorted (a selective bind join is
-    /// never displaced), and sorts are skipped whenever the pipeline's
-    /// delivered order provably satisfies them.
+    /// Cost-guided (the default): the pass keeps, per node, the
+    /// alternative with the fewest estimated scanned plus built rows — a
+    /// merge join replaces a hash join where it removes the build at no
+    /// extra scan, a selective bind join is never displaced, and ORDER BY
+    /// is served where the saved sort (under LIMIT, the early exit) pays.
     #[default]
     Auto,
-    /// Prefer order-based operators wherever the orders allow, even where
-    /// a bind join would touch less data — the CI mode that exercises the
+    /// Merge wherever both inputs can deliver the key, even where a bind
+    /// join would touch less data — the CI mode that exercises the
     /// merge/elimination paths suite-wide.
     Force,
-    /// Plan and execute exactly as the pre-order-aware engine did: merge
-    /// join nodes lower to hash/bind joins and every sort runs. The
-    /// baseline side of the order differential tests.
+    /// Keep the tree's orientation and default indexes, join by the bind
+    /// rule and claim no order, so every sort runs. As an execution
+    /// config: run the engine's plan with its merge joins as hash joins
+    /// and no order claimed — the baseline side of the order differential
+    /// tests.
     Off,
 }
 

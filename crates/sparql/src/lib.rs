@@ -31,7 +31,7 @@
 //!   (lowered by [`plan::ModifierPlan`] at prepare time);
 //! * large plans execute **morsel-driven parallel**
 //!   ([`physical::Exchange`]/[`physical::Gather`], qualified by
-//!   [`plan::PlanNode::physical`] from cardinality estimates and lowered
+//!   [`engine::Engine::physical_plan`] from cardinality estimates and lowered
 //!   by [`plan::PhysNode::lower_morsels`]): the
 //!   driving scan is split into morsels fanned across a `std::thread`
 //!   worker pool, hash-join build sides are built partitioned and shared
@@ -39,18 +39,19 @@
 //!   merged at gather time. Batches merge by morsel index — never worker
 //!   arrival order — so rows, row order and measured `Cout` are
 //!   bit-identical at any [`exec::ExecConfig::threads`] value;
-//! * execution is **order-aware** ([`plan::PlanNode::delivered_order`]):
+//! * execution is **order-aware** ([`plan::PhysicalPlan::delivered_order`]):
 //!   the store's sorted permutation indexes double as sorted result
-//!   sources (the dictionary is value-ordered at freeze), the DP keeps
-//!   the cheapest plan *per delivered order*, order-compatible sides zip
+//!   sources (the dictionary is value-ordered at freeze), the physical
+//!   pass over the `Cout`-optimal tree keeps the cheapest alternative *per
+//!   delivered order*, order-compatible sides zip
 //!   through a build-free [`physical::MergeJoin`] (a merge join keeps its
 //!   plan serial), and sorts whose ascending keys the delivered order
 //!   already satisfies are skipped entirely
 //!   (`ExecStats::sorted_rows == 0`; TopK degenerates to an early-exit
 //!   slice, GROUP BY folds one group at a time, DISTINCT dedups by run) —
 //!   controlled by [`exec::ExecConfig::order_exec`] /
-//!   [`exec::ORDER_EXEC_ENV`], with the `Off` mode reproducing the
-//!   hash/bind engine bit for bit;
+//!   [`exec::ORDER_EXEC_ENV`], which no plan signature depends on, with
+//!   the `Off` mode reproducing the hash/bind engine bit for bit;
 //! * blocking modifier state degrades **out-of-core** under a memory
 //!   budget ([`exec::ExecConfig::mem_budget_rows`], env-overridable via
 //!   [`exec::MEM_BUDGET_ENV`]): grouped aggregation hash-partitions

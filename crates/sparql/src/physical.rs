@@ -254,8 +254,8 @@ impl<'a> IndexScan<'a> {
 
     /// Scans the pattern out of an explicitly chosen permutation index
     /// (`None` = default): same rows, delivered sorted by that index's
-    /// unbound key positions — the order the plan layer advertises through
-    /// `PlanNode::delivered_order`.
+    /// unbound key positions — the order the physical pass
+    /// (`PlanNode::physical`) advertises for it.
     pub fn with_order(
         ds: &'a Dataset,
         pattern: &PlannedPattern,
@@ -2026,7 +2026,8 @@ impl Operator for Gather<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanNode;
+    use crate::exec::OrderExec;
+    use crate::plan::{Physical, PlanNode, RootGoal};
     use parambench_rdf::store::StoreBuilder;
     use parambench_rdf::term::Term;
 
@@ -2416,21 +2417,28 @@ mod tests {
         assert_eq!(out.len(), 20);
     }
 
-    /// The serial lowering of `plan`'s recorded physical tree.
-    fn serial_op<'a>(plan: &PlanNode, ds: &'a Dataset) -> BoxedOperator<'a> {
-        plan.physical(ds, &ExecConfig::default(), false).0.lower(ds, CoutBucket::Required)
+    /// `plan`'s default lowering: the physical pass under
+    /// [`OrderExec::Off`], which runs every join by the bind rule.
+    fn default_lowering(plan: &PlanNode, ds: &Dataset, cfg: &ExecConfig) -> Physical {
+        plan.physical(ds, OrderExec::Off, cfg, &RootGoal::default())
     }
 
-    /// The morsel lowering of `plan`'s recorded physical tree, when the
-    /// record says its spine is morselized under `cfg`.
+    /// The serial lowering of `plan`'s default lowering.
+    fn serial_op<'a>(plan: &PlanNode, ds: &'a Dataset) -> BoxedOperator<'a> {
+        default_lowering(plan, ds, &ExecConfig::default()).node.lower(ds, CoutBucket::Required)
+    }
+
+    /// The morsel lowering of `plan`'s default lowering, when its spine
+    /// qualifies for morsels under `cfg`.
     fn morsel_source<'a>(
         plan: &PlanNode,
         ds: &'a Dataset,
         cfg: &ExecConfig,
         stats: &mut ExecStats,
     ) -> Option<ParallelSource<'a>> {
-        let (root, morselized) = plan.physical(ds, cfg, true);
-        morselized.then(|| root.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
+        let rec = default_lowering(plan, ds, cfg);
+        plan.morselizes(cfg, rec.driver_rows)
+            .then(|| rec.node.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
     }
 
     /// Forces morselization regardless of extent/estimate size.
@@ -2468,12 +2476,11 @@ mod tests {
         let scan_node = |s, o, idx| PlanNode::Scan {
             pattern: pattern(&ds, "p/next", s, o, idx),
             est_card: n as f64,
-            order: None,
         };
         // Two-join chain: exercises a shared hash build AND a bind join on
         // the spine, depending on what the estimates select.
-        let plan = PlanNode::HashJoin {
-            left: Box::new(PlanNode::HashJoin {
+        let plan = PlanNode::Join {
+            left: Box::new(PlanNode::Join {
                 left: Box::new(scan_node(0, 1, 0)),
                 right: Box::new(scan_node(1, 2, 1)),
                 join_vars: vec![1],
@@ -2539,16 +2546,14 @@ mod tests {
     fn gather_stops_dispatching_waves_when_not_pulled() {
         let n = MORSELS_PER_WAVE * 64 * 4; // 4 waves at 64-row morsels
         let ds = chain_dataset(n);
-        let plan = PlanNode::HashJoin {
+        let plan = PlanNode::Join {
             left: Box::new(PlanNode::Scan {
                 pattern: pattern(&ds, "p/next", 0, 1, 0),
                 est_card: n as f64,
-                order: None,
             }),
             right: Box::new(PlanNode::Scan {
                 pattern: pattern(&ds, "p/label", 0, 2, 1),
                 est_card: (n / 2) as f64,
-                order: None,
             }),
             join_vars: vec![0],
             est_card: n as f64,
@@ -2577,11 +2582,10 @@ mod tests {
         let scan_node = |s, o, idx| PlanNode::Scan {
             pattern: pattern(&ds, "p/next", s, o, idx),
             est_card: n as f64,
-            order: None,
         };
         // Three-hop chain join: two intermediate results of ~n rows each.
-        let plan = PlanNode::HashJoin {
-            left: Box::new(PlanNode::HashJoin {
+        let plan = PlanNode::Join {
+            left: Box::new(PlanNode::Join {
                 left: Box::new(scan_node(0, 1, 0)),
                 right: Box::new(scan_node(1, 2, 1)),
                 join_vars: vec![1],

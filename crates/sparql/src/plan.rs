@@ -1,4 +1,5 @@
-//! Physical plan representation and plan signatures.
+//! Logical join trees, the physical pass over them, recorded physical
+//! plans and plan signatures.
 //!
 //! The paper's formal problem is stated in terms of the *optimal plan w.r.t.
 //! `Cout`*; two parameter bindings belong to the same class only if they
@@ -10,6 +11,7 @@
 //! trees match.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parambench_rdf::dict::Id;
@@ -91,46 +93,29 @@ impl PlannedPattern {
     }
 }
 
-/// A node of the physical join tree for a basic graph pattern.
+/// A node of the logical join tree for a basic graph pattern — the
+/// `Cout`-optimal object the optimizer returns and the paper's classes are
+/// defined over. How it runs (index orders, which side streams, bind vs
+/// hash vs merge) is decided per execution by the physical pass
+/// (`Engine::physical_plan`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
-    /// An index scan of one triple pattern. Scans contribute zero to `Cout`.
+    /// A scan of one triple pattern. Scans contribute zero to `Cout`.
     Scan {
         /// The scanned pattern.
         pattern: PlannedPattern,
         /// Estimated output cardinality.
         est_card: f64,
-        /// The permutation index to scan (`None` = the default index for
-        /// the pattern's bound positions). Alternative orders deliver the
-        /// same rows sorted by a different unbound position — the raw
-        /// material of merge joins and sort elimination.
-        order: Option<IndexOrder>,
     },
-    /// A hash join; `join_vars` are the shared variable slots (empty for a
+    /// A join; `join_vars` are the shared variable slots (empty for a
     /// cross product). The join's output cardinality is what `Cout` sums.
-    HashJoin {
-        /// Left (semantic-first) operand.
+    Join {
+        /// Left operand (the smaller estimate, as the optimizer orients).
         left: Box<PlanNode>,
         /// Right operand.
         right: Box<PlanNode>,
         /// Shared variable slots (empty = cross product).
         join_vars: Vec<usize>,
-        /// Estimated output cardinality.
-        est_card: f64,
-    },
-    /// A merge join of two inputs that both deliver `key` as the leading
-    /// prefix of their sorted order. No build phase: both sides stream,
-    /// matching key runs zip together, output stays sorted in the left
-    /// side's delivered order. `Cout` is identical to the hash join of the
-    /// same children — only memory (zero build rows) and order differ.
-    MergeJoin {
-        /// Left operand (its delivered order leads the output).
-        left: Box<PlanNode>,
-        /// Right operand.
-        right: Box<PlanNode>,
-        /// The shared key, in the delivered-order sequence both sides
-        /// start with (never empty).
-        key: Vec<usize>,
         /// Estimated output cardinality.
         est_card: f64,
     },
@@ -140,21 +125,17 @@ impl PlanNode {
     /// Estimated output cardinality of this node.
     pub fn est_card(&self) -> f64 {
         match self {
-            PlanNode::Scan { est_card, .. }
-            | PlanNode::HashJoin { est_card, .. }
-            | PlanNode::MergeJoin { est_card, .. } => *est_card,
+            PlanNode::Scan { est_card, .. } | PlanNode::Join { est_card, .. } => *est_card,
         }
     }
 
     /// Estimated `Cout` of the subtree: sum of estimated cardinalities of
-    /// all join results (scans cost 0) — the paper's cost function.
-    /// Deliberately identical for hash and merge joins of the same
-    /// children: `Cout` counts what a plan *produces*, not how.
+    /// all join results (scans cost 0) — the paper's cost function, which
+    /// counts what a plan *produces*, not how.
     pub fn est_cout(&self) -> f64 {
         match self {
             PlanNode::Scan { .. } => 0.0,
-            PlanNode::HashJoin { left, right, est_card, .. }
-            | PlanNode::MergeJoin { left, right, est_card, .. } => {
+            PlanNode::Join { left, right, est_card, .. } => {
                 est_card + left.est_cout() + right.est_cout()
             }
         }
@@ -164,9 +145,7 @@ impl PlanNode {
     pub fn leaf_count(&self) -> usize {
         match self {
             PlanNode::Scan { .. } => 1,
-            PlanNode::HashJoin { left, right, .. } | PlanNode::MergeJoin { left, right, .. } => {
-                left.leaf_count() + right.leaf_count()
-            }
+            PlanNode::Join { left, right, .. } => left.leaf_count() + right.leaf_count(),
         }
     }
 
@@ -176,7 +155,7 @@ impl PlanNode {
     pub(crate) fn patterns_mut(&mut self, f: &mut dyn FnMut(&mut PlannedPattern)) {
         match self {
             PlanNode::Scan { pattern, .. } => f(pattern),
-            PlanNode::HashJoin { left, right, .. } | PlanNode::MergeJoin { left, right, .. } => {
+            PlanNode::Join { left, right, .. } => {
                 left.patterns_mut(f);
                 right.patterns_mut(f);
             }
@@ -194,8 +173,7 @@ impl PlanNode {
                         }
                     }
                 }
-                PlanNode::HashJoin { left, right, .. }
-                | PlanNode::MergeJoin { left, right, .. } => {
+                PlanNode::Join { left, right, .. } => {
                     walk(left, out);
                     walk(right, out);
                 }
@@ -206,10 +184,10 @@ impl PlanNode {
         out
     }
 
-    /// The structural signature of this subtree (see [`PlanSignature`]).
-    /// Join *method* participates: a merge join is a different physical
-    /// plan than the hash join of the same children, so conditions (a)/(c)
-    /// of the paper's clustering problem see it as a different optimum.
+    /// The structural signature of this subtree (see [`PlanSignature`]):
+    /// the logical join tree, `S<idx>` per scan and `HJ(left,right)` per
+    /// join. No physical choice participates, so the paper's conditions
+    /// (a)/(c) see the same optimum under every [`OrderExec`].
     pub fn signature(&self) -> PlanSignature {
         let mut text = String::new();
         fn walk(node: &PlanNode, out: &mut String) {
@@ -218,15 +196,8 @@ impl PlanNode {
                     out.push('S');
                     out.push_str(&pattern.idx.to_string());
                 }
-                PlanNode::HashJoin { left, right, .. } => {
+                PlanNode::Join { left, right, .. } => {
                     out.push_str("HJ(");
-                    walk(left, out);
-                    out.push(',');
-                    walk(right, out);
-                    out.push(')');
-                }
-                PlanNode::MergeJoin { left, right, .. } => {
-                    out.push_str("MJ(");
                     walk(left, out);
                     out.push(',');
                     walk(right, out);
@@ -236,63 +207,6 @@ impl PlanNode {
         }
         walk(self, &mut text);
         PlanSignature(text)
-    }
-
-    /// The variable-slot sequence this subtree's output is guaranteed to
-    /// arrive sorted by (lexicographically, ascending ids — which, with the
-    /// value-ordered dictionary built at `freeze`, is exactly ascending
-    /// ORDER BY value order).
-    ///
-    /// Propagation rules (the interesting-order algebra):
-    /// * a scan delivers its index's unbound key positions, in key order;
-    /// * a hash/bind join streams one side and expands each streamed row
-    ///   into a contiguous run, so it delivers the *streaming* side's
-    ///   order unchanged (see [`JoinMethod::streams_left`]);
-    /// * a merge join emits left-major and delivers the left order.
-    ///
-    /// When the dataset's "ascending id ⇔ ascending value" dictionary
-    /// invariant is suspended (an overflow-region term entered the live
-    /// overlay, [`Dataset::order_by_value_intact`]), *no* order is claimed:
-    /// merged scans are still id-sorted, but id order no longer implies
-    /// ORDER BY value order, so sort elimination must not fire. The blanket
-    /// refusal also steers the optimizer away from value-order-motivated
-    /// merge joins until [`Dataset::compact`] restores the invariant.
-    pub fn delivered_order(&self, ds: &Dataset) -> Vec<usize> {
-        if !ds.order_by_value_intact() {
-            return Vec::new();
-        }
-        match self {
-            PlanNode::Scan { pattern, order, .. } => Self::scan_order_slots(pattern, *order),
-            PlanNode::HashJoin { left, right, join_vars, .. } => {
-                if Self::join_side(left, right, join_vars, ds).streams_left() {
-                    left.delivered_order(ds)
-                } else {
-                    right.delivered_order(ds)
-                }
-            }
-            PlanNode::MergeJoin { left, .. } => left.delivered_order(ds),
-        }
-    }
-
-    /// The delivered order of a scan: distinct variable slots of the
-    /// pattern's unbound positions, in the chosen index's key order.
-    pub fn scan_order_slots(pattern: &PlannedPattern, order: Option<IndexOrder>) -> Vec<usize> {
-        let access = pattern.access();
-        let order = order.unwrap_or_else(|| Dataset::default_order(access));
-        let mut out = Vec::with_capacity(3);
-        for &pos in &order.perm() {
-            if access[pos].is_some() {
-                continue;
-            }
-            if let Slot::Var(v) = pattern.slots[pos] {
-                // A repeated variable keeps its first key position: rows
-                // sorted by that position are sorted by the variable.
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
     }
 
     /// The parallel-qualification cost test, robust to adversarial
@@ -306,126 +220,442 @@ impl PlanNode {
         total.is_nan() || total >= min_est_cost
     }
 
-    /// How a [`PlanNode::HashJoin`] of these children runs: the rule of
-    /// [`JoinMethod::of_hash_join`], fed the right leaf's exact extent
-    /// (`ds.count(..)`, so the choice is binding-dependent). The optimizer's
-    /// order and cost predictions and the recorded physical plan all read
-    /// that rule, so they cannot disagree.
-    fn join_side(
-        left: &PlanNode,
-        right: &PlanNode,
-        join_vars: &[usize],
-        ds: &Dataset,
-    ) -> JoinMethod {
-        let right_extent = match right {
-            PlanNode::Scan { pattern, .. } if !pattern.has_absent() => {
-                Some(ds.count(pattern.access()))
-            }
-            _ => None,
-        };
-        JoinMethod::of_hash_join(
-            left.est_card(),
-            right.est_card(),
-            right_extent,
-            !join_vars.is_empty(),
-        )
-    }
-
-    /// Records this join tree's physical plan under `cfg`, and whether its
-    /// streaming spine runs over morsels — the single place the join
-    /// methods are chosen; everything downstream lowers or prints the
-    /// returned value.
+    /// The physical pass: one bottom-up interesting-order walk over this
+    /// fixed tree, the single place its join methods are chosen. Every node
+    /// keeps at most one cheapest alternative per delivered order; the cost
+    /// is estimated rows scanned plus rows built ([`JoinMethod::work`]).
+    /// It chooses each scan's index order, which side of each join streams,
+    /// and bind vs hash vs merge, by `mode`:
     ///
-    /// The spine is morselized only when `may_morselize` (the engine's
-    /// output-bound rule) and the plan qualifies: at least two leaves,
-    /// estimated cost (`est_cout + est_card`, the optimizer's own numbers)
-    /// of at least `cfg.min_est_cost`, a driving scan of at least
-    /// `cfg.min_driver_rows` rows, and no merge join on the spine. The
-    /// decision reads only estimates and exact extents — never
-    /// `cfg.threads` — so the same plan runs at every thread count and
-    /// results stay bit-identical.
-    pub fn physical(
+    /// * [`OrderExec::Off`] keeps the tree's orientation and default
+    ///   indexes and claims no order: every join runs by
+    ///   [`JoinMethod::of_hash_join`];
+    /// * [`OrderExec::Auto`] also tries the other orientation, every index
+    ///   order and merge joins, and keeps the cheapest — a merge wins where
+    ///   it removes a hash build at no extra scan;
+    /// * [`OrderExec::Force`] minimises the joins that do not merge first,
+    ///   so it merges wherever both inputs deliver the key.
+    ///
+    /// At the root `goal` adds the modifier cost of ORDER BY `goal.sort`:
+    ///
+    /// * under `LIMIT k` a sort the delivered order does not serve costs
+    ///   `card·log2(k)` (a bounded heap); where the order serves it, the
+    ///   streamed driver is charged `min(extent, k·extent/card)` rows
+    ///   instead of its extent, for the early exit;
+    /// * without a LIMIT a sort is a pipeline breaker holding every row:
+    ///   any alternative whose order serves ORDER BY beats every one that
+    ///   does not, and among those that do not the sort costs
+    ///   `card·log2(card)`;
+    /// * under `Force` an alternative serving ORDER BY always wins, before
+    ///   the count of merge joins is compared.
+    ///
+    /// When `exec` is [`OrderExec::Off`] the chosen plan runs with every
+    /// merge join as the hash join building its right side (same rows,
+    /// same order, same `scanned`). The pass reads estimates and exact
+    /// extents (`ds.count`), never an extent's rows.
+    pub(crate) fn physical(
         &self,
         ds: &Dataset,
-        cfg: &ExecConfig,
-        may_morselize: bool,
-    ) -> (PhysNode, bool) {
-        let (root, driver) = self.record(ds, cfg.order_exec);
-        let morselized = may_morselize
-            && self.leaf_count() >= 2
-            && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
-            && driver.is_some_and(|driver| {
-                !driver.has_absent() && ds.count(driver.access()) >= cfg.min_driver_rows.max(1)
-            });
-        (root, morselized)
+        mode: OrderExec,
+        exec: &ExecConfig,
+        goal: &RootGoal,
+    ) -> Physical {
+        let claim = mode != OrderExec::Off && ds.order_by_value_intact();
+        let leaves = self.leaf_count();
+        let alts = Vec::with_capacity(8 * leaves);
+        let mut pass = Pass { ds, mode, claim, alts };
+        let range = pass.alts(self);
+        let root = pass.pick_root(range, self.est_card(), goal);
+        let (order, driver) = (&pass.alts[root].order, pass.alts[root].driver);
+        let order = order.as_slice().to_vec();
+        let node = pass.record(root, exec.order_exec == OrderExec::Off);
+        Physical { node, order, driver_rows: driver.map(|rows| rows as usize) }
     }
 
-    /// One walk: the recorded node for this subtree plus, when the
-    /// subtree's streaming spine can be cut into morsels, its driving scan.
-    fn record(&self, ds: &Dataset, order_exec: OrderExec) -> (PhysNode, Option<&PlannedPattern>) {
-        let (left, right, on, est_card, method) = match self {
-            PlanNode::Scan { pattern, est_card, order } => {
-                let (order, est_card) = (*order, *est_card);
-                return (
-                    PhysNode::Scan { pattern: pattern.clone(), order, est_card },
-                    Some(pattern),
-                );
-            }
-            PlanNode::HashJoin { left, right, join_vars, est_card } => {
-                (left, right, join_vars, est_card, Self::join_side(left, right, join_vars, ds))
-            }
-            // Under `OrderExec::Off` a merge join runs as the hash join of
-            // the same children with the right side always built: left-major
-            // emission with per-key matches in right arrival order is
-            // exactly the merge join's output sequence, so rows, row order,
-            // `Cout` and `scanned` stay bit-identical — the property the
-            // order differential suite pins.
-            PlanNode::MergeJoin { left, right, key, est_card } => {
-                let off = order_exec == OrderExec::Off;
-                let method =
-                    if off { JoinMethod::Hash { build_right: true } } else { JoinMethod::Merge };
-                (left, right, key, est_card, method)
-            }
-        };
-        let (l, ldriver) = left.record(ds, order_exec);
-        let (r, rdriver) = right.record(ds, order_exec);
-        let driver = match self {
-            // A merge join (or, forced off, the hash join it runs as) ends
-            // the spine: its plan runs serially.
-            PlanNode::MergeJoin { .. } => None,
-            // Bind and hash joins stream one side: the spine follows it.
-            _ if method.streams_left() => ldriver,
-            _ => rdriver,
-        };
-        let (left, right, on, est_card) = (Box::new(l), Box::new(r), on.clone(), *est_card);
-        let signature = self.signature().0;
-        (PhysNode::Join { method, left, right, on, signature, est_card }, driver)
+    /// Whether a recorded tree whose streaming spine starts at a scan of
+    /// `driver_rows` rows runs over morsels: at least two leaves, estimated
+    /// cost (`est_cout + est_card`, the optimizer's own numbers) of at
+    /// least `cfg.min_est_cost`, and a driving scan of at least
+    /// `cfg.min_driver_rows` rows (a merge join on the spine leaves no
+    /// driver). The decision reads only estimates and exact extents — never
+    /// `cfg.threads` — so the same plan runs at every thread count and
+    /// results stay bit-identical.
+    pub(crate) fn morselizes(&self, cfg: &ExecConfig, driver_rows: Option<usize>) -> bool {
+        self.leaf_count() >= 2
+            && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
+            && driver_rows.is_some_and(|rows| rows >= cfg.min_driver_rows.max(1))
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.
     pub fn render(&self, indent: usize) -> String {
         let pad = "  ".repeat(indent);
         match self {
-            PlanNode::Scan { pattern, est_card, order } => {
-                let idx = match order {
-                    Some(o) => format!(" idx={o:?}"),
-                    None => String::new(),
-                };
-                format!("{pad}Scan p{} {:?}{idx} (est {est_card:.1})\n", pattern.idx, pattern.slots)
+            PlanNode::Scan { pattern, est_card } => {
+                format!("{pad}Scan p{} {:?} (est {est_card:.1})\n", pattern.idx, pattern.slots)
             }
-            PlanNode::HashJoin { left, right, join_vars, est_card } => {
-                let mut out = format!("{pad}HashJoin on {join_vars:?} (est {est_card:.1})\n");
-                out.push_str(&left.render(indent + 1));
-                out.push_str(&right.render(indent + 1));
-                out
-            }
-            PlanNode::MergeJoin { left, right, key, est_card } => {
-                let mut out = format!("{pad}MergeJoin key {key:?} (est {est_card:.1})\n");
+            PlanNode::Join { left, right, join_vars, est_card } => {
+                let mut out = format!("{pad}Join on {join_vars:?} (est {est_card:.1})\n");
                 out.push_str(&left.render(indent + 1));
                 out.push_str(&right.render(indent + 1));
                 out
             }
         }
+    }
+}
+
+/// What the physical pass serves at the root of a required BGP.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RootGoal {
+    /// The ORDER BY slot sequence a delivered order can satisfy (empty
+    /// when no delivered order can).
+    pub(crate) sort: Vec<usize>,
+    /// `offset + limit` when the pipeline stops early once that many rows
+    /// passed (a LIMIT with no aggregation).
+    pub(crate) limit: Option<usize>,
+}
+
+/// What [`PlanNode::physical`] recorded for one tree.
+#[derive(Debug, Clone)]
+pub(crate) struct Physical {
+    /// The recorded join tree.
+    pub(crate) node: PhysNode,
+    /// The slot sequence its output arrives sorted by (lexicographically,
+    /// ascending ids — which, with the value-ordered dictionary built at
+    /// `freeze`, is exactly ascending ORDER BY value order).
+    pub(crate) order: Vec<usize>,
+    /// The extent of the scan feeding the streaming spine (`None` past a
+    /// merge join; 0 for a scan of an absent constant).
+    pub(crate) driver_rows: Option<usize>,
+}
+
+/// A delivered order: at most three variable slots, because every node
+/// delivers the order of one of its scans and a scan orders by its
+/// distinct unbound positions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Order {
+    slots: [usize; 3],
+    len: usize,
+}
+
+impl Order {
+    /// The order a scan of `pattern` through `order` (`None` = the default
+    /// index) delivers: its distinct variable slots at unbound positions,
+    /// in the index's key order.
+    fn of_scan(pattern: &PlannedPattern, order: Option<IndexOrder>) -> Order {
+        let access = pattern.access();
+        let index = order.unwrap_or_else(|| Dataset::default_order(access));
+        let mut out = Order::default();
+        for pos in index.perm() {
+            if let (None, Slot::Var(v)) = (access[pos], pattern.slots[pos]) {
+                // A repeated variable keeps its first key position: rows
+                // sorted by that position are sorted by the variable.
+                if !out.as_slice().contains(&v) {
+                    out.slots[out.len] = v;
+                    out.len += 1;
+                }
+            }
+        }
+        out
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.slots[..self.len]
+    }
+}
+
+/// How a pass alternative runs.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// A scan through `order` (`None` = the default index).
+    Scan { order: Option<IndexOrder> },
+    /// A join of two earlier alternatives, `left` and `right` in the
+    /// physical orientation (which may swap the logical one).
+    Join { method: JoinMethod, left: usize, right: usize },
+}
+
+/// One alternative of a subtree in the physical pass: an entry of the
+/// pass's arena, naming its children by index.
+#[derive(Debug, Clone, Copy)]
+struct Alt<'p> {
+    node: &'p PlanNode,
+    shape: Shape,
+    work: Work,
+    /// Joins that do not merge ([`OrderExec::Force`] minimises these).
+    hashish: usize,
+    order: Order,
+    /// Extent of the scan the streaming spine starts at (`None` past a
+    /// merge join, whose two sides both stream).
+    driver: Option<f64>,
+}
+
+impl Alt<'_> {
+    /// Rows scanned plus rows built.
+    fn cost(&self) -> f64 {
+        self.work.scan + self.work.build
+    }
+}
+
+/// The state of one [`PlanNode::physical`] run: every kept alternative of
+/// every node, children before parents.
+struct Pass<'d, 'p> {
+    ds: &'d Dataset,
+    mode: OrderExec,
+    /// Whether scans claim their delivered order (not under `Off`, nor
+    /// while the store's id order is not value order,
+    /// [`Dataset::order_by_value_intact`]) — without a claimed order no
+    /// merge join or sort elimination is possible.
+    claim: bool,
+    alts: Vec<Alt<'p>>,
+}
+
+/// Better-first order of two alternatives costing `a_cost` and `b_cost`:
+/// under `Force` fewer non-merge joins first, then the cost; ties keep
+/// generation order (the tree's orientation and default indexes come
+/// first).
+fn cmp(mode: OrderExec, a: &Alt<'_>, a_cost: f64, b: &Alt<'_>, b_cost: f64) -> std::cmp::Ordering {
+    let hashish = if mode == OrderExec::Force {
+        a.hashish.cmp(&b.hashish)
+    } else {
+        std::cmp::Ordering::Equal
+    };
+    hashish.then(a_cost.partial_cmp(&b_cost).unwrap_or(std::cmp::Ordering::Equal))
+}
+
+impl<'p> Pass<'_, 'p> {
+    /// The alternatives of `node`'s subtree: a range of the arena, cheapest
+    /// first, one per delivered order.
+    fn alts(&mut self, node: &'p PlanNode) -> Range<usize> {
+        match node {
+            PlanNode::Scan { pattern, .. } => self.scan_alts(node, pattern),
+            PlanNode::Join { left, right, join_vars, .. } => {
+                let (l, r) = (self.alts(left), self.alts(right));
+                let start = self.alts.len();
+                let joined = !join_vars.is_empty();
+                let tree = (left.as_ref(), l.clone());
+                let swapped = (right.as_ref(), r.clone());
+                let method = self.hash_alts(node, tree.clone(), swapped.clone(), joined, None);
+                if self.mode != OrderExec::Off {
+                    self.hash_alts(node, swapped, tree, joined, Some(method));
+                    if self.claim && joined {
+                        self.merge_alts(node, join_vars, l.clone(), r.clone());
+                        self.merge_alts(node, join_vars, r, l);
+                    }
+                }
+                self.prune(start)
+            }
+        }
+    }
+
+    /// A scan through its default index and, when orders are claimed,
+    /// through every other index delivering a different order.
+    fn scan_alts(&mut self, node: &'p PlanNode, pattern: &PlannedPattern) -> Range<usize> {
+        let start = self.alts.len();
+        let extent =
+            if pattern.has_absent() { 0.0 } else { self.ds.count(pattern.access()) as f64 };
+        let push = |alts: &mut Vec<Alt<'p>>, order: Option<IndexOrder>| {
+            let delivered =
+                if self.claim { Order::of_scan(pattern, order) } else { Order::default() };
+            if alts[start..].iter().all(|a| a.order != delivered) {
+                alts.push(Alt {
+                    node,
+                    shape: Shape::Scan { order },
+                    work: Work { build: 0.0, scan: extent },
+                    hashish: 0,
+                    order: delivered,
+                    driver: Some(extent),
+                });
+            }
+        };
+        push(&mut self.alts, None);
+        if self.claim && !pattern.has_absent() {
+            let access = pattern.access();
+            let default = Dataset::default_order(access);
+            let [s, p, o] = access.map(|a| a.is_some());
+            for order in IndexOrder::all_for_bound(s, p, o).filter(|&o| o != default) {
+                push(&mut self.alts, Some(order));
+            }
+        }
+        start..self.alts.len()
+    }
+
+    /// The bind or hash join of `a` and `b` — [`JoinMethod::of_hash_join`]
+    /// with `a` as the physical left — over every alternative of its
+    /// streamed side; the probed or built side uses its cheapest one.
+    /// Returns the method. `mirror` is the method of the other orientation
+    /// when that was generated first: a hash join building the same side
+    /// as the mirror's is the same plan with its output columns swapped, so
+    /// it adds nothing.
+    fn hash_alts(
+        &mut self,
+        node: &'p PlanNode,
+        (a_node, a): (&PlanNode, Range<usize>),
+        (b_node, b): (&PlanNode, Range<usize>),
+        joined: bool,
+        mirror: Option<JoinMethod>,
+    ) -> JoinMethod {
+        // A scan's alternatives all carry its exact extent as their work.
+        let b_extent = match b_node {
+            PlanNode::Scan { pattern, .. } if !pattern.has_absent() => {
+                Some(self.alts[b.start].work.scan as usize)
+            }
+            _ => None,
+        };
+        let method =
+            JoinMethod::of_hash_join(a_node.est_card(), b_node.est_card(), b_extent, joined);
+        if let (JoinMethod::Hash { build_right }, Some(JoinMethod::Hash { build_right: other })) =
+            (method, mirror)
+        {
+            if build_right != other {
+                return method;
+            }
+        }
+        let streamed = if method.streams_left() { a.clone() } else { b.clone() };
+        for s in streamed {
+            let (left, right) = if method.streams_left() { (s, b.start) } else { (a.start, s) };
+            let alt = self.join(node, method, left, right);
+            self.alts.push(alt);
+        }
+        method
+    }
+
+    /// Merge joins with an alternative of `outer` as the left input: every
+    /// pair whose delivered orders both start with the same permutation of
+    /// the join variables.
+    fn merge_alts(
+        &mut self,
+        node: &'p PlanNode,
+        join_vars: &[usize],
+        outer: Range<usize>,
+        inner: Range<usize>,
+    ) {
+        for x in outer {
+            // Orders hold distinct slots, so a k-slot key made of join
+            // variables is a permutation of all k of them.
+            let outer_order = self.alts[x].order;
+            let Some(key) = outer_order.as_slice().get(..join_vars.len()) else { continue };
+            if !key.iter().all(|v| join_vars.contains(v)) {
+                continue;
+            }
+            for y in inner.clone() {
+                if self.alts[y].order.as_slice().starts_with(key) {
+                    let alt = self.join(node, JoinMethod::Merge, x, y);
+                    self.alts.push(alt);
+                }
+            }
+        }
+    }
+
+    /// The join of arena entries `left` and `right` running as `method`:
+    /// its work by [`JoinMethod::work`], the streamed side's order and
+    /// driver (a merge delivers the left order and has no single driver).
+    fn join(&self, node: &'p PlanNode, method: JoinMethod, left: usize, right: usize) -> Alt<'p> {
+        let (l, r) = (&self.alts[left], &self.alts[right]);
+        let cards = (l.node.est_card(), r.node.est_card());
+        let streamed = if method.streams_left() { l } else { r };
+        Alt {
+            node,
+            shape: Shape::Join { method, left, right },
+            work: method.work(cards, l.work, r.work, node.est_card()),
+            hashish: l.hashish + r.hashish + usize::from(method != JoinMethod::Merge),
+            order: streamed.order,
+            driver: if method == JoinMethod::Merge { None } else { streamed.driver },
+        }
+    }
+
+    /// Sorts one node's candidates — the arena's tail from `start` —
+    /// better-first and keeps the first of each delivered order.
+    fn prune(&mut self, start: usize) -> Range<usize> {
+        let mode = self.mode;
+        self.alts[start..].sort_by(|a, b| cmp(mode, a, a.cost(), b, b.cost()));
+        let mut end = start;
+        for i in start..self.alts.len() {
+            let alt = self.alts[i];
+            if self.alts[start..end].iter().all(|k| k.order != alt.order) {
+                self.alts[end] = alt;
+                end += 1;
+            }
+        }
+        self.alts.truncate(end);
+        start..end
+    }
+
+    /// The root alternative: cheapest once the modifier cost of `goal` is
+    /// added (see [`PlanNode::physical`]); the first minimum wins. An
+    /// alternative left with a blocking full sort loses to every one that
+    /// serves ORDER BY, and under `Force` so does one left with a bounded
+    /// heap: that mode serves ORDER BY first and merges second.
+    fn pick_root(&self, ids: Range<usize>, card: f64, goal: &RootGoal) -> usize {
+        let force = self.mode == OrderExec::Force;
+        // (loses to every alternative serving ORDER BY, cost with the sort)
+        let key = |alt: &Alt<'_>| -> (bool, f64) {
+            if goal.sort.is_empty() {
+                return (false, alt.cost());
+            }
+            let served = alt.order.as_slice().starts_with(&goal.sort);
+            match (goal.limit, alt.driver) {
+                (Some(k), Some(extent)) if served => {
+                    (false, alt.cost() - extent + extent.min(k as f64 * extent / card))
+                }
+                _ if served => (false, alt.cost()),
+                (Some(k), _) => {
+                    let heap = card.min(k as f64).max(2.0);
+                    (force, alt.cost() + card.max(1.0) * heap.log2())
+                }
+                (None, _) => (true, alt.cost() + card.max(1.0) * card.max(2.0).log2()),
+            }
+        };
+        ids.reduce(|best, id| {
+            let ((a_loses, a_total), (b_loses, b_total)) =
+                (key(&self.alts[best]), key(&self.alts[id]));
+            let (a, b) = (&self.alts[best], &self.alts[id]);
+            if b_loses.cmp(&a_loses).then_with(|| cmp(self.mode, b, b_total, a, a_total)).is_lt() {
+                id
+            } else {
+                best
+            }
+        })
+        .expect("every node has an alternative")
+    }
+
+    /// Materializes arena entry `id` as a recorded tree. `off` runs each
+    /// merge join as the hash join building its right side: left-major
+    /// emission with per-key matches in right arrival order is exactly the
+    /// merge join's output sequence, so rows, row order, `Cout` and
+    /// `scanned` stay bit-identical — the property the order differential
+    /// suites pin.
+    fn record(&self, id: usize, off: bool) -> PhysNode {
+        let alt = &self.alts[id];
+        let est_card = alt.node.est_card();
+        let (method, left, right, join_vars, logical_left) = match (alt.shape, alt.node) {
+            (Shape::Scan { order }, PlanNode::Scan { pattern, .. }) => {
+                return PhysNode::Scan { pattern: pattern.clone(), order, est_card };
+            }
+            (Shape::Join { method, left, right }, PlanNode::Join { join_vars, left: l, .. }) => {
+                (method, left, right, join_vars, l.as_ref())
+            }
+            _ => unreachable!("an alternative has its node's shape"),
+        };
+        let (on, method) = match method {
+            // A merge join's key is its left order's join-variable prefix.
+            // (It ends the streaming spine — see `Alt::driver` — also when
+            // it runs off, as a hash join: its plan runs serially.)
+            JoinMethod::Merge => {
+                let key = self.alts[left].order.as_slice()[..join_vars.len()].to_vec();
+                (key, if off { JoinMethod::Hash { build_right: true } } else { method })
+            }
+            _ => (join_vars.clone(), method),
+        };
+        let swapped = !std::ptr::eq(self.alts[left].node, logical_left);
+        let (left, right) = (Box::new(self.record(left, off)), Box::new(self.record(right, off)));
+        // The logical subtree's signature, from the children's: what
+        // `PlanNode::signature` renders, without re-walking the subtree.
+        let (first, second) = if swapped { (&right, &left) } else { (&left, &right) };
+        let mut signature = String::from("HJ(");
+        first.push_signature(&mut signature);
+        signature.push(',');
+        second.push_signature(&mut signature);
+        signature.push(')');
+        PhysNode::Join { method, left, right, on, signature, est_card }
     }
 }
 
@@ -467,6 +697,27 @@ impl JoinMethod {
         }
     }
 
+    /// The estimated work of this join over children estimating `cards`
+    /// rows and doing `left`/`right` work, producing `card` rows — the one
+    /// home of the build and scan formulas (the optimizer's tiebreaks and
+    /// the physical pass's cost both read it). A bind join builds nothing
+    /// and reads only what its streamed rows select (≈ its output); a hash
+    /// join builds one side and reads both; a merge join builds nothing and
+    /// reads both.
+    pub(crate) fn work(self, cards: (f64, f64), left: Work, right: Work, card: f64) -> Work {
+        let (l, r) = (left, right);
+        match self {
+            JoinMethod::Bind => Work { build: l.build, scan: l.scan + card },
+            JoinMethod::Hash { build_right: true } => {
+                Work { build: l.build + r.build + cards.1, scan: l.scan + r.scan }
+            }
+            JoinMethod::Hash { build_right: false } => {
+                Work { build: l.build + r.build + cards.0, scan: l.scan + r.scan }
+            }
+            JoinMethod::Merge => Work { build: l.build + r.build, scan: l.scan + r.scan },
+        }
+    }
+
     /// Whether the left input is the streamed side, whose delivered order
     /// survives the join (all but a hash join building its left).
     pub fn streams_left(self) -> bool {
@@ -474,8 +725,18 @@ impl JoinMethod {
     }
 }
 
+/// Estimated work of a physical subtree: rows its hash joins build and
+/// rows its scans and bind probes read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Work {
+    /// Estimated hash-build rows.
+    pub(crate) build: f64,
+    /// Estimated scanned rows.
+    pub(crate) scan: f64,
+}
+
 /// One node of a *recorded* physical join tree: plain data whose structure
-/// is the decision. [`PlanNode::physical`] builds it once per execution
+/// is the decision. The physical pass builds it once per execution
 /// (the bind rule reads exact extents, which depend on the binding); the
 /// engine then both lowers it ([`PhysNode::lower`],
 /// [`PhysNode::lower_morsels`]) and prints it ([`PhysNode::render`]), so
@@ -491,15 +752,16 @@ pub enum PhysNode {
         /// Estimated output cardinality.
         est_card: f64,
     },
-    /// A join. A logical merge join under [`OrderExec::Off`] is recorded
-    /// as the `build_right` hash join it runs as.
+    /// A join. A merge join run under [`OrderExec::Off`] is recorded as
+    /// the `build_right` hash join it runs as.
     Join {
         /// The chosen operator.
         method: JoinMethod,
-        /// Semantic-left operand.
+        /// Left operand in the physical orientation (the streamed side of
+        /// a bind join, a merge join's order-leading side).
         left: Box<PhysNode>,
-        /// Semantic-right operand (a [`PhysNode::Scan`] under
-        /// [`JoinMethod::Bind`]: the probed pattern).
+        /// Right operand (a [`PhysNode::Scan`] under [`JoinMethod::Bind`]:
+        /// the probed pattern).
         right: Box<PhysNode>,
         /// Shared variable slots: the merge key in delivered-order
         /// sequence, empty for a cross product.
@@ -513,6 +775,18 @@ pub enum PhysNode {
 }
 
 impl PhysNode {
+    /// Appends the signature of the logical subtree this node runs (see
+    /// [`PlanNode::signature`]).
+    fn push_signature(&self, out: &mut String) {
+        match self {
+            PhysNode::Scan { pattern, .. } => {
+                use std::fmt::Write;
+                write!(out, "S{}", pattern.idx).expect("writing to a String");
+            }
+            PhysNode::Join { signature, .. } => out.push_str(signature),
+        }
+    }
+
     /// The operator this node runs as, as EXPLAIN names it.
     pub fn method(&self) -> &'static str {
         match self {
@@ -555,7 +829,7 @@ impl PhysNode {
         }
     }
 
-    /// Morsel-driven lowering of a tree [`PlanNode::physical`] recorded as
+    /// Morsel-driven lowering of a tree the physical pass recorded as
     /// morselized: partitions the *driving* scan (the leaf feeding the
     /// streaming spine) into morsels and returns a [`ParallelSource`]
     /// whose workers each run the spine over one morsel, probing shared
@@ -1092,9 +1366,11 @@ pub struct PhysGroup<'p> {
 /// no operators, only borrows of the prepared query's logical content.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan<'p> {
-    /// Slot sequence the pattern part delivers its rows sorted by (empty
-    /// under [`OrderExec::Off`]).
-    pub delivered_order: &'p [usize],
+    /// Slot sequence the pattern part delivers its rows sorted by: the
+    /// recorded BGP's (filters, OPTIONAL joins and base-side UNION joins
+    /// all stream the base, so its order survives to the modifier
+    /// boundary); empty under [`OrderExec::Off`] and for a bare UNION.
+    pub delivered_order: Vec<usize>,
     /// The required BGP (absent when the body is a bare UNION).
     pub bgp: Option<PhysNode>,
     /// The BGP's streaming spine runs over morsels of its driving scan.
@@ -1208,7 +1484,6 @@ mod tests {
                 slots: [Slot::Var(0), Slot::Bound(Id(1)), Slot::Var(1)],
             },
             est_card: card,
-            order: None,
         }
     }
 
@@ -1229,8 +1504,8 @@ mod tests {
 
     #[test]
     fn cout_sums_join_cards_only() {
-        let plan = PlanNode::HashJoin {
-            left: Box::new(PlanNode::HashJoin {
+        let plan = PlanNode::Join {
+            left: Box::new(PlanNode::Join {
                 left: Box::new(scan(0, 100.0)),
                 right: Box::new(scan(1, 50.0)),
                 join_vars: vec![0],
@@ -1246,7 +1521,7 @@ mod tests {
 
     #[test]
     fn signature_ignores_bound_values_but_not_structure() {
-        let a = PlanNode::HashJoin {
+        let a = PlanNode::Join {
             left: Box::new(scan(0, 1.0)),
             right: Box::new(scan(1, 2.0)),
             join_vars: vec![0],
@@ -1254,7 +1529,7 @@ mod tests {
         };
         // Same structure, different cardinalities / bound ids inside: equal.
         let mut b = a.clone();
-        if let PlanNode::HashJoin { left, .. } = &mut b {
+        if let PlanNode::Join { left, .. } = &mut b {
             if let PlanNode::Scan { pattern, est_card, .. } = left.as_mut() {
                 pattern.slots[1] = Slot::Bound(Id(99));
                 *est_card = 777.0;
@@ -1263,7 +1538,7 @@ mod tests {
         assert_eq!(a.signature(), b.signature());
 
         // Swapped children: different signature (different build/probe roles).
-        let c = PlanNode::HashJoin {
+        let c = PlanNode::Join {
             left: Box::new(scan(1, 2.0)),
             right: Box::new(scan(0, 1.0)),
             join_vars: vec![0],
@@ -1275,7 +1550,7 @@ mod tests {
 
     #[test]
     fn var_slots_deduplicated() {
-        let plan = PlanNode::HashJoin {
+        let plan = PlanNode::Join {
             left: Box::new(scan(0, 1.0)),
             right: Box::new(scan(1, 1.0)),
             join_vars: vec![0],
@@ -1296,14 +1571,14 @@ mod tests {
 
     #[test]
     fn render_contains_structure() {
-        let plan = PlanNode::HashJoin {
+        let plan = PlanNode::Join {
             left: Box::new(scan(0, 1.0)),
             right: Box::new(scan(1, 1.0)),
             join_vars: vec![0],
             est_card: 4.0,
         };
         let text = plan.render(0);
-        assert!(text.contains("HashJoin"));
+        assert!(text.contains("Join on [0]"));
         assert!(text.contains("Scan p0"));
         assert!(text.lines().count() == 3);
     }

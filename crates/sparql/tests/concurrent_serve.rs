@@ -470,7 +470,11 @@ proptest! {
             prop_assert_eq!(rebound_b.est_cout.to_bits(), prep_b.est_cout.to_bits());
             prop_assert_eq!(rebound_b.est_card.to_bits(), prep_b.est_card.to_bits());
             prop_assert_eq!(rebound_b.est_result_card.to_bits(), prep_b.est_result_card.to_bits());
-            prop_assert_eq!(&rebound_b.delivered_order, &prep_b.delivered_order);
+            let exec = engine.exec_config();
+            prop_assert_eq!(
+                engine.physical_plan(&rebound_b, &exec).delivered_order,
+                engine.physical_plan(&prep_b, &exec).delivered_order
+            );
             // The class is a function of (template, binding, store) alone:
             // an engine that never planned anything computes the same key.
             let fresh = Engine::new(&ds).plan_class(&template, &bind_b).unwrap();

@@ -777,7 +777,7 @@ fn error_messages_are_actionable() {
 // Order-aware execution (PR 5): merge joins, sort elimination, expr keys
 // ---------------------------------------------------------------------------
 
-/// Engine whose *prepare* maximizes merge joins (`OrderExec::Force`) —
+/// Engine whose physical pass maximizes merge joins (`OrderExec::Force`) —
 /// the per-test equivalent of the CI `SPARQL_ORDER_EXEC=force` pass.
 fn force_order_engine(ds: &Dataset) -> Engine<'_> {
     let exec = ExecConfig { order_exec: parambench_sparql::OrderExec::Force, ..Default::default() };
@@ -787,6 +787,21 @@ fn force_order_engine(ds: &Dataset) -> Engine<'_> {
 /// Forced hash/bind lowering of the same prepared plan.
 fn off_cfg() -> ExecConfig {
     ExecConfig { order_exec: parambench_sparql::OrderExec::Off, ..Default::default() }
+}
+
+/// Whether the recorded tree runs a merge join anywhere.
+fn merges(node: &PhysNode) -> bool {
+    match node {
+        PhysNode::Scan { .. } => false,
+        PhysNode::Join { method, left, right, .. } => {
+            *method == JoinMethod::Merge || merges(left) || merges(right)
+        }
+    }
+}
+
+/// The recorded BGP tree `engine` runs `prepared` as.
+fn recorded_bgp(engine: &Engine<'_>, prepared: &parambench_sparql::Prepared) -> PhysNode {
+    engine.physical_plan(prepared, &engine.exec_config()).bgp.expect("a BGP")
 }
 
 /// Duplicate-heavy star: every subject repeats each predicate value pair
@@ -824,11 +839,8 @@ fn merge_join_star_matches_forced_hash_lowering_with_duplicates() {
     let q =
         parambench_sparql::parse_query("SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    assert!(
-        prepared.signature.0.contains("MJ("),
-        "forced prepare must merge: {}",
-        prepared.signature
-    );
+    let bgp = recorded_bgp(&engine, &prepared);
+    assert!(merges(&bgp), "forced order mode must merge:\n{}", bgp.render(0));
     let merged = engine.execute(&prepared).unwrap();
     let hashed = engine.execute_with(&prepared, &off_cfg()).unwrap();
     assert_eq!(merged.results, hashed.results, "merge vs hash rows/order diverged");
@@ -854,7 +866,18 @@ fn merge_join_spine_stays_serial_under_a_forced_parallel_config() {
     let q =
         parambench_sparql::parse_query("SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    assert_eq!(prepared.signature.0, "MJ(S0,S1)");
+    // The root merges the two scans.
+    let bgp = recorded_bgp(&engine, &prepared);
+    let PhysNode::Join { method: JoinMethod::Merge, left, right, .. } = &bgp else {
+        panic!("expected a merge-join root:\n{}", bgp.render(0))
+    };
+    let idx = |n: &PhysNode| match n {
+        PhysNode::Scan { pattern, .. } => pattern.idx,
+        _ => panic!("expected a scan:\n{}", bgp.render(0)),
+    };
+    let mut scans = [idx(left), idx(right)];
+    scans.sort();
+    assert_eq!(scans, [0, 1]);
     // A merge join ends the spine: the plan runs the serial MergeJoin even
     // though every morselization threshold is forced down.
     assert!(!engine.physical_plan(&prepared, &exec).morselized);
@@ -879,7 +902,8 @@ fn optional_over_merge_joined_base_keeps_left_rows_and_order() {
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    assert!(prepared.signature.0.contains("MJ("), "{}", prepared.signature);
+    let bgp = recorded_bgp(&engine, &prepared);
+    assert!(merges(&bgp), "{}", bgp.render(0));
     let merged = engine.execute(&prepared).unwrap();
     let hashed = engine.execute_with(&prepared, &off_cfg()).unwrap();
     assert_eq!(merged.results, hashed.results);

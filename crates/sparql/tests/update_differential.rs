@@ -241,7 +241,7 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
                     &ctx,
                 );
                 if cfg.order_exec == OrderExec::Force {
-                    // The merge-planned tree forced back onto hash joins:
+                    // The merge-forcing plan run back on hash joins:
                     // same rows, and EXPLAIN must say hash, not merge.
                     let off = ExecConfig { order_exec: OrderExec::Off, ..cfg };
                     let hashed = engine.execute_with(&prepared, &off).expect("force→off run");

@@ -11,6 +11,23 @@
 //! cmp census-before.txt census-after.txt
 //! ```
 //!
+//! Two gates read the plan columns alone (template, binding, signature,
+//! `est_cout` bits: `cut -f1,2,4,5`). The optimizer reads no order mode, so
+//! they are identical across the three modes of one build:
+//!
+//! ```text
+//! for m in Off Auto Force; do grep -P "\t$m\t" census.txt | cut -f1,2,4,5 > plans-$m.txt; done
+//! cmp plans-Off.txt plans-Auto.txt && cmp plans-Off.txt plans-Force.txt
+//! ```
+//!
+//! and a change that must not move the optimizer's plans leaves them
+//! byte-identical to the previous build's:
+//!
+//! ```text
+//! grep -P "\tOff\t" census-before.txt | cut -f1,2,4,5 > plans-before.txt
+//! cmp plans-before.txt plans-Off.txt
+//! ```
+//!
 //! The set covers every shipped template: the BSBM templates over all
 //! product types, 512 spread products and 512 type × feature pairs; SNB-Q1
 //! over 512 name × country pairs; LDBC-Q2 over 512 persons and LDBC-Q3
