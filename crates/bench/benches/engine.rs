@@ -121,34 +121,10 @@ fn engine_benches(c: &mut Criterion) {
         });
     }
 
-    // Order-aware execution (PR 5). Two pairs:
-    // * the star template lowered as merge joins (Force) vs the forced
-    //   hash lowering of the same prepared plan — zero build rows vs a
-    //   materialized build side, identical results;
-    // * the ORDER-BY-matching template with the sort eliminated behind
-    //   the delivered order vs the forced full machinery.
+    // Order-aware execution: the ORDER-BY-matching template with the sort
+    // eliminated behind the delivered order vs the forced full machinery.
     {
-        let force_cfg = ExecConfig { order_exec: OrderExec::Force, ..ExecConfig::default() };
         let off_cfg = ExecConfig { order_exec: OrderExec::Off, ..ExecConfig::default() };
-        let force_engine = Engine::with_exec_config(ds, force_cfg);
-        let prepared_star = force_engine.prepare_template(&q4, &root_binding).unwrap();
-        let merged = force_engine.execute(&prepared_star).unwrap();
-        let hashed = force_engine.execute_with(&prepared_star, &off_cfg).unwrap();
-        assert_eq!(merged.results, hashed.results, "merge lowering changed results");
-        println!(
-            "q4 star join: merge build_rows {} peak {} vs hash build_rows {} peak {}",
-            merged.stats.build_rows,
-            merged.stats.peak_tuples,
-            hashed.stats.build_rows,
-            hashed.stats.peak_tuples,
-        );
-        c.bench_function("exec/star_join_merge", |b| {
-            b.iter(|| black_box(force_engine.execute(&prepared_star).unwrap().cout))
-        });
-        c.bench_function("exec/star_join_hash", |b| {
-            b.iter(|| black_box(force_engine.execute_with(&prepared_star, &off_cfg).unwrap().cout))
-        });
-
         let catalog = Bsbm::q_catalog_of_type();
         let prepared_cat = engine.prepare_template(&catalog, &root_binding).unwrap();
         let eliminated = engine.execute(&prepared_cat).unwrap();

@@ -6,7 +6,7 @@
 //! sorted runs *per index order* — `adds` (triples inserted since freeze)
 //! and `dels` (tombstones over base triples) — and every scan merges the
 //! three sorted sources on the fly, preserving ascending-id key order so
-//! merge joins and morsel slicing keep working unchanged.
+//! delivered orders and morsel slicing keep working unchanged.
 //!
 //! Invariants (maintained by the mutation API in `store.rs`, the only
 //! writer):

@@ -128,8 +128,8 @@ impl StoreBuilder {
 /// Live updates ([`Dataset::insert`] / [`Dataset::delete`]) never touch
 /// the frozen indexes: they maintain sorted add/tombstone runs in the
 /// [`Overlay`], which every scan merges with the base in ascending key
-/// order. Merged scans therefore stay valid inputs for merge joins and
-/// morsel slicing. What updates *can* break is the freeze-time
+/// order. Merged scans therefore still deliver their index order and
+/// slice into morsels. What updates *can* break is the freeze-time
 /// "ascending id ⇔ ascending ORDER BY value" dictionary invariant: a term
 /// first interned after freeze gets an id past [`Dataset::frozen_terms`]
 /// (the *overflow region*), and while any such id has entered the overlay,
@@ -221,8 +221,8 @@ impl Dataset {
     /// every id a scan can emit. Turns false (sticky, until
     /// [`Dataset::compact`]) once an overflow-region id enters the
     /// overlay; the planner then declines order service — merged scans are
-    /// still perfectly id-sorted (merge joins keep working), but id order
-    /// no longer implies value order, so sorts must actually run.
+    /// still perfectly id-sorted, but id order no longer implies value
+    /// order, so sorts must actually run.
     pub fn order_by_value_intact(&self) -> bool {
         !self.overlay.has_overflow()
     }

@@ -755,10 +755,9 @@ impl<'a> Engine<'a> {
     /// execution.
     ///
     /// The engine's own [`ExecConfig::order_exec`] is the physical pass's
-    /// mode; `exec` set to [`OrderExec::Off`] runs that plan with its merge
-    /// joins as hash joins and claims no delivered order, which switches
-    /// every order-based elimination off with rows, row order and `Cout`
-    /// unchanged.
+    /// mode; `exec` set to [`OrderExec::Off`] runs that plan claiming no
+    /// delivered order, which switches every order-based elimination off
+    /// with rows, row order and `Cout` unchanged.
     pub fn physical_plan<'p>(&self, prepared: &'p Prepared, exec: &ExecConfig) -> PhysicalPlan<'p> {
         let m = &prepared.modifiers;
         let mode = self.exec.order_exec;
@@ -766,10 +765,8 @@ impl<'a> Engine<'a> {
             sort: self.servable_order(m),
             limit: m.limit.filter(|_| m.aggregate.is_none()).map(|limit| m.offset + limit),
         };
-        let bgp = prepared
-            .bgp_plan
-            .as_ref()
-            .map(|plan| (plan, plan.physical(self.ds, mode, exec, &goal)));
+        let bgp =
+            prepared.bgp_plan.as_ref().map(|plan| (plan, plan.physical(self.ds, mode, &goal)));
         // Order-aware eliminations all derive from the *plan's* delivered
         // order (never from thread count or budget): with the value-ordered
         // dictionary, ascending-id delivery IS ascending ORDER BY order.
@@ -801,7 +798,7 @@ impl<'a> Engine<'a> {
             }
         };
         let serial = |g: &'p GroupPlan| PhysGroup {
-            node: g.plan.physical(self.ds, mode, exec, &RootGoal::default()).node,
+            node: g.plan.physical(self.ds, mode, &RootGoal::default()).node,
             filters: &g.filters,
             join_vars: &g.join_vars,
         };
@@ -1763,8 +1760,8 @@ mod tests {
             }
         }
         let ds = b.freeze();
-        // Hash/bind lowering whatever the suite's order mode: the root must
-        // stay the bind join this test is about.
+        // The tree's own orientation and default indexes: the root is the
+        // bind join this test is about.
         let exec = ExecConfig { order_exec: OrderExec::Off, ..ExecConfig::default() };
         let engine = Engine::with_exec_config(&ds, exec);
         let q = crate::parser::parse_query(

@@ -2,15 +2,13 @@
 //!
 //! All query-shape problems (parse errors, unknown variables, unsupported
 //! constructs, unbound `%parameters`, invalid modifier combinations) are
-//! raised at parse or prepare time; in-memory execution almost never fails
+//! raised at parse or prepare time; in-memory execution never fails
 //! — a missing constant just yields an empty scan. This split is what lets
 //! the curation pipeline probe thousands of candidate bindings cheaply
-//! without running them. Execution can fail in two ways — out-of-core
-//! spilling ([`crate::spill`]: a temp-dir or run-file I/O problem) and a
-//! runtime invariant the pipeline checks unconditionally (a merge join
-//! observing unsorted input, which would otherwise misjoin silently in
-//! release builds) — and both take one channel: a typed [`ExecError`]
-//! returned by the failing call, carried up every operator pull
+//! without running them. Execution fails only through out-of-core
+//! spilling ([`crate::spill`]: a temp-dir or run-file I/O problem), and
+//! that failure takes one channel: a typed [`ExecError`] returned by the
+//! failing call, carried up every operator pull
 //! ([`crate::physical::Operator::next_batch`]) with `?` and handed to the
 //! caller as [`QueryError::Exec`]. Never a panic, and never a run that
 //! looks short and clean.
@@ -19,35 +17,22 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// A runtime failure of execution: out-of-core spill I/O (directory
-/// creation, run-file writes/reads) or a checked pipeline invariant
-/// violation. Carries the operation, the path involved (empty for
-/// non-I/O failures) and the rendered cause (`std::io::Error` is not
-/// `Clone`, so the message is captured as text).
+/// creation, run-file writes/reads). Carries the operation, the path
+/// involved and the rendered cause (`std::io::Error` is not `Clone`, so
+/// the message is captured as text).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecError {
     /// What the engine was doing (e.g. `"create spill dir"`).
     pub op: &'static str,
-    /// The file or directory involved (empty for non-I/O failures).
+    /// The file or directory involved.
     pub path: PathBuf,
-    /// The cause, rendered: the I/O error or the violated invariant.
+    /// The cause, rendered: the I/O error.
     pub message: String,
-}
-
-impl ExecError {
-    /// A non-I/O execution failure: a checked pipeline invariant that did
-    /// not hold at runtime (no path involved).
-    pub fn invariant(op: &'static str, message: impl Into<String>) -> Self {
-        ExecError { op, path: PathBuf::new(), message: message.into() }
-    }
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.path.as_os_str().is_empty() {
-            write!(f, "{}: {}", self.op, self.message)
-        } else {
-            write!(f, "{} {}: {}", self.op, self.path.display(), self.message)
-        }
+        write!(f, "{} {}: {}", self.op, self.path.display(), self.message)
     }
 }
 
@@ -67,8 +52,8 @@ pub enum QueryError {
     /// Instantiation was given a binding for a parameter the template lacks,
     /// or lacked a binding for one it has.
     BindingMismatch(String),
-    /// Execution failed: spill I/O or a checked pipeline invariant (see
-    /// [`ExecError`]). The run's rows and counters are not reported.
+    /// Execution failed: spill I/O (see [`ExecError`]). The run's rows and
+    /// counters are not reported.
     Exec(ExecError),
     /// Opening a persisted store snapshot failed (missing file, foreign
     /// bytes, checksum mismatch — see [`parambench_rdf::SnapshotError`]).

@@ -63,16 +63,15 @@ pub struct ExecConfig {
     /// Minimum estimated plan cost (`est_cout + est_card`) before
     /// parallel lowering is considered.
     pub min_est_cost: f64,
-    /// The physical pass's mode ([`OrderExec`]): how the order-aware
-    /// execution paths (merge joins over sorted index scans, sort/hash
-    /// elimination behind a delivered order) are applied. No mode changes
-    /// the optimizer's plan, its signature or its estimated `Cout`. An
-    /// engine's own setting chooses the physical plan each execution runs;
-    /// an execution config of [`OrderExec::Off`] runs that plan with its
-    /// merge joins as hash joins and every sort on, which changes neither
-    /// the produced rows, their order, nor (short of a LIMIT's early exit)
-    /// measured `Cout` — so the differential suites compare the two bit
-    /// for bit. Defaults from the [`ORDER_EXEC_ENV`] environment variable.
+    /// The physical pass's mode ([`OrderExec`]): whether delivered orders
+    /// (sorted index scans behind sort, fold and dedup elimination) are
+    /// exploited. No mode changes the optimizer's plan, its signature or
+    /// its estimated `Cout`. An engine's own setting chooses the physical
+    /// plan each execution runs; an execution config of [`OrderExec::Off`]
+    /// runs that plan claiming no delivered order, with every sort on,
+    /// which changes neither the produced rows, their order, nor (short of
+    /// a LIMIT's early exit) measured `Cout` — so the differential suites
+    /// compare the two bit for bit. Defaults to [`OrderExec::Auto`].
     pub order_exec: OrderExec,
     /// Memory budget, in resident rows, for blocking modifier state:
     /// GROUP BY accumulator entries and full-sort buffer rows. `None`
@@ -127,55 +126,32 @@ impl PartialEq for ExecConfig {
 /// Unset or unparsable values mean unlimited.
 pub const MEM_BUDGET_ENV: &str = "SPARQL_MEM_BUDGET_ROWS";
 
-/// The physical pass's mode: how aggressively each execution exploits
-/// delivered orders (sorted index scans → merge joins, sort/hash
-/// elimination). Only the pass over the `Cout`-optimal tree reads it — the
-/// optimizer does not — so plans, signatures and the paper's parameter
-/// classes are the same under all three.
+/// The physical pass's mode: whether each execution exploits delivered
+/// orders (sorted index scans → sort, fold and dedup elimination). Only
+/// the pass over the `Cout`-optimal tree reads it — the optimizer does
+/// not — so plans, signatures and the paper's parameter classes are the
+/// same under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderExec {
     /// Cost-guided (the default): the pass keeps, per node, the
     /// alternative with the fewest estimated scanned plus built rows — a
-    /// merge join replaces a hash join where it removes the build at no
-    /// extra scan, a selective bind join is never displaced, and ORDER BY
-    /// is served where the saved sort (under LIMIT, the early exit) pays.
+    /// selective bind join is never displaced, and ORDER BY is served
+    /// where the saved sort (under LIMIT, the early exit) pays.
     #[default]
     Auto,
-    /// Merge wherever both inputs can deliver the key, even where a bind
-    /// join would touch less data — the CI mode that exercises the
-    /// merge/elimination paths suite-wide.
-    Force,
     /// Keep the tree's orientation and default indexes, join by the bind
     /// rule and claim no order, so every sort runs. As an execution
-    /// config: run the engine's plan with its merge joins as hash joins
-    /// and no order claimed — the baseline side of the order differential
-    /// tests.
+    /// config: run the engine's plan claiming no delivered order — the
+    /// baseline side of the order differential tests.
     Off,
 }
 
-/// Environment variable overriding the default [`ExecConfig::order_exec`]
-/// (`SPARQL_ORDER_EXEC=force` / `off`; anything else means `Auto`) — the
-/// CI job that forces the merge-join and sort-elimination paths on for the
-/// whole suite mirrors the [`MEM_BUDGET_ENV`] pattern.
-pub const ORDER_EXEC_ENV: &str = "SPARQL_ORDER_EXEC";
-
-/// The default order-execution mode, read fresh from [`ORDER_EXEC_ENV`] on
-/// every call. Each [`ExecConfig`] construction therefore observes the
-/// environment as it stands *then*, so engines built at different times in
-/// one process can carry different modes (a `OnceLock` here used to freeze
-/// the first reading process-wide, making per-engine config impossible to
-/// vary and test outcomes dependent on execution order).
-pub fn env_order_exec() -> OrderExec {
-    match std::env::var(ORDER_EXEC_ENV).as_deref() {
-        Ok("force") | Ok("FORCE") => OrderExec::Force,
-        Ok("off") | Ok("OFF") => OrderExec::Off,
-        _ => OrderExec::Auto,
-    }
-}
-
 /// The default memory budget, read fresh from [`MEM_BUDGET_ENV`] on every
-/// call — the value is captured per [`ExecConfig`] construction, never
-/// cached process-wide (see [`env_order_exec`] for why).
+/// call. Each [`ExecConfig`] construction therefore observes the
+/// environment as it stands *then*, so engines built at different times in
+/// one process can carry different budgets (a process-wide cache would
+/// freeze the first reading and make test outcomes depend on execution
+/// order).
 pub fn env_mem_budget_rows() -> Option<usize> {
     std::env::var(MEM_BUDGET_ENV).ok().and_then(|v| v.parse().ok())
 }
@@ -191,7 +167,7 @@ impl Default for ExecConfig {
             morsel_rows: 8192,
             min_driver_rows: 16384,
             min_est_cost: 4096.0,
-            order_exec: env_order_exec(),
+            order_exec: OrderExec::Auto,
             mem_budget_rows: env_mem_budget_rows(),
             pool: None,
         }

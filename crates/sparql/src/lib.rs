@@ -43,15 +43,13 @@
 //!   the store's sorted permutation indexes double as sorted result
 //!   sources (the dictionary is value-ordered at freeze), the physical
 //!   pass over the `Cout`-optimal tree keeps the cheapest alternative *per
-//!   delivered order*, order-compatible sides zip
-//!   through a build-free [`physical::MergeJoin`] (a merge join keeps its
-//!   plan serial), and sorts whose ascending keys the delivered order
+//!   delivered order*, and sorts whose ascending keys the delivered order
 //!   already satisfies are skipped entirely
 //!   (`ExecStats::sorted_rows == 0`; TopK degenerates to an early-exit
 //!   slice, GROUP BY folds one group at a time, DISTINCT dedups by run) —
-//!   controlled by [`exec::ExecConfig::order_exec`] /
-//!   [`exec::ORDER_EXEC_ENV`], which no plan signature depends on, with
-//!   the `Off` mode reproducing the hash/bind engine bit for bit;
+//!   controlled by [`exec::ExecConfig::order_exec`], which no plan
+//!   signature depends on, with the `Off` mode reproducing the rows, row
+//!   order and `Cout` of an execution that claims no order bit for bit;
 //! * blocking modifier state degrades **out-of-core** under a memory
 //!   budget ([`exec::ExecConfig::mem_budget_rows`], env-overridable via
 //!   [`exec::MEM_BUDGET_ENV`]): grouped aggregation hash-partitions
@@ -69,9 +67,8 @@
 //!   against);
 //! * execution errors have one channel: every operator pull returns
 //!   `Result` ([`physical::Operator::next_batch`]), so spill I/O failures
-//!   and checked pipeline invariants reach the caller as
-//!   [`QueryError::Exec`] through `?` — a failed run never reports a
-//!   `Cout`, and [`exec::ExecStats`] holds counters only;
+//!   reach the caller as [`QueryError::Exec`] through `?` — a failed run
+//!   never reports a `Cout`, and [`exec::ExecStats`] holds counters only;
 //! * query *templates* with `%param` placeholders ([`template`]) are
 //!   first-class: the workload generator instantiates them once per
 //!   parameter binding;
@@ -124,8 +121,8 @@ pub use ast::SelectQuery;
 pub use engine::{Engine, PlanClass, Prepared, QueryOutput, RowStream, StreamEnd};
 pub use error::{ExecError, QueryError};
 pub use exec::{
-    available_parallelism, env_mem_budget_rows, env_order_exec, global_pool, ExecConfig, ExecStats,
-    OrderExec, PoolStats, WorkerPool, MEM_BUDGET_ENV, ORDER_EXEC_ENV,
+    available_parallelism, env_mem_budget_rows, global_pool, ExecConfig, ExecStats, OrderExec,
+    PoolStats, WorkerPool, MEM_BUDGET_ENV,
 };
 pub use parser::parse_query;
 pub use physical::{Batch, CoutBucket, Operator, BATCH_SIZE, MORSELS_PER_WAVE};

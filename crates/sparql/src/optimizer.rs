@@ -639,8 +639,7 @@ mod tests {
 
     /// A multiplying star: every product carries several features, so the
     /// (type ⋈ feature) intermediate exceeds the price extent and the
-    /// default lowering must hash-build — exactly where a merge-forcing
-    /// physical pass finds the all-merge plan instead.
+    /// default lowering must hash-build.
     fn multiplying_star() -> Dataset {
         let mut b = StoreBuilder::new();
         for i in 0..200 {
@@ -661,42 +660,13 @@ mod tests {
     /// What the physical pass records for `plan` under `mode` with no
     /// modifier goal: the tree and its delivered order.
     fn pass(plan: &PlanNode, ds: &Dataset, mode: crate::exec::OrderExec) -> Recorded {
-        let exec = crate::exec::ExecConfig { order_exec: mode, ..Default::default() };
-        let rec = plan.physical(ds, mode, &exec, &crate::plan::RootGoal::default());
+        let rec = plan.physical(ds, mode, &crate::plan::RootGoal::default());
         Recorded { node: rec.node, order: rec.order }
     }
 
     struct Recorded {
         node: crate::plan::PhysNode,
         order: Vec<usize>,
-    }
-
-    #[test]
-    fn forced_order_mode_produces_an_all_merge_star_plan() {
-        use crate::exec::OrderExec;
-        use crate::plan::PhysNode;
-        let ds = multiplying_star();
-        let est = Estimator::new(&ds);
-        let pats = vec![
-            pattern(&ds, 0, "p/type", Some("class/x"), 0, 9),
-            pattern(&ds, 1, "p/feature", None, 0, 1),
-            pattern(&ds, 2, "p/price", None, 0, 2),
-        ];
-        let plan = optimize(&pats, &est).unwrap();
-        // Every join zips: all three scans deliver the shared subject
-        // first, so the whole star runs merge-only, build-free.
-        let forced = pass(&plan, &ds, OrderExec::Force);
-        let (_, card, build, _, hashish) = recorded_props(&forced.node, &ds);
-        assert_eq!((build, hashish), (0.0, 0), "{}", forced.node.render(0));
-        assert_eq!(card.to_bits(), plan.est_card().to_bits());
-        assert!(matches!(forced.node, PhysNode::Join { method: JoinMethod::Merge, .. }));
-        // The delivered order leads with the shared subject slot.
-        assert_eq!(forced.order.first(), Some(&0));
-        // Auto keeps the selective bind plan here (binds touch less data
-        // than a full right-side zip): no merge, and nothing built.
-        let auto = pass(&plan, &ds, OrderExec::Auto);
-        let (_, _, build, _, hashish) = recorded_props(&auto.node, &ds);
-        assert_eq!((build, hashish), (0.0, 2), "{}", auto.node.render(0));
     }
 
     #[test]
@@ -714,36 +684,30 @@ mod tests {
     /// The work the pass and the DP compute, recomputed by one walk over a
     /// recorded physical tree — the join methods that actually run:
     /// `(Cout summed in the DP's operand order, est_card, build rows,
-    /// scanned rows, non-merge joins)`.
-    fn recorded_props(node: &crate::plan::PhysNode, ds: &Dataset) -> (f64, f64, f64, f64, usize) {
+    /// scanned rows)`.
+    fn recorded_props(node: &crate::plan::PhysNode, ds: &Dataset) -> (f64, f64, f64, f64) {
         use crate::plan::PhysNode;
         match node {
             PhysNode::Scan { pattern, est_card, .. } => {
                 let scan =
                     if pattern.has_absent() { 0.0 } else { ds.count(pattern.access()) as f64 };
-                (0.0, *est_card, 0.0, scan, 0)
+                (0.0, *est_card, 0.0, scan)
             }
             PhysNode::Join { method, left, right, est_card, .. } => {
-                let (lc, lcard, lb, ls, lh) = recorded_props(left, ds);
-                let (rc, rcard, rb, rs, rh) = recorded_props(right, ds);
-                let (build, scan, hashish) = match method {
-                    JoinMethod::Bind => (lb, ls + est_card, 1 + lh + rh),
-                    JoinMethod::Hash { build_right: true } => {
-                        (lb + rb + rcard, ls + rs, 1 + lh + rh)
-                    }
-                    JoinMethod::Hash { build_right: false } => {
-                        (lb + rb + lcard, ls + rs, 1 + lh + rh)
-                    }
-                    JoinMethod::Merge => (lb + rb, ls + rs, lh + rh),
+                let (lc, lcard, lb, ls) = recorded_props(left, ds);
+                let (rc, rcard, rb, rs) = recorded_props(right, ds);
+                let (build, scan) = match method {
+                    JoinMethod::Bind => (lb, ls + est_card),
+                    JoinMethod::Hash { build_right: true } => (lb + rb + rcard, ls + rs),
+                    JoinMethod::Hash { build_right: false } => (lb + rb + lcard, ls + rs),
                 };
-                (lc + rc + est_card, *est_card, build, scan, hashish)
+                (lc + rc + est_card, *est_card, build, scan)
             }
         }
     }
 
     /// The order a recorded tree delivers, re-derived from its structure:
-    /// a scan its index's unbound variables, a join its streamed side's
-    /// (a merge join its left side's).
+    /// a scan its index's unbound variables, a join its streamed side's.
     fn recorded_order(node: &crate::plan::PhysNode) -> Vec<usize> {
         use crate::plan::PhysNode;
         match node {
@@ -798,7 +762,6 @@ mod tests {
     #[test]
     fn arena_properties_match_the_materialized_plan() {
         use crate::exec::OrderExec;
-        use crate::plan::PhysNode;
         let skewed = (["p/type", "p/feature", "p/special"], ["class/0", "feat/3", "flag/on"]);
         let star = (["p/type", "p/feature", "p/price"], ["class/x", "feat/3", "feat/7"]);
         // The third store carries an overflow term in its overlay: id order
@@ -808,8 +771,8 @@ mod tests {
         assert!(!overflow.order_by_value_intact());
         let stores = [(skewed_dataset(), skewed), (multiplying_star(), star), (overflow, skewed)];
         let mut rng = 0x2545_f491_4f6c_dd1d_u64;
-        // Merge joins, hash builds and delivered orders all occur.
-        let mut seen = (false, false, false);
+        // Hash builds and delivered orders both occur.
+        let mut seen = (false, false);
         for (ds, (preds, objs)) in &stores {
             let est = Estimator::new(ds);
             for n in 2..=8 {
@@ -824,7 +787,7 @@ mod tests {
                     // The DP's tiebreak work is the default lowering's:
                     // the tree run under `Off`, bit for bit.
                     let off = pass(&plan, ds, OrderExec::Off);
-                    let (cost, card, build, scan, _) = recorded_props(&off.node, ds);
+                    let (cost, card, build, scan) = recorded_props(&off.node, ds);
                     assert_eq!(c.cost.to_bits(), cost.to_bits(), "{what}");
                     assert_eq!(c.work.build.to_bits(), build.to_bits(), "{what}");
                     assert_eq!(c.work.scan.to_bits(), scan.to_bits(), "{what}");
@@ -842,33 +805,20 @@ mod tests {
                     // The pass runs the same tree: same `Cout`, and under
                     // `Auto` never more work than the default lowering,
                     // which is one of its alternatives.
-                    for mode in [OrderExec::Auto, OrderExec::Force] {
-                        let rec = pass(&plan, ds, mode);
-                        let (cost, card, build, scan, _) = recorded_props(&rec.node, ds);
-                        assert_eq!(cost.to_bits(), c.cost.to_bits(), "{mode:?} {what}");
-                        assert_eq!(card.to_bits(), c.est_card.to_bits(), "{mode:?} {what}");
-                        if mode == OrderExec::Auto {
-                            let off_work = c.work.build + c.work.scan;
-                            assert!(build + scan <= off_work, "{mode:?} {what}");
-                        }
-                        let intact = ds.order_by_value_intact();
-                        let order = if intact { recorded_order(&rec.node) } else { Vec::new() };
-                        assert_eq!(rec.order, order, "{mode:?} {what}");
-                        let mut nodes = vec![&rec.node];
-                        while let Some(PhysNode::Join { method, left, right, .. }) = nodes.pop() {
-                            seen.0 |= *method == JoinMethod::Merge;
-                            nodes.extend([left.as_ref(), right.as_ref()]);
-                        }
-                        seen.1 |= build > 0.0;
-                        seen.2 |= !rec.order.is_empty();
-                        if !intact {
-                            assert!(!rec.node.render(0).contains("MergeJoin"), "{mode:?} {what}");
-                        }
-                    }
+                    let rec = pass(&plan, ds, OrderExec::Auto);
+                    let (cost, card, build, scan) = recorded_props(&rec.node, ds);
+                    assert_eq!(cost.to_bits(), c.cost.to_bits(), "{what}");
+                    assert_eq!(card.to_bits(), c.est_card.to_bits(), "{what}");
+                    assert!(build + scan <= c.work.build + c.work.scan, "{what}");
+                    let intact = ds.order_by_value_intact();
+                    let order = if intact { recorded_order(&rec.node) } else { Vec::new() };
+                    assert_eq!(rec.order, order, "{what}");
+                    seen.0 |= build > 0.0;
+                    seen.1 |= !rec.order.is_empty();
                 }
             }
         }
-        assert_eq!(seen, (true, true, true));
+        assert_eq!(seen, (true, true));
     }
 
     #[test]

@@ -156,9 +156,9 @@ impl Batch {
 ///
 /// Contract: `next_batch` returns `Ok(Some(..))` of a **non-empty** batch,
 /// or `Ok(None)` once the operator is exhausted (and stays `Ok(None)`). A
-/// failure — a checked pipeline invariant such as a merge join's sorted
-/// input — is `Err`; operators propagate a child's `Err` unchanged, and a
-/// pipeline that returned one is not pulled again. Operators register
+/// failure — spill I/O — is `Err`; operators propagate a child's `Err`
+/// unchanged, and a pipeline that returned one is not pulled again.
+/// Operators register
 /// emitted batches with [`ExecStats::grow`] and release consumed input
 /// batches with [`ExecStats::shrink`], so `stats.peak_tuples` tracks the
 /// real high-water mark of resident intermediate tuples.
@@ -1058,282 +1058,6 @@ pub(crate) fn count_bind_join(
 }
 
 // ---------------------------------------------------------------------------
-// Merge join (order-aware, no build phase)
-// ---------------------------------------------------------------------------
-
-/// Streaming merge join of two inputs that both deliver `key` as the
-/// leading prefix of their sorted order (ascending ids — which the
-/// value-ordered dictionary makes ascending ORDER BY order).
-///
-/// Neither side is materialized: the left streams row by row, the right is
-/// consumed through a monotone cursor, and only the right rows of the
-/// *current* key run are buffered (released when the run ends) — the
-/// zero-`build_rows` replacement for a hash join whose build side the
-/// optimizer can prove arrives sorted. Output is emitted left-major (for
-/// each left row, its matching right run in right order), which both
-/// preserves the left side's delivered order for downstream consumers and
-/// makes the output sequence bit-identical to a hash join that builds the
-/// right side and streams the left — the equivalence the forced-off
-/// differential lowering relies on.
-///
-/// On exhaustion of either side the other is drained to completion, so
-/// sub-join `Cout` and `scanned` match the hash lowering exactly (a
-/// downstream LIMIT that stops pulling skips the drain on both paths).
-pub struct MergeJoin<'a> {
-    schema: Vec<usize>,
-    left: BoxedOperator<'a>,
-    right: BoxedOperator<'a>,
-    left_key_cols: Vec<usize>,
-    right_key_cols: Vec<usize>,
-    /// (output column, right column) for right-only columns.
-    right_only: Vec<(usize, usize)>,
-    recorder: JoinCardRecorder,
-    /// In-progress left batch: (batch, row index, run offset).
-    lcursor: Option<(Batch, usize, usize)>,
-    /// Unconsumed right batch + position (the monotone cursor).
-    rbatch: Option<(Batch, usize)>,
-    right_done: bool,
-    /// Key of the buffered right run, if any.
-    run_key: Option<Vec<Id>>,
-    /// Right rows matching `run_key`, in right arrival order.
-    run: Vec<Vec<Id>>,
-    /// Last left key seen, for the unconditional sortedness check: a merge
-    /// join fed an unsorted left input silently drops matches, so the
-    /// invariant is verified on every row (one slice compare against an
-    /// already-decoded key) and a violation is an `Err` from `next_batch`
-    /// instead of wrong answers.
-    prev_left_key: Option<Vec<Id>>,
-    done: bool,
-}
-
-impl<'a> MergeJoin<'a> {
-    /// A merge join of `left ⋈ right` on `key` (a shared-variable sequence
-    /// both inputs deliver as their leading sort order).
-    pub fn new(
-        left: BoxedOperator<'a>,
-        right: BoxedOperator<'a>,
-        key: &[usize],
-        signature: String,
-        bucket: CoutBucket,
-    ) -> Self {
-        assert!(!key.is_empty(), "merge join needs a non-empty key");
-        let mut schema: Vec<usize> = left.schema().to_vec();
-        for &v in right.schema() {
-            if !schema.contains(&v) {
-                schema.push(v);
-            }
-        }
-        let col_in = |s: &[usize], v: usize| s.iter().position(|&c| c == v);
-        let left_key_cols: Vec<usize> =
-            key.iter().map(|&v| col_in(left.schema(), v).expect("key var in left")).collect();
-        let right_key_cols: Vec<usize> =
-            key.iter().map(|&v| col_in(right.schema(), v).expect("key var in right")).collect();
-        let right_only: Vec<(usize, usize)> = schema
-            .iter()
-            .enumerate()
-            .skip(left.schema().len())
-            .map(|(k, &v)| (k, col_in(right.schema(), v).expect("right-only var in right")))
-            .collect();
-        MergeJoin {
-            schema,
-            left,
-            right,
-            left_key_cols,
-            right_key_cols,
-            right_only,
-            recorder: JoinCardRecorder::new(signature, bucket),
-            lcursor: None,
-            rbatch: None,
-            right_done: false,
-            run_key: None,
-            run: Vec::new(),
-            prev_left_key: None,
-            done: false,
-        }
-    }
-
-    /// Clears the buffered run, then advances the right cursor to `key`:
-    /// skips smaller keys, buffers the equal-key run, stops at the first
-    /// greater key (kept as lookahead). The cursor never moves backwards —
-    /// left keys arrive non-decreasing.
-    fn advance_right_to(&mut self, key: &[Id], stats: &mut ExecStats) -> Result<(), ExecError> {
-        stats.shrink(self.run.len());
-        self.run.clear();
-        self.run_key = None;
-        let width = self.right.schema().len();
-        let mut row_buf = vec![UNBOUND; width];
-        'advance: loop {
-            let (batch, idx) = match self.rbatch.as_mut() {
-                Some(c) => c,
-                None => {
-                    if self.right_done {
-                        break 'advance;
-                    }
-                    match self.right.next_batch(stats)? {
-                        Some(b) => {
-                            self.rbatch = Some((b, 0));
-                            continue 'advance;
-                        }
-                        None => {
-                            self.right_done = true;
-                            break 'advance;
-                        }
-                    }
-                }
-            };
-            if *idx >= batch.len() {
-                let released = batch.len();
-                self.rbatch = None;
-                stats.shrink(released);
-                continue 'advance;
-            }
-            let mut cmp = std::cmp::Ordering::Equal;
-            for (&kc, &kv) in self.right_key_cols.iter().zip(key) {
-                match batch.value(*idx, kc).cmp(&kv) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => {
-                        cmp = other;
-                        break;
-                    }
-                }
-            }
-            match cmp {
-                std::cmp::Ordering::Less => *idx += 1,
-                std::cmp::Ordering::Equal => {
-                    batch.read_row(*idx, &mut row_buf);
-                    self.run.push(row_buf.clone());
-                    stats.grow(1);
-                    *idx += 1;
-                }
-                std::cmp::Ordering::Greater => break 'advance,
-            }
-        }
-        if !self.run.is_empty() {
-            self.run_key = Some(key.to_vec());
-        }
-        Ok(())
-    }
-
-    /// Releases everything resident, then drains both sides to exhaustion:
-    /// the side that outlives its partner still runs to completion so its
-    /// sub-joins report `Cout` and scans exactly as the hash lowering does.
-    fn finish(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
-        stats.shrink(self.run.len());
-        self.run.clear();
-        self.run_key = None;
-        if let Some((batch, _)) = self.rbatch.take() {
-            stats.shrink(batch.len());
-        }
-        drain_rest(&mut self.right, stats)?;
-        if let Some((batch, _, _)) = self.lcursor.take() {
-            stats.shrink(batch.len());
-        }
-        drain_rest(&mut self.left, stats)?;
-        self.recorder.record(stats, 0);
-        self.done = true;
-        Ok(())
-    }
-}
-
-impl Operator for MergeJoin<'_> {
-    fn schema(&self) -> &[usize] {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
-        if self.done {
-            return Ok(None);
-        }
-        let left_width = self.left.schema().len();
-        let mut out = Batch::with_schema(self.schema.clone());
-        let mut row_buf = vec![UNBOUND; self.schema.len()];
-        let mut exhausted = false;
-        'fill: while !out.is_full() {
-            if self.lcursor.is_none() {
-                match self.left.next_batch(stats)? {
-                    Some(batch) => self.lcursor = Some((batch, 0, 0)),
-                    None => {
-                        exhausted = true;
-                        break 'fill;
-                    }
-                }
-            }
-            let (batch, row, _) = self.lcursor.as_mut().expect("ensured above");
-            if *row >= batch.len() {
-                let released = batch.len();
-                self.lcursor = None;
-                stats.shrink(released);
-                continue 'fill;
-            }
-            batch.read_row(*row, &mut row_buf[..left_width]);
-            let key: Vec<Id> = self.left_key_cols.iter().map(|&c| row_buf[c]).collect();
-            match &mut self.prev_left_key {
-                Some(prev) if *prev > key => {
-                    // Unconditional, not debug-only: with overlay-merged
-                    // inputs feeding the join, a silent release-build
-                    // misjoin is the worst failure mode.
-                    return Err(ExecError::invariant(
-                        "merge join",
-                        format!("left input not sorted on its key: {prev:?} then {key:?}"),
-                    ));
-                }
-                Some(prev) => prev.clone_from(&key),
-                None => self.prev_left_key = Some(key.clone()),
-            }
-            if self.run_key.as_deref() != Some(key.as_slice()) {
-                // Borrow dance: advance_right_to needs &mut self, the left
-                // cursor state survives in self.lcursor.
-                let (b, r, o) = self.lcursor.take().expect("held above");
-                self.advance_right_to(&key, stats)?;
-                self.lcursor = Some((b, r, o));
-                if self.run.is_empty() && self.right_done {
-                    // No run and no more right rows: every remaining left
-                    // row is unmatched — drain and finish.
-                    exhausted = true;
-                    break 'fill;
-                }
-            }
-            let (_, row, offset) = self.lcursor.as_mut().expect("restored above");
-            if self.run.is_empty() {
-                *row += 1;
-                *offset = 0;
-                continue 'fill;
-            }
-            while *offset < self.run.len() {
-                if out.is_full() {
-                    break 'fill;
-                }
-                let rrow = &self.run[*offset];
-                for &(k, rc) in &self.right_only {
-                    row_buf[k] = rrow[rc];
-                }
-                out.push_row(&row_buf);
-                *offset += 1;
-            }
-            if *offset >= self.run.len() {
-                *row += 1;
-                *offset = 0;
-            }
-        }
-        if exhausted {
-            self.finish(stats)?;
-        }
-        if out.is_empty() {
-            if !self.done {
-                // Filled nothing but not exhausted (cannot happen: the loop
-                // only exits full or exhausted) — defensive finish.
-                self.finish(stats)?;
-            }
-            return Ok(None);
-        }
-        // Per-batch Cout reporting: survives downstream LIMIT early exit.
-        self.recorder.record(stats, out.len() as u64);
-        stats.grow(out.len());
-        Ok(Some(out))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Left outer join (OPTIONAL)
 // ---------------------------------------------------------------------------
 
@@ -2166,133 +1890,37 @@ mod tests {
         assert!(bind_stats.scanned <= hash_stats.scanned);
     }
 
-    #[test]
-    fn merge_join_is_bit_identical_to_stream_left_hash_join() {
-        // Duplicate-heavy keys: label objects repeat (i % 2 == 0 → i), and
-        // we join label(s,o) with label(s,o2) on s — every subject expands
-        // 1×1, then next(s,o) ⋈ label(s,l) gives duplicates on the probe.
-        let n = 2 * BATCH_SIZE + 123;
-        let ds = chain_dataset(n);
-        let next = |s, o, idx| pattern(&ds, "p/next", s, o, idx);
-        let label = |s, o, idx| pattern(&ds, "p/label", s, o, idx);
-        // Both sides sorted by var 0 (subject) via their default Pso scans.
-        for (lp, rp) in [(next(0, 1, 0), label(0, 2, 1)), (label(0, 1, 0), next(0, 2, 1))] {
-            let mut mj_stats = ExecStats::default();
-            let mj = MergeJoin::new(
-                Box::new(IndexScan::new(&ds, &lp)),
-                Box::new(IndexScan::new(&ds, &rp)),
-                &[0],
-                "sig".into(),
-                CoutBucket::Required,
-            );
-            let got = drain(Box::new(mj), &mut mj_stats).unwrap();
-
-            let mut hj_stats = ExecStats::default();
-            let hj = HashJoinProbe::new(
-                Box::new(IndexScan::new(&ds, &lp)),
-                Box::new(IndexScan::new(&ds, &rp)),
-                vec![0],
-                true, // build right, stream left: the merge join's sequence
-                "sig".into(),
-                CoutBucket::Required,
-            );
-            let want = drain(Box::new(hj), &mut hj_stats).unwrap();
-
-            assert_eq!(got.cols(), want.cols());
-            let got_rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
-            let want_rows: Vec<Vec<Id>> = want.iter().map(|r| r.to_vec()).collect();
-            assert_eq!(got_rows, want_rows, "merge join must emit the exact hash sequence");
-            assert_eq!(mj_stats.cout, hj_stats.cout);
-            assert_eq!(mj_stats.scanned, hj_stats.scanned, "both drain both sides fully");
-            assert_eq!(hj_stats.build_rows as usize, ds.count(rp.access()));
-            assert_eq!(mj_stats.build_rows, 0, "merge joins build nothing");
-            assert!(mj_stats.peak_tuples < hj_stats.peak_tuples);
-        }
-    }
-
-    #[test]
-    fn merge_join_empty_sides_drain_like_hash() {
-        let ds = chain_dataset(300);
-        let absent = PlannedPattern { idx: 9, slots: [Slot::Var(0), Slot::Absent, Slot::Var(3)] };
-        // Empty right: left must still be drained (scanned counted).
-        let mut stats = ExecStats::default();
-        let mj = MergeJoin::new(
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))),
-            Box::new(IndexScan::new(&ds, &absent)),
-            &[0],
-            "sig".into(),
-            CoutBucket::Required,
-        );
-        let out = drain(Box::new(mj), &mut stats).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(stats.scanned, 300, "left side drained for Cout/scan parity");
-        assert_eq!(stats.cout, 0);
-
-        // Empty left: right drained.
-        let mut stats = ExecStats::default();
-        let mj = MergeJoin::new(
-            Box::new(IndexScan::new(&ds, &absent)),
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))),
-            &[0],
-            "sig".into(),
-            CoutBucket::Required,
-        );
-        let out = drain(Box::new(mj), &mut stats).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(stats.scanned, 300, "right side drained for Cout/scan parity");
-        assert_eq!(stats.cout, 0);
-    }
-
-    /// Emits one hand-built batch whose join column regresses (5 then 2),
-    /// violating the merge join's sorted-input contract.
-    struct UnsortedInput {
+    /// Fails on its first pull: the stand-in for any operator whose
+    /// execution errors (spill I/O is the only real source).
+    struct FailingInput {
         schema: Vec<usize>,
-        emitted: bool,
     }
 
-    impl Operator for UnsortedInput {
+    impl Operator for FailingInput {
         fn schema(&self) -> &[usize] {
             &self.schema
         }
 
-        fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
-            if self.emitted {
-                return Ok(None);
-            }
-            self.emitted = true;
-            let mut b = Batch::with_schema(self.schema.clone());
-            b.push_row(&[Id(5), Id(100)]);
-            b.push_row(&[Id(2), Id(101)]);
-            stats.grow(b.len());
-            Ok(Some(b))
+        fn next_batch(&mut self, _stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+            Err(ExecError {
+                op: "read spill run",
+                path: "run-0".into(),
+                message: "injected failure".into(),
+            })
         }
     }
 
-    /// A merge join of an [`UnsortedInput`] (slots 0, 3) with `p/next`
-    /// (slots 0, 1) on slot 0: fails on its first pull.
-    fn unsorted_merge_join(ds: &Dataset) -> BoxedOperator<'_> {
-        let left = Box::new(UnsortedInput { schema: vec![0, 3], emitted: false });
-        let right = Box::new(IndexScan::new(ds, &pattern(ds, "p/next", 0, 1, 0)));
-        Box::new(MergeJoin::new(left, right, &[0], "sig".into(), CoutBucket::Required))
-    }
-
-    #[test]
-    fn merge_join_surfaces_unsorted_left_as_typed_error() {
-        let ds = chain_dataset(50);
-        let mut mj = unsorted_merge_join(&ds);
-        let err = mj.next_batch(&mut ExecStats::default()).unwrap_err();
-        assert_eq!(err.op, "merge join");
-        assert!(err.message.contains("not sorted"), "unexpected message: {}", err.message);
-        // The error converts into the public typed variant.
-        assert!(matches!(crate::error::QueryError::from(err), crate::error::QueryError::Exec(_)));
+    /// A [`FailingInput`] over slots 0, 1, 3.
+    fn failing_input<'a>() -> BoxedOperator<'a> {
+        Box::new(FailingInput { schema: vec![0, 1, 3] })
     }
 
     #[test]
     fn errors_cross_every_streaming_operator_unchanged() {
         use crate::modifiers::{Distinct, RowKeys, Slice, TopK};
         let ds = chain_dataset(50);
-        let want = drain(unsorted_merge_join(&ds), &mut ExecStats::default()).unwrap_err();
-        let failing = || unsorted_merge_join(&ds);
+        let want = drain(failing_input(), &mut ExecStats::default()).unwrap_err();
+        let failing = failing_input;
         // `p/label` on slots 0, 2: joins the failing side on slot 0.
         let labels = || {
             Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 2, 1))) as BoxedOperator<'_>
@@ -2419,13 +2047,13 @@ mod tests {
 
     /// `plan`'s default lowering: the physical pass under
     /// [`OrderExec::Off`], which runs every join by the bind rule.
-    fn default_lowering(plan: &PlanNode, ds: &Dataset, cfg: &ExecConfig) -> Physical {
-        plan.physical(ds, OrderExec::Off, cfg, &RootGoal::default())
+    fn default_lowering(plan: &PlanNode, ds: &Dataset) -> Physical {
+        plan.physical(ds, OrderExec::Off, &RootGoal::default())
     }
 
     /// The serial lowering of `plan`'s default lowering.
     fn serial_op<'a>(plan: &PlanNode, ds: &'a Dataset) -> BoxedOperator<'a> {
-        default_lowering(plan, ds, &ExecConfig::default()).node.lower(ds, CoutBucket::Required)
+        default_lowering(plan, ds).node.lower(ds, CoutBucket::Required)
     }
 
     /// The morsel lowering of `plan`'s default lowering, when its spine
@@ -2436,7 +2064,7 @@ mod tests {
         cfg: &ExecConfig,
         stats: &mut ExecStats,
     ) -> Option<ParallelSource<'a>> {
-        let rec = default_lowering(plan, ds, cfg);
+        let rec = default_lowering(plan, ds);
         plan.morselizes(cfg, rec.driver_rows)
             .then(|| rec.node.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
     }

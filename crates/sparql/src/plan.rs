@@ -23,8 +23,8 @@ use crate::ast::{AggFunc, BinOp, Expr, OrderTarget, Projection, SelectQuery};
 use crate::error::{ExecError, QueryError};
 use crate::exec::{self, ExecConfig, ExecStats, OrderExec, Value, UNBOUND};
 use crate::physical::{
-    BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, MergeJoin,
-    ParallelSource, SpineStep,
+    BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, ParallelSource,
+    SpineStep,
 };
 
 /// One S/P/O slot of a planned pattern.
@@ -96,7 +96,7 @@ impl PlannedPattern {
 /// A node of the logical join tree for a basic graph pattern — the
 /// `Cout`-optimal object the optimizer returns and the paper's classes are
 /// defined over. How it runs (index orders, which side streams, bind vs
-/// hash vs merge) is decided per execution by the physical pass
+/// hash) is decided per execution by the physical pass
 /// (`Engine::physical_plan`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
@@ -225,16 +225,13 @@ impl PlanNode {
     /// keeps at most one cheapest alternative per delivered order; the cost
     /// is estimated rows scanned plus rows built ([`JoinMethod::work`]).
     /// It chooses each scan's index order, which side of each join streams,
-    /// and bind vs hash vs merge, by `mode`:
+    /// and bind vs hash, by `mode`:
     ///
     /// * [`OrderExec::Off`] keeps the tree's orientation and default
     ///   indexes and claims no order: every join runs by
     ///   [`JoinMethod::of_hash_join`];
-    /// * [`OrderExec::Auto`] also tries the other orientation, every index
-    ///   order and merge joins, and keeps the cheapest — a merge wins where
-    ///   it removes a hash build at no extra scan;
-    /// * [`OrderExec::Force`] minimises the joins that do not merge first,
-    ///   so it merges wherever both inputs deliver the key.
+    /// * [`OrderExec::Auto`] also tries the other orientation and every
+    ///   index order, and keeps the cheapest.
     ///
     /// At the root `goal` adds the modifier cost of ORDER BY `goal.sort`:
     ///
@@ -245,21 +242,11 @@ impl PlanNode {
     /// * without a LIMIT a sort is a pipeline breaker holding every row:
     ///   any alternative whose order serves ORDER BY beats every one that
     ///   does not, and among those that do not the sort costs
-    ///   `card·log2(card)`;
-    /// * under `Force` an alternative serving ORDER BY always wins, before
-    ///   the count of merge joins is compared.
+    ///   `card·log2(card)`.
     ///
-    /// When `exec` is [`OrderExec::Off`] the chosen plan runs with every
-    /// merge join as the hash join building its right side (same rows,
-    /// same order, same `scanned`). The pass reads estimates and exact
-    /// extents (`ds.count`), never an extent's rows.
-    pub(crate) fn physical(
-        &self,
-        ds: &Dataset,
-        mode: OrderExec,
-        exec: &ExecConfig,
-        goal: &RootGoal,
-    ) -> Physical {
+    /// The pass reads estimates and exact extents (`ds.count`), never an
+    /// extent's rows.
+    pub(crate) fn physical(&self, ds: &Dataset, mode: OrderExec, goal: &RootGoal) -> Physical {
         let claim = mode != OrderExec::Off && ds.order_by_value_intact();
         let leaves = self.leaf_count();
         let alts = Vec::with_capacity(8 * leaves);
@@ -268,22 +255,21 @@ impl PlanNode {
         let root = pass.pick_root(range, self.est_card(), goal);
         let (order, driver) = (&pass.alts[root].order, pass.alts[root].driver);
         let order = order.as_slice().to_vec();
-        let node = pass.record(root, exec.order_exec == OrderExec::Off);
-        Physical { node, order, driver_rows: driver.map(|rows| rows as usize) }
+        let node = pass.record(root);
+        Physical { node, order, driver_rows: driver as usize }
     }
 
     /// Whether a recorded tree whose streaming spine starts at a scan of
     /// `driver_rows` rows runs over morsels: at least two leaves, estimated
     /// cost (`est_cout + est_card`, the optimizer's own numbers) of at
     /// least `cfg.min_est_cost`, and a driving scan of at least
-    /// `cfg.min_driver_rows` rows (a merge join on the spine leaves no
-    /// driver). The decision reads only estimates and exact extents — never
-    /// `cfg.threads` — so the same plan runs at every thread count and
-    /// results stay bit-identical.
-    pub(crate) fn morselizes(&self, cfg: &ExecConfig, driver_rows: Option<usize>) -> bool {
+    /// `cfg.min_driver_rows` rows. The decision reads only estimates and
+    /// exact extents — never `cfg.threads` — so the same plan runs at every
+    /// thread count and results stay bit-identical.
+    pub(crate) fn morselizes(&self, cfg: &ExecConfig, driver_rows: usize) -> bool {
         self.leaf_count() >= 2
             && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
-            && driver_rows.is_some_and(|rows| rows >= cfg.min_driver_rows.max(1))
+            && driver_rows >= cfg.min_driver_rows.max(1)
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.
@@ -323,9 +309,9 @@ pub(crate) struct Physical {
     /// ascending ids — which, with the value-ordered dictionary built at
     /// `freeze`, is exactly ascending ORDER BY value order).
     pub(crate) order: Vec<usize>,
-    /// The extent of the scan feeding the streaming spine (`None` past a
-    /// merge join; 0 for a scan of an absent constant).
-    pub(crate) driver_rows: Option<usize>,
+    /// The extent of the scan feeding the streaming spine (0 for a scan of
+    /// an absent constant).
+    pub(crate) driver_rows: usize,
 }
 
 /// A delivered order: at most three variable slots, because every node
@@ -380,12 +366,9 @@ struct Alt<'p> {
     node: &'p PlanNode,
     shape: Shape,
     work: Work,
-    /// Joins that do not merge ([`OrderExec::Force`] minimises these).
-    hashish: usize,
     order: Order,
-    /// Extent of the scan the streaming spine starts at (`None` past a
-    /// merge join, whose two sides both stream).
-    driver: Option<f64>,
+    /// Extent of the scan the streaming spine starts at.
+    driver: f64,
 }
 
 impl Alt<'_> {
@@ -403,22 +386,16 @@ struct Pass<'d, 'p> {
     /// Whether scans claim their delivered order (not under `Off`, nor
     /// while the store's id order is not value order,
     /// [`Dataset::order_by_value_intact`]) — without a claimed order no
-    /// merge join or sort elimination is possible.
+    /// sort elimination is possible.
     claim: bool,
     alts: Vec<Alt<'p>>,
 }
 
-/// Better-first order of two alternatives costing `a_cost` and `b_cost`:
-/// under `Force` fewer non-merge joins first, then the cost; ties keep
+/// Better-first order of two alternatives costing `a` and `b`; ties keep
 /// generation order (the tree's orientation and default indexes come
 /// first).
-fn cmp(mode: OrderExec, a: &Alt<'_>, a_cost: f64, b: &Alt<'_>, b_cost: f64) -> std::cmp::Ordering {
-    let hashish = if mode == OrderExec::Force {
-        a.hashish.cmp(&b.hashish)
-    } else {
-        std::cmp::Ordering::Equal
-    };
-    hashish.then(a_cost.partial_cmp(&b_cost).unwrap_or(std::cmp::Ordering::Equal))
+fn cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 impl<'p> Pass<'_, 'p> {
@@ -431,15 +408,11 @@ impl<'p> Pass<'_, 'p> {
                 let (l, r) = (self.alts(left), self.alts(right));
                 let start = self.alts.len();
                 let joined = !join_vars.is_empty();
-                let tree = (left.as_ref(), l.clone());
-                let swapped = (right.as_ref(), r.clone());
+                let tree = (left.as_ref(), l);
+                let swapped = (right.as_ref(), r);
                 let method = self.hash_alts(node, tree.clone(), swapped.clone(), joined, None);
                 if self.mode != OrderExec::Off {
                     self.hash_alts(node, swapped, tree, joined, Some(method));
-                    if self.claim && joined {
-                        self.merge_alts(node, join_vars, l.clone(), r.clone());
-                        self.merge_alts(node, join_vars, r, l);
-                    }
                 }
                 self.prune(start)
             }
@@ -460,9 +433,8 @@ impl<'p> Pass<'_, 'p> {
                     node,
                     shape: Shape::Scan { order },
                     work: Work { build: 0.0, scan: extent },
-                    hashish: 0,
                     order: delivered,
-                    driver: Some(extent),
+                    driver: extent,
                 });
             }
         };
@@ -518,36 +490,9 @@ impl<'p> Pass<'_, 'p> {
         method
     }
 
-    /// Merge joins with an alternative of `outer` as the left input: every
-    /// pair whose delivered orders both start with the same permutation of
-    /// the join variables.
-    fn merge_alts(
-        &mut self,
-        node: &'p PlanNode,
-        join_vars: &[usize],
-        outer: Range<usize>,
-        inner: Range<usize>,
-    ) {
-        for x in outer {
-            // Orders hold distinct slots, so a k-slot key made of join
-            // variables is a permutation of all k of them.
-            let outer_order = self.alts[x].order;
-            let Some(key) = outer_order.as_slice().get(..join_vars.len()) else { continue };
-            if !key.iter().all(|v| join_vars.contains(v)) {
-                continue;
-            }
-            for y in inner.clone() {
-                if self.alts[y].order.as_slice().starts_with(key) {
-                    let alt = self.join(node, JoinMethod::Merge, x, y);
-                    self.alts.push(alt);
-                }
-            }
-        }
-    }
-
     /// The join of arena entries `left` and `right` running as `method`:
     /// its work by [`JoinMethod::work`], the streamed side's order and
-    /// driver (a merge delivers the left order and has no single driver).
+    /// driver.
     fn join(&self, node: &'p PlanNode, method: JoinMethod, left: usize, right: usize) -> Alt<'p> {
         let (l, r) = (&self.alts[left], &self.alts[right]);
         let cards = (l.node.est_card(), r.node.est_card());
@@ -556,17 +501,15 @@ impl<'p> Pass<'_, 'p> {
             node,
             shape: Shape::Join { method, left, right },
             work: method.work(cards, l.work, r.work, node.est_card()),
-            hashish: l.hashish + r.hashish + usize::from(method != JoinMethod::Merge),
             order: streamed.order,
-            driver: if method == JoinMethod::Merge { None } else { streamed.driver },
+            driver: streamed.driver,
         }
     }
 
     /// Sorts one node's candidates — the arena's tail from `start` —
     /// better-first and keeps the first of each delivered order.
     fn prune(&mut self, start: usize) -> Range<usize> {
-        let mode = self.mode;
-        self.alts[start..].sort_by(|a, b| cmp(mode, a, a.cost(), b, b.cost()));
+        self.alts[start..].sort_by(|a, b| cmp(a.cost(), b.cost()));
         let mut end = start;
         for i in start..self.alts.len() {
             let alt = self.alts[i];
@@ -582,33 +525,31 @@ impl<'p> Pass<'_, 'p> {
     /// The root alternative: cheapest once the modifier cost of `goal` is
     /// added (see [`PlanNode::physical`]); the first minimum wins. An
     /// alternative left with a blocking full sort loses to every one that
-    /// serves ORDER BY, and under `Force` so does one left with a bounded
-    /// heap: that mode serves ORDER BY first and merges second.
+    /// serves ORDER BY.
     fn pick_root(&self, ids: Range<usize>, card: f64, goal: &RootGoal) -> usize {
-        let force = self.mode == OrderExec::Force;
         // (loses to every alternative serving ORDER BY, cost with the sort)
         let key = |alt: &Alt<'_>| -> (bool, f64) {
             if goal.sort.is_empty() {
                 return (false, alt.cost());
             }
             let served = alt.order.as_slice().starts_with(&goal.sort);
-            match (goal.limit, alt.driver) {
-                (Some(k), Some(extent)) if served => {
+            let extent = alt.driver;
+            match goal.limit {
+                Some(k) if served => {
                     (false, alt.cost() - extent + extent.min(k as f64 * extent / card))
                 }
-                _ if served => (false, alt.cost()),
-                (Some(k), _) => {
+                None if served => (false, alt.cost()),
+                Some(k) => {
                     let heap = card.min(k as f64).max(2.0);
-                    (force, alt.cost() + card.max(1.0) * heap.log2())
+                    (false, alt.cost() + card.max(1.0) * heap.log2())
                 }
-                (None, _) => (true, alt.cost() + card.max(1.0) * card.max(2.0).log2()),
+                None => (true, alt.cost() + card.max(1.0) * card.max(2.0).log2()),
             }
         };
         ids.reduce(|best, id| {
             let ((a_loses, a_total), (b_loses, b_total)) =
                 (key(&self.alts[best]), key(&self.alts[id]));
-            let (a, b) = (&self.alts[best], &self.alts[id]);
-            if b_loses.cmp(&a_loses).then_with(|| cmp(self.mode, b, b_total, a, a_total)).is_lt() {
+            if b_loses.cmp(&a_loses).then_with(|| cmp(b_total, a_total)).is_lt() {
                 id
             } else {
                 best
@@ -617,13 +558,8 @@ impl<'p> Pass<'_, 'p> {
         .expect("every node has an alternative")
     }
 
-    /// Materializes arena entry `id` as a recorded tree. `off` runs each
-    /// merge join as the hash join building its right side: left-major
-    /// emission with per-key matches in right arrival order is exactly the
-    /// merge join's output sequence, so rows, row order, `Cout` and
-    /// `scanned` stay bit-identical — the property the order differential
-    /// suites pin.
-    fn record(&self, id: usize, off: bool) -> PhysNode {
+    /// Materializes arena entry `id` as a recorded tree.
+    fn record(&self, id: usize) -> PhysNode {
         let alt = &self.alts[id];
         let est_card = alt.node.est_card();
         let (method, left, right, join_vars, logical_left) = match (alt.shape, alt.node) {
@@ -635,18 +571,8 @@ impl<'p> Pass<'_, 'p> {
             }
             _ => unreachable!("an alternative has its node's shape"),
         };
-        let (on, method) = match method {
-            // A merge join's key is its left order's join-variable prefix.
-            // (It ends the streaming spine — see `Alt::driver` — also when
-            // it runs off, as a hash join: its plan runs serially.)
-            JoinMethod::Merge => {
-                let key = self.alts[left].order.as_slice()[..join_vars.len()].to_vec();
-                (key, if off { JoinMethod::Hash { build_right: true } } else { method })
-            }
-            _ => (join_vars.clone(), method),
-        };
         let swapped = !std::ptr::eq(self.alts[left].node, logical_left);
-        let (left, right) = (Box::new(self.record(left, off)), Box::new(self.record(right, off)));
+        let (left, right) = (Box::new(self.record(left)), Box::new(self.record(right)));
         // The logical subtree's signature, from the children's: what
         // `PlanNode::signature` renders, without re-walking the subtree.
         let (first, second) = if swapped { (&right, &left) } else { (&left, &right) };
@@ -655,7 +581,7 @@ impl<'p> Pass<'_, 'p> {
         signature.push(',');
         second.push_signature(&mut signature);
         signature.push(')');
-        PhysNode::Join { method, left, right, on, signature, est_card }
+        PhysNode::Join { method, left, right, on: join_vars.clone(), signature, est_card }
     }
 }
 
@@ -670,8 +596,6 @@ pub enum JoinMethod {
         /// Whether the right (else the left) side is built.
         build_right: bool,
     },
-    /// Merge join of two inputs sorted on the key; builds nothing.
-    Merge,
 }
 
 impl JoinMethod {
@@ -702,8 +626,7 @@ impl JoinMethod {
     /// home of the build and scan formulas (the optimizer's tiebreaks and
     /// the physical pass's cost both read it). A bind join builds nothing
     /// and reads only what its streamed rows select (≈ its output); a hash
-    /// join builds one side and reads both; a merge join builds nothing and
-    /// reads both.
+    /// join builds one side and reads both.
     pub(crate) fn work(self, cards: (f64, f64), left: Work, right: Work, card: f64) -> Work {
         let (l, r) = (left, right);
         match self {
@@ -714,7 +637,6 @@ impl JoinMethod {
             JoinMethod::Hash { build_right: false } => {
                 Work { build: l.build + r.build + cards.0, scan: l.scan + r.scan }
             }
-            JoinMethod::Merge => Work { build: l.build + r.build, scan: l.scan + r.scan },
         }
     }
 
@@ -752,19 +674,17 @@ pub enum PhysNode {
         /// Estimated output cardinality.
         est_card: f64,
     },
-    /// A join. A merge join run under [`OrderExec::Off`] is recorded as
-    /// the `build_right` hash join it runs as.
+    /// A join.
     Join {
         /// The chosen operator.
         method: JoinMethod,
         /// Left operand in the physical orientation (the streamed side of
-        /// a bind join, a merge join's order-leading side).
+        /// a bind join).
         left: Box<PhysNode>,
         /// Right operand (a [`PhysNode::Scan`] under [`JoinMethod::Bind`]:
         /// the probed pattern).
         right: Box<PhysNode>,
-        /// Shared variable slots: the merge key in delivered-order
-        /// sequence, empty for a cross product.
+        /// Shared variable slots, empty for a cross product.
         on: Vec<usize>,
         /// Signature path of the logical join (the
         /// `ExecStats::join_cards` key).
@@ -798,7 +718,6 @@ impl PhysNode {
             PhysNode::Join { method: JoinMethod::Hash { build_right: false }, .. } => {
                 "HashJoin[build=left]"
             }
-            PhysNode::Join { method: JoinMethod::Merge, .. } => "MergeJoin",
         }
     }
 
@@ -820,9 +739,6 @@ impl PhysNode {
                     (JoinMethod::Hash { build_right }, right) => {
                         let (right, on) = (right.lower(ds, bucket), on.clone());
                         Box::new(HashJoinProbe::new(left, right, on, *build_right, sig, bucket))
-                    }
-                    (JoinMethod::Merge, right) => {
-                        Box::new(MergeJoin::new(left, right.lower(ds, bucket), on, sig, bucket))
                     }
                 }
             }
@@ -885,7 +801,7 @@ impl PhysNode {
                     let (build, stream_is_left) = (Arc::new(build), build_right);
                     SpineStep::Probe { build, join_vars, stream_is_left, signature }
                 }
-                _ => unreachable!("a morselized spine binds against scans and never merges"),
+                (JoinMethod::Bind, _) => unreachable!("bind joins probe a scan"),
             });
         };
         steps.reverse();

@@ -4,9 +4,7 @@
 //! it, so every query × config they already run is also checked here.
 
 use parambench_rdf::store::Dataset;
-use parambench_sparql::{
-    ExecConfig, Fold, JoinMethod, OrderExec, PhysNode, PhysicalPlan, QueryOutput, Sort,
-};
+use parambench_sparql::{ExecConfig, Fold, JoinMethod, PhysNode, PhysicalPlan, QueryOutput, Sort};
 
 fn collect<'a>(node: &'a PhysNode, out: &mut Vec<&'a PhysNode>) {
     out.push(node);
@@ -68,15 +66,14 @@ pub fn assert_executed_as_explained(
     );
 
     // `morselized` ⇔ the plan qualifies, re-derived from the recorded tree:
-    // follow the streamed side of every join down to the driving scan; a
-    // merge join ends the spine, which then stays serial.
+    // follow the streamed side of every join down to the driving scan.
     let output_bound = plan.fold.is_none()
         && m.limit.is_some()
         && matches!(plan.sort, Sort::None | Sort::Eliminated);
     let mut node = plan.bgp.as_ref();
     let driver = loop {
         match node {
-            None | Some(PhysNode::Join { method: JoinMethod::Merge, .. }) => break None,
+            None => break None,
             Some(PhysNode::Scan { pattern, .. }) => break Some(pattern),
             Some(PhysNode::Join { method, left, right, .. }) => {
                 node = Some(if method.streams_left() { left } else { right });
@@ -88,9 +85,7 @@ pub fn assert_executed_as_explained(
         .is_some_and(|p| !p.has_absent() && ds.count(p.access()) >= exec.min_driver_rows.max(1));
     if plan.morselized {
         assert!(joins && driver_ok && !output_bound, "{ctx}: morselized, not qualified:\n{text}");
-    } else if exec.min_est_cost <= 0.0 && exec.order_exec != OrderExec::Off {
-        // (Under Off a forced-off merge join is recorded as the hash join
-        // it runs as, so its spine cannot be re-derived here.)
+    } else if exec.min_est_cost <= 0.0 {
         assert!(
             !(joins && driver_ok && !output_bound),
             "{ctx}: qualified, not morselized:\n{text}"
@@ -99,9 +94,7 @@ pub fn assert_executed_as_explained(
     assert_eq!(text.contains("Morsels"), plan.morselized, "{ctx}:\n{text}");
 
     // The operator tree names every recorded node by the method it ran as.
-    for label in
-        ["IndexScan", "BindJoin", "HashJoin[build=right]", "HashJoin[build=left]", "MergeJoin"]
-    {
+    for label in ["IndexScan", "BindJoin", "HashJoin[build=right]", "HashJoin[build=left]"] {
         let recorded = nodes.iter().filter(|n| n.method() == label).count();
         assert_eq!(text.matches(label).count(), recorded, "{ctx}: {label} in:\n{text}");
     }

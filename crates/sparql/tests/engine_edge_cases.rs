@@ -774,34 +774,12 @@ fn error_messages_are_actionable() {
 }
 
 // ---------------------------------------------------------------------------
-// Order-aware execution (PR 5): merge joins, sort elimination, expr keys
+// Order-aware execution: sort elimination, expr keys
 // ---------------------------------------------------------------------------
 
-/// Engine whose physical pass maximizes merge joins (`OrderExec::Force`) —
-/// the per-test equivalent of the CI `SPARQL_ORDER_EXEC=force` pass.
-fn force_order_engine(ds: &Dataset) -> Engine<'_> {
-    let exec = ExecConfig { order_exec: parambench_sparql::OrderExec::Force, ..Default::default() };
-    Engine::with_exec_config(ds, exec)
-}
-
-/// Forced hash/bind lowering of the same prepared plan.
+/// The same prepared plan run claiming no delivered order: every sort runs.
 fn off_cfg() -> ExecConfig {
     ExecConfig { order_exec: parambench_sparql::OrderExec::Off, ..Default::default() }
-}
-
-/// Whether the recorded tree runs a merge join anywhere.
-fn merges(node: &PhysNode) -> bool {
-    match node {
-        PhysNode::Scan { .. } => false,
-        PhysNode::Join { method, left, right, .. } => {
-            *method == JoinMethod::Merge || merges(left) || merges(right)
-        }
-    }
-}
-
-/// The recorded BGP tree `engine` runs `prepared` as.
-fn recorded_bgp(engine: &Engine<'_>, prepared: &parambench_sparql::Prepared) -> PhysNode {
-    engine.physical_plan(prepared, &engine.exec_config()).bgp.expect("a BGP")
 }
 
 /// Duplicate-heavy star: every subject repeats each predicate value pair
@@ -824,117 +802,57 @@ fn duplicate_heavy_dataset(n: usize) -> Dataset {
 }
 
 /// Join cardinality of `?s <a> ?x . ?s <b> ?y` computed naively from the
-/// store — the duplicate-expansion ground truth for the merge-join tests.
+/// store — the duplicate-expansion ground truth for the star tests.
 fn star_rows(ds: &Dataset) -> usize {
     let a = ds.lookup(&Term::iri("a")).unwrap();
     let b = ds.lookup(&Term::iri("b")).unwrap();
     ds.scan([None, Some(a), None]).map(|t| ds.count([Some(t[0]), Some(b), None])).sum()
 }
 
-#[test]
-fn merge_join_star_matches_forced_hash_lowering_with_duplicates() {
-    let ds = duplicate_heavy_dataset(120);
-    let engine = force_order_engine(&ds);
-    // 4×3 duplicate expansion per subject: heavy key runs on both sides.
-    let q =
-        parambench_sparql::parse_query("SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y }").unwrap();
-    let prepared = engine.prepare(&q).unwrap();
-    let bgp = recorded_bgp(&engine, &prepared);
-    assert!(merges(&bgp), "forced order mode must merge:\n{}", bgp.render(0));
-    let merged = engine.execute(&prepared).unwrap();
-    let hashed = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(merged.results, hashed.results, "merge vs hash rows/order diverged");
-    assert_eq!(merged.cout, hashed.cout);
-    assert_eq!(merged.stats.scanned, hashed.stats.scanned);
-    assert_eq!(merged.results.len(), star_rows(&ds));
-    assert_eq!(merged.stats.build_rows, 0, "merge plan must build nothing");
-    assert!(hashed.stats.build_rows > 0, "hash lowering must build a side");
-}
-
-#[test]
-fn merge_join_spine_stays_serial_under_a_forced_parallel_config() {
-    let ds = duplicate_heavy_dataset(120);
-    let exec = ExecConfig {
-        threads: 4,
-        morsel_rows: 7,
-        min_driver_rows: 1,
-        min_est_cost: 0.0,
-        order_exec: parambench_sparql::OrderExec::Auto,
-        ..ExecConfig::default()
-    };
-    let engine = Engine::with_exec_config(&ds, exec);
-    let q =
-        parambench_sparql::parse_query("SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y }").unwrap();
-    let prepared = engine.prepare(&q).unwrap();
-    // The root merges the two scans.
-    let bgp = recorded_bgp(&engine, &prepared);
-    let PhysNode::Join { method: JoinMethod::Merge, left, right, .. } = &bgp else {
-        panic!("expected a merge-join root:\n{}", bgp.render(0))
-    };
-    let idx = |n: &PhysNode| match n {
-        PhysNode::Scan { pattern, .. } => pattern.idx,
-        _ => panic!("expected a scan:\n{}", bgp.render(0)),
-    };
-    let mut scans = [idx(left), idx(right)];
-    scans.sort();
-    assert_eq!(scans, [0, 1]);
-    // A merge join ends the spine: the plan runs the serial MergeJoin even
-    // though every morselization threshold is forced down.
-    assert!(!engine.physical_plan(&prepared, &exec).morselized);
-    let t4 = engine.execute(&prepared).unwrap();
-    assert_eq!(t4.results.len(), star_rows(&ds));
-    let t1 = engine.execute_with(&prepared, &ExecConfig { threads: 1, ..exec }).unwrap();
-    let off_exec = ExecConfig { order_exec: parambench_sparql::OrderExec::Off, ..exec };
-    let off = engine.execute_with(&prepared, &off_exec).unwrap();
-    for (other, label) in [(t1, "threads 1"), (off, "order off")] {
-        assert_eq!(t4.results, other.results, "{label}: rows/order diverged");
-        assert_eq!(t4.cout, other.cout, "{label}");
-        assert_eq!(t4.stats.scanned, other.stats.scanned, "{label}");
-    }
-}
-
+/// OPTIONAL over a duplicate-heavy star base: the default engine and the
+/// same plan run claiming no order agree on rows, order and both `Cout`s.
 #[test]
 fn optional_over_merge_joined_base_keeps_left_rows_and_order() {
     let ds = duplicate_heavy_dataset(120);
-    let engine = force_order_engine(&ds);
+    let engine = Engine::new(&ds);
     let q = parambench_sparql::parse_query(
         "SELECT ?s ?x ?y ?n WHERE { ?s <a> ?x . ?s <b> ?y OPTIONAL { ?s <note> ?n } }",
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let bgp = recorded_bgp(&engine, &prepared);
-    assert!(merges(&bgp), "{}", bgp.render(0));
-    let merged = engine.execute(&prepared).unwrap();
-    let hashed = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(merged.results, hashed.results);
-    assert_eq!(merged.cout, hashed.cout);
-    assert_eq!(merged.stats.cout_optional, hashed.stats.cout_optional);
+    let auto = engine.execute(&prepared).unwrap();
+    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
+    assert_eq!(auto.results, off.results);
+    assert_eq!(auto.cout, off.cout);
+    assert_eq!(auto.stats.cout_optional, off.stats.cout_optional);
     // Every base row survives the left-outer join; i % 4 == 3 subjects
     // (which carry no <note>) are padded with UNBOUND.
-    assert_eq!(merged.results.len(), star_rows(&ds));
-    let unbound = merged
+    assert_eq!(auto.results.len(), star_rows(&ds));
+    let unbound = auto
         .results
         .rows
         .iter()
         .filter(|r| matches!(r[3], parambench_sparql::results::OutVal::Unbound))
         .count();
     assert!(unbound > 0, "note-less subjects must pad");
-    assert!(unbound < merged.results.len());
+    assert!(unbound < auto.results.len());
 }
 
+/// A join with a provably empty side: the default engine and the same
+/// plan run claiming no order scan exactly the same live side.
 #[test]
 fn merge_join_with_empty_side_at_engine_level() {
     let ds = duplicate_heavy_dataset(120);
-    let engine = force_order_engine(&ds);
+    let engine = Engine::new(&ds);
     // <c> has no triples in the dictionary: the pattern is provably empty.
     let q =
         parambench_sparql::parse_query("SELECT ?s ?x ?c WHERE { ?s <a> ?x . ?s <c> ?c }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let merged = engine.execute(&prepared).unwrap();
-    let hashed = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert!(merged.results.is_empty());
-    assert_eq!(merged.results, hashed.results);
-    assert_eq!(merged.stats.scanned, hashed.stats.scanned, "both drain the live side");
+    let auto = engine.execute(&prepared).unwrap();
+    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
+    assert!(auto.results.is_empty());
+    assert_eq!(auto.results, off.results);
+    assert_eq!(auto.stats.scanned, off.stats.scanned);
 }
 
 #[test]
@@ -1164,9 +1082,9 @@ fn measured(engine: &Engine<'_>, text: &str) -> (u64, parambench_sparql::QueryOu
     (cout, out)
 }
 
-/// Engine that prepares and lowers hash/bind joins only, whatever the
-/// suite's `SPARQL_ORDER_EXEC`: the root shapes the tests below pin
-/// (a `BindJoin` over a given pattern) cannot turn into merge joins.
+/// Engine whose physical pass keeps the tree's orientation and default
+/// indexes: the root shapes the tests below pin (a `BindJoin` over a given
+/// pattern) are the bind rule's alone.
 fn bind_engine(ds: &Dataset) -> Engine<'_> {
     Engine::with_exec_config(ds, off_cfg())
 }

@@ -510,15 +510,13 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
         }
     }
 
-    // Order sweep: the PR-5 guarantee. Forcing the hash/bind lowering and
-    // every sort back on (`OrderExec::Off`) across threads {1,4} × budgets
-    // {2, ∞} must reproduce the order-aware run bit for bit: merge joins
-    // emit exactly the stream-left hash join's sequence, and an eliminated
-    // sort only skips work a sorted pipeline proves redundant. Without a
-    // LIMIT, Cout and scanned match exactly too (a merge join drains both
-    // sides like the hash build/probe does); with a LIMIT the eliminated
-    // sort may legitimately early-exit *earlier* than the forced TopK, so
-    // only the row guarantee applies.
+    // Order sweep. Claiming no delivered order and turning every sort back
+    // on (`OrderExec::Off`) across threads {1,4} × budgets {2, ∞} must
+    // reproduce the order-aware run bit for bit: an eliminated sort only
+    // skips work a sorted pipeline proves redundant. Without a LIMIT, Cout
+    // and scanned match exactly too; with a LIMIT the eliminated sort may
+    // legitimately early-exit *earlier* than the forced TopK, so only the
+    // row guarantee applies.
     for budget in [None, Some(2)] {
         for threads in [1usize, 4] {
             let exec = ExecConfig {

@@ -3,7 +3,7 @@
 //! **bit-identical** — rows, row order, measured `Cout`, `scanned`, and
 //! the prepared plan's signature — to the same query over a dataset
 //! frozen *from scratch* with the same visible triples, swept over
-//! thread counts {1, 4} × order-execution modes {auto, force, off}. The
+//! thread counts {1, 4} × order-execution modes {auto, off}. The
 //! updated store's results are additionally checked against the
 //! independent naive oracle, and `compact()` must preserve all of it (the
 //! re-freeze changes representation, never results or plans). Every
@@ -41,7 +41,7 @@ use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::exec::{ExecConfig, OrderExec};
-use parambench_sparql::parse_query;
+use parambench_sparql::{parse_query, Dedup, Fold, Sort};
 
 /// One encoded triple of the small test vocabulary.
 type Triple = (u8, u8, u8);
@@ -179,10 +179,8 @@ fn exec_sweep() -> Vec<(&'static str, ExecConfig)> {
     };
     vec![
         ("t1-auto", serial(OrderExec::Auto)),
-        ("t1-force", serial(OrderExec::Force)),
         ("t1-off", serial(OrderExec::Off)),
         ("t4-auto", parallel(OrderExec::Auto)),
-        ("t4-force", parallel(OrderExec::Force)),
         ("t4-off", parallel(OrderExec::Off)),
     ]
 }
@@ -217,13 +215,17 @@ fn query_mix() -> Vec<String> {
 
 /// Runs the whole mix over the whole sweep on both stores and demands
 /// bit-identical rows/order/Cout/scanned and equal plan signatures; the
-/// live store is additionally oracle-checked per query.
+/// live store is additionally oracle-checked per query. The `t1-auto` leg
+/// must take every order-based path somewhere in the mix: sort
+/// elimination, run dedup and — without a memory budget, which routes
+/// every fold through the external one — the ordered fold.
 fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
     assert_eq!(live.len(), fresh.len(), "[{label}] visible counts diverge");
+    let (mut eliminated, mut run_dedup, mut ordered_fold) = (false, false, false);
     for text in query_mix() {
         let query = parse_query(&text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
         for (cfg_name, cfg) in exec_sweep() {
-            let run = |ds: &Dataset| {
+            let mut run = |ds: &Dataset| {
                 let engine = Engine::with_exec_config(ds, cfg);
                 let prepared = engine
                     .prepare(&query)
@@ -233,26 +235,13 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
                     .execute(&prepared)
                     .unwrap_or_else(|e| panic!("[{label}/{cfg_name}] execute {text:?}: {e}"));
                 let ctx = format!("[{label}/{cfg_name}] {text}");
-                assert_executed_as_explained(
-                    ds,
-                    &engine.physical_plan(&prepared, &cfg),
-                    &out,
-                    &cfg,
-                    &ctx,
-                );
-                if cfg.order_exec == OrderExec::Force {
-                    // The merge-forcing plan run back on hash joins:
-                    // same rows, and EXPLAIN must say hash, not merge.
-                    let off = ExecConfig { order_exec: OrderExec::Off, ..cfg };
-                    let hashed = engine.execute_with(&prepared, &off).expect("force→off run");
-                    assert_eq!(hashed.results, out.results, "{ctx}: force→off rows diverge");
-                    assert_executed_as_explained(
-                        ds,
-                        &engine.physical_plan(&prepared, &off),
-                        &hashed,
-                        &off,
-                        &format!("{ctx} (force→off)"),
-                    );
+                let plan = engine.physical_plan(&prepared, &cfg);
+                assert_executed_as_explained(ds, &plan, &out, &cfg, &ctx);
+                if cfg_name == "t1-auto" {
+                    eliminated |= plan.sort == Sort::Eliminated;
+                    run_dedup |= plan.dedup == Dedup::Run;
+                    ordered_fold |=
+                        plan.fold == Some(Fold::Ordered) || cfg.mem_budget_rows.is_some();
                 }
                 (sig, out)
             };
@@ -283,6 +272,9 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
         let reference = oracle::evaluate(live, &query);
         oracle::assert_matches(&out.results, &reference, &format!("[{label}] {text}"));
     }
+    assert!(eliminated, "[{label}] t1-auto eliminated no sort");
+    assert!(run_dedup, "[{label}] t1-auto deduplicated no run");
+    assert!(ordered_fold, "[{label}] t1-auto folded nothing in order");
 }
 
 /// Oracle check of a store whose dictionary may carry overflow ids: the

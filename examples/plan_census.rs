@@ -13,11 +13,11 @@
 //!
 //! Two gates read the plan columns alone (template, binding, signature,
 //! `est_cout` bits: `cut -f1,2,4,5`). The optimizer reads no order mode, so
-//! they are identical across the three modes of one build:
+//! they are identical across the two modes of one build:
 //!
 //! ```text
-//! for m in Off Auto Force; do grep -P "\t$m\t" census.txt | cut -f1,2,4,5 > plans-$m.txt; done
-//! cmp plans-Off.txt plans-Auto.txt && cmp plans-Off.txt plans-Force.txt
+//! for m in Off Auto; do grep -P "\t$m\t" census.txt | cut -f1,2,4,5 > plans-$m.txt; done
+//! cmp plans-Off.txt plans-Auto.txt
 //! ```
 //!
 //! and a change that must not move the optimizer's plans leaves them
@@ -48,7 +48,7 @@ const BINDINGS: usize = 512;
 const SEED: u64 = 26;
 
 fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
-    for mode in [OrderExec::Off, OrderExec::Auto, OrderExec::Force] {
+    for mode in [OrderExec::Off, OrderExec::Auto] {
         let exec = ExecConfig { order_exec: mode, mem_budget_rows: None, ..ExecConfig::default() };
         let engine = Engine::with_exec_config(ds, exec);
         for (template, domain) in cases {

@@ -64,7 +64,7 @@ fn main() {
 
     // Show the full EXPLAIN for the two extreme pairs — logical plan plus
     // the physical rendering: one line per operator with the chosen join
-    // method (hash/bind/merge), the scanned index and the delivered order.
+    // method (hash/bind), the scanned index and the delivered order.
     for (x, y) in [("USA", "Canada"), ("Finland", "Zimbabwe")] {
         let binding = Binding::new()
             .with("person", person.clone())
