@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parambench_core::ParameterDomain;
 use parambench_datagen::{Bsbm, BsbmConfig, Snb, SnbConfig};
 use parambench_rdf::Term;
-use parambench_sparql::{Binding, Engine, ExecConfig, OrderExec};
+use parambench_sparql::{Binding, Engine, ExecConfig};
 use std::hint::black_box;
 
 fn engine_benches(c: &mut Criterion) {
@@ -122,27 +122,21 @@ fn engine_benches(c: &mut Criterion) {
     }
 
     // Order-aware execution: the ORDER-BY-matching template with the sort
-    // eliminated behind the delivered order vs the forced full machinery.
+    // eliminated behind the delivered order, against the sorting reference.
     {
-        let off_cfg = ExecConfig { order_exec: OrderExec::Off, ..ExecConfig::default() };
         let catalog = Bsbm::q_catalog_of_type();
         let prepared_cat = engine.prepare_template(&catalog, &root_binding).unwrap();
         let eliminated = engine.execute(&prepared_cat).unwrap();
-        let forced = engine.execute_with(&prepared_cat, &off_cfg).unwrap();
-        assert_eq!(eliminated.results, forced.results, "sort elimination changed results");
+        let sorted = engine.execute_unpushed(&prepared_cat).unwrap();
+        assert_eq!(eliminated.results, sorted.results, "sort elimination changed results");
         println!(
-            "catalog-of-type: sorted_rows eliminated {} vs forced {} (rows {})",
+            "catalog-of-type: sorted_rows eliminated {} vs unpushed {} (rows {})",
             eliminated.stats.sorted_rows,
-            forced.stats.sorted_rows,
+            sorted.stats.sorted_rows,
             eliminated.results.len(),
         );
         c.bench_function("exec/order_by_eliminated", |b| {
             b.iter(|| black_box(engine.execute(&prepared_cat).unwrap().results.len()))
-        });
-        c.bench_function("exec/order_by_forced_sort", |b| {
-            b.iter(|| {
-                black_box(engine.execute_with(&prepared_cat, &off_cfg).unwrap().results.len())
-            })
         });
     }
 
@@ -209,10 +203,9 @@ fn engine_benches(c: &mut Criterion) {
 }
 
 /// One LDBC-Q3 optimizer run (`prepare_template`, the unit of one curation
-/// probe) on the `curate` workload's SNB store, under `OrderExec::Auto` and
-/// `OrderExec::Off` — the `Cout` DP reads no mode, so the two agree — then
-/// the physical pass every execution runs (`Engine::physical_plan`) over
-/// that plan and over a BSBM-CHEAPEST plan on the full-scale BSBM store.
+/// probe) on the `curate` workload's SNB store, then the physical pass
+/// every execution runs (`Engine::physical_plan`) over that plan and over a
+/// BSBM-CHEAPEST plan on the full-scale BSBM store.
 fn prepare_benches(c: &mut Criterion) {
     use parambench_datagen::snb::schema;
     let snb = Snb::generate(SnbConfig::with_scale(150_000));
@@ -221,19 +214,16 @@ fn prepare_benches(c: &mut Criterion) {
         .with("person", Term::iri(schema::person(0)))
         .with("countryX", Term::iri(schema::country("Germany")))
         .with("countryY", Term::iri(schema::country("France")));
-    for (name, order_exec) in [("auto", OrderExec::Auto), ("off", OrderExec::Off)] {
-        let exec = ExecConfig { order_exec, ..ExecConfig::default() };
-        let engine = Engine::with_exec_config(&snb.dataset, exec);
-        c.bench_function(&format!("optimizer/prepare_ldbc_q3_{name}"), |b| {
-            b.iter(|| black_box(engine.prepare_template(&q3, &binding).unwrap().est_cout))
-        });
-    }
+    let engine = Engine::new(&snb.dataset);
+    c.bench_function("optimizer/prepare_ldbc_q3", |b| {
+        b.iter(|| black_box(engine.prepare_template(&q3, &binding).unwrap().est_cout))
+    });
 
     let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
     let cheapest = Bsbm::q_cheapest_products_of_type();
     let root_type =
         Binding::new().with("type", Term::iri(parambench_datagen::bsbm::schema::product_type(0)));
-    let exec = ExecConfig { order_exec: OrderExec::Auto, ..ExecConfig::default() };
+    let exec = ExecConfig::default();
     for (name, ds, template, binding) in [
         ("ldbc_q3", &snb.dataset, &q3, &binding),
         ("cheapest", &bsbm.dataset, &cheapest, &root_type),

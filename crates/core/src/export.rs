@@ -192,8 +192,7 @@ mod tests {
         let (_ds, workload) = workload();
         let m = manifest(&workload);
         assert_eq!(m.lines().count(), workload.classes().len());
-        // A join plan signature: the logical join tree, the same under
-        // every order mode.
+        // A join plan signature: the logical join tree.
         assert!(m.contains("plan=HJ("), "{m}");
     }
 

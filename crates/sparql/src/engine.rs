@@ -18,7 +18,7 @@ use parambench_rdf::store::Dataset;
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
 use crate::cardinality::{Estimate, Estimator};
 use crate::error::{ExecError, QueryError};
-use crate::exec::{ExecConfig, ExecStats, OrderExec, UNBOUND};
+use crate::exec::{ExecConfig, ExecStats, UNBOUND};
 use crate::modifiers::{
     Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, SortedDistinct, TopK,
 };
@@ -617,11 +617,6 @@ impl<'a> Engine<'a> {
         self.exec
     }
 
-    /// Replaces the engine's default parallel-execution configuration.
-    pub fn set_exec_config(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
     /// The directory spill files are created under (the system temp dir
     /// by default). Each spilling execution makes its own uniquely-named
     /// subdirectory there and removes it when the run finishes.
@@ -753,28 +748,17 @@ impl<'a> Engine<'a> {
     /// reads exact scan extents, which depend on the binding); it is one
     /// walk over each group's fixed `Cout`-optimal tree, cheap next to any
     /// execution.
-    ///
-    /// The engine's own [`ExecConfig::order_exec`] is the physical pass's
-    /// mode; `exec` set to [`OrderExec::Off`] runs that plan claiming no
-    /// delivered order, which switches every order-based elimination off
-    /// with rows, row order and `Cout` unchanged.
     pub fn physical_plan<'p>(&self, prepared: &'p Prepared, exec: &ExecConfig) -> PhysicalPlan<'p> {
         let m = &prepared.modifiers;
-        let mode = self.exec.order_exec;
         let goal = RootGoal {
             sort: self.servable_order(m),
             limit: m.limit.filter(|_| m.aggregate.is_none()).map(|limit| m.offset + limit),
         };
-        let bgp =
-            prepared.bgp_plan.as_ref().map(|plan| (plan, plan.physical(self.ds, mode, &goal)));
+        let bgp = prepared.bgp_plan.as_ref().map(|plan| (plan, plan.physical(self.ds, &goal)));
         // Order-aware eliminations all derive from the *plan's* delivered
         // order (never from thread count or budget): with the value-ordered
         // dictionary, ascending-id delivery IS ascending ORDER BY order.
-        let order_on = exec.order_exec != OrderExec::Off;
-        let delivered = match &bgp {
-            Some((_, rec)) if order_on => rec.order.clone(),
-            _ => Vec::new(),
-        };
+        let delivered = bgp.as_ref().map_or_else(Vec::new, |(_, rec)| rec.order.clone());
         // The delivered order satisfies the full ORDER BY. (Value semantics
         // hold because the dictionary is value-ordered at freeze: ascending
         // ids are ascending ORDER BY values, unbound ids sort last both ways.)
@@ -798,7 +782,7 @@ impl<'a> Engine<'a> {
             }
         };
         let serial = |g: &'p GroupPlan| PhysGroup {
-            node: g.plan.physical(self.ds, mode, &RootGoal::default()).node,
+            node: g.plan.physical(self.ds, &RootGoal::default()).node,
             filters: &g.filters,
             join_vars: &g.join_vars,
         };
@@ -817,8 +801,7 @@ impl<'a> Engine<'a> {
                 // prefix. Serial, unbudgeted pipelines only: the fan-out is
                 // worth more than the one-group residency win, and a budget
                 // must bound the groups the other folds hold.
-                let ordered = order_on
-                    && budget.is_none()
+                let ordered = budget.is_none()
                     && !worker_side
                     && Self::clustered(&delivered, &agg.group_slots);
                 let fold = match budget {
@@ -1760,10 +1743,7 @@ mod tests {
             }
         }
         let ds = b.freeze();
-        // The tree's own orientation and default indexes: the root is the
-        // bind join this test is about.
-        let exec = ExecConfig { order_exec: OrderExec::Off, ..ExecConfig::default() };
-        let engine = Engine::with_exec_config(&ds, exec);
+        let engine = Engine::new(&ds);
         let q = crate::parser::parse_query(
             "SELECT ?other (COUNT(?f) AS ?shared) WHERE { <prod/0> <feature> ?f . \
              ?other <feature> ?f . FILTER(?other != <prod/0>) } \
@@ -1771,7 +1751,7 @@ mod tests {
         )
         .unwrap();
         let prepared = engine.prepare(&q).unwrap();
-        let root = engine.physical_plan(&prepared, &exec).bgp.map(|n| n.method());
+        let root = engine.physical_plan(&prepared, &engine.exec_config()).bgp.map(|n| n.method());
         assert_eq!(root, Some("BindJoin"));
 
         let stats = engine.measure(&prepared).unwrap();

@@ -63,16 +63,6 @@ pub struct ExecConfig {
     /// Minimum estimated plan cost (`est_cout + est_card`) before
     /// parallel lowering is considered.
     pub min_est_cost: f64,
-    /// The physical pass's mode ([`OrderExec`]): whether delivered orders
-    /// (sorted index scans behind sort, fold and dedup elimination) are
-    /// exploited. No mode changes the optimizer's plan, its signature or
-    /// its estimated `Cout`. An engine's own setting chooses the physical
-    /// plan each execution runs; an execution config of [`OrderExec::Off`]
-    /// runs that plan claiming no delivered order, with every sort on,
-    /// which changes neither the produced rows, their order, nor (short of
-    /// a LIMIT's early exit) measured `Cout` — so the differential suites
-    /// compare the two bit for bit. Defaults to [`OrderExec::Auto`].
-    pub order_exec: OrderExec,
     /// Memory budget, in resident rows, for blocking modifier state:
     /// GROUP BY accumulator entries and full-sort buffer rows. `None`
     /// means unlimited (everything stays in memory). When the budget is
@@ -101,50 +91,11 @@ pub struct ExecConfig {
     pub pool: Option<&'static WorkerPool>,
 }
 
-impl PartialEq for ExecConfig {
-    /// Pools compare by identity (two configs are equal when they lease
-    /// from the *same* pool); everything else compares structurally.
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.morsel_rows == other.morsel_rows
-            && self.min_driver_rows == other.min_driver_rows
-            && (self.min_est_cost == other.min_est_cost
-                || (self.min_est_cost.is_nan() && other.min_est_cost.is_nan()))
-            && self.order_exec == other.order_exec
-            && self.mem_budget_rows == other.mem_budget_rows
-            && match (self.pool, other.pool) {
-                (None, None) => true,
-                (Some(a), Some(b)) => std::ptr::eq(a, b),
-                _ => false,
-            }
-    }
-}
-
 /// Environment variable overriding the default
 /// [`ExecConfig::mem_budget_rows`] (e.g. `SPARQL_MEM_BUDGET_ROWS=8` forces
 /// tiny budgets — the CI job that exercises the spill path on every push).
 /// Unset or unparsable values mean unlimited.
 pub const MEM_BUDGET_ENV: &str = "SPARQL_MEM_BUDGET_ROWS";
-
-/// The physical pass's mode: whether each execution exploits delivered
-/// orders (sorted index scans → sort, fold and dedup elimination). Only
-/// the pass over the `Cout`-optimal tree reads it — the optimizer does
-/// not — so plans, signatures and the paper's parameter classes are the
-/// same under both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderExec {
-    /// Cost-guided (the default): the pass keeps, per node, the
-    /// alternative with the fewest estimated scanned plus built rows — a
-    /// selective bind join is never displaced, and ORDER BY is served
-    /// where the saved sort (under LIMIT, the early exit) pays.
-    #[default]
-    Auto,
-    /// Keep the tree's orientation and default indexes, join by the bind
-    /// rule and claim no order, so every sort runs. As an execution
-    /// config: run the engine's plan claiming no delivered order — the
-    /// baseline side of the order differential tests.
-    Off,
-}
 
 /// The default memory budget, read fresh from [`MEM_BUDGET_ENV`] on every
 /// call. Each [`ExecConfig`] construction therefore observes the
@@ -167,7 +118,6 @@ impl Default for ExecConfig {
             morsel_rows: 8192,
             min_driver_rows: 16384,
             min_est_cost: 4096.0,
-            order_exec: OrderExec::Auto,
             mem_budget_rows: env_mem_budget_rows(),
             pool: None,
         }
@@ -706,19 +656,6 @@ mod tests {
         let none = WorkerPool::new(0);
         assert_eq!(none.try_acquire(4), 0);
         assert_eq!(none.stats().deferred, 1);
-    }
-
-    #[test]
-    fn exec_config_equality_compares_pools_by_identity() {
-        let a = ExecConfig::default();
-        let b = ExecConfig::default();
-        assert_eq!(a, b);
-        let p1 = WorkerPool::leak(1);
-        let p2 = WorkerPool::leak(1);
-        let c1 = ExecConfig { pool: Some(p1), ..a };
-        assert_ne!(a, c1);
-        assert_eq!(c1, ExecConfig { pool: Some(p1), ..a });
-        assert_ne!(c1, ExecConfig { pool: Some(p2), ..a });
     }
 
     #[test]

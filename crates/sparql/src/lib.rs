@@ -47,9 +47,9 @@
 //!   already satisfies are skipped entirely
 //!   (`ExecStats::sorted_rows == 0`; TopK degenerates to an early-exit
 //!   slice, GROUP BY folds one group at a time, DISTINCT dedups by run) —
-//!   controlled by [`exec::ExecConfig::order_exec`], which no plan
-//!   signature depends on, with the `Off` mode reproducing the rows, row
-//!   order and `Cout` of an execution that claims no order bit for bit;
+//!   chosen per execution after the `Cout` DP, so no plan signature
+//!   depends on it, and with the rows, row order and `Cout` of the
+//!   sorting reference ([`engine::Engine::execute_unpushed`]) bit for bit;
 //! * blocking modifier state degrades **out-of-core** under a memory
 //!   budget ([`exec::ExecConfig::mem_budget_rows`], env-overridable via
 //!   [`exec::MEM_BUDGET_ENV`]): grouped aggregation hash-partitions
@@ -121,8 +121,8 @@ pub use ast::SelectQuery;
 pub use engine::{Engine, PlanClass, Prepared, QueryOutput, RowStream, StreamEnd};
 pub use error::{ExecError, QueryError};
 pub use exec::{
-    available_parallelism, env_mem_budget_rows, global_pool, ExecConfig, ExecStats, OrderExec,
-    PoolStats, WorkerPool, MEM_BUDGET_ENV,
+    available_parallelism, env_mem_budget_rows, global_pool, ExecConfig, ExecStats, PoolStats,
+    WorkerPool, MEM_BUDGET_ENV,
 };
 pub use parser::parse_query;
 pub use physical::{Batch, CoutBucket, Operator, BATCH_SIZE, MORSELS_PER_WAVE};

@@ -17,8 +17,8 @@
 //! paper's clustering conditions (a)/(b) are defined over — and plans
 //! nothing else: index orders, join methods and sort elimination are chosen
 //! per execution by the physical pass over the returned tree
-//! (`Engine::physical_plan`), so the plan and its signature are the same
-//! under every [`OrderExec`](crate::exec::OrderExec).
+//! (`Engine::physical_plan`), so the plan and its signature never depend
+//! on them.
 
 use std::collections::HashMap;
 
@@ -657,18 +657,6 @@ mod tests {
         b.freeze()
     }
 
-    /// What the physical pass records for `plan` under `mode` with no
-    /// modifier goal: the tree and its delivered order.
-    fn pass(plan: &PlanNode, ds: &Dataset, mode: crate::exec::OrderExec) -> Recorded {
-        let rec = plan.physical(ds, mode, &crate::plan::RootGoal::default());
-        Recorded { node: rec.node, order: rec.order }
-    }
-
-    struct Recorded {
-        node: crate::plan::PhysNode,
-        order: Vec<usize>,
-    }
-
     #[test]
     fn reestimate_agrees_with_plan_cards() {
         let ds = skewed_dataset();
@@ -681,27 +669,66 @@ mod tests {
         assert!((plan.est_card() - reestimate(&plan, &est).card).abs() < 1e-9);
     }
 
-    /// The work the pass and the DP compute, recomputed by one walk over a
-    /// recorded physical tree — the join methods that actually run:
     /// `(Cout summed in the DP's operand order, est_card, build rows,
-    /// scanned rows)`.
-    fn recorded_props(node: &crate::plan::PhysNode, ds: &Dataset) -> (f64, f64, f64, f64) {
+    /// scanned rows)` of a subtree.
+    type Props = (f64, f64, f64, f64);
+
+    /// The extent of a scan of `pattern` (0 for an absent constant).
+    fn extent(pattern: &PlannedPattern, ds: &Dataset) -> f64 {
+        if pattern.has_absent() {
+            0.0
+        } else {
+            ds.count(pattern.access()) as f64
+        }
+    }
+
+    /// The properties of a join running as `method` over children with
+    /// properties `l` and `r`, producing `card` rows.
+    fn join_props(method: JoinMethod, l: Props, r: Props, card: f64) -> Props {
+        let ((lc, lcard, lb, ls), (rc, rcard, rb, rs)) = (l, r);
+        let (build, scan) = match method {
+            JoinMethod::Bind => (lb, ls + card),
+            JoinMethod::Hash { build_right: true } => (lb + rb + rcard, ls + rs),
+            JoinMethod::Hash { build_right: false } => (lb + rb + lcard, ls + rs),
+        };
+        (lc + rc + card, card, build, scan)
+    }
+
+    /// The work the DP's tiebreaks assume, recomputed by one walk over the
+    /// logical tree: its own orientation, default indexes, and each join
+    /// by [`JoinMethod::of_hash_join`].
+    fn default_props(node: &PlanNode, ds: &Dataset) -> Props {
+        match node {
+            PlanNode::Scan { pattern, est_card } => (0.0, *est_card, 0.0, extent(pattern, ds)),
+            PlanNode::Join { left, right, join_vars, est_card } => {
+                let right_extent = match right.as_ref() {
+                    PlanNode::Scan { pattern, .. } if !pattern.has_absent() => {
+                        Some(ds.count(pattern.access()))
+                    }
+                    _ => None,
+                };
+                let joined = !join_vars.is_empty();
+                let method = JoinMethod::of_hash_join(
+                    left.est_card(),
+                    right.est_card(),
+                    right_extent,
+                    joined,
+                );
+                let (l, r) = (default_props(left, ds), default_props(right, ds));
+                join_props(method, l, r, *est_card)
+            }
+        }
+    }
+
+    /// The same properties of a recorded physical tree — the join methods
+    /// that actually run.
+    fn recorded_props(node: &crate::plan::PhysNode, ds: &Dataset) -> Props {
         use crate::plan::PhysNode;
         match node {
-            PhysNode::Scan { pattern, est_card, .. } => {
-                let scan =
-                    if pattern.has_absent() { 0.0 } else { ds.count(pattern.access()) as f64 };
-                (0.0, *est_card, 0.0, scan)
-            }
+            PhysNode::Scan { pattern, est_card, .. } => (0.0, *est_card, 0.0, extent(pattern, ds)),
             PhysNode::Join { method, left, right, est_card, .. } => {
-                let (lc, lcard, lb, ls) = recorded_props(left, ds);
-                let (rc, rcard, rb, rs) = recorded_props(right, ds);
-                let (build, scan) = match method {
-                    JoinMethod::Bind => (lb, ls + est_card),
-                    JoinMethod::Hash { build_right: true } => (lb + rb + rcard, ls + rs),
-                    JoinMethod::Hash { build_right: false } => (lb + rb + lcard, ls + rs),
-                };
-                (lc + rc + est_card, *est_card, build, scan)
+                let (l, r) = (recorded_props(left, ds), recorded_props(right, ds));
+                join_props(*method, l, r, *est_card)
             }
         }
     }
@@ -761,7 +788,6 @@ mod tests {
 
     #[test]
     fn arena_properties_match_the_materialized_plan() {
-        use crate::exec::OrderExec;
         let skewed = (["p/type", "p/feature", "p/special"], ["class/0", "feat/3", "flag/on"]);
         let star = (["p/type", "p/feature", "p/price"], ["class/x", "feat/3", "feat/7"]);
         // The third store carries an overflow term in its overlay: id order
@@ -784,15 +810,13 @@ mod tests {
                     let mut sig = String::new();
                     dp.render_sig(&c, &mut sig);
                     assert_eq!(sig, what);
-                    // The DP's tiebreak work is the default lowering's:
-                    // the tree run under `Off`, bit for bit.
-                    let off = pass(&plan, ds, OrderExec::Off);
-                    let (cost, card, build, scan) = recorded_props(&off.node, ds);
+                    // The DP's tiebreak work is the default lowering's,
+                    // bit for bit.
+                    let (cost, card, build, scan) = default_props(&plan, ds);
                     assert_eq!(c.cost.to_bits(), cost.to_bits(), "{what}");
                     assert_eq!(c.work.build.to_bits(), build.to_bits(), "{what}");
                     assert_eq!(c.work.scan.to_bits(), scan.to_bits(), "{what}");
                     assert_eq!(c.est_card.to_bits(), card.to_bits(), "{what}");
-                    assert!(off.order.is_empty(), "Off claims no order: {what}");
                     // `est_cout` sums the same cards with the node's own
                     // card first: equal up to rounding. And `Cout`-optimal.
                     let tol = 1e-12 * c.cost.abs().max(1.0);
@@ -802,10 +826,10 @@ mod tests {
                         let tol = 1e-9 * oracle.abs().max(1.0);
                         assert!((c.cost - oracle).abs() <= tol, "{what}: {oracle}");
                     }
-                    // The pass runs the same tree: same `Cout`, and under
-                    // `Auto` never more work than the default lowering,
-                    // which is one of its alternatives.
-                    let rec = pass(&plan, ds, OrderExec::Auto);
+                    // The pass runs the same tree: same `Cout`, and never
+                    // more work than the default lowering, which is one of
+                    // its alternatives.
+                    let rec = plan.physical(ds, &crate::plan::RootGoal::default());
                     let (cost, card, build, scan) = recorded_props(&rec.node, ds);
                     assert_eq!(cost.to_bits(), c.cost.to_bits(), "{what}");
                     assert_eq!(card.to_bits(), c.est_card.to_bits(), "{what}");

@@ -1750,7 +1750,6 @@ impl Operator for Gather<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::OrderExec;
     use crate::plan::{Physical, PlanNode, RootGoal};
     use parambench_rdf::store::StoreBuilder;
     use parambench_rdf::term::Term;
@@ -2045,18 +2044,17 @@ mod tests {
         assert_eq!(out.len(), 20);
     }
 
-    /// `plan`'s default lowering: the physical pass under
-    /// [`OrderExec::Off`], which runs every join by the bind rule.
-    fn default_lowering(plan: &PlanNode, ds: &Dataset) -> Physical {
-        plan.physical(ds, OrderExec::Off, &RootGoal::default())
+    /// What the physical pass records for `plan` with no modifier goal.
+    fn recorded(plan: &PlanNode, ds: &Dataset) -> Physical {
+        plan.physical(ds, &RootGoal::default())
     }
 
-    /// The serial lowering of `plan`'s default lowering.
+    /// The serial lowering of `plan`'s recorded tree.
     fn serial_op<'a>(plan: &PlanNode, ds: &'a Dataset) -> BoxedOperator<'a> {
-        default_lowering(plan, ds).node.lower(ds, CoutBucket::Required)
+        recorded(plan, ds).node.lower(ds, CoutBucket::Required)
     }
 
-    /// The morsel lowering of `plan`'s default lowering, when its spine
+    /// The morsel lowering of `plan`'s recorded tree, when its spine
     /// qualifies for morsels under `cfg`.
     fn morsel_source<'a>(
         plan: &PlanNode,
@@ -2064,7 +2062,7 @@ mod tests {
         cfg: &ExecConfig,
         stats: &mut ExecStats,
     ) -> Option<ParallelSource<'a>> {
-        let rec = default_lowering(plan, ds);
+        let rec = recorded(plan, ds);
         plan.morselizes(cfg, rec.driver_rows)
             .then(|| rec.node.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
     }

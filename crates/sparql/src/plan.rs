@@ -21,7 +21,7 @@ use parambench_rdf::term::Term;
 
 use crate::ast::{AggFunc, BinOp, Expr, OrderTarget, Projection, SelectQuery};
 use crate::error::{ExecError, QueryError};
-use crate::exec::{self, ExecConfig, ExecStats, OrderExec, Value, UNBOUND};
+use crate::exec::{self, ExecConfig, ExecStats, Value, UNBOUND};
 use crate::physical::{
     BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, ParallelSource,
     SpineStep,
@@ -187,7 +187,7 @@ impl PlanNode {
     /// The structural signature of this subtree (see [`PlanSignature`]):
     /// the logical join tree, `S<idx>` per scan and `HJ(left,right)` per
     /// join. No physical choice participates, so the paper's conditions
-    /// (a)/(c) see the same optimum under every [`OrderExec`].
+    /// (a)/(c) see the same optimum whatever the physical pass records.
     pub fn signature(&self) -> PlanSignature {
         let mut text = String::new();
         fn walk(node: &PlanNode, out: &mut String) {
@@ -225,13 +225,9 @@ impl PlanNode {
     /// keeps at most one cheapest alternative per delivered order; the cost
     /// is estimated rows scanned plus rows built ([`JoinMethod::work`]).
     /// It chooses each scan's index order, which side of each join streams,
-    /// and bind vs hash, by `mode`:
-    ///
-    /// * [`OrderExec::Off`] keeps the tree's orientation and default
-    ///   indexes and claims no order: every join runs by
-    ///   [`JoinMethod::of_hash_join`];
-    /// * [`OrderExec::Auto`] also tries the other orientation and every
-    ///   index order, and keeps the cheapest.
+    /// and bind vs hash: besides the tree's orientation and default indexes
+    /// (each join by [`JoinMethod::of_hash_join`]) it tries the other
+    /// orientation and every index order, and keeps the cheapest.
     ///
     /// At the root `goal` adds the modifier cost of ORDER BY `goal.sort`:
     ///
@@ -246,11 +242,11 @@ impl PlanNode {
     ///
     /// The pass reads estimates and exact extents (`ds.count`), never an
     /// extent's rows.
-    pub(crate) fn physical(&self, ds: &Dataset, mode: OrderExec, goal: &RootGoal) -> Physical {
-        let claim = mode != OrderExec::Off && ds.order_by_value_intact();
+    pub(crate) fn physical(&self, ds: &Dataset, goal: &RootGoal) -> Physical {
+        let claim = ds.order_by_value_intact();
         let leaves = self.leaf_count();
         let alts = Vec::with_capacity(8 * leaves);
-        let mut pass = Pass { ds, mode, claim, alts };
+        let mut pass = Pass { ds, claim, alts };
         let range = pass.alts(self);
         let root = pass.pick_root(range, self.est_card(), goal);
         let (order, driver) = (&pass.alts[root].order, pass.alts[root].driver);
@@ -382,11 +378,9 @@ impl Alt<'_> {
 /// every node, children before parents.
 struct Pass<'d, 'p> {
     ds: &'d Dataset,
-    mode: OrderExec,
-    /// Whether scans claim their delivered order (not under `Off`, nor
-    /// while the store's id order is not value order,
-    /// [`Dataset::order_by_value_intact`]) — without a claimed order no
-    /// sort elimination is possible.
+    /// Whether scans claim their delivered order (not while the store's id
+    /// order is not value order, [`Dataset::order_by_value_intact`]) —
+    /// without a claimed order no sort elimination is possible.
     claim: bool,
     alts: Vec<Alt<'p>>,
 }
@@ -411,9 +405,7 @@ impl<'p> Pass<'_, 'p> {
                 let tree = (left.as_ref(), l);
                 let swapped = (right.as_ref(), r);
                 let method = self.hash_alts(node, tree.clone(), swapped.clone(), joined, None);
-                if self.mode != OrderExec::Off {
-                    self.hash_alts(node, swapped, tree, joined, Some(method));
-                }
+                self.hash_alts(node, swapped, tree, joined, Some(method));
                 self.prune(start)
             }
         }
@@ -1285,7 +1277,8 @@ pub struct PhysicalPlan<'p> {
     /// Slot sequence the pattern part delivers its rows sorted by: the
     /// recorded BGP's (filters, OPTIONAL joins and base-side UNION joins
     /// all stream the base, so its order survives to the modifier
-    /// boundary); empty under [`OrderExec::Off`] and for a bare UNION.
+    /// boundary); empty for a bare UNION and while the store's id order
+    /// is not value order.
     pub delivered_order: Vec<usize>,
     /// The required BGP (absent when the body is a bare UNION).
     pub bgp: Option<PhysNode>,

@@ -777,11 +777,6 @@ fn error_messages_are_actionable() {
 // Order-aware execution: sort elimination, expr keys
 // ---------------------------------------------------------------------------
 
-/// The same prepared plan run claiming no delivered order: every sort runs.
-fn off_cfg() -> ExecConfig {
-    ExecConfig { order_exec: parambench_sparql::OrderExec::Off, ..Default::default() }
-}
-
 /// Duplicate-heavy star: every subject repeats each predicate value pair
 /// several times through multi-valued predicates.
 fn duplicate_heavy_dataset(n: usize) -> Dataset {
@@ -809,8 +804,8 @@ fn star_rows(ds: &Dataset) -> usize {
     ds.scan([None, Some(a), None]).map(|t| ds.count([Some(t[0]), Some(b), None])).sum()
 }
 
-/// OPTIONAL over a duplicate-heavy star base: the default engine and the
-/// same plan run claiming no order agree on rows, order and both `Cout`s.
+/// OPTIONAL over a duplicate-heavy star base: the engine and the sorting
+/// reference agree on rows, order and both `Cout`s.
 #[test]
 fn optional_over_merge_joined_base_keeps_left_rows_and_order() {
     let ds = duplicate_heavy_dataset(120);
@@ -820,26 +815,26 @@ fn optional_over_merge_joined_base_keeps_left_rows_and_order() {
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let auto = engine.execute(&prepared).unwrap();
-    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(auto.results, off.results);
-    assert_eq!(auto.cout, off.cout);
-    assert_eq!(auto.stats.cout_optional, off.stats.cout_optional);
+    let pushed = engine.execute(&prepared).unwrap();
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(pushed.results, unpushed.results);
+    assert_eq!(pushed.cout, unpushed.cout);
+    assert_eq!(pushed.stats.cout_optional, unpushed.stats.cout_optional);
     // Every base row survives the left-outer join; i % 4 == 3 subjects
     // (which carry no <note>) are padded with UNBOUND.
-    assert_eq!(auto.results.len(), star_rows(&ds));
-    let unbound = auto
+    assert_eq!(pushed.results.len(), star_rows(&ds));
+    let unbound = pushed
         .results
         .rows
         .iter()
         .filter(|r| matches!(r[3], parambench_sparql::results::OutVal::Unbound))
         .count();
     assert!(unbound > 0, "note-less subjects must pad");
-    assert!(unbound < auto.results.len());
+    assert!(unbound < pushed.results.len());
 }
 
-/// A join with a provably empty side: the default engine and the same
-/// plan run claiming no order scan exactly the same live side.
+/// A join with a provably empty side: the engine and the sorting reference
+/// scan exactly the same live side.
 #[test]
 fn merge_join_with_empty_side_at_engine_level() {
     let ds = duplicate_heavy_dataset(120);
@@ -848,11 +843,11 @@ fn merge_join_with_empty_side_at_engine_level() {
     let q =
         parambench_sparql::parse_query("SELECT ?s ?x ?c WHERE { ?s <a> ?x . ?s <c> ?c }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let auto = engine.execute(&prepared).unwrap();
-    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert!(auto.results.is_empty());
-    assert_eq!(auto.results, off.results);
-    assert_eq!(auto.stats.scanned, off.stats.scanned);
+    let pushed = engine.execute(&prepared).unwrap();
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert!(pushed.results.is_empty());
+    assert_eq!(pushed.results, unpushed.results);
+    assert_eq!(pushed.stats.scanned, unpushed.stats.scanned);
 }
 
 #[test]
@@ -864,10 +859,10 @@ fn order_by_matching_index_eliminates_the_sort() {
         .unwrap();
     let prepared = engine.prepare(&q).unwrap();
     let eliminated = engine.execute(&prepared).unwrap();
-    let forced = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(eliminated.results, forced.results, "eliminated sort changed the output");
+    let sorted = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(eliminated.results, sorted.results, "eliminated sort changed the output");
     assert_eq!(eliminated.stats.sorted_rows, 0, "sort must be provably skipped");
-    assert!(forced.stats.sorted_rows > 0, "forced mode must really sort");
+    assert!(sorted.stats.sorted_rows > 0, "the reference must really sort");
     let explain = engine.explain_physical(&prepared);
     assert!(explain.contains("sort: eliminated"), "{explain}");
 }
@@ -882,14 +877,14 @@ fn eliminated_sort_with_limit_exits_early() {
             .unwrap();
     let prepared = engine.prepare(&q).unwrap();
     let eliminated = engine.execute(&prepared).unwrap();
-    let forced = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(eliminated.results, forced.results);
+    let sorted = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(eliminated.results, sorted.results);
     assert_eq!(eliminated.stats.sorted_rows, 0);
     assert!(
-        eliminated.stats.scanned < forced.stats.scanned,
+        eliminated.stats.scanned < sorted.stats.scanned,
         "the eliminated sort must early-exit ({} vs {})",
         eliminated.stats.scanned,
-        forced.stats.scanned
+        sorted.stats.scanned
     );
 }
 
@@ -976,12 +971,12 @@ fn group_by_on_delivered_order_streams_one_group_at_a_time() {
     let ds = duplicate_heavy_dataset(120);
     let engine = Engine::new(&ds);
     // Group key = the subject the scan delivers sorted: the ordered fold
-    // holds one group; the forced-off run uses the hash fold. Results,
-    // Cout and scanned must match bit for bit, and with ORDER BY ASC(?s)
-    // the final sort disappears too.
+    // holds one group's DISTINCT values at a time. Results and Cout must
+    // match the sorting reference bit for bit, and with ORDER BY ASC(?s)
+    // the final sort disappears.
     let q = parambench_sparql::parse_query(
-        "SELECT ?s (COUNT(?x) AS ?n) (SUM(?x) AS ?sum) WHERE { ?s <a> ?x } \
-         GROUP BY ?s ORDER BY ASC(?s)",
+        "SELECT ?s (COUNT(?x) AS ?n) (SUM(?x) AS ?sum) (COUNT(DISTINCT ?x) AS ?d) \
+         WHERE { ?s <a> ?x } GROUP BY ?s ORDER BY ASC(?s)",
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
@@ -990,22 +985,26 @@ fn group_by_on_delivered_order_streams_one_group_at_a_time() {
     // budget regardless of any SPARQL_MEM_BUDGET_ROWS the suite runs with.
     let inmem = ExecConfig { mem_budget_rows: None, ..ExecConfig::default() };
     let ordered = engine.execute_with(&prepared, &inmem).unwrap();
-    let forced =
-        engine.execute_with(&prepared, &ExecConfig { mem_budget_rows: None, ..off_cfg() }).unwrap();
-    assert_eq!(ordered.results, forced.results);
+    let sorted = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(ordered.results, sorted.results);
     assert_eq!(ordered.results.len(), 120);
     assert_eq!(ordered.stats.sorted_rows, 0, "group-key ORDER BY rides the delivered order");
-    assert_eq!(ordered.cout, forced.cout);
-    assert!(forced.stats.sorted_rows > 0);
+    assert_eq!(ordered.cout, sorted.cout);
+    assert!(sorted.stats.sorted_rows > 0);
+    // Resident at once: the one input batch (all 480 <a> rows), the 120
+    // finished group rows and one group's 4 distinct values. A hash fold
+    // also keeps every group's distinct set, 480 more.
+    let (rows, groups, distinct) = (120 * 4, 120, 4);
     assert!(
-        ordered.stats.peak_tuples <= forced.stats.peak_tuples,
-        "one-group-at-a-time fold must not hold more than the hash fold"
+        ordered.stats.peak_tuples <= (rows + groups + distinct) as u64,
+        "ordered fold peak {}",
+        ordered.stats.peak_tuples
     );
 }
 
 #[test]
 fn distinct_on_delivered_order_uses_run_dedup() {
-    // Large enough that the hash dedup's retained set dominates the peak.
+    // More distinct subjects than one batch holds.
     let ds = duplicate_heavy_dataset(2000);
     let engine = Engine::new(&ds);
     // DISTINCT ?s over the multi-valued <a>: 4 duplicates per subject,
@@ -1013,14 +1012,15 @@ fn distinct_on_delivered_order_uses_run_dedup() {
     let q = parambench_sparql::parse_query("SELECT DISTINCT ?s WHERE { ?s <a> ?x }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
     let ordered = engine.execute(&prepared).unwrap();
-    let forced = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(ordered.results, forced.results);
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(ordered.results, unpushed.results);
     assert_eq!(ordered.results.len(), 2000);
+    // Run dedup holds one batch; a hash set would retain all 2 000
+    // distinct subjects.
     assert!(
-        ordered.stats.peak_tuples < forced.stats.peak_tuples,
-        "run dedup peak {} not below hash dedup peak {}",
-        ordered.stats.peak_tuples,
-        forced.stats.peak_tuples
+        ordered.stats.peak_tuples <= parambench_sparql::BATCH_SIZE as u64,
+        "run dedup peak {}",
+        ordered.stats.peak_tuples
     );
 }
 
@@ -1047,23 +1047,23 @@ fn multi_key_sort_elimination_declines_on_numeric_value_ties() {
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let auto = engine.execute(&prepared).unwrap();
-    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(auto.results, off.results, "tie-carrying multi-key order diverged");
-    assert!(auto.stats.sorted_rows > 0, "the engine must really sort here");
+    let pushed = engine.execute(&prepared).unwrap();
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(pushed.results, unpushed.results, "tie-carrying multi-key order diverged");
+    assert!(pushed.stats.sorted_rows > 0, "the engine must really sort here");
     // The equal-?a tie group is ordered by ?b: b=3 (the double row) first.
-    assert_eq!(auto.results.rows[0][2].as_num(), Some(3.0));
-    assert_eq!(auto.results.rows[1][2].as_num(), Some(5.0));
+    assert_eq!(pushed.results.rows[0][2].as_num(), Some(3.0));
+    assert_eq!(pushed.results.rows[1][2].as_num(), Some(5.0));
 
     // Single-key ORDER BY stays eliminable even with ties: sort-key ties
     // fall back to arrival order on both paths.
     let q1 = parambench_sparql::parse_query("SELECT ?s ?a WHERE { ?s <a> ?a } ORDER BY ASC(?a)")
         .unwrap();
     let p1 = engine.prepare(&q1).unwrap();
-    let auto1 = engine.execute(&p1).unwrap();
-    let off1 = engine.execute_with(&p1, &off_cfg()).unwrap();
-    assert_eq!(auto1.results, off1.results);
-    assert_eq!(auto1.stats.sorted_rows, 0, "single-key elimination stays sound");
+    let pushed1 = engine.execute(&p1).unwrap();
+    let unpushed1 = engine.execute_unpushed(&p1).unwrap();
+    assert_eq!(pushed1.results, unpushed1.results);
+    assert_eq!(pushed1.stats.sorted_rows, 0, "single-key elimination stays sound");
 }
 
 // ---------------------------------------------------------------------------
@@ -1080,13 +1080,6 @@ fn measured(engine: &Engine<'_>, text: &str) -> (u64, parambench_sparql::QueryOu
     let cout = engine.measure_cout(&prepared).unwrap();
     assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text}");
     (cout, out)
-}
-
-/// Engine whose physical pass keeps the tree's orientation and default
-/// indexes: the root shapes the tests below pin (a `BindJoin` over a given
-/// pattern) are the bind rule's alone.
-fn bind_engine(ds: &Dataset) -> Engine<'_> {
-    Engine::with_exec_config(ds, off_cfg())
 }
 
 /// The query position of the pattern the recorded plan's root probes,
@@ -1162,11 +1155,10 @@ fn loop_dataset() -> Dataset {
 fn measure_cout_applies_a_root_patterns_repeated_variable() {
     let ds = loop_dataset();
     let text = "SELECT * WHERE { ?j <kind> <rel> . ?y ?j ?y }";
-    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
-    for engine in [bind_engine(&ds), Engine::new(&ds)] {
-        let (cout, out) = measured(&engine, text);
-        assert_eq!((cout, out.results.len()), (26, 26), "one row per self-loop");
-    }
+    let engine = Engine::new(&ds);
+    assert_eq!(bind_root_probe(&engine, text), Some(1));
+    let (cout, out) = measured(&engine, text);
+    assert_eq!((cout, out.results.len()), (26, 26), "one row per self-loop");
 }
 
 /// `?x <self> ?x` with `?x` the join key binds both positions from the
@@ -1175,12 +1167,11 @@ fn measure_cout_applies_a_root_patterns_repeated_variable() {
 fn measure_cout_binds_a_join_variable_twice_in_the_root_pattern() {
     let ds = loop_dataset();
     let text = "SELECT * WHERE { ?s <link> ?x . ?x <self> ?x }";
-    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
-    for engine in [bind_engine(&ds), Engine::new(&ds)] {
-        // Five of the twenty links target n/5, the only self-looped node.
-        let (cout, out) = measured(&engine, text);
-        assert_eq!((cout, out.results.len()), (5, 5));
-    }
+    let engine = Engine::new(&ds);
+    assert_eq!(bind_root_probe(&engine, text), Some(1));
+    // Five of the twenty links target n/5, the only self-looped node.
+    let (cout, out) = measured(&engine, text);
+    assert_eq!((cout, out.results.len()), (5, 5));
 }
 
 #[test]
@@ -1212,10 +1203,9 @@ fn measure_cout_of_an_empty_left_side_is_zero() {
     let ds = dataset();
     // "label 2" is interned (item/2's label) but no <special> value.
     let text = "SELECT * WHERE { ?s <special> \"label 2\" . ?s <rank> ?r }";
-    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
-    for engine in [bind_engine(&ds), Engine::new(&ds)] {
-        assert_eq!(measured(&engine, text).0, 0);
-    }
+    let engine = Engine::new(&ds);
+    assert_eq!(bind_root_probe(&engine, text), Some(1));
+    assert_eq!(measured(&engine, text).0, 0);
 }
 
 /// The root's probe counts are `Dataset::count` over a range the overlay
@@ -1242,7 +1232,8 @@ fn measure_cout_counts_through_overlay_adds_and_tombstones() {
     assert!(ds.overlay().adds_len() > 0 && ds.overlay().dels_len() > 0);
 
     let text = "SELECT ?other WHERE { <prod/0> <feat> ?f . ?other <feat> ?f }";
-    assert_eq!(bind_root_probe(&bind_engine(&ds), text), Some(1));
+    let engine = Engine::new(&ds);
+    assert_eq!(bind_root_probe(&engine, text), Some(1));
     let visible = |ds: &Dataset| {
         let f = ds.lookup(&feat).unwrap();
         let p0 = ds.lookup(&product(0)).unwrap();
@@ -1256,9 +1247,7 @@ fn measure_cout_counts_through_overlay_adds_and_tombstones() {
     let frozen = frozen.freeze();
     let want = measured(&Engine::new(&frozen), text).0;
     assert_eq!(want, visible(&frozen));
-    for engine in [bind_engine(&ds), Engine::new(&ds)] {
-        assert_eq!(measured(&engine, text).0, want);
-    }
+    assert_eq!(measured(&engine, text).0, want);
 }
 
 /// Every shipped template with four bindings spread over its domain, on its

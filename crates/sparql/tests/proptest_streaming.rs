@@ -509,50 +509,6 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
             );
         }
     }
-
-    // Order sweep. Claiming no delivered order and turning every sort back
-    // on (`OrderExec::Off`) across threads {1,4} × budgets {2, ∞} must
-    // reproduce the order-aware run bit for bit: an eliminated sort only
-    // skips work a sorted pipeline proves redundant. Without a LIMIT, Cout
-    // and scanned match exactly too; with a LIMIT the eliminated sort may
-    // legitimately early-exit *earlier* than the forced TopK, so only the
-    // row guarantee applies.
-    for budget in [None, Some(2)] {
-        for threads in [1usize, 4] {
-            let exec = ExecConfig {
-                threads,
-                morsel_rows: 5,
-                min_driver_rows: 1,
-                min_est_cost: 0.0,
-                mem_budget_rows: budget,
-                order_exec: parambench_sparql::OrderExec::Off,
-                ..ExecConfig::default()
-            };
-            let off = engine.execute_with(&prepared, &exec).unwrap_or_else(|e| {
-                panic!(
-                    "execute_with(order off, budget {budget:?}, {threads} threads) {text:?}: {e}"
-                )
-            });
-            explained(&exec, &off);
-            measured(&exec, &off);
-            assert_eq!(
-                off.results, pushed.results,
-                "order-off (budget {budget:?} × {threads} threads) changed rows/order for {text}"
-            );
-            if !limit_present {
-                assert_eq!(
-                    (off.cout, off.stats.scanned),
-                    (ref_cout, ref_scanned),
-                    "order-off (budget {budget:?} × {threads} threads) changed Cout/scanned for {text}"
-                );
-            } else {
-                assert!(
-                    off.cout >= pushed.cout,
-                    "forcing sorts back on can only do more join work for {text}"
-                );
-            }
-        }
-    }
     (prepared.signature, pushed)
 }
 

@@ -3,8 +3,7 @@
 //! **bit-identical** — rows, row order, measured `Cout`, `scanned`, and
 //! the prepared plan's signature — to the same query over a dataset
 //! frozen *from scratch* with the same visible triples, swept over
-//! thread counts {1, 4} × order-execution modes {auto, off}. The
-//! updated store's results are additionally checked against the
+//! thread counts {1, 4}. The updated store's results are additionally checked against the
 //! independent naive oracle, and `compact()` must preserve all of it (the
 //! re-freeze changes representation, never results or plans). Every
 //! pre-interned interleaving runs twice: over a heap-built base and over
@@ -40,7 +39,7 @@ use proptest::prelude::*;
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
-use parambench_sparql::exec::{ExecConfig, OrderExec};
+use parambench_sparql::exec::ExecConfig;
 use parambench_sparql::{parse_query, Dedup, Fold, Sort};
 
 /// One encoded triple of the small test vocabulary.
@@ -165,24 +164,17 @@ fn fresh_store(model: &Model) -> Dataset {
     b.freeze()
 }
 
-/// The sweep: serial and parallel execution, order-aware planning on and
-/// off. The parallel config forces morselization down to toy sizes so the
-/// 4-thread leg actually runs the parallel paths.
+/// The sweep: serial and parallel execution. The parallel config forces
+/// morselization down to toy sizes so the 4-thread leg actually runs the
+/// parallel paths.
 fn exec_sweep() -> Vec<(&'static str, ExecConfig)> {
-    let serial = |order_exec| ExecConfig { order_exec, ..ExecConfig::with_threads(1) };
-    let parallel = |order_exec| ExecConfig {
-        order_exec,
+    let parallel = ExecConfig {
         morsel_rows: 7,
         min_driver_rows: 1,
         min_est_cost: 0.0,
         ..ExecConfig::with_threads(4)
     };
-    vec![
-        ("t1-auto", serial(OrderExec::Auto)),
-        ("t1-off", serial(OrderExec::Off)),
-        ("t4-auto", parallel(OrderExec::Auto)),
-        ("t4-off", parallel(OrderExec::Off)),
-    ]
+    vec![("t1", ExecConfig::with_threads(1)), ("t4", parallel)]
 }
 
 /// The 9-query mix: joins, a numeric filter, DISTINCT + ORDER BY,
@@ -215,7 +207,7 @@ fn query_mix() -> Vec<String> {
 
 /// Runs the whole mix over the whole sweep on both stores and demands
 /// bit-identical rows/order/Cout/scanned and equal plan signatures; the
-/// live store is additionally oracle-checked per query. The `t1-auto` leg
+/// live store is additionally oracle-checked per query. The `t1` leg
 /// must take every order-based path somewhere in the mix: sort
 /// elimination, run dedup and — without a memory budget, which routes
 /// every fold through the external one — the ordered fold.
@@ -237,7 +229,7 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
                 let ctx = format!("[{label}/{cfg_name}] {text}");
                 let plan = engine.physical_plan(&prepared, &cfg);
                 assert_executed_as_explained(ds, &plan, &out, &cfg, &ctx);
-                if cfg_name == "t1-auto" {
+                if cfg_name == "t1" {
                     eliminated |= plan.sort == Sort::Eliminated;
                     run_dedup |= plan.dedup == Dedup::Run;
                     ordered_fold |=
@@ -272,9 +264,9 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
         let reference = oracle::evaluate(live, &query);
         oracle::assert_matches(&out.results, &reference, &format!("[{label}] {text}"));
     }
-    assert!(eliminated, "[{label}] t1-auto eliminated no sort");
-    assert!(run_dedup, "[{label}] t1-auto deduplicated no run");
-    assert!(ordered_fold, "[{label}] t1-auto folded nothing in order");
+    assert!(eliminated, "[{label}] t1 eliminated no sort");
+    assert!(run_dedup, "[{label}] t1 deduplicated no run");
+    assert!(ordered_fold, "[{label}] t1 folded nothing in order");
 }
 
 /// Oracle check of a store whose dictionary may carry overflow ids: the

@@ -1,8 +1,8 @@
-//! Plan census: the optimizer's choice for every binding of a fixed,
-//! spread set of (template, binding) pairs under every `OrderExec` mode.
+//! Plan census: the optimizer's choice and the physical plan for every
+//! binding of a fixed, spread set of (template, binding) pairs.
 //!
-//! Prints one line per (template, binding, mode): the plan signature, the
-//! bit pattern of the estimated `Cout`, then the physical EXPLAIN with its
+//! Prints one line per (template, binding): the plan signature, the bit
+//! pattern of the estimated `Cout`, then the physical EXPLAIN with its
 //! lines joined by ` | `. The output is deterministic, so two builds plan
 //! identically exactly when their outputs are byte-identical:
 //!
@@ -11,22 +11,9 @@
 //! cmp census-before.txt census-after.txt
 //! ```
 //!
-//! Two gates read the plan columns alone (template, binding, signature,
-//! `est_cout` bits: `cut -f1,2,4,5`). The optimizer reads no order mode, so
-//! they are identical across the two modes of one build:
-//!
-//! ```text
-//! for m in Off Auto; do grep -P "\t$m\t" census.txt | cut -f1,2,4,5 > plans-$m.txt; done
-//! cmp plans-Off.txt plans-Auto.txt
-//! ```
-//!
-//! and a change that must not move the optimizer's plans leaves them
-//! byte-identical to the previous build's:
-//!
-//! ```text
-//! grep -P "\tOff\t" census-before.txt | cut -f1,2,4,5 > plans-before.txt
-//! cmp plans-before.txt plans-Off.txt
-//! ```
+//! The plan columns alone (template, binding, signature, `est_cout` bits:
+//! `cut -f1-4`) come from the `Cout` DP; a change to the physical pass only
+//! must leave them byte-identical, and may move the EXPLAIN column.
 //!
 //! The set covers every shipped template: the BSBM templates over all
 //! product types, 512 spread products and 512 type × feature pairs; SNB-Q1
@@ -38,7 +25,7 @@ use parambench::curation::ParameterDomain;
 use parambench::datagen::bsbm::schema as bsbm_schema;
 use parambench::datagen::{Bsbm, BsbmConfig, Lubm, LubmConfig, Snb, SnbConfig};
 use parambench::rdf::{Dataset, Term};
-use parambench::sparql::{Engine, ExecConfig, OrderExec, QueryTemplate};
+use parambench::sparql::{Engine, ExecConfig, QueryTemplate};
 
 /// Store scale of every generated dataset (the benchmark's full scale).
 const TRIPLES: usize = 150_000;
@@ -48,23 +35,21 @@ const BINDINGS: usize = 512;
 const SEED: u64 = 26;
 
 fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
-    for mode in [OrderExec::Off, OrderExec::Auto] {
-        let exec = ExecConfig { order_exec: mode, mem_budget_rows: None, ..ExecConfig::default() };
-        let engine = Engine::with_exec_config(ds, exec);
-        for (template, domain) in cases {
-            for binding in domain.enumerate(BINDINGS, SEED) {
-                let prepared = engine
-                    .prepare_template(template, &binding)
-                    .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
-                let physical = engine.explain_physical(&prepared);
-                println!(
-                    "{}\t{binding}\t{mode:?}\t{}\t{:016x}\t{}",
-                    template.name(),
-                    prepared.signature,
-                    prepared.est_cout.to_bits(),
-                    physical.trim_end().replace('\n', " | ")
-                );
-            }
+    let exec = ExecConfig { mem_budget_rows: None, ..ExecConfig::default() };
+    let engine = Engine::with_exec_config(ds, exec);
+    for (template, domain) in cases {
+        for binding in domain.enumerate(BINDINGS, SEED) {
+            let prepared = engine
+                .prepare_template(template, &binding)
+                .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
+            let physical = engine.explain_physical(&prepared);
+            println!(
+                "{}\t{binding}\t{}\t{:016x}\t{}",
+                template.name(),
+                prepared.signature,
+                prepared.est_cout.to_bits(),
+                physical.trim_end().replace('\n', " | ")
+            );
         }
     }
 }

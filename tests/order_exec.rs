@@ -3,42 +3,34 @@
 //! SNB templates.
 //!
 //! Asserted:
-//! * the paper's parameter classes do not depend on [`OrderExec`]: the
-//!   `Cout` DP plans the same trees under every mode, and only the
-//!   physical pass over them reads the mode;
 //! * the physical pass serves ORDER BY and group clustering wherever the
 //!   `Cout` tree allows it at a fair price, binds from a small type scan
 //!   instead of streaming a whole price index, and never streams the whole
 //!   `knows` extent on LDBC-Q3;
 //! * the ORDER-BY-matching templates execute with the sort provably
-//!   skipped (`ExecStats::sorted_rows == 0`), bit-identical to the forced
-//!   sorting run.
+//!   skipped (`ExecStats::sorted_rows == 0`), bit-identical to the sorting
+//!   reference (`Engine::execute_unpushed`).
 
-use parambench::curation::{curate, CostSource, CurationConfig, ParameterDomain, ProfileConfig};
+use parambench::curation::ParameterDomain;
 use parambench::datagen::{bsbm::schema, snb, Bsbm, BsbmConfig, Snb, SnbConfig};
 use parambench::rdf::index::IndexOrder;
 use parambench::rdf::{Dataset, Term};
 use parambench::sparql::{
-    Binding, Engine, ExecConfig, Fold, JoinMethod, OrderExec, PhysNode, PhysicalPlan, Prepared,
-    Sort,
+    Binding, Engine, ExecConfig, Fold, JoinMethod, PhysNode, PhysicalPlan, Prepared, Sort,
 };
 
 fn root_binding() -> Binding {
     Binding::new().with("type", Term::iri(schema::product_type(0)))
 }
 
-fn off_cfg() -> ExecConfig {
-    ExecConfig { order_exec: OrderExec::Off, ..Default::default() }
-}
-
 #[test]
 fn order_matching_templates_skip_the_sort_entirely() {
     let data = Bsbm::generate(BsbmConfig { products: 3000, ..Default::default() });
-    let engine = Engine::new(&data.dataset); // Auto: cost-guided planning
+    let engine = Engine::new(&data.dataset);
     for template in [Bsbm::q_cheapest_products_of_type(), Bsbm::q_catalog_of_type()] {
         let prepared = engine.prepare_template(&template, &root_binding()).unwrap();
         let eliminated = engine.execute(&prepared).unwrap();
-        let sorted = engine.execute_with(&prepared, &off_cfg()).unwrap();
+        let sorted = engine.execute_unpushed(&prepared).unwrap();
         assert_eq!(
             eliminated.results,
             sorted.results,
@@ -53,12 +45,9 @@ fn order_matching_templates_skip_the_sort_entirely() {
         );
         assert!(
             sorted.stats.sorted_rows > 0,
-            "{}: the forced-off run must actually sort",
+            "{}: the reference must actually sort",
             template.name()
         );
-        // (No peak comparison here: under a forced SPARQL_MEM_BUDGET_ROWS
-        // the Off run's *external* sort is budget-bounded, which can
-        // legitimately undercut the streamed-but-materialized output.)
         let explain = engine.explain_physical(&prepared);
         assert!(explain.contains("sort: eliminated"), "{}: {explain}", template.name());
     }
@@ -83,15 +72,15 @@ fn descending_order_on_an_index_served_key_always_sorts() {
             .unwrap();
     let prepared = engine.prepare(&query).unwrap();
 
-    let auto = engine.execute(&prepared).unwrap();
-    let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
-    assert_eq!(auto.results, off.results, "order mode changed the output");
-    assert!(auto.stats.sorted_rows > 0, "ORDER BY DESC must sort");
+    let out = engine.execute(&prepared).unwrap();
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(out.results, unpushed.results, "the reference's sort disagrees");
+    assert!(out.stats.sorted_rows > 0, "ORDER BY DESC must sort");
 
     // Oracle: the rows really are strictly descending on ?price.
-    let col = auto.results.col("price").expect("projected column");
+    let col = out.results.col("price").expect("projected column");
     let prices: Vec<f64> =
-        auto.results.rows.iter().map(|r| r[col].as_num().expect("integer price")).collect();
+        out.results.rows.iter().map(|r| r[col].as_num().expect("integer price")).collect();
     assert_eq!(prices.len(), 500);
     assert!(prices.windows(2).all(|w| w[0] > w[1]), "rows must arrive strictly descending");
 
@@ -106,7 +95,7 @@ fn cheapest_template_early_exits_behind_the_eliminated_sort() {
     let template = Bsbm::q_cheapest_products_of_type();
     let prepared = engine.prepare_template(&template, &root_binding()).unwrap();
     let eliminated = engine.execute(&prepared).unwrap();
-    let sorted = engine.execute_with(&prepared, &off_cfg()).unwrap();
+    let sorted = engine.execute_unpushed(&prepared).unwrap();
     assert_eq!(eliminated.results, sorted.results);
     assert_eq!(eliminated.results.len(), 10);
     // ORDER BY ASC(?price) LIMIT 10 over the price index: the Slice stops
@@ -119,12 +108,10 @@ fn cheapest_template_early_exits_behind_the_eliminated_sort() {
     );
 }
 
-/// An engine planning and running under `mode` with no memory budget
-/// (so ordered folds can be recorded), whatever the suite's environment
-/// says.
-fn engine_in(ds: &Dataset, mode: OrderExec) -> Engine<'_> {
-    let exec = ExecConfig { order_exec: mode, mem_budget_rows: None, ..Default::default() };
-    Engine::with_exec_config(ds, exec)
+/// An engine with no memory budget (so ordered folds can be recorded),
+/// whatever the suite's environment says.
+fn unbudgeted(ds: &Dataset) -> Engine<'_> {
+    Engine::with_exec_config(ds, ExecConfig { mem_budget_rows: None, ..Default::default() })
 }
 
 /// The physical plan `engine` records for one of its own executions.
@@ -145,69 +132,9 @@ fn typed(data: &Bsbm) -> Vec<(usize, Binding)> {
 }
 
 #[test]
-fn parameter_classes_do_not_depend_on_the_order_mode() {
-    let bsbm = Bsbm::generate(BsbmConfig { products: 3000, ..Default::default() });
-    let social = Snb::generate(SnbConfig { persons: 600, ..Default::default() });
-    let snb_domain = ParameterDomain::new()
-        .with("person", social.person_iris())
-        .with("countryX", social.country_iris())
-        .with("countryY", social.country_iris());
-    let cases = [
-        (
-            &bsbm.dataset,
-            Bsbm::q_cheapest_products_of_type(),
-            ParameterDomain::single("type", bsbm.type_iris()),
-        ),
-        (&social.dataset, Snb::q3_two_countries(), snb_domain),
-    ];
-    for (ds, template, domain) in &cases {
-        let bindings = domain.enumerate(96, 11);
-        assert!(bindings.len() >= 64, "{}: {} bindings", template.name(), bindings.len());
-        // The paper's classes band the estimated cost. A measured cost is
-        // mode-independent only without an early exit: under LIMIT the
-        // `Cout` of an eliminated sort is wherever its Slice stopped.
-        let sources: &[CostSource] = if template.query().limit.is_some() {
-            &[CostSource::EstimatedCout]
-        } else {
-            &[CostSource::EstimatedCout, CostSource::MeasuredCout]
-        };
-        for &cost_source in sources {
-            let config = CurationConfig {
-                profile: ProfileConfig { max_bindings: 96, seed: 11, cost_source },
-                ..Default::default()
-            };
-            let [off, auto] = [OrderExec::Off, OrderExec::Auto].map(|mode| {
-                let engine = engine_in(ds, mode);
-                let plans: Vec<_> = bindings
-                    .iter()
-                    .map(|b| {
-                        let p = engine.prepare_template(template, b).unwrap();
-                        (p.signature, p.est_cout.to_bits())
-                    })
-                    .collect();
-                let workload = curate(&engine, template, domain, &config).unwrap();
-                let classes: Vec<_> = workload
-                    .classes()
-                    .iter()
-                    .map(|c| {
-                        let band = (c.cost_lo.to_bits(), c.cost_hi.to_bits());
-                        (c.id, c.signature.clone(), band, c.members.clone())
-                    })
-                    .collect();
-                (plans, classes)
-            });
-            let what = format!("{} {cost_source:?} Auto vs Off", template.name());
-            assert_eq!(auto.0, off.0, "{what}: signatures or est_cout differ");
-            assert_eq!(auto.1, off.1, "{what}: classes differ");
-            assert!(off.1.len() > 1, "{}: one class proves nothing", template.name());
-        }
-    }
-}
-
-#[test]
 fn catalog_and_rating_keep_their_order_service_on_every_type() {
     let data = Bsbm::generate(BsbmConfig { products: 3000, ..Default::default() });
-    let engine = engine_in(&data.dataset, OrderExec::Auto);
+    let engine = unbudgeted(&data.dataset);
     let (catalog, rating) = (Bsbm::q_catalog_of_type(), Bsbm::q_rating_by_type());
     for (n, binding) in typed(&data) {
         let prepared = engine.prepare_template(&catalog, &binding).unwrap();
@@ -238,7 +165,7 @@ fn scan_of(node: &PhysNode) -> (usize, Option<IndexOrder>) {
 #[test]
 fn cheapest_over_a_small_type_binds_from_the_type_scan() {
     let data = Bsbm::generate(BsbmConfig { products: 3000, ..Default::default() });
-    let engine = engine_in(&data.dataset, OrderExec::Auto);
+    let engine = unbudgeted(&data.dataset);
     let template = Bsbm::q_cheapest_products_of_type();
     let small: Vec<_> = typed(&data).into_iter().filter(|(n, _)| (8..=12).contains(n)).collect();
     assert!(small.len() >= 10, "{} small types", small.len());
@@ -253,15 +180,15 @@ fn cheapest_over_a_small_type_binds_from_the_type_scan() {
         assert_eq!(plan.sort, Sort::TopK, "{binding}");
         let out = engine.execute(&prepared).unwrap();
         assert!(out.stats.scanned <= 2 * n as u64, "{binding}: scanned {}", out.stats.scanned);
-        let off = engine.execute_with(&prepared, &off_cfg()).unwrap();
-        assert_eq!(out.results, off.results, "{binding}");
+        let unpushed = engine.execute_unpushed(&prepared).unwrap();
+        assert_eq!(out.results, unpushed.results, "{binding}");
     }
 }
 
 #[test]
 fn cheapest_streams_the_price_index_where_the_limit_stops_it_early() {
     let data = Bsbm::generate(BsbmConfig { products: 3000, ..Default::default() });
-    let engine = engine_in(&data.dataset, OrderExec::Auto);
+    let engine = unbudgeted(&data.dataset);
     let template = Bsbm::q_cheapest_products_of_type();
 
     // The root type: the price-ordered driver, sort eliminated, and the
@@ -294,7 +221,7 @@ fn ldbc_q3_never_streams_the_whole_knows_extent() {
     let ds = &social.dataset;
     let knows = ds.lookup(&Term::iri(snb::schema::KNOWS));
     let extent = ds.count([None, knows, None]) as u64;
-    let engine = engine_in(ds, OrderExec::Auto);
+    let engine = unbudgeted(ds);
     let template = Snb::q3_two_countries();
     let domain = ParameterDomain::new()
         .with("person", social.person_iris())
