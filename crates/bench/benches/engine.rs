@@ -140,9 +140,10 @@ fn engine_benches(c: &mut Criterion) {
         });
     }
 
-    // Morsel-driven parallel execution: the BSBM hash-join template at
-    // 1 / 2 / 4 worker threads, on a catalog big enough that the driving
-    // type scan (one row per product) crosses the morselization threshold.
+    // Morsel-driven parallel execution: the BSBM Q4 template, a bind-join
+    // spine, at 1 / 2 / 4 worker threads, on a catalog big enough that the
+    // driving type scan (one row per product) crosses the morselization
+    // threshold.
     // Every thread count executes the identical morselized plan (the
     // lowering decision reads estimates, never the thread count), so the
     // spread is pure threading gain; bit-for-bit correctness is pinned by

@@ -777,7 +777,7 @@ impl<'a> Engine<'a> {
         let (bgp, morselized) = match bgp {
             None => (None, false),
             Some((plan, rec)) => {
-                let morselized = !output_bound && plan.morselizes(exec, rec.driver_rows);
+                let morselized = !output_bound && plan.morselizes(exec, &rec);
                 (Some(rec.node), morselized)
             }
         };
@@ -871,17 +871,10 @@ impl<'a> Engine<'a> {
     /// Lowers the recorded pattern part (BGP + UNION + OPTIONAL + FILTER)
     /// to the streaming operator pipeline, without any modifier operators.
     /// A morselized BGP is pulled through a [`Gather`], which merges worker
-    /// batches in morsel order; its shared hash-build sides are
-    /// materialized here, against `stats`.
-    fn lower_patterns(
-        &self,
-        plan: &PhysicalPlan<'_>,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Result<BoxedOperator<'a>, ExecError> {
+    /// batches in morsel order.
+    fn lower_patterns(&self, plan: &PhysicalPlan<'_>, exec: &ExecConfig) -> BoxedOperator<'a> {
         let ds = self.ds;
-        let bgp = plan.bgp.as_ref().map(|root| self.lower_bgp(root, plan.morselized, exec, stats));
-        let mut op = bgp.transpose()?;
+        let mut op = plan.bgp.as_ref().map(|root| self.lower_bgp(root, plan.morselized, exec));
         let filtered = |op: BoxedOperator<'a>, filters: &[Expr]| -> BoxedOperator<'a> {
             if filters.is_empty() {
                 op
@@ -914,25 +907,18 @@ impl<'a> Engine<'a> {
             let right = filtered(o.node.lower(ds, CoutBucket::Optional), o.filters);
             op = Box::new(LeftOuterJoin::new(op, right, o.join_vars.to_vec()));
         }
-        Ok(filtered(op, plan.filters))
+        filtered(op, plan.filters)
     }
 
     /// Lowers a recorded BGP tree (or subtree): serially, or, for a
-    /// morselized spine, through a [`Gather`] merging worker batches in
-    /// morsel order — its shared hash-build sides materialized here,
-    /// against `stats`.
-    fn lower_bgp(
-        &self,
-        root: &PhysNode,
-        morselized: bool,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Result<BoxedOperator<'a>, ExecError> {
-        Ok(if morselized {
-            Box::new(Gather::new(root.lower_morsels(self.ds, CoutBucket::Required, exec, stats)?))
+    /// morselized bind spine, through a [`Gather`] merging worker batches
+    /// in morsel order.
+    fn lower_bgp(&self, root: &PhysNode, morselized: bool, exec: &ExecConfig) -> BoxedOperator<'a> {
+        if morselized {
+            Box::new(Gather::new(root.lower_morsels(self.ds, CoutBucket::Required, exec)))
         } else {
             root.lower(self.ds, CoutBucket::Required)
-        })
+        }
     }
 
     /// Executes a prepared query with the solution modifiers **pushed into
@@ -964,7 +950,7 @@ impl<'a> Engine<'a> {
         let start = Instant::now();
         let mut stats = ExecStats::default();
         let plan = self.physical_plan(prepared, &self.exec);
-        let op = self.lower_patterns(&plan, &self.exec, &mut stats)?;
+        let op = self.lower_patterns(&plan, &self.exec);
         let op = Self::projected(op, &prepared.modifiers.input_slots());
         let bindings = physical::drain(op, &mut stats)?;
         let results = finalize_bindings(&bindings, &prepared.modifiers, self.ds, &mut stats)?;
@@ -1017,7 +1003,7 @@ impl<'a> Engine<'a> {
                 let PhysNode::Scan { pattern, .. } = right.as_ref() else {
                     unreachable!("bind joins probe a scan")
                 };
-                let left = self.lower_bgp(left, plan.morselized, &self.exec, &mut stats)?;
+                let left = self.lower_bgp(left, plan.morselized, &self.exec);
                 physical::count_bind_join(
                     self.ds,
                     left,
@@ -1028,7 +1014,7 @@ impl<'a> Engine<'a> {
                 )?;
             }
             _ => {
-                let mut op = self.lower_patterns(&plan, &self.exec, &mut stats)?;
+                let mut op = self.lower_patterns(&plan, &self.exec);
                 physical::drain_rest(&mut op, &mut stats)?;
             }
         }
@@ -1063,8 +1049,8 @@ impl<'a> Engine<'a> {
         let plan = self.physical_plan(prepared, exec);
         let columns = plan.modifiers.out_names();
         let inner = if plan.limit_zero {
-            // Provably empty: no pipeline (and no eager shared hash build)
-            // ever exists, so nothing is scanned.
+            // Provably empty: no pipeline ever exists, so nothing is
+            // scanned.
             StreamInner::Table(Vec::new().into_iter())
         } else {
             match plan.fold {
@@ -1073,7 +1059,7 @@ impl<'a> Engine<'a> {
                     StreamInner::Table(results.rows.into_iter())
                 }
                 None => {
-                    let op = self.lower_patterns(&plan, exec, &mut stats)?;
+                    let op = self.lower_patterns(&plan, exec);
                     self.plain_epilogue(&plan, op, &mut stats)?
                 }
             }
@@ -1116,9 +1102,7 @@ impl<'a> Engine<'a> {
         // The serial folds consume one row stream (a morselized BGP goes
         // through its Gather, so rows arrive in the serial order),
         // projected to the group + aggregate input columns.
-        let input = |stats: &mut ExecStats| {
-            self.lower_patterns(plan, exec, stats).map(|op| Self::projected(op, &m.input_slots()))
-        };
+        let input = || Self::projected(self.lower_patterns(plan, exec), &m.input_slots());
         let (rows, resident) = match fold {
             // Recorded only for a morselized BGP with nothing stacked on
             // it, so the fold itself fans out: every morsel folds into a
@@ -1128,7 +1112,7 @@ impl<'a> Engine<'a> {
             // serial fold.
             Fold::WorkerPartials => {
                 let root = plan.bgp.as_ref().expect("worker-side folds run over a BGP");
-                let src = root.lower_morsels(ds, CoutBucket::Required, exec, stats)?;
+                let src = root.lower_morsels(ds, CoutBucket::Required, exec);
                 let mut master: Option<GroupFold<'_>> = None;
                 src.process(stats, hash_fold, |partial, stats| match &mut master {
                     None => master = Some(partial),
@@ -1136,9 +1120,9 @@ impl<'a> Engine<'a> {
                 })?;
                 hash_table(master.expect("morselized plans have at least one morsel"))
             }
-            Fold::Hash => hash_table(hash_fold(input(stats)?, stats)?),
+            Fold::Hash => hash_table(hash_fold(input(), stats)?),
             Fold::Ordered => {
-                let mut op = input(stats)?;
+                let mut op = input();
                 let mut fold = OrderedGroupFold::new(m, agg, op.schema(), ds);
                 Self::for_each_row(&mut op, stats, |row, st| {
                     fold.add_row(row, st);
@@ -1147,7 +1131,7 @@ impl<'a> Engine<'a> {
                 fold.finish(stats)
             }
             Fold::External { budget, eager } => {
-                let mut op = input(stats)?;
+                let mut op = input();
                 let dir = self.spill_base.get().cloned();
                 let mut fold = ExternalGroupFold::new(agg, op.schema(), ds, budget, eager, dir);
                 Self::for_each_row(&mut op, stats, |row, st| {

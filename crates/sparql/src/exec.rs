@@ -25,11 +25,14 @@ pub const UNBOUND: Id = Id(u32::MAX);
 /// ([`crate::physical::Gather`]) and the out-of-core memory budget
 /// ([`crate::spill`]).
 ///
-/// `threads` is purely an *execution* knob: the decision to morselize a
-/// plan, the morsel geometry and therefore the produced rows, their order
-/// and every deterministic counter (`cout`, `scanned`) are identical at
-/// any thread count — only wall-clock time changes. The *lowering*
-/// decision is taken from cardinality estimates and exact scan extents
+/// Only a bind-join spine runs over morsels (a chain of bind joins over
+/// one driving scan, [`crate::plan::PhysNode::is_bind_spine`]); a plan
+/// holding a hash join always lowers serially. `threads` is purely an
+/// *execution* knob: the decision to morselize a plan, the morsel geometry
+/// and therefore the produced rows, their order and every deterministic
+/// counter (`cout`, `scanned`) are identical at any thread count — only
+/// wall-clock time changes. The *lowering* decision is taken from the
+/// recorded join methods, cardinality estimates and exact scan extents
 /// (`min_driver_rows`, `min_est_cost`), never from `threads`, so a run at
 /// 1 thread and a run at 8 threads execute the same physical plan.
 ///
@@ -79,8 +82,9 @@ pub struct ExecConfig {
     /// aggregates on groups that are already resident. And setting any
     /// budget routes grouped aggregation through the serial budgeted fold
     /// instead of the worker-side parallel fold merge (whose master holds
-    /// every group — exactly what the budget must bound); joins still fan
-    /// out, so prefer `None` when memory is genuinely unconstrained.
+    /// every group — exactly what the budget must bound); a bind spine
+    /// still fans out, so prefer `None` when memory is genuinely
+    /// unconstrained.
     pub mem_budget_rows: Option<usize>,
     /// The worker pool extra execution threads are leased from. `None`
     /// (the default) means the process-wide [`global_pool`]; the serving
@@ -323,16 +327,6 @@ impl Bindings {
         debug_assert_eq!(row.len(), self.cols.len());
         self.data.extend_from_slice(row);
         self.rows += 1;
-    }
-
-    /// Appends pre-laid-out rows (`flat` is row-major and must be a whole
-    /// number of schema-width rows) — the bulk append the partitioned hash
-    /// build uses to concatenate morsel outputs.
-    pub fn extend_rows(&mut self, flat: &[Id]) {
-        let w = self.cols.len();
-        debug_assert!(w > 0 && flat.len().is_multiple_of(w));
-        self.data.extend_from_slice(flat);
-        self.rows += flat.len() / w;
     }
 
     /// Iterates rows.

@@ -29,16 +29,17 @@
 //!   bounded-heap TopK with per-row precomputed sort keys, and
 //!   LIMIT/OFFSET stops pulling upstream work the moment it is satisfied
 //!   (lowered by [`plan::ModifierPlan`] at prepare time);
-//! * large plans execute **morsel-driven parallel**
+//! * large bind-join spines execute **morsel-driven parallel**
 //!   ([`physical::Exchange`]/[`physical::Gather`], qualified by
 //!   [`engine::Engine::physical_plan`] from cardinality estimates and lowered
 //!   by [`plan::PhysNode::lower_morsels`]): the
 //!   driving scan is split into morsels fanned across a `std::thread`
-//!   worker pool, hash-join build sides are built partitioned and shared
-//!   read-only, and grouped aggregation folds per-morsel accumulators
-//!   merged at gather time. Batches merge by morsel index — never worker
-//!   arrival order — so rows, row order and measured `Cout` are
-//!   bit-identical at any [`exec::ExecConfig::threads`] value;
+//!   worker pool, each worker runs the spine's bind joins over its morsel
+//!   (plans holding a hash join run serially), and grouped aggregation
+//!   folds per-morsel accumulators merged at gather time. Batches merge by
+//!   morsel index — never worker arrival order — so rows, row order and
+//!   measured `Cout` are bit-identical at any [`exec::ExecConfig::threads`]
+//!   value;
 //! * execution is **order-aware** ([`plan::PhysicalPlan::delivered_order`]):
 //!   the store's sorted permutation indexes double as sorted result
 //!   sources (the dictionary is value-ordered at freeze), the physical

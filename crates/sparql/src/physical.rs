@@ -33,23 +33,22 @@
 //! # Morsel-driven parallelism
 //!
 //! The [`Exchange`]/[`Gather`] pair parallelizes qualifying plans across a
-//! `std::thread` worker pool. [`Exchange`] partitions the plan's *driving*
-//! [`IndexScan`] range into fixed-size morsels; each worker instantiates
-//! its own copy of the streaming spine ([`HashJoinProbe::shared`] probes
-//! into hash tables built once and shared read-only, [`BindJoin`] probes
-//! the permutation indexes directly) over one morsel at a time, and
-//! [`Gather`] re-emits the per-morsel batches **in morsel-index order** —
-//! never in worker arrival order. Together with the fixed wave size
+//! `std::thread` worker pool. Only a bind-join spine qualifies: a chain of
+//! [`BindJoin`]s over one driving [`IndexScan`], so a worker shares nothing
+//! with the others but the read-only dataset. [`Exchange`] partitions the
+//! driving scan's range into fixed-size morsels; each worker instantiates
+//! its own copy of the spine over one morsel at a time, and [`Gather`]
+//! re-emits the per-morsel batches **in morsel-index order** — never in
+//! worker arrival order. Together with the fixed wave size
 //! ([`MORSELS_PER_WAVE`], deliberately *not* derived from the thread
 //! count) this makes rows, row order, measured `Cout` and `scanned`
 //! bit-identical at any thread count; only wall-clock time changes. A
 //! worker's `Err` reaches the consumer in the same morsel-index order.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::index::IndexOrder;
@@ -389,24 +388,13 @@ impl JoinCardRecorder {
 
 /// The materialized side of a hash join: row storage plus the key index.
 /// Stays resident (and counted in [`ExecStats::peak_tuples`]) until the
-/// owning probe operator is dropped — or, when shared read-only across a
-/// [`Gather`]'s workers, until the gather exhausts its morsels.
-///
-/// The key index is split into hash partitions so
-/// [`HashJoinBuild::build_partitioned`] can fill them from independent
-/// workers. Row indices are always assigned in the build input's row
-/// order, and each key lives in exactly one partition, so a key's match
-/// list is in global row order regardless of how the table was built —
-/// the property that keeps probe output order identical between the
-/// serial and the partitioned build.
+/// owning [`HashJoinProbe`] finishes. Row indices are assigned in the build
+/// input's row order, so a key's match list — and with it the probe
+/// output's order — follows that order.
 pub struct HashJoinBuild {
     rows: Bindings,
-    /// Key → row indices, one map per hash partition (serial builds use a
-    /// single partition).
-    partitions: Vec<HashMap<Vec<Id>, Vec<usize>>>,
-    /// Partition selector; kept with the table so lookups and builds
-    /// agree for its whole lifetime.
-    hasher: RandomState,
+    /// Key → row indices, in build-row order.
+    table: HashMap<Vec<Id>, Vec<usize>>,
 }
 
 impl HashJoinBuild {
@@ -435,112 +423,7 @@ impl HashJoinBuild {
             }
         }
         stats.build_rows += rows.len() as u64;
-        Ok(HashJoinBuild { rows, partitions: vec![table], hasher: RandomState::new() })
-    }
-
-    /// Parallel build of a *scan* build side: workers extract rows and key
-    /// hashes per morsel (phase 1), then one worker per hash partition
-    /// walks the morsels **in index order** inserting its partition's keys
-    /// (phase 2). Global row numbering follows scan order, so probing the
-    /// result is bit-identical to probing a serially built table.
-    pub fn build_partitioned(
-        ds: &Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        join_vars: &[usize],
-        cfg: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> HashJoinBuild {
-        let schema = pattern.var_slots();
-        let mut rows = Bindings::empty(schema.clone());
-        if pattern.has_absent() {
-            return HashJoinBuild {
-                rows,
-                partitions: vec![HashMap::new()],
-                hasher: RandomState::new(),
-            };
-        }
-        let width = schema.len();
-        let col_pos: Vec<usize> = schema
-            .iter()
-            .map(|&v| {
-                pattern.slots.iter().position(|s| s.as_var() == Some(v)).expect("var from pattern")
-            })
-            .collect();
-        let key_cols: Vec<usize> = join_vars
-            .iter()
-            .map(|&v| schema.iter().position(|&c| c == v).expect("join var in build side"))
-            .collect();
-        let eq = eq_pairs(pattern);
-        let hasher = RandomState::new();
-
-        // Phase 1: per-morsel row extraction (eq-pair filtering, column
-        // layout, key hashing) fans out across the pool; results land in
-        // morsel-indexed slots.
-        let exchange = Exchange::new(ds.count(pattern.access()), cfg.morsel_rows);
-        let access = pattern.access();
-        let scan_order = order.unwrap_or_else(|| Dataset::default_order(access));
-        let extract = |m: usize| -> (Vec<Id>, Vec<u64>, u64) {
-            let morsel = exchange.morsel(m);
-            let mut flat = Vec::new();
-            let mut hashes = Vec::new();
-            let mut scanned = 0u64;
-            let mut row = vec![UNBOUND; width];
-            for triple in ds.scan_slice_with(access, scan_order, morsel.start, morsel.end) {
-                scanned += 1;
-                if eq.iter().any(|&(i, j)| triple[i] != triple[j]) {
-                    continue;
-                }
-                for (c, &pos) in col_pos.iter().enumerate() {
-                    row[c] = triple[pos];
-                }
-                let mut h = hasher.build_hasher();
-                for &c in &key_cols {
-                    row[c].hash(&mut h);
-                }
-                hashes.push(h.finish());
-                flat.extend_from_slice(&row);
-            }
-            (flat, hashes, scanned)
-        };
-        let morsels = scatter(exchange.morsel_count(), cfg.threads, cfg.worker_pool(), &extract);
-
-        // Global row numbering: concatenate morsels in index order.
-        let mut bases = Vec::with_capacity(morsels.len());
-        for (flat, _, scanned) in &morsels {
-            bases.push(rows.len());
-            rows.extend_rows(flat);
-            stats.scanned += scanned;
-        }
-
-        // Phase 2: one worker per hash partition; each walks every morsel
-        // in order and inserts only the keys that hash into its partition,
-        // so per-key match lists come out in global row order.
-        let nparts = cfg.threads.clamp(1, 8);
-        let fill = |p: usize| -> HashMap<Vec<Id>, Vec<usize>> {
-            let mut table: HashMap<Vec<Id>, Vec<usize>> = HashMap::new();
-            for ((flat, hashes, _), &base) in morsels.iter().zip(&bases) {
-                for (i, &h) in hashes.iter().enumerate() {
-                    if h as usize % nparts != p {
-                        continue;
-                    }
-                    let row = &flat[i * width..(i + 1) * width];
-                    let key: Vec<Id> = key_cols.iter().map(|&c| row[c]).collect();
-                    table.entry(key).or_default().push(base + i);
-                }
-            }
-            table
-        };
-        let partitions = scatter(nparts, cfg.threads, cfg.worker_pool(), &fill);
-
-        stats.grow(rows.len());
-        stats.build_rows += rows.len() as u64;
-        HashJoinBuild { rows, partitions, hasher }
-    }
-
-    /// Variable slot of each build-row column.
-    pub fn schema(&self) -> &[usize] {
-        self.rows.cols()
+        Ok(HashJoinBuild { rows, table })
     }
 
     /// Number of build rows (the table's contribution to `peak_tuples`).
@@ -553,18 +436,9 @@ impl HashJoinBuild {
         self.rows.is_empty()
     }
 
-    /// Row indices matching `key`, in global build-row order.
+    /// Row indices matching `key`, in build-row order.
     fn matches(&self, key: &[Id]) -> Option<&Vec<usize>> {
-        let p = if self.partitions.len() == 1 {
-            0
-        } else {
-            let mut h = self.hasher.build_hasher();
-            for id in key {
-                id.hash(&mut h);
-            }
-            h.finish() as usize % self.partitions.len()
-        };
-        self.partitions[p].get(key)
+        self.table.get(key)
     }
 }
 
@@ -575,29 +449,19 @@ enum ColSource {
     Build(usize),
 }
 
-/// The build side as seen by a probe core: owned by the join (released on
-/// finish) or shared read-only across a [`Gather`]'s workers (residency
-/// accounted by the gather, never released here).
-enum BuildRef {
-    Owned(HashJoinBuild),
-    Shared(Arc<HashJoinBuild>),
-}
-
-impl BuildRef {
-    fn get(&self) -> &HashJoinBuild {
-        match self {
-            BuildRef::Owned(b) => b,
-            BuildRef::Shared(b) => b,
-        }
-    }
-}
-
-/// The probe engine of [`HashJoinProbe`]: output-schema/source layout,
-/// the resumable probe loop and the per-batch `Cout` recording, one code
-/// path for an owned and a shared build side.
-struct ProbeCore {
+/// Inner hash join: builds one side on the first pull, then streams the
+/// probe child against it. `build_right` says which *semantic* side (left =
+/// first operand, whose columns lead the output schema) is materialized —
+/// the physical pass picks the side with the smaller estimated cardinality.
+/// Hash joins always run serially: only bind-join spines run over morsels.
+pub struct HashJoinProbe<'a> {
     schema: Vec<usize>,
-    build: Option<BuildRef>,
+    /// The build child and the join variables, waiting for the first pull
+    /// to build; `None` once built.
+    pending: Option<(BoxedOperator<'a>, Vec<usize>)>,
+    /// The built side, released when the join finishes.
+    build: Option<HashJoinBuild>,
+    probe: BoxedOperator<'a>,
     probe_key_cols: Vec<usize>,
     sources: Vec<ColSource>,
     recorder: JoinCardRecorder,
@@ -606,44 +470,42 @@ struct ProbeCore {
     done: bool,
 }
 
-impl ProbeCore {
-    /// Lays out the output schema (semantic-left columns lead, regardless
-    /// of which side built) and the per-column sources. `stream_is_left`
-    /// says whether the streaming probe side is the semantic left operand.
-    fn new(
-        probe_schema: &[usize],
-        build_schema: &[usize],
-        stream_is_left: bool,
-        join_vars: &[usize],
+impl<'a> HashJoinProbe<'a> {
+    /// An inner hash join of `left ⋈ right` on `join_vars`; `build_right`
+    /// selects which semantic side is materialized. The output schema
+    /// leads with the semantic left's columns, whichever side builds.
+    pub fn new(
+        left: BoxedOperator<'a>,
+        right: BoxedOperator<'a>,
+        join_vars: Vec<usize>,
+        build_right: bool,
         signature: String,
         bucket: CoutBucket,
     ) -> Self {
-        let (left_schema, right_schema) = if stream_is_left {
-            (probe_schema, build_schema)
-        } else {
-            (build_schema, probe_schema)
-        };
-        let mut schema: Vec<usize> = left_schema.to_vec();
-        for &v in right_schema {
+        let mut schema: Vec<usize> = left.schema().to_vec();
+        for &v in right.schema() {
             if !schema.contains(&v) {
                 schema.push(v);
             }
         }
+        let (build, probe) = if build_right { (right, left) } else { (left, right) };
         let col_in = |s: &[usize], v: usize| s.iter().position(|&c| c == v);
         let sources: Vec<ColSource> = schema
             .iter()
-            .map(|&v| match col_in(probe_schema, v) {
+            .map(|&v| match col_in(probe.schema(), v) {
                 Some(c) => ColSource::Probe(c),
-                None => ColSource::Build(col_in(build_schema, v).expect("var from one side")),
+                None => ColSource::Build(col_in(build.schema(), v).expect("var from one side")),
             })
             .collect();
         let probe_key_cols: Vec<usize> = join_vars
             .iter()
-            .map(|&v| col_in(probe_schema, v).expect("join var in probe side"))
+            .map(|&v| col_in(probe.schema(), v).expect("join var in probe side"))
             .collect();
-        ProbeCore {
+        HashJoinProbe {
             schema,
+            pending: Some((build, join_vars)),
             build: None,
+            probe,
             probe_key_cols,
             sources,
             recorder: JoinCardRecorder::new(signature, bucket),
@@ -655,42 +517,46 @@ impl ProbeCore {
     fn finish(&mut self, stats: &mut ExecStats) {
         // A join that completed without emitting still reports itself.
         self.recorder.record(stats, 0);
-        // Release an owned build side: the join output has been handed on.
-        // A shared build stays resident until its gather exhausts.
-        if let Some(BuildRef::Owned(build)) = self.build.take() {
+        // Release the build side: the join output has been handed on.
+        if let Some(build) = self.build.take() {
             stats.shrink(build.len());
         }
         self.done = true;
     }
+}
 
-    /// One `next_batch` step probing the build with rows pulled from
-    /// `probe`, resuming mid-batch across calls; finishes (and releases an
-    /// owned build) when the probe side is exhausted.
-    fn fill(
-        &mut self,
-        probe: &mut BoxedOperator<'_>,
-        stats: &mut ExecStats,
-    ) -> Result<Option<Batch>, ExecError> {
+impl Operator for HashJoinProbe<'_> {
+    fn schema(&self) -> &[usize] {
+        &self.schema
+    }
+
+    /// Probes the build with rows pulled from the probe child, resuming
+    /// mid-batch across calls; finishes (and releases the build) when the
+    /// probe side is exhausted.
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        if let Some((build_child, join_vars)) = self.pending.take() {
+            self.build = Some(HashJoinBuild::build(build_child, &join_vars, stats)?);
+        }
         if self.done {
             return Ok(None);
         }
         let mut out = Batch::with_schema(self.schema.clone());
         {
-            let build = self.build.as_ref().expect("build installed before fill").get();
+            let build = self.build.as_ref().expect("built on the first pull");
             if build.is_empty() {
                 // Empty build side: the join is empty, but the probe subtree
                 // must still run so its joins contribute to measured `Cout`
                 // exactly as in the materializing executor.
-                drain_rest(probe, stats)?;
+                drain_rest(&mut self.probe, stats)?;
                 self.finish(stats);
                 return Ok(None);
             }
-            let mut probe_buf = vec![UNBOUND; probe.schema().len()];
+            let mut probe_buf = vec![UNBOUND; self.probe.schema().len()];
             let mut row_buf = vec![UNBOUND; self.schema.len()];
             'fill: while !out.is_full() {
                 let (batch, mut row, mut offset) = match self.cursor.take() {
                     Some(c) => c,
-                    None => match probe.next_batch(stats)? {
+                    None => match self.probe.next_batch(stats)? {
                         Some(b) => (b, 0, 0),
                         None => break 'fill,
                     },
@@ -736,82 +602,6 @@ impl ProbeCore {
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
         Ok(Some(out))
-    }
-}
-
-/// Inner hash join: streams the probe child against the built side.
-/// `build_right` says which *semantic* side (left = first operand, whose
-/// columns lead the output schema) is materialized — the optimizer picks
-/// the side with the smaller estimated cardinality. A parallel hash join's
-/// workers each run one over a **shared**, read-only build table
-/// ([`HashJoinProbe::shared`]).
-pub struct HashJoinProbe<'a> {
-    core: ProbeCore,
-    /// The build child and the join variables, waiting for the first pull
-    /// to build; `None` once built, and for a shared build.
-    pending: Option<(BoxedOperator<'a>, Vec<usize>)>,
-    probe: BoxedOperator<'a>,
-}
-
-impl<'a> HashJoinProbe<'a> {
-    /// An inner hash join of `left ⋈ right` on `join_vars`; `build_right`
-    /// selects which semantic side is materialized.
-    pub fn new(
-        left: BoxedOperator<'a>,
-        right: BoxedOperator<'a>,
-        join_vars: Vec<usize>,
-        build_right: bool,
-        signature: String,
-        bucket: CoutBucket,
-    ) -> Self {
-        let (build_schema, probe_schema): (&[usize], &[usize]) = if build_right {
-            (right.schema(), left.schema())
-        } else {
-            (left.schema(), right.schema())
-        };
-        let core =
-            ProbeCore::new(probe_schema, build_schema, build_right, &join_vars, signature, bucket);
-        let (build, probe) = if build_right { (right, left) } else { (left, right) };
-        HashJoinProbe { core, pending: Some((build, join_vars)), probe }
-    }
-
-    /// Probes `child` into a build table constructed once (by
-    /// [`crate::plan::PhysNode::lower_morsels`]) and shared read-only
-    /// across a [`Gather`]'s workers: its residency is accounted by the
-    /// gather, so finishing never shrinks it. `stream_is_left` says whether
-    /// `child` is the *semantic* left operand, mirroring `build_right`.
-    pub fn shared(
-        child: BoxedOperator<'a>,
-        build: Arc<HashJoinBuild>,
-        join_vars: &[usize],
-        stream_is_left: bool,
-        signature: String,
-        bucket: CoutBucket,
-    ) -> Self {
-        let mut core = ProbeCore::new(
-            child.schema(),
-            build.schema(),
-            stream_is_left,
-            join_vars,
-            signature,
-            bucket,
-        );
-        core.build = Some(BuildRef::Shared(build));
-        HashJoinProbe { core, pending: None, probe: child }
-    }
-}
-
-impl Operator for HashJoinProbe<'_> {
-    fn schema(&self) -> &[usize] {
-        &self.core.schema
-    }
-
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
-        if let Some((build_child, join_vars)) = self.pending.take() {
-            let build = HashJoinBuild::build(build_child, &join_vars, stats)?;
-            self.core.build = Some(BuildRef::Owned(build));
-        }
-        self.core.fill(&mut self.probe, stats)
     }
 }
 
@@ -1465,36 +1255,20 @@ fn scatter<T: Send>(
         .collect()
 }
 
-/// One operator level of a parallel plan's streaming spine, bottom-up
-/// from the driving scan. Every worker assembles the same step sequence
-/// over its morsel; shared builds are reference-counted, everything else
-/// is cloned per morsel.
-pub enum SpineStep {
-    /// Index nested-loop join probing `pattern` per streamed row.
-    Bind {
-        /// The probed triple pattern.
-        pattern: PlannedPattern,
-        /// Shared variable slots.
-        join_vars: Vec<usize>,
-        /// Plan signature path for `ExecStats::join_cards`.
-        signature: String,
-    },
-    /// Hash probe into a shared read-only build table.
-    Probe {
-        /// The pre-built side, shared across workers.
-        build: Arc<HashJoinBuild>,
-        /// Shared variable slots.
-        join_vars: Vec<usize>,
-        /// Whether the streaming side is the semantic left operand.
-        stream_is_left: bool,
-        /// Plan signature path for `ExecStats::join_cards`.
-        signature: String,
-    },
+/// One bind join of a parallel plan's streaming spine, bottom-up from the
+/// driving scan: every worker stacks the same steps over its morsel.
+pub struct SpineStep {
+    /// The triple pattern probed per streamed row.
+    pub pattern: PlannedPattern,
+    /// Shared variable slots.
+    pub join_vars: Vec<usize>,
+    /// Plan signature path for `ExecStats::join_cards`.
+    pub signature: String,
 }
 
 /// A morsel-parallel pipeline: the driving scan's [`Exchange`] plus the
-/// spine steps every worker stacks on top of its morsel. Consumed either
-/// through [`Gather`] (an [`Operator`] that merges worker batches in
+/// bind-join steps every worker stacks on top of its morsel. Consumed
+/// either through [`Gather`] (an [`Operator`] that merges worker batches in
 /// morsel order) or through [`ParallelSource::process`] (per-morsel
 /// folding for parallel aggregation).
 pub struct ParallelSource<'a> {
@@ -1512,15 +1286,10 @@ pub struct ParallelSource<'a> {
     pool: &'static WorkerPool,
     bucket: CoutBucket,
     schema: Vec<usize>,
-    /// Tuples resident in the shared build tables, released once all
-    /// morsels have run.
-    shared_tuples: usize,
 }
 
 impl<'a> ParallelSource<'a> {
     /// Assembles a source from the driving pattern and its spine steps.
-    /// `stats` residency for the shared builds must already be registered
-    /// (they were built with it).
     pub fn new(
         ds: &'a Dataset,
         driver: PlannedPattern,
@@ -1531,19 +1300,19 @@ impl<'a> ParallelSource<'a> {
     ) -> Self {
         let extent = if driver.has_absent() { 0 } else { ds.count(driver.access()) };
         let exchange = Exchange::new(extent, cfg.morsel_rows);
-        let shared_tuples = steps
-            .iter()
-            .map(|s| match s {
-                SpineStep::Probe { build, .. } => build.len(),
-                SpineStep::Bind { .. } => 0,
-            })
-            .sum();
-        let schema = Self::spine_schema(&driver, &steps);
+        // A bind join appends its pattern's new columns to the left's
+        // (`BindJoin::new`); the debug assertion pins the two together.
+        let mut schema = driver.var_slots();
+        for v in steps.iter().flat_map(|step| step.pattern.var_slots()) {
+            if !schema.contains(&v) {
+                schema.push(v);
+            }
+        }
         debug_assert_eq!(
             schema,
             Self::assemble(ds, &driver, driver_order, &steps, bucket, Morsel { start: 0, end: 0 })
                 .schema(),
-            "spine_schema must mirror the assembled operators' layout"
+            "the spine schema must mirror the assembled operators' layout"
         );
         ParallelSource {
             ds,
@@ -1555,47 +1324,12 @@ impl<'a> ParallelSource<'a> {
             pool: cfg.worker_pool(),
             bucket,
             schema,
-            shared_tuples,
         }
     }
 
     /// Output schema (identical to the serial lowering's root schema).
     pub fn schema(&self) -> &[usize] {
         &self.schema
-    }
-
-    /// Folds the output schema of the assembled spine without constructing
-    /// any operators, mirroring [`BindJoin::new`] (left columns, then new
-    /// pattern columns) and [`ProbeCore::new`] (semantic-left columns
-    /// lead). The debug assertion in [`ParallelSource::new`] pins the two
-    /// layouts together.
-    fn spine_schema(driver: &PlannedPattern, steps: &[SpineStep]) -> Vec<usize> {
-        let mut schema = driver.var_slots();
-        for step in steps {
-            match step {
-                SpineStep::Bind { pattern, .. } => {
-                    for v in pattern.var_slots() {
-                        if !schema.contains(&v) {
-                            schema.push(v);
-                        }
-                    }
-                }
-                SpineStep::Probe { build, stream_is_left, .. } => {
-                    let (lead, trail) = if *stream_is_left {
-                        (std::mem::take(&mut schema), build.schema().to_vec())
-                    } else {
-                        (build.schema().to_vec(), std::mem::take(&mut schema))
-                    };
-                    schema = lead;
-                    for v in trail {
-                        if !schema.contains(&v) {
-                            schema.push(v);
-                        }
-                    }
-                }
-            }
-        }
-        schema
     }
 
     /// One worker pipeline over one morsel.
@@ -1607,31 +1341,12 @@ impl<'a> ParallelSource<'a> {
         bucket: CoutBucket,
         m: Morsel,
     ) -> BoxedOperator<'a> {
-        let mut op: BoxedOperator<'a> =
+        let scan: BoxedOperator<'a> =
             Box::new(IndexScan::morsel(ds, driver, driver_order, m.start, m.end));
-        for step in steps {
-            op = match step {
-                SpineStep::Bind { pattern, join_vars, signature } => Box::new(BindJoin::new(
-                    ds,
-                    op,
-                    pattern.clone(),
-                    join_vars,
-                    signature.clone(),
-                    bucket,
-                )),
-                SpineStep::Probe { build, join_vars, stream_is_left, signature } => {
-                    Box::new(HashJoinProbe::shared(
-                        op,
-                        Arc::clone(build),
-                        join_vars,
-                        *stream_is_left,
-                        signature.clone(),
-                        bucket,
-                    ))
-                }
-            };
-        }
-        op
+        steps.iter().fold(scan, |op, step| {
+            let (pattern, sig) = (step.pattern.clone(), step.signature.clone());
+            Box::new(BindJoin::new(ds, op, pattern, &step.join_vars, sig, bucket))
+        })
     }
 
     /// The wave of morsels starting at `next`, or `None` once every morsel
@@ -1675,8 +1390,7 @@ impl<'a> ParallelSource<'a> {
     /// its own stats), wave by wave, handing each result to `sink` in
     /// morsel-index order — the parallel-aggregation driver: `job` folds a
     /// morsel into a partial accumulator, `sink` merges partials in the
-    /// deterministic order. Shared builds are released when all morsels
-    /// have run.
+    /// deterministic order.
     pub fn process<T: Send>(
         self,
         stats: &mut ExecStats,
@@ -1690,7 +1404,6 @@ impl<'a> ParallelSource<'a> {
                 sink(v, stats);
             }
         }
-        stats.shrink(self.shared_tuples);
         Ok(())
     }
 }
@@ -1705,13 +1418,12 @@ pub struct Gather<'a> {
     source: ParallelSource<'a>,
     next_morsel: usize,
     buffer: VecDeque<Batch>,
-    done: bool,
 }
 
 impl<'a> Gather<'a> {
     /// Wraps a parallel source for pull-based consumption.
     pub fn new(source: ParallelSource<'a>) -> Self {
-        Gather { source, next_morsel: 0, buffer: VecDeque::new(), done: false }
+        Gather { source, next_morsel: 0, buffer: VecDeque::new() }
     }
 }
 
@@ -1725,13 +1437,7 @@ impl Operator for Gather<'_> {
             if let Some(b) = self.buffer.pop_front() {
                 return Ok(Some(b));
             }
-            if self.done {
-                return Ok(None);
-            }
             let Some(wave) = self.source.wave(self.next_morsel) else {
-                self.done = true;
-                // All morsels ran: the shared build tables are dead.
-                stats.shrink(self.source.shared_tuples);
                 return Ok(None);
             };
             self.next_morsel = wave.end;
@@ -2060,11 +1766,9 @@ mod tests {
         plan: &PlanNode,
         ds: &'a Dataset,
         cfg: &ExecConfig,
-        stats: &mut ExecStats,
     ) -> Option<ParallelSource<'a>> {
         let rec = recorded(plan, ds);
-        plan.morselizes(cfg, rec.driver_rows)
-            .then(|| rec.node.lower_morsels(ds, CoutBucket::Required, cfg, stats).unwrap())
+        plan.morselizes(cfg, &rec).then(|| rec.node.lower_morsels(ds, CoutBucket::Required, cfg))
     }
 
     /// Forces morselization regardless of extent/estimate size.
@@ -2103,8 +1807,8 @@ mod tests {
             pattern: pattern(&ds, "p/next", s, o, idx),
             est_card: n as f64,
         };
-        // Two-join chain: exercises a shared hash build AND a bind join on
-        // the spine, depending on what the estimates select.
+        // Two-join chain: the pass records two bind joins over the driving
+        // scan, a spine of two steps.
         let plan = PlanNode::Join {
             left: Box::new(PlanNode::Join {
                 left: Box::new(scan_node(0, 1, 0)),
@@ -2123,7 +1827,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let cfg = tiny_morsel_cfg(threads, 97);
             let mut stats = ExecStats::default();
-            let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
+            let src = morsel_source(&plan, &ds, &cfg).expect("forced config qualifies");
             let got = drain(Box::new(Gather::new(src)), &mut stats).unwrap();
             // Bit-identical to the serial pipeline: same rows, same order.
             let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
@@ -2141,62 +1845,34 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_build_probes_identically_to_serial_build() {
-        let n = 2 * BATCH_SIZE + 57;
-        let ds = chain_dataset(n);
-        let pat = pattern(&ds, "p/next", 1, 2, 1);
-        let mut serial_stats = ExecStats::default();
-        let serial =
-            HashJoinBuild::build(Box::new(IndexScan::new(&ds, &pat)), &[1], &mut serial_stats)
-                .unwrap();
-        let cfg = tiny_morsel_cfg(4, 131);
-        let mut part_stats = ExecStats::default();
-        let partitioned =
-            HashJoinBuild::build_partitioned(&ds, &pat, None, &[1], &cfg, &mut part_stats);
-        assert_eq!(partitioned.len(), serial.len());
-        assert_eq!(partitioned.schema(), serial.schema());
-        // Every key resolves to the same match list (global row order), so
-        // probe output is bit-identical whichever build produced the table.
-        for row in serial.rows.iter() {
-            let key = &row[..1];
-            let a = serial.matches(key).expect("key from build rows");
-            let b = partitioned.matches(key).expect("same key set");
-            assert_eq!(a, b);
-            for (&i, &j) in a.iter().zip(b) {
-                assert_eq!(serial.rows.row(i), partitioned.rows.row(j));
-            }
-        }
-    }
-
-    #[test]
     fn gather_stops_dispatching_waves_when_not_pulled() {
-        let n = MORSELS_PER_WAVE * 64 * 4; // 4 waves at 64-row morsels
+        // Every even node carries a label: 4 waves of 64-row morsels.
+        let n = MORSELS_PER_WAVE * 64 * 8;
         let ds = chain_dataset(n);
         let plan = PlanNode::Join {
             left: Box::new(PlanNode::Scan {
-                pattern: pattern(&ds, "p/next", 0, 1, 0),
-                est_card: n as f64,
-            }),
-            right: Box::new(PlanNode::Scan {
-                pattern: pattern(&ds, "p/label", 0, 2, 1),
+                pattern: pattern(&ds, "p/label", 0, 1, 0),
                 est_card: (n / 2) as f64,
             }),
+            right: Box::new(PlanNode::Scan {
+                pattern: pattern(&ds, "p/next", 0, 2, 1),
+                est_card: n as f64,
+            }),
             join_vars: vec![0],
-            est_card: n as f64,
+            est_card: (n / 2) as f64,
         };
         let cfg = tiny_morsel_cfg(4, 64);
         let mut stats = ExecStats::default();
-        let src = morsel_source(&plan, &ds, &cfg, &mut stats).expect("forced config qualifies");
+        let src = morsel_source(&plan, &ds, &cfg).expect("forced config qualifies");
         let mut gather = Gather::new(src);
         // Pull one batch, then stop — as a satisfied LIMIT would.
         assert!(gather.next_batch(&mut stats).unwrap().is_some());
-        // At most one wave of driving rows was scanned on top of the
-        // (eagerly built) build side.
+        // At most one wave of driving rows was scanned, each probing its
+        // one `p/next` triple — a quarter of a full drain's `n`.
         let wave_rows = (MORSELS_PER_WAVE * 64) as u64;
-        let build_rows = ds.count([None, ds.lookup(&Term::iri("p/label")), None]) as u64;
         assert!(
-            stats.scanned <= build_rows + wave_rows,
-            "scanned {} exceeds build {build_rows} + one wave {wave_rows}",
+            stats.scanned <= 2 * wave_rows,
+            "scanned {} exceeds one wave of {wave_rows} driving rows and their probes",
             stats.scanned
         );
     }

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::index::IndexOrder;
@@ -20,11 +19,10 @@ use parambench_rdf::store::Dataset;
 use parambench_rdf::term::Term;
 
 use crate::ast::{AggFunc, BinOp, Expr, OrderTarget, Projection, SelectQuery};
-use crate::error::{ExecError, QueryError};
-use crate::exec::{self, ExecConfig, ExecStats, Value, UNBOUND};
+use crate::error::QueryError;
+use crate::exec::{self, ExecConfig, Value, UNBOUND};
 use crate::physical::{
-    BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, ParallelSource,
-    SpineStep,
+    BindJoin, BoxedOperator, CoutBucket, HashJoinProbe, IndexScan, ParallelSource, SpineStep,
 };
 
 /// One S/P/O slot of a planned pattern.
@@ -255,17 +253,19 @@ impl PlanNode {
         Physical { node, order, driver_rows: driver as usize }
     }
 
-    /// Whether a recorded tree whose streaming spine starts at a scan of
-    /// `driver_rows` rows runs over morsels: at least two leaves, estimated
-    /// cost (`est_cout + est_card`, the optimizer's own numbers) of at
-    /// least `cfg.min_est_cost`, and a driving scan of at least
+    /// Whether this tree, as the physical pass recorded it (`rec`), runs
+    /// over morsels: at least two leaves, every recorded join a bind join
+    /// (so the spine shares nothing between workers but the dataset),
+    /// estimated cost (`est_cout + est_card`, the optimizer's own numbers)
+    /// of at least `cfg.min_est_cost`, and a driving scan of at least
     /// `cfg.min_driver_rows` rows. The decision reads only estimates and
     /// exact extents — never `cfg.threads` — so the same plan runs at every
     /// thread count and results stay bit-identical.
-    pub(crate) fn morselizes(&self, cfg: &ExecConfig, driver_rows: usize) -> bool {
+    pub(crate) fn morselizes(&self, cfg: &ExecConfig, rec: &Physical) -> bool {
         self.leaf_count() >= 2
+            && rec.node.is_bind_spine()
             && Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
-            && driver_rows >= cfg.min_driver_rows.max(1)
+            && rec.driver_rows >= cfg.min_driver_rows.max(1)
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.
@@ -715,7 +715,7 @@ impl PhysNode {
 
     /// Lowers the recorded tree to a serial operator pipeline over `ds`.
     /// `bucket` routes the joins' output cardinalities into the required
-    /// or OPTIONAL `Cout` accumulator of [`ExecStats`].
+    /// or OPTIONAL `Cout` accumulator of [`exec::ExecStats`].
     pub fn lower<'a>(&self, ds: &'a Dataset, bucket: CoutBucket) -> BoxedOperator<'a> {
         match self {
             PhysNode::Scan { pattern, order, .. } => {
@@ -737,67 +737,52 @@ impl PhysNode {
         }
     }
 
-    /// Morsel-driven lowering of a tree the physical pass recorded as
-    /// morselized: partitions the *driving* scan (the leaf feeding the
-    /// streaming spine) into morsels and returns a [`ParallelSource`]
-    /// whose workers each run the spine over one morsel, probing shared
-    /// read-only hash tables built here — in parallel
-    /// ([`HashJoinBuild::build_partitioned`]) when the build side is
-    /// itself a large scan.
+    /// Whether every join of this tree is a bind join: a chain of index
+    /// nested-loop probes over one driving scan, the only shape that runs
+    /// over morsels.
+    pub fn is_bind_spine(&self) -> bool {
+        match self {
+            PhysNode::Scan { .. } => true,
+            PhysNode::Join { method: JoinMethod::Bind, left, .. } => left.is_bind_spine(),
+            PhysNode::Join { .. } => false,
+        }
+    }
+
+    /// Morsel-driven lowering of a bind spine ([`PhysNode::is_bind_spine`]):
+    /// partitions the driving scan into morsels and returns a
+    /// [`ParallelSource`] whose workers each run the spine's bind joins over
+    /// one morsel. Nothing is built, so nothing is shared between workers
+    /// but the dataset.
+    ///
+    /// # Panics
+    ///
+    /// On a tree holding a hash join.
     pub fn lower_morsels<'a>(
         &self,
         ds: &'a Dataset,
         bucket: CoutBucket,
         cfg: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Result<ParallelSource<'a>, ExecError> {
+    ) -> ParallelSource<'a> {
         // Record the spine steps top-down, then flip to bottom-up
         // assembly order.
         let mut steps: Vec<SpineStep> = Vec::new();
         let mut node = self;
         let (driver, driver_order) = loop {
-            let (method, left, right, join_vars, signature) = match node {
+            match node {
                 PhysNode::Scan { pattern, order, .. } => break (pattern, *order),
-                PhysNode::Join { method, left, right, on, signature, .. } => {
-                    (*method, left.as_ref(), right.as_ref(), on.clone(), signature.clone())
-                }
-            };
-            node = left;
-            steps.push(match (method, right) {
-                (JoinMethod::Bind, PhysNode::Scan { pattern, .. }) => {
-                    SpineStep::Bind { pattern: pattern.clone(), join_vars, signature }
-                }
-                (JoinMethod::Hash { build_right }, _) => {
-                    let build_node = if build_right { right } else { left };
-                    let build = match build_node {
-                        // Large scan build sides get the partitioned
-                        // parallel build; anything else builds serially.
-                        // The scan's chosen index order is passed through:
-                        // build-row numbering follows scan arrival order,
-                        // which fixes every key's match-list order and with
-                        // it the probe output's sub-order.
-                        PhysNode::Scan { pattern, order, .. }
-                            if !pattern.has_absent()
-                                && !pattern.var_slots().is_empty()
-                                && ds.count(pattern.access()) >= cfg.min_driver_rows.max(1) =>
-                        {
-                            HashJoinBuild::build_partitioned(
-                                ds, pattern, *order, &join_vars, cfg, stats,
-                            )
-                        }
-                        _ => HashJoinBuild::build(build_node.lower(ds, bucket), &join_vars, stats)?,
+                PhysNode::Join { method: JoinMethod::Bind, left, right, on, signature, .. } => {
+                    let PhysNode::Scan { pattern, .. } = right.as_ref() else {
+                        unreachable!("bind joins probe a scan")
                     };
-                    if !build_right {
-                        node = right;
-                    }
-                    let (build, stream_is_left) = (Arc::new(build), build_right);
-                    SpineStep::Probe { build, join_vars, stream_is_left, signature }
+                    let (pattern, signature) = (pattern.clone(), signature.clone());
+                    steps.push(SpineStep { pattern, join_vars: on.clone(), signature });
+                    node = left;
                 }
-                (JoinMethod::Bind, _) => unreachable!("bind joins probe a scan"),
-            });
+                PhysNode::Join { .. } => panic!("only bind spines run over morsels"),
+            }
         };
         steps.reverse();
-        Ok(ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket))
+        ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket)
     }
 
     /// EXPLAIN rendering: one line per operator with the chosen join
@@ -1282,7 +1267,8 @@ pub struct PhysicalPlan<'p> {
     pub delivered_order: Vec<usize>,
     /// The required BGP (absent when the body is a bare UNION).
     pub bgp: Option<PhysNode>,
-    /// The BGP's streaming spine runs over morsels of its driving scan.
+    /// The BGP, a bind-join spine ([`PhysNode::is_bind_spine`]), runs over
+    /// morsels of its driving scan.
     pub morselized: bool,
     /// UNION groups, a [`PhysGroup`] per branch: the first is the base when
     /// there is no BGP, every other one is hash-joined (union side built)

@@ -58,8 +58,9 @@ pub struct ServeConfig {
     /// execution threads all admitted queries may hold at once, on top of
     /// their own client threads.
     pub pool_capacity: usize,
-    /// Per-query execution template (thread cap, morsel geometry, order
-    /// mode). Its `pool` and `mem_budget_rows` fields are overridden by
+    /// Per-query execution template (thread cap, morsel geometry and
+    /// qualification thresholds). Its `pool` and `mem_budget_rows` fields
+    /// are overridden by
     /// the server: the pool with the server's own, the budget with
     /// `mem_budget_rows / max_concurrent`.
     pub exec: ExecConfig,

@@ -1,7 +1,8 @@
 //! "Executed = explained": the counters of a finished run must agree with
 //! the [`PhysicalPlan`] recorded for it, and the rendered EXPLAIN must name
-//! what the plan records. Included (by `#[path]`) by the sweeps that call
-//! it, so every query × config they already run is also checked here.
+//! what the plan records; and a plan must be morselized exactly when the
+//! rules allow it. Included (by `#[path]`) by the sweeps that call it, so
+//! every query × config they already run is also checked here.
 
 use parambench_rdf::store::Dataset;
 use parambench_sparql::{ExecConfig, Fold, JoinMethod, PhysNode, PhysicalPlan, QueryOutput, Sort};
@@ -17,7 +18,6 @@ fn collect<'a>(node: &'a PhysNode, out: &mut Vec<&'a PhysNode>) {
 /// Asserts that `out` — the result of executing under `exec` the query
 /// `plan` was recorded for — ran exactly as `plan` (and its rendering) say.
 pub fn assert_executed_as_explained(
-    ds: &Dataset,
     plan: &PhysicalPlan<'_>,
     out: &QueryOutput,
     exec: &ExecConfig,
@@ -65,8 +65,26 @@ pub fn assert_executed_as_explained(
         exec.mem_budget_rows
     );
 
+    // The operator tree names every recorded node by the method it ran as.
+    for label in ["IndexScan", "BindJoin", "HashJoin[build=right]", "HashJoin[build=left]"] {
+        let recorded = nodes.iter().filter(|n| n.method() == label).count();
+        assert_eq!(text.matches(label).count(), recorded, "{ctx}: {label} in:\n{text}");
+    }
+}
+
+/// Asserts that `plan`, recorded under `exec`, is morselized exactly when
+/// its required BGP qualifies, and that its rendering says so. Reads the
+/// plan alone, so the sweeps check it before the plan runs.
+pub fn assert_morselized_iff_qualified(
+    ds: &Dataset,
+    plan: &PhysicalPlan<'_>,
+    exec: &ExecConfig,
+    ctx: &str,
+) {
+    let (m, text) = (plan.modifiers, plan.render());
     // `morselized` ⇔ the plan qualifies, re-derived from the recorded tree:
-    // follow the streamed side of every join down to the driving scan.
+    // only a bind-join spine runs over morsels, so follow the left side of
+    // every bind join down to the driving scan; any hash join disqualifies.
     let output_bound = plan.fold.is_none()
         && m.limit.is_some()
         && matches!(plan.sort, Sort::None | Sort::Eliminated);
@@ -75,9 +93,8 @@ pub fn assert_executed_as_explained(
         match node {
             None => break None,
             Some(PhysNode::Scan { pattern, .. }) => break Some(pattern),
-            Some(PhysNode::Join { method, left, right, .. }) => {
-                node = Some(if method.streams_left() { left } else { right });
-            }
+            Some(PhysNode::Join { method: JoinMethod::Bind, left, .. }) => node = Some(left),
+            Some(PhysNode::Join { .. }) => break None,
         }
     };
     let joins = matches!(plan.bgp, Some(PhysNode::Join { .. }));
@@ -92,10 +109,4 @@ pub fn assert_executed_as_explained(
         );
     }
     assert_eq!(text.contains("Morsels"), plan.morselized, "{ctx}:\n{text}");
-
-    // The operator tree names every recorded node by the method it ran as.
-    for label in ["IndexScan", "BindJoin", "HashJoin[build=right]", "HashJoin[build=left]"] {
-        let recorded = nodes.iter().filter(|n| n.method() == label).count();
-        assert_eq!(text.matches(label).count(), recorded, "{ctx}: {label} in:\n{text}");
-    }
 }

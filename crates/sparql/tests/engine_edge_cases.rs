@@ -436,6 +436,51 @@ fn parallel_limit_early_exit_stops_workers_promptly() {
     assert_eq!(par.stats.scanned, one.stats.scanned);
 }
 
+/// Only bind-join spines run over morsels. Under a config forcing every
+/// qualifying plan onto morsels, a plan whose pass records a hash join
+/// lowers serially, with the default config's rows, order, `Cout` and
+/// `scanned`; a bind spine on the same store still morselizes.
+#[test]
+fn hash_join_plans_stay_serial_under_forced_morsels() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    let prepare =
+        |text: &str| engine.prepare(&parambench_sparql::parse_query(text).unwrap()).unwrap();
+    // ORDER BY ?r without a LIMIT: streaming the rank scan in value order
+    // serves the sort, and its 10 rows exceed the 5-row label extent, so
+    // the label side is hash-built.
+    let hashed = prepare("SELECT ?s ?r ?l WHERE { ?s <rank> ?r . ?s <label> ?l } ORDER BY ?r");
+    let spine = prepare("SELECT ?s ?g ?r WHERE { ?s <group> ?g . ?s <rank> ?r }");
+    let serial = engine.execute(&hashed).unwrap();
+    assert_eq!(serial.results.len(), 5);
+    for threads in [1, 4] {
+        let forced = ExecConfig {
+            threads,
+            morsel_rows: 5,
+            min_driver_rows: 1,
+            min_est_cost: 0.0,
+            ..engine.exec_config()
+        };
+        let plan = engine.physical_plan(&hashed, &forced);
+        let text = plan.render();
+        assert!(
+            matches!(plan.bgp, Some(PhysNode::Join { method: JoinMethod::Hash { .. }, .. })),
+            "threads={threads}: expected a hash join:\n{text}"
+        );
+        assert!(!plan.morselized, "threads={threads}: hash join morselized:\n{text}");
+        assert!(!text.contains("Morsels"), "threads={threads}:\n{text}");
+        let out = engine.execute_with(&hashed, &forced).unwrap();
+        assert_eq!(out.results, serial.results, "threads={threads}: rows or order");
+        assert_eq!(out.cout, serial.cout, "threads={threads}: Cout");
+        assert_eq!(out.stats.scanned, serial.stats.scanned, "threads={threads}: scanned");
+
+        let plan = engine.physical_plan(&spine, &forced);
+        assert!(plan.bgp.as_ref().is_some_and(PhysNode::is_bind_spine), "{}", plan.render());
+        assert!(plan.morselized, "threads={threads}: bind spine not morselized");
+        assert!(plan.render().contains("Morsels"));
+    }
+}
+
 /// `n` rows spread over `groups` groups with integer ranks — enough group
 /// cardinality to push any small memory budget onto the spill path.
 fn grouped_dataset(n: usize, groups: usize) -> Dataset {

@@ -32,7 +32,9 @@
 //!
 //! Every one of those runs is also checked against the physical plan
 //! recorded for it (`explained::assert_executed_as_explained`): what
-//! EXPLAIN says must be what the counters show ran — and
+//! EXPLAIN says must be what the counters show ran, and the plan must
+//! morselize exactly when the rules allow it
+//! (`explained::assert_morselized_iff_qualified`, checked before it runs) — and
 //! `Engine::measure_cout` under the same configuration must return that
 //! run's `Cout`, the integer curation's measured cost source records.
 //!
@@ -48,7 +50,7 @@ mod explained;
 mod stores;
 
 use common::oracle;
-use explained::assert_executed_as_explained;
+use explained::{assert_executed_as_explained, assert_morselized_iff_qualified};
 use proptest::prelude::*;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
@@ -379,18 +381,37 @@ fn check_twins(triples: &[(u8, u8, u8)], text: &str, limit_present: bool) {
     }
 }
 
+/// The sweeps' forced-morsel config: tiny morsels and no qualification
+/// thresholds, so every bind-join spine runs over morsels even on these
+/// small datasets.
+fn forced_morsels(threads: usize, mem_budget_rows: Option<usize>) -> ExecConfig {
+    ExecConfig {
+        threads,
+        morsel_rows: 5,
+        min_driver_rows: 1,
+        min_est_cost: 0.0,
+        mem_budget_rows,
+        ..ExecConfig::default()
+    }
+}
+
 /// Runs one differential case: pushed vs unpushed vs oracle. Returns the
 /// plan signature and the default configuration's output.
 fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, QueryOutput) {
     let engine = Engine::new(ds);
     let query = parse_query(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
     let prepared = engine.prepare(&query).unwrap_or_else(|e| panic!("prepare {text:?}: {e}"));
-    let pushed = engine.execute(&prepared).unwrap_or_else(|e| panic!("execute {text:?}: {e}"));
-    let explained = |exec: &ExecConfig, out: &parambench_sparql::QueryOutput| {
+    // Every execution below is checked against the physical plan recorded
+    // for it: the morsel rule before the plan runs, the counters after.
+    let run = |exec: &ExecConfig| {
+        let ctx = format!("{text} under {exec:?}");
         let plan = engine.physical_plan(&prepared, exec);
-        assert_executed_as_explained(ds, &plan, out, exec, &format!("{text} under {exec:?}"));
+        assert_morselized_iff_qualified(ds, &plan, exec, &ctx);
+        let out = engine.execute_with(&prepared, exec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_executed_as_explained(&plan, &out, exec, &ctx);
+        out
     };
-    explained(&engine.exec_config(), &pushed);
+    let pushed = run(&engine.exec_config());
     // The measured-cost path curation profiles with must return the very
     // integer the execution it stands in for reports — LIMIT early exit
     // included — under every configuration swept below.
@@ -436,18 +457,8 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
     // wave-granular early exit to complete extra work.
     let mut reference: Option<(u64, u64, u64)> = None;
     for threads in [1usize, 2, 4] {
-        let exec = ExecConfig {
-            threads,
-            morsel_rows: 5,
-            min_driver_rows: 1,
-            min_est_cost: 0.0,
-            mem_budget_rows: None,
-            ..ExecConfig::default()
-        };
-        let par = engine
-            .execute_with(&prepared, &exec)
-            .unwrap_or_else(|e| panic!("execute_with({threads}) {text:?}: {e}"));
-        explained(&exec, &par);
+        let exec = forced_morsels(threads, None);
+        let par = run(&exec);
         measured(&exec, &par);
         assert_eq!(
             par.results, pushed.results,
@@ -485,18 +496,8 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
     let (ref_cout, ref_scanned, _) = reference.expect("thread sweep ran");
     for budget in [Some(2), Some(16)] {
         for threads in [1usize, 4] {
-            let exec = ExecConfig {
-                threads,
-                morsel_rows: 5,
-                min_driver_rows: 1,
-                min_est_cost: 0.0,
-                mem_budget_rows: budget,
-                ..ExecConfig::default()
-            };
-            let out = engine.execute_with(&prepared, &exec).unwrap_or_else(|e| {
-                panic!("execute_with(budget {budget:?}, {threads} threads) {text:?}: {e}")
-            });
-            explained(&exec, &out);
+            let exec = forced_morsels(threads, budget);
+            let out = run(&exec);
             measured(&exec, &out);
             assert_eq!(
                 out.results, pushed.results,
@@ -510,6 +511,23 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
         }
     }
     (prepared.signature, pushed)
+}
+
+/// The thread sweep really runs the morsel path: a bind-join spine goes
+/// through the whole differential case, and its recorded plan is
+/// morselized at every thread count the sweep runs.
+#[test]
+fn thread_sweep_runs_a_bind_spine_over_morsels() {
+    let triples: Vec<(u8, u8, u8)> = (0..48u8).map(|i| (i / 2 % 12, i % 2, i % 12)).collect();
+    let text = "SELECT * WHERE { ?s0 <p/0> ?v0 . ?s0 <p/1> ?v1 . }";
+    check_twins(&triples, text, false);
+    let ds = dataset(&triples).freeze();
+    let engine = Engine::new(&ds);
+    let prepared = engine.prepare(&parse_query(text).unwrap()).unwrap();
+    for threads in [1usize, 2, 4] {
+        let plan = engine.physical_plan(&prepared, &forced_morsels(threads, None));
+        assert!(plan.morselized, "threads={threads}: not morselized:\n{}", plan.render());
+    }
 }
 
 proptest! {

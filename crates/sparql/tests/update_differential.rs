@@ -33,7 +33,7 @@ mod stores;
 use std::collections::BTreeSet;
 
 use common::oracle;
-use explained::assert_executed_as_explained;
+use explained::{assert_executed_as_explained, assert_morselized_iff_qualified};
 use proptest::prelude::*;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
@@ -210,10 +210,14 @@ fn query_mix() -> Vec<String> {
 /// live store is additionally oracle-checked per query. The `t1` leg
 /// must take every order-based path somewhere in the mix: sort
 /// elimination, run dedup and — without a memory budget, which routes
-/// every fold through the external one — the ordered fold.
-fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
+/// every fold through the external one — the ordered fold. Returns
+/// whether the `t4` leg ran some bind-join spine over morsels: that needs
+/// data under a spine's driving scan, so the callers that know their
+/// store assert it.
+fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) -> bool {
     assert_eq!(live.len(), fresh.len(), "[{label}] visible counts diverge");
     let (mut eliminated, mut run_dedup, mut ordered_fold) = (false, false, false);
+    let mut morselized = false;
     for text in query_mix() {
         let query = parse_query(&text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
         for (cfg_name, cfg) in exec_sweep() {
@@ -223,17 +227,19 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
                     .prepare(&query)
                     .unwrap_or_else(|e| panic!("[{label}/{cfg_name}] prepare {text:?}: {e}"));
                 let sig = prepared.signature.clone();
-                let out = engine
-                    .execute(&prepared)
-                    .unwrap_or_else(|e| panic!("[{label}/{cfg_name}] execute {text:?}: {e}"));
                 let ctx = format!("[{label}/{cfg_name}] {text}");
                 let plan = engine.physical_plan(&prepared, &cfg);
-                assert_executed_as_explained(ds, &plan, &out, &cfg, &ctx);
+                assert_morselized_iff_qualified(ds, &plan, &cfg, &ctx);
+                let out = engine.execute(&prepared).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_executed_as_explained(&plan, &out, &cfg, &ctx);
                 if cfg_name == "t1" {
                     eliminated |= plan.sort == Sort::Eliminated;
                     run_dedup |= plan.dedup == Dedup::Run;
                     ordered_fold |=
                         plan.fold == Some(Fold::Ordered) || cfg.mem_budget_rows.is_some();
+                }
+                if cfg_name == "t4" {
+                    morselized |= plan.morselized;
                 }
                 (sig, out)
             };
@@ -267,6 +273,7 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) {
     assert!(eliminated, "[{label}] t1 eliminated no sort");
     assert!(run_dedup, "[{label}] t1 deduplicated no run");
     assert!(ordered_fold, "[{label}] t1 folded nothing in order");
+    morselized
 }
 
 /// Oracle check of a store whose dictionary may carry overflow ids: the
@@ -308,11 +315,13 @@ fn fixed_interleaving_matches_from_scratch_freeze() {
     let (legs, model) = live_stores(&base, &batches);
     let fresh = fresh_store(&model);
     for (kind, mut live) in legs {
-        check_differential(&live, &fresh, &format!("fixed/{kind}"));
+        let morselized = check_differential(&live, &fresh, &format!("fixed/{kind}"));
+        assert!(morselized, "[fixed/{kind}] t4 ran nothing over morsels");
         // Compaction changes representation, never results or plans.
         live.compact();
         assert!(live.overlay().is_empty());
-        check_differential(&live, &fresh, &format!("fixed-compacted/{kind}"));
+        let morselized = check_differential(&live, &fresh, &format!("fixed-compacted/{kind}"));
+        assert!(morselized, "[fixed-compacted/{kind}] t4 ran nothing over morsels");
     }
 }
 
@@ -325,7 +334,9 @@ fn deleting_everything_matches_an_empty_freeze() {
     let fresh = fresh_store(&model);
     for (kind, live) in legs {
         assert!(live.is_empty());
-        check_differential(&live, &fresh, &format!("emptied/{kind}"));
+        // No driving scan has a row, so nothing runs over morsels.
+        let morselized = check_differential(&live, &fresh, &format!("emptied/{kind}"));
+        assert!(!morselized, "[emptied/{kind}] an empty store ran morsels");
     }
 }
 

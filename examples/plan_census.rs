@@ -20,6 +20,14 @@
 //! over 512 name × country pairs; LDBC-Q2 over 512 persons and LDBC-Q3
 //! over 512 person × country-pair bindings; the LUBM templates over their
 //! whole domains (at most 512 bindings each).
+//!
+//! An optional argument sets the store scale in triples (default 150 000,
+//! the benchmark's full scale). The `analytic` workload's 4× stores are
+//! the only ones where plans run over morsels:
+//!
+//! ```text
+//! cargo run --release --example plan_census -- 600000 | grep -c Morsels
+//! ```
 
 use parambench::curation::ParameterDomain;
 use parambench::datagen::bsbm::schema as bsbm_schema;
@@ -27,7 +35,8 @@ use parambench::datagen::{Bsbm, BsbmConfig, Lubm, LubmConfig, Snb, SnbConfig};
 use parambench::rdf::{Dataset, Term};
 use parambench::sparql::{Engine, ExecConfig, QueryTemplate};
 
-/// Store scale of every generated dataset (the benchmark's full scale).
+/// Default store scale of every generated dataset (the benchmark's full
+/// scale).
 const TRIPLES: usize = 150_000;
 /// Bindings per template drawn from a domain larger than this.
 const BINDINGS: usize = 512;
@@ -55,7 +64,11 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
 }
 
 fn main() {
-    let bsbm = Bsbm::generate(BsbmConfig::with_scale(TRIPLES));
+    let triples = match std::env::args().nth(1) {
+        None => TRIPLES,
+        Some(arg) => arg.parse().unwrap_or_else(|_| panic!("triple count expected, got {arg:?}")),
+    };
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(triples));
     let types = ParameterDomain::single("type", bsbm.type_iris());
     let features = ParameterDomain::from_objects(
         &bsbm.dataset,
@@ -78,7 +91,7 @@ fn main() {
         ],
     );
 
-    let snb = Snb::generate(SnbConfig::with_scale(TRIPLES));
+    let snb = Snb::generate(SnbConfig::with_scale(triples));
     census(
         &snb.dataset,
         &[
@@ -99,7 +112,7 @@ fn main() {
         ],
     );
 
-    let lubm = Lubm::generate(LubmConfig::with_scale(TRIPLES));
+    let lubm = Lubm::generate(LubmConfig::with_scale(triples));
     census(
         &lubm.dataset,
         &[
