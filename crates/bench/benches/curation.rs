@@ -4,12 +4,14 @@
 //! Includes the ablation DESIGN.md calls out: estimated-cost profiling (one
 //! optimizer probe per binding, the paper's formulation) vs measured-cost
 //! profiling (one `Engine::measure_cout` per binding, the LDBC production
-//! variant).
+//! variant). The validation pair prices P1–P3 on `Metric::Cout`
+//! (`curation/validate_cout`) against fully executing the same two samples
+//! per class (`curation/run_workload`), one thread each.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parambench_core::{
-    cluster, curate, profile_domain, ClusterConfig, CostSource, CurationConfig, ParameterDomain,
-    ProfileConfig,
+    cluster, curate, profile_domain, run_workload, validate_workload, ClusterConfig, CostSource,
+    CurationConfig, Metric, ParameterDomain, ProfileConfig, RunConfig, ValidationConfig,
 };
 use parambench_datagen::{Bsbm, BsbmConfig};
 use parambench_sparql::Engine;
@@ -57,6 +59,27 @@ fn curation_benches(c: &mut Criterion) {
     c.bench_function("curation/curate_end_to_end", |b| {
         b.iter(|| {
             black_box(curate(&engine, &template, &domain, &CurationConfig::default()).unwrap())
+        })
+    });
+
+    let workload = curate(&engine, &template, &domain, &CurationConfig::default()).unwrap();
+    let validation = ValidationConfig { metric: Metric::Cout, threads: 1, ..Default::default() };
+    c.bench_function("curation/validate_cout", |b| {
+        b.iter(|| black_box(validate_workload(&engine, &workload, &validation).unwrap()))
+    });
+
+    let samples: Vec<_> = workload
+        .classes()
+        .iter()
+        .flat_map(|class| [validation.seed, validation.seed.wrapping_add(1)].map(|s| (class.id, s)))
+        .map(|(id, seed)| workload.sample_class(id, validation.sample_size, seed).unwrap())
+        .collect();
+    let run = RunConfig { threads: 1, ..Default::default() };
+    c.bench_function("curation/run_workload", |b| {
+        b.iter(|| {
+            for sample in &samples {
+                black_box(run_workload(&engine, &template, sample, &run).unwrap());
+            }
         })
     });
 }

@@ -122,10 +122,10 @@ impl SuiteReport {
                 t.curated_mean_spread * 100.0
             ));
             out.push_str(&format!("- curated classes: {}\n", t.classes));
-            out.push_str("\n| class | n | median | mean | P1 cv | P1 | P2 p | P2 | plans | P3 |\n|---|---|---|---|---|---|---|---|---|---|\n");
+            out.push_str("\n| class | n | median | mean | P1 cv | P1 | P2 p | P2 | plans | P3 | physical |\n|---|---|---|---|---|---|---|---|---|---|---|\n");
             for v in &t.validations {
                 out.push_str(&format!(
-                    "| {} | {} | {:.1} | {:.1} | {:.3} | {} | {} | {} | {} | {} |\n",
+                    "| {} | {} | {:.1} | {:.1} | {:.3} | {} | {} | {} | {} | {} | {} |\n",
                     v.class_id,
                     v.summary.len(),
                     v.summary.median(),
@@ -136,6 +136,7 @@ impl SuiteReport {
                     ok(v.p2_ok),
                     v.p3_distinct_plans,
                     ok(v.p3_ok),
+                    v.p3_physical_plans,
                 ));
             }
         }

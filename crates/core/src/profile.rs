@@ -49,6 +49,8 @@ pub struct BindingProfile {
 /// a run per binding, but a cheap one: on 150k-triple stores (two-core
 /// Xeon, 512 bindings) about 2 µs per BSBM-BI-Q2 binding and 35 µs per
 /// LDBC-Q2 binding, against 260 µs and 120 µs for a full execution.
+/// P1–P3 validation on [`crate::Metric::Cout`] measures its samples the
+/// same way ([`crate::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostSource {
     /// Optimizer estimate of `Cout` (one `prepare` per binding; no execution).

@@ -4,7 +4,8 @@
 //! run: wall-clock time, measured `Cout` (sum of join output cardinalities)
 //! and the executed plan's signature. These measurements feed every
 //! experiment table (E1–E3), the §III correlation (C1) and the P1–P3
-//! validation.
+//! validation on the timed metrics (validation on [`Metric::Cout`] measures
+//! without a full execution; see [`crate::validate`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,6 +70,18 @@ impl Default for RunConfig {
     }
 }
 
+impl RunConfig {
+    /// The configuration [`run_workload`] executes under: the engine's
+    /// own, with this run's thread count and memory budget.
+    pub(crate) fn exec_config(&self, engine: &Engine<'_>) -> ExecConfig {
+        ExecConfig {
+            threads: self.threads.max(1),
+            mem_budget_rows: self.mem_budget_rows,
+            ..engine.exec_config()
+        }
+    }
+}
+
 /// Runs every binding once (after `warmup` untimed runs each) and collects
 /// measurements in input order.
 pub fn run_workload(
@@ -77,11 +90,7 @@ pub fn run_workload(
     bindings: &[Binding],
     config: &RunConfig,
 ) -> Result<Vec<Measurement>, CurationError> {
-    let exec = ExecConfig {
-        threads: config.threads.max(1),
-        mem_budget_rows: config.mem_budget_rows,
-        ..engine.exec_config()
-    };
+    let exec = config.exec_config(engine);
     let mut out = Vec::with_capacity(bindings.len());
     for b in bindings {
         let prepared = engine.prepare_template(template, b)?;
@@ -213,7 +222,10 @@ pub enum Metric {
     /// hardware.
     WallMillis,
     /// Measured `Cout` — the paper's runtime proxy (≈85% Pearson), exactly
-    /// reproducible; used by deterministic tests.
+    /// reproducible; used by deterministic tests. A count the engine
+    /// produces without building the result: validation reads it from
+    /// [`Engine::measure_cout`], which returns the integer a full
+    /// execution reports, so P1–P3 on this metric execute nothing in full.
     Cout,
     /// Peak intermediate tuples resident at once — the memory-side metric
     /// the streaming executor minimizes; also exactly reproducible.

@@ -786,18 +786,20 @@ impl PhysNode {
     }
 
     /// EXPLAIN rendering: one line per operator with the chosen join
-    /// method and the scanned index.
-    pub fn render(&self, indent: usize) -> String {
+    /// method and the scanned index, and the estimated output cardinality
+    /// when `est`.
+    pub fn render(&self, indent: usize, est: bool) -> String {
         let (pad, method) = ("  ".repeat(indent), self.method());
+        let note = |card: f64| if est { format!(" (est {card:.1})") } else { String::new() };
         match self {
             PhysNode::Scan { pattern, order, est_card } => {
                 let idx = order.unwrap_or_else(|| Dataset::default_order(pattern.access()));
-                format!("{pad}{method} p{} idx={idx:?} (est {est_card:.1})\n", pattern.idx)
+                format!("{pad}{method} p{} idx={idx:?}{}\n", pattern.idx, note(*est_card))
             }
             PhysNode::Join { left, right, on, est_card, .. } => {
-                format!("{pad}{method} on {on:?} (est {est_card:.1})\n")
-                    + &left.render(indent + 1)
-                    + &right.render(indent + 1)
+                format!("{pad}{method} on {on:?}{}\n", note(*est_card))
+                    + &left.render(indent + 1, est)
+                    + &right.render(indent + 1, est)
             }
         }
     }
@@ -1296,6 +1298,20 @@ impl PhysicalPlan<'_> {
     /// Multi-line EXPLAIN rendering of exactly what `Engine::stream`
     /// lowers: the operator tree, then the modifier strategy.
     pub fn render(&self) -> String {
+        self.render_with(true)
+    }
+
+    /// The plan's shape: [`PhysicalPlan::render`] without the estimates
+    /// the choices were made on. Two executions that ran the same
+    /// operators over the same indexes, with the same modifier strategy,
+    /// have equal shapes whatever their bindings — P3's physical identity.
+    pub fn shape(&self) -> String {
+        self.render_with(false)
+    }
+
+    /// [`PhysicalPlan::render`], with the operators' `(est …)` annotations
+    /// only when `est`.
+    fn render_with(&self, est: bool) -> String {
         let mut out = format!("delivered order: {:?}\n", self.delivered_order);
         if self.limit_zero {
             out.push_str("LIMIT 0: nothing below runs\n");
@@ -1304,14 +1320,14 @@ impl PhysicalPlan<'_> {
             if self.morselized {
                 out.push_str("Morsels (spine below runs per morsel of its driving scan)\n");
             }
-            out.push_str(&bgp.render(usize::from(self.morselized)));
+            out.push_str(&bgp.render(usize::from(self.morselized), est));
         }
         for (i, u) in self.unions.iter().enumerate() {
             let how = if i == 0 && self.bgp.is_none() { "base" } else { "hash join, union built" };
             out.push_str(&format!("UNION #{i} ({how}, on {:?})\n", u[0].join_vars));
             for (b, branch) in u.iter().enumerate() {
                 out.push_str(&format!("  branch {b} ({} filters):\n", branch.filters.len()));
-                out.push_str(&branch.node.render(2));
+                out.push_str(&branch.node.render(2, est));
             }
         }
         for (i, o) in self.optionals.iter().enumerate() {
@@ -1320,7 +1336,7 @@ impl PhysicalPlan<'_> {
                 o.join_vars,
                 o.filters.len()
             ));
-            out.push_str(&o.node.render(1));
+            out.push_str(&o.node.render(1, est));
         }
         if !self.filters.is_empty() {
             out.push_str(&format!("FILTER ({} expressions)\n", self.filters.len()));

@@ -1,6 +1,8 @@
 //! End-to-end integration: BSBM generation → engine → curation →
 //! validation, asserting the paper's E1/E3 effects and their resolution.
 
+mod common;
+
 use parambench::curation::{
     curate, run_workload, validate_workload, ClusterConfig, CurationConfig, Metric,
     ParameterDomain, RunConfig, ValidationConfig,
@@ -46,16 +48,13 @@ fn curated_q4_classes_satisfy_p1_p2_p3() {
     .unwrap();
     assert!(workload.classes().len() >= 2, "{}", workload.describe());
 
-    let report = validate_workload(
-        &engine,
-        &workload,
-        &ValidationConfig { sample_size: 30, metric: Metric::Cout, ..Default::default() },
-    )
-    .unwrap();
+    let cfg = ValidationConfig { sample_size: 30, metric: Metric::Cout, ..Default::default() };
+    let report = validate_workload(&engine, &workload, &cfg).unwrap();
     for v in &report {
         assert!(v.p1_ok, "class {} P1 cv {}", v.class_id, v.p1_cv);
         assert!(v.p3_ok, "class {} has {} plans", v.class_id, v.p3_distinct_plans);
     }
+    common::assert_physical_recount(&data.dataset, &workload, &cfg, &report);
     // P2 can flip on borderline classes; the majority must hold.
     let p2_ok = report.iter().filter(|v| v.p2_ok).count();
     assert!(p2_ok * 2 > report.len(), "P2 failed on most classes");

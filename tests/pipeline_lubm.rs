@@ -3,6 +3,8 @@
 //! "the problem of finding the parameter domains is relevant for all of
 //! them").
 
+mod common;
+
 use parambench::curation::{
     curate, run_workload, validate_workload, ClusterConfig, CurationConfig, Metric,
     ParameterDomain, RunConfig, ValidationConfig,
@@ -48,16 +50,13 @@ fn curated_lubm_staff_classes_validate() {
     )
     .unwrap();
     assert!(workload.classes().len() >= 2, "{}", workload.describe());
-    let report = validate_workload(
-        &engine,
-        &workload,
-        &ValidationConfig { sample_size: 15, metric: Metric::Cout, ..Default::default() },
-    )
-    .unwrap();
+    let cfg = ValidationConfig { sample_size: 15, metric: Metric::Cout, ..Default::default() };
+    let report = validate_workload(&engine, &workload, &cfg).unwrap();
     for v in &report {
         assert!(v.p1_ok, "class {} cv {}", v.class_id, v.p1_cv);
         assert!(v.p3_ok, "class {} plans {}", v.class_id, v.p3_distinct_plans);
     }
+    common::assert_physical_recount(&g.dataset, &workload, &cfg, &report);
 }
 
 #[test]
