@@ -2,14 +2,20 @@
 //! counts, optimizer (prepare) latency — the cost of one curation probe —
 //! full query execution at the two extremes of the E3 parameter space, the
 //! modifier pushdown (streaming aggregation, bounded-heap TopK) against
-//! the materialize-then-modify baseline, and the out-of-core GROUP BY
-//! (spill-to-disk under a memory budget) against the in-memory fold.
+//! the materialize-then-modify baseline, the out-of-core GROUP BY
+//! (spill-to-disk under a memory budget) against the in-memory fold, and
+//! one bind join's index probes with the left rows in key order and
+//! shuffled.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parambench_core::ParameterDomain;
 use parambench_datagen::{Bsbm, BsbmConfig, Snb, SnbConfig};
-use parambench_rdf::Term;
-use parambench_sparql::{Binding, Engine, ExecConfig};
+use parambench_rdf::{Dataset, Id, Term};
+use parambench_sparql::physical::BindJoin;
+use parambench_sparql::plan::{PlannedPattern, Slot};
+use parambench_sparql::{
+    Batch, Binding, CoutBucket, Engine, ExecConfig, ExecError, ExecStats, Operator, BATCH_SIZE,
+};
 use std::hint::black_box;
 
 fn engine_benches(c: &mut Criterion) {
@@ -237,6 +243,91 @@ fn prepare_benches(c: &mut Criterion) {
     }
 }
 
+/// Replays prepared batches, last first: the left side of a bind join
+/// whose rows are fixed in advance, so the bench times the join's probes
+/// and nothing upstream of them.
+struct Replay {
+    schema: Vec<usize>,
+    batches: Vec<Batch>,
+}
+
+impl Operator for Replay {
+    fn schema(&self) -> &[usize] {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let batch = self.batches.pop();
+        stats.grow(batch.as_ref().map_or(0, Batch::len));
+        Ok(batch)
+    }
+}
+
+/// One bind join probing `?p <price> ?x` once per left row of `left`
+/// (column 0 = `?p`), drained; returns its `Cout`.
+fn bind_join_cout(ds: &Dataset, price: Id, left: &[Batch]) -> u64 {
+    let replay = Replay { schema: vec![0], batches: left.iter().rev().cloned().collect() };
+    let pattern =
+        PlannedPattern { idx: 1, slots: [Slot::Var(0), Slot::Bound(price), Slot::Var(1)] };
+    let mut join = BindJoin::new(
+        ds,
+        Box::new(replay),
+        pattern,
+        &[0],
+        "BJ(S0,S1)".into(),
+        CoutBucket::Required,
+    );
+    let mut stats = ExecStats::default();
+    while let Some(batch) = join.next_batch(&mut stats).unwrap() {
+        stats.shrink(batch.len());
+    }
+    stats.cout
+}
+
+/// The same bind join over the same left rows — every product of the root
+/// type on the `serve_read` store — in probe-key order (how a scan of the
+/// type delivers them) and shuffled: what galloping forward from the
+/// previous probe saves when the keys ascend, and what it costs when they
+/// do not.
+fn probe_benches(c: &mut Criterion) {
+    use parambench_datagen::bsbm::schema;
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
+    let ds = &bsbm.dataset;
+    let id = |iri: String| ds.lookup(&Term::iri(iri)).unwrap();
+    let (rdf_type, price) = (id(schema::RDF_TYPE.into()), id(schema::PRICE.into()));
+    let root = id(schema::product_type(0));
+    let sorted: Vec<Id> = ds.scan([None, Some(rdf_type), Some(root)]).map(|t| t[0]).collect();
+    let mut shuffled = sorted.clone();
+    // Fisher-Yates over a fixed 64-bit LCG: the same permutation every run.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    for i in (1..shuffled.len()).rev() {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let batches = |ids: &[Id]| -> Vec<Batch> {
+        ids.chunks(BATCH_SIZE)
+            .map(|chunk| {
+                let mut batch = Batch::with_schema(vec![0]);
+                chunk.iter().for_each(|&p| batch.push_row(&[p]));
+                batch
+            })
+            .collect()
+    };
+    let (sorted, shuffled) = (batches(&sorted), batches(&shuffled));
+    let cout = bind_join_cout(ds, price, &sorted);
+    assert_eq!(cout, bind_join_cout(ds, price, &shuffled), "probe order changed the join's Cout");
+    println!(
+        "bind probes: {} left rows, Cout {cout}",
+        sorted.iter().map(Batch::len).sum::<usize>()
+    );
+    for (name, left) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+        c.bench_function(&format!("engine/bind_probe_{name}"), |b| {
+            b.iter(|| black_box(bind_join_cout(ds, price, left)))
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -248,4 +339,10 @@ criterion_group! {
     config = Criterion::default().sample_size(2000);
     targets = prepare_benches
 }
-criterion_main!(prepare, benches);
+// A bind join of a few thousand probes: ~0.1–1 ms per iteration.
+criterion_group! {
+    name = probe;
+    config = Criterion::default().sample_size(200);
+    targets = probe_benches
+}
+criterion_main!(prepare, probe, benches);

@@ -17,8 +17,8 @@
 //! Validation measures (never estimates), so it is the honest check that
 //! the cheap plan/cost clustering delivered the promised behaviour. How
 //! much of a query it runs depends on the metric: under [`Metric::Cout`]
-//! each binding's measured `Cout` comes from [`Engine::measure_cout`],
-//! which runs the pattern part only (no modifiers, no decode, no result
+//! each binding's measured `Cout` comes from [`Engine::measure_cout_with`]
+//! over the physical plan recorded for P3, which runs the pattern part only (no modifiers, no decode, no result
 //! table) and yields the integer a full execution reports; the timed
 //! metrics, [`Metric::WallMillis`] and [`Metric::PeakTuples`], execute
 //! every binding in full through [`run_workload`].
@@ -209,8 +209,9 @@ struct Observed {
 
 /// Measures one sample. Each binding is prepared once and its physical
 /// plan recorded under the configuration [`run_workload`] executes with.
-/// Under [`Metric::Cout`] the value is [`Engine::measure_cout`], the
-/// integer a full execution reports, obtained without one; the timed
+/// Under [`Metric::Cout`] the value is [`Engine::measure_cout_with`] of
+/// that plan, the integer a full execution reports, obtained without one
+/// and without a second physical pass; the timed
 /// metrics need the whole run, so they execute the sample through
 /// [`run_workload`].
 fn observe(
@@ -230,9 +231,10 @@ fn observe(
     };
     for binding in bindings {
         let prepared = engine.prepare_template(template, binding)?;
-        seen.shapes.push(engine.physical_plan(&prepared, &exec).shape());
+        let plan = engine.physical_plan(&prepared, &exec);
+        seen.shapes.push(plan.shape());
         if config.metric == Metric::Cout {
-            seen.series.push(engine.measure_cout(&prepared)? as f64);
+            seen.series.push(engine.measure_cout_with(&plan, &exec)? as f64);
         }
         seen.signatures.push(prepared.signature);
     }

@@ -16,6 +16,7 @@
 //! single-bound lookups and persists as the per-index metadata section of
 //! the snapshot format.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dict::Id;
@@ -315,28 +316,67 @@ impl PermIndex {
     /// The contiguous key range whose first `prefix.len()` key components
     /// equal `prefix` (at most 3 components). The leading component is
     /// resolved through the bucket directory (`O(log d)` over distinct
-    /// values); the remaining components binary-search within the bucket.
+    /// values); the remaining components binary-search within the bucket,
+    /// comparing keys packed into one integer.
     pub fn range(&self, prefix: &[Id]) -> &[[Id; 3]] {
+        &self.keys.as_slice()[self.span(prefix)]
+    }
+
+    /// [`PermIndex::range`] as key positions. A prefix no key carries
+    /// yields the empty range at its insertion point.
+    fn span(&self, prefix: &[Id]) -> Range<usize> {
         debug_assert!(prefix.len() <= 3);
         let keys = self.keys.as_slice();
-        let Some((&first, rest)) = prefix.split_first() else {
-            return keys;
+        let Some(&first) = prefix.first() else {
+            return 0..keys.len();
         };
         let buckets = self.buckets.as_slice();
         let bi = buckets.partition_point(|b| b.key < first);
+        let lo = buckets.get(bi).map_or(keys.len(), |b| b.start as usize);
         if bi == buckets.len() || buckets[bi].key != first {
-            return &keys[0..0];
+            return lo..lo;
         }
-        let lo = buckets[bi].start as usize;
         let hi = buckets.get(bi + 1).map_or(keys.len(), |b| b.start as usize);
-        let run = &keys[lo..hi];
-        if rest.is_empty() {
-            return run;
+        if prefix.len() == 1 {
+            return lo..hi;
         }
-        let lo2 = run.partition_point(|k| cmp_tail(k, rest) == std::cmp::Ordering::Less);
-        let hi2 =
-            run[lo2..].partition_point(|k| cmp_tail(k, rest) != std::cmp::Ordering::Greater) + lo2;
-        &run[lo2..hi2]
+        let run = &keys[lo..hi];
+        let (low, high) = (packed(prefix, 0), packed(prefix, u32::MAX));
+        let lo2 = run.partition_point(|k| pack(k) < low);
+        let hi2 = lo2 + run[lo2..].partition_point(|k| pack(k) <= high);
+        lo + lo2..lo + hi2
+    }
+
+    /// The key positions of [`PermIndex::range`]`(prefix)`, found by
+    /// galloping forward from position `from` — where the caller's
+    /// previous probe landed — instead of from the bucket directory.
+    ///
+    /// The gallop runs only when it is known to be short and correct:
+    /// every key before `from` sorts below `prefix`, and the range starts
+    /// at most `SEEK_REACH` (1 024) keys past `from`. Each is one key
+    /// comparison; when either fails, the directory search of
+    /// [`PermIndex::range`] runs instead, so a useless `from` (0, past the
+    /// end, behind the range, far before it) costs two comparisons over
+    /// `range`. Probes arriving in ascending key order — a bind join whose
+    /// left rows are sorted by the probe key — pay `O(log distance)` per
+    /// probe.
+    #[inline]
+    pub fn seek(&self, prefix: &[Id], from: usize) -> Range<usize> {
+        debug_assert!(prefix.len() <= 3);
+        let keys = self.keys.as_slice();
+        let from = from.min(keys.len());
+        let reach = (from + SEEK_REACH).min(keys.len());
+        // Keys sorting below `low` carry a smaller prefix; keys up to
+        // `high` (from `low` on) carry `prefix` itself.
+        let (low, high) = (packed(prefix, 0), packed(prefix, u32::MAX));
+        let behind = from > 0 && pack(&keys[from - 1]) >= low;
+        let beyond = reach < keys.len() && pack(&keys[reach]) < low;
+        if prefix.is_empty() || behind || beyond {
+            return self.span(prefix);
+        }
+        let lo = from + gallop(&keys[from..reach], |k| pack(k) < low);
+        let hi = lo + gallop(&keys[lo..], |k| pack(k) <= high);
+        lo..hi
     }
 
     /// Exact number of triples matching a bound key prefix, via the bucket
@@ -376,6 +416,43 @@ impl PermIndex {
     }
 }
 
+/// How far past its `from` hint [`PermIndex::seek`] gallops: a range
+/// starting further on is found through the bucket directory.
+const SEEK_REACH: usize = 1024;
+
+/// A key as one integer that sorts like the key: its three ids, most
+/// significant first.
+#[inline]
+pub(crate) fn pack(key: &[Id; 3]) -> u128 {
+    (u128::from(key[0].0) << 64) | (u128::from(key[1].0) << 32) | u128::from(key[2].0)
+}
+
+/// `prefix` extended to a full key with `fill`, packed: with 0 the
+/// smallest key carrying `prefix`, with `u32::MAX` the largest.
+#[inline]
+pub(crate) fn packed(prefix: &[Id], fill: u32) -> u128 {
+    let mut key = [Id(fill); 3];
+    for (k, &id) in key.iter_mut().zip(prefix) {
+        *k = id;
+    }
+    pack(&key)
+}
+
+/// `keys.partition_point(pred)` by exponential search from the front:
+/// `O(log p)` comparisons for an answer `p`, whatever `keys.len()`.
+#[inline]
+fn gallop(keys: &[[Id; 3]], pred: impl Fn(&[Id; 3]) -> bool) -> usize {
+    // Every key before `lo` satisfies `pred`.
+    let mut lo = 0;
+    let mut step = 1;
+    while lo + step <= keys.len() && pred(&keys[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(keys.len());
+    lo + keys[lo..hi].partition_point(pred)
+}
+
 /// Builds the bucket directory of a sorted key array: one entry per
 /// distinct leading component, found by galloping over the runs.
 fn build_buckets(keys: &[[Id; 3]]) -> Vec<Bucket> {
@@ -389,22 +466,10 @@ fn build_buckets(keys: &[[Id; 3]]) -> Vec<Bucket> {
     out
 }
 
-/// Compares a key's components *after* the first against `rest`
-/// (`rest.len() <= 2`); used for the in-bucket binary search once the
-/// bucket directory has pinned the leading component.
-fn cmp_tail(key: &[Id; 3], rest: &[Id]) -> std::cmp::Ordering {
-    for (k, p) in key[1..].iter().zip(rest) {
-        match k.cmp(p) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn id(v: u32) -> Id {
         Id(v)
@@ -563,5 +628,101 @@ mod tests {
             5
         )
         .is_err());
+    }
+
+    /// The bucket-directory range of `prefix`, as positions, by brute force.
+    fn brute_span(keys: &[[Id; 3]], prefix: &[Id]) -> Range<usize> {
+        let n = prefix.len();
+        let lo = keys.iter().take_while(|k| k[..n] < *prefix).count();
+        let hi = lo + keys[lo..].iter().take_while(|k| k[..n] == *prefix).count();
+        lo..hi
+    }
+
+    /// Key sets of up to 3000 keys over 3, 8 or 40 values per component:
+    /// few wide buckets, many narrow ones, or runs longer than
+    /// [`SEEK_REACH`] apart.
+    fn arb_index() -> impl Strategy<Value = PermIndex> {
+        let raw = prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..3000);
+        (0usize..3, raw).prop_map(|(width, raw)| {
+            let k = [3, 8, 40][width];
+            let mut spo: Vec<[Id; 3]> =
+                raw.into_iter().map(|(s, p, o)| [id(s % k), id(p % k), id(o % k)]).collect();
+            spo.sort_unstable();
+            spo.dedup();
+            PermIndex::build(IndexOrder::Spo, &spo)
+        })
+    }
+
+    /// Prefix sequences of 0–3 components, one value past the widest key
+    /// set so that some miss beyond the last bucket, delivered ascending,
+    /// descending, each twice in a row, or as drawn.
+    fn arb_prefixes() -> impl Strategy<Value = Vec<Vec<Id>>> {
+        let one = (0usize..=3, any::<u32>(), any::<u32>(), any::<u32>())
+            .prop_map(|(n, a, b, c)| [a, b, c][..n].iter().map(|&v| id(v % 41)).collect());
+        (0usize..4, prop::collection::vec(one, 0..80)).prop_map(
+            |(order, mut seq): (_, Vec<Vec<Id>>)| {
+                match order {
+                    0 => seq.sort(),
+                    1 => seq.sort_by(|a, b| b.cmp(a)),
+                    2 => seq = seq.into_iter().flat_map(|p| [p.clone(), p]).collect(),
+                    _ => {}
+                }
+                seq
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `seek` returns exactly `range`'s positions whatever its hint:
+        /// chained from the previous seek (also after a miss), 0, the key
+        /// count, past it, or arbitrary.
+        #[test]
+        fn seek_equals_range_under_any_hint(
+            idx in arb_index(),
+            prefixes in arb_prefixes(),
+            hints in prop::collection::vec((0usize..5, any::<u32>()), 80),
+        ) {
+            let keys = idx.keys();
+            let mut chained = 0;
+            for (prefix, &(mode, raw)) in prefixes.iter().zip(&hints) {
+                let want = brute_span(keys, prefix);
+                prop_assert_eq!(&keys[want.clone()], idx.range(prefix), "range {:?}", prefix);
+                let from = match mode {
+                    0 | 1 => chained,
+                    2 => 0,
+                    3 => keys.len() + (raw as usize % 3),
+                    _ => raw as usize % (keys.len() + 1),
+                };
+                let got = idx.seek(prefix, from);
+                prop_assert_eq!(got.clone(), want, "seek({:?}, {}) over {} keys", prefix, from, keys.len());
+                chained = got.start;
+            }
+        }
+    }
+
+    #[test]
+    fn seek_gallops_within_reach_and_searches_beyond_it() {
+        // One bucket per subject, 3 keys each: subject s starts at 3s.
+        let spo: Vec<[Id; 3]> =
+            (0..2000u32).flat_map(|s| (0..3u32).map(move |o| [id(s), id(7), id(o)])).collect();
+        let idx = PermIndex::build(IndexOrder::Spo, &spo);
+        // Ascending, short hops, repeats, a miss (no predicate 8), a jump
+        // past the reach, then behind the hint.
+        let mut from = 0;
+        for s in [0, 1, 1, 2, 5, 40, 41, 41, 1500, 1501, 1999, 3, 0] {
+            for prefix in
+                [vec![id(s)], vec![id(s), id(7)], vec![id(s), id(8)], vec![id(s), id(7), id(2)]]
+            {
+                let got = idx.seek(&prefix, from);
+                assert_eq!(got, brute_span(idx.keys(), &prefix), "seek({prefix:?}, {from})");
+                from = got.start;
+            }
+        }
+        // Past the last key, and a hint past the key count.
+        assert_eq!(idx.seek(&[id(2000)], 5999), 6000..6000);
+        assert_eq!(idx.seek(&[id(1999)], 10_000), 5997..6000);
+        assert_eq!(idx.seek(&[], 17), 0..6000);
     }
 }

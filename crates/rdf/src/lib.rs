@@ -54,6 +54,6 @@ pub use error::RdfError;
 pub use fault::{Fault, IoOp, IoSeam};
 pub use format::SnapshotError;
 pub use snapshot::VerifyMode;
-pub use store::{Dataset, IdPattern, StoreBuilder};
+pub use store::{Dataset, IdPattern, Probe, ProbeHint, StoreBuilder};
 pub use term::{Literal, LiteralKind, Term};
 pub use wal::{LoggedOp, Wal, WalError, WalRecord};

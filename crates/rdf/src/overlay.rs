@@ -27,7 +27,7 @@
 //! `Dataset::compact` re-freezes base+delta and restores the invariant.
 
 use crate::dict::Id;
-use crate::index::IndexOrder;
+use crate::index::{pack, packed, IndexOrder};
 
 /// Sorted in-memory delta runs (adds + tombstones) over a frozen base.
 #[derive(Debug, Clone, Default)]
@@ -48,9 +48,9 @@ pub struct Overlay {
 /// The subrange of a sorted key run whose leading `prefix.len()`
 /// components equal `prefix`.
 fn prefix_range<'a>(run: &'a [[Id; 3]], prefix: &[Id]) -> &'a [[Id; 3]] {
-    let n = prefix.len().min(3);
-    let lo = run.partition_point(|k| k[..n].cmp(&prefix[..n]).is_lt());
-    let hi = run.partition_point(|k| k[..n].cmp(&prefix[..n]).is_le());
+    let (low, high) = (packed(prefix, 0), packed(prefix, u32::MAX));
+    let lo = run.partition_point(|k| pack(k) < low);
+    let hi = lo + run[lo..].partition_point(|k| pack(k) <= high);
     &run[lo..hi]
 }
 
@@ -83,8 +83,12 @@ impl Overlay {
     }
 
     /// The `(adds, dels)` subranges matching `prefix` in `order`'s key
-    /// layout — the two overlay-side inputs of a merged scan.
+    /// layout — the two overlay-side inputs of a merged scan. Two empty
+    /// slices, at the cost of one check, when the overlay is empty.
     pub fn range(&self, order: IndexOrder, prefix: &[Id]) -> (&[[Id; 3]], &[[Id; 3]]) {
+        if self.is_empty() {
+            return (&[], &[]);
+        }
         let slot = order.slot();
         (prefix_range(&self.adds[slot], prefix), prefix_range(&self.dels[slot], prefix))
     }
@@ -165,6 +169,7 @@ impl<'a> MergedKeys<'a> {
     }
 
     /// The next visible key, in ascending key order.
+    #[inline]
     pub(crate) fn next_key(&mut self) -> Option<[Id; 3]> {
         loop {
             let Some(&b) = self.base.first() else {

@@ -251,32 +251,29 @@ impl Dataset {
     }
 
     /// Chooses the index and key prefix serving an id-level pattern.
-    fn plan_access(&self, pattern: IdPattern) -> (&PermIndex, Vec<Id>) {
+    fn plan_access(&self, pattern: IdPattern) -> (&PermIndex, KeyPrefix) {
         self.plan_access_with(pattern, Self::default_order(pattern))
     }
 
     /// The index of `order` and the bound-key prefix for `pattern`.
     /// `order` must cover the pattern's bound positions
     /// ([`IndexOrder::covers_bound`]).
-    fn plan_access_with(&self, pattern: IdPattern, order: IndexOrder) -> (&PermIndex, Vec<Id>) {
+    fn plan_access_with(&self, pattern: IdPattern, order: IndexOrder) -> (&PermIndex, KeyPrefix) {
         debug_assert!(
             order.covers_bound(pattern[0].is_some(), pattern[1].is_some(), pattern[2].is_some()),
             "{order:?} does not cover the bound positions of {pattern:?}"
         );
-        let idx = self.index(order);
-        let perm = order.perm();
-        let mut prefix = Vec::with_capacity(3);
-        for &pos in &perm {
-            match pattern[pos] {
-                Some(id) => prefix.push(id),
-                None => break,
-            }
+        let mut prefix = KeyPrefix { ids: [Id(0); 3], len: 0 };
+        for pos in order.perm() {
+            let Some(id) = pattern[pos] else { break };
+            prefix.ids[prefix.len] = id;
+            prefix.len += 1;
         }
-        (idx, prefix)
+        (self.index(order), prefix)
     }
 
     /// Iterates all visible SPO triples matching `pattern`.
-    pub fn scan(&self, pattern: IdPattern) -> impl Iterator<Item = [Id; 3]> + '_ {
+    pub fn scan(&self, pattern: IdPattern) -> Probe<'_> {
         self.scan_with(pattern, Self::default_order(pattern))
     }
 
@@ -287,13 +284,24 @@ impl Dataset {
     /// are delivered in: ascending by the unbound key positions of
     /// `order`, tombstoned base triples skipped, added triples spliced in
     /// at their sorted position.
-    pub fn scan_with(
-        &self,
-        pattern: IdPattern,
-        order: IndexOrder,
-    ) -> impl Iterator<Item = [Id; 3]> + '_ {
-        let (keys, remaining) = self.merged_keys(pattern, order);
-        MergedScan { order, keys, remaining }
+    pub fn scan_with(&self, pattern: IdPattern, order: IndexOrder) -> Probe<'_> {
+        let (idx, prefix) = self.plan_access_with(pattern, order);
+        self.merged(idx, &prefix, idx.range(&prefix))
+    }
+
+    /// [`Dataset::scan`] for one probe of a sequence — a bind join's probe
+    /// per left row: the same triples in the same order, with the base
+    /// range found by [`PermIndex::seek`] from where the previous probe
+    /// through `hint` landed, and `hint` moved to where this one lands.
+    /// Probes whose keys ascend gallop a short way forward instead of
+    /// searching the bucket directory; any other sequence costs what
+    /// [`Dataset::scan`] costs plus two key comparisons. The overlay runs
+    /// are binary-searched as a scan searches them. Allocates nothing.
+    pub fn probe(&self, pattern: IdPattern, hint: &mut ProbeHint) -> Probe<'_> {
+        let (idx, prefix) = self.plan_access(pattern);
+        let span = idx.seek(&prefix, hint.from);
+        hint.from = span.start;
+        self.merged(idx, &prefix, &idx.keys()[span])
     }
 
     /// Iterates the sub-range `[start, end)` of the visible triples
@@ -301,12 +309,7 @@ impl Dataset {
     /// morsel primitive of parallel scans: consecutive slices concatenated
     /// in order reproduce the full scan exactly. `end` is clamped to the
     /// match count; an inverted range (`end <= start`) yields nothing.
-    pub fn scan_slice(
-        &self,
-        pattern: IdPattern,
-        start: usize,
-        end: usize,
-    ) -> impl Iterator<Item = [Id; 3]> + '_ {
+    pub fn scan_slice(&self, pattern: IdPattern, start: usize, end: usize) -> Probe<'_> {
         self.scan_slice_with(pattern, Self::default_order(pattern), start, end)
     }
 
@@ -319,36 +322,31 @@ impl Dataset {
         order: IndexOrder,
         start: usize,
         end: usize,
-    ) -> impl Iterator<Item = [Id; 3]> + '_ {
-        let (mut keys, len) = self.merged_keys(pattern, order);
-        let start = start.min(len);
-        keys.skip(start);
+    ) -> Probe<'_> {
+        let mut scan = self.scan_with(pattern, order);
+        let start = start.min(scan.remaining);
+        scan.keys.skip(start);
         // saturating: an inverted range (end < start) is an empty slice,
         // not an underflow.
-        MergedScan { order, keys, remaining: end.min(len).saturating_sub(start) }
+        scan.remaining = end.min(scan.remaining).saturating_sub(start);
+        scan
     }
 
-    /// The merged key source for `pattern` under `order`, plus its exact
-    /// length.
-    fn merged_keys(&self, pattern: IdPattern, order: IndexOrder) -> (MergedKeys<'_>, usize) {
-        let (idx, prefix) = self.plan_access_with(pattern, order);
-        let base = idx.range(&prefix);
-        let (adds, dels) = self.overlay.range(order, &prefix);
+    /// The merged scan of `base` — `prefix`'s key range in `idx` — with
+    /// the overlay's runs matching `prefix`.
+    fn merged<'s>(&'s self, idx: &PermIndex, prefix: &[Id], base: &'s [[Id; 3]]) -> Probe<'s> {
+        let order = idx.order();
+        let (adds, dels) = self.overlay.range(order, prefix);
         let keys = MergedKeys::new(base, adds, dels);
-        let len = keys.len();
-        (keys, len)
+        Probe { order, remaining: keys.len(), keys }
     }
 
     /// Exact number of visible triples matching `pattern` (binary search
     /// on the base index and on the overlay runs).
     pub fn count(&self, pattern: IdPattern) -> usize {
         let (idx, prefix) = self.plan_access(pattern);
-        let base = idx.count(&prefix);
-        if self.overlay.is_empty() {
-            return base;
-        }
         let (adds, dels) = self.overlay.range(idx.order(), &prefix);
-        base + adds.len() - dels.len()
+        idx.count(&prefix) + adds.len() - dels.len()
     }
 
     /// Number of overlay delta entries (adds + tombstones) a scan of
@@ -356,9 +354,6 @@ impl Dataset {
     /// fast path. The executor records this per scan so tests can prove
     /// the empty-overlay path really merges nothing.
     pub fn overlay_entries(&self, pattern: IdPattern) -> usize {
-        if self.overlay.is_empty() {
-            return 0;
-        }
         let (idx, prefix) = self.plan_access(pattern);
         let (adds, dels) = self.overlay.range(idx.order(), &prefix);
         adds.len() + dels.len()
@@ -390,9 +385,6 @@ impl Dataset {
         crate::diag::count_distinct_walk();
         let idx = self.index(order);
         let base = idx.distinct_after(prefix);
-        if self.overlay.is_empty() {
-            return base;
-        }
         let (adds, dels) = self.overlay.range(order, prefix);
         if adds.is_empty() && dels.is_empty() {
             return base;
@@ -407,8 +399,9 @@ impl Dataset {
             hi - lo
         };
         let mut d = base as isize;
-        let mut sub = prefix.to_vec();
-        sub.push(Id(0));
+        let mut sub = [Id(0); 3];
+        sub[..k].copy_from_slice(prefix);
+        let sub_prefix = k + 1;
         let mut last: Option<Id> = None;
         for key in dels {
             let v = key[k];
@@ -417,7 +410,7 @@ impl Dataset {
             }
             last = Some(v);
             sub[k] = v;
-            if value_run(dels, v) == idx.count(&sub) && value_run(adds, v) == 0 {
+            if value_run(dels, v) == idx.count(&sub[..sub_prefix]) && value_run(adds, v) == 0 {
                 d -= 1;
             }
         }
@@ -429,7 +422,7 @@ impl Dataset {
             }
             last = Some(v);
             sub[k] = v;
-            if idx.count(&sub) == 0 {
+            if idx.count(&sub[..sub_prefix]) == 0 {
                 d += 1;
             }
         }
@@ -725,17 +718,46 @@ impl Dataset {
     }
 }
 
-/// Owning merged-scan iterator over (a slice of) one index range plus the
-/// overlay's matching delta runs, emitting SPO triples.
-struct MergedScan<'a> {
+/// The bound-key prefix of a pattern in one index's key order: up to
+/// three ids, held inline so that planning an access allocates nothing.
+struct KeyPrefix {
+    ids: [Id; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for KeyPrefix {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        &self.ids[..self.len]
+    }
+}
+
+/// Where a sequence of [`Dataset::probe`]s last landed in the base index:
+/// the next probe gallops forward from there when its keys ascend. One
+/// per probing operator (each morsel pipeline builds its own), never
+/// shared across threads. Any value is correct: a hint that is behind,
+/// ahead or from another pattern only loses its speed-up.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProbeHint {
+    from: usize,
+}
+
+/// The visible SPO triples of one index key range, in that index's key
+/// order: the base range merged with the overlay's matching add and
+/// tombstone runs. What every [`Dataset`] scan and probe returns; its
+/// exact length is known up front ([`ExactSizeIterator::len`]).
+#[derive(Debug, Clone)]
+pub struct Probe<'a> {
     order: IndexOrder,
     keys: MergedKeys<'a>,
     remaining: usize,
 }
 
-impl Iterator for MergedScan<'_> {
+impl Iterator for Probe<'_> {
     type Item = [Id; 3];
 
+    #[inline]
     fn next(&mut self) -> Option<[Id; 3]> {
         if self.remaining == 0 {
             return None;
@@ -749,6 +771,8 @@ impl Iterator for MergedScan<'_> {
         (self.remaining, Some(self.remaining))
     }
 }
+
+impl ExactSizeIterator for Probe<'_> {}
 
 #[cfg(test)]
 mod tests {

@@ -978,13 +978,26 @@ impl<'a> Engine<'a> {
     /// * anything else drains the pattern part, with no projection,
     ///   modifier or decode stage above it.
     pub fn measure_cout(&self, prepared: &Prepared) -> Result<u64, QueryError> {
-        let stats = self.measure(prepared)?;
+        self.measure_cout_with(&self.physical_plan(prepared, &self.exec), &self.exec)
+    }
+
+    /// [`Engine::measure_cout`] of a plan the caller already recorded
+    /// ([`Engine::physical_plan`] under `exec`), run under `exec`: no
+    /// second physical pass. Measured `Cout` does not depend on the
+    /// configuration's thread count or memory budget, so this is the
+    /// integer `measure_cout` returns whatever `exec` the plan was
+    /// recorded under.
+    pub fn measure_cout_with(
+        &self,
+        plan: &PhysicalPlan<'_>,
+        exec: &ExecConfig,
+    ) -> Result<u64, QueryError> {
+        let stats = self.measure(plan, exec)?;
         Ok(stats.cout + stats.cout_optional)
     }
 
-    /// [`Engine::measure_cout`]'s run, as the counters it left.
-    fn measure(&self, prepared: &Prepared) -> Result<ExecStats, QueryError> {
-        let plan = self.physical_plan(prepared, &self.exec);
+    /// [`Engine::measure_cout_with`]'s run, as the counters it left.
+    fn measure(&self, plan: &PhysicalPlan<'_>, exec: &ExecConfig) -> Result<ExecStats, QueryError> {
         let mut stats = ExecStats::default();
         if plan.limit_zero {
             return Ok(stats);
@@ -993,7 +1006,7 @@ impl<'a> Engine<'a> {
             && plan.modifiers.limit.is_some()
             && matches!(plan.sort, Sort::None | Sort::Eliminated);
         if stops_early {
-            return Ok(self.execute(prepared)?.stats);
+            return Ok(self.stream_planned(plan, exec, Instant::now())?.collect_output()?.stats);
         }
         let plain = plan.unions.is_empty() && plan.optionals.is_empty();
         match &plan.bgp {
@@ -1003,7 +1016,7 @@ impl<'a> Engine<'a> {
                 let PhysNode::Scan { pattern, .. } = right.as_ref() else {
                     unreachable!("bind joins probe a scan")
                 };
-                let left = self.lower_bgp(left, plan.morselized, &self.exec);
+                let left = self.lower_bgp(left, plan.morselized, exec);
                 physical::count_bind_join(
                     self.ds,
                     left,
@@ -1014,7 +1027,7 @@ impl<'a> Engine<'a> {
                 )?;
             }
             _ => {
-                let mut op = self.lower_patterns(&plan, &self.exec);
+                let mut op = self.lower_patterns(plan, exec);
                 physical::drain_rest(&mut op, &mut stats)?;
             }
         }
@@ -1045,8 +1058,18 @@ impl<'a> Engine<'a> {
         exec: &ExecConfig,
     ) -> Result<RowStream<'a>, QueryError> {
         let started = Instant::now();
+        self.stream_planned(&self.physical_plan(prepared, exec), exec, started)
+    }
+
+    /// [`Engine::stream`] of an already recorded plan; the stream's wall
+    /// time counts from `started`.
+    fn stream_planned(
+        &self,
+        plan: &PhysicalPlan<'_>,
+        exec: &ExecConfig,
+        started: Instant,
+    ) -> Result<RowStream<'a>, QueryError> {
         let mut stats = ExecStats::default();
-        let plan = self.physical_plan(prepared, exec);
         let columns = plan.modifiers.out_names();
         let inner = if plan.limit_zero {
             // Provably empty: no pipeline ever exists, so nothing is
@@ -1055,12 +1078,12 @@ impl<'a> Engine<'a> {
         } else {
             match plan.fold {
                 Some(fold) => {
-                    let results = self.fold_groups(&plan, fold, exec, &mut stats)?;
+                    let results = self.fold_groups(plan, fold, exec, &mut stats)?;
                     StreamInner::Table(results.rows.into_iter())
                 }
                 None => {
-                    let op = self.lower_patterns(&plan, exec);
-                    self.plain_epilogue(&plan, op, &mut stats)?
+                    let op = self.lower_patterns(plan, exec);
+                    self.plain_epilogue(plan, op, &mut stats)?
                 }
             }
         };
@@ -1735,10 +1758,10 @@ mod tests {
         )
         .unwrap();
         let prepared = engine.prepare(&q).unwrap();
-        let root = engine.physical_plan(&prepared, &engine.exec_config()).bgp.map(|n| n.method());
-        assert_eq!(root, Some("BindJoin"));
+        let plan = engine.physical_plan(&prepared, &engine.exec_config());
+        assert_eq!(plan.bgp.as_ref().map(|n| n.method()), Some("BindJoin"));
 
-        let stats = engine.measure(&prepared).unwrap();
+        let stats = engine.measure(&plan, &engine.exec_config()).unwrap();
         let out = engine.execute(&prepared).unwrap();
         // prod/0 has f/0 and f/5, shared by 60 and 100 products.
         let left_rows = 2;

@@ -52,7 +52,7 @@ use std::sync::Mutex;
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::index::IndexOrder;
-use parambench_rdf::store::Dataset;
+use parambench_rdf::store::{Dataset, Probe, ProbeHint};
 
 use crate::ast::Expr;
 use crate::error::ExecError;
@@ -233,7 +233,7 @@ pub struct IndexScan<'a> {
 }
 
 struct ScanState<'a> {
-    iter: Box<dyn Iterator<Item = [Id; 3]> + 'a>,
+    iter: Probe<'a>,
     /// Triple position feeding each output column.
     col_pos: Vec<usize>,
     /// Repeated-variable equality constraints within the pattern.
@@ -292,9 +292,9 @@ impl<'a> IndexScan<'a> {
         let order = order.unwrap_or_else(|| Dataset::default_order(access));
         let charge_overlay = slice.is_none_or(|(start, _)| start == 0);
         let overlay_entries = if charge_overlay { ds.overlay_entries(access) as u64 } else { 0 };
-        let iter: Box<dyn Iterator<Item = [Id; 3]> + 'a> = match slice {
-            None => Box::new(ds.scan_with(access, order)),
-            Some((start, end)) => Box::new(ds.scan_slice_with(access, order, start, end)),
+        let iter = match slice {
+            None => ds.scan_with(access, order),
+            Some((start, end)) => ds.scan_slice_with(access, order, start, end),
         };
         let col_pos: Vec<usize> = schema
             .iter()
@@ -463,6 +463,8 @@ pub struct HashJoinProbe<'a> {
     build: Option<HashJoinBuild>,
     probe: BoxedOperator<'a>,
     probe_key_cols: Vec<usize>,
+    /// The current probe row's join key, refilled in place per row.
+    key: Vec<Id>,
     sources: Vec<ColSource>,
     recorder: JoinCardRecorder,
     /// In-progress probe batch: (batch, row index, match offset).
@@ -506,6 +508,7 @@ impl<'a> HashJoinProbe<'a> {
             pending: Some((build, join_vars)),
             build: None,
             probe,
+            key: Vec::with_capacity(probe_key_cols.len()),
             probe_key_cols,
             sources,
             recorder: JoinCardRecorder::new(signature, bucket),
@@ -563,8 +566,9 @@ impl Operator for HashJoinProbe<'_> {
                 };
                 while row < batch.len() {
                     batch.read_row(row, &mut probe_buf);
-                    let key: Vec<Id> = self.probe_key_cols.iter().map(|&c| probe_buf[c]).collect();
-                    if let Some(matches) = build.matches(&key) {
+                    self.key.clear();
+                    self.key.extend(self.probe_key_cols.iter().map(|&c| probe_buf[c]));
+                    if let Some(matches) = build.matches(&self.key) {
                         while offset < matches.len() {
                             if out.is_full() {
                                 self.cursor = Some((batch, row, offset));
@@ -613,7 +617,9 @@ impl Operator for HashJoinProbe<'_> {
 /// access mask with the row's join keys bound in, plus the residual checks
 /// every probed triple must pass. The one home of that binding, shared by
 /// [`BindJoin`], which scans each probe, and [`count_bind_join`], which
-/// only counts it.
+/// only counts it. Each probe goes through [`Dataset::probe`] with the
+/// join's own [`ProbeHint`]: left rows sorted by the probe key gallop
+/// forward from the previous probe.
 struct BindProbe {
     /// The pattern's constants; a probe binds the join keys into a copy.
     access: [Option<Id>; 3],
@@ -623,6 +629,8 @@ struct BindProbe {
     /// in `?y ?p ?y` probed on `?p`): residual checks on every probed
     /// triple. A repeated join variable is bound at both positions.
     eq_pairs: Vec<(usize, usize)>,
+    /// Where the previous probe landed in the base index.
+    hint: ProbeHint,
 }
 
 impl BindProbe {
@@ -633,13 +641,14 @@ impl BindProbe {
         });
         let eq_pairs =
             eq_pairs(pattern).into_iter().filter(|&(i, _)| left_col_of[i].is_none()).collect();
-        BindProbe { access: pattern.access(), left_col_of, eq_pairs }
+        BindProbe { access: pattern.access(), left_col_of, eq_pairs, hint: ProbeHint::default() }
     }
 
-    /// The access pattern of `left_row`'s probe, or `None` when a join key
-    /// is unbound (from OPTIONAL): such a row never matches.
+    /// The triples `left_row`'s probe reads, before the residual checks,
+    /// or `None` when a join key is unbound (from OPTIONAL): such a row
+    /// never matches.
     #[inline]
-    fn bind(&self, left_row: &[Id]) -> Option<[Option<Id>; 3]> {
+    fn probe<'a>(&mut self, ds: &'a Dataset, left_row: &[Id]) -> Option<Probe<'a>> {
         let mut access = self.access;
         for (slot, &col) in access.iter_mut().zip(&self.left_col_of) {
             if let Some(c) = col {
@@ -650,7 +659,7 @@ impl BindProbe {
                 *slot = Some(v);
             }
         }
-        Some(access)
+        Some(ds.probe(access, &mut self.hint))
     }
 
     /// Whether a probed triple passes the residual checks.
@@ -660,18 +669,18 @@ impl BindProbe {
     }
 
     /// The number of triples `left_row`'s probe joins — the bind join's
-    /// output for that row — without building them: one overlay-aware
-    /// index count, or, when residual checks remain, one pass over the
-    /// probed range (counted in `scanned`, as the operator counts it).
-    fn count(&self, ds: &Dataset, left_row: &[Id], stats: &mut ExecStats) -> u64 {
-        let Some(access) = self.bind(left_row) else {
+    /// output for that row — without building them: the probe's exact
+    /// length, or, when residual checks remain, one pass over the probed
+    /// range (counted in `scanned`, as the operator counts it).
+    fn count(&mut self, ds: &Dataset, left_row: &[Id], stats: &mut ExecStats) -> u64 {
+        let Some(probe) = self.probe(ds, left_row) else {
             return 0;
         };
         if self.eq_pairs.is_empty() {
-            return ds.count(access) as u64;
+            return probe.len() as u64;
         }
         let mut n = 0;
-        for triple in ds.scan(access) {
+        for triple in probe {
             stats.scanned += 1;
             n += u64::from(self.passes(&triple));
         }
@@ -699,7 +708,7 @@ struct BindCursor<'a> {
     batch: Batch,
     row: usize,
     /// Active index probe for the current left row.
-    scan: Option<Box<dyn Iterator<Item = [Id; 3]> + 'a>>,
+    scan: Option<Probe<'a>>,
 }
 
 impl<'a> BindJoin<'a> {
@@ -778,11 +787,11 @@ impl Operator for BindJoin<'_> {
             }
             cursor.batch.read_row(cursor.row, &mut row_buf[..left_width]);
             if cursor.scan.is_none() {
-                let Some(access) = self.probe.bind(&row_buf[..left_width]) else {
+                let Some(probe) = self.probe.probe(ds, &row_buf[..left_width]) else {
                     cursor.row += 1;
                     continue 'fill;
                 };
-                cursor.scan = Some(Box::new(ds.scan(access)));
+                cursor.scan = Some(probe);
             }
             let scan = cursor.scan.as_mut().expect("opened above");
             let mut scan_exhausted = false;
@@ -831,7 +840,7 @@ pub(crate) fn count_bind_join(
     signature: String,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
-    let probe = BindProbe::new(pattern, left.schema(), join_vars);
+    let mut probe = BindProbe::new(pattern, left.schema(), join_vars);
     let mut recorder = JoinCardRecorder::new(signature, CoutBucket::Required);
     let mut row = vec![UNBOUND; left.schema().len()];
     while let Some(batch) = left.next_batch(stats)? {

@@ -1295,6 +1295,85 @@ fn measure_cout_counts_through_overlay_adds_and_tombstones() {
     assert_eq!(measured(&engine, text).0, want);
 }
 
+/// A bind join's probes gallop forward from where its previous probe
+/// landed in the base index, while the overlay runs are searched per
+/// probe. Over a store whose overlay tombstones keys inside the probed
+/// ranges and adds keys inside, between and past them, probes ascending
+/// over the products must read exactly the visible set: the same rows, row
+/// order and `Cout` as the store frozen from that set, through the engine
+/// and through `Dataset::probe` itself.
+#[test]
+fn ascending_bind_probes_through_an_overlay_match_a_fresh_freeze() {
+    let product = |i: usize| Term::iri(format!("prod/{i:04}"));
+    let price = |i: usize, k: usize| Term::integer((i * 10 + k) as i64);
+    let (kind, ty, cost) = (Term::iri("Kind"), Term::iri("type"), Term::iri("price"));
+    let mut b = StoreBuilder::new();
+    for i in 0..400 {
+        b.insert(product(i), ty.clone(), kind.clone());
+        for k in 0..i % 4 {
+            b.insert(product(i), cost.clone(), price(i, k));
+        }
+    }
+    // Interned before the freeze, so no update mints an out-of-order id and
+    // the live store keeps the fresh freeze's ids and row order.
+    for i in 0..410 {
+        b.dict_mut().encode(product(i));
+        for k in 0..6 {
+            b.dict_mut().encode(price(i, k));
+        }
+    }
+    let mut ds = b.freeze();
+    let dels: Vec<_> = (0..400)
+        .filter(|i| i % 3 == 1)
+        .flat_map(|i| (0..i % 4).map(move |k| (i, k)))
+        .map(|(i, k)| (product(i), cost.clone(), price(i, k)))
+        .collect();
+    assert_eq!(ds.delete_batch(dels.clone()), dels.len());
+    // Adds into ranges that had keys (k = 4, 5), into empty ones (i % 4 ==
+    // 0) and for products past the last base product.
+    let adds: Vec<_> = (0..410)
+        .filter(|i| i % 5 == 0)
+        .flat_map(|i| [4, 5].map(|k| (product(i), cost.clone(), price(i, k))))
+        .chain((400..410).map(|i| (product(i), ty.clone(), kind.clone())))
+        .collect();
+    assert_eq!(ds.insert_batch(adds.clone()), adds.len());
+    assert!(ds.order_by_value_intact());
+
+    let mut frozen = StoreBuilder::new();
+    for id in 0..ds.dict().len() as u32 {
+        frozen.dict_mut().encode(ds.decode(parambench_rdf::Id(id)).clone());
+    }
+    for [s, p, o] in ds.scan([None, None, None]) {
+        frozen.insert(ds.decode(s).clone(), ds.decode(p).clone(), ds.decode(o).clone());
+    }
+    let frozen = frozen.freeze();
+
+    let text = "SELECT ?p ?x WHERE { ?p <type> <Kind> . ?p <price> ?x }";
+    let engine = Engine::new(&ds);
+    assert_eq!(bind_root_probe(&engine, text), Some(1), "the price pattern is probed per product");
+    let (cout, out) = measured(&engine, text);
+    let (want_cout, want) = measured(&Engine::new(&frozen), text);
+    assert_eq!(cout, want_cout);
+    assert_eq!(out.results, want.results, "rows and row order");
+    assert_eq!(out.stats.scanned, want.stats.scanned);
+
+    // The probes themselves: one hint over every product ascending, then
+    // descending, against a scan of each pattern on both stores.
+    let (t, c) = (ds.lookup(&ty).unwrap(), ds.lookup(&cost).unwrap());
+    let k = ds.lookup(&kind).unwrap();
+    let products: Vec<_> = ds.scan([None, Some(t), Some(k)]).map(|[p, _, _]| p).collect();
+    assert_eq!(products.len(), 410);
+    let mut hint = parambench_rdf::ProbeHint::default();
+    for p in products.iter().chain(products.iter().rev()) {
+        let pattern = [Some(*p), Some(c), None];
+        let probe = ds.probe(pattern, &mut hint);
+        assert_eq!(probe.len(), ds.count(pattern));
+        let got: Vec<_> = probe.collect();
+        assert_eq!(got, ds.scan(pattern).collect::<Vec<_>>(), "{}", ds.decode(*p));
+        assert_eq!(got, frozen.scan(pattern).collect::<Vec<_>>(), "{}", ds.decode(*p));
+    }
+}
+
 /// Every shipped template with four bindings spread over its domain, on its
 /// generator's store and again after a write batch over the predicates it
 /// reads: `measure_cout` is the execution's `Cout`.

@@ -1,0 +1,181 @@
+//! The structural proof that an index probe allocates nothing: a counting
+//! global allocator, counting per thread, so the harness may run these
+//! tests in parallel. A bind join of 10 000 probes may allocate only for
+//! its output batches — at most 0.01 allocations per probe, where a probe
+//! that built its key prefix in a `Vec` and boxed its iterator paid 2 —
+//! and `Dataset::probe` / `Dataset::count` allocate nothing at all, on a
+//! frozen and on an overlay-carrying store. The probes' speed is
+//! `benches/engine.rs`'s `engine/bind_probe_*`; their correctness is the
+//! `rdf` index proptest's and the differential suites'.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use parambench_rdf::store::{Dataset, StoreBuilder};
+use parambench_rdf::{Id, ProbeHint, Term};
+use parambench_sparql::physical::BindJoin;
+use parambench_sparql::plan::{PlannedPattern, Slot};
+use parambench_sparql::{Batch, CoutBucket, ExecError, ExecStats, Operator, BATCH_SIZE};
+
+/// The system allocator, counting the allocations of each thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations this thread makes while running `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const PROBES: usize = 10_000;
+
+/// `PROBES` products; every even one has a price, every fourth a second.
+fn store() -> Dataset {
+    let mut b = StoreBuilder::new();
+    for i in 0..PROBES {
+        let product = Term::iri(format!("prod/{i:05}"));
+        b.insert(product.clone(), Term::iri("type"), Term::iri("Product"));
+        for k in 0..[1, 0, 2, 0][i % 4] {
+            b.insert(product.clone(), Term::iri("price"), Term::integer((i * 10 + k) as i64));
+        }
+    }
+    b.freeze()
+}
+
+/// The same store with a live overlay over the probed ranges: a price
+/// tombstoned in every twentieth product, one added to every seventh.
+fn overlay_store() -> Dataset {
+    let mut ds = store();
+    let price = |i: usize| (Term::iri(format!("prod/{i:05}")), Term::iri("price"));
+    let dels =
+        (0..PROBES).step_by(20).map(|i| (price(i).0, price(i).1, Term::integer(i as i64 * 10)));
+    assert!(ds.delete_batch(dels) > 0);
+    let adds = (0..PROBES).step_by(7).map(|i| (price(i).0, price(i).1, Term::integer(-(i as i64))));
+    assert!(ds.insert_batch(adds) > 0);
+    ds
+}
+
+/// Replays batches built before counting starts: the bind join's left side.
+struct Replay {
+    schema: Vec<usize>,
+    batches: std::vec::IntoIter<Batch>,
+}
+
+impl Operator for Replay {
+    fn schema(&self) -> &[usize] {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let batch = self.batches.next();
+        stats.grow(batch.as_ref().map_or(0, Batch::len));
+        Ok(batch)
+    }
+}
+
+/// The store's products by id, ascending, and in a fixed shuffle.
+fn products(ds: &Dataset) -> [Vec<Id>; 2] {
+    let (ty, product) = (ds.lookup(&Term::iri("type")), ds.lookup(&Term::iri("Product")));
+    let sorted: Vec<Id> = ds.scan([None, ty, product]).map(|t| t[0]).collect();
+    assert_eq!(sorted.len(), PROBES);
+    let mut shuffled = sorted.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, (i * 7919 + 13) % (i + 1));
+    }
+    [sorted, shuffled]
+}
+
+#[test]
+fn a_bind_join_allocates_for_its_output_batches_not_its_probes() {
+    for ds in [store(), overlay_store()] {
+        let price = ds.lookup(&Term::iri("price")).unwrap();
+        for left in products(&ds) {
+            let batches: Vec<Batch> = left
+                .chunks(BATCH_SIZE)
+                .map(|chunk| {
+                    let mut batch = Batch::with_schema(vec![0]);
+                    chunk.iter().for_each(|&p| batch.push_row(&[p]));
+                    batch
+                })
+                .collect();
+            let replay = Replay { schema: vec![0], batches: batches.into_iter() };
+            let pattern =
+                PlannedPattern { idx: 1, slots: [Slot::Var(0), Slot::Bound(price), Slot::Var(1)] };
+            let mut join = BindJoin::new(
+                &ds,
+                Box::new(replay),
+                pattern,
+                &[0],
+                "BJ".into(),
+                CoutBucket::Required,
+            );
+            let mut stats = ExecStats::default();
+            let ((), allocs) = allocations(|| {
+                while let Some(batch) = join.next_batch(&mut stats).unwrap() {
+                    stats.shrink(batch.len());
+                }
+            });
+            assert!(stats.cout > 0);
+            let per_probe = allocs as f64 / PROBES as f64;
+            assert!(
+                per_probe <= 0.01,
+                "{allocs} allocations for {PROBES} probes and {} output rows",
+                stats.cout
+            );
+        }
+    }
+}
+
+#[test]
+fn dataset_probe_and_count_allocate_nothing() {
+    for ds in [store(), overlay_store()] {
+        let price = ds.lookup(&Term::iri("price"));
+        for left in products(&ds) {
+            let mut hint = ProbeHint::default();
+            let ((probed, counted), allocs) = allocations(|| {
+                let (mut probed, mut counted) = (0, 0);
+                for &p in &left {
+                    probed += ds.probe([Some(p), price, None], &mut hint).count();
+                    counted += ds.count([Some(p), price, None]);
+                }
+                (probed, counted)
+            });
+            assert_eq!(probed, counted, "a probe reads what count counts");
+            assert_eq!(allocs, 0, "{PROBES} probes and counts");
+        }
+    }
+}

@@ -420,6 +420,12 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
             .measure_cout(&prepared)
             .unwrap_or_else(|e| panic!("measure_cout {text:?} under {exec:?}: {e}"));
         assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text} under {exec:?}");
+        // Validation's form: a plan recorded under `exec`, measured by an
+        // engine configured otherwise.
+        let cout = engine
+            .measure_cout_with(&engine.physical_plan(&prepared, exec), exec)
+            .unwrap_or_else(|e| panic!("measure_cout_with {text:?} under {exec:?}: {e}"));
+        assert_eq!(cout, out.cout, "measure_cout_with diverges from execute for {text}");
     };
     measured(&engine.exec_config(), &pushed);
     let unpushed = engine

@@ -46,7 +46,11 @@ pub fn ks_test_vs_cdf(data: &[f64], cdf: impl Fn(f64) -> f64) -> KsResult {
 
 /// Two-sample KS test: supremum distance between the empirical CDFs of `a`
 /// and `b`, with the classical large-sample p-value using the effective
-/// sample size `n·m/(n+m)`.
+/// sample size `n·m/(n+m)`. Fully separated samples (`D = 1`, every value
+/// of one below every value of the other) get their exact two-sided
+/// p-value instead: of the `C(n+m, n)` equally likely orderings under H0,
+/// two put the samples apart, so `p = 2 / C(n+m, n)`, capped at 1 — 1/3
+/// for two samples of two, where the asymptotic tail would say 0.
 pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<KsResult> {
     if a.is_empty() || b.is_empty() {
         return None;
@@ -74,8 +78,18 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<KsResult> {
         let fb = j as f64 / m as f64;
         d = d.max((fa - fb).abs());
     }
-    let n_eff = (n as f64 * m as f64) / (n + m) as f64;
-    Some(KsResult { statistic: d, p_value: ks_p_value(d, n_eff) })
+    let p_value = if d >= 1.0 {
+        (2.0 / binomial(n + m, n)).min(1.0)
+    } else {
+        ks_p_value(d, (n as f64 * m as f64) / (n + m) as f64)
+    };
+    Some(KsResult { statistic: d, p_value })
+}
+
+/// `C(n, k)` as a float (infinite past `f64`'s range, so `2 / C` reads 0).
+fn binomial(n: usize, k: usize) -> f64 {
+    let k = k.min(n - k);
+    (1..=k).fold(1.0, |c, i| c * (n - k + i) as f64 / i as f64)
 }
 
 /// Asymptotic Kolmogorov distribution tail with the Stephens small-sample
@@ -169,6 +183,28 @@ mod tests {
         let r = ks_two_sample(&a, &b).unwrap();
         assert!(r.statistic > 0.8, "D = {}", r.statistic);
         assert!(r.p_value < 1e-6, "p = {}", r.p_value);
+    }
+
+    #[test]
+    fn two_sample_fully_separated_has_the_exact_p_value() {
+        let separated = |n: usize| {
+            let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let b: Vec<f64> = (0..n).map(|i| (n + i) as f64).collect();
+            let r = ks_two_sample(&a, &b).unwrap();
+            assert_eq!(r.statistic, 1.0, "n = {n}");
+            // Either order of the two samples is equally separated.
+            assert_eq!(ks_two_sample(&b, &a).unwrap(), r, "n = {n}");
+            r.p_value
+        };
+        // C(2, 1) = 2: the only two orderings are both separated.
+        assert_eq!(separated(1), 1.0);
+        // C(4, 2) = 6.
+        assert!((separated(2) - 1.0 / 3.0).abs() < 1e-15, "p = {}", separated(2));
+        // C(20, 10) = 184 756.
+        assert!((separated(10) - 2.0 / 184_756.0).abs() < 1e-18, "p = {}", separated(10));
+        // Unequal sizes: C(5, 2) = 10.
+        let r = ks_two_sample(&[0.0, 1.0], &[5.0, 6.0, 7.0]).unwrap();
+        assert!((r.p_value - 0.2).abs() < 1e-15, "p = {}", r.p_value);
     }
 
     #[test]
