@@ -3,13 +3,15 @@
 //! full query execution at the two extremes of the E3 parameter space, the
 //! modifier pushdown (streaming aggregation, bounded-heap TopK) against
 //! the materialize-then-modify baseline, the out-of-core GROUP BY
-//! (spill-to-disk under a memory budget) against the in-memory fold, and
-//! one bind join's index probes with the left rows in key order and
-//! shuffled.
+//! (spill-to-disk under a memory budget) against the in-memory fold, one
+//! bind join's index probes with the left rows in key order and shuffled,
+//! and snapshot save / load of the `serve_read` store with the checksum
+//! pass that dominates both.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parambench_core::ParameterDomain;
 use parambench_datagen::{Bsbm, BsbmConfig, Snb, SnbConfig};
+use parambench_rdf::format::checksum;
 use parambench_rdf::{Dataset, Id, Term};
 use parambench_sparql::physical::BindJoin;
 use parambench_sparql::plan::{PlannedPattern, Slot};
@@ -328,6 +330,32 @@ fn probe_benches(c: &mut Criterion) {
     }
 }
 
+/// `Dataset::save` and `Dataset::load` of the BSBM store `serve_read`
+/// opens (150 000 triples, ~12 MB), and the checksum that both run over
+/// every byte, on 16 MiB. Save includes its fsyncs, so its line moves with
+/// the disk; load runs from the page cache.
+fn snapshot_benches(c: &mut Criterion) {
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
+    let dir = std::env::temp_dir().join(format!("parambench-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creates the bench directory");
+    let path = dir.join("bsbm.pbsnap");
+    c.bench_function("snapshot/save_bsbm", |b| b.iter(|| bsbm.dataset.save(&path).unwrap()));
+    c.bench_function("snapshot/load_bsbm", |b| {
+        b.iter(|| black_box(Dataset::load(&path).unwrap().len()))
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let bytes: Vec<u8> = (0..16 << 20)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect();
+    c.bench_function("checksum/16mib", |b| b.iter(|| black_box(checksum(black_box(&bytes)))));
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -345,4 +373,10 @@ criterion_group! {
     config = Criterion::default().sample_size(200);
     targets = probe_benches
 }
-criterion_main!(prepare, probe, benches);
+// Milliseconds per iteration.
+criterion_group! {
+    name = snapshot;
+    config = Criterion::default().sample_size(30);
+    targets = snapshot_benches
+}
+criterion_main!(prepare, probe, snapshot, benches);

@@ -19,6 +19,7 @@
 //! so no real term can ever collide with an unbound binding.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::term::Term;
@@ -82,6 +83,127 @@ struct Overflow {
     by_term: HashMap<Term, Id>,
 }
 
+/// A word-at-a-time [`Hasher`] for [`TermIndex`]: a string folds in one
+/// multiply per eight bytes (SipHash, `HashMap`'s default, spends several
+/// rounds on each). It is not keyed, so terms crafted to collide can make
+/// freezing or loading such a store slow — never a lookup wrong. Terms
+/// that arrive while the store serves (live updates) go to the overflow
+/// region, which keeps `HashMap`'s keyed hasher.
+struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K).rotate_left(26);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.mix(i as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    /// Multiplicative finish: [`TermIndex`] takes the top bits.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(Self::K)
+    }
+}
+
+/// The frozen region's term → id index: an open-addressing table of ids
+/// into the frozen `terms` slice, so it holds no second copy of any term.
+/// A lookup hashes the term with [`WordHasher`], walks the linear probe
+/// sequence from the slot the hash's top bits name, and compares
+/// `terms[id] == *term` at each occupied slot until it matches or reaches
+/// an empty one. The table has at least twice as many slots as terms.
+#[derive(Debug, Default)]
+struct TermIndex {
+    /// A power-of-two number of slots (none for an empty region); each
+    /// holds a frozen id or [`TermIndex::EMPTY`].
+    slots: Box<[u32]>,
+}
+
+impl TermIndex {
+    /// A free slot. `u32::MAX` is the UNBOUND sentinel, never a term id.
+    const EMPTY: u32 = u32::MAX;
+
+    /// Indexes `terms`, `terms[i]` under id `i`, in one pass. Fails with
+    /// the id of the first term that repeats an earlier one.
+    fn build(terms: &[Term]) -> Result<Self, usize> {
+        if terms.is_empty() {
+            return Ok(TermIndex::default());
+        }
+        let mut slots = vec![Self::EMPTY; (terms.len() * 2).next_power_of_two()].into_boxed_slice();
+        let (shift, mask) = Self::geometry(slots.len());
+        for (i, term) in terms.iter().enumerate() {
+            let mut s = (hash_term(term) >> shift) as usize;
+            loop {
+                match slots[s] {
+                    Self::EMPTY => break,
+                    id if terms[id as usize] == *term => return Err(i),
+                    _ => s = (s + 1) & mask,
+                }
+            }
+            slots[s] = i as u32;
+        }
+        Ok(TermIndex { slots })
+    }
+
+    /// The id of `term` in `terms`, the slice this index was built over.
+    #[inline]
+    fn get(&self, terms: &[Term], term: &Term) -> Option<Id> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let (shift, mask) = Self::geometry(self.slots.len());
+        let mut s = (hash_term(term) >> shift) as usize;
+        loop {
+            match self.slots[s] {
+                Self::EMPTY => return None,
+                id if terms[id as usize] == *term => return Some(Id(id)),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// The hash shift that leaves a slot number, and the slot mask, of a
+    /// table of `len` (a power of two, at least 2) slots.
+    #[inline]
+    fn geometry(len: usize) -> (u32, usize) {
+        (64 - len.trailing_zeros(), len - 1)
+    }
+}
+
+#[inline]
+fn hash_term(term: &Term) -> u64 {
+    let mut h = WordHasher(0);
+    term.hash(&mut h);
+    h.finish()
+}
+
 /// Bidirectional mapping between [`Term`]s and [`Id`]s.
 ///
 /// Two levels. The **frozen region** (ids below
@@ -90,7 +212,9 @@ struct Overflow {
 /// Nothing writes to it afterwards, so each of its arrays is an `Arc`
 /// slice: clones share them, and a read reaches the data exactly as it
 /// would through a `Vec` (the slice pointer and length sit inline in the
-/// dictionary — no extra hop on `decode` / `numeric`). The
+/// dictionary — no extra hop on `decode` / `numeric`). Its term → id
+/// index is an `Arc`ed table of ids into those terms, shared the same
+/// way. The
 /// **overflow region** (ids from `frozen_len` up) holds the terms interned
 /// since, and is owned. A dictionary that was never frozen — a
 /// [`crate::store::StoreBuilder`]'s — is all overflow; freezing moves every
@@ -109,8 +233,8 @@ pub struct Dictionary {
     /// iff frozen term `i` has a numeric value. Always
     /// `terms.len().div_ceil(64)` words long.
     numeric_set: Arc<[u64]>,
-    /// Term → id for the frozen region.
-    by_term: Arc<HashMap<Term, Id>>,
+    /// Term → id for the frozen region: ids into `terms`, no term copies.
+    index: Arc<TermIndex>,
     /// Set by [`Dictionary::reorder_by_value`] when two *distinct* ids
     /// carry the same numeric value (e.g. `"1"^^int` vs `"1.0"^^double`).
     /// When false, ascending id order is not merely consistent with but
@@ -155,7 +279,7 @@ impl Dictionary {
     /// True when both dictionaries read the same frozen region in memory —
     /// one was cloned from the other and neither has been re-frozen since.
     pub(crate) fn shares_frozen_with(&self, other: &Dictionary) -> bool {
-        Arc::ptr_eq(&self.terms, &other.terms) && Arc::ptr_eq(&self.by_term, &other.by_term)
+        Arc::ptr_eq(&self.terms, &other.terms) && Arc::ptr_eq(&self.index, &other.index)
     }
 
     /// True when frozen term index `i` has a cached numeric value.
@@ -200,7 +324,7 @@ impl Dictionary {
 
     /// Looks up the id of a term without interning it.
     pub fn lookup(&self, term: &Term) -> Option<Id> {
-        self.by_term.get(term).or_else(|| self.overflow.by_term.get(term)).copied()
+        self.index.get(&self.terms, term).or_else(|| self.overflow.by_term.get(term).copied())
     }
 
     /// The term for `id`. Panics if the id is out of range (ids are only
@@ -262,9 +386,9 @@ impl Dictionary {
     ///
     /// Every term — the old frozen region and the overflow region alike —
     /// lands in a *new* frozen region, and the overflow region is left
-    /// empty. This is the one place a frozen region is built (`O(n log n)`
-    /// over all terms); clones of the pre-reorder dictionary keep reading
-    /// the old one.
+    /// empty. This is where a frozen region is built (`O(n log n)` over all
+    /// terms, the term index `O(n)`); clones of the pre-reorder dictionary
+    /// keep reading the old one.
     pub fn reorder_by_value(&mut self) -> Vec<u32> {
         use std::cmp::Ordering;
         crate::diag::count_dict_reorder();
@@ -285,9 +409,23 @@ impl Dictionary {
         for (new, &old) in by_value.iter().enumerate() {
             old_to_new[old as usize] = new as u32;
         }
-        // Collected straight into the shared slices (the iterators know
-        // their length): no second copy.
-        let terms: Arc<[Term]> = by_value.iter().map(|&old| self.decode(Id(old)).clone()).collect();
+        // The overflow map holds an owned copy of every overflow term: those
+        // move into the new region. Frozen terms are cloned, since a clone
+        // of this dictionary may still read them. Collected straight into
+        // the shared slices (the iterators know their length): no second
+        // copy.
+        let frozen_len = self.frozen_len();
+        let mut owned: Vec<Option<Term>> = vec![None; n - frozen_len];
+        for (term, id) in std::mem::take(&mut self.overflow.by_term) {
+            owned[id.index() - frozen_len] = Some(term);
+        }
+        let terms: Arc<[Term]> = by_value
+            .iter()
+            .map(|&old| match (old as usize).checked_sub(frozen_len) {
+                Some(i) => owned[i].take().expect("the overflow map holds every overflow term"),
+                None => self.terms[old as usize].clone(),
+            })
+            .collect();
         let numeric: Arc<[f64]> =
             by_value.iter().map(|&old| self.numeric(Id(old)).unwrap_or(0.0)).collect();
         let mut numeric_set = vec![0u64; n.div_ceil(64)];
@@ -296,26 +434,12 @@ impl Dictionary {
                 numeric_set[new / 64] |= 1 << (new % 64);
             }
         }
-        // The term → id map is re-keyed in place. The old frozen map is
-        // taken over when this dictionary is its only holder and copied
-        // when a clone still reads it; the smaller of the two maps moves
-        // into the larger (a builder's frozen map is empty, a compacting
-        // store's overflow map is small).
-        let old = std::mem::take(self);
-        let frozen = Arc::try_unwrap(old.by_term).unwrap_or_else(|shared| (*shared).clone());
-        let (mut by_term, rest) = if frozen.len() >= old.overflow.by_term.len() {
-            (frozen, old.overflow.by_term)
-        } else {
-            (old.overflow.by_term, frozen)
-        };
-        by_term.extend(rest);
-        for id in by_term.values_mut() {
-            *id = Id(old_to_new[id.index()]);
-        }
+        let index = TermIndex::build(&terms).expect("interned terms are distinct");
         self.terms = terms;
         self.numeric = numeric;
         self.numeric_set = numeric_set.into();
-        self.by_term = Arc::new(by_term);
+        self.index = Arc::new(index);
+        self.overflow = Overflow::default();
         // Value ties sit adjacent after the sort: one linear scan. Presence
         // comes from the bitmap, equality from cmp_numeric — two distinct
         // NaN-valued literals are a tie (they compare Equal), just like
@@ -344,15 +468,15 @@ impl Dictionary {
         (&self.terms, &self.numeric, &self.numeric_set, self.value_ties)
     }
 
-    /// Rebuilds a dictionary from snapshot parts, reconstructing the
-    /// term→id map. Validates the parallel-array invariants, rejects
-    /// duplicate terms, and requires ascending id order to be ascending
-    /// value order (the snapshot loader treats every stored id as
-    /// value-ordered, so an unordered dictionary would silently misorder
-    /// ORDER BY); it does *not* re-derive the numeric cache from the
-    /// lexical forms (that re-parse is exactly the freeze-time work the
-    /// snapshot exists to skip — the per-section checksums vouch for the
-    /// cached values instead).
+    /// Rebuilds a dictionary from snapshot parts, building the term → id
+    /// index in `O(n)` without copying a term. Validates the
+    /// parallel-array invariants, rejects duplicate terms, and requires
+    /// ascending id order to be ascending value order (the snapshot loader
+    /// treats every stored id as value-ordered, so an unordered dictionary
+    /// would silently misorder ORDER BY); it does *not* re-derive the
+    /// numeric cache from the lexical forms (that re-parse is exactly the
+    /// freeze-time work the snapshot exists to skip — the per-section
+    /// checksums vouch for the cached values instead).
     pub(crate) fn from_parts(
         terms: Vec<Term>,
         numeric: Vec<f64>,
@@ -380,17 +504,12 @@ impl Dictionary {
                 }
             }
         }
-        let mut by_term = HashMap::with_capacity(n);
-        for (i, term) in terms.iter().enumerate() {
-            if by_term.insert(term.clone(), Id(i as u32)).is_some() {
-                return Err(format!("duplicate term at id {i}"));
-            }
-        }
+        let index = TermIndex::build(&terms).map_err(|i| format!("duplicate term at id {i}"))?;
         let dict = Dictionary {
             terms: terms.into(),
             numeric: numeric.into(),
             numeric_set: numeric_set.into(),
-            by_term: Arc::new(by_term),
+            index: Arc::new(index),
             value_ties,
             overflow: Overflow::default(),
         };

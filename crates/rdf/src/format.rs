@@ -5,17 +5,20 @@
 //! ```text
 //! offset 0    header (32 bytes)
 //!             0..8    magic  "PBRDFSNP"
-//!             8..12   format version (u32, currently 1)
+//!             8..12   format version (u32, currently 3)
 //!             12..16  section count (u32)
 //!             16..24  total file length (u64)
-//!             24..32  FNV-1a 64 checksum of the section table (u64)
+//!             24..32  checksum of the section table (u64)
 //! offset 32   section table (32 bytes per section)
 //!             kind (u32) · reserved (u32, zero) · payload offset (u64)
-//!             · payload length in bytes (u64) · FNV-1a 64 checksum (u64)
+//!             · payload length in bytes (u64) · checksum (u64)
 //! then        payload sections, each starting on an 8-byte boundary
 //!             (zero padding between sections is neither counted in a
 //!             section's length nor checksummed)
 //! ```
+//!
+//! Every sum in the file — the table's, each section's and each window's —
+//! is a [`Checksum`].
 //!
 //! Every structural violation maps to a typed [`SnapshotError`] — loading
 //! never panics and never interprets bytes it has not bounds-checked. The
@@ -35,8 +38,10 @@ pub const MAGIC: [u8; 8] = *b"PBRDFSNP";
 
 /// Current format version. Bumped on any layout change; loaders reject
 /// other versions with [`SnapshotError::UnsupportedVersion`]. Version 2
-/// added the per-window checksum section ([`SEC_WINDOW_SUMS`]).
-pub const VERSION: u32 = 2;
+/// added the per-window checksum section ([`SEC_WINDOW_SUMS`]); version 3
+/// replaced FNV-1a with the word-parallel [`Checksum`] in every sum the
+/// file carries (header table, sections, windows).
+pub const VERSION: u32 = 3;
 
 /// Byte length of the fixed header.
 pub const HEADER_LEN: usize = 32;
@@ -62,7 +67,7 @@ pub const SEC_NUMERIC_SET: u32 = 5;
 pub const SEC_STATS: u32 = 6;
 /// Characteristic sets ([`crate::stats::CharacteristicSets`]).
 pub const SEC_CHAR_SETS: u32 = 7;
-/// Per-window FNV-1a sums of every other section, enabling windowed
+/// Per-window [`Checksum`] sums of every other section, enabling windowed
 /// checksum verification on load (`Dataset::load_with_verify` with
 /// `VerifyMode::Windowed`):
 /// `window_size` u64, section count u64, then per section (in table
@@ -211,46 +216,135 @@ impl std::error::Error for SnapshotError {}
 // Checksum
 // ---------------------------------------------------------------------------
 
-/// Streaming FNV-1a 64 checksum (dependency-free; detects the random
+/// Streaming word-parallel checksum (dependency-free; detects the random
 /// corruption and truncation a storage layer must catch — it is not a
 /// cryptographic integrity guarantee).
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+///
+/// Four independent 64-bit lanes consume the input in 32-byte blocks, one
+/// little-endian word per lane, so the four multiply chains overlap and a
+/// pass runs at memory speed rather than one dependent multiply per byte.
+/// Each lane step `lane = ((lane ^ word) * K).rotate_left(R)` is a
+/// bijection of the lane for a fixed word (`K` is odd), and so is each
+/// step that folds the lanes, the tail words and the length into the sum
+/// at [`Checksum::finish`]: two inputs of equal length that differ in one
+/// word — in particular in one bit — always produce different sums.
+///
+/// [`Checksum::update`] accepts any chunking of the input: a partial block
+/// is buffered until the next call completes it, so streaming a byte
+/// sequence in pieces yields the sum of the whole.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// Bytes of the current partial block (`pending` of them are live).
+    block: [u8; BLOCK],
+    pending: usize,
+    /// Bytes folded in so far, tail included.
+    total: u64,
+}
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes per block: one 64-bit word for each of the four lanes.
+const BLOCK: usize = 32;
+/// Odd multipliers (the 64-bit primes of xxHash).
+const K1: u64 = 0x9e37_79b1_85eb_ca87;
+const K2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
-    /// A fresh hasher.
+#[inline(always)]
+fn lane_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(K1).rotate_left(31)
+}
+
+#[inline(always)]
+fn fold_step(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(K2).rotate_left(27)
+}
+
+#[inline(always)]
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The final avalanche (MurmurHash3's `fmix64`, a bijection).
+#[inline]
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+impl Checksum {
+    /// A fresh checksum over the empty input.
     pub fn new() -> Self {
-        Fnv1a(Self::OFFSET)
+        Checksum {
+            lanes: [K1, K2, K1.rotate_left(32), K2.rotate_left(32)],
+            block: [0; BLOCK],
+            pending: 0,
+            total: 0,
+        }
     }
 
     /// Folds `bytes` into the running state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending > 0 {
+            let take = (BLOCK - self.pending).min(bytes.len());
+            self.block[self.pending..self.pending + take].copy_from_slice(&bytes[..take]);
+            self.pending += take;
+            bytes = &bytes[take..];
+            if self.pending < BLOCK {
+                return;
+            }
+            let block = self.block;
+            self.blocks(&block);
+            self.pending = 0;
         }
-        self.0 = h;
+        let whole = bytes.len() - bytes.len() % BLOCK;
+        self.blocks(&bytes[..whole]);
+        let tail = &bytes[whole..];
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.pending = tail.len();
     }
 
-    /// The checksum of everything updated so far.
-    pub fn finish(self) -> u64 {
-        self.0
+    /// Runs the four lanes over whole blocks (`bytes.len()` is a multiple
+    /// of [`BLOCK`]).
+    #[inline]
+    fn blocks(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in bytes.chunks_exact(BLOCK) {
+            a = lane_step(a, word_at(block, 0));
+            b = lane_step(b, word_at(block, 8));
+            c = lane_step(c, word_at(block, 16));
+            d = lane_step(d, word_at(block, 24));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    /// The checksum of everything updated so far: the length, the four
+    /// lanes and the zero-padded tail words, folded in that order.
+    pub fn finish(&self) -> u64 {
+        let mut h = fold_step(K2, self.total);
+        for lane in self.lanes {
+            h = fold_step(h, lane);
+        }
+        for word in self.block[..self.pending].chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            h = fold_step(h, u64::from_le_bytes(padded));
+        }
+        avalanche(h)
     }
 }
 
-impl Default for Fnv1a {
+impl Default for Checksum {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// One-shot FNV-1a 64 of a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
+/// One-shot [`Checksum`] of a byte slice.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = Checksum::new();
     h.update(bytes);
     h.finish()
 }
@@ -268,7 +362,7 @@ pub struct SectionEntry {
     pub offset: u64,
     /// Payload length in bytes (excluding alignment padding).
     pub len: u64,
-    /// FNV-1a 64 of the payload bytes.
+    /// [`Checksum`] of the payload bytes.
     pub checksum: u64,
 }
 
@@ -293,7 +387,7 @@ pub fn encode_header_and_table(file_len: u64, table: &[SectionEntry]) -> Vec<u8>
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(table.len() as u32).to_le_bytes());
     out.extend_from_slice(&file_len.to_le_bytes());
-    out.extend_from_slice(&fnv1a(&table_bytes).to_le_bytes());
+    out.extend_from_slice(&checksum(&table_bytes).to_le_bytes());
     out.extend_from_slice(&table_bytes);
     out
 }
@@ -347,7 +441,7 @@ pub fn decode_header_and_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, Snapsh
         });
     }
     let table_bytes = &bytes[HEADER_LEN..table_end];
-    if fnv1a(table_bytes) != u64_at(bytes, 24) {
+    if checksum(table_bytes) != u64_at(bytes, 24) {
         return Err(SnapshotError::ChecksumMismatch { section: "section-table" });
     }
     let mut table = Vec::with_capacity(count);
@@ -549,21 +643,84 @@ pub fn decode_term(dec: &mut Dec<'_>) -> Result<Term, SnapshotError> {
 mod tests {
     use super::*;
 
+    /// Deterministic test bytes (a 64-bit LCG).
+    fn lcg_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
-    fn fnv_is_stable_and_order_sensitive() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
-        let mut streaming = Fnv1a::new();
-        streaming.update(b"hello ");
-        streaming.update(b"world");
-        assert_eq!(streaming.finish(), fnv1a(b"hello world"));
+    fn checksum_streaming_equals_one_shot_at_every_split() {
+        let data = lcg_bytes(200, 1);
+        for len in 0..=data.len() {
+            let whole = checksum(&data[..len]);
+            for split in 0..=len {
+                let mut streaming = Checksum::new();
+                streaming.update(&data[..split]);
+                streaming.update(&data[split..len]);
+                assert_eq!(streaming.finish(), whole, "len {len} split at {split}");
+            }
+        }
+        // Random chunkings of 1 MiB, including empty chunks.
+        let big = lcg_bytes(1 << 20, 2);
+        let whole = checksum(&big);
+        let mut state = 7u64;
+        for _ in 0..8 {
+            let mut streaming = Checksum::new();
+            let mut rest = &big[..];
+            while !rest.is_empty() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let take = (state % 5000) as usize % (rest.len() + 1);
+                streaming.update(&rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(streaming.finish(), whole);
+        }
+    }
+
+    #[test]
+    fn checksum_changes_on_every_single_bit_flip() {
+        let data = lcg_bytes(257, 3);
+        let clean = checksum(&data);
+        let mut flipped = data.clone();
+        for byte in 0..data.len() {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), clean, "flip of bit {bit} in byte {byte}");
+                flipped[byte] ^= 1 << bit;
+            }
+        }
+        // Length and order matter too.
+        assert_ne!(checksum(b"ab"), checksum(b"ba"));
+        assert_ne!(checksum(b""), checksum(&[0]));
+        assert_ne!(checksum(&[0; 32]), checksum(&[0; 33]));
+    }
+
+    /// Pinned values: the checksum is part of the on-disk format, so a
+    /// change to it must come with a format (and journal) version bump.
+    #[test]
+    fn checksum_pins_known_values() {
+        assert_eq!(checksum(b""), 0x9d91_394b_1191_47ac);
+        assert_eq!(
+            checksum(b"parambench snapshot checksum, format version 3"),
+            0xdfad_b5e1_4e23_361e
+        );
     }
 
     #[test]
     fn header_round_trip() {
         let table = vec![
             SectionEntry { kind: SEC_META, offset: 640, len: 24, checksum: 7 },
-            SectionEntry { kind: sec_triples(3), offset: 664, len: 0, checksum: fnv1a(b"") },
+            SectionEntry { kind: sec_triples(3), offset: 664, len: 0, checksum: checksum(b"") },
         ];
         // Stated file length must cover the largest section end.
         let mut bytes = encode_header_and_table(664, &table);

@@ -21,7 +21,11 @@
 //! 8-byte-aligned arena and the same reinterpretation applies. Loading
 //! still touches every byte once (the per-section checksums are always
 //! verified, which doubles as page-cache warm-up); what it never does is
-//! allocate, decode or sort per-triple state.
+//! allocate, decode or sort per-triple state. The checksum is the
+//! word-parallel [`crate::format::Checksum`], so that pass runs at memory
+//! speed, and the only per-term allocations are the decoded terms
+//! themselves: the dictionary's term → id index is a table of ids into
+//! them, built in one pass.
 //!
 //! Robustness contract: truncated files, foreign files, unsupported
 //! versions and flipped bytes surface as typed [`SnapshotError`]s — never
@@ -41,10 +45,10 @@ use std::sync::Arc;
 use crate::dict::{Dictionary, Id};
 use crate::fault::{seam_rename, seam_sync_dir, temp_sibling, IoSeam, SeamFile};
 use crate::format::{
-    decode_header_and_table, decode_term, encode_header_and_table, encode_term, fnv1a, sec_buckets,
-    sec_triples, section_name, Dec, Fnv1a, SectionEntry, SnapshotError, FLAG_VALUE_TIES,
-    HEADER_LEN, SECTION_COUNT, SEC_CHAR_SETS, SEC_META, SEC_NUMERIC, SEC_NUMERIC_SET, SEC_STATS,
-    SEC_TERM_BLOB, SEC_TERM_OFFSETS, SEC_WINDOW_SUMS, TABLE_ENTRY_LEN,
+    checksum, decode_header_and_table, decode_term, encode_header_and_table, encode_term,
+    sec_buckets, sec_triples, section_name, Checksum, Dec, SectionEntry, SnapshotError,
+    FLAG_VALUE_TIES, HEADER_LEN, SECTION_COUNT, SEC_CHAR_SETS, SEC_META, SEC_NUMERIC,
+    SEC_NUMERIC_SET, SEC_STATS, SEC_TERM_BLOB, SEC_TERM_OFFSETS, SEC_WINDOW_SUMS, TABLE_ENTRY_LEN,
 };
 use crate::index::{Bucket, BucketStore, IndexOrder, KeyStore, PermIndex};
 use crate::stats::{CharacteristicSets, CsEntry, DatasetStats, PredicateStats};
@@ -323,13 +327,13 @@ impl<T: Plain> SectionSlice<T> {
 /// the bytes into fixed-size window hashes for the window-sums section.
 struct Sink<'a, W: Write> {
     w: &'a mut W,
-    hash: Fnv1a,
+    hash: Checksum,
     written: u64,
     /// Window size in bytes (the save-time [`VERIFY_WINDOW_BYTES`], or a
     /// tiny test override).
     window: usize,
     /// Hash of the current (possibly partial) window.
-    win_hash: Fnv1a,
+    win_hash: Checksum,
     /// Bytes folded into `win_hash` so far.
     win_fill: usize,
     /// Completed window sums.
@@ -370,10 +374,10 @@ fn emit<W: Write>(
 ) -> std::io::Result<()> {
     let mut sink = Sink {
         w,
-        hash: Fnv1a::new(),
+        hash: Checksum::new(),
         written: 0,
         window,
-        win_hash: Fnv1a::new(),
+        win_hash: Checksum::new(),
         win_fill: 0,
         sums: Vec::new(),
     };
@@ -639,7 +643,7 @@ fn verify_windowed(
         }
         let section = &data[e.offset as usize..(e.offset + e.len) as usize];
         for win in section.chunks(window) {
-            if fnv1a(win) != dec.u64()? {
+            if checksum(win) != dec.u64()? {
                 return Err(SnapshotError::ChecksumMismatch { section: section_name(e.kind) });
             }
         }
@@ -668,7 +672,7 @@ fn load_from(bytes: Arc<SnapshotBytes>, verify: VerifyMode) -> Result<Dataset, S
         VerifyMode::Full => {
             for e in &table {
                 let payload = &data[e.offset as usize..(e.offset + e.len) as usize];
-                if fnv1a(payload) != e.checksum {
+                if checksum(payload) != e.checksum {
                     return Err(SnapshotError::ChecksumMismatch { section: section_name(e.kind) });
                 }
             }
@@ -679,7 +683,7 @@ fn load_from(bytes: Arc<SnapshotBytes>, verify: VerifyMode) -> Result<Dataset, S
                 .copied()
                 .ok_or_else(|| corrupt("missing section window-sums"))?;
             let payload = &data[sums.offset as usize..(sums.offset + sums.len) as usize];
-            if fnv1a(payload) != sums.checksum {
+            if checksum(payload) != sums.checksum {
                 return Err(SnapshotError::ChecksumMismatch { section: section_name(sums.kind) });
             }
             verify_windowed(data, &table, sums)?;

@@ -17,8 +17,8 @@
 //! zero word) followed by back-to-back records. Each record is a 32-byte
 //! header — payload length, LSN, payload checksum, and a header checksum
 //! over the first 24 header bytes — followed by the payload: the encoded
-//! [`LoggedOp`] batch of one commit. Checksums are the same FNV-1a-64 the
-//! snapshot container uses ([`crate::format::fnv1a`]), and terms are
+//! [`LoggedOp`] batch of one commit. Checksums are the same word-parallel
+//! [`crate::format::Checksum`] the snapshot container uses, and terms are
 //! encoded with the snapshot's term codec, so the journal inherits the
 //! format module's corruption discipline wholesale.
 //!
@@ -41,15 +41,16 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::{IoOp, IoSeam, SeamFile};
-use crate::format::{decode_term, encode_term, fnv1a, Dec};
+use crate::format::{checksum, decode_term, encode_term, Dec};
 use crate::store::Dataset;
 use crate::term::Term;
 
 /// Journal file magic: first eight bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"PBRDFWAL";
 
-/// Journal format version this build reads and writes.
-pub const WAL_VERSION: u32 = 1;
+/// Journal format version this build reads and writes. Version 2 replaced
+/// the records' FNV-1a sums with [`crate::format::Checksum`].
+pub const WAL_VERSION: u32 = 2;
 
 /// Length of the journal file header (magic + version + reserved).
 pub const WAL_HEADER_LEN: usize = 16;
@@ -257,8 +258,8 @@ pub fn encode_record(lsn: u64, ops: &[LoggedOp]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(WAL_RECORD_HEADER_LEN + payload.len());
     rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     rec.extend_from_slice(&lsn.to_le_bytes());
-    rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    let header_sum = fnv1a(&rec[0..24]);
+    rec.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let header_sum = checksum(&rec[0..24]);
     rec.extend_from_slice(&header_sum.to_le_bytes());
     rec.extend_from_slice(&payload);
     rec
@@ -314,7 +315,7 @@ pub fn scan_records(bytes: &[u8]) -> Result<WalScan, WalError> {
             break;
         }
         let header = &rem[..WAL_RECORD_HEADER_LEN];
-        if fnv1a(&header[0..24]) != le_u64(&header[24..32]) {
+        if checksum(&header[0..24]) != le_u64(&header[24..32]) {
             return Err(WalError::ChecksumMismatch { offset: pos as u64 });
         }
         let payload_len = le_u64(&header[0..8]) as usize;
@@ -326,7 +327,7 @@ pub fn scan_records(bytes: &[u8]) -> Result<WalScan, WalError> {
             break;
         }
         let payload = &rem[WAL_RECORD_HEADER_LEN..WAL_RECORD_HEADER_LEN + payload_len];
-        if fnv1a(payload) != payload_sum {
+        if checksum(payload) != payload_sum {
             return Err(WalError::ChecksumMismatch { offset: pos as u64 });
         }
         if lsn != next_lsn {

@@ -414,11 +414,20 @@ impl HashJoinBuild {
         let mut table: HashMap<Vec<Id>, Vec<usize>> = HashMap::new();
         let width = rows.cols().len();
         let mut row_buf = vec![UNBOUND; width];
+        // The current row's key, refilled in place: an owned key is
+        // allocated only for a key the table has not seen.
+        let mut key: Vec<Id> = Vec::with_capacity(key_cols.len());
         while let Some(batch) = child.next_batch(stats)? {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
-                let key: Vec<Id> = key_cols.iter().map(|&c| row_buf[c]).collect();
-                table.entry(key).or_default().push(rows.len());
+                key.clear();
+                key.extend(key_cols.iter().map(|&c| row_buf[c]));
+                match table.get_mut(key.as_slice()) {
+                    Some(matches) => matches.push(rows.len()),
+                    None => {
+                        table.insert(key.clone(), vec![rows.len()]);
+                    }
+                }
                 rows.push_row(&row_buf);
             }
         }
