@@ -19,9 +19,7 @@ use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTer
 use crate::cardinality::{Estimate, Estimator};
 use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, UNBOUND};
-use crate::modifiers::{
-    Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, SortedDistinct, TopK,
-};
+use crate::modifiers::{self, Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, TopK};
 use crate::optimizer::{optimize, reestimate};
 use crate::physical::{
     self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, LeftOuterJoin,
@@ -31,10 +29,8 @@ use crate::plan::{
     Dedup, Fold, JoinMethod, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode,
     PlanSignature, PlannedPattern, RootGoal, Slot, Sort, TableColSource,
 };
-use crate::results::{
-    finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
-};
-use crate::spill::{ExternalGroupFold, ExternalSorter, SortedRows};
+use crate::results::{finalize_bindings, finalize_table, table_from_groups, OutVal, ResultSet};
+use crate::spill::ExternalGroupFold;
 use crate::template::{instantiate_expr, Binding, QueryTemplate};
 
 /// One planned UNION branch or OPTIONAL group: its own `Cout`-optimal join
@@ -124,12 +120,12 @@ pub struct QueryOutput {
 }
 
 /// An incrementally drained query result: the serving layer's per-client
-/// output. Rows stream straight off the batched Volcano pipeline (or the
-/// external merge sort's run cursor) as the consumer pulls — a client
-/// reading the first rows of a large result never materializes the rest.
-/// Materializing shapes (aggregation, the in-memory full sort, DISTINCT
-/// under unprojected sort keys) still compute their table up front at
-/// construction and stream the finished rows out.
+/// output. Every plain (non-aggregate) query streams straight off the
+/// batched Volcano pipeline as the consumer pulls — a client reading the
+/// first rows of a large result never decodes the rest, and a blocking
+/// stage (TopK, a real sort) does its work on the first pull. Aggregation
+/// alone computes its (group) table at construction and streams the
+/// finished rows out.
 ///
 /// [`Engine::execute`] is this stream drained by
 /// [`RowStream::collect_output`]: there is one pushed execution path.
@@ -154,10 +150,7 @@ enum StreamInner<'a> {
         row: Vec<Id>,
         done: bool,
     },
-    /// The external merge sort's cursor.
-    Sorted { merged: SortedRows<'a>, cols: Vec<usize>, skip: usize },
-    /// Materialized rows (aggregation and the other blocking shapes;
-    /// trivially empty for LIMIT 0).
+    /// Materialized rows (aggregation; trivially empty for LIMIT 0).
     Table(std::vec::IntoIter<Vec<OutVal>>),
 }
 
@@ -183,18 +176,6 @@ impl<'a> RowStream<'a> {
         let RowStream { ds, inner, stats, .. } = self;
         match inner {
             StreamInner::Table(rows) => Ok(rows.next()),
-            StreamInner::Sorted { merged, cols, skip } => loop {
-                match merged.next_row()? {
-                    None => return Ok(None),
-                    Some(sorted_row) => {
-                        if *skip > 0 {
-                            *skip -= 1;
-                            continue;
-                        }
-                        return Ok(Some(Engine::decode_cols(cols, &sorted_row, ds)));
-                    }
-                }
-            },
             StreamInner::Pipeline { op, cols, batch, next, row, done } => loop {
                 if *done {
                     return Ok(None);
@@ -252,8 +233,8 @@ impl<'a> RowStream<'a> {
                 self.stats.shrink(b.len());
             }
         }
-        // Whatever remains (the other stream shapes; an exhausted pipeline
-        // just reports its end again).
+        // Whatever remains (a table; an exhausted pipeline just reports its
+        // end again).
         while let Some(r) = self.next_row()? {
             rows.push(r);
         }
@@ -821,7 +802,7 @@ impl<'a> Engine<'a> {
                 } else if ordered && in_order {
                     Sort::Eliminated
                 } else {
-                    Sort::Full
+                    Sort::Full { budget: None }
                 };
                 (Some(fold), if m.distinct { Dedup::Hash } else { Dedup::None }, sort)
             }
@@ -833,21 +814,19 @@ impl<'a> Engine<'a> {
                     Dedup::None
                 } else if m.has_helper_cols() && !in_order {
                     Dedup::SortAware
-                } else if Self::clustered(&delivered, &m.out_slots()) {
-                    Dedup::Run
                 } else {
                     Dedup::Hash
                 };
+                // A dedup after the sort leaves no LIMIT a bounded heap can
+                // hold.
                 let sort = if m.order_by.is_empty() {
                     Sort::None
                 } else if in_order {
                     Sort::Eliminated
-                } else if dedup == Dedup::SortAware {
-                    Sort::Full
-                } else if m.limit.is_some() {
+                } else if m.limit.is_some() && dedup != Dedup::SortAware {
                     Sort::TopK
                 } else {
-                    budget.map_or(Sort::Full, |budget| Sort::External { budget })
+                    Sort::Full { budget }
                 };
                 (None, dedup, sort)
             }
@@ -1041,17 +1020,18 @@ impl<'a> Engine<'a> {
     /// * aggregation folds batches into per-group accumulators as they
     ///   stream ([`Fold`]) — the grouped input is never materialized;
     /// * DISTINCT deduplicates raw `Id` rows pre-decode ([`Dedup`]);
-    /// * ORDER BY + LIMIT becomes a bounded-heap [`TopK`], and a LIMIT
-    ///   behind no or an eliminated sort a [`Slice`] that stops pulling
-    ///   upstream batches once satisfied, so scans and joins cease early;
+    /// * ORDER BY + LIMIT becomes a bounded-heap [`TopK`], any other real
+    ///   ORDER BY a blocking [`modifiers::Sort`], and a LIMIT a [`Slice`]
+    ///   that stops pulling upstream batches once satisfied, so behind no
+    ///   or an eliminated sort scans and joins cease early;
     /// * under a memory budget the blocking stages run external
     ///   ([`crate::spill`]) with identical rows, order and counters.
     ///
-    /// Shapes that must materialize (aggregation, in-memory full sorts,
-    /// sort-aware DISTINCT) compute their table here and stream the
-    /// finished rows. The stream borrows only the dataset, not the engine
-    /// or the `Prepared` — a per-request engine value can be dropped while
-    /// its stream is still being drained.
+    /// Aggregation computes its group table here and streams the finished
+    /// rows; every other query is one operator pipeline, pulled as the
+    /// stream is. The stream borrows only the dataset, not the engine or
+    /// the `Prepared` — a per-request engine value can be dropped while its
+    /// stream is still being drained.
     pub fn stream(
         &self,
         prepared: &Prepared,
@@ -1082,8 +1062,10 @@ impl<'a> Engine<'a> {
                     StreamInner::Table(results.rows.into_iter())
                 }
                 None => {
-                    let op = self.lower_patterns(plan, exec);
-                    self.plain_epilogue(plan, op, &mut stats)?
+                    let op = self.plain_epilogue(plan, self.lower_patterns(plan, exec));
+                    let cols = Self::out_cols(plan.modifiers, op.schema());
+                    let row = vec![UNBOUND; op.schema().len()];
+                    StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
                 }
             }
         };
@@ -1164,102 +1146,49 @@ impl<'a> Engine<'a> {
             }
         };
         let sorted = matches!(plan.sort, Sort::Eliminated);
-        let out = finalize_table(rows, m, ds, false, sorted, stats);
+        let out = finalize_table(rows, m, ds, sorted, stats);
         stats.shrink(resident);
         Ok(out)
     }
 
-    /// The non-aggregate epilogue: stacks the recorded streaming modifier
-    /// operators and classifies what remains for [`RowStream`] — rows
-    /// straight off the pipeline, the external sort's cursor, or a
-    /// finished table.
-    fn plain_epilogue(
-        &self,
-        plan: &PhysicalPlan<'_>,
-        op: BoxedOperator<'a>,
-        stats: &mut ExecStats,
-    ) -> Result<StreamInner<'a>, QueryError> {
+    /// The non-aggregate epilogue: the recorded modifier operators stacked
+    /// on the pattern part, in one order — project → DISTINCT (pre-sort) →
+    /// [`TopK`] or [`modifiers::Sort`] → DISTINCT (post-sort) → [`Slice`].
+    /// A stage the plan does not record is absent; [`TopK`] applies the
+    /// OFFSET/LIMIT itself.
+    fn plain_epilogue(&self, plan: &PhysicalPlan<'_>, op: BoxedOperator<'a>) -> BoxedOperator<'a> {
         let (m, ds) = (plan.modifiers, self.ds);
-        // Project to the solution-table columns.
+        // DISTINCT compares the projected output columns; the first
+        // arrival survives.
+        let distinct = |op: BoxedOperator<'a>| -> BoxedOperator<'a> {
+            let col = |slot| op.schema().iter().position(|&v| v == slot).expect("out slot");
+            let cols = m.out_slots().into_iter().map(col).collect();
+            Box::new(Distinct::on_cols(op, cols))
+        };
         let mut op = Self::projected(op, &m.table_slots());
-        // Pipeline columns of the projected output — what DISTINCT
-        // compares (first arrival survives).
-        let dedup_cols = |schema: &[usize]| -> Vec<usize> {
-            let col = |slot| schema.iter().position(|&v| v == slot).expect("out slot in schema");
-            m.out_slots().into_iter().map(col).collect()
-        };
-        if matches!(plan.dedup, Dedup::Hash | Dedup::Run) {
-            let cols = dedup_cols(op.schema());
-            op = Box::new(match plan.dedup {
-                Dedup::Run => Distinct::ordered(op, cols),
-                _ => Distinct::on_cols(op, cols),
-            });
+        if plan.dedup == Dedup::Hash {
+            op = distinct(op);
         }
-        let rows_of = |op: BoxedOperator<'a>| {
-            let cols = Self::out_cols(m, op.schema());
-            let row = vec![UNBOUND; op.schema().len()];
-            StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
-        };
-        Ok(match plan.sort {
-            // No sort, or rows already arrive in final ORDER BY order: a
-            // LIMIT/OFFSET is an early-exit Slice — upstream stops once the
-            // limit is hit.
-            Sort::None | Sort::Eliminated => {
-                if m.offset > 0 || m.limit.is_some() {
-                    op = Box::new(Slice::new(op, m.offset, m.limit));
-                }
-                rows_of(op)
-            }
-            // The sort-aware dedup keeps exactly the row the materializing
-            // sort→project→dedup fallback would keep, while holding only
-            // the distinct values, never the full input.
-            _ if plan.dedup == Dedup::SortAware => {
-                let keys = RowKeys::resolve(m, op.schema(), ds);
-                let mut dedup = SortedDistinct::new(keys, dedup_cols(op.schema()));
-                Self::for_each_row(&mut op, stats, |row, st| {
-                    dedup.add_row(row, st);
-                    Ok(())
-                })?;
-                let cols = Self::out_cols(m, op.schema());
-                let rows: Vec<Vec<OutVal>> = dedup
-                    .finish(stats)
-                    .into_iter()
-                    .skip(m.offset)
-                    .take(m.limit.unwrap_or(usize::MAX))
-                    .map(|r| Self::decode_cols(&cols, &r, ds))
-                    .collect();
-                StreamInner::Table(rows.into_iter())
-            }
-            // Bounded heap, sort keys computed once per row, only
-            // offset+limit rows ever resident.
+        match plan.sort {
+            Sort::None | Sort::Eliminated => {}
             Sort::TopK => {
                 let limit = m.limit.expect("top-k is recorded only under a LIMIT");
                 let keys = RowKeys::resolve(m, op.schema(), ds);
-                rows_of(Box::new(TopK::new(op, keys, m.offset, limit)))
+                return Box::new(TopK::new(op, keys, m.offset, limit));
             }
-            // Batches stream straight into the sorter (never a full
-            // materialized table); sorted runs spill once the buffer
-            // exceeds the budget and merge back through the loser tree in
-            // exactly the in-memory stable-sort order.
-            Sort::External { budget } => {
+            Sort::Full { budget } => {
                 let keys = RowKeys::resolve(m, op.schema(), ds);
                 let dir = self.spill_base.get().cloned();
-                let mut sorter = ExternalSorter::new(keys, op.schema().len(), budget, dir);
-                Self::for_each_row(&mut op, stats, |row, st| {
-                    sorter.push_row(row, st).map_err(QueryError::from)
-                })?;
-                let cols = Self::out_cols(m, op.schema());
-                StreamInner::Sorted { merged: sorter.finish(stats)?, cols, skip: m.offset }
+                op = Box::new(modifiers::Sort::new(op, keys, budget, dir));
             }
-            Sort::Full => {
-                let bindings = physical::drain(op, stats)?;
-                let rows = table_from_bindings(&bindings, m, ds)?;
-                let deduped = plan.dedup != Dedup::None;
-                StreamInner::Table(
-                    finalize_table(rows, m, ds, deduped, false, stats).rows.into_iter(),
-                )
-            }
-        })
+        }
+        if plan.dedup == Dedup::SortAware {
+            op = distinct(op);
+        }
+        if m.offset > 0 || m.limit.is_some() {
+            op = Box::new(Slice::new(op, m.offset, m.limit));
+        }
+        op
     }
 
     /// `op` narrowed to `slots` when it carries more columns than that.
@@ -1315,9 +1244,8 @@ impl<'a> Engine<'a> {
 
     /// Streams every row of `op` into `consume`, releasing each batch's
     /// residency once its rows are handed over — the shared drain
-    /// scaffolding of every row-consuming modifier stage (folds, dedup,
-    /// external sort), kept in one place so the batch/stats protocol
-    /// cannot diverge between them.
+    /// scaffolding of the serial folds, kept in one place so the
+    /// batch/stats protocol cannot diverge between them.
     fn for_each_row(
         op: &mut BoxedOperator<'_>,
         stats: &mut ExecStats,

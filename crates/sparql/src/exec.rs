@@ -39,7 +39,7 @@ pub const UNBOUND: Id = Id(u32::MAX);
 /// `mem_budget_rows` extends the same contract to memory: rows, row order
 /// and every deterministic counter are identical at any budget — a tighter
 /// budget only moves blocking modifier state (GROUP BY accumulators, the
-/// full-sort buffer) to disk. Float SUM/AVG *values* are bit-identical
+/// `Sort` operator's buffer) to disk. Float SUM/AVG *values* are bit-identical
 /// across thread counts, and across budgets **for one fold strategy**
 /// ([`crate::plan::Fold`]): the spill layer preserves per-group fold order
 /// at any budget, but setting a budget at all swaps the worker-side
@@ -67,19 +67,20 @@ pub struct ExecConfig {
     /// parallel lowering is considered.
     pub min_est_cost: f64,
     /// Memory budget, in resident rows, for blocking modifier state:
-    /// GROUP BY accumulator entries and full-sort buffer rows. `None`
-    /// means unlimited (everything stays in memory). When the budget is
-    /// exceeded, grouped aggregation hash-partitions overflow groups to
-    /// spill files and ORDER BY without LIMIT switches to an external
-    /// merge sort (sorted runs + loser-tree k-way merge) — see
-    /// [`crate::spill`]. The default reads the [`MEM_BUDGET_ENV`]
+    /// GROUP BY accumulator entries and the `Sort` operator's buffer rows.
+    /// `None` means unlimited (everything stays in memory). When the
+    /// budget is exceeded, grouped aggregation hash-partitions overflow
+    /// groups to spill files and a real sort writes sorted runs and
+    /// merges them (loser-tree k-way merge) — see [`crate::spill`]. The default reads the [`MEM_BUDGET_ENV`]
     /// environment variable, so a whole test suite can be forced onto the
     /// spill path without code changes.
     ///
     /// Two scope notes. State bounded by *output* cardinality stays in
     /// memory regardless: the TopK heap (`offset + limit` rows), DISTINCT
     /// value sets, and the retained-id sets of `FUNC(DISTINCT ?x)`
-    /// aggregates on groups that are already resident. And setting any
+    /// aggregates on groups that are already resident. A DISTINCT under
+    /// unprojected sort keys dedups after the sort, so its input is the
+    /// sort's and spills with it. And setting any
     /// budget routes grouped aggregation through the serial budgeted fold
     /// instead of the worker-side parallel fold merge (whose master holds
     /// every group — exactly what the budget must bound); a bind spine
@@ -351,8 +352,8 @@ pub struct ExecStats {
     /// Rows scanned out of the store (sum over scans).
     pub scanned: u64,
     /// Rows that passed through a *sorting* stage (the TopK heap, the
-    /// in-memory full sort, the external merge sort, the sort-aware
-    /// DISTINCT). Zero proves the run's delivered order made every sort
+    /// `Sort` operator, the sort of an aggregate's group table). Zero
+    /// proves the run's delivered order made every sort
     /// unnecessary — the order-elimination acceptance metric.
     pub sorted_rows: u64,
     /// Rows materialized into hash-join build tables (shared parallel

@@ -47,15 +47,16 @@
 //!   delivered order*, and sorts whose ascending keys the delivered order
 //!   already satisfies are skipped entirely
 //!   (`ExecStats::sorted_rows == 0`; TopK degenerates to an early-exit
-//!   slice, GROUP BY folds one group at a time, DISTINCT dedups by run) —
+//!   slice, GROUP BY folds one group at a time) —
 //!   chosen per execution after the `Cout` DP, so no plan signature
 //!   depends on it, and with the rows, row order and `Cout` of the
 //!   sorting reference ([`engine::Engine::execute_unpushed`]) bit for bit;
 //! * blocking modifier state degrades **out-of-core** under a memory
 //!   budget ([`exec::ExecConfig::mem_budget_rows`], env-overridable via
 //!   [`exec::MEM_BUDGET_ENV`]): grouped aggregation hash-partitions
-//!   overflow groups to spill files and ORDER BY without LIMIT becomes an
-//!   external merge sort (sorted runs + loser-tree k-way merge) —
+//!   overflow groups to spill files and a real sort without a usable
+//!   LIMIT spills as an external merge sort (sorted runs + loser-tree
+//!   k-way merge) —
 //!   [`spill`] — with rows, row order, `Cout` and `scanned` bit-identical
 //!   at any budget, and spill volume reported in
 //!   [`exec::ExecStats::spilled_rows`]/`spill_runs`/`spill_bytes`;

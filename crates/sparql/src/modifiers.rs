@@ -1,9 +1,12 @@
 //! Streaming solution-modifier operators for the batched Volcano pipeline:
 //! the solution modifiers run inside the physical layer, not in the result
-//! layer after full materialization.
+//! layer after full materialization. The plain (non-aggregate) epilogue is
+//! one stack of them — project → [`Distinct`] → [`TopK`] or [`Sort`] →
+//! [`Distinct`] → [`Slice`] — with each stage present only where the
+//! recorded plan says so.
 //!
-//! * [`Distinct`] — hash-set deduplication over raw `Id` rows, before any
-//!   dictionary decode;
+//! * [`Distinct`] — hash-set deduplication on the projected columns over
+//!   raw `Id` rows, before any dictionary decode;
 //! * [`Slice`] — OFFSET/LIMIT with **early termination**: once the limit is
 //!   satisfied it stops pulling upstream batches, so scans and joins above
 //!   it simply never run their remaining work;
@@ -11,16 +14,20 @@
 //!   `offset + limit` rows, with per-row sort keys
 //!   ([`crate::results::SortAtom`]) computed **once** on arrival instead of
 //!   decoded on every comparison;
+//! * [`Sort`] — every other ORDER BY: a blocking stable sort over the
+//!   external merge sort ([`crate::spill::ExternalSorter`]), which spills
+//!   sorted runs only under a memory budget;
 //! * `GroupFold` — streaming GROUP BY/aggregation: folds each input batch
 //!   into per-group accumulators so the grouped query never materializes
 //!   its (potentially huge) join input, only the groups.
 //!
 //! Tie-breaking is pinned everywhere: rows are ordered by their sort keys,
-//! then by pipeline arrival order, which makes [`TopK`] output identical to
-//! a stable full sort followed by `skip/take` — the property the
-//! differential suites rely on.
+//! then by pipeline arrival order, which makes [`TopK`] and [`Sort`] output
+//! identical to a stable full sort (followed by `skip/take`) — the
+//! property the differential suites rely on.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::path::PathBuf;
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
@@ -30,6 +37,7 @@ use crate::exec::{ExecStats, UNBOUND};
 use crate::physical::{Batch, BoxedOperator, Operator};
 use crate::plan::{AggregatePlan, ModifierPlan, SlotExpr, TableColSource};
 use crate::results::{cmp_atoms, group_row, SolVal, SortAtom};
+use crate::spill::{ExternalSorter, SortedRows};
 
 // ---------------------------------------------------------------------------
 // RowKeys (shared precomputed-sort-key layout)
@@ -45,8 +53,8 @@ pub(crate) enum KeyCol {
 }
 
 /// The ORDER BY keys of one pipeline, resolved against its schema once —
-/// shared by TopK, the sort-aware DISTINCT and the external merge sort so
-/// their key layout (columns, expressions, directions) can never diverge.
+/// shared by TopK and the external merge sort behind [`Sort`] so their key
+/// layout (columns, expressions, directions) can never diverge.
 /// Key atoms are resolved once per row; comparisons never touch the
 /// dictionary again.
 pub(crate) struct RowKeys<'a> {
@@ -111,15 +119,12 @@ impl<'a> RowKeys<'a> {
 // Distinct
 // ---------------------------------------------------------------------------
 
-/// Streams only the first occurrence of each row (compared as raw `Id`
-/// tuples, before any decode). Three modes:
-///
-/// * whole-row hash dedup (the classic pipeline DISTINCT);
-/// * hash dedup over a column subset ([`Distinct::on_cols`]) — DISTINCT
-///   over the projected columns while helper sort columns ride along;
-/// * run dedup ([`Distinct::ordered`]) for order-eliminated pipelines
-///   whose delivered order makes equal dedup tuples *contiguous*: only
-///   the previous tuple is retained — O(1) state instead of a hash set.
+/// Streams only the first occurrence of each dedup tuple — the values of
+/// a column subset, compared as raw `Id`s before any decode — through a
+/// hash set of the tuples seen. The engine dedups on the projected
+/// columns while helper sort columns ride along: before the sort, or
+/// after it when unprojected sort keys must pick each value's
+/// representative.
 ///
 /// Retained state is counted into [`ExecStats::peak_tuples`] alongside the
 /// emitted copy; rows already emitted flow on unchanged.
@@ -127,34 +132,14 @@ pub struct Distinct<'a> {
     child: BoxedOperator<'a>,
     /// Child columns forming the dedup tuple.
     cols: Vec<usize>,
-    mode: DedupMode,
-}
-
-enum DedupMode {
-    /// Hash-set of every distinct tuple seen.
-    Hash(HashSet<Vec<Id>>),
-    /// Last emitted tuple only — valid when equal tuples are contiguous.
-    Ordered(Option<Vec<Id>>),
+    seen: HashSet<Vec<Id>>,
 }
 
 impl<'a> Distinct<'a> {
-    /// Wraps `child`, deduplicating whole rows.
-    pub fn new(child: BoxedOperator<'a>) -> Self {
-        let cols = (0..child.schema().len()).collect();
-        Distinct { child, cols, mode: DedupMode::Hash(HashSet::new()) }
-    }
-
     /// Wraps `child`, deduplicating on the given child columns (first
     /// arrival's full row survives).
     pub fn on_cols(child: BoxedOperator<'a>, cols: Vec<usize>) -> Self {
-        Distinct { child, cols, mode: DedupMode::Hash(HashSet::new()) }
-    }
-
-    /// Run-based dedup on the given child columns. Correct only when the
-    /// child's delivered order makes equal dedup tuples contiguous — the
-    /// caller (the engine's order analysis) proves that.
-    pub fn ordered(child: BoxedOperator<'a>, cols: Vec<usize>) -> Self {
-        Distinct { child, cols, mode: DedupMode::Ordered(None) }
+        Distinct { child, cols, seen: HashSet::new() }
     }
 }
 
@@ -172,39 +157,21 @@ impl Operator for Distinct<'_> {
         let mut tuple: Vec<Id> = Vec::with_capacity(self.cols.len());
         while let Some(batch) = self.child.next_batch(stats)? {
             let mut out = Batch::with_schema(batch.schema().to_vec());
-            let mut retained = 0usize;
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
                 tuple.clear();
                 tuple.extend(self.cols.iter().map(|&c| row_buf[c]));
-                match &mut self.mode {
-                    DedupMode::Hash(seen) => {
-                        // contains-then-insert keeps the miss path cheap.
-                        if !seen.contains(tuple.as_slice()) {
-                            seen.insert(tuple.clone());
-                            out.push_row(&row_buf);
-                            retained += 1;
-                        }
-                    }
-                    DedupMode::Ordered(last) => {
-                        if last.as_deref() != Some(tuple.as_slice()) {
-                            match last {
-                                Some(prev) => {
-                                    prev.clear();
-                                    prev.extend_from_slice(&tuple);
-                                }
-                                None => *last = Some(tuple.clone()),
-                            }
-                            out.push_row(&row_buf);
-                        }
-                    }
+                // contains-then-insert keeps the miss path cheap.
+                if !self.seen.contains(tuple.as_slice()) {
+                    self.seen.insert(tuple.clone());
+                    out.push_row(&row_buf);
                 }
             }
             stats.shrink(batch.len());
             if !out.is_empty() {
-                // Hash mode retains one tuple per emitted row for the rest
-                // of the query; ordered mode holds only the last tuple.
-                stats.grow(out.len() + retained);
+                // One tuple stays retained per emitted row for the rest of
+                // the query.
+                stats.grow(2 * out.len());
                 return Ok(Some(out));
             }
         }
@@ -457,12 +424,13 @@ impl Operator for TopK<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// SortedDistinct (DISTINCT under unprojected sort keys)
+// Sort (ORDER BY without a usable LIMIT)
 // ---------------------------------------------------------------------------
 
 /// Effective comparison of two precomputed key vectors under per-key sort
 /// directions, ties broken by row sequence — the total order every sort
-/// path of the engine (full sort, TopK, external merge) agrees on.
+/// path of the engine (the group-table sort, TopK, the external merge)
+/// agrees on.
 pub(crate) fn cmp_keyed(
     a_key: &[SortAtom<'_>],
     a_seq: u64,
@@ -480,85 +448,74 @@ pub(crate) fn cmp_keyed(
     a_seq.cmp(&b_seq)
 }
 
-/// One retained representative row of a distinct projected value.
-struct DistinctEntry<'a> {
-    key: Vec<SortAtom<'a>>,
-    seq: u64,
-    row: Vec<Id>,
+/// ORDER BY that neither a delivered order nor a bounded heap serves: a
+/// blocking stable sort under `(sort keys, arrival order)`. The first pull
+/// drains the child into an [`ExternalSorter`] — in memory without a
+/// budget, spilling a sorted run whenever `budget` rows are buffered —
+/// and every pull then emits the next [`crate::physical::BATCH_SIZE`]
+/// rows in sorted order.
+pub struct Sort<'a> {
+    child: BoxedOperator<'a>,
+    /// The sorter the child drains into, until the first pull.
+    sorter: Option<ExternalSorter<'a>>,
+    /// The sorted rows, from the first pull on.
+    sorted: Option<SortedRows<'a>>,
 }
 
-/// Streaming DISTINCT for the case the pipeline [`Distinct`] cannot
-/// handle: unprojected ORDER BY helper columns. Deduplicating *before* the
-/// sort would keep the first-arrival representative, but the SPARQL
-/// semantics (sort → project → DISTINCT) keep the representative at the
-/// earliest *sorted* position — the duplicate minimal under
-/// `(sort keys, pipeline row order)`. This consumer folds the stream into
-/// one entry per distinct projected value, replacing the entry whenever a
-/// sort-wise smaller duplicate arrives, so only the distinct values — not
-/// the full input — are ever resident. `finish` returns the retained rows
-/// in final sorted order, which by construction equals the materializing
-/// fallback (stable sort → project → first-occurrence dedup) row for row.
-pub(crate) struct SortedDistinct<'a> {
-    /// Resolved ORDER BY keys (columns, expressions, directions).
-    keys: RowKeys<'a>,
-    descs: Vec<bool>,
-    /// Pipeline columns whose values identify a distinct projected row.
-    dedup_cols: Vec<usize>,
-    best: HashMap<Vec<Id>, usize>,
-    entries: Vec<DistinctEntry<'a>>,
-    seq: u64,
+impl<'a> Sort<'a> {
+    /// Wraps `child`, sorting its rows under `keys`; with a `budget`, run
+    /// files go to a fresh [`crate::spill::SpillSpace`] under `spill_base`
+    /// (`None`: the system temp dir).
+    pub(crate) fn new(
+        child: BoxedOperator<'a>,
+        keys: RowKeys<'a>,
+        budget: Option<usize>,
+        spill_base: Option<PathBuf>,
+    ) -> Self {
+        let width = child.schema().len();
+        let sorter = ExternalSorter::new(keys, width, budget.unwrap_or(usize::MAX), spill_base);
+        Sort { child, sorter: Some(sorter), sorted: None }
+    }
 }
 
-impl<'a> SortedDistinct<'a> {
-    /// `keys` are the resolved sort keys; `dedup_cols` the pipeline
-    /// columns of the projected output.
-    pub fn new(keys: RowKeys<'a>, dedup_cols: Vec<usize>) -> Self {
-        let descs = keys.descs();
-        SortedDistinct {
-            keys,
-            descs,
-            dedup_cols,
-            best: HashMap::new(),
-            entries: Vec::new(),
-            seq: 0,
-        }
+impl Operator for Sort<'_> {
+    fn schema(&self) -> &[usize] {
+        self.child.schema()
     }
 
-    /// Folds one pipeline row, keeping per distinct projected value the
-    /// duplicate minimal under `(sort keys, arrival order)`. New entries
-    /// register one resident row with `stats`; replacements are neutral.
-    pub fn add_row(&mut self, row: &[Id], stats: &mut ExecStats) {
-        let seq = self.seq;
-        self.seq += 1;
-        stats.sorted_rows += 1;
-        let key: Vec<SortAtom<'a>> = self.keys.atoms(row);
-        let value: Vec<Id> = self.dedup_cols.iter().map(|&c| row[c]).collect();
-        match self.best.get(&value) {
-            None => {
-                self.best.insert(value, self.entries.len());
-                self.entries.push(DistinctEntry { key, seq, row: row.to_vec() });
-                stats.grow(1);
-            }
-            Some(&ix) => {
-                let held = &self.entries[ix];
-                // The candidate arrived later (seq is larger), so it only
-                // wins on strictly smaller sort keys.
-                if cmp_keyed(&key, seq, &held.key, held.seq, &self.descs)
-                    == std::cmp::Ordering::Less
-                {
-                    self.entries[ix] = DistinctEntry { key, seq, row: row.to_vec() };
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        if let Some(mut sorter) = self.sorter.take() {
+            let mut row = vec![UNBOUND; self.child.schema().len()];
+            while let Some(batch) = self.child.next_batch(stats)? {
+                for r in 0..batch.len() {
+                    batch.read_row(r, &mut row);
+                    sorter.push_row(&row, stats)?;
                 }
+                stats.shrink(batch.len());
+            }
+            self.sorted = Some(sorter.finish(stats)?);
+        }
+        // A failed drain leaves nothing to emit; the pipeline is not
+        // pulled again after an `Err`.
+        let Some(sorted) = self.sorted.as_mut() else {
+            return Ok(None);
+        };
+        let mut out = Batch::with_schema(self.child.schema().to_vec());
+        while !out.is_full() {
+            match sorted.next_row()? {
+                Some(row) => out.push_row(&row),
+                None => break,
             }
         }
-    }
-
-    /// Sorts the retained representatives into final output order and
-    /// releases their residency.
-    pub fn finish(self, stats: &mut ExecStats) -> Vec<Vec<Id>> {
-        let mut entries = self.entries;
-        entries.sort_by(|a, b| cmp_keyed(&a.key, a.seq, &b.key, b.seq, &self.descs));
-        stats.shrink(entries.len());
-        entries.into_iter().map(|e| e.row).collect()
+        if out.is_empty() {
+            return Ok(None);
+        }
+        // In-memory rows were registered on arrival and move into the
+        // batch as they are; rows merged back from disk register here.
+        if matches!(sorted, SortedRows::Merge(_)) {
+            stats.grow(out.len());
+        }
+        Ok(Some(out))
     }
 }
 
@@ -991,7 +948,7 @@ mod tests {
         // Project to the value column only: 5 distinct values survive.
         let op = Box::new(crate::physical::Project::new(scan(&ds, "p/val", 0, 1), &[1]));
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(Distinct::new(op)), &mut stats).unwrap();
+        let out = drain(Box::new(Distinct::on_cols(op, vec![0])), &mut stats).unwrap();
         assert_eq!(out.len(), 5);
     }
 
@@ -1065,6 +1022,29 @@ mod tests {
             "peak {}",
             tk_stats.peak_tuples
         );
+    }
+
+    #[test]
+    fn sort_equals_stable_sort_and_spills_only_under_a_budget() {
+        let n = 3 * BATCH_SIZE + 7;
+        let ds = dataset(n);
+        let full = drain(scan(&ds, "p/val", 0, 1), &mut ExecStats::default()).unwrap();
+        let cmp_ids = |a: Id, b: Id| cmp_atoms(&SortAtom::of_id(a, &ds), &SortAtom::of_id(b, &ds));
+        // Descending by value (heavy ties), ties in arrival order.
+        let mut expected: Vec<usize> = (0..full.len()).collect();
+        expected.sort_by(|&a, &b| cmp_ids(full.row(b)[1], full.row(a)[1]).then(a.cmp(&b)));
+        for budget in [None, Some(100)] {
+            let mut stats = ExecStats::default();
+            let keys = RowKeys::cols(&ds, vec![(1, true)]);
+            let sort = Sort::new(scan(&ds, "p/val", 0, 1), keys, budget, None);
+            let got = drain(Box::new(sort), &mut stats).unwrap();
+            assert_eq!(got.len(), n);
+            for (r, &i) in expected.iter().enumerate() {
+                assert_eq!(got.row(r), full.row(i), "row {r} under budget {budget:?}");
+            }
+            assert_eq!(stats.sorted_rows, n as u64);
+            assert_eq!(stats.spill_runs > 0, budget.is_some(), "budget {budget:?}");
+        }
     }
 
     #[test]

@@ -879,6 +879,8 @@ pub struct LeftOuterJoin<'a> {
     right: Option<BoxedOperator<'a>>,
     build: Option<HashJoinBuild>,
     left_key_cols: Vec<usize>,
+    /// The current left row's join key, refilled in place per row.
+    key: Vec<Id>,
     /// (output column, build column) pairs for right-only columns.
     right_only: Vec<(usize, usize)>,
     /// In-progress left batch: (batch, row, match offset).
@@ -918,6 +920,7 @@ impl<'a> LeftOuterJoin<'a> {
             left,
             right: Some(right),
             build: None,
+            key: Vec::with_capacity(left_key_cols.len()),
             left_key_cols,
             right_only,
             cursor: None,
@@ -960,11 +963,12 @@ impl Operator for LeftOuterJoin<'_> {
             };
             while row < batch.len() {
                 batch.read_row(row, &mut row_buf[..left_width]);
-                let key: Vec<Id> = self.left_key_cols.iter().map(|&c| row_buf[c]).collect();
-                let matches = if key.contains(&UNBOUND) {
+                self.key.clear();
+                self.key.extend(self.left_key_cols.iter().map(|&c| row_buf[c]));
+                let matches = if self.key.contains(&UNBOUND) {
                     None
                 } else {
-                    build.matches(&key).filter(|m| !m.is_empty())
+                    build.matches(&self.key).filter(|m| !m.is_empty())
                 };
                 match matches {
                     Some(matches) => {
@@ -1640,7 +1644,7 @@ mod tests {
 
     #[test]
     fn errors_cross_every_streaming_operator_unchanged() {
-        use crate::modifiers::{Distinct, RowKeys, Slice, TopK};
+        use crate::modifiers::{Distinct, RowKeys, Slice, Sort, TopK};
         let ds = chain_dataset(50);
         let want = drain(failing_input(), &mut ExecStats::default()).unwrap_err();
         let failing = failing_input;
@@ -1661,10 +1665,13 @@ mod tests {
         let cases: Vec<(&str, BoxedOperator<'_>)> = vec![
             ("FilterEval", Box::new(FilterEval::new(failing(), Vec::new(), &var_names, &ds))),
             ("Project", Box::new(Project::new(failing(), &[0]))),
-            ("Distinct (hash)", Box::new(Distinct::new(failing()))),
-            ("Distinct (run)", Box::new(Distinct::ordered(failing(), vec![0]))),
+            ("Distinct", Box::new(Distinct::on_cols(failing(), vec![0, 1, 2]))),
             ("Slice", Box::new(Slice::new(failing(), 0, Some(10)))),
             ("TopK", Box::new(TopK::new(failing(), RowKeys::cols(&ds, vec![(0, false)]), 0, 5))),
+            (
+                "Sort",
+                Box::new(Sort::new(failing(), RowKeys::cols(&ds, vec![(0, false)]), None, None)),
+            ),
             (
                 "HashJoinProbe (build child)",
                 Box::new(HashJoinProbe::new(labels(), failing(), vec![0], true, sig(), req)),

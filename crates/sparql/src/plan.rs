@@ -1209,15 +1209,12 @@ pub enum Fold {
 pub enum Dedup {
     /// No DISTINCT.
     None,
-    /// Hash set over the projected columns (streaming on the plain path,
-    /// at the result boundary under aggregation).
+    /// Hash set over the projected columns (streaming before any sort on
+    /// the plain path, at the result boundary under aggregation).
     Hash,
-    /// The delivered order clusters the projected columns: remember one
-    /// previous tuple.
-    Run,
-    /// Unprojected sort keys under a real sort: keep, per distinct value,
-    /// the duplicate minimal under (sort keys, arrival order), then sort
-    /// the representatives.
+    /// Unprojected sort keys under a real sort: the same hash dedup on the
+    /// projected columns, after the sort, so each value keeps its first
+    /// occurrence in `(sort keys, arrival order)`.
     SortAware,
 }
 
@@ -1232,13 +1229,14 @@ pub enum Sort {
     Eliminated,
     /// ORDER BY + LIMIT: bounded heap of `offset + limit` rows.
     TopK,
-    /// ORDER BY without LIMIT under a budget: external merge sort.
-    External {
-        /// [`ExecConfig::mem_budget_rows`].
-        budget: usize,
+    /// Every other ORDER BY: a blocking stable sort. On the plain path the
+    /// [`crate::modifiers::Sort`] operator, an external merge sort that
+    /// spills sorted runs only under a `budget`; under aggregation the
+    /// in-memory sort of the group table (`budget` is `None`).
+    Full {
+        /// [`ExecConfig::mem_budget_rows`] on the plain path.
+        budget: Option<usize>,
     },
-    /// In-memory stable sort at the result boundary.
-    Full,
 }
 
 /// One recorded group — a UNION branch or an OPTIONAL: its join tree, its
@@ -1353,15 +1351,16 @@ impl PhysicalPlan<'_> {
         let dedup = match self.dedup {
             Dedup::None => "none",
             Dedup::Hash => "hash",
-            Dedup::Run => "run (delivered order clusters the output)",
             Dedup::SortAware => "sort-aware",
         };
         let sort = match self.sort {
             Sort::None => "none".to_string(),
             Sort::Eliminated => "eliminated (delivered order satisfies ORDER BY)".into(),
             Sort::TopK => "topk (bounded heap)".into(),
-            Sort::External { budget } => format!("external merge sort (budget {budget} rows)"),
-            Sort::Full => "full sort".into(),
+            Sort::Full { budget: None } => "full sort".into(),
+            Sort::Full { budget: Some(budget) } => {
+                format!("external merge sort (budget {budget} rows)")
+            }
         };
         out.push_str(&format!(
             "modifiers: {} | fold: {fold} | dedup: {dedup} | sort: {sort}\n",

@@ -1,17 +1,18 @@
 //! Result-boundary finalization: decoding, precomputed sort keys, and the
-//! solution-table fallback for modifiers the pipeline could not stream.
+//! solution table of aggregate results.
 //!
-//! Most modifier work now happens *inside* the physical pipeline
-//! ([`crate::modifiers`]): DISTINCT, LIMIT/OFFSET early exit, TopK and
-//! streaming aggregation all run over raw `Id` batches. What remains here
-//! is (a) decoding `Id` rows to terms, (b) the full-sort fallback for
-//! ORDER BY without LIMIT (or combined with modifiers that prevent
-//! pushdown), and (c) laying out aggregate results as a solution table.
+//! Every plain (non-aggregate) modifier runs *inside* the physical
+//! pipeline ([`crate::modifiers`]): DISTINCT, LIMIT/OFFSET early exit,
+//! TopK and the sort all run over raw `Id` batches. What remains here is
+//! (a) decoding `Id` rows to terms, (b) laying out aggregate results as a
+//! solution table and running the modifiers over it, and (c) the same over
+//! drained bindings for the unpushed reference.
 //!
 //! Sorting always precomputes one [`SortAtom`] key vector per row — the
 //! dictionary is consulted O(n) times, never inside the O(n log n)
 //! comparator — and breaks ties by input row order, the same pinned order
-//! the streaming [`crate::modifiers::TopK`] operator uses.
+//! the streaming [`crate::modifiers::TopK`] and [`crate::modifiers::Sort`]
+//! operators use.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -23,7 +24,7 @@ use parambench_rdf::term::Term;
 use crate::ast::AggFunc;
 use crate::error::QueryError;
 use crate::exec::{Bindings, UNBOUND};
-use crate::modifiers::{AggState, GroupFold};
+use crate::modifiers::{cmp_keyed, AggState, GroupFold};
 use crate::plan::{AggregatePlan, ModifierPlan, TableColSource};
 
 /// A value in a (pre-decoding) solution table.
@@ -332,15 +333,13 @@ pub(crate) fn fold_result(func: AggFunc, st: &AggState) -> SolVal {
 
 /// Runs the modifier stack over a solution table and decodes the result:
 /// stable sort by precomputed keys → project to the declared outputs →
-/// DISTINCT (unless the pipeline already deduplicated) → OFFSET/LIMIT →
-/// decode. `already_sorted` skips the sort (and its `sorted_rows`
-/// accounting) when the caller proved the rows arrive in final order —
-/// the sort-elimination path behind an order-compatible index scan.
+/// DISTINCT → OFFSET/LIMIT → decode. `already_sorted` skips the sort (and
+/// its `sorted_rows` accounting) when the caller proved the rows arrive in
+/// final order — the ordered fold behind an order-compatible index scan.
 pub(crate) fn finalize_table(
     rows: Vec<Vec<SolVal>>,
     m: &ModifierPlan,
     ds: &Dataset,
-    already_distinct: bool,
     already_sorted: bool,
     stats: &mut crate::exec::ExecStats,
 ) -> ResultSet {
@@ -355,18 +354,10 @@ pub(crate) fn finalize_table(
                 m.order_by.iter().map(|&(col, _)| SortAtom::of_solval(&row[col], ds)).collect()
             })
             .collect();
+        let descs: Vec<bool> = m.order_by.iter().map(|&(_, desc)| desc).collect();
         let mut idx: Vec<usize> = (0..rows.len()).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            for (i, &(_, desc)) in m.order_by.iter().enumerate() {
-                let ord = cmp_atoms(&keyed[a][i], &keyed[b][i]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            // Pinned tie-break: input (pipeline) row order.
-            a.cmp(&b)
-        });
+        // Pinned tie-break: input (pipeline) row order.
+        idx.sort_unstable_by(|&a, &b| cmp_keyed(&keyed[a], a as u64, &keyed[b], b as u64, &descs));
         let mut reordered: Vec<Vec<SolVal>> = Vec::with_capacity(rows.len());
         let mut taken: Vec<Option<Vec<SolVal>>> = rows.into_iter().map(Some).collect();
         for i in idx {
@@ -382,7 +373,7 @@ pub(crate) fn finalize_table(
         }
     }
 
-    if m.distinct && !already_distinct {
+    if m.distinct {
         let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(rows.len());
         rows.retain(|row| seen.insert(row.iter().map(solval_key).collect()));
     }
@@ -428,7 +419,7 @@ pub(crate) fn finalize_bindings(
         }
         None => table_from_bindings(bindings, m, ds)?,
     };
-    Ok(finalize_table(rows, m, ds, false, false, stats))
+    Ok(finalize_table(rows, m, ds, false, stats))
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! The streaming pipeline bounds *intermediate* state, but two
 //! modifier operators are inherently blocking and hold state proportional
 //! to their input: the GROUP BY accumulators of `GroupFold` and the row
-//! buffer of the full-sort fallback (ORDER BY without LIMIT). This module
+//! buffer of the `Sort` operator (ORDER BY that neither a delivered order
+//! nor a LIMIT's bounded heap serves). This module
 //! lets both degrade gracefully to disk once a memory budget is exceeded:
 //!
 //! * **Run files** ([`RunWriter`]/[`RunReader`]) — flat buffered files of
@@ -287,10 +288,9 @@ impl LoserTree {
 // ---------------------------------------------------------------------------
 
 /// Out-of-core stable sort of `Id` rows under `(sort keys, arrival order)`
-/// — the external variant of the full-sort fallback. Rows are buffered up
-/// to the memory budget; each overflow sorts the buffer (keys precomputed
-/// once per row, never inside the comparator) and writes it as one sorted
-/// run. [`ExternalSorter::finish`] merges the runs with a [`LoserTree`];
+/// — the sorter behind the `Sort` operator. Rows are buffered up to the
+/// memory budget; each overflow sorts the buffer (keys precomputed once
+/// per row, never inside the comparator) and writes it as one sorted run. [`ExternalSorter::finish`] merges the runs with a [`LoserTree`];
 /// with no spilled run it degenerates to the plain in-memory sort, so the
 /// output sequence is identical either way.
 pub struct ExternalSorter<'a> {
@@ -394,9 +394,8 @@ impl<'a> ExternalSorter<'a> {
             let mut taken: Vec<Option<Vec<Id>>> = self.rows.into_iter().map(Some).collect();
             let sorted: Vec<Vec<Id>> =
                 order.into_iter().map(|i| taken[i].take().expect("each index once")).collect();
-            // The sorted rows leave tracked residency here: the caller
-            // decodes them straight into the (untracked) result table.
-            stats.shrink(sorted.len());
+            // The sorted rows stay registered with `stats` (pushed rows
+            // were grown on arrival) until the caller has consumed them.
             return Ok(SortedRows::Mem(sorted.into_iter()));
         }
         self.spill(stats)?;

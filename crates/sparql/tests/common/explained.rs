@@ -35,7 +35,7 @@ pub fn assert_executed_as_explained(
         Sort::None | Sort::Eliminated => {
             assert_eq!(stats.sorted_rows, 0, "{ctx}: recorded {:?} but rows were sorted", plan.sort)
         }
-        Sort::TopK | Sort::External { .. } | Sort::Full => assert!(
+        Sort::TopK | Sort::Full { .. } => assert!(
             out.results.is_empty() || stats.sorted_rows > 0,
             "{ctx}: recorded {:?} but nothing was sorted",
             plan.sort
@@ -47,6 +47,17 @@ pub fn assert_executed_as_explained(
         "{ctx}: rendered sort disagrees with {:?}:\n{text}",
         plan.sort
     );
+
+    // A real sort carries the budget on the plain path, and only there.
+    if let Sort::Full { budget } = plan.sort {
+        assert_eq!(
+            budget,
+            exec.mem_budget_rows.filter(|_| m.aggregate.is_none()),
+            "{ctx}: recorded {:?} under budget {:?}",
+            plan.sort,
+            exec.mem_budget_rows
+        );
+    }
 
     // Only recorded hash joins, OPTIONALs and joined UNIONs build tables.
     let hash_join =

@@ -10,7 +10,7 @@ use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::error::QueryError;
 use parambench_sparql::results::OutVal;
-use parambench_sparql::{ExecConfig, Fold, JoinMethod, PhysNode, Sort, MORSELS_PER_WAVE};
+use parambench_sparql::{Dedup, ExecConfig, Fold, JoinMethod, PhysNode, Sort, MORSELS_PER_WAVE};
 
 fn dataset() -> Dataset {
     let mut b = StoreBuilder::new();
@@ -689,7 +689,7 @@ fn spill_write_failures_surface_as_query_error_exec() {
         let prepared = engine.prepare(&parambench_sparql::parse_query(text).unwrap()).unwrap();
         let plan = engine.physical_plan(&prepared, &cfg);
         let external = matches!(plan.fold, Some(Fold::External { .. }))
-            || matches!(plan.sort, Sort::External { .. });
+            || matches!(plan.sort, Sort::Full { budget: Some(_) });
         assert!(external, "{what} must run out of core:\n{}", plan.render());
         expect_spill_error(engine.execute_with(&prepared, &cfg).unwrap_err(), what);
         expect_spill_error(streamed(&engine, &prepared, &cfg).unwrap_err(), what);
@@ -770,8 +770,11 @@ fn float_aggregates_are_bit_identical_per_fold_strategy_and_close_across_them() 
 #[test]
 fn distinct_under_unprojected_sort_key_streams_with_bounded_peak() {
     // 6000 input rows collapse to 10 distinct groups; the sort key ?r is
-    // not projected. The sort-aware dedup must reproduce the materializing
-    // fallback row-for-row while holding only the distinct values.
+    // not projected. The order-aware planner serves ASC(?r) straight from
+    // the rank index, so the dedup streams behind the eliminated sort and
+    // must reproduce the materializing reference row-for-row while holding
+    // only the distinct values. (Under a real sort the dedup runs after
+    // it and holds what the sort holds: see the DESC test below.)
     let ds = grouped_dataset(6000, 10);
     let engine = Engine::new(&ds);
     let q = parambench_sparql::parse_query(
@@ -779,20 +782,19 @@ fn distinct_under_unprojected_sort_key_streams_with_bounded_peak() {
     )
     .unwrap();
     let prepared = engine.prepare(&q).unwrap();
+    let plan = engine.physical_plan(&prepared, &engine.exec_config());
+    assert_eq!(plan.sort, Sort::Eliminated, "{}", plan.render());
     let pushed = engine.execute(&prepared).unwrap();
     let unpushed = engine.execute_unpushed(&prepared).unwrap();
-    assert_eq!(pushed.results, unpushed.results, "sort-aware dedup diverged from fallback");
+    assert_eq!(pushed.results, unpushed.results, "streaming dedup diverged from the reference");
     assert_eq!(pushed.results.len(), 10);
     assert_eq!(pushed.cout, unpushed.cout);
     // Regression gate: the streaming dedup holds one entry per distinct
     // value plus in-flight batches — nowhere near the 6000 materialized
-    // rows of the old fallback path. (Since PR 5 the order-aware planner
-    // usually serves ASC(?r) straight from the rank index and the dedup
-    // runs as a plain streaming Distinct behind the eliminated sort; the
-    // bound covers both that path and the sort-aware dedup.)
+    // rows of the reference.
     assert!(
         pushed.stats.peak_tuples <= (2 * 10 + 3 * parambench_sparql::BATCH_SIZE) as u64,
-        "sort-aware DISTINCT peak {} should be bounded by distinct values + batches",
+        "streaming DISTINCT peak {} should be bounded by distinct values + batches",
         pushed.stats.peak_tuples
     );
     assert!(
@@ -801,6 +803,38 @@ fn distinct_under_unprojected_sort_key_streams_with_bounded_peak() {
         pushed.stats.peak_tuples,
         unpushed.stats.peak_tuples
     );
+}
+
+#[test]
+fn distinct_under_unprojected_desc_key_dedups_after_the_sort() {
+    // A DESC key always sorts (indexes deliver ascending order only), so
+    // DISTINCT over the projected ?g must run after the sort: each group
+    // keeps its first row in (DESC ?r, arrival) order. Deduplicating
+    // before the sort would keep each group's first-arriving row instead
+    // and order the groups by that row's rank. OFFSET/LIMIT cut into the
+    // sorted, deduplicated sequence.
+    let ds = grouped_dataset(2000, 40);
+    let engine = Engine::new(&ds);
+    let q = parambench_sparql::parse_query(
+        "SELECT DISTINCT ?g WHERE { ?s <grp> ?g . ?s <rank> ?r } \
+         ORDER BY DESC(?r) LIMIT 10 OFFSET 3",
+    )
+    .unwrap();
+    let prepared = engine.prepare(&q).unwrap();
+    let unpushed = engine.execute_unpushed(&prepared).unwrap();
+    assert_eq!(unpushed.results.len(), 10);
+    for budget in [None, Some(16)] {
+        let cfg = budget_cfg(budget);
+        let plan = engine.physical_plan(&prepared, &cfg);
+        assert_eq!(plan.dedup, Dedup::SortAware, "{}", plan.render());
+        assert_eq!(plan.sort, Sort::Full { budget }, "{}", plan.render());
+        let pushed = engine.execute_with(&prepared, &cfg).unwrap();
+        assert_eq!(pushed.results, unpushed.results, "budget {budget:?}");
+        assert_eq!(pushed.cout, unpushed.cout, "budget {budget:?}");
+        assert_eq!(pushed.stats.scanned, unpushed.stats.scanned, "budget {budget:?}");
+        // Under a budget the sort below the dedup spills its input.
+        assert_eq!(pushed.stats.spill_runs > 0, budget.is_some(), "budget {budget:?}");
+    }
 }
 
 #[test]
@@ -1048,25 +1082,18 @@ fn group_by_on_delivered_order_streams_one_group_at_a_time() {
 }
 
 #[test]
-fn distinct_on_delivered_order_uses_run_dedup() {
+fn distinct_on_delivered_order_matches_the_reference() {
     // More distinct subjects than one batch holds.
     let ds = duplicate_heavy_dataset(2000);
     let engine = Engine::new(&ds);
     // DISTINCT ?s over the multi-valued <a>: 4 duplicates per subject,
-    // delivered contiguously — run dedup, no hash set.
+    // delivered contiguously, deduplicated across batch boundaries.
     let q = parambench_sparql::parse_query("SELECT DISTINCT ?s WHERE { ?s <a> ?x }").unwrap();
     let prepared = engine.prepare(&q).unwrap();
-    let ordered = engine.execute(&prepared).unwrap();
+    let pushed = engine.execute(&prepared).unwrap();
     let unpushed = engine.execute_unpushed(&prepared).unwrap();
-    assert_eq!(ordered.results, unpushed.results);
-    assert_eq!(ordered.results.len(), 2000);
-    // Run dedup holds one batch; a hash set would retain all 2 000
-    // distinct subjects.
-    assert!(
-        ordered.stats.peak_tuples <= parambench_sparql::BATCH_SIZE as u64,
-        "run dedup peak {}",
-        ordered.stats.peak_tuples
-    );
+    assert_eq!(pushed.results, unpushed.results);
+    assert_eq!(pushed.results.len(), 2000);
 }
 
 #[test]

@@ -4,16 +4,18 @@
 //! its output batches — at most 0.01 allocations per probe, where a probe
 //! that built its key prefix in a `Vec` and boxed its iterator paid 2 —
 //! and `Dataset::probe` / `Dataset::count` allocate nothing at all, on a
-//! frozen and on an overlay-carrying store. The probes' speed is
-//! `benches/engine.rs`'s `engine/bind_probe_*`; their correctness is the
-//! `rdf` index proptest's and the differential suites'.
+//! frozen and on an overlay-carrying store. An OPTIONAL's hash probe is
+//! held to the same bound per left row: its join key is one scratch
+//! buffer, refilled in place. The probes' speed is `benches/engine.rs`'s
+//! `engine/bind_probe_*`; their correctness is the `rdf` index proptest's
+//! and the differential suites'.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::{Id, ProbeHint, Term};
-use parambench_sparql::physical::BindJoin;
+use parambench_sparql::physical::{BindJoin, LeftOuterJoin};
 use parambench_sparql::plan::{PlannedPattern, Slot};
 use parambench_sparql::{Batch, CoutBucket, ExecError, ExecStats, Operator, BATCH_SIZE};
 
@@ -107,6 +109,19 @@ impl Operator for Replay {
     }
 }
 
+/// `rows` as one-batch-per-`BATCH_SIZE` replayed input over `schema`.
+fn replay(schema: Vec<usize>, rows: &[Vec<Id>]) -> Box<Replay> {
+    let batches: Vec<Batch> = rows
+        .chunks(BATCH_SIZE)
+        .map(|chunk| {
+            let mut batch = Batch::with_schema(schema.clone());
+            chunk.iter().for_each(|row| batch.push_row(row));
+            batch
+        })
+        .collect();
+    Box::new(Replay { schema, batches: batches.into_iter() })
+}
+
 /// The store's products by id, ascending, and in a fixed shuffle.
 fn products(ds: &Dataset) -> [Vec<Id>; 2] {
     let (ty, product) = (ds.lookup(&Term::iri("type")), ds.lookup(&Term::iri("Product")));
@@ -124,20 +139,12 @@ fn a_bind_join_allocates_for_its_output_batches_not_its_probes() {
     for ds in [store(), overlay_store()] {
         let price = ds.lookup(&Term::iri("price")).unwrap();
         for left in products(&ds) {
-            let batches: Vec<Batch> = left
-                .chunks(BATCH_SIZE)
-                .map(|chunk| {
-                    let mut batch = Batch::with_schema(vec![0]);
-                    chunk.iter().for_each(|&p| batch.push_row(&[p]));
-                    batch
-                })
-                .collect();
-            let replay = Replay { schema: vec![0], batches: batches.into_iter() };
+            let rows: Vec<Vec<Id>> = left.iter().map(|&p| vec![p]).collect();
             let pattern =
                 PlannedPattern { idx: 1, slots: [Slot::Var(0), Slot::Bound(price), Slot::Var(1)] };
             let mut join = BindJoin::new(
                 &ds,
-                Box::new(replay),
+                replay(vec![0], &rows),
                 pattern,
                 &[0],
                 "BJ".into(),
@@ -157,6 +164,33 @@ fn a_bind_join_allocates_for_its_output_batches_not_its_probes() {
                 stats.cout
             );
         }
+    }
+}
+
+#[test]
+fn an_optional_allocates_for_its_output_batches_not_its_left_rows() {
+    let ds = store();
+    let price = ds.lookup(&Term::iri("price")).unwrap();
+    for left in products(&ds) {
+        // The optional side: the prices of eight products, so the build
+        // is a constant and nearly every left row passes through unmatched.
+        let right: Vec<Vec<Id>> =
+            ds.scan([None, Some(price), None]).take(8).map(|t| vec![t[0], t[2]]).collect();
+        let rows: Vec<Vec<Id>> = left.iter().map(|&p| vec![p]).collect();
+        let mut join =
+            LeftOuterJoin::new(replay(vec![0], &rows), replay(vec![0, 1], &right), vec![0]);
+        let mut stats = ExecStats::default();
+        let (out_rows, allocs) = allocations(|| {
+            let mut out_rows = 0;
+            while let Some(batch) = join.next_batch(&mut stats).unwrap() {
+                out_rows += batch.len();
+                stats.shrink(batch.len());
+            }
+            out_rows
+        });
+        assert!(out_rows >= PROBES);
+        let per_row = allocs as f64 / PROBES as f64;
+        assert!(per_row <= 0.01, "{allocs} allocations for {PROBES} left rows");
     }
 }
 

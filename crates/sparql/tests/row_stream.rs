@@ -27,7 +27,8 @@ fn dataset(n: usize) -> Dataset {
 
 /// Every epilogue shape the streaming path must reproduce bit-identically:
 /// plain pipelines, slices, sort elimination, sorted DISTINCT, TopK,
-/// external sort, in-memory sort and pushed aggregation.
+/// external sort, in-memory sort, DISTINCT after a real sort and pushed
+/// aggregation.
 const SHAPES: &[(&str, &str)] = &[
     ("plain", "SELECT ?s ?g WHERE { ?s <grp> ?g }"),
     ("slice", "SELECT ?s ?r WHERE { ?s <rank> ?r } LIMIT 17 OFFSET 5"),
@@ -36,6 +37,10 @@ const SHAPES: &[(&str, &str)] = &[
     ("topk", "SELECT ?s ?r WHERE { ?s <rank> ?r } ORDER BY DESC(?r) ?s LIMIT 9"),
     ("full_sort", "SELECT ?s ?r WHERE { ?s <rank> ?r } ORDER BY DESC(?r) ?s"),
     ("join_sort", "SELECT ?s ?g ?r WHERE { ?s <grp> ?g . ?s <rank> ?r } ORDER BY ?g DESC(?r) ?s"),
+    (
+        "distinct_after_sort",
+        "SELECT DISTINCT ?g WHERE { ?s <grp> ?g . ?s <rank> ?r } ORDER BY DESC(?r) LIMIT 5 OFFSET 1",
+    ),
     (
         "aggregate",
         "SELECT ?g (COUNT(?s) AS ?n) (SUM(?r) AS ?t) WHERE { ?s <grp> ?g . ?s <rank> ?r } \

@@ -177,14 +177,15 @@ fn exec_sweep() -> Vec<(&'static str, ExecConfig)> {
     vec![("t1", ExecConfig::with_threads(1)), ("t4", parallel)]
 }
 
-/// The 9-query mix: joins, a numeric filter, DISTINCT + ORDER BY,
+/// The 10-query mix: joins, a numeric filter, DISTINCT + ORDER BY,
 /// multi-key ordering, ORDER + LIMIT, aggregation, OPTIONAL + FILTER with
 /// LIMIT/OFFSET — enough shape variety that a subtly wrong overlay merge
 /// (a dropped add, a leaked tombstone, a mis-ordered splice) cannot hide.
-/// The last two pin what EXPLAIN must say about the order service: an
-/// aggregate whose group-clustered delivery eliminates the sort on the
-/// serial configs but not on the morselized ones (worker-side fold), and
-/// an `ORDER BY ... DESC` over a bare index scan, which always sorts.
+/// Two pin what EXPLAIN must say about the order service: an aggregate
+/// whose group-clustered delivery eliminates the sort on the serial
+/// configs but not on the morselized ones (worker-side fold), and an
+/// `ORDER BY ... DESC` over a bare index scan, which always sorts. The
+/// last deduplicates after a real sort: its DESC key is not projected.
 fn query_mix() -> Vec<String> {
     vec![
         "SELECT ?s ?v WHERE { ?s <p/0> ?v . }".into(),
@@ -202,6 +203,7 @@ fn query_mix() -> Vec<String> {
          GROUP BY ?s ORDER BY ASC(?s)"
             .into(),
         "SELECT ?s ?n WHERE { ?s <p/3> ?n . } ORDER BY DESC(?n)".into(),
+        "SELECT DISTINCT ?s WHERE { ?s <p/3> ?n . } ORDER BY DESC(?n) LIMIT 6 OFFSET 1".into(),
     ]
 }
 
@@ -209,14 +211,14 @@ fn query_mix() -> Vec<String> {
 /// bit-identical rows/order/Cout/scanned and equal plan signatures; the
 /// live store is additionally oracle-checked per query. The `t1` leg
 /// must take every order-based path somewhere in the mix: sort
-/// elimination, run dedup and — without a memory budget, which routes
-/// every fold through the external one — the ordered fold. Returns
+/// elimination, the post-sort dedup and — without a memory budget, which
+/// routes every fold through the external one — the ordered fold. Returns
 /// whether the `t4` leg ran some bind-join spine over morsels: that needs
 /// data under a spine's driving scan, so the callers that know their
 /// store assert it.
 fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) -> bool {
     assert_eq!(live.len(), fresh.len(), "[{label}] visible counts diverge");
-    let (mut eliminated, mut run_dedup, mut ordered_fold) = (false, false, false);
+    let (mut eliminated, mut post_sort_dedup, mut ordered_fold) = (false, false, false);
     let mut morselized = false;
     for text in query_mix() {
         let query = parse_query(&text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
@@ -234,7 +236,7 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) -> bool {
                 assert_executed_as_explained(&plan, &out, &cfg, &ctx);
                 if cfg_name == "t1" {
                     eliminated |= plan.sort == Sort::Eliminated;
-                    run_dedup |= plan.dedup == Dedup::Run;
+                    post_sort_dedup |= plan.dedup == Dedup::SortAware;
                     ordered_fold |=
                         plan.fold == Some(Fold::Ordered) || cfg.mem_budget_rows.is_some();
                 }
@@ -271,7 +273,7 @@ fn check_differential(live: &Dataset, fresh: &Dataset, label: &str) -> bool {
         oracle::assert_matches(&out.results, &reference, &format!("[{label}] {text}"));
     }
     assert!(eliminated, "[{label}] t1 eliminated no sort");
-    assert!(run_dedup, "[{label}] t1 deduplicated no run");
+    assert!(post_sort_dedup, "[{label}] t1 deduplicated after no sort");
     assert!(ordered_fold, "[{label}] t1 folded nothing in order");
     morselized
 }

@@ -21,6 +21,15 @@
 //! over 512 person × country-pair bindings; the LUBM templates over their
 //! whole domains (at most 512 bindings each).
 //!
+//! Stderr gets one line per template: how many of its bindings recorded
+//! each morsel, fold, dedup and sort strategy (`PhysicalPlan::morselized`,
+//! `fold`, `dedup`, `sort`). It is the evidence for keeping or deleting a
+//! specialised strategy, and it leaves stdout `cmp`-able:
+//!
+//! ```text
+//! cargo run --release --example plan_census 2>&1 >/dev/null | grep LDBC-Q3
+//! ```
+//!
 //! An optional argument sets the store scale in triples (default 150 000,
 //! the benchmark's full scale). The `analytic` workload's 4× stores are
 //! the only ones where plans run over morsels:
@@ -28,6 +37,8 @@
 //! ```text
 //! cargo run --release --example plan_census -- 600000 | grep -c Morsels
 //! ```
+
+use std::collections::BTreeMap;
 
 use parambench::curation::ParameterDomain;
 use parambench::datagen::bsbm::schema as bsbm_schema;
@@ -47,19 +58,32 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
     let exec = ExecConfig { mem_budget_rows: None, ..ExecConfig::default() };
     let engine = Engine::with_exec_config(ds, exec);
     for (template, domain) in cases {
+        // Recorded strategy → bindings that recorded it.
+        let mut tally: BTreeMap<String, usize> = BTreeMap::new();
         for binding in domain.enumerate(BINDINGS, SEED) {
             let prepared = engine
                 .prepare_template(template, &binding)
                 .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
-            let physical = engine.explain_physical(&prepared);
+            let plan = engine.physical_plan(&prepared, &exec);
+            let fold = plan.fold.map_or_else(|| "none".to_string(), |f| format!("{f:?}"));
+            for strategy in [
+                format!("morsels: {}", plan.morselized),
+                format!("fold: {fold}"),
+                format!("dedup: {:?}", plan.dedup),
+                format!("sort: {:?}", plan.sort),
+            ] {
+                *tally.entry(strategy).or_default() += 1;
+            }
             println!(
                 "{}\t{binding}\t{}\t{:016x}\t{}",
                 template.name(),
                 prepared.signature,
                 prepared.est_cout.to_bits(),
-                physical.trim_end().replace('\n', " | ")
+                plan.render().trim_end().replace('\n', " | ")
             );
         }
+        let counts: Vec<String> = tally.iter().map(|(s, n)| format!("{s} ×{n}")).collect();
+        eprintln!("{}\t{}", template.name(), counts.join(", "));
     }
 }
 
