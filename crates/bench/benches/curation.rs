@@ -4,7 +4,10 @@
 //! Includes the ablation DESIGN.md calls out: estimated-cost profiling (one
 //! optimizer probe per binding, the paper's formulation) vs measured-cost
 //! profiling (one `Engine::measure_cout` per binding, the LDBC production
-//! variant). The validation pair prices P1–P3 on `Metric::Cout`
+//! variant), on BSBM-BI-Q4. `curation/profile_measured_ldbc_q2` is the
+//! measured profile the `curate` workload runs: LDBC-Q2 over every person
+//! of a 150k-triple SNB store, one set of count tables per call. The
+//! validation pair prices P1–P3 on `Metric::Cout`
 //! (`curation/validate_cout`) against fully executing the same two samples
 //! per class (`curation/run_workload`), one thread each.
 
@@ -13,7 +16,7 @@ use parambench_core::{
     cluster, curate, profile_domain, run_workload, validate_workload, ClusterConfig, CostSource,
     CurationConfig, Metric, ParameterDomain, ProfileConfig, RunConfig, ValidationConfig,
 };
-use parambench_datagen::{Bsbm, BsbmConfig};
+use parambench_datagen::{Bsbm, BsbmConfig, Snb, SnbConfig};
 use parambench_sparql::Engine;
 use std::hint::black_box;
 
@@ -47,6 +50,18 @@ fn curation_benches(c: &mut Criterion) {
                     &ProfileConfig { cost_source: CostSource::MeasuredCout, ..Default::default() },
                 )
                 .unwrap(),
+            )
+        })
+    });
+
+    let snb = Snb::generate(SnbConfig::with_scale(150_000));
+    let snb_engine = Engine::new(&snb.dataset);
+    let persons = ParameterDomain::single("person", snb.person_iris());
+    let measured = ProfileConfig { cost_source: CostSource::MeasuredCout, ..Default::default() };
+    c.bench_function("curation/profile_measured_ldbc_q2", |b| {
+        b.iter(|| {
+            black_box(
+                profile_domain(&snb_engine, &Snb::q2_friend_posts(), &persons, &measured).unwrap(),
             )
         })
     });

@@ -5,8 +5,10 @@
 //! plan's signature and its cost — §III of the paper defines parameter
 //! classes over exactly these two observables. Under the default
 //! [`CostSource::EstimatedCout`] the query never runs; under
-//! [`CostSource::MeasuredCout`] its pattern part does, once, through
-//! [`Engine::measure_cout`] (no modifiers, no decode, no result table).
+//! [`CostSource::MeasuredCout`] its `Cout` is measured once through
+//! [`Engine::measure_cout`]: counted from index counts for a plain acyclic
+//! BGP, otherwise by running its pattern part (no modifiers, no decode, no
+//! result table).
 //!
 //! The paper notes that verifying condition (a) exactly "boils down to
 //! solving multiple NP-hard join ordering problems"; our engine's exact DP
@@ -18,6 +20,7 @@
 use parambench_sparql::engine::Engine;
 use parambench_sparql::plan::PlanSignature;
 use parambench_sparql::template::{Binding, QueryTemplate};
+use parambench_sparql::CoutTables;
 
 use crate::domain::ParameterDomain;
 use crate::error::CurationError;
@@ -42,13 +45,15 @@ pub struct BindingProfile {
 /// curation instead precomputes *measured* intermediate-result counts with
 /// auxiliary queries; [`CostSource::MeasuredCout`] reproduces that variant
 /// by measuring each candidate's actual `Cout` once
-/// ([`Engine::measure_cout`]: the pattern part only, the root bind join
-/// counted rather than built) — tighter classes on queries whose true cost
+/// ([`Engine::measure_cout`]: Σ|J| over the plan's join nodes, counted from
+/// index counts by message passing, with the messages of subtrees the
+/// bindings share kept in count tables that live for one
+/// [`profile_bindings`] call) — tighter classes on queries whose true cost
 /// is hard to estimate (e.g. LDBC Q2, where posts-per-friend varies widely
-/// around the independence-assumption estimate). The measurement is still
-/// a run per binding, but a cheap one: on 150k-triple stores (two-core
-/// Xeon, 512 bindings) about 2 µs per BSBM-BI-Q2 binding and 35 µs per
-/// LDBC-Q2 binding, against 260 µs and 120 µs for a full execution.
+/// around the independence-assumption estimate). No operator runs for a
+/// plain acyclic BGP: on 150k-triple stores (two-core VM, 512 bindings)
+/// the measurement costs about 2 µs per BSBM-BI-Q2 binding and 10–14 µs
+/// per LDBC-Q2 binding, against 260 µs and 120 µs for a full execution.
 /// P1–P3 validation on [`crate::Metric::Cout`] measures its samples the
 /// same way ([`crate::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,7 +101,8 @@ pub fn profile_domain(
     profile_bindings(engine, template, &bindings, config.cost_source)
 }
 
-/// Profiles an explicit binding list.
+/// Profiles an explicit binding list. Measured costs share one
+/// [`CoutTables`] across the list.
 pub fn profile_bindings(
     engine: &Engine<'_>,
     template: &QueryTemplate,
@@ -104,11 +110,12 @@ pub fn profile_bindings(
     cost_source: CostSource,
 ) -> Result<Vec<BindingProfile>, CurationError> {
     let mut out = Vec::with_capacity(bindings.len());
+    let mut tables = CoutTables::new(engine.dataset());
     for b in bindings {
         let prepared = engine.prepare_template(template, b)?;
         let cost = match cost_source {
             CostSource::EstimatedCout => prepared.est_cout,
-            CostSource::MeasuredCout => engine.measure_cout(&prepared)? as f64,
+            CostSource::MeasuredCout => engine.measure_cout(&prepared, &mut tables)? as f64,
         };
         out.push(BindingProfile {
             binding: b.clone(),

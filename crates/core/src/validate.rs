@@ -18,8 +18,10 @@
 //! the cheap plan/cost clustering delivered the promised behaviour. How
 //! much of a query it runs depends on the metric: under [`Metric::Cout`]
 //! each binding's measured `Cout` comes from [`Engine::measure_cout_with`]
-//! over the physical plan recorded for P3, which runs the pattern part only (no modifiers, no decode, no result
-//! table) and yields the integer a full execution reports; the timed
+//! over the physical plan recorded for P3, through one set of count tables
+//! per [`validate_workload`] call: it counts the pattern part (or, where it
+//! cannot, runs it — no modifiers, no decode, no result table) and yields
+//! the integer a full execution reports; the timed
 //! metrics, [`Metric::WallMillis`] and [`Metric::PeakTuples`], execute
 //! every binding in full through [`run_workload`].
 
@@ -28,6 +30,7 @@ use std::collections::BTreeSet;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::plan::PlanSignature;
 use parambench_sparql::template::{Binding, QueryTemplate};
+use parambench_sparql::CoutTables;
 use parambench_stats::ks::ks_two_sample;
 use parambench_stats::mannwhitney::mann_whitney_u;
 use parambench_stats::summary::Summary;
@@ -132,9 +135,10 @@ pub fn validate_workload(
     workload: &CuratedWorkload,
     config: &ValidationConfig,
 ) -> Result<Vec<ClassValidation>, CurationError> {
+    let mut tables = CoutTables::new(engine.dataset());
     let mut out = Vec::with_capacity(workload.classes().len());
     for class in workload.classes() {
-        out.push(validate_class(engine, workload, class.id, config)?);
+        out.push(validate_class_with(engine, workload, class.id, config, &mut tables)?);
     }
     Ok(out)
 }
@@ -147,11 +151,22 @@ pub fn validate_class(
     class_id: usize,
     config: &ValidationConfig,
 ) -> Result<ClassValidation, CurationError> {
+    validate_class_with(engine, workload, class_id, config, &mut CoutTables::new(engine.dataset()))
+}
+
+/// [`validate_class`], measuring `Cout` through the caller's `tables`.
+fn validate_class_with(
+    engine: &Engine<'_>,
+    workload: &CuratedWorkload,
+    class_id: usize,
+    config: &ValidationConfig,
+    tables: &mut CoutTables<'_>,
+) -> Result<ClassValidation, CurationError> {
     let sample_a = workload.sample_class(class_id, config.sample_size, config.seed)?;
     let sample_b =
         workload.sample_class(class_id, config.sample_size, config.seed.wrapping_add(1))?;
-    let a = observe(engine, workload.template(), &sample_a, config)?;
-    let b = observe(engine, workload.template(), &sample_b, config)?;
+    let a = observe(engine, workload.template(), &sample_a, config, tables)?;
+    let b = observe(engine, workload.template(), &sample_b, config, tables)?;
 
     let (series_a, series_b) = (&a.series, &b.series);
     let pooled: Vec<f64> = series_a.iter().chain(series_b.iter()).copied().collect();
@@ -219,6 +234,7 @@ fn observe(
     template: &QueryTemplate,
     bindings: &[Binding],
     config: &ValidationConfig,
+    tables: &mut CoutTables<'_>,
 ) -> Result<Observed, CurationError> {
     let run_cfg =
         RunConfig { warmup: config.warmup, threads: config.threads, ..RunConfig::default() };
@@ -234,7 +250,7 @@ fn observe(
         let plan = engine.physical_plan(&prepared, &exec);
         seen.shapes.push(plan.shape());
         if config.metric == Metric::Cout {
-            seen.series.push(engine.measure_cout_with(&plan, &exec)? as f64);
+            seen.series.push(engine.measure_cout_with(&plan, &exec, tables)? as f64);
         }
         seen.signatures.push(prepared.signature);
     }

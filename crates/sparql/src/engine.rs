@@ -17,6 +17,7 @@ use parambench_rdf::store::Dataset;
 
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
 use crate::cardinality::{Estimate, Estimator};
+use crate::cout::CoutTables;
 use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, UNBOUND};
 use crate::modifiers::{self, Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, TopK};
@@ -26,8 +27,8 @@ use crate::physical::{
     Project, UnionAll,
 };
 use crate::plan::{
-    Dedup, Fold, JoinMethod, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode,
-    PlanSignature, PlannedPattern, RootGoal, Slot, Sort, TableColSource,
+    Dedup, Fold, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode, PlanSignature,
+    PlannedPattern, RootGoal, Slot, Sort, TableColSource,
 };
 use crate::results::{finalize_bindings, finalize_table, table_from_groups, OutVal, ResultSet};
 use crate::spill::ExternalGroupFold;
@@ -940,7 +941,9 @@ impl<'a> Engine<'a> {
     /// The measured `Cout` of `prepared` — the integer [`Engine::execute`]
     /// reports as [`QueryOutput::cout`] under the engine's configuration —
     /// without the modifiers, decode and [`ResultSet`] an execution builds
-    /// around it: the curation pipeline's measured cost source.
+    /// around it: the curation pipeline's measured cost source. `tables`
+    /// holds the count tables of earlier measurements over the same
+    /// dataset (one value per template domain: see [`CoutTables`]).
     ///
     /// Branches on the physical plan [`Engine::stream`] would lower
     /// ([`Engine::physical_plan`]):
@@ -949,15 +952,23 @@ impl<'a> Engine<'a> {
     /// * a plan that can stop early (a LIMIT behind no fold and no real
     ///   sort, so its `Slice` stops pulling) has the `Cout` of wherever it
     ///   stopped, so it is executed;
-    /// * a plain BGP (no UNION, no OPTIONAL) whose root is a bind join
-    ///   lowers only the root's left side and adds, per left row, the
-    ///   overlay-aware index count of its probe: the root's output is
-    ///   never built, and the top-level FILTERs, which sit above every
-    ///   join, never change `Cout`;
-    /// * anything else drains the pattern part, with no projection,
-    ///   modifier or decode stage above it.
-    pub fn measure_cout(&self, prepared: &Prepared) -> Result<u64, QueryError> {
-        self.measure_cout_with(&self.physical_plan(prepared, &self.exec), &self.exec)
+    /// * a plain BGP (no UNION, no OPTIONAL) whose patterns' incidence
+    ///   graph is a forest is counted, not run: Σ|J| over the recorded
+    ///   tree's join nodes by message passing over index counts
+    ///   ([`crate::cout`]). The top-level FILTERs sit above every join, so
+    ///   they never change `Cout`;
+    /// * anything else (a cyclic BGP, UNION, OPTIONAL) drains the pattern
+    ///   part, with no projection, modifier or decode stage above it.
+    ///
+    /// # Panics
+    ///
+    /// When `tables` count over another dataset than the engine's.
+    pub fn measure_cout(
+        &self,
+        prepared: &Prepared,
+        tables: &mut CoutTables<'_>,
+    ) -> Result<u64, QueryError> {
+        self.measure_cout_with(&self.physical_plan(prepared, &self.exec), &self.exec, tables)
     }
 
     /// [`Engine::measure_cout`] of a plan the caller already recorded
@@ -966,51 +977,40 @@ impl<'a> Engine<'a> {
     /// configuration's thread count or memory budget, so this is the
     /// integer `measure_cout` returns whatever `exec` the plan was
     /// recorded under.
+    ///
+    /// # Panics
+    ///
+    /// When `tables` count over another dataset than the engine's.
     pub fn measure_cout_with(
         &self,
         plan: &PhysicalPlan<'_>,
         exec: &ExecConfig,
+        tables: &mut CoutTables<'_>,
     ) -> Result<u64, QueryError> {
-        let stats = self.measure(plan, exec)?;
-        Ok(stats.cout + stats.cout_optional)
-    }
-
-    /// [`Engine::measure_cout_with`]'s run, as the counters it left.
-    fn measure(&self, plan: &PhysicalPlan<'_>, exec: &ExecConfig) -> Result<ExecStats, QueryError> {
-        let mut stats = ExecStats::default();
+        assert!(std::ptr::eq(tables.dataset(), self.ds), "count tables of another dataset");
         if plan.limit_zero {
-            return Ok(stats);
+            tables.note_counted();
+            return Ok(0);
         }
         let stops_early = plan.fold.is_none()
             && plan.modifiers.limit.is_some()
             && matches!(plan.sort, Sort::None | Sort::Eliminated);
-        if stops_early {
-            return Ok(self.stream_planned(plan, exec, Instant::now())?.collect_output()?.stats);
-        }
         let plain = plan.unions.is_empty() && plan.optionals.is_empty();
-        match &plan.bgp {
-            Some(PhysNode::Join {
-                method: JoinMethod::Bind, left, right, on, signature, ..
-            }) if plain => {
-                let PhysNode::Scan { pattern, .. } = right.as_ref() else {
-                    unreachable!("bind joins probe a scan")
-                };
-                let left = self.lower_bgp(left, plan.morselized, exec);
-                physical::count_bind_join(
-                    self.ds,
-                    left,
-                    pattern,
-                    on,
-                    signature.clone(),
-                    &mut stats,
-                )?;
-            }
-            _ => {
-                let mut op = self.lower_patterns(plan, exec);
-                physical::drain_rest(&mut op, &mut stats)?;
+        if let Some(root) = plan.bgp.as_ref().filter(|_| plain && !stops_early) {
+            if let Some(cout) = tables.count(root) {
+                return Ok(cout);
             }
         }
-        Ok(stats)
+        tables.note_fallback();
+        let stats = if stops_early {
+            self.stream_planned(plan, exec, Instant::now())?.collect_output()?.stats
+        } else {
+            let mut stats = ExecStats::default();
+            let mut op = self.lower_patterns(plan, exec);
+            physical::drain_rest(&mut op, &mut stats)?;
+            stats
+        };
+        Ok(stats.cout + stats.cout_optional)
     }
 
     /// Executes a prepared query as an incrementally drained [`RowStream`]
@@ -1662,41 +1662,5 @@ mod tests {
         assert_eq!(out.results.len(), 1); // ring: 0→1→2
         assert!(out.cout >= 2, "cout = {}", out.cout);
         assert_eq!(out.stats.join_cards.len(), 2);
-    }
-
-    /// The measured-`Cout` path on a BSBM-BI-Q2 shape — a bound product's
-    /// features, then every product sharing one, grouped and top-k'd —
-    /// counts the root bind join's output without it ever being resident:
-    /// only the left side's rows are, and only they are scanned.
-    #[test]
-    fn measured_cout_never_holds_the_root_joins_output() {
-        let mut b = StoreBuilder::new();
-        for i in 0..300 {
-            for f in [i % 5, 5 + i % 3] {
-                let product = Term::iri(format!("prod/{i}"));
-                b.insert(product, Term::iri("feature"), Term::iri(format!("f/{f}")));
-            }
-        }
-        let ds = b.freeze();
-        let engine = Engine::new(&ds);
-        let q = crate::parser::parse_query(
-            "SELECT ?other (COUNT(?f) AS ?shared) WHERE { <prod/0> <feature> ?f . \
-             ?other <feature> ?f . FILTER(?other != <prod/0>) } \
-             GROUP BY ?other ORDER BY DESC(?shared) LIMIT 10",
-        )
-        .unwrap();
-        let prepared = engine.prepare(&q).unwrap();
-        let plan = engine.physical_plan(&prepared, &engine.exec_config());
-        assert_eq!(plan.bgp.as_ref().map(|n| n.method()), Some("BindJoin"));
-
-        let stats = engine.measure(&plan, &engine.exec_config()).unwrap();
-        let out = engine.execute(&prepared).unwrap();
-        // prod/0 has f/0 and f/5, shared by 60 and 100 products.
-        let left_rows = 2;
-        assert_eq!((stats.cout, out.cout), (160, 160));
-        assert_eq!(stats.join_cards, out.stats.join_cards);
-        assert!(stats.peak_tuples <= left_rows, "peak {}", stats.peak_tuples);
-        assert!(stats.scanned < stats.cout, "scanned {}", stats.scanned);
-        assert!(out.stats.peak_tuples > left_rows, "the execution holds the join's rows");
     }
 }

@@ -105,6 +105,7 @@
 
 pub mod ast;
 pub mod cardinality;
+pub mod cout;
 pub mod display;
 pub mod engine;
 pub mod error;
@@ -120,6 +121,7 @@ pub mod spill;
 pub mod template;
 
 pub use ast::SelectQuery;
+pub use cout::CoutTables;
 pub use engine::{Engine, PlanClass, Prepared, QueryOutput, RowStream, StreamEnd};
 pub use error::{ExecError, QueryError};
 pub use exec::{

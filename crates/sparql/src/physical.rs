@@ -624,11 +624,9 @@ impl Operator for HashJoinProbe<'_> {
 
 /// How a bind join probes its pattern for one left row: the pattern's
 /// access mask with the row's join keys bound in, plus the residual checks
-/// every probed triple must pass. The one home of that binding, shared by
-/// [`BindJoin`], which scans each probe, and [`count_bind_join`], which
-/// only counts it. Each probe goes through [`Dataset::probe`] with the
-/// join's own [`ProbeHint`]: left rows sorted by the probe key gallop
-/// forward from the previous probe.
+/// every probed triple must pass. Each probe goes through
+/// [`Dataset::probe`] with the join's own [`ProbeHint`]: left rows sorted
+/// by the probe key gallop forward from the previous probe.
 struct BindProbe {
     /// The pattern's constants; a probe binds the join keys into a copy.
     access: [Option<Id>; 3],
@@ -675,25 +673,6 @@ impl BindProbe {
     #[inline]
     fn passes(&self, triple: &[Id; 3]) -> bool {
         self.eq_pairs.iter().all(|&(i, j)| triple[i] == triple[j])
-    }
-
-    /// The number of triples `left_row`'s probe joins — the bind join's
-    /// output for that row — without building them: the probe's exact
-    /// length, or, when residual checks remain, one pass over the probed
-    /// range (counted in `scanned`, as the operator counts it).
-    fn count(&mut self, ds: &Dataset, left_row: &[Id], stats: &mut ExecStats) -> u64 {
-        let Some(probe) = self.probe(ds, left_row) else {
-            return 0;
-        };
-        if self.eq_pairs.is_empty() {
-            return probe.len() as u64;
-        }
-        let mut n = 0;
-        for triple in probe {
-            stats.scanned += 1;
-            n += u64::from(self.passes(&triple));
-        }
-        n
     }
 }
 
@@ -834,35 +813,6 @@ impl Operator for BindJoin<'_> {
         stats.grow(out.len());
         Ok(Some(out))
     }
-}
-
-/// Counts the output of [`BindJoin`]`(left, pattern)` without building it:
-/// drains `left` and sums [`BindProbe::count`] over its rows, holding one
-/// left batch at a time and never a joined row. Records the count into
-/// `stats` where the operator would — the required `Cout` bucket and the
-/// join's `join_cards` entry.
-pub(crate) fn count_bind_join(
-    ds: &Dataset,
-    mut left: BoxedOperator<'_>,
-    pattern: &PlannedPattern,
-    join_vars: &[usize],
-    signature: String,
-    stats: &mut ExecStats,
-) -> Result<(), ExecError> {
-    let mut probe = BindProbe::new(pattern, left.schema(), join_vars);
-    let mut recorder = JoinCardRecorder::new(signature, CoutBucket::Required);
-    let mut row = vec![UNBOUND; left.schema().len()];
-    while let Some(batch) = left.next_batch(stats)? {
-        let mut n = 0;
-        for r in 0..batch.len() {
-            batch.read_row(r, &mut row);
-            n += probe.count(ds, &row, stats);
-        }
-        recorder.record(stats, n);
-        stats.shrink(batch.len());
-    }
-    recorder.record(stats, 0);
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::error::QueryError;
 use parambench_sparql::results::OutVal;
-use parambench_sparql::{Dedup, ExecConfig, Fold, JoinMethod, PhysNode, Sort, MORSELS_PER_WAVE};
+use parambench_sparql::{
+    CoutTables, Dedup, ExecConfig, Fold, JoinMethod, PhysNode, Sort, MORSELS_PER_WAVE,
+};
 
 fn dataset() -> Dataset {
     let mut b = StoreBuilder::new();
@@ -1149,9 +1151,18 @@ fn measured(engine: &Engine<'_>, text: &str) -> (u64, parambench_sparql::QueryOu
     let query = parambench_sparql::parse_query(text).unwrap();
     let prepared = engine.prepare(&query).unwrap();
     let out = engine.execute(&prepared).unwrap();
-    let cout = engine.measure_cout(&prepared).unwrap();
+    let cout = engine.measure_cout(&prepared, &mut CoutTables::new(engine.dataset())).unwrap();
     assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text}");
     (cout, out)
+}
+
+/// Whether `measure_cout` counts `text` rather than running its plan.
+fn counted(engine: &Engine<'_>, text: &str) -> bool {
+    let prepared = engine.prepare(&parambench_sparql::parse_query(text).unwrap()).unwrap();
+    let mut tables = CoutTables::new(engine.dataset());
+    engine.measure_cout(&prepared, &mut tables).unwrap();
+    assert_eq!(tables.counted() + tables.fallback(), 1, "{text}");
+    tables.counted() == 1
 }
 
 /// The query position of the pattern the recorded plan's root probes,
@@ -1177,6 +1188,7 @@ fn measure_cout_of_limit_zero_is_zero() {
     ] {
         let (cout, out) = measured(&engine, text);
         assert_eq!((cout, out.stats.scanned), (0, 0), "{text}");
+        assert!(counted(&engine, text), "{text}");
     }
 }
 
@@ -1189,6 +1201,7 @@ fn measure_cout_of_an_early_exit_limit_is_the_executions() {
     let engine = Engine::new(&ds);
     let text = "SELECT ?s ?x ?y WHERE { ?s <a> ?x . ?s <b> ?y } LIMIT 5";
     let (cout, _) = measured(&engine, text);
+    assert!(!counted(&engine, text), "an early exit runs its plan");
     let query = parambench_sparql::parse_query(text).unwrap();
     let full = engine.execute_unpushed(&engine.prepare(&query).unwrap()).unwrap();
     assert_eq!(full.cout, star_rows(&ds) as u64);
@@ -1231,6 +1244,7 @@ fn measure_cout_applies_a_root_patterns_repeated_variable() {
     assert_eq!(bind_root_probe(&engine, text), Some(1));
     let (cout, out) = measured(&engine, text);
     assert_eq!((cout, out.results.len()), (26, 26), "one row per self-loop");
+    assert!(counted(&engine, text));
 }
 
 /// `?x <self> ?x` with `?x` the join key binds both positions from the
@@ -1244,14 +1258,16 @@ fn measure_cout_binds_a_join_variable_twice_in_the_root_pattern() {
     // Five of the twenty links target n/5, the only self-looped node.
     let (cout, out) = measured(&engine, text);
     assert_eq!((cout, out.results.len()), (5, 5));
+    assert!(counted(&engine, text));
 }
 
 #[test]
 fn measure_cout_counts_optional_joins() {
     let ds = dataset();
     let engine = Engine::new(&ds);
-    let (cout, out) =
-        measured(&engine, "SELECT * WHERE { ?s <rank> ?r OPTIONAL { ?s <label> ?l } }");
+    let text = "SELECT * WHERE { ?s <rank> ?r OPTIONAL { ?s <label> ?l } }";
+    let (cout, out) = measured(&engine, text);
+    assert!(!counted(&engine, text), "an OPTIONAL runs its plan");
     assert_eq!(out.stats.cout, 0, "the required part is one scan");
     assert_eq!(cout, out.stats.cout_optional);
     assert!(cout >= 10, "every left row is kept");
@@ -1267,6 +1283,7 @@ fn measure_cout_counts_union_joins() {
     ] {
         let (cout, _) = measured(&engine, text);
         assert!(cout > 0, "{text}");
+        assert!(!counted(&engine, text), "a UNION runs its plan: {text}");
     }
 }
 
@@ -1403,7 +1420,10 @@ fn ascending_bind_probes_through_an_overlay_match_a_fresh_freeze() {
 
 /// Every shipped template with four bindings spread over its domain, on its
 /// generator's store and again after a write batch over the predicates it
-/// reads: `measure_cout` is the execution's `Cout`.
+/// reads: `measure_cout` is the execution's `Cout`, measured through one
+/// set of count tables per template, as profiling measures a domain. Every
+/// template is counted but the UNION (LUBM-PEOPLE) and BSBM-CHEAPEST,
+/// whose LIMIT stops early wherever the physical pass eliminates its sort.
 #[test]
 fn measure_cout_matches_execute_on_every_shipped_template() {
     for templates::Family { name, mut ds, requests, inserts } in templates::families(12_000) {
@@ -1413,11 +1433,19 @@ fn measure_cout_matches_execute_on_every_shipped_template() {
             }
             let engine = Engine::new(&ds);
             for (template, bindings) in &requests {
+                let mut tables = CoutTables::new(&ds);
                 for (i, binding) in bindings.iter().enumerate() {
                     let prepared = engine.prepare_template(template, binding).unwrap();
                     let out = engine.execute(&prepared).unwrap();
-                    let cout = engine.measure_cout(&prepared).unwrap();
+                    let cout = engine.measure_cout(&prepared, &mut tables).unwrap();
                     assert_eq!(cout, out.cout, "[{name}/{pass}] {} #{i}", template.name());
+                }
+                let (what, fallback) =
+                    (format!("[{name}/{pass}] {}", template.name()), tables.fallback());
+                match template.name() {
+                    "LUBM-PEOPLE" => assert_eq!(fallback, 4, "{what}"),
+                    "BSBM-CHEAPEST" => {}
+                    _ => assert_eq!(fallback, 0, "{what}"),
                 }
             }
         }

@@ -8,7 +8,9 @@
 //! held to the same bound per left row: its join key is one scratch
 //! buffer, refilled in place. The probes' speed is `benches/engine.rs`'s
 //! `engine/bind_probe_*`; their correctness is the `rdf` index proptest's
-//! and the differential suites'.
+//! and the differential suites'. Measured `Cout` by counting allocates per
+//! measurement, not per row: the same number of times for a parameter
+//! with a handful of matches as for one with thousands.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +19,9 @@ use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::{Id, ProbeHint, Term};
 use parambench_sparql::physical::{BindJoin, LeftOuterJoin};
 use parambench_sparql::plan::{PlannedPattern, Slot};
-use parambench_sparql::{Batch, CoutBucket, ExecError, ExecStats, Operator, BATCH_SIZE};
+use parambench_sparql::{
+    parse_query, Batch, CoutBucket, CoutTables, Engine, ExecError, ExecStats, Operator, BATCH_SIZE,
+};
 
 /// The system allocator, counting the allocations of each thread.
 struct Counting;
@@ -211,5 +215,79 @@ fn dataset_probe_and_count_allocate_nothing() {
             assert_eq!(probed, counted, "a probe reads what count counts");
             assert_eq!(allocs, 0, "{PROBES} probes and counts");
         }
+    }
+}
+
+/// Matches of the large parameter's root pattern: its features, its friends.
+const WIDE: usize = 3_000;
+
+/// A BSBM-BI-Q2 store: `prod/narrow` has three features, `prod/wide` has
+/// `WIDE`, and each feature `f/k` also belongs to `prod/k`. An LDBC-Q2
+/// store beside it: `person/narrow` knows three people, `person/wide`
+/// knows `WIDE`, and person `k` wrote `k % 4` dated posts.
+fn counting_store() -> Dataset {
+    let mut b = StoreBuilder::new();
+    let (feature, knows) = (Term::iri("feature"), Term::iri("knows"));
+    for k in 0..WIDE {
+        let f = Term::iri(format!("f/{k:04}"));
+        b.insert(Term::iri(format!("prod/{k:04}")), feature.clone(), f.clone());
+        b.insert(Term::iri("prod/wide"), feature.clone(), f.clone());
+        if k < 3 {
+            b.insert(Term::iri("prod/narrow"), feature.clone(), f);
+            b.insert(
+                Term::iri("person/narrow"),
+                knows.clone(),
+                Term::iri(format!("person/{k:04}")),
+            );
+        }
+        b.insert(Term::iri("person/wide"), knows.clone(), Term::iri(format!("person/{k:04}")));
+        for j in 0..k % 4 {
+            let post = Term::iri(format!("post/{k:04}/{j}"));
+            b.insert(post.clone(), Term::iri("creator"), Term::iri(format!("person/{k:04}")));
+            b.insert(post, Term::iri("date"), Term::integer((k * 4 + j) as i64));
+        }
+    }
+    b.freeze()
+}
+
+#[test]
+fn counting_cout_allocates_independently_of_the_roots_matches() {
+    let ds = counting_store();
+    let engine = Engine::new(&ds);
+    let exec = engine.exec_config();
+    let bi_q2 = |p: &str| {
+        format!(
+            "SELECT ?other (COUNT(?f) AS ?shared) WHERE {{ <prod/{p}> <feature> ?f . \
+             ?other <feature> ?f . FILTER(?other != <prod/{p}>) }} \
+             GROUP BY ?other ORDER BY DESC(?shared) LIMIT 10"
+        )
+    };
+    let ldbc_q2 = |p: &str| {
+        format!(
+            "SELECT ?post ?date WHERE {{ <person/{p}> <knows> ?friend . \
+             ?post <creator> ?friend . ?post <date> ?date }} ORDER BY DESC(?date) LIMIT 20"
+        )
+    };
+    for (shape, query) in [("BI-Q2", &bi_q2 as &dyn Fn(&str) -> String), ("LDBC-Q2", &ldbc_q2)] {
+        let prepared =
+            ["narrow", "wide"].map(|p| engine.prepare(&parse_query(&query(p)).unwrap()).unwrap());
+        assert_eq!(prepared[0].signature, prepared[1].signature, "{shape}: one logical plan");
+        let plans = [0, 1].map(|i| engine.physical_plan(&prepared[i], &exec));
+        // Warm: every message the wide parameter needs is in the tables,
+        // and every single-pattern table that fills has filled (each
+        // pattern has been probed more often than it has matches).
+        let mut tables = CoutTables::new(&ds);
+        for plan in plans.iter().cycle().take(6) {
+            engine.measure_cout_with(plan, &exec, &mut tables).unwrap();
+        }
+        let [(narrow, narrow_allocs), (wide, wide_allocs)] = [0, 1].map(|i| {
+            allocations(|| engine.measure_cout_with(&plans[i], &exec, &mut tables).unwrap())
+        });
+        assert_eq!(tables.fallback(), 0, "{shape}: counted");
+        assert!(wide > 100 * narrow.max(1), "{shape}: Cout {narrow} against {wide}");
+        assert_eq!(
+            narrow_allocs, wide_allocs,
+            "{shape}: allocations grow with the root's matches (Cout {narrow} against {wide})"
+        );
     }
 }

@@ -56,7 +56,7 @@ use proptest::prelude::*;
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
 use parambench_sparql::engine::Engine;
-use parambench_sparql::{parse_query, ExecConfig, PlanSignature, QueryOutput};
+use parambench_sparql::{parse_query, CoutTables, ExecConfig, PlanSignature, QueryOutput};
 
 /// Builds a random dataset over small vocabularies so joins actually hit.
 /// Predicate 3 carries small-integer objects, so aggregates and ORDER BY
@@ -414,16 +414,18 @@ fn check_case(ds: &Dataset, text: &str, limit_present: bool) -> (PlanSignature, 
     let pushed = run(&engine.exec_config());
     // The measured-cost path curation profiles with must return the very
     // integer the execution it stands in for reports — LIMIT early exit
-    // included — under every configuration swept below.
-    let measured = |exec: &ExecConfig, out: &QueryOutput| {
+    // included — under every configuration swept below, through count
+    // tables shared across them.
+    let mut tables = CoutTables::new(ds);
+    let mut measured = |exec: &ExecConfig, out: &QueryOutput| {
         let cout = Engine::with_exec_config(ds, *exec)
-            .measure_cout(&prepared)
+            .measure_cout(&prepared, &mut tables)
             .unwrap_or_else(|e| panic!("measure_cout {text:?} under {exec:?}: {e}"));
         assert_eq!(cout, out.cout, "measure_cout diverges from execute for {text} under {exec:?}");
         // Validation's form: a plan recorded under `exec`, measured by an
         // engine configured otherwise.
         let cout = engine
-            .measure_cout_with(&engine.physical_plan(&prepared, exec), exec)
+            .measure_cout_with(&engine.physical_plan(&prepared, exec), exec, &mut tables)
             .unwrap_or_else(|e| panic!("measure_cout_with {text:?} under {exec:?}: {e}"));
         assert_eq!(cout, out.cout, "measure_cout_with diverges from execute for {text}");
     };
@@ -570,6 +572,73 @@ proptest! {
         if let Some(l) = limit {
             text.push_str(&format!(" LIMIT {l}"));
         }
+        check_twins(&triples, &text, limit.is_some());
+    }
+}
+
+/// A triple pattern with a variable object: with no constant to miss, the
+/// body of a draw has rows on nearly every store.
+fn arb_var_pattern() -> impl Strategy<Value = PatternSpec> {
+    (0u8..4, 0u8..3, 0u8..4).prop_map(|(s_var, pred, v)| PatternSpec { s_var, pred, obj: Ok(v) })
+}
+
+/// `SELECT DISTINCT` of the drawn variables outside the ORDER BY keys,
+/// under those keys (at least one descending); `None` when every variable
+/// is a key.
+fn render_hidden_keys(
+    vars: &[String],
+    body: &str,
+    project: &[u8],
+    order: &[(u8, bool)],
+    limit: Option<u8>,
+) -> Option<String> {
+    let keys: Vec<(&String, bool)> =
+        order.iter().map(|&(ix, desc)| (&vars[ix as usize % vars.len()], desc)).collect();
+    let hidden = |v: &String| keys.iter().any(|(k, _)| *k == v);
+    let mut proj: Vec<&String> = Vec::new();
+    for v in project.iter().map(|&p| &vars[p as usize % vars.len()]) {
+        if !hidden(v) && !proj.contains(&v) {
+            proj.push(v);
+        }
+    }
+    if proj.is_empty() {
+        proj.push(vars.iter().find(|v| !hidden(v))?);
+    }
+    let mut text = String::from("SELECT DISTINCT ");
+    for v in &proj {
+        text.push_str(&format!("?{v} "));
+    }
+    text.push_str(&format!("WHERE {{ {body}}} ORDER BY"));
+    for (i, (v, desc)) in keys.iter().enumerate() {
+        let desc = *desc || i == 0;
+        text.push_str(&format!(" {}(?{v})", if desc { "DESC" } else { "ASC" }));
+    }
+    ModSpec::push_slice(&mut text, limit, None);
+    Some(text)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// DISTINCT under ORDER BY keys it does not project keeps, per
+    /// projected value, the row that sorts first — not the one that
+    /// arrives first. Arrival is in index order, ascending, so a
+    /// descending unprojected key orders a value's duplicates against
+    /// arrival: a dedup run before the sort picks the wrong representative
+    /// and the values come out in another order. Dense bodies (variable
+    /// objects, no FILTER, no OPTIONAL) make such duplicates common.
+    #[test]
+    fn distinct_under_unprojected_sort_keys_matches_oracle(
+        triples in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 20..60),
+        required in prop::collection::vec(arb_var_pattern(), 1..3),
+        project in prop::collection::vec(0u8..8, 1..3),
+        order in prop::collection::vec((0u8..8, any::<bool>()), 1..3),
+        limit in prop::option::of(1u8..12),
+    ) {
+        let (body, vars) = build_body(&required, &None, &[]);
+        let Some(text) = render_hidden_keys(&vars, &body, &project, &order, limit) else {
+            return Ok(());
+        };
         check_twins(&triples, &text, limit.is_some());
     }
 }

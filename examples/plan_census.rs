@@ -21,10 +21,13 @@
 //! over 512 person × country-pair bindings; the LUBM templates over their
 //! whole domains (at most 512 bindings each).
 //!
-//! Stderr gets one line per template: how many of its bindings recorded
+//! Stderr gets two lines per template: how many of its bindings recorded
 //! each morsel, fold, dedup and sort strategy (`PhysicalPlan::morselized`,
-//! `fold`, `dedup`, `sort`). It is the evidence for keeping or deleting a
-//! specialised strategy, and it leaves stdout `cmp`-able:
+//! `fold`, `dedup`, `sort`), then how many had their measured `Cout`
+//! counted and how many ran their plan (`cout: counted N / fallback M`,
+//! measured through one `CoutTables` per template, as profiling measures
+//! a domain). It is the evidence for keeping or deleting a specialised
+//! strategy, and it leaves stdout `cmp`-able:
 //!
 //! ```text
 //! cargo run --release --example plan_census 2>&1 >/dev/null | grep LDBC-Q3
@@ -44,7 +47,7 @@ use parambench::curation::ParameterDomain;
 use parambench::datagen::bsbm::schema as bsbm_schema;
 use parambench::datagen::{Bsbm, BsbmConfig, Lubm, LubmConfig, Snb, SnbConfig};
 use parambench::rdf::{Dataset, Term};
-use parambench::sparql::{Engine, ExecConfig, QueryTemplate};
+use parambench::sparql::{CoutTables, Engine, ExecConfig, QueryTemplate};
 
 /// Default store scale of every generated dataset (the benchmark's full
 /// scale).
@@ -60,11 +63,15 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
     for (template, domain) in cases {
         // Recorded strategy → bindings that recorded it.
         let mut tally: BTreeMap<String, usize> = BTreeMap::new();
+        let mut tables = CoutTables::new(ds);
         for binding in domain.enumerate(BINDINGS, SEED) {
             let prepared = engine
                 .prepare_template(template, &binding)
                 .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
             let plan = engine.physical_plan(&prepared, &exec);
+            engine
+                .measure_cout_with(&plan, &exec, &mut tables)
+                .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
             let fold = plan.fold.map_or_else(|| "none".to_string(), |f| format!("{f:?}"));
             for strategy in [
                 format!("morsels: {}", plan.morselized),
@@ -84,6 +91,8 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
         }
         let counts: Vec<String> = tally.iter().map(|(s, n)| format!("{s} ×{n}")).collect();
         eprintln!("{}\t{}", template.name(), counts.join(", "));
+        let (counted, fallback) = (tables.counted(), tables.fallback());
+        eprintln!("{}\tcout: counted {counted} / fallback {fallback}", template.name());
     }
 }
 
