@@ -6,8 +6,13 @@
 //! profiling (one `Engine::measure_cout` per binding, the LDBC production
 //! variant), on BSBM-BI-Q4. `curation/profile_measured_ldbc_q2` is the
 //! measured profile the `curate` workload runs: LDBC-Q2 over every person
-//! of a 150k-triple SNB store, one set of count tables per call. The
-//! validation pair prices P1–P3 on `Metric::Cout`
+//! of a 150k-triple SNB store, one set of count tables per call;
+//! `curation/profile_estimated_ldbc_q3` is the estimated profile it runs,
+//! LDBC-Q3 over 2 000 person × country-pair bindings of the same store.
+//! `curation/bind_<template>` binds a template plan built once
+//! (`Engine::template_plan`) to 512 bindings of each template `curate`
+//! profiles, on 150k-triple stores: the per-binding planning floor of
+//! profiling. The validation pair prices P1–P3 on `Metric::Cout`
 //! (`curation/validate_cout`) against fully executing the same two samples
 //! per class (`curation/run_workload`), one thread each.
 
@@ -65,6 +70,49 @@ fn curation_benches(c: &mut Criterion) {
             )
         })
     });
+
+    let pairs = ParameterDomain::new()
+        .with("person", snb.person_iris())
+        .with("countryX", snb.country_iris())
+        .with("countryY", snb.country_iris());
+    let estimated = ProfileConfig::default();
+    c.bench_function("curation/profile_estimated_ldbc_q3", |b| {
+        b.iter(|| {
+            black_box(
+                profile_domain(&snb_engine, &Snb::q3_two_countries(), &pairs, &estimated).unwrap(),
+            )
+        })
+    });
+
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
+    let bsbm_engine = Engine::new(&bsbm.dataset);
+    let binds = [
+        (
+            "bi_q4",
+            &bsbm_engine,
+            Bsbm::q4_feature_price_by_type(),
+            ParameterDomain::single("type", bsbm.type_iris()),
+        ),
+        (
+            "bi_q2",
+            &bsbm_engine,
+            Bsbm::q2_similar_products(),
+            ParameterDomain::single("product", bsbm.product_iris()),
+        ),
+        ("ldbc_q2", &snb_engine, Snb::q2_friend_posts(), persons.clone()),
+        ("ldbc_q3", &snb_engine, Snb::q3_two_countries(), pairs),
+    ];
+    for (name, engine, template, domain) in &binds {
+        let bindings = domain.enumerate(512, 26);
+        let mut plan = engine.template_plan(template).unwrap();
+        c.bench_function(&format!("curation/bind_{name}"), |b| {
+            b.iter(|| {
+                for binding in &bindings {
+                    black_box(plan.bind(binding).unwrap());
+                }
+            })
+        });
+    }
 
     let profiles = profile_domain(&engine, &template, &domain, &ProfileConfig::default()).unwrap();
     c.bench_function("curation/cluster_only", |b| {

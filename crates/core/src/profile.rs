@@ -51,9 +51,12 @@ pub struct BindingProfile {
 /// [`profile_bindings`] call) — tighter classes on queries whose true cost
 /// is hard to estimate (e.g. LDBC Q2, where posts-per-friend varies widely
 /// around the independence-assumption estimate). No operator runs for a
-/// plain acyclic BGP: on 150k-triple stores (two-core VM, 512 bindings)
-/// the measurement costs about 2 µs per BSBM-BI-Q2 binding and 10–14 µs
-/// per LDBC-Q2 binding, against 260 µs and 120 µs for a full execution.
+/// plain acyclic BGP. On 150k-triple stores (two-core VM, 512 bindings,
+/// best of 15 passes) profiling one binding costs 1.4 µs on BSBM-BI-Q4 and
+/// 3.7 µs on LDBC-Q3 under the estimated cost — a bind of the template
+/// plan, 1.2 and 2.9 µs of it — and 3.8 µs on BSBM-BI-Q2 and 14 µs on
+/// LDBC-Q2 under the measured cost, of which the count is 2.3 µs and
+/// 11–12 µs, against 260 µs and 120 µs for a full execution.
 /// P1–P3 validation on [`crate::Metric::Cout`] measures its samples the
 /// same way ([`crate::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,8 +104,9 @@ pub fn profile_domain(
     profile_bindings(engine, template, &bindings, config.cost_source)
 }
 
-/// Profiles an explicit binding list. Measured costs share one
-/// [`CoutTables`] across the list.
+/// Profiles an explicit binding list: the template is planned once
+/// ([`Engine::template_plan`]) and bound per binding. Measured costs share
+/// one [`CoutTables`] across the list.
 pub fn profile_bindings(
     engine: &Engine<'_>,
     template: &QueryTemplate,
@@ -111,8 +115,9 @@ pub fn profile_bindings(
 ) -> Result<Vec<BindingProfile>, CurationError> {
     let mut out = Vec::with_capacity(bindings.len());
     let mut tables = CoutTables::new(engine.dataset());
+    let mut plan = engine.template_plan(template)?;
     for b in bindings {
-        let prepared = engine.prepare_template(template, b)?;
+        let prepared = plan.bind(b)?;
         let cost = match cost_source {
             CostSource::EstimatedCout => prepared.est_cout,
             CostSource::MeasuredCout => engine.measure_cout(&prepared, &mut tables)? as f64,

@@ -222,8 +222,10 @@ struct Observed {
     shapes: Vec<String>,
 }
 
-/// Measures one sample. Each binding is prepared once and its physical
-/// plan recorded under the configuration [`run_workload`] executes with.
+/// Measures one sample. The template is planned once
+/// ([`Engine::template_plan`]); each binding is bound once and its
+/// physical plan recorded under the configuration [`run_workload`]
+/// executes with.
 /// Under [`Metric::Cout`] the value is [`Engine::measure_cout_with`] of
 /// that plan, the integer a full execution reports, obtained without one
 /// and without a second physical pass; the timed
@@ -245,8 +247,9 @@ fn observe(
         signatures: Vec::with_capacity(n),
         shapes: Vec::with_capacity(n),
     };
+    let mut template_plan = engine.template_plan(template)?;
     for binding in bindings {
-        let prepared = engine.prepare_template(template, binding)?;
+        let prepared = template_plan.bind(binding)?;
         let plan = engine.physical_plan(&prepared, &exec);
         seen.shapes.push(plan.shape());
         if config.metric == Metric::Cout {

@@ -83,7 +83,8 @@ impl RunConfig {
 }
 
 /// Runs every binding once (after `warmup` untimed runs each) and collects
-/// measurements in input order.
+/// measurements in input order. The template is planned once
+/// ([`Engine::template_plan`]) and bound per binding.
 pub fn run_workload(
     engine: &Engine<'_>,
     template: &QueryTemplate,
@@ -92,8 +93,9 @@ pub fn run_workload(
 ) -> Result<Vec<Measurement>, CurationError> {
     let exec = config.exec_config(engine);
     let mut out = Vec::with_capacity(bindings.len());
+    let mut plan = engine.template_plan(template)?;
     for b in bindings {
-        let prepared = engine.prepare_template(template, b)?;
+        let prepared = plan.bind(b)?;
         for _ in 0..config.warmup {
             let _ = engine.execute_with(&prepared, &exec)?;
         }

@@ -17,13 +17,62 @@
 //! parameter choices flip the *estimated* cheapest plan, and that effect
 //! needs a reasonable (not oracle, not broken) estimator to manifest.
 
-use std::collections::HashMap;
-
 use parambench_rdf::dict::Id;
 use parambench_rdf::index::IndexOrder;
 use parambench_rdf::store::Dataset;
 
-use crate::plan::{ModifierPlan, PlannedPattern};
+use crate::plan::{ModifierPlan, PlannedPattern, Slot};
+
+/// The most variable slots one query may hold: an [`Estimate`]'s distinct
+/// counts are indexed by slot up to it, and the optimizer's variable sets
+/// are bitmasks of this width.
+pub(crate) const MAX_VARS: usize = 64;
+
+/// Star predicates held inline; a longer star keeps them on the heap.
+const INLINE_PREDS: usize = 8;
+
+/// The predicates of a star, as a multiset in pattern order (a predicate
+/// queried twice, e.g. `hasBeenIn X` and `hasBeenIn Y`, appears twice).
+/// Up to eight of them are held inline, so merging two stars of at most
+/// eight patterns allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StarPreds {
+    len: usize,
+    /// The predicates while they fit; unused entries stay `Id(0)`.
+    inline: [Id; INLINE_PREDS],
+    /// All the predicates once they do not fit.
+    spilled: Vec<Id>,
+}
+
+impl StarPreds {
+    fn one(p: Id) -> Self {
+        let mut inline = [Id(0); INLINE_PREDS];
+        inline[0] = p;
+        StarPreds { len: 1, inline, spilled: Vec::new() }
+    }
+
+    /// `a`'s predicates followed by `b`'s.
+    fn concat(a: &StarPreds, b: &StarPreds) -> Self {
+        let len = a.len + b.len;
+        let mut out = StarPreds { len, inline: [Id(0); INLINE_PREDS], spilled: Vec::new() };
+        if len <= INLINE_PREDS {
+            out.inline[..a.len].copy_from_slice(a.as_slice());
+            out.inline[a.len..len].copy_from_slice(b.as_slice());
+        } else {
+            out.spilled = [a.as_slice(), b.as_slice()].concat();
+        }
+        out
+    }
+
+    /// The predicates, in pattern order.
+    pub fn as_slice(&self) -> &[Id] {
+        if self.len <= INLINE_PREDS {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
 
 /// Star-shape bookkeeping: when a (sub)plan is a pure subject-star (every
 /// pattern shares one subject variable, all predicates bound), the
@@ -33,11 +82,104 @@ use crate::plan::{ModifierPlan, PlannedPattern};
 pub struct StarInfo {
     /// The shared subject variable slot.
     pub var: usize,
-    /// Predicates of the star, as a multiset (a predicate queried twice,
-    /// e.g. `hasBeenIn X` and `hasBeenIn Y`, appears twice).
-    pub preds: Vec<Id>,
+    /// Predicates of the star.
+    pub preds: StarPreds,
     /// Product of bound-object selectivities of the star's patterns.
     pub selectivity: f64,
+}
+
+/// Slots whose distinct counts are held inline; a query with a variable
+/// at or past it keeps its counts on the heap.
+const INLINE_VARS: usize = 16;
+
+/// Per-variable distinct counts, dense by slot: iteration in slot order,
+/// and no allocation while every slot is below 16. Only the slots in
+/// `present` hold a count; every other entry stays 0.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistinctCounts {
+    present: u64,
+    counts: Counts,
+}
+
+/// The storage of [`DistinctCounts`], indexed by slot.
+#[derive(Debug, Clone, PartialEq)]
+enum Counts {
+    Inline([f64; INLINE_VARS]),
+    Spilled(Box<[f64; MAX_VARS]>),
+}
+
+impl Default for DistinctCounts {
+    fn default() -> Self {
+        DistinctCounts { present: 0, counts: Counts::Inline([0.0; INLINE_VARS]) }
+    }
+}
+
+impl DistinctCounts {
+    /// The count of slot `var`, if it has one.
+    pub fn get(&self, var: usize) -> Option<f64> {
+        (var < MAX_VARS && self.present >> var & 1 == 1).then(|| self.slots()[var])
+    }
+
+    fn slots(&self) -> &[f64] {
+        match &self.counts {
+            Counts::Inline(counts) => counts,
+            Counts::Spilled(counts) => &counts[..],
+        }
+    }
+
+    /// Sets the count of slot `var`.
+    ///
+    /// # Panics
+    ///
+    /// When `var` is not below [`MAX_VARS`] (a query planned through the
+    /// engine has no such slot: it is refused with more variables).
+    pub(crate) fn insert(&mut self, var: usize, d: f64) {
+        assert!(var < MAX_VARS, "more than {MAX_VARS} variables in one query");
+        if let Counts::Inline(inline) = &self.counts {
+            if var >= INLINE_VARS {
+                let mut spilled = Box::new([0.0; MAX_VARS]);
+                spilled[..INLINE_VARS].copy_from_slice(inline);
+                self.counts = Counts::Spilled(spilled);
+            }
+        }
+        self.present |= 1 << var;
+        match &mut self.counts {
+            Counts::Inline(counts) => counts[var] = d,
+            Counts::Spilled(counts) => counts[var] = d,
+        }
+    }
+
+    /// Lowers the count of slot `var` to `d`, or sets it when absent.
+    fn min_in(&mut self, var: usize, d: f64) {
+        self.insert(var, self.get(var).map_or(d, |cur| cur.min(d)));
+    }
+
+    /// The counts of a join of sides counted `a` and `b` producing `card`
+    /// rows: per slot the smaller side's count, capped by `card`.
+    fn joined(a: &DistinctCounts, b: &DistinctCounts, card: f64) -> DistinctCounts {
+        let mut out = a.clone();
+        for (v, d) in b.iter() {
+            out.min_in(v, d);
+        }
+        for v in slots_of(out.present) {
+            out.insert(v, out.slots()[v].min(card));
+        }
+        out
+    }
+
+    /// The slots holding a count, with their counts, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        slots_of(self.present).map(|v| (v, self.slots()[v]))
+    }
+}
+
+/// The set bits of `mask` (a variable set), lowest first.
+pub(crate) fn slots_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let v = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(v)
+    })
 }
 
 /// Cardinality and per-variable distinct-count estimate for a (sub)plan.
@@ -46,7 +188,7 @@ pub struct Estimate {
     /// Estimated number of rows.
     pub card: f64,
     /// Estimated number of distinct values per variable slot.
-    pub distinct: HashMap<usize, f64>,
+    pub distinct: DistinctCounts,
     /// Present while the subplan remains a pure subject-star.
     pub star: Option<StarInfo>,
 }
@@ -54,7 +196,7 @@ pub struct Estimate {
 impl Estimate {
     /// Distinct estimate for a var, defaulting to the row count.
     pub fn distinct_of(&self, var: usize) -> f64 {
-        self.distinct.get(&var).copied().unwrap_or(self.card)
+        self.distinct.get(var).unwrap_or(self.card)
     }
 }
 
@@ -85,23 +227,23 @@ impl<'a> Estimator<'a> {
 
     /// Estimate for a single pattern scan. Exact cardinality; exact or
     /// near-exact per-var distinct counts.
+    ///
+    /// # Panics
+    ///
+    /// When a variable slot of `pattern` is 64 or more.
     pub fn scan(&self, pattern: &PlannedPattern) -> Estimate {
+        let mut distinct = DistinctCounts::default();
         if pattern.has_absent() {
-            return Estimate { card: 0.0, distinct: HashMap::new(), star: None };
+            return Estimate { card: 0.0, distinct, star: None };
         }
         let access = pattern.access();
         let card = self.ds.count(access) as f64;
-        let mut distinct = HashMap::new();
-        let var_positions: Vec<(usize, usize)> = pattern
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, s)| s.as_var().map(|v| (pos, v)))
-            .collect();
-        for &(pos, var) in &var_positions {
+        let free = pattern.slots.iter().filter(|s| s.as_var().is_some()).count();
+        for (pos, slot) in pattern.slots.iter().enumerate() {
+            let Slot::Var(var) = *slot else { continue };
             let d = if card == 0.0 {
                 0.0
-            } else if var_positions.len() == 1 {
+            } else if free == 1 {
                 // Only free position: every matching triple has a distinct
                 // value there (triples are unique).
                 card
@@ -109,16 +251,14 @@ impl<'a> Estimator<'a> {
                 self.distinct_position(access, pos).min(card)
             };
             // A variable repeated within one pattern keeps the smaller count.
-            distinct.entry(var).and_modify(|cur: &mut f64| *cur = cur.min(d)).or_insert(d);
+            distinct.min_in(var, d);
         }
         // Star bookkeeping: subject is a variable not reused elsewhere in
         // the pattern, predicate is bound.
         let star = match (pattern.slots[0], pattern.slots[1]) {
-            (crate::plan::Slot::Var(sv), crate::plan::Slot::Bound(p))
-                if pattern.slots[2].as_var() != Some(sv) =>
-            {
+            (Slot::Var(sv), Slot::Bound(p)) if pattern.slots[2].as_var() != Some(sv) => {
                 let selectivity = match pattern.slots[2] {
-                    crate::plan::Slot::Bound(_) => {
+                    Slot::Bound(_) => {
                         let total =
                             self.ds.stats().predicate(p).map(|s| s.triples as f64).unwrap_or(0.0);
                         if total > 0.0 {
@@ -129,7 +269,7 @@ impl<'a> Estimator<'a> {
                     }
                     _ => 1.0,
                 };
-                Some(StarInfo { var: sv, preds: vec![p], selectivity })
+                Some(StarInfo { var: sv, preds: StarPreds::one(p), selectivity })
             }
             _ => None,
         };
@@ -166,26 +306,25 @@ impl<'a> Estimator<'a> {
 
     /// Join estimate: characteristic sets for pure subject-star merges,
     /// independence + containment of value sets otherwise.
+    ///
+    /// A slot's count in the result is the minimum of its counts on the two
+    /// sides, capped by the output cardinality: a `min`, so the result does
+    /// not depend on the order the slots are visited in.
     pub fn join(&self, left: &Estimate, right: &Estimate, join_vars: &[usize]) -> Estimate {
         // Star merge: both sides are stars on the same variable, and that
         // variable is the only join key.
         let star = match (&left.star, &right.star, join_vars) {
             (Some(a), Some(b), [v]) if self.use_char_sets && a.var == *v && b.var == *v => {
-                let mut preds = a.preds.clone();
-                preds.extend_from_slice(&b.preds);
+                let preds = StarPreds::concat(&a.preds, &b.preds);
                 Some(StarInfo { var: *v, preds, selectivity: a.selectivity * b.selectivity })
             }
             _ => None,
         };
         if let Some(info) = star {
-            let est = self.ds.char_sets().star(&info.preds);
+            let est = self.ds.char_sets().star(info.preds.as_slice());
             let card = est.tuples * info.selectivity;
             let subjects = (est.subjects * info.selectivity.min(1.0)).min(card.max(0.0));
-            let mut distinct = HashMap::new();
-            for (&v, &d) in left.distinct.iter().chain(right.distinct.iter()) {
-                let entry = distinct.entry(v).or_insert(d);
-                *entry = entry.min(d).min(card);
-            }
+            let mut distinct = DistinctCounts::joined(&left.distinct, &right.distinct, card);
             distinct.insert(info.var, subjects.max(0.0));
             return Estimate { card, distinct, star: Some(info) };
         }
@@ -195,18 +334,7 @@ impl<'a> Estimator<'a> {
             let d = left.distinct_of(v).max(right.distinct_of(v)).max(1.0);
             card /= d;
         }
-        // Propagate distinct counts, capped by the output cardinality.
-        let mut distinct = HashMap::new();
-        for (&v, &d) in left.distinct.iter() {
-            let d = match right.distinct.get(&v) {
-                Some(&rd) => d.min(rd),
-                None => d,
-            };
-            distinct.insert(v, d.min(card));
-        }
-        for (&v, &d) in right.distinct.iter() {
-            distinct.entry(v).or_insert(d.min(card));
-        }
+        let distinct = DistinctCounts::joined(&left.distinct, &right.distinct, card);
         Estimate { card, distinct, star: None }
     }
 

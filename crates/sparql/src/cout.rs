@@ -19,10 +19,12 @@
 //!   has matches: then one scan of its matches fills its table, and every
 //!   later message is a lookup. From a subtree of two or more patterns it
 //!   is the same sum of products over the subtree's top pattern, memoised
-//!   per joining value. Both kinds of table live in the caller's
-//!   [`CoutTables`], keyed by the subtree's patterns with their constants
-//!   included — so a subtree that holds no parameter has one table for a
-//!   whole template domain (LDBC's precomputed count tables);
+//!   per joining value unless the subtree holds a template parameter
+//!   (`PhysicalPlan::param_patterns`), whose messages change with every
+//!   binding. Both kinds of table live in the caller's [`CoutTables`],
+//!   keyed by the subtree's patterns with their constants included — so a
+//!   subtree that holds no parameter has one table for a whole template
+//!   domain (LDBC's precomputed count tables);
 //! * a disconnected J is the product of its components.
 //!
 //! Components of different join nodes that share their root are counted
@@ -71,8 +73,39 @@ pub struct CoutTables<'a> {
     stack: Vec<u64>,
     /// The key being looked up.
     key: Vec<[u64; 3]>,
+    /// The leaf-order positions of the patterns of the measurement being
+    /// counted that hold a template parameter (a bit set): a subtree
+    /// holding one is not memoised, since its messages change with the
+    /// binding.
+    params: u64,
+    /// The buffers of one measurement, kept for the next.
+    scratch: Scratch,
     counted: u64,
     fallback: u64,
+    lookups: u64,
+    hits: u64,
+}
+
+/// The per-measurement buffers of [`CoutTables::count`], reused from one
+/// measurement to the next so that a warm measurement allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The plan's leaf patterns in tree order.
+    patterns: Vec<PlannedPattern>,
+    /// Per join node, the range of `patterns` its subtree covers.
+    joins: Vec<Range<usize>>,
+    /// Each pattern's matches.
+    extents: Vec<u64>,
+    /// Every join's components: (join, patterns as a bit set, root).
+    components: Vec<(usize, u64, usize)>,
+    /// Per join node, its size.
+    sizes: Vec<u64>,
+    /// The components of one walk, as bit sets of patterns.
+    members: Vec<u64>,
+    /// Union-find parents of [`is_forest`].
+    parent: Vec<usize>,
+    /// Variables of [`is_forest`], in first-seen order.
+    vars: Vec<usize>,
 }
 
 /// The memoised messages of one subtree, by joining value. A subtree of
@@ -147,8 +180,12 @@ impl<'a> CoutTables<'a> {
             hints: Vec::new(),
             stack: Vec::new(),
             key: Vec::new(),
+            params: 0,
+            scratch: Scratch::default(),
             counted: 0,
             fallback: 0,
+            lookups: 0,
+            hits: 0,
         }
     }
 
@@ -169,6 +206,16 @@ impl<'a> CoutTables<'a> {
         self.fallback
     }
 
+    /// Lookups of a memoised message of a subtree of two or more patterns.
+    pub fn memo_lookups(&self) -> u64 {
+        self.lookups
+    }
+
+    /// Lookups that found the message ([`CoutTables::memo_lookups`]).
+    pub fn memo_hits(&self) -> u64 {
+        self.hits
+    }
+
     pub(crate) fn note_counted(&mut self) {
         self.counted += 1;
     }
@@ -179,63 +226,86 @@ impl<'a> CoutTables<'a> {
 
     /// Σ|J| over the join nodes J of `root`, or `None` (nothing noted) when
     /// its patterns' incidence graph holds a cycle or they are more than
-    /// 64.
-    pub(crate) fn count(&mut self, root: &PhysNode) -> Option<u64> {
-        let (mut patterns, mut joins) = (Vec::new(), Vec::new());
-        collect(root, &mut patterns, &mut joins);
-        if patterns.len() > 64 || !is_forest(&patterns) {
+    /// 64. `params` is the `PlannedPattern::idx` bit set of the patterns
+    /// holding a template parameter.
+    pub(crate) fn count(&mut self, root: &PhysNode, params: u64) -> Option<u64> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let cout = self.count_in(&mut scratch, root, params);
+        self.scratch = scratch;
+        cout
+    }
+
+    /// [`CoutTables::count`] through the buffers `s`.
+    fn count_in(&mut self, s: &mut Scratch, root: &PhysNode, params: u64) -> Option<u64> {
+        s.patterns.clear();
+        s.joins.clear();
+        collect(root, &mut s.patterns, &mut s.joins);
+        if s.patterns.len() > 64 || !is_forest(&s.patterns, &mut s.parent, &mut s.vars) {
             return None;
         }
-        let extents: Vec<u64> = patterns
-            .iter()
-            .map(|p| if p.has_absent() { 0 } else { self.ds.count(p.access()) as u64 })
-            .collect();
-        // Every join's components: (join, patterns as a bit set, root).
-        let mut components: Vec<(usize, u64, usize)> = Vec::new();
-        let mut sizes = vec![1u64; joins.len()];
-        for (j, range) in joins.iter().enumerate() {
-            if patterns[range.clone()].iter().any(|p| p.has_absent()) {
-                sizes[j] = 0;
+        self.params = (s.patterns.iter().enumerate())
+            .filter(|(_, p)| p.idx < 64 && params >> p.idx & 1 == 1)
+            .fold(0, |m, (i, _)| m | 1 << i);
+        s.extents.clear();
+        s.extents.extend(s.patterns.iter().map(|p| {
+            if p.has_absent() {
+                0
+            } else {
+                self.ds.count(p.access()) as u64
+            }
+        }));
+        s.components.clear();
+        s.sizes.clear();
+        s.sizes.resize(s.joins.len(), 1);
+        for (j, range) in s.joins.iter().enumerate() {
+            if s.patterns[range.clone()].iter().any(|p| p.has_absent()) {
+                s.sizes[j] = 0;
                 continue;
             }
             let mut rest = range.clone().fold(0u64, |m, p| m | 1 << p);
             while rest != 0 {
-                let root = bits(rest).min_by_key(|&p| (extents[p], p)).expect("rest is non-empty");
-                let members = component(&patterns, root, rest);
-                components.push((j, members, root));
+                let root =
+                    bits(rest).min_by_key(|&p| (s.extents[p], p)).expect("rest is non-empty");
+                let members = component(&s.patterns, root, rest);
+                s.components.push((j, members, root));
                 rest &= !members;
             }
         }
-        // One walk per root, over every component rooted there.
-        components.sort_by_key(|&(_, _, root)| root);
-        for group in components.chunk_by(|a, b| a.2 == b.2) {
-            let messages = self.walk(&patterns, &extents, group);
+        // One walk per root, over every component rooted there (the two
+        // components of one join have different roots, so the key is
+        // unique).
+        s.components.sort_unstable_by_key(|&(j, _, root)| (root, j));
+        for group in s.components.chunk_by(|a, b| a.2 == b.2) {
+            s.members.clear();
+            s.members.extend(group.iter().map(|&(_, m, _)| m));
+            let messages = self.walk(&s.patterns, &s.extents, &s.members, group[0].2);
             for (&(j, _, _), m) in group.iter().zip(messages) {
-                sizes[j] = sizes[j].saturating_mul(*m);
+                s.sizes[j] = s.sizes[j].saturating_mul(*m);
             }
         }
         self.note_counted();
-        Some(sizes.into_iter().fold(0u64, u64::saturating_add))
+        Some(s.sizes.iter().fold(0u64, |a, &b| a.saturating_add(b)))
     }
 
-    /// The counts of `group`'s components, which share their root: one
-    /// walk from the root over all of them.
+    /// The counts of the components `members` (bit sets of patterns),
+    /// which share their root `root`: one walk from the root over all of
+    /// them.
     fn walk(
         &mut self,
-        patterns: &[&PlannedPattern],
+        patterns: &[PlannedPattern],
         extents: &[u64],
-        group: &[(usize, u64, usize)],
+        members: &[u64],
+        root: usize,
     ) -> &[u64] {
         self.nodes.clear();
         self.edges.clear();
         self.memos.clear();
         self.stack.clear();
-        let members: Vec<u64> = group.iter().map(|&(_, m, _)| m).collect();
-        let root = self.plan((patterns, extents), &members, group[0].2, None);
+        let node = self.plan((patterns, extents), members, root, None);
         self.hints.resize(self.nodes.len(), ProbeHint::default());
-        self.stack.resize(group.len(), 0);
-        self.weight(root, None, u64::MAX >> (64 - group.len()), 0);
-        &self.stack[..group.len()]
+        self.stack.resize(members.len(), 0);
+        self.weight(node, None, u64::MAX >> (64 - members.len()), 0);
+        &self.stack[..members.len()]
     }
 
     /// Appends the walk below `patterns[pat]` (`extents`: each pattern's
@@ -243,7 +313,7 @@ impl<'a> CoutTables<'a> {
     /// `members` (each a bit set of patterns); returns its node.
     fn plan(
         &mut self,
-        (patterns, extents): (&[&PlannedPattern], &[u64]),
+        (patterns, extents): (&[PlannedPattern], &[u64]),
         members: &[u64],
         pat: usize,
         entry: Option<usize>,
@@ -289,10 +359,13 @@ impl<'a> CoutTables<'a> {
             inner |= self.nodes[child].within;
         }
         // A message is memoised where the component's subtree below this
-        // node holds two or more patterns; the pattern alone has its table.
+        // node holds two or more patterns, none of them a parameter's; the
+        // pattern alone has its table.
         let start = self.memos.len();
         if let Some(v) = entry {
-            for i in bits(inner) {
+            let subtree = self.nodes[node..].iter().fold(0u64, |m, n| m | 1 << n.pattern);
+            let params = self.params;
+            for i in bits(inner).filter(|&i| subtree & members[i] & params == 0) {
                 let table = self.table(v, node, members[i]);
                 self.memos.push((i, table));
             }
@@ -351,8 +424,12 @@ impl<'a> CoutTables<'a> {
         let mut need = want;
         if let Some(x) = value {
             for &(i, t) in &self.memos[memos.clone()] {
-                let memo = self.tables[t].messages.get(&x).filter(|_| need >> i & 1 == 1);
-                if let Some(&m) = memo {
+                if need >> i & 1 == 0 {
+                    continue;
+                }
+                self.lookups += 1;
+                if let Some(&m) = self.tables[t].messages.get(&x) {
+                    self.hits += 1;
                     self.stack[out + i] = m;
                     need &= !(1 << i);
                 }
@@ -465,13 +542,9 @@ impl<'a> CoutTables<'a> {
 
 /// The leaf patterns of `node` in tree order into `patterns`, and, per join
 /// node, the range of `patterns` its subtree covers into `joins`.
-fn collect<'p>(
-    node: &'p PhysNode,
-    patterns: &mut Vec<&'p PlannedPattern>,
-    joins: &mut Vec<Range<usize>>,
-) {
+fn collect(node: &PhysNode, patterns: &mut Vec<PlannedPattern>, joins: &mut Vec<Range<usize>>) {
     match node {
-        PhysNode::Scan { pattern, .. } => patterns.push(pattern),
+        PhysNode::Scan { pattern, .. } => patterns.push(pattern.clone()),
         PhysNode::Join { left, right, .. } => {
             let start = patterns.len();
             collect(left, patterns, joins);
@@ -491,7 +564,7 @@ fn distinct_vars(slots: &[Slot; 3]) -> impl Iterator<Item = (usize, usize)> + '_
 
 /// The patterns of `within` (a bit set) connected to `root` through shared
 /// variables, as a bit set.
-fn component(patterns: &[&PlannedPattern], root: usize, within: u64) -> u64 {
+fn component(patterns: &[PlannedPattern], root: usize, within: u64) -> u64 {
     let mut found = 1u64 << root;
     let mut frontier = found;
     while let Some(p) = bits(frontier).next() {
@@ -508,8 +581,9 @@ fn component(patterns: &[&PlannedPattern], root: usize, within: u64) -> u64 {
     found
 }
 
-/// Whether the pattern–variable incidence graph of `patterns` is a forest.
-fn is_forest(patterns: &[&PlannedPattern]) -> bool {
+/// Whether the pattern–variable incidence graph of `patterns` is a forest
+/// (`parent` and `vars`: buffers).
+fn is_forest(patterns: &[PlannedPattern], parent: &mut Vec<usize>, vars: &mut Vec<usize>) -> bool {
     fn root(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -518,8 +592,9 @@ fn is_forest(patterns: &[&PlannedPattern]) -> bool {
         x
     }
     // Union-find over the patterns, then the variables in first-seen order.
-    let mut parent: Vec<usize> = (0..patterns.len()).collect();
-    let mut vars: Vec<usize> = Vec::new();
+    parent.clear();
+    parent.extend(0..patterns.len());
+    vars.clear();
     for (p, pattern) in patterns.iter().enumerate() {
         for (_, v) in distinct_vars(&pattern.slots) {
             let node = match vars.iter().position(|&w| w == v) {
@@ -530,7 +605,7 @@ fn is_forest(patterns: &[&PlannedPattern]) -> bool {
                     parent.len() - 1
                 }
             };
-            let (a, b) = (root(&mut parent, p), root(&mut parent, node));
+            let (a, b) = (root(parent, p), root(parent, node));
             if a == b {
                 return false;
             }

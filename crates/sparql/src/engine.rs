@@ -9,19 +9,20 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parambench_rdf::dict::Id;
 use parambench_rdf::store::Dataset;
+use parambench_rdf::term::Term;
 
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
-use crate::cardinality::{Estimate, Estimator};
+use crate::cardinality::{Estimate, Estimator, MAX_VARS};
 use crate::cout::CoutTables;
 use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, UNBOUND};
 use crate::modifiers::{self, Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, TopK};
-use crate::optimizer::{optimize, reestimate};
+use crate::optimizer::{greedy, subset_estimate, JoinDp, EXACT_LIMIT};
 use crate::physical::{
     self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, LeftOuterJoin,
     Project, UnionAll,
@@ -53,8 +54,8 @@ struct GroupPlan {
 /// over.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Variable name per slot.
-    var_names: Vec<String>,
+    /// Variable name per slot (shared by every binding of a template).
+    var_names: Arc<[String]>,
     /// The required basic graph pattern (absent when the query body is a
     /// bare UNION).
     bgp_plan: Option<PlanNode>,
@@ -64,8 +65,13 @@ pub struct Prepared {
     /// Top-level FILTERs (applied last, over the whole pattern part).
     filters: Vec<Expr>,
     /// The lowered solution-modifier stack (DISTINCT, aggregation,
-    /// ORDER BY, LIMIT/OFFSET), validated at prepare time.
-    pub modifiers: ModifierPlan,
+    /// ORDER BY, LIMIT/OFFSET), validated at prepare time and shared by
+    /// every binding of a template.
+    pub modifiers: Arc<ModifierPlan>,
+    /// `PlannedPattern::idx` bit set of the patterns that hold a template
+    /// parameter (0 for a concrete query; patterns from idx 64 on are not
+    /// recorded).
+    param_patterns: u64,
     /// Structural signature of the full plan (required + optional parts).
     pub signature: PlanSignature,
     /// Estimated `Cout` of the plan (required BGP + optional BGPs + outer joins).
@@ -431,7 +437,7 @@ impl VarTable {
     }
 }
 
-/// The estimate-combination phase of [`Engine::prepare`]: the running
+/// The estimate-combination phase of [`TemplatePlan::bind`]: the running
 /// estimate as planned groups are stacked in evaluation order — required
 /// BGP, each UNION joined onto what precedes it, each OPTIONAL left-joined
 /// onto the result. The order of the floating-point additions is contract:
@@ -462,19 +468,15 @@ impl Combined {
         &mut self,
         estimator: &Estimator<'_>,
         branches: Vec<(GroupPlan, Estimate)>,
-    ) -> Result<Vec<GroupPlan>, QueryError> {
-        let mut vars: Option<Vec<usize>> = None;
+    ) -> Vec<GroupPlan> {
+        // Every branch binds this set (`TemplatePlan::new` checked it).
+        let mut vars =
+            branches.first().expect("normal form: a UNION has branches").0.plan.var_slots();
+        vars.sort_unstable();
         let mut sigs = Vec::with_capacity(branches.len());
         let mut card = 0.0;
         let mut widest: Option<&Estimate> = None;
         for (group, est) in &branches {
-            let mut bound = group.plan.var_slots();
-            bound.sort_unstable();
-            if *vars.get_or_insert_with(|| bound.clone()) != bound {
-                return Err(QueryError::Unsupported(
-                    "UNION branches must bind the same variables".into(),
-                ));
-            }
             self.est_cout += group.plan.est_cout();
             card += est.card;
             // Approximate the union's distinct counts by the larger branch
@@ -485,7 +487,6 @@ impl Combined {
             };
             sigs.push(group.plan.signature().0);
         }
-        let vars = vars.expect("normal form: a UNION has branches");
         let mut est = widest.expect("normal form: a UNION has branches").clone();
         est.card = card;
         let join_vars: Vec<usize> =
@@ -508,7 +509,7 @@ impl Combined {
         }
         self.sig.push_str(&format!("UNION({})", sigs.join("|")));
         let with_keys = |(group, _)| GroupPlan { join_vars: join_vars.clone(), ..group };
-        Ok(branches.into_iter().map(with_keys).collect())
+        branches.into_iter().map(with_keys).collect()
     }
 
     /// Stacks one OPTIONAL onto the finished required part (BGP + UNIONs:
@@ -527,6 +528,213 @@ impl Combined {
         self.est_cout += estimator.join(base, &est, &join_vars).card.max(base.card);
         self.sig.push_str(&format!("+OPT({})", group.plan.signature()));
         GroupPlan { join_vars, ..group }
+    }
+}
+
+/// A query planned as far as it can be without a binding: the first of
+/// the two planning stages. [`Engine::template_plan`] builds it once per
+/// template; [`TemplatePlan::bind`] then plans one binding at a time. It
+/// holds everything that no binding changes:
+///
+/// * the where-clause normal form, the variable table, the validated
+///   FILTER and projection variables and the lowered [`ModifierPlan`];
+/// * every pattern with its constants resolved to ids, and which patterns
+///   hold a parameter;
+/// * per group, the join-ordering DP's subset variable masks, and the scan
+///   estimates, subset estimates and best trees of every subset of
+///   parameter-free patterns.
+///
+/// `bind` resolves the parameter positions alone, estimates only the
+/// subsets that hold a parameter, and runs the DP over them in the same
+/// tables, binding after binding. [`Engine::prepare`] and
+/// [`Engine::prepare_template`] are this plan built and bound once, so
+/// there is one planning path: a bound plan is exactly what they return.
+pub struct TemplatePlan<'p> {
+    engine: &'p Engine<'p>,
+    /// The template whose bindings `bind` validates (`None`: a concrete
+    /// query, bound to the empty binding).
+    template: Option<&'p QueryTemplate>,
+    nf: NormalForm<'p>,
+    var_names: Arc<[String]>,
+    modifiers: Arc<ModifierPlan>,
+    /// Per group of the normal form, in idx order.
+    groups: Vec<GroupTemplate>,
+    /// See [`Prepared`]'s field of the same name.
+    param_patterns: u64,
+}
+
+/// One group's share of a [`TemplatePlan`].
+struct GroupTemplate {
+    /// The group's patterns, in idx order, with variables and constants
+    /// resolved; a parameter position holds [`Slot::Absent`] until a
+    /// binding resolves it.
+    patterns: Vec<PlannedPattern>,
+    /// The two-stage DP; `None` beyond [`EXACT_LIMIT`] patterns, where the
+    /// greedy heuristic plans each binding from scratch.
+    dp: Option<JoinDp>,
+}
+
+impl GroupTemplate {
+    /// Plans the group under `binding`: resolves its parameter positions,
+    /// finds the `Cout`-optimal join tree and its root estimate.
+    fn bind(
+        &mut self,
+        group: &Group<'_>,
+        binding: &Binding,
+        engine: &Engine<'_>,
+    ) -> (GroupPlan, Estimate) {
+        for (pattern, t) in self.patterns.iter_mut().zip(&group.patterns) {
+            for (slot, pos) in pattern.slots.iter_mut().zip(t.positions()) {
+                if let VarOrTerm::Param(p) = pos {
+                    *slot = engine.resolve_term(binding.get(p).expect("binding validated"));
+                }
+            }
+        }
+        let (patterns, est) = (&self.patterns, &engine.est);
+        let (plan, root) = match &mut self.dp {
+            Some(dp) => {
+                dp.bind(patterns, est);
+                (dp.plan(patterns), dp.root_estimate(patterns, est))
+            }
+            None => (greedy(patterns, est), subset_estimate(patterns, est)),
+        };
+        let filters = group.filters_under(binding);
+        (GroupPlan { plan, filters, join_vars: Vec::new() }, root)
+    }
+}
+
+impl<'p> TemplatePlan<'p> {
+    /// The template stage over `query`, in phases: **normal form**
+    /// ([`NormalForm::of`]), **lowering** (variables take their slots in
+    /// first-mention order over the groups in idx order, constants their
+    /// ids), **validation** of UNION branch, FILTER and projection
+    /// variables, **modifiers** ([`ModifierPlan::lower`]), then each
+    /// group's parameter-free DP entries.
+    fn new(
+        engine: &'p Engine<'p>,
+        query: &'p SelectQuery,
+        template: Option<&'p QueryTemplate>,
+    ) -> Result<Self, QueryError> {
+        let nf = NormalForm::of(query)?;
+        let mut vars = VarTable::default();
+        let mut param_patterns = 0u64;
+        let mut lowered: Vec<(Vec<PlannedPattern>, usize)> = Vec::new();
+        for group in nf.groups() {
+            let mut patterns = Vec::with_capacity(group.patterns.len());
+            let mut params = 0usize;
+            for (i, t) in group.patterns.iter().enumerate() {
+                let idx = group.first_idx + i;
+                if t.params().next().is_some() {
+                    params |= 1usize.checked_shl(i as u32).unwrap_or(0);
+                    param_patterns |= 1u64.checked_shl(idx as u32).unwrap_or(0);
+                }
+                let slots = t.positions().map(|pos| match pos {
+                    VarOrTerm::Var(v) => Slot::Var(vars.slot(v)),
+                    VarOrTerm::Term(term) => engine.resolve_term(term),
+                    VarOrTerm::Param(_) => Slot::Absent,
+                });
+                patterns.push(PlannedPattern { idx, slots });
+            }
+            lowered.push((patterns, params));
+        }
+        if vars.names.len() > MAX_VARS {
+            return Err(QueryError::Unsupported(format!("more than {MAX_VARS} variables")));
+        }
+        // The branches of one UNION concatenate, so they must bind one
+        // variable set.
+        let mut branches = lowered[1..].iter().map(|(patterns, _)| {
+            let mut bound: Vec<usize> = patterns.iter().flat_map(|p| p.var_slots()).collect();
+            bound.sort_unstable();
+            bound.dedup();
+            bound
+        });
+        for union in &nf.unions {
+            let sets: Vec<Vec<usize>> = branches.by_ref().take(union.len()).collect();
+            if sets.windows(2).any(|w| w[0] != w[1]) {
+                return Err(QueryError::Unsupported(
+                    "UNION branches must bind the same variables".into(),
+                ));
+            }
+        }
+        nf.validate_filters(&vars)?;
+        // Plain projected variables must exist (aggregate shapes are
+        // validated by the modifier lowering below).
+        for p in &query.projections {
+            if let Projection::Var(v) = p {
+                if !vars.slot_of.contains_key(v) {
+                    return Err(QueryError::UnknownVariable(v.clone()));
+                }
+            }
+        }
+        let modifiers = Arc::new(ModifierPlan::lower(query, &vars.slot_of)?);
+
+        let groups = lowered
+            .into_iter()
+            .map(|(patterns, params)| {
+                let n = patterns.len();
+                let dp = (n > 0 && n <= EXACT_LIMIT)
+                    .then(|| JoinDp::new(&patterns, params, &engine.est));
+                GroupTemplate { patterns, dp }
+            })
+            .collect();
+        Ok(TemplatePlan {
+            engine,
+            template,
+            nf,
+            var_names: vars.names.into(),
+            modifiers,
+            groups,
+            param_patterns,
+        })
+    }
+
+    /// The bind stage: plans `binding` (which must bind exactly the
+    /// template's parameters) — each group in idx order
+    /// (`GroupTemplate::bind`), then the **estimate combination**
+    /// (`Combined`, stacking each group as it is planned: a UNION's join
+    /// keys are the variables seen *so far*). The result is what a cold
+    /// [`Engine::prepare_template`] returns, bit for bit.
+    pub fn bind(&mut self, binding: &Binding) -> Result<Prepared, QueryError> {
+        if let Some(template) = self.template {
+            template.check_binding(binding)?;
+        }
+        let (engine, nf) = (self.engine, &self.nf);
+        let mut planned = self.groups.iter_mut().zip(nf.groups());
+        let mut acc = Combined::default();
+        let (required, group) = planned.next().expect("normal form: a required group");
+        let (bgp_plan, filters) = if group.patterns.is_empty() {
+            (None, group.filters_under(binding))
+        } else {
+            let required = acc.base(required.bind(group, binding, engine));
+            (Some(required.plan), required.filters)
+        };
+        let mut unions = Vec::with_capacity(nf.unions.len());
+        for branches in &nf.unions {
+            let planned: Vec<_> = planned
+                .by_ref()
+                .take(branches.len())
+                .map(|(t, group)| t.bind(group, binding, engine))
+                .collect();
+            unions.push(acc.union(&engine.est, planned));
+        }
+        let optionals: Vec<GroupPlan> = planned
+            .map(|(t, group)| acc.optional(&engine.est, t.bind(group, binding, engine)))
+            .collect();
+        let Combined { est_cout, sig, running, .. } = acc;
+        let bgp_est = running.expect("normal form: a required BGP or a UNION is the base");
+        Ok(Prepared {
+            var_names: Arc::clone(&self.var_names),
+            est_card: bgp_est.card,
+            bgp_plan,
+            unions,
+            optionals,
+            filters,
+            est_result_card: engine.est.modifier_output_card(&bgp_est, &self.modifiers),
+            modifiers: Arc::clone(&self.modifiers),
+            param_patterns: self.param_patterns,
+            signature: PlanSignature(sig),
+            est_cout,
+        })
     }
 }
 
@@ -625,100 +833,35 @@ impl<'a> Engine<'a> {
         if let Some(p) = query.params().first() {
             return Err(QueryError::UnboundParameter(p.clone()));
         }
-        self.plan_query(query, &Binding::new())
+        TemplatePlan::new(self, query, None)?.bind(&Binding::new())
     }
 
-    /// Plans `query` under `binding` (validated by the caller to bind every
-    /// parameter) in phases: **normal form** ([`NormalForm::of`]), **group
-    /// planning** ([`Engine::plan_group`], once per group in idx order —
-    /// also the order variables take their slots), **estimate combination**
-    /// ([`Combined`], stacking each group as it is planned: a UNION's join
-    /// keys are the variables seen *so far*), **validation** of FILTER and
-    /// projection variables, **modifiers** ([`ModifierPlan::lower`]).
-    fn plan_query(&self, query: &SelectQuery, binding: &Binding) -> Result<Prepared, QueryError> {
-        let nf = NormalForm::of(query)?;
-
-        let mut vars = VarTable::default();
-        let mut acc = Combined::default();
-        let (bgp_plan, filters) = if nf.required.patterns.is_empty() {
-            (None, nf.required.filters_under(binding))
-        } else {
-            let planned = self.plan_group(&nf.required, binding, &mut vars)?;
-            let required = acc.base(planned);
-            (Some(required.plan), required.filters)
-        };
-        let mut unions = Vec::with_capacity(nf.unions.len());
-        for branches in &nf.unions {
-            let planned: Result<Vec<_>, _> =
-                branches.iter().map(|g| self.plan_group(g, binding, &mut vars)).collect();
-            unions.push(acc.union(&self.est, planned?)?);
-        }
-        let mut optionals = Vec::with_capacity(nf.optionals.len());
-        for group in &nf.optionals {
-            let planned = self.plan_group(group, binding, &mut vars)?;
-            optionals.push(acc.optional(&self.est, planned));
-        }
-        let Combined { est_cout, sig, running, .. } = acc;
-        let bgp_est = running.expect("normal form: a required BGP or a UNION is the base");
-
-        nf.validate_filters(&vars)?;
-        // Plain projected variables must exist (aggregate shapes are
-        // validated by the modifier lowering below).
-        for p in &query.projections {
-            if let Projection::Var(v) = p {
-                if !vars.slot_of.contains_key(v) {
-                    return Err(QueryError::UnknownVariable(v.clone()));
-                }
-            }
-        }
-
-        let modifiers = ModifierPlan::lower(query, &vars.slot_of)?;
-        let est_result_card = self.est.modifier_output_card(&bgp_est, &modifiers);
-        Ok(Prepared {
-            var_names: vars.names,
-            est_card: bgp_est.card,
-            bgp_plan,
-            unions,
-            optionals,
-            filters,
-            modifiers,
-            signature: PlanSignature(sig),
-            est_cout,
-            est_result_card,
-        })
+    /// Plans `template` as far as no binding is needed — the first of the
+    /// two planning stages ([`TemplatePlan`]). Bind it once per binding:
+    /// the curation pipeline builds one per template and profiles a whole
+    /// domain through it.
+    pub fn template_plan<'p>(
+        &'p self,
+        template: &'p QueryTemplate,
+    ) -> Result<TemplatePlan<'p>, QueryError> {
+        TemplatePlan::new(self, template.query(), Some(template))
     }
 
-    /// Resolves one pattern position under `binding` — the only place a
-    /// term meets the dictionary. A variable takes the slot `var` assigns
-    /// it; a constant, or the term a `%parameter` is bound to, becomes its
-    /// id, or [`Slot::Absent`] when the store has never seen it.
+    /// Resolves one pattern position under `binding` — a variable takes
+    /// the slot `var` assigns it; a constant, or the term a `%parameter` is
+    /// bound to, becomes its id ([`Engine::resolve_term`]).
     fn resolve(&self, pos: &VarOrTerm, binding: &Binding, var: impl FnOnce(&str) -> usize) -> Slot {
-        let term = match pos {
-            VarOrTerm::Var(v) => return Slot::Var(var(v)),
-            VarOrTerm::Term(term) => term,
-            VarOrTerm::Param(p) => binding.get(p).expect("binding validated"),
-        };
-        self.ds.lookup(term).map_or(Slot::Absent, Slot::Bound)
+        match pos {
+            VarOrTerm::Var(v) => Slot::Var(var(v)),
+            VarOrTerm::Term(term) => self.resolve_term(term),
+            VarOrTerm::Param(p) => self.resolve_term(binding.get(p).expect("binding validated")),
+        }
     }
 
-    /// Plans one group of the normal form: lowers its patterns (numbered
-    /// from `group.first_idx`, new variables taking the next free slots),
-    /// finds the `Cout`-optimal join tree and re-derives its root estimate.
-    fn plan_group(
-        &self,
-        group: &Group<'_>,
-        binding: &Binding,
-        vars: &mut VarTable,
-    ) -> Result<(GroupPlan, Estimate), QueryError> {
-        let lower = |(i, t): (usize, &&TriplePattern)| PlannedPattern {
-            idx: group.first_idx + i,
-            slots: t.positions().map(|pos| self.resolve(pos, binding, |v| vars.slot(v))),
-        };
-        let patterns: Vec<PlannedPattern> = group.patterns.iter().enumerate().map(lower).collect();
-        let plan = optimize(&patterns, &self.est)?;
-        let est = reestimate(&plan, &self.est);
-        let filters = group.filters_under(binding);
-        Ok((GroupPlan { plan, filters, join_vars: Vec::new() }, est))
+    /// The only place a term meets the dictionary: its id, or
+    /// [`Slot::Absent`] when the store has never seen it.
+    fn resolve_term(&self, term: &Term) -> Slot {
+        self.ds.lookup(term).map_or(Slot::Absent, Slot::Bound)
     }
 
     /// Records the physical plan of one execution: **the only place** the
@@ -841,6 +984,7 @@ impl<'a> Engine<'a> {
             filters: &prepared.filters,
             var_names: &prepared.var_names,
             modifiers: m,
+            param_patterns: prepared.param_patterns,
             limit_zero: m.limit == Some(0),
             fold,
             dedup,
@@ -960,9 +1104,8 @@ impl<'a> Engine<'a> {
     /// * anything else (a cyclic BGP, UNION, OPTIONAL) drains the pattern
     ///   part, with no projection, modifier or decode stage above it.
     ///
-    /// # Panics
-    ///
-    /// When `tables` count over another dataset than the engine's.
+    /// [`QueryError::DatasetMismatch`] when `tables` count over another
+    /// dataset than the engine's.
     pub fn measure_cout(
         &self,
         prepared: &Prepared,
@@ -978,16 +1121,19 @@ impl<'a> Engine<'a> {
     /// integer `measure_cout` returns whatever `exec` the plan was
     /// recorded under.
     ///
-    /// # Panics
-    ///
-    /// When `tables` count over another dataset than the engine's.
+    /// [`QueryError::DatasetMismatch`] when `tables` count over another
+    /// dataset than the engine's.
     pub fn measure_cout_with(
         &self,
         plan: &PhysicalPlan<'_>,
         exec: &ExecConfig,
         tables: &mut CoutTables<'_>,
     ) -> Result<u64, QueryError> {
-        assert!(std::ptr::eq(tables.dataset(), self.ds), "count tables of another dataset");
+        if !std::ptr::eq(tables.dataset(), self.ds) {
+            return Err(QueryError::DatasetMismatch(
+                "count tables built over another dataset than the engine's".into(),
+            ));
+        }
         if plan.limit_zero {
             tables.note_counted();
             return Ok(0);
@@ -997,7 +1143,7 @@ impl<'a> Engine<'a> {
             && matches!(plan.sort, Sort::None | Sort::Eliminated);
         let plain = plan.unions.is_empty() && plan.optionals.is_empty();
         if let Some(root) = plan.bgp.as_ref().filter(|_| plain && !stops_early) {
-            if let Some(cout) = tables.count(root) {
+            if let Some(cout) = tables.count(root, plan.param_patterns) {
                 return Ok(cout);
             }
         }
@@ -1331,7 +1477,7 @@ impl<'a> Engine<'a> {
         binding: &Binding,
     ) -> Result<Prepared, QueryError> {
         template.check_binding(binding)?;
-        self.plan_query(template.query(), binding)
+        self.template_plan(template)?.bind(binding)
     }
 
     /// Computes the [`PlanClass`] of a (template, binding) pair — the

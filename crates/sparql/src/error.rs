@@ -55,6 +55,9 @@ pub enum QueryError {
     /// Execution failed: spill I/O (see [`ExecError`]). The run's rows and
     /// counters are not reported.
     Exec(ExecError),
+    /// Two values meant to work over one dataset were built over two: the
+    /// count tables passed to `Engine::measure_cout` and the engine.
+    DatasetMismatch(String),
     /// Opening a persisted store snapshot failed (missing file, foreign
     /// bytes, checksum mismatch — see [`parambench_rdf::SnapshotError`]).
     Snapshot(parambench_rdf::SnapshotError),
@@ -92,6 +95,7 @@ impl fmt::Display for QueryError {
             QueryError::Unsupported(msg) => write!(f, "unsupported query shape: {msg}"),
             QueryError::BindingMismatch(msg) => write!(f, "binding mismatch: {msg}"),
             QueryError::Exec(e) => write!(f, "execution error: {e}"),
+            QueryError::DatasetMismatch(msg) => write!(f, "dataset mismatch: {msg}"),
             QueryError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             QueryError::Wal(e) => write!(f, "journal error: {e}"),
         }

@@ -122,7 +122,7 @@ pub mod template;
 
 pub use ast::SelectQuery;
 pub use cout::CoutTables;
-pub use engine::{Engine, PlanClass, Prepared, QueryOutput, RowStream, StreamEnd};
+pub use engine::{Engine, PlanClass, Prepared, QueryOutput, RowStream, StreamEnd, TemplatePlan};
 pub use error::{ExecError, QueryError};
 pub use exec::{
     available_parallelism, env_mem_budget_rows, global_pool, ExecConfig, ExecStats, PoolStats,

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use crate::cardinality::{Estimate, Estimator};
+use crate::cardinality::{slots_of, Estimate, Estimator, MAX_VARS};
 use crate::error::QueryError;
 use crate::plan::{JoinMethod, PlanNode, PlannedPattern, Work};
 
@@ -39,24 +39,19 @@ pub const EXACT_LIMIT: usize = 13;
 pub fn optimize(patterns: &[PlannedPattern], est: &Estimator<'_>) -> Result<PlanNode, QueryError> {
     match patterns.len() {
         0 => Err(QueryError::Unsupported("empty basic graph pattern".into())),
-        n if n <= EXACT_LIMIT => Ok(Dp::run(patterns, est).plan_full()),
+        n if n <= EXACT_LIMIT => Ok(JoinDp::new(patterns, 0, est).plan(patterns)),
         _ => Ok(greedy(patterns, est)),
     }
 }
 
-/// Variable-slot bitmask (up to 64 variables per query).
+/// Variable-slot bitmask (up to [`MAX_VARS`] variables per query).
 fn var_mask(pattern: &PlannedPattern) -> u64 {
     let mut m = 0u64;
-    for v in pattern.var_slots() {
-        assert!(v < 64, "more than 64 variables in one query");
+    for v in pattern.slots.iter().filter_map(|s| s.as_var()) {
+        assert!(v < MAX_VARS, "more than {MAX_VARS} variables in one query");
         m |= 1 << v;
     }
     m
-}
-
-/// The variable slots of a bitmask, ascending.
-fn mask_slots(mask: u64) -> Vec<usize> {
-    (0..64).filter(|&v| mask & (1 << v) != 0).collect()
 }
 
 /// The DP's entry for one pattern subset: how its best tree splits, and the
@@ -83,68 +78,114 @@ enum Split {
     Join { left: usize, right: usize, vars: u64 },
 }
 
-/// The DP's table: the best [`Cand`] per subset bitmask, so a join names
-/// its children by their subsets. Only the full set's entry ever becomes a
-/// [`PlanNode`] ([`Dp::plan`]).
-struct Dp<'p> {
-    patterns: &'p [PlannedPattern],
+/// The exact bitset DP over the pattern subsets of one group, keeping the
+/// best tree per subset (see [`JoinDp::better`]), split in two stages.
+///
+/// `Cout(T) = Σ canonical-card(leafset(n))` over internal nodes `n`, so the
+/// cost of a plan depends only on which subsets its joins materialize — the
+/// textbook setting in which subset DP is provably optimal. A subset's
+/// canonical estimate and best tree are functions of its own patterns, so
+/// the entries of the subsets that hold no parameter are the same for every
+/// binding of a template: [`JoinDp::new`] fills those once, and
+/// [`JoinDp::bind`] refills only the subsets holding a parameter, in the
+/// same tables, binding after binding.
+pub(crate) struct JoinDp {
+    /// The group positions of the patterns that hold a parameter.
+    params: usize,
+    /// Per subset bitmask: the union of its patterns' variable masks.
+    subset_vars: Vec<u64>,
+    /// Per subset: its best tree.
     best: Vec<Option<Cand>>,
+    /// Per subset: its canonical estimate.
+    est: Vec<Option<Estimate>>,
+    /// Whether the full set's canonical estimate is the fold
+    /// [`subset_estimate`] computes, operation for operation: every
+    /// pattern's variables shared with the patterns before it are listed
+    /// in ascending slot order, as the DP lists them.
+    root_is_fold: bool,
     /// The two signature buffers of the last tiebreak, reused.
     sigs: (String, String),
+    /// The shared variables of the last canonical join, reused.
+    shared: Vec<usize>,
 }
 
-impl<'p> Dp<'p> {
-    /// Exact bitset DP over all pattern subsets, keeping the best tree per
-    /// subset (see [`Dp::better`]).
-    ///
-    /// `Cout(T) = Σ canonical-card(leafset(n))` over internal nodes `n`, so the
-    /// cost of a plan depends only on which subsets its joins materialize — the
-    /// textbook setting in which subset DP is provably optimal.
-    fn run(patterns: &'p [PlannedPattern], est: &Estimator<'_>) -> Dp<'p> {
-        let ds = est.dataset();
+impl JoinDp {
+    /// The template stage over `patterns` (at most [`EXACT_LIMIT`]): fills
+    /// the entries of every subset that holds none of the patterns in
+    /// `params` (group positions, a bit set). The other patterns' slots are
+    /// not read here.
+    pub(crate) fn new(patterns: &[PlannedPattern], params: usize, est: &Estimator<'_>) -> Self {
         let n = patterns.len();
         let full = (1usize << n) - 1;
         let masks: Vec<u64> = patterns.iter().map(var_mask).collect();
-        let mut dp =
-            Dp { patterns, best: vec![None; full + 1], sigs: (String::new(), String::new()) };
-        let mut subset_est: Vec<Option<Estimate>> = vec![None; full + 1];
-
-        // Leaves.
-        for (pat, p) in patterns.iter().enumerate() {
-            let e = est.scan(p);
-            let extent = (!p.has_absent()).then(|| ds.count(p.access()));
-            dp.best[1 << pat] = Some(Cand {
-                split: Split::Scan { pat, extent },
-                est_card: e.card,
-                cost: 0.0,
-                work: Work { build: 0.0, scan: extent.map_or(0.0, |n| n as f64) },
-            });
-            subset_est[1 << pat] = Some(e);
-        }
-
-        // Subset var masks, for connectivity checks.
         let mut subset_vars = vec![0u64; full + 1];
         for s in 1..=full {
             let lsb = s & s.wrapping_neg();
             subset_vars[s] = subset_vars[s ^ lsb] | masks[lsb.trailing_zeros() as usize];
         }
+        let root_is_fold = patterns.iter().enumerate().all(|(k, p)| {
+            let before = subset_vars[(1 << k) - 1];
+            let shared: Vec<usize> =
+                p.var_slots().into_iter().filter(|&v| before >> v & 1 == 1).collect();
+            shared.is_sorted()
+        });
+        let mut dp = JoinDp {
+            params,
+            subset_vars,
+            best: vec![None; full + 1],
+            est: vec![None; full + 1],
+            root_is_fold,
+            sigs: (String::new(), String::new()),
+            shared: Vec::new(),
+        };
+        dp.run(patterns, est, |s| s & params == 0);
+        dp
+    }
 
-        for s in 1..=full {
-            if s.count_ones() < 2 {
-                continue;
-            }
+    /// The bind stage: refills the entries of every subset holding a
+    /// parameter, over `patterns` with their parameters resolved.
+    pub(crate) fn bind(&mut self, patterns: &[PlannedPattern], est: &Estimator<'_>) {
+        let params = self.params;
+        if params != 0 {
+            self.run(patterns, est, |s| s & params != 0);
+        }
+    }
+
+    /// Fills the entries of the subsets `want` selects, in ascending order
+    /// — so a subset's smaller subsets are filled first — from the leaves'
+    /// scan estimates up.
+    fn run(
+        &mut self,
+        patterns: &[PlannedPattern],
+        est: &Estimator<'_>,
+        want: impl Fn(usize) -> bool,
+    ) {
+        let full = self.best.len() - 1;
+        for (pat, p) in patterns.iter().enumerate().filter(|&(pat, _)| want(1 << pat)) {
+            let e = est.scan(p);
+            // The scan's cardinality is the pattern's exact count.
+            let extent = (!p.has_absent()).then_some(e.card as usize);
+            self.best[1 << pat] = Some(Cand {
+                split: Split::Scan { pat, extent },
+                est_card: e.card,
+                cost: 0.0,
+                work: Work { build: 0.0, scan: extent.map_or(0.0, |n| n as f64) },
+            });
+            self.est[1 << pat] = Some(e);
+        }
+
+        for s in (1..=full).filter(|&s| s.count_ones() >= 2 && want(s)) {
             // Canonical estimate of s: fold in the highest-index pattern last,
             // which reproduces the ascending-index fold of `subset_estimate`.
             let hb = 1usize << (usize::BITS - 1 - s.leading_zeros());
             let rest = s ^ hb;
-            let hb_vars = mask_slots(subset_vars[rest] & masks[hb.trailing_zeros() as usize]);
-            let joined = est.join(
-                subset_est[rest].as_ref().expect("smaller subset computed"),
-                subset_est[hb].as_ref().expect("leaf computed"),
-                &hb_vars,
-            );
+            let mut shared = std::mem::take(&mut self.shared);
+            shared.clear();
+            shared.extend(slots_of(self.subset_vars[rest] & self.subset_vars[hb]));
+            let joined = est.join(self.estimate(rest), self.estimate(hb), &shared);
+            self.shared = shared;
             let subset_card = joined.card;
-            subset_est[s] = Some(joined);
+            self.est[s] = Some(joined);
 
             // Enumerate proper non-empty subsets s1 of s; consider each
             // unordered partition once by requiring s1 to contain the lowest
@@ -163,24 +204,38 @@ impl<'p> Dp<'p> {
                     continue;
                 }
                 let s2 = s ^ s1;
-                let vars = subset_vars[s1] & subset_vars[s2];
+                let vars = self.subset_vars[s1] & self.subset_vars[s2];
                 // Smaller-estimate side left; ties keep the lowest-bit side left.
-                let card1 = subset_est[s1].as_ref().expect("computed").card;
-                let card2 = subset_est[s2].as_ref().expect("computed").card;
+                let (card1, card2) = (self.estimate(s1).card, self.estimate(s2).card);
                 let split = if card1 <= card2 { (s1, s2) } else { (s2, s1) };
-                let cand = dp.join(split, vars, subset_card);
-                if best.as_ref().is_none_or(|b| dp.better(&cand, b)) {
+                let cand = self.join(split, vars, subset_card);
+                if best.as_ref().is_none_or(|b| self.better(patterns, &cand, b)) {
                     best = Some(cand);
                 }
             }
-            dp.best[s] = best;
+            self.best[s] = best;
         }
-        dp
     }
 
-    /// The tree of the full pattern set.
-    fn plan_full(&self) -> PlanNode {
-        self.plan(self.best.len() - 1)
+    fn estimate(&self, subset: usize) -> &Estimate {
+        self.est[subset].as_ref().expect("smaller subsets come first")
+    }
+
+    /// The canonical estimate of the full pattern set — the group's root
+    /// estimate. It is the DP's own entry unless the fold
+    /// [`subset_estimate`] computes lists a shared variable pair in another
+    /// order than the DP; then that fold, whose operation order is the one
+    /// every `est_card` and `est_cout` has always been computed in.
+    pub(crate) fn root_estimate(
+        &self,
+        patterns: &[PlannedPattern],
+        est: &Estimator<'_>,
+    ) -> Estimate {
+        if self.root_is_fold {
+            self.estimate(self.est.len() - 1).clone()
+        } else {
+            subset_estimate(patterns, est)
+        }
     }
 
     fn get(&self, subset: usize) -> &Cand {
@@ -207,17 +262,17 @@ impl<'p> Dp<'p> {
     /// Appends the [`PlanSignature`](crate::plan::PlanSignature) text of
     /// the tree `c` heads to `out` (the rendering of
     /// [`PlanNode::signature`]).
-    fn render_sig(&self, c: &Cand, out: &mut String) {
+    fn render_sig(&self, patterns: &[PlannedPattern], c: &Cand, out: &mut String) {
         use std::fmt::Write;
         match c.split {
             Split::Scan { pat, .. } => {
-                write!(out, "S{}", self.patterns[pat].idx).expect("writing to a String");
+                write!(out, "S{}", patterns[pat].idx).expect("writing to a String");
             }
             Split::Join { left, right, .. } => {
                 out.push_str("HJ(");
-                self.render_sig(self.get(left), out);
+                self.render_sig(patterns, self.get(left), out);
                 out.push(',');
-                self.render_sig(self.get(right), out);
+                self.render_sig(patterns, self.get(right), out);
                 out.push(')');
             }
         }
@@ -227,7 +282,7 @@ impl<'p> Dp<'p> {
     /// build rows, then fewer scanned rows, then — rendered only on an
     /// exact tie of everything else — the smaller signature text (so `S10`
     /// sorts before `S9`).
-    fn better(&mut self, a: &Cand, b: &Cand) -> bool {
+    fn better(&mut self, patterns: &[PlannedPattern], a: &Cand, b: &Cand) -> bool {
         use std::cmp::Ordering;
         a.cost
             .partial_cmp(&b.cost)
@@ -238,8 +293,8 @@ impl<'p> Dp<'p> {
                 let (mut sa, mut sb) = std::mem::take(&mut self.sigs);
                 sa.clear();
                 sb.clear();
-                self.render_sig(a, &mut sa);
-                self.render_sig(b, &mut sb);
+                self.render_sig(patterns, a, &mut sa);
+                self.render_sig(patterns, b, &mut sb);
                 let ord = sa.cmp(&sb);
                 self.sigs = (sa, sb);
                 ord
@@ -247,18 +302,21 @@ impl<'p> Dp<'p> {
             .is_lt()
     }
 
+    /// Materializes the best tree of the full pattern set.
+    pub(crate) fn plan(&self, patterns: &[PlannedPattern]) -> PlanNode {
+        self.plan_of(patterns, self.best.len() - 1)
+    }
+
     /// Materializes the best tree of `subset`.
-    fn plan(&self, subset: usize) -> PlanNode {
+    fn plan_of(&self, patterns: &[PlannedPattern], subset: usize) -> PlanNode {
         let c = self.get(subset);
         let est_card = c.est_card;
         match c.split {
-            Split::Scan { pat, .. } => {
-                PlanNode::Scan { pattern: self.patterns[pat].clone(), est_card }
-            }
+            Split::Scan { pat, .. } => PlanNode::Scan { pattern: patterns[pat].clone(), est_card },
             Split::Join { left, right, vars } => PlanNode::Join {
-                left: Box::new(self.plan(left)),
-                right: Box::new(self.plan(right)),
-                join_vars: mask_slots(vars),
+                left: Box::new(self.plan_of(patterns, left)),
+                right: Box::new(self.plan_of(patterns, right)),
+                join_vars: slots_of(vars).collect(),
                 est_card,
             },
         }
@@ -465,23 +523,6 @@ pub fn exhaustive_min_cout(
     best
 }
 
-/// Recomputes the estimate of a plan tree bottom-up (used when a plan is
-/// built or transplanted outside the DP).
-pub fn reestimate(plan: &PlanNode, est: &Estimator<'_>) -> Estimate {
-    fn leaves(plan: &PlanNode, out: &mut Vec<PlannedPattern>) {
-        match plan {
-            PlanNode::Scan { pattern, .. } => out.push(pattern.clone()),
-            PlanNode::Join { left, right, .. } => {
-                leaves(left, out);
-                leaves(right, out);
-            }
-        }
-    }
-    let mut ps = Vec::new();
-    leaves(plan, &mut ps);
-    subset_estimate(&ps, est)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,6 +698,8 @@ mod tests {
         b.freeze()
     }
 
+    /// The root estimate re-derived as the canonical fold, and the one the
+    /// DP keeps for the full set, both carry the plan's cardinality.
     #[test]
     fn reestimate_agrees_with_plan_cards() {
         let ds = skewed_dataset();
@@ -666,7 +709,9 @@ mod tests {
             pattern(&ds, 1, "p/feature", None, 0, 1),
         ];
         let plan = optimize(&pats, &est).unwrap();
-        assert!((plan.est_card() - reestimate(&plan, &est).card).abs() < 1e-9);
+        assert!((plan.est_card() - subset_estimate(&pats, &est).card).abs() < 1e-9);
+        let root = JoinDp::new(&pats, 0, &est).root_estimate(&pats, &est);
+        assert_eq!(root.card.to_bits(), plan.est_card().to_bits());
     }
 
     /// `(Cout summed in the DP's operand order, est_card, build rows,
@@ -804,11 +849,11 @@ mod tests {
             for n in 2..=8 {
                 for _ in 0..4 {
                     let pats = random_bgp(ds, preds, objs, n, &mut rng);
-                    let dp = Dp::run(&pats, &est);
-                    let (c, plan) = (*dp.get(dp.best.len() - 1), dp.plan_full());
+                    let dp = JoinDp::new(&pats, 0, &est);
+                    let (c, plan) = (*dp.get(dp.best.len() - 1), dp.plan(&pats));
                     let what = plan.signature().0;
                     let mut sig = String::new();
-                    dp.render_sig(&c, &mut sig);
+                    dp.render_sig(&pats, &c, &mut sig);
                     assert_eq!(sig, what);
                     // The DP's tiebreak work is the default lowering's,
                     // bit for bit.
@@ -843,6 +888,76 @@ mod tests {
             }
         }
         assert_eq!(seen, (true, true));
+    }
+
+    /// A DP built over placeholders for the constants of the patterns in
+    /// `params`, then bound to other constants and then to the real ones,
+    /// keeps every entry a DP over the real patterns computes: the same
+    /// tree and the same root estimate, on every mask.
+    #[test]
+    fn bound_dp_equals_a_fresh_dp() {
+        let ds = skewed_dataset();
+        let est = Estimator::new(&ds);
+        let (preds, objs) =
+            (["p/type", "p/feature", "p/special"], ["class/0", "feat/3", "flag/on"]);
+        let constants = [Slot::Absent, Slot::Bound(ds.lookup(&Term::iri("class/1")).unwrap())];
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for n in 1..=5 {
+            for _ in 0..6 {
+                let real = random_bgp(&ds, &preds, &objs, n, &mut rng);
+                let fresh = JoinDp::new(&real, 0, &est);
+                let want = (fresh.plan(&real), fresh.root_estimate(&real, &est));
+                for params in 0..1usize << n {
+                    // `real` with every constant of a pattern in `params`
+                    // replaced by `c`.
+                    let rebound = |c: Slot| -> Vec<PlannedPattern> {
+                        let mut out = real.clone();
+                        let held = out.iter_mut().enumerate().filter(|(i, _)| params >> i & 1 == 1);
+                        for (_, p) in held {
+                            for slot in p.slots.iter_mut().filter(|s| s.as_var().is_none()) {
+                                *slot = c;
+                            }
+                        }
+                        out
+                    };
+                    let mut dp = JoinDp::new(&rebound(constants[0]), params, &est);
+                    dp.bind(&rebound(constants[1]), &est);
+                    dp.bind(&real, &est);
+                    assert_eq!(dp.plan(&real), want.0, "params {params:b}");
+                    assert_eq!(dp.root_estimate(&real, &est), want.1, "params {params:b}");
+                }
+            }
+        }
+    }
+
+    /// A pattern sharing two variables with the patterns before it, listed
+    /// in descending slot order: the root estimate is the fold's, which
+    /// divides by the two distinct counts in that order — here 55 / 3 / 11,
+    /// one ulp off the DP entry's 55 / 11 / 3.
+    #[test]
+    fn root_estimate_keeps_the_fold_order_of_shared_variables() {
+        let mut b = StoreBuilder::new();
+        for i in 0..11 {
+            let (s, o) = (Term::iri(format!("s/{i}")), Term::iri(format!("o/{}", i % 3)));
+            b.insert(s, Term::iri("p"), o);
+        }
+        for j in 0..5 {
+            let (s, o) = (Term::iri(format!("o/{}", j % 3)), Term::iri(format!("s/{j}")));
+            b.insert(s, Term::iri("q"), o);
+        }
+        let ds = b.freeze();
+        let est = Estimator::new(&ds);
+        let [p, q] = ["p", "q"].map(|t| Slot::Bound(ds.lookup(&Term::iri(t)).unwrap()));
+        let pats = vec![
+            PlannedPattern { idx: 0, slots: [Slot::Var(0), p, Slot::Var(1)] },
+            PlannedPattern { idx: 1, slots: [Slot::Var(1), q, Slot::Var(0)] },
+        ];
+        let dp = JoinDp::new(&pats, 0, &est);
+        assert!(!dp.root_is_fold);
+        let fold = subset_estimate(&pats, &est);
+        assert_eq!(fold.card.to_bits(), (55.0_f64 / 3.0 / 11.0).to_bits());
+        assert_ne!(fold.card.to_bits(), dp.estimate(3).card.to_bits());
+        assert_eq!(dp.root_estimate(&pats, &est), fold);
     }
 
     #[test]

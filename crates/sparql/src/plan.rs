@@ -191,8 +191,8 @@ impl PlanNode {
         fn walk(node: &PlanNode, out: &mut String) {
             match node {
                 PlanNode::Scan { pattern, .. } => {
-                    out.push('S');
-                    out.push_str(&pattern.idx.to_string());
+                    use std::fmt::Write;
+                    write!(out, "S{}", pattern.idx).expect("writing to a String");
                 }
                 PlanNode::Join { left, right, .. } => {
                     out.push_str("HJ(");
@@ -1282,6 +1282,10 @@ pub struct PhysicalPlan<'p> {
     pub var_names: &'p [String],
     /// The logical modifier stack the strategy below implements.
     pub modifiers: &'p ModifierPlan,
+    /// `PlannedPattern::idx` bit set of the patterns that hold a template
+    /// parameter (0 for a concrete query): measured `Cout` memoises only
+    /// the messages of subtrees outside it.
+    pub param_patterns: u64,
     /// `LIMIT 0`: provably empty, nothing is lowered or scanned.
     pub limit_zero: bool,
     /// Aggregation strategy (`None` = no aggregation).

@@ -1451,3 +1451,36 @@ fn measure_cout_matches_execute_on_every_shipped_template() {
         }
     }
 }
+
+/// Count tables borrow the dataset they count over; handed to an engine
+/// over another store, `measure_cout` refuses them with a typed error
+/// instead of counting one store's ranges as another's.
+#[test]
+fn count_tables_of_another_dataset_are_a_typed_error() {
+    let (ds, other) = (dataset(), dataset());
+    let engine = Engine::new(&ds);
+    let query = parambench_sparql::parse_query("SELECT ?x WHERE { ?x ?p ?o }").unwrap();
+    let prepared = engine.prepare(&query).unwrap();
+    let mut foreign = CoutTables::new(&other);
+    let err = engine.measure_cout(&prepared, &mut foreign).unwrap_err();
+    assert!(matches!(err, QueryError::DatasetMismatch(_)), "{err}");
+    assert_eq!((foreign.counted(), foreign.fallback()), (0, 0), "nothing was measured");
+    let plan = engine.physical_plan(&prepared, &engine.exec_config());
+    let err = engine.measure_cout_with(&plan, &engine.exec_config(), &mut foreign).unwrap_err();
+    assert!(matches!(err, QueryError::DatasetMismatch(_)), "{err}");
+    let mut own = CoutTables::new(&ds);
+    assert!(engine.measure_cout(&prepared, &mut own).is_ok());
+}
+
+/// A query over more than 64 variables is refused with a typed error: an
+/// estimate's distinct counts and the optimizer's variable sets are 64
+/// slots wide.
+#[test]
+fn more_than_64_variables_are_a_typed_error() {
+    let ds = dataset();
+    let engine = Engine::new(&ds);
+    let body: String = (0..22).map(|i| format!("?s{i} ?p{i} ?o{i} . ")).collect();
+    let query = parambench_sparql::parse_query(&format!("SELECT * WHERE {{ {body} }}")).unwrap();
+    let err = engine.prepare(&query).unwrap_err();
+    assert!(matches!(err, QueryError::Unsupported(_)), "{err}");
+}

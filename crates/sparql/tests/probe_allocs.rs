@@ -8,9 +8,10 @@
 //! held to the same bound per left row: its join key is one scratch
 //! buffer, refilled in place. The probes' speed is `benches/engine.rs`'s
 //! `engine/bind_probe_*`; their correctness is the `rdf` index proptest's
-//! and the differential suites'. Measured `Cout` by counting allocates per
-//! measurement, not per row: the same number of times for a parameter
-//! with a handful of matches as for one with thousands.
+//! and the differential suites'. Measured `Cout` by counting allocates
+//! nothing once its count tables are warm, for a parameter with a handful
+//! of matches as for one with thousands; binding a template plan
+//! allocates a fixed number of times, whatever the parameter's matches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +21,8 @@ use parambench_rdf::{Id, ProbeHint, Term};
 use parambench_sparql::physical::{BindJoin, LeftOuterJoin};
 use parambench_sparql::plan::{PlannedPattern, Slot};
 use parambench_sparql::{
-    parse_query, Batch, CoutBucket, CoutTables, Engine, ExecError, ExecStats, Operator, BATCH_SIZE,
+    parse_query, Batch, Binding, CoutBucket, CoutTables, Engine, ExecError, ExecStats, Operator,
+    QueryTemplate, BATCH_SIZE,
 };
 
 /// The system allocator, counting the allocations of each thread.
@@ -286,8 +288,43 @@ fn counting_cout_allocates_independently_of_the_roots_matches() {
         assert_eq!(tables.fallback(), 0, "{shape}: counted");
         assert!(wide > 100 * narrow.max(1), "{shape}: Cout {narrow} against {wide}");
         assert_eq!(
-            narrow_allocs, wide_allocs,
-            "{shape}: allocations grow with the root's matches (Cout {narrow} against {wide})"
+            (narrow_allocs, wide_allocs),
+            (WARM_COUNT_ALLOCATIONS, WARM_COUNT_ALLOCATIONS),
+            "{shape}: a warm counted measurement allocates (Cout {narrow} against {wide})"
         );
+    }
+}
+
+/// Allocations of one counted measurement over warm count tables: every
+/// per-measurement buffer is kept in the tables.
+const WARM_COUNT_ALLOCATIONS: u64 = 0;
+
+/// Allocations of one `TemplatePlan::bind` of the BI-Q2-shaped template
+/// below: the owned plan tree (a box per node, join keys), its signature,
+/// the instantiated FILTER and the combination's variable lists. None of
+/// them grows with the parameter's matches or its domain.
+const BIND_ALLOCATIONS: u64 = 13;
+
+#[test]
+fn binding_a_template_plan_allocates_a_fixed_number_of_times() {
+    let ds = counting_store();
+    let engine = Engine::new(&ds);
+    let template = QueryTemplate::parse(
+        "BI-Q2",
+        "SELECT ?other (COUNT(?f) AS ?shared) WHERE { %p <feature> ?f . \
+         ?other <feature> ?f . FILTER(?other != %p) } \
+         GROUP BY ?other ORDER BY DESC(?shared) LIMIT 10",
+    )
+    .unwrap();
+    // The whole domain: the two hubs and every product, bound in turn.
+    let mut domain = vec![Term::iri("prod/narrow"), Term::iri("prod/wide")];
+    domain.extend((0..WIDE).map(|k| Term::iri(format!("prod/{k:04}"))));
+    let bindings: Vec<Binding> = domain.into_iter().map(|p| Binding::new().with("p", p)).collect();
+    let mut plan = engine.template_plan(&template).unwrap();
+    let first = plan.bind(&bindings[0]).unwrap();
+    for b in &bindings {
+        let (prepared, allocs) = allocations(|| plan.bind(b).unwrap());
+        assert_eq!(prepared.signature, first.signature, "{b}: one logical plan");
+        assert_eq!(allocs, BIND_ALLOCATIONS, "{b}: allocations of one bind");
     }
 }

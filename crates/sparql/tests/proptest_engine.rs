@@ -5,7 +5,10 @@
 //! * end-to-end BGP evaluation equals a naive nested-loop evaluator on
 //!   random data and random queries — the strongest correctness property
 //!   of the executor (covering hash joins, bind joins and their adaptive
-//!   selection).
+//!   selection);
+//! * a template plan of a random BGP with random predicates and objects
+//!   made parameters, bound across several bindings, plans each binding
+//!   bit for bit as a cold plan of the instantiated query does.
 
 use std::collections::BTreeMap;
 
@@ -17,6 +20,7 @@ use parambench_sparql::cardinality::Estimator;
 use parambench_sparql::engine::Engine;
 use parambench_sparql::optimizer::{exhaustive_min_cout, optimize};
 use parambench_sparql::plan::{PlannedPattern, Slot};
+use parambench_sparql::template::{Binding, QueryTemplate};
 
 /// Builds a random dataset over small vocabularies.
 fn dataset(triples: &[(u8, u8, u8)]) -> Dataset {
@@ -184,5 +188,56 @@ proptest! {
             .collect();
         got.sort();
         prop_assert_eq!(got, naive, "rows mismatch for {}", text);
+    }
+
+    #[test]
+    fn bound_template_plans_match_cold_plans(
+        triples in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 5..60),
+        specs in prop::collection::vec(arb_pattern(), 1..6),
+        params in any::<u16>(),
+        values in prop::collection::vec((0u8..5, 0u8..14), 4),
+    ) {
+        let ds = dataset(&triples);
+        let engine = Engine::new(&ds);
+        // Bit 2i makes pattern i's predicate a parameter, bit 2i+1 its
+        // constant object.
+        let mut body = String::new();
+        for (i, spec) in specs.iter().enumerate() {
+            let pred = if params >> (2 * i) & 1 == 1 {
+                format!("%p{i}")
+            } else {
+                format!("<p/{}>", spec.pred)
+            };
+            let obj = match spec.obj {
+                Ok(v) => format!("?v{v}"),
+                Err(_) if params >> (2 * i + 1) & 1 == 1 => format!("%o{i}"),
+                Err(c) => format!("<o/{c}>"),
+            };
+            body.push_str(&format!("?s{} {pred} {obj} . ", spec.s_var));
+        }
+        let template =
+            QueryTemplate::parse("RANDOM", &format!("SELECT * WHERE {{ {body} }}")).unwrap();
+        let mut plan = engine.template_plan(&template).unwrap();
+        // `p/4`, `o/12` and `o/13` never occur: those parameters plan as
+        // absent constants.
+        for &(p, o) in &values {
+            let binding = Binding::from_pairs(template.params().iter().map(|name| {
+                let i: usize = name[1..].parse().unwrap();
+                let term = if name.starts_with('p') {
+                    Term::iri(format!("p/{}", (p as usize + i) % 5))
+                } else {
+                    Term::iri(format!("o/{}", (o as usize + i) % 14))
+                };
+                (name.clone(), term)
+            }));
+            let bound = plan.bind(&binding).unwrap();
+            let cold = engine.prepare(&template.instantiate(&binding).unwrap()).unwrap();
+            prop_assert_eq!(&bound.signature, &cold.signature, "{} {}", body, binding);
+            prop_assert_eq!(bound.est_cout.to_bits(), cold.est_cout.to_bits());
+            prop_assert_eq!(bound.est_card.to_bits(), cold.est_card.to_bits());
+            prop_assert_eq!(bound.est_result_card.to_bits(), cold.est_result_card.to_bits());
+            prop_assert_eq!(bound.explain(), cold.explain());
+            prop_assert_eq!(engine.explain_physical(&bound), engine.explain_physical(&cold));
+        }
     }
 }

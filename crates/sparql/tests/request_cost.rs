@@ -1,8 +1,9 @@
 //! The structural proof that planning a request walks no index extent, in
 //! the style of `commit_cost.rs`: the process-global
 //! `parambench_rdf::diag::distinct_walks` counter says that
-//! `Engine::plan_class`, `Engine::prepare_template` and `SparqlServer::run`
-//! never call `Dataset::distinct_with` for any of the twelve shipped
+//! `Engine::plan_class`, `Engine::prepare_template`, `TemplatePlan::bind`
+//! and `SparqlServer::run` never call `Dataset::distinct_with` for any of
+//! the twelve shipped
 //! templates — every distinct count their patterns need is a field of the
 //! statistics the store maintains — on a built, a snapshot-loaded and an
 //! overlay-carrying (post-`try_update`) store. A `%s ?p ?o` template is the
@@ -30,8 +31,9 @@ use templates::{families, Family};
 
 const TRIPLES: usize = 12_000;
 
-/// Runs the three request-path entry points for every binding — a fresh
-/// engine per request, as the server builds one — and returns each
+/// Runs the request-path entry points for every binding — a fresh engine
+/// per request, as the server builds one, and one template plan per
+/// template, bound per binding, as profiling does — and returns each
 /// `(what, walks)` that moved the counter.
 fn walks_of(
     kind: &str,
@@ -47,6 +49,10 @@ fn walks_of(
         }
     };
     for (template, bindings) in requests {
+        let engine = Engine::new(ds);
+        let at = distinct_walks();
+        let mut plan = engine.template_plan(template).expect("plans");
+        record(format!("[{kind}] {} template_plan", template.name()), at);
         for (i, binding) in bindings.iter().enumerate() {
             let name = template.name();
             let at = distinct_walks();
@@ -55,6 +61,9 @@ fn walks_of(
             let at = distinct_walks();
             Engine::new(ds).prepare_template(template, binding).expect("prepares");
             record(format!("[{kind}] {name} #{i} prepare_template"), at);
+            let at = distinct_walks();
+            plan.bind(binding).expect("binds");
+            record(format!("[{kind}] {name} #{i} TemplatePlan::bind"), at);
             let at = distinct_walks();
             server.run(template, binding).expect("serves");
             record(format!("[{kind}] {name} #{i} SparqlServer::run"), at);

@@ -24,10 +24,13 @@
 //! Stderr gets two lines per template: how many of its bindings recorded
 //! each morsel, fold, dedup and sort strategy (`PhysicalPlan::morselized`,
 //! `fold`, `dedup`, `sort`), then how many had their measured `Cout`
-//! counted and how many ran their plan (`cout: counted N / fallback M`,
-//! measured through one `CoutTables` per template, as profiling measures
-//! a domain). It is the evidence for keeping or deleting a specialised
-//! strategy, and it leaves stdout `cmp`-able:
+//! counted and how many ran their plan, and how many lookups of memoised
+//! subtree messages the counting made and how many of them hit
+//! (`cout: counted N / fallback M, memo hits H / lookups L`, measured
+//! through one `CoutTables` per template, as profiling measures a domain).
+//! Each template is planned once and bound per binding, as profiling
+//! plans a domain. It is the evidence for keeping or deleting a
+//! specialised strategy, and it leaves stdout `cmp`-able:
 //!
 //! ```text
 //! cargo run --release --example plan_census 2>&1 >/dev/null | grep LDBC-Q3
@@ -64,9 +67,11 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
         // Recorded strategy → bindings that recorded it.
         let mut tally: BTreeMap<String, usize> = BTreeMap::new();
         let mut tables = CoutTables::new(ds);
+        let mut template_plan =
+            engine.template_plan(template).unwrap_or_else(|e| panic!("{}: {e}", template.name()));
         for binding in domain.enumerate(BINDINGS, SEED) {
-            let prepared = engine
-                .prepare_template(template, &binding)
+            let prepared = template_plan
+                .bind(&binding)
                 .unwrap_or_else(|e| panic!("{} {binding}: {e}", template.name()));
             let plan = engine.physical_plan(&prepared, &exec);
             engine
@@ -92,7 +97,11 @@ fn census(ds: &Dataset, cases: &[(QueryTemplate, ParameterDomain)]) {
         let counts: Vec<String> = tally.iter().map(|(s, n)| format!("{s} ×{n}")).collect();
         eprintln!("{}\t{}", template.name(), counts.join(", "));
         let (counted, fallback) = (tables.counted(), tables.fallback());
-        eprintln!("{}\tcout: counted {counted} / fallback {fallback}", template.name());
+        let (hits, lookups) = (tables.memo_hits(), tables.memo_lookups());
+        eprintln!(
+            "{}\tcout: counted {counted} / fallback {fallback}, memo hits {hits} / lookups {lookups}",
+            template.name()
+        );
     }
 }
 
