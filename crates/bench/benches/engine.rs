@@ -5,8 +5,9 @@
 //! the materialize-then-modify baseline, the out-of-core GROUP BY
 //! (spill-to-disk under a memory budget) against the in-memory fold, one
 //! bind join's index probes with the left rows in key order and shuffled,
-//! and snapshot save / load of the `serve_read` store with the checksum
-//! pass that dominates both.
+//! snapshot save / load of the `serve_read` store with the checksum pass
+//! that dominates both, and the GROUP BY fold over the root type in its
+//! clustered (RATING) and hash (BI-Q4) mode.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parambench_core::ParameterDomain;
@@ -16,7 +17,8 @@ use parambench_rdf::{Dataset, Id, Term};
 use parambench_sparql::physical::BindJoin;
 use parambench_sparql::plan::{PlannedPattern, Slot};
 use parambench_sparql::{
-    Batch, Binding, CoutBucket, Engine, ExecConfig, ExecError, ExecStats, Operator, BATCH_SIZE,
+    Batch, Binding, CoutBucket, Engine, ExecConfig, ExecError, ExecStats, Fold, Operator,
+    BATCH_SIZE,
 };
 use std::hint::black_box;
 
@@ -356,6 +358,28 @@ fn snapshot_benches(c: &mut Criterion) {
     c.bench_function("checksum/16mib", |b| b.iter(|| black_box(checksum(black_box(&bytes)))));
 }
 
+/// One execution each of two aggregating templates over the root type of
+/// the `serve_read` store: RATING, whose input arrives clustered by its
+/// (implicit) group, folds in clustered mode (`Fold::Ordered`); BI-Q4
+/// folds through the hash map (`Fold::Hash`).
+fn fold_benches(c: &mut Criterion) {
+    let bsbm = Bsbm::generate(BsbmConfig::with_scale(150_000));
+    let root_type =
+        Binding::new().with("type", Term::iri(parambench_datagen::bsbm::schema::product_type(0)));
+    let exec = ExecConfig { mem_budget_rows: None, ..ExecConfig::default() };
+    let engine = Engine::with_exec_config(&bsbm.dataset, exec);
+    for (name, template, fold) in [
+        ("ordered_rating", Bsbm::q_rating_by_type(), Fold::Ordered),
+        ("hash_bi_q4", Bsbm::q4_feature_price_by_type(), Fold::Hash),
+    ] {
+        let prepared = engine.prepare_template(&template, &root_type).unwrap();
+        assert_eq!(engine.physical_plan(&prepared, &exec).fold, Some(fold), "{name}");
+        c.bench_function(&format!("engine/fold_{name}"), |b| {
+            b.iter(|| black_box(engine.execute(&prepared).unwrap().cout))
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -379,4 +403,10 @@ criterion_group! {
     config = Criterion::default().sample_size(30);
     targets = snapshot_benches
 }
-criterion_main!(prepare, probe, snapshot, benches);
+// One query execution: a few milliseconds.
+criterion_group! {
+    name = fold;
+    config = Criterion::default().sample_size(50);
+    targets = fold_benches
+}
+criterion_main!(prepare, probe, snapshot, fold, benches);

@@ -21,7 +21,7 @@ use crate::cardinality::{Estimate, Estimator, MAX_VARS};
 use crate::cout::CoutTables;
 use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, UNBOUND};
-use crate::modifiers::{self, Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, TopK};
+use crate::modifiers::{self, Distinct, GroupFold, RowKeys, Slice, TopK};
 use crate::optimizer::{greedy, subset_estimate, JoinDp, EXACT_LIMIT};
 use crate::physical::{
     self, Batch, BoxedOperator, CoutBucket, FilterEval, Gather, HashJoinProbe, LeftOuterJoin,
@@ -31,7 +31,7 @@ use crate::plan::{
     Dedup, Fold, ModifierPlan, PhysGroup, PhysNode, PhysicalPlan, PlanNode, PlanSignature,
     PlannedPattern, RootGoal, Slot, Sort, TableColSource,
 };
-use crate::results::{finalize_bindings, finalize_table, table_from_groups, OutVal, ResultSet};
+use crate::results::{finalize_bindings, finalize_table, OutVal, ResultSet};
 use crate::spill::ExternalGroupFold;
 use crate::template::{instantiate_expr, Binding, QueryTemplate};
 
@@ -1232,29 +1232,22 @@ impl<'a> Engine<'a> {
         let agg = m.aggregate.as_ref().expect("a fold is recorded only under aggregation");
         // Every fold registers new group state with `stats` while the
         // input batch is still live; the batch's tuples then collapse into
-        // the accumulators, released (`resident`) once the table is out.
-        let hash_fold = |mut op: BoxedOperator<'a>, st: &mut ExecStats| {
-            let mut fold = GroupFold::new(agg, op.schema(), ds);
-            let mut row = vec![UNBOUND; op.schema().len()];
-            while let Some(batch) = op.next_batch(st)? {
-                for r in 0..batch.len() {
-                    batch.read_row(r, &mut row);
-                    fold.add_row(&row, st);
-                }
-                st.shrink(batch.len());
+        // the accumulators, released once the table is laid out.
+        let fold_rows = |clustered: bool| {
+            move |mut op: BoxedOperator<'a>, st: &mut ExecStats| {
+                let mut fold = GroupFold::new(agg, op.schema(), ds, clustered);
+                Self::for_each_row(&mut op, st, |row, st| {
+                    fold.add_row(row, st);
+                    Ok(())
+                })?;
+                Ok(fold)
             }
-            Ok::<_, ExecError>(fold)
-        };
-        let hash_table = |fold: GroupFold<'_>| {
-            let resident = fold.resident();
-            let (keys, states) = fold.finish();
-            (table_from_groups(keys, states, m, agg), resident)
         };
         // The serial folds consume one row stream (a morselized BGP goes
         // through its Gather, so rows arrive in the serial order),
         // projected to the group + aggregate input columns.
         let input = || Self::projected(self.lower_patterns(plan, exec), &m.input_slots());
-        let (rows, resident) = match fold {
+        let rows = match fold {
             // Recorded only for a morselized BGP with nothing stacked on
             // it, so the fold itself fans out: every morsel folds into a
             // private GroupFold on its worker, and the partials merge at
@@ -1265,36 +1258,25 @@ impl<'a> Engine<'a> {
                 let root = plan.bgp.as_ref().expect("worker-side folds run over a BGP");
                 let src = root.lower_morsels(ds, CoutBucket::Required, exec);
                 let mut master: Option<GroupFold<'_>> = None;
-                src.process(stats, hash_fold, |partial, stats| match &mut master {
+                src.process(stats, fold_rows(false), |partial, stats| match &mut master {
                     None => master = Some(partial),
                     Some(fold) => fold.merge(partial, stats),
                 })?;
-                hash_table(master.expect("morselized plans have at least one morsel"))
+                master.expect("morselized plans have at least one morsel").finish(m, stats)
             }
-            Fold::Hash => hash_table(hash_fold(input(), stats)?),
-            Fold::Ordered => {
-                let mut op = input();
-                let mut fold = OrderedGroupFold::new(m, agg, op.schema(), ds);
-                Self::for_each_row(&mut op, stats, |row, st| {
-                    fold.add_row(row, st);
-                    Ok(())
-                })?;
-                fold.finish(stats)
+            Fold::Hash | Fold::Ordered => {
+                fold_rows(fold == Fold::Ordered)(input(), stats)?.finish(m, stats)
             }
             Fold::External { budget, eager } => {
                 let mut op = input();
                 let dir = self.spill_base.get().cloned();
                 let mut fold = ExternalGroupFold::new(agg, op.schema(), ds, budget, eager, dir);
-                Self::for_each_row(&mut op, stats, |row, st| {
-                    fold.add_row(row, st).map_err(QueryError::from)
-                })?;
-                (fold.finish(m, agg, stats)?, 0)
+                Self::for_each_row(&mut op, stats, |row, st| fold.add_row(row, st))?;
+                fold.finish(m, stats)?
             }
         };
         let sorted = matches!(plan.sort, Sort::Eliminated);
-        let out = finalize_table(rows, m, ds, sorted, stats);
-        stats.shrink(resident);
-        Ok(out)
+        Ok(finalize_table(rows, m, ds, sorted, stats))
     }
 
     /// The non-aggregate epilogue: the recorded modifier operators stacked
@@ -1395,8 +1377,8 @@ impl<'a> Engine<'a> {
     fn for_each_row(
         op: &mut BoxedOperator<'_>,
         stats: &mut ExecStats,
-        mut consume: impl FnMut(&[Id], &mut ExecStats) -> Result<(), QueryError>,
-    ) -> Result<(), QueryError> {
+        mut consume: impl FnMut(&[Id], &mut ExecStats) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
         let mut row = vec![UNBOUND; op.schema().len()];
         while let Some(batch) = op.next_batch(stats)? {
             for r in 0..batch.len() {

@@ -17,9 +17,9 @@
 //! * [`Sort`] — every other ORDER BY: a blocking stable sort over the
 //!   external merge sort ([`crate::spill::ExternalSorter`]), which spills
 //!   sorted runs only under a memory budget;
-//! * `GroupFold` — streaming GROUP BY/aggregation: folds each input batch
-//!   into per-group accumulators so the grouped query never materializes
-//!   its (potentially huge) join input, only the groups.
+//! * [`GroupFold`] — streaming GROUP BY/aggregation, through a hash map or,
+//!   over group-clustered input, one open group at a time: only the groups,
+//!   never the (potentially huge) join input, are ever resident.
 //!
 //! Tie-breaking is pinned everywhere: rows are ordered by their sort keys,
 //! then by pipeline arrival order, which makes [`TopK`] and [`Sort`] output
@@ -548,25 +548,54 @@ impl AggState {
             seen: HashSet::new(),
         }
     }
+
+    /// Folds one bound input value — the one accumulate step of the row
+    /// fold and of [`GroupFold::merge`]'s DISTINCT re-fold, so float
+    /// results cannot drift between them. False when a DISTINCT aggregate
+    /// has already folded `id`; true otherwise, and then a DISTINCT
+    /// aggregate retains `id`.
+    fn fold(&mut self, id: Id, distinct: bool, ds: &Dataset) -> bool {
+        if distinct && !self.seen.insert(id.0) {
+            return false;
+        }
+        self.count += 1;
+        if let Some(n) = ds.dict().numeric(id) {
+            self.num_count += 1;
+            self.sum += n;
+            self.min = self.min.min(n);
+            self.max = self.max.max(n);
+        }
+        true
+    }
 }
 
-/// Streaming GROUP BY fold: rows are folded into per-group [`AggState`]s
+/// Streaming GROUP BY fold: rows are folded into per-group `AggState`s
 /// as they arrive, so only the groups — never the grouped input — are ever
 /// resident. Groups are kept in first-seen order (the pipeline's row
 /// order), which pins the pre-sort output order.
+///
+/// A fold runs in one of two modes. In hash mode a row finds its group
+/// through a hash map over the group keys. In clustered mode the input
+/// delivers each group's rows contiguously (the group slots are a prefix
+/// of the delivered order), so a row joins the last group when its key
+/// equals that group's key and no map exists; a key change closes the
+/// last group, whose DISTINCT id sets are dropped then, not at the end.
+/// Both modes fold every row in the same sequence, so their tables are
+/// bit-identical, floats included.
 ///
 /// Aggregation subset semantics (shared by the oracle in the test suite):
 /// COUNT counts bound values; SUM adds the numeric values and is 0 when
 /// none exist; AVG divides by the *numeric* count and is unbound for a
 /// group without numeric values; MIN/MAX fold numeric values only and are
 /// unbound for a group without any.
-pub(crate) struct GroupFold<'a> {
+pub struct GroupFold<'a> {
     ds: &'a Dataset,
     /// Input column per group key.
     group_cols: Vec<usize>,
     /// Input column per aggregate (`None` = COUNT(*)), plus DISTINCT flag.
     spec_cols: Vec<(Option<usize>, bool)>,
-    groups: HashMap<Vec<Id>, usize>,
+    /// Group index per key in hash mode; `None` in clustered mode.
+    groups: Option<HashMap<Vec<Id>, usize>>,
     /// Group keys in first-seen order.
     order: Vec<Vec<Id>>,
     states: Vec<Vec<AggState>>,
@@ -586,12 +615,16 @@ pub(crate) struct GroupFold<'a> {
     /// (one per group row, one per retained DISTINCT input id): the fold's
     /// memory is counted *while* input batches are still live, not after.
     resident: usize,
+    /// The group key of the row being looked up, refilled in place so a
+    /// row of an existing group allocates nothing.
+    key: Vec<Id>,
 }
 
 impl<'a> GroupFold<'a> {
-    /// `schema` is the slot list of the rows that will be folded (a batch
-    /// schema or a bindings column list).
-    pub fn new(agg: &AggregatePlan, schema: &[usize], ds: &'a Dataset) -> Self {
+    /// A fold of rows with slot list `schema` (a batch schema or a
+    /// bindings column list), in clustered mode when `clustered`: only
+    /// when the input delivers each group's rows contiguously.
+    pub fn new(agg: &AggregatePlan, schema: &[usize], ds: &'a Dataset, clustered: bool) -> Self {
         let col_of = |slot: usize| {
             schema.iter().position(|&v| v == slot).expect("modifier slot in pipeline schema")
         };
@@ -603,12 +636,13 @@ impl<'a> GroupFold<'a> {
                 .iter()
                 .map(|spec| (spec.slot.map(col_of), spec.distinct))
                 .collect(),
-            groups: HashMap::new(),
+            groups: (!clustered).then(HashMap::new),
             order: Vec::new(),
             states: Vec::new(),
             births: Vec::new(),
             next_seq: 0,
             resident: 0,
+            key: Vec::with_capacity(agg.group_slots.len()),
         }
     }
 
@@ -621,57 +655,68 @@ impl<'a> GroupFold<'a> {
         self.add_row_at(row, seq, stats);
     }
 
-    /// The group key of `row` (group-column values, in GROUP BY order).
-    pub fn key_of(&self, row: &[Id]) -> Vec<Id> {
-        self.group_cols.iter().map(|&c| row[c]).collect()
+    /// The group key of `row` (group-column values, in GROUP BY order), in
+    /// a buffer the next call overwrites.
+    pub(crate) fn key_of(&mut self, row: &[Id]) -> &[Id] {
+        self.key.clear();
+        self.key.extend(self.group_cols.iter().map(|&c| row[c]));
+        &self.key
     }
 
-    /// True when `row`'s group already has an accumulator in this fold.
-    pub fn has_group_of(&self, row: &[Id]) -> bool {
-        self.groups.contains_key(&self.key_of(row))
+    /// The accumulator index of `row`'s group, if the fold holds one. In
+    /// clustered mode only the last group can match.
+    pub(crate) fn group_of(&mut self, row: &[Id]) -> Option<usize> {
+        if self.groups.is_none() {
+            let last = self.order.last()?;
+            let same = self.group_cols.iter().zip(last).all(|(&c, &k)| row[c] == k);
+            return same.then(|| self.order.len() - 1);
+        }
+        self.key_of(row);
+        self.groups.as_ref().and_then(|groups| groups.get(self.key.as_slice()).copied())
+    }
+
+    /// Opens the group of `row`, born at `seq`. In clustered mode the last
+    /// group closes first: its DISTINCT id sets are dropped and released.
+    fn open(&mut self, row: &[Id], seq: u64, stats: &mut ExecStats) -> usize {
+        if self.groups.is_none() {
+            if let Some(states) = self.states.last_mut() {
+                let released: usize =
+                    states.iter_mut().map(|s| std::mem::take(&mut s.seen).len()).sum();
+                stats.shrink(released);
+                self.resident -= released;
+            }
+        }
+        let gi = self.order.len();
+        let key: Vec<Id> = self.group_cols.iter().map(|&c| row[c]).collect();
+        if let Some(groups) = &mut self.groups {
+            groups.insert(key.clone(), gi);
+        }
+        self.order.push(key);
+        self.states.push(vec![AggState::new(); self.spec_cols.len()]);
+        self.births.push(seq);
+        stats.grow(1);
+        self.resident += 1;
+        gi
     }
 
     /// [`GroupFold::add_row`] with an explicit row sequence number — used
     /// by the out-of-core fold, which re-folds spilled rows with their
     /// original global sequence so group births stay comparable across
     /// spill partitions.
-    pub fn add_row_at(&mut self, row: &[Id], seq: u64, stats: &mut ExecStats) {
+    pub(crate) fn add_row_at(&mut self, row: &[Id], seq: u64, stats: &mut ExecStats) {
         self.next_seq = seq + 1;
-        let key = self.key_of(row);
-        let gi = match self.groups.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                let gi = self.order.len();
-                self.groups.insert(key.clone(), gi);
-                self.order.push(key);
-                self.states.push(vec![AggState::new(); self.spec_cols.len()]);
-                self.births.push(seq);
-                stats.grow(1);
-                self.resident += 1;
-                gi
-            }
+        let gi = match self.group_of(row) {
+            Some(gi) => gi,
+            None => self.open(row, seq, stats),
         };
-        for ((col, distinct), state) in self.spec_cols.iter().zip(self.states[gi].iter_mut()) {
+        for (&(col, distinct), state) in self.spec_cols.iter().zip(&mut self.states[gi]) {
             match col {
                 None => state.count += 1, // COUNT(*)
                 Some(c) => {
-                    let id = row[*c];
-                    if id == UNBOUND {
-                        continue;
-                    }
-                    if *distinct {
-                        if !state.seen.insert(id.0) {
-                            continue;
-                        }
+                    let id = row[c];
+                    if id != UNBOUND && state.fold(id, distinct, self.ds) && distinct {
                         stats.grow(1);
                         self.resident += 1;
-                    }
-                    state.count += 1;
-                    if let Some(n) = self.ds.dict().numeric(id) {
-                        state.num_count += 1;
-                        state.sum += n;
-                        state.min = state.min.min(n);
-                        state.max = state.max.max(n);
                     }
                 }
             }
@@ -691,18 +736,17 @@ impl<'a> GroupFold<'a> {
     /// re-folded id-by-id over the incoming `seen` set (in sorted-id order
     /// for a deterministic float fold), so cross-morsel duplicates are
     /// counted once, exactly like the serial fold.
-    pub fn merge(&mut self, other: GroupFold<'a>, stats: &mut ExecStats) {
+    pub(crate) fn merge(&mut self, other: GroupFold<'a>, stats: &mut ExecStats) {
         debug_assert_eq!(self.group_cols, other.group_cols);
         debug_assert_eq!(self.spec_cols.len(), other.spec_cols.len());
-        let ds = self.ds;
+        let groups = self.groups.as_mut().expect("partial folds run in hash mode");
         self.resident += other.resident;
         for ((key, src_states), src_birth) in
             other.order.into_iter().zip(other.states).zip(other.births)
         {
-            match self.groups.get(&key) {
+            match groups.get(&key) {
                 None => {
-                    let gi = self.order.len();
-                    self.groups.insert(key.clone(), gi);
+                    groups.insert(key.clone(), self.order.len());
                     self.order.push(key);
                     // The partial's state (and its stats registration)
                     // moves over wholesale.
@@ -713,26 +757,18 @@ impl<'a> GroupFold<'a> {
                     // Duplicate group row: one of the two collapses.
                     stats.shrink(1);
                     self.resident -= 1;
-                    for ((_, distinct), (dst, src)) in
+                    for (&(_, distinct), (dst, src)) in
                         self.spec_cols.iter().zip(self.states[gi].iter_mut().zip(src_states))
                     {
-                        if *distinct {
+                        if distinct {
                             // Re-fold the incoming distinct ids; sorted so
                             // the float fold order is deterministic.
                             let mut ids: Vec<u32> = src.seen.into_iter().collect();
                             ids.sort_unstable();
                             for raw in ids {
-                                if !dst.seen.insert(raw) {
+                                if !dst.fold(Id(raw), true, self.ds) {
                                     stats.shrink(1);
                                     self.resident -= 1;
-                                    continue;
-                                }
-                                dst.count += 1;
-                                if let Some(n) = ds.dict().numeric(Id(raw)) {
-                                    dst.num_count += 1;
-                                    dst.sum += n;
-                                    dst.min = dst.min.min(n);
-                                    dst.max = dst.max.max(n);
                                 }
                             }
                         } else {
@@ -748,170 +784,47 @@ impl<'a> GroupFold<'a> {
         }
     }
 
-    /// Resident accumulator entries registered so far (to release once the
-    /// fold's output has been laid out).
-    pub fn resident(&self) -> usize {
+    /// Resident accumulator entries registered so far.
+    pub(crate) fn resident(&self) -> usize {
         self.resident
     }
 
     /// Number of groups so far (used by the unit tests; production code
     /// tracks `resident()` instead).
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
-    /// Finishes the fold. A grouped query over empty input has no groups;
-    /// an *ungrouped* aggregate query (implicit single group) always yields
-    /// exactly one row, per SPARQL — COUNT 0, SUM 0, AVG/MIN/MAX unbound.
-    pub fn finish(mut self) -> (Vec<Vec<Id>>, Vec<Vec<AggState>>) {
+    /// Finishes the fold into the solution-table rows of `m`, in group
+    /// first-seen order, and releases its resident state from `stats`. A
+    /// grouped query over empty input has no groups; an *ungrouped*
+    /// aggregate query (implicit single group) always yields exactly one
+    /// row, per SPARQL — COUNT 0, SUM 0, AVG/MIN/MAX unbound — registered
+    /// like any other group row.
+    pub(crate) fn finish(mut self, m: &ModifierPlan, stats: &mut ExecStats) -> Vec<Vec<SolVal>> {
         if self.group_cols.is_empty() && self.order.is_empty() {
-            self.order.push(Vec::new());
-            self.states.push(vec![AggState::new(); self.spec_cols.len()]);
-            self.births.push(0);
+            self.open(&[], 0, stats);
         }
-        (self.order, self.states)
+        self.finish_with_births(m, stats).0
     }
 
-    /// Disassembles the fold into keys, states and group births *without*
-    /// synthesizing the implicit group — the out-of-core drain interleaves
-    /// several partial folds by birth first and applies the implicit-group
-    /// rule at the very end.
-    pub fn into_parts(self) -> (Vec<Vec<Id>>, Vec<Vec<AggState>>, Vec<u64>) {
-        (self.order, self.states, self.births)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OrderedGroupFold (streaming GROUP BY over group-clustered input)
-// ---------------------------------------------------------------------------
-
-/// GROUP BY fold for pipelines whose delivered order clusters each group's
-/// rows contiguously (the group slots are a prefix permutation of the
-/// delivered order): holds **one** group's accumulators at a time instead
-/// of a hash map over all groups, converting each group to its final
-/// solution row the moment the key changes — DISTINCT-aggregate id sets
-/// are freed per group instead of accumulating.
-///
-/// Emission order is group first-seen order, which over clustered input
-/// equals the hash fold's first-seen order exactly, and the per-row fold
-/// sequence is identical — results (floats included) are bit-identical to
-/// [`GroupFold`].
-pub(crate) struct OrderedGroupFold<'a, 'p> {
-    ds: &'a Dataset,
-    m: &'p ModifierPlan,
-    agg: &'p AggregatePlan,
-    /// Input column per group key.
-    group_cols: Vec<usize>,
-    /// Input column per aggregate (`None` = COUNT(*)), plus DISTINCT flag.
-    spec_cols: Vec<(Option<usize>, bool)>,
-    /// The one in-flight group.
-    active: Option<(Vec<Id>, Vec<AggState>)>,
-    /// Distinct-aggregate ids retained by the active group (released when
-    /// the group closes).
-    active_distinct: usize,
-    /// Finished solution rows, in group first-seen order.
-    rows: Vec<Vec<SolVal>>,
-    /// Resident entries registered with `stats` so far.
-    resident: usize,
-}
-
-impl<'a, 'p> OrderedGroupFold<'a, 'p> {
-    /// `schema` is the slot list of the rows that will be folded.
-    pub fn new(
-        m: &'p ModifierPlan,
-        agg: &'p AggregatePlan,
-        schema: &[usize],
-        ds: &'a Dataset,
-    ) -> Self {
-        let col_of = |slot: usize| {
-            schema.iter().position(|&v| v == slot).expect("modifier slot in pipeline schema")
-        };
-        OrderedGroupFold {
-            ds,
-            m,
-            agg,
-            group_cols: agg.group_slots.iter().map(|&s| col_of(s)).collect(),
-            spec_cols: agg
-                .specs
-                .iter()
-                .map(|spec| (spec.slot.map(col_of), spec.distinct))
-                .collect(),
-            active: None,
-            active_distinct: 0,
-            rows: Vec::new(),
-            resident: 0,
-        }
-    }
-
-    fn close_active(&mut self, stats: &mut ExecStats) {
-        if let Some((key, states)) = self.active.take() {
-            self.rows.push(group_row(&key, &states, self.m, self.agg));
-            // The distinct-id sets die with the accumulators; the group's
-            // one-row registration lives on as the emitted solution row.
-            stats.shrink(self.active_distinct);
-            self.resident -= self.active_distinct;
-            self.active_distinct = 0;
-        }
-    }
-
-    /// Folds one row; a key change closes the previous group.
-    pub fn add_row(&mut self, row: &[Id], stats: &mut ExecStats) {
-        let key: Vec<Id> = self.group_cols.iter().map(|&c| row[c]).collect();
-        let start_new = match &self.active {
-            Some((k, _)) => *k != key,
-            None => true,
-        };
-        if start_new {
-            self.close_active(stats);
-            self.active = Some((key, vec![AggState::new(); self.spec_cols.len()]));
-            stats.grow(1);
-            self.resident += 1;
-        }
-        let (_, states) = self.active.as_mut().expect("opened above");
-        // Identical per-row fold sequence to GroupFold::add_row, so float
-        // results cannot drift between the hash and the ordered fold.
-        for ((col, distinct), state) in self.spec_cols.iter().zip(states.iter_mut()) {
-            match col {
-                None => state.count += 1, // COUNT(*)
-                Some(c) => {
-                    let id = row[*c];
-                    if id == UNBOUND {
-                        continue;
-                    }
-                    if *distinct {
-                        if !state.seen.insert(id.0) {
-                            continue;
-                        }
-                        stats.grow(1);
-                        self.resident += 1;
-                        self.active_distinct += 1;
-                    }
-                    state.count += 1;
-                    if let Some(n) = self.ds.dict().numeric(id) {
-                        state.num_count += 1;
-                        state.sum += n;
-                        state.min = state.min.min(n);
-                        state.max = state.max.max(n);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Closes the last group and returns the finished rows plus the
-    /// resident count to release once the result is laid out. An ungrouped
-    /// fold over empty input yields the implicit single group, like
-    /// [`GroupFold::finish`].
-    pub fn finish(mut self, stats: &mut ExecStats) -> (Vec<Vec<SolVal>>, usize) {
-        self.close_active(stats);
-        if self.group_cols.is_empty() && self.rows.is_empty() {
-            let states = vec![AggState::new(); self.spec_cols.len()];
-            self.rows.push(group_row(&[], &states, self.m, self.agg));
-            stats.grow(1);
-            self.resident += 1;
-        }
-        (self.rows, self.resident)
+    /// [`GroupFold::finish`] with each row's group birth, and *without*
+    /// the implicit group: the out-of-core drain interleaves several
+    /// folds by birth, and one of them holds the group of any row.
+    pub(crate) fn finish_with_births(
+        self,
+        m: &ModifierPlan,
+        stats: &mut ExecStats,
+    ) -> (Vec<Vec<SolVal>>, Vec<u64>) {
+        let rows = self
+            .order
+            .iter()
+            .zip(&self.states)
+            .map(|(key, states)| group_row(key, states, m))
+            .collect();
+        stats.shrink(self.resident);
+        (rows, self.births)
     }
 }
 
@@ -1047,6 +960,41 @@ mod tests {
         }
     }
 
+    /// The solution table of `agg`: its group keys, then its aggregates.
+    fn table_of(agg: &AggregatePlan) -> ModifierPlan {
+        use crate::plan::{TableCol, TableColSource};
+        let keys = agg.group_slots.iter().map(|&s| TableColSource::Slot(s));
+        let aggs = (0..agg.specs.len()).map(TableColSource::Agg);
+        let table: Vec<TableCol> =
+            keys.chain(aggs).map(|source| TableCol { name: String::new(), source }).collect();
+        ModifierPlan {
+            distinct: false,
+            offset: 0,
+            limit: None,
+            out_width: table.len(),
+            table,
+            order_by: vec![],
+            order_exprs: vec![],
+            aggregate: Some(agg.clone()),
+        }
+    }
+
+    /// Folds `rows` (schema `[0, 1]`) and returns the table rows and the
+    /// peak the fold registered.
+    fn fold_rows(
+        ds: &Dataset,
+        agg: &AggregatePlan,
+        rows: &[Vec<Id>],
+        clustered: bool,
+    ) -> (Vec<Vec<SolVal>>, u64) {
+        let mut stats = ExecStats::default();
+        let mut fold = GroupFold::new(agg, &[0, 1], ds, clustered);
+        for row in rows {
+            fold.add_row(row, &mut stats);
+        }
+        (fold.finish(&table_of(agg), &mut stats), stats.peak_tuples)
+    }
+
     #[test]
     fn group_fold_streams_groups() {
         let n = 1000;
@@ -1059,7 +1007,7 @@ mod tests {
             ],
         };
         let mut op = scan(&ds, "p/val", 0, 1);
-        let mut fold = GroupFold::new(&agg, op.schema(), &ds);
+        let mut fold = GroupFold::new(&agg, op.schema(), &ds, false);
         let mut stats = ExecStats::default();
         let mut row = vec![UNBOUND; 2];
         while let Some(batch) = op.next_batch(&mut stats).unwrap() {
@@ -1072,11 +1020,66 @@ mod tests {
         assert_eq!(fold.len(), 5);
         // Resident accounting: 5 group rows + 1000 retained distinct ids.
         assert_eq!(fold.resident(), 5 + n);
-        let (keys, states) = fold.finish();
-        assert_eq!(keys.len(), 5);
-        for st in &states {
-            assert_eq!(st[0].count, 200);
-            assert_eq!(st[1].count, 200, "subjects are distinct");
+        let table = fold.finish(&table_of(&agg), &mut stats);
+        assert_eq!(table.len(), 5);
+        for row in &table {
+            assert_eq!(row[1], SolVal::Num(200.0));
+            assert_eq!(row[2], SolVal::Num(200.0), "subjects are distinct");
+        }
+    }
+
+    /// Random group-clustered rows through the clustered and the hash fold:
+    /// the same table bit for bit, and a clustered peak that holds only
+    /// the open group's DISTINCT ids.
+    #[test]
+    fn clustered_fold_matches_hash_fold_on_random_clustered_rows() {
+        let ds = dataset(300);
+        let id = |t: Term| ds.lookup(&t).expect("term in the dataset");
+        // Numeric values, non-numeric terms and unbound values.
+        let mut values: Vec<Id> = (0..5).map(|v| id(Term::integer(v))).collect();
+        values.extend((0..3).map(|t| id(Term::iri(format!("t/{t}")))));
+        values.push(UNBOUND);
+        let v = Some(1);
+        let spec = |func, distinct| AggSpec { func, slot: v, distinct };
+        let agg = AggregatePlan {
+            group_slots: vec![0],
+            specs: vec![
+                AggSpec { func: AggFunc::Count, slot: None, distinct: false },
+                spec(AggFunc::Count, false),
+                spec(AggFunc::Sum, false),
+                spec(AggFunc::Avg, false),
+                spec(AggFunc::Min, false),
+                spec(AggFunc::Max, false),
+                spec(AggFunc::Count, true),
+                spec(AggFunc::Avg, true),
+            ],
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for round in 0..20 {
+            let mut rows: Vec<Vec<Id>> = Vec::new();
+            // The clustered peak: at the close of group g, g + 1 group rows
+            // and g's distinct bound values under each DISTINCT aggregate.
+            let mut expected_peak = 0;
+            for g in 0..1 + next(40) {
+                let key = id(Term::iri(format!("s/{g}")));
+                let group: Vec<Id> =
+                    (0..1 + next(30)).map(|_| values[next(values.len())]).collect();
+                let distinct: HashSet<Id> =
+                    group.iter().copied().filter(|&x| x != UNBOUND).collect();
+                expected_peak = expected_peak.max(g + 1 + 2 * distinct.len());
+                rows.extend(group.into_iter().map(|x| vec![key, x]));
+            }
+            let (hash, hash_peak) = fold_rows(&ds, &agg, &rows, false);
+            let (clustered, clustered_peak) = fold_rows(&ds, &agg, &rows, true);
+            assert_eq!(format!("{hash:?}"), format!("{clustered:?}"), "round {round}");
+            assert!(clustered_peak <= hash_peak, "round {round}");
+            assert_eq!(clustered_peak, expected_peak as u64, "round {round}");
         }
     }
 
@@ -1085,11 +1088,21 @@ mod tests {
         let ds = dataset(10);
         let agg = AggregatePlan {
             group_slots: vec![],
-            specs: vec![AggSpec { func: AggFunc::Count, slot: None, distinct: false }],
+            specs: vec![
+                AggSpec { func: AggFunc::Count, slot: None, distinct: false },
+                AggSpec { func: AggFunc::Sum, slot: Some(1), distinct: false },
+                AggSpec { func: AggFunc::Avg, slot: Some(1), distinct: true },
+            ],
         };
-        let fold = GroupFold::new(&agg, &[0, 1], &ds);
-        let (keys, states) = fold.finish();
-        assert_eq!(keys.len(), 1);
-        assert_eq!(states[0][0].count, 0);
+        let implicit = vec![SolVal::Num(0.0), SolVal::Num(0.0), SolVal::Unbound];
+        for clustered in [false, true] {
+            assert_eq!(fold_rows(&ds, &agg, &[], clustered), (vec![implicit.clone()], 1));
+        }
+        for eager in [false, true] {
+            let mut stats = ExecStats::default();
+            let fold = crate::spill::ExternalGroupFold::new(&agg, &[0, 1], &ds, 1, eager, None);
+            let table = fold.finish(&table_of(&agg), &mut stats).unwrap();
+            assert_eq!((table, stats.peak_tuples), (vec![implicit.clone()], 1), "eager {eager}");
+        }
     }
 }

@@ -20,8 +20,6 @@
 //! (`Engine::physical_plan`), so the plan and its signature never depend
 //! on them.
 
-use std::collections::HashMap;
-
 use crate::cardinality::{slots_of, Estimate, Estimator, MAX_VARS};
 use crate::error::QueryError;
 use crate::plan::{JoinMethod, PlanNode, PlannedPattern, Work};
@@ -433,102 +431,104 @@ pub fn annotate_canonical(plan: &mut PlanNode, est: &Estimator<'_>) -> Vec<Plann
     }
 }
 
-/// Exhaustive plan enumeration (all bushy trees), used as a test oracle to
-/// verify DP optimality on small inputs. Costs use the same canonical
-/// per-subset cardinalities as the DP. Exponential — tests only.
-pub fn exhaustive_min_cout(
-    patterns: &[PlannedPattern],
-    est: &Estimator<'_>,
-) -> Option<(f64, PlanNode)> {
-    fn card_of(
-        mask: usize,
-        patterns: &[PlannedPattern],
-        est: &Estimator<'_>,
-        cache: &mut HashMap<usize, f64>,
-    ) -> f64 {
-        if let Some(&c) = cache.get(&mask) {
-            return c;
-        }
-        let members: Vec<PlannedPattern> = (0..patterns.len())
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| patterns[i].clone())
-            .collect();
-        let c = subset_estimate(&members, est).card;
-        cache.insert(mask, c);
-        c
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        items: Vec<(PlanNode, usize, f64)>, // (plan, leaf mask, cost)
-        patterns: &[PlannedPattern],
-        est: &Estimator<'_>,
-        cache: &mut HashMap<usize, f64>,
-        best: &mut Option<(f64, PlanNode)>,
-    ) {
-        if items.len() == 1 {
-            let (plan, _, cost) = &items[0];
-            if best.as_ref().is_none_or(|(c, _)| cost < c) {
-                *best = Some((*cost, plan.clone()));
-            }
-            return;
-        }
-        for i in 0..items.len() {
-            for j in 0..items.len() {
-                if i == j {
-                    continue;
-                }
-                let (pi, mi, ci) = &items[i];
-                let (pj, mj, cj) = &items[j];
-                let shared: Vec<usize> =
-                    pi.var_slots().into_iter().filter(|v| pj.var_slots().contains(v)).collect();
-                let union = mi | mj;
-                let card = card_of(union, patterns, est, cache);
-                let cost = ci + cj + card;
-                let node = PlanNode::Join {
-                    left: Box::new(pi.clone()),
-                    right: Box::new(pj.clone()),
-                    join_vars: shared,
-                    est_card: card,
-                };
-                let mut rest: Vec<(PlanNode, usize, f64)> = items
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| *k != i && *k != j)
-                    .map(|(_, it)| it.clone())
-                    .collect();
-                rest.push((node, union, cost));
-                rec(rest, patterns, est, cache, best);
-            }
-        }
-    }
-
-    if patterns.is_empty() {
-        return None;
-    }
-    let items: Vec<(PlanNode, usize, f64)> = patterns
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let e = est.scan(p);
-            (PlanNode::Scan { pattern: p.clone(), est_card: e.card }, 1usize << i, 0.0)
-        })
-        .collect();
-    if items.len() == 1 {
-        return Some((0.0, items[0].0.clone()));
-    }
-    let mut best = None;
-    let mut cache = HashMap::new();
-    rec(items, patterns, est, &mut cache, &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::Slot;
     use parambench_rdf::store::{Dataset, StoreBuilder};
     use parambench_rdf::term::Term;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Exhaustive plan enumeration (all bushy trees), used as a test oracle to
+    /// verify DP optimality on small inputs. Costs use the same canonical
+    /// per-subset cardinalities as the DP. Exponential.
+    fn exhaustive_min_cout(
+        patterns: &[PlannedPattern],
+        est: &Estimator<'_>,
+    ) -> Option<(f64, PlanNode)> {
+        fn card_of(
+            mask: usize,
+            patterns: &[PlannedPattern],
+            est: &Estimator<'_>,
+            cache: &mut HashMap<usize, f64>,
+        ) -> f64 {
+            if let Some(&c) = cache.get(&mask) {
+                return c;
+            }
+            let members: Vec<PlannedPattern> = (0..patterns.len())
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(|i| patterns[i].clone())
+                .collect();
+            let c = subset_estimate(&members, est).card;
+            cache.insert(mask, c);
+            c
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn rec(
+            items: Vec<(PlanNode, usize, f64)>, // (plan, leaf mask, cost)
+            patterns: &[PlannedPattern],
+            est: &Estimator<'_>,
+            cache: &mut HashMap<usize, f64>,
+            best: &mut Option<(f64, PlanNode)>,
+        ) {
+            if items.len() == 1 {
+                let (plan, _, cost) = &items[0];
+                if best.as_ref().is_none_or(|(c, _)| cost < c) {
+                    *best = Some((*cost, plan.clone()));
+                }
+                return;
+            }
+            for i in 0..items.len() {
+                for j in 0..items.len() {
+                    if i == j {
+                        continue;
+                    }
+                    let (pi, mi, ci) = &items[i];
+                    let (pj, mj, cj) = &items[j];
+                    let shared: Vec<usize> =
+                        pi.var_slots().into_iter().filter(|v| pj.var_slots().contains(v)).collect();
+                    let union = mi | mj;
+                    let card = card_of(union, patterns, est, cache);
+                    let cost = ci + cj + card;
+                    let node = PlanNode::Join {
+                        left: Box::new(pi.clone()),
+                        right: Box::new(pj.clone()),
+                        join_vars: shared,
+                        est_card: card,
+                    };
+                    let mut rest: Vec<(PlanNode, usize, f64)> = items
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| *k != i && *k != j)
+                        .map(|(_, it)| it.clone())
+                        .collect();
+                    rest.push((node, union, cost));
+                    rec(rest, patterns, est, cache, best);
+                }
+            }
+        }
+
+        if patterns.is_empty() {
+            return None;
+        }
+        let items: Vec<(PlanNode, usize, f64)> = patterns
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let e = est.scan(p);
+                (PlanNode::Scan { pattern: p.clone(), est_card: e.card }, 1usize << i, 0.0)
+            })
+            .collect();
+        if items.len() == 1 {
+            return Some((0.0, items[0].0.clone()));
+        }
+        let mut best = None;
+        let mut cache = HashMap::new();
+        rec(items, patterns, est, &mut cache, &mut best);
+        best
+    }
 
     /// A store with strong selectivity skew: a huge `type` predicate, a
     /// mid-size `feature` predicate and a tiny `special` predicate.
@@ -976,5 +976,78 @@ mod tests {
         let plan = optimize(&pats, &est).unwrap();
         assert_eq!(plan.signature().0, *textual_min);
         assert_eq!(plan.est_cout(), 150.0);
+    }
+
+    /// A random dataset over small vocabularies: 12 subjects, 4
+    /// predicates, 12 objects.
+    fn small_vocabulary_dataset(triples: &[(u8, u8, u8)]) -> Dataset {
+        let mut b = StoreBuilder::new();
+        for &(s, p, o) in triples {
+            b.insert(
+                Term::iri(format!("s/{}", s % 12)),
+                Term::iri(format!("p/{}", p % 4)),
+                Term::iri(format!("o/{}", o % 12)),
+            );
+        }
+        b.freeze()
+    }
+
+    /// A random triple pattern description: (subject var, predicate index,
+    /// object choice). Object: var id or a constant.
+    #[derive(Debug, Clone)]
+    struct PatternSpec {
+        s_var: u8,
+        pred: u8,
+        obj: Result<u8, u8>, // Ok(var), Err(const)
+    }
+
+    fn arb_pattern() -> impl Strategy<Value = PatternSpec> {
+        (0u8..4, 0u8..4, prop_oneof![(0u8..4).prop_map(Ok), (0u8..12).prop_map(Err)])
+            .prop_map(|(s_var, pred, obj)| PatternSpec { s_var, pred, obj })
+    }
+
+    fn lower_specs(ds: &Dataset, specs: &[PatternSpec]) -> Vec<PlannedPattern> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(idx, spec)| {
+                let pred = ds.lookup(&Term::iri(format!("p/{}", spec.pred)));
+                let p_slot = match pred {
+                    Some(id) => Slot::Bound(id),
+                    None => Slot::Absent,
+                };
+                let o_slot = match spec.obj {
+                    Ok(v) => Slot::Var(4 + v as usize),
+                    Err(c) => match ds.lookup(&Term::iri(format!("o/{c}"))) {
+                        Some(id) => Slot::Bound(id),
+                        None => Slot::Absent,
+                    },
+                };
+                PlannedPattern { idx, slots: [Slot::Var(spec.s_var as usize), p_slot, o_slot] }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The DP always matches the exhaustive-enumeration oracle (true
+        /// `Cout` optimality) on random small BGPs.
+        #[test]
+        fn dp_is_cout_optimal(
+            triples in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 10..80),
+            specs in prop::collection::vec(arb_pattern(), 2..5),
+        ) {
+            let ds = small_vocabulary_dataset(&triples);
+            let est = Estimator::new(&ds);
+            let patterns = lower_specs(&ds, &specs);
+            let plan = optimize(&patterns, &est).unwrap();
+            let (oracle_cost, _) = exhaustive_min_cout(&patterns, &est).unwrap();
+            prop_assert!(
+                (plan.est_cout() - oracle_cost).abs() <= 1e-6 * (1.0 + oracle_cost.abs()),
+                "dp {} vs oracle {}", plan.est_cout(), oracle_cost
+            );
+            prop_assert_eq!(plan.leaf_count(), patterns.len());
+        }
     }
 }

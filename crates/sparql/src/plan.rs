@@ -1185,8 +1185,8 @@ impl ModifierPlan {
 /// How grouped aggregation folds its input (recorded in [`PhysicalPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fold {
-    /// Group-clustered delivery on a serial, unbudgeted pipeline: one
-    /// group at a time, no hash map.
+    /// Group-clustered delivery on a serial, unbudgeted pipeline: the
+    /// fold runs in clustered mode, one open group at a time, no hash map.
     Ordered,
     /// Serial hash-map fold.
     Hash,

@@ -25,7 +25,7 @@ use crate::ast::AggFunc;
 use crate::error::QueryError;
 use crate::exec::{Bindings, UNBOUND};
 use crate::modifiers::{cmp_keyed, AggState, GroupFold};
-use crate::plan::{AggregatePlan, ModifierPlan, TableColSource};
+use crate::plan::{ModifierPlan, TableColSource};
 
 /// A value in a (pre-decoding) solution table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -258,15 +258,10 @@ pub(crate) fn table_from_bindings(
         .collect())
 }
 
-/// Lays out one finished group's accumulators as a solution-table row —
-/// shared by the batch layout below and the one-group-at-a-time ordered
-/// fold, so the column mapping can never diverge.
-pub(crate) fn group_row(
-    key: &[Id],
-    states: &[AggState],
-    m: &ModifierPlan,
-    agg: &AggregatePlan,
-) -> Vec<SolVal> {
+/// Lays out one finished group's accumulators as a solution-table row
+/// (see [`GroupFold::finish`]).
+pub(crate) fn group_row(key: &[Id], states: &[AggState], m: &ModifierPlan) -> Vec<SolVal> {
+    let agg = m.aggregate.as_ref().expect("group rows exist only under aggregation");
     m.table
         .iter()
         .map(|c| match c.source {
@@ -289,16 +284,6 @@ pub(crate) fn group_row(
             }
         })
         .collect()
-}
-
-/// Lays out finished [`GroupFold`] accumulators as a solution table.
-pub(crate) fn table_from_groups(
-    keys: Vec<Vec<Id>>,
-    states: Vec<Vec<AggState>>,
-    m: &ModifierPlan,
-    agg: &AggregatePlan,
-) -> Vec<Vec<SolVal>> {
-    keys.iter().zip(&states).map(|(key, states)| group_row(key, states, m, agg)).collect()
 }
 
 /// The final value of one aggregate accumulator (see [`GroupFold`] for the
@@ -335,7 +320,7 @@ pub(crate) fn fold_result(func: AggFunc, st: &AggState) -> SolVal {
 /// stable sort by precomputed keys → project to the declared outputs →
 /// DISTINCT → OFFSET/LIMIT → decode. `already_sorted` skips the sort (and
 /// its `sorted_rows` accounting) when the caller proved the rows arrive in
-/// final order — the ordered fold behind an order-compatible index scan.
+/// final order — the clustered fold behind an order-compatible index scan.
 pub(crate) fn finalize_table(
     rows: Vec<Vec<SolVal>>,
     m: &ModifierPlan,
@@ -407,15 +392,11 @@ pub(crate) fn finalize_bindings(
 ) -> Result<ResultSet, QueryError> {
     let rows = match &m.aggregate {
         Some(agg) => {
-            let mut fold = GroupFold::new(agg, bindings.cols(), ds);
+            let mut fold = GroupFold::new(agg, bindings.cols(), ds, false);
             for row in bindings.iter() {
                 fold.add_row(row, stats);
             }
-            let resident = fold.resident();
-            let (keys, states) = fold.finish();
-            let rows = table_from_groups(keys, states, m, agg);
-            stats.shrink(resident);
-            rows
+            fold.finish(m, stats)
         }
         None => table_from_bindings(bindings, m, ds)?,
     };

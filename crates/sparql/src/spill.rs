@@ -49,7 +49,7 @@ use crate::error::ExecError;
 use crate::exec::{ExecStats, UNBOUND};
 use crate::modifiers::{cmp_keyed, GroupFold, RowKeys};
 use crate::plan::{AggregatePlan, ModifierPlan};
-use crate::results::{table_from_groups, SolVal, SortAtom};
+use crate::results::{SolVal, SortAtom};
 
 /// Hash partitions the external GROUP BY fold scatters overflow groups
 /// into. A fixed constant: partition assignment affects only which file a
@@ -533,7 +533,6 @@ pub(crate) struct ExternalGroupFold<'a> {
     space: Option<SpillSpace>,
     writers: Vec<Option<RunWriter>>,
     hasher: RandomState,
-    width: usize,
     next_seq: u64,
 }
 
@@ -549,7 +548,7 @@ impl<'a> ExternalGroupFold<'a> {
         base: Option<PathBuf>,
     ) -> Self {
         ExternalGroupFold {
-            inner: GroupFold::new(agg, schema, ds),
+            inner: GroupFold::new(agg, schema, ds, false),
             ds,
             schema: schema.to_vec(),
             budget,
@@ -558,7 +557,6 @@ impl<'a> ExternalGroupFold<'a> {
             space: None,
             writers: (0..SPILL_PARTITIONS).map(|_| None).collect(),
             hasher: RandomState::new(),
-            width: schema.len(),
             next_seq: 0,
         }
     }
@@ -568,13 +566,11 @@ impl<'a> ExternalGroupFold<'a> {
     pub fn add_row(&mut self, row: &[Id], stats: &mut ExecStats) -> Result<(), ExecError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.spilling && !self.inner.has_group_of(row) {
+        if self.spilling && self.inner.group_of(row).is_none() {
             return self.spill_row(row, seq, stats);
         }
         self.inner.add_row_at(row, seq, stats);
-        if !self.spilling && self.inner.resident() > self.budget {
-            self.spilling = true;
-        }
+        self.spilling |= self.inner.resident() > self.budget;
         Ok(())
     }
 
@@ -583,11 +579,10 @@ impl<'a> ExternalGroupFold<'a> {
             self.space = Some(SpillSpace::create_under(self.base.as_deref())?);
         }
         let space = self.space.as_ref().expect("created above");
-        let key = self.inner.key_of(row);
-        let p = self.hasher.hash_one(&key) as usize % SPILL_PARTITIONS;
+        let p = self.hasher.hash_one(self.inner.key_of(row)) as usize % SPILL_PARTITIONS;
         if self.writers[p].is_none() {
             let path = space.file(&format!("group-{p}.run"));
-            self.writers[p] = Some(RunWriter::create(path, self.width)?);
+            self.writers[p] = Some(RunWriter::create(path, self.schema.len())?);
         }
         self.writers[p].as_mut().expect("created above").push(seq, row)?;
         stats.spilled_rows += 1;
@@ -600,7 +595,6 @@ impl<'a> ExternalGroupFold<'a> {
     pub fn finish(
         self,
         m: &ModifierPlan,
-        agg: &AggregatePlan,
         stats: &mut ExecStats,
     ) -> Result<Vec<Vec<SolVal>>, ExecError> {
         let ExternalGroupFold { inner, ds, schema, mut writers, space, .. } = self;
@@ -618,43 +612,28 @@ impl<'a> ExternalGroupFold<'a> {
         if runs.is_empty() {
             // Nothing spilled: identical to the plain in-memory fold
             // (including the implicit-group rule for ungrouped queries).
-            let resident = inner.resident();
-            let (keys, states) = inner.finish();
-            let rows = table_from_groups(keys, states, m, agg);
-            stats.shrink(resident);
-            return Ok(rows);
+            return Ok(inner.finish(m, stats));
         }
 
         // Master groups first (they were all born before any spilled
         // group), then each partition re-folded in file order — which is
-        // arrival order, so per-group arithmetic replays exactly.
+        // arrival order, so per-group arithmetic replays exactly. A
+        // spilled row opens its group in its partition's fold, so no
+        // implicit group is ever missing here.
         let mut out: Vec<(u64, Vec<SolVal>)> = Vec::new();
-        let master_resident = inner.resident();
-        let (keys, states, births) = inner.into_parts();
-        let rows = table_from_groups(keys, states, m, agg);
+        let (rows, births) = inner.finish_with_births(m, stats);
         out.extend(births.into_iter().zip(rows));
-        stats.shrink(master_resident);
 
         for run in &runs {
             let mut reader = run.open()?;
-            let mut fold = GroupFold::new(agg, &schema, ds);
+            let agg = m.aggregate.as_ref().expect("a fold runs under aggregation");
+            let mut fold = GroupFold::new(agg, &schema, ds, false);
             let mut row = vec![UNBOUND; schema.len()];
             while let Some(seq) = reader.next(&mut row)? {
                 fold.add_row_at(&row, seq, stats);
             }
-            let resident = fold.resident();
-            let (keys, states, births) = fold.into_parts();
-            let rows = table_from_groups(keys, states, m, agg);
+            let (rows, births) = fold.finish_with_births(m, stats);
             out.extend(births.into_iter().zip(rows));
-            stats.shrink(resident);
-        }
-
-        // Eager mode over empty input never created a group anywhere: the
-        // ungrouped implicit-group rule still applies.
-        if agg.group_slots.is_empty() && out.is_empty() {
-            let (keys, states) = GroupFold::new(agg, &schema, ds).finish();
-            let rows = table_from_groups(keys, states, m, agg);
-            out.extend(std::iter::repeat(0u64).zip(rows));
         }
 
         // Births are unique (each row creates at most one group; master
@@ -803,7 +782,7 @@ mod tests {
         for row in rows {
             fold.add_row(row, &mut stats).unwrap();
         }
-        (fold.finish(m, agg, &mut stats).unwrap(), stats)
+        (fold.finish(m, &mut stats).unwrap(), stats)
     }
 
     #[test]

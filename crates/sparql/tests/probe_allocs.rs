@@ -12,14 +12,19 @@
 //! nothing once its count tables are warm, for a parameter with a handful
 //! of matches as for one with thousands; binding a template plan
 //! allocates a fixed number of times, whatever the parameter's matches.
+//! A GROUP BY fold allocates per group, not per row: a row of an open
+//! group looks its key up in a reused buffer, or compares it in place
+//! over group-clustered input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::{Id, ProbeHint, Term};
+use parambench_sparql::ast::AggFunc;
+use parambench_sparql::modifiers::GroupFold;
 use parambench_sparql::physical::{BindJoin, LeftOuterJoin};
-use parambench_sparql::plan::{PlannedPattern, Slot};
+use parambench_sparql::plan::{AggSpec, AggregatePlan, PlannedPattern, Slot};
 use parambench_sparql::{
     parse_query, Batch, Binding, CoutBucket, CoutTables, Engine, ExecError, ExecStats, Operator,
     QueryTemplate, BATCH_SIZE,
@@ -326,5 +331,39 @@ fn binding_a_template_plan_allocates_a_fixed_number_of_times() {
         let (prepared, allocs) = allocations(|| plan.bind(b).unwrap());
         assert_eq!(prepared.signature, first.signature, "{b}: one logical plan");
         assert_eq!(allocs, BIND_ALLOCATIONS, "{b}: allocations of one bind");
+    }
+}
+
+#[test]
+fn a_group_fold_allocates_per_group_not_per_row() {
+    let ds = store();
+    let [products, _] = products(&ds);
+    let prices: Vec<Id> = (0..2).map(|k| ds.lookup(&Term::integer(k * 20)).unwrap()).collect();
+    let spec = |func, slot, distinct| AggSpec { func, slot, distinct };
+    let agg = AggregatePlan {
+        group_slots: vec![0],
+        specs: vec![
+            spec(AggFunc::Count, None, false),
+            spec(AggFunc::Sum, Some(1), false),
+            spec(AggFunc::Count, Some(1), true),
+        ],
+    };
+    // 100 groups, each row of a group carrying one of the same two values,
+    // delivered group by group.
+    let rows = |per_group: usize| -> Vec<Vec<Id>> {
+        let rows = products[..100].iter().flat_map(|&p| (0..per_group).map(move |i| (p, i)));
+        rows.map(|(p, i)| vec![p, prices[i % 2]]).collect()
+    };
+    let (few, many) = (rows(3), rows(3_000));
+    for clustered in [false, true] {
+        let fold_all = |rows: &[Vec<Id>]| {
+            allocations(|| {
+                let mut stats = ExecStats::default();
+                let mut fold = GroupFold::new(&agg, &[0, 1], &ds, clustered);
+                rows.iter().for_each(|row| fold.add_row(row, &mut stats));
+            })
+            .1
+        };
+        assert_eq!(fold_all(&few), fold_all(&many), "clustered {clustered}");
     }
 }

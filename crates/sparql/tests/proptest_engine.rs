@@ -1,7 +1,5 @@
 //! Property tests of the query engine:
 //!
-//! * the DP optimizer always matches the exhaustive-enumeration oracle
-//!   (true `Cout` optimality) on random small BGPs;
 //! * end-to-end BGP evaluation equals a naive nested-loop evaluator on
 //!   random data and random queries — the strongest correctness property
 //!   of the executor (covering hash joins, bind joins and their adaptive
@@ -16,9 +14,7 @@ use proptest::prelude::*;
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
-use parambench_sparql::cardinality::Estimator;
 use parambench_sparql::engine::Engine;
-use parambench_sparql::optimizer::{exhaustive_min_cout, optimize};
 use parambench_sparql::plan::{PlannedPattern, Slot};
 use parambench_sparql::template::{Binding, QueryTemplate};
 
@@ -123,23 +119,6 @@ fn naive_eval(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn dp_is_cout_optimal(
-        triples in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 10..80),
-        specs in prop::collection::vec(arb_pattern(), 2..5),
-    ) {
-        let ds = dataset(&triples);
-        let est = Estimator::new(&ds);
-        let patterns = lower(&ds, &specs);
-        let plan = optimize(&patterns, &est).unwrap();
-        let (oracle_cost, _) = exhaustive_min_cout(&patterns, &est).unwrap();
-        prop_assert!(
-            (plan.est_cout() - oracle_cost).abs() <= 1e-6 * (1.0 + oracle_cost.abs()),
-            "dp {} vs oracle {}", plan.est_cout(), oracle_cost
-        );
-        prop_assert_eq!(plan.leaf_count(), patterns.len());
-    }
 
     #[test]
     fn engine_matches_naive_evaluator(
